@@ -335,6 +335,36 @@ fn bench_selection(c: &mut Criterion) {
             randomized_rounding(&inst, &g, 64, 7).unwrap().total_weight
         })
     });
+
+    // The shape of a synthetic_wide query: 14 candidates over 500 groups,
+    // whose covers depend on `g % 8` only, so the LP sees seven signature
+    // classes (the 62 groups with `g % 8 == 7` are covered by none).
+    let (m, l) = (500, 14);
+    let covers: Vec<BitSet> = (0..l)
+        .map(|j| {
+            let mut b = BitSet::new(m);
+            for g in 0..m {
+                let c = g % 8;
+                if c < 7 && ((j >> (c % 4)) & 1 == 1 || j % 7 == c) {
+                    b.insert(g);
+                }
+            }
+            b
+        })
+        .collect();
+    let wide = CoverInstance {
+        weights: (0..l).map(|j| 2.0 + (j % 5) as f64).collect(),
+        covers,
+        m,
+        k: 5,
+        theta: 0.75,
+    };
+    c.bench_function("lp_relax_plus_rounding_14x500", |b| {
+        b.iter(|| {
+            let g = solve_lp_relaxation(&wide).unwrap();
+            randomized_rounding(&wide, &g, 64, 7).unwrap().total_weight
+        })
+    });
 }
 
 criterion_group!(

@@ -12,10 +12,36 @@
 //! ```
 //!
 //! [`solve_lp_relaxation`] relaxes to `[0,1]` and solves exactly with the
-//! in-crate simplex; [`randomized_rounding`] applies the Appendix-A
-//! procedure (draw `k` patterns i.i.d. with probability `g_j/k`);
-//! [`greedy_cover`] is the paper's `Greedy-Last-Step` variant; and
-//! [`exhaustive_best`] is an exact branch-and-bound used by `Brute-Force`.
+//! in-crate simplex, on an equivalent smaller LP. Groups are merged into
+//! classes by their *covering signature* `sig(c)`, the set of candidates
+//! whose cover contains them; a class of `|c|` groups gets one variable
+//! `τ_c`, and groups no candidate covers are dropped:
+//!
+//! ```text
+//! max Σ g_j w_j   s.t.  Σ g_j ≤ k,
+//!                       τ_c ≤ Σ_{j ∈ sig(c)} g_j        ∀c,
+//!                       Σ_c |c|·τ_c ≥ θ·m,
+//!                       τ, g ∈ [0,1]
+//! ```
+//!
+//! Both relaxations admit exactly the `g ∈ [0,1]^l` with `Σ g_j ≤ k` and
+//! `Σ_i min(1, Σ_{j: i ∈ Cov(P_j)} g_j) ≥ θ·m` (groups of one class share
+//! the inner sum, uncovered groups add 0), and the objective reads `g`
+//! alone, so the optimum is the same. The LP has `l + #classes` variables
+//! instead of `l + m`, and `#classes ≤ m`.
+//!
+//! [`randomized_rounding`] applies the Appendix-A procedure (draw `k`
+//! patterns i.i.d. with probability `g_j/k`); [`greedy_cover`] is the
+//! paper's `Greedy-Last-Step` variant; and [`exhaustive_best`] is an exact
+//! branch-and-bound used by `Brute-Force`.
+//!
+//! A NaN weight never panics: the weight orders of [`randomized_rounding`]
+//! and [`exhaustive_best`] put NaN weights after every number. Sums that
+//! include one are NaN and compare false, so such an instance still gets a
+//! set that meets the constraints it reports, but not a maximum weight.
+
+use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, HashMap};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,43 +107,83 @@ pub struct CoverSolution {
     pub feasible: bool,
 }
 
-/// Build and solve the LP relaxation. Returns the fractional `g` vector, or
-/// `None` when even the relaxation is infeasible (then the ILP certainly
-/// is — Appendix A, claim 1).
+/// Output groups merged by covering signature: the set of candidates whose
+/// cover contains the group. Groups no candidate covers belong to no class.
+#[derive(Debug, PartialEq)]
+struct GroupClasses {
+    /// Covering candidates of each class, ascending.
+    signatures: Vec<Vec<usize>>,
+    /// Number of groups in each class.
+    sizes: Vec<usize>,
+}
+
+/// Classes are numbered in the order of each signature's first group, so
+/// the LP, and Bland's pivot sequence on it, never depends on hash order.
+fn group_classes(inst: &CoverInstance) -> GroupClasses {
+    let mut classes = GroupClasses {
+        signatures: Vec::new(),
+        sizes: Vec::new(),
+    };
+    let mut class_of: HashMap<BitSet, usize> = HashMap::new();
+    for i in 0..inst.m {
+        let mut sig = BitSet::new(inst.len());
+        for (j, cover) in inst.covers.iter().enumerate() {
+            if cover.contains(i) {
+                sig.insert(j);
+            }
+        }
+        if sig.is_empty() {
+            continue;
+        }
+        match class_of.entry(sig) {
+            Entry::Occupied(e) => classes.sizes[*e.get()] += 1,
+            Entry::Vacant(e) => {
+                classes.signatures.push(e.key().iter().collect());
+                classes.sizes.push(1);
+                e.insert(classes.sizes.len() - 1);
+            }
+        }
+    }
+    classes
+}
+
+/// Build and solve the class-reduced LP relaxation (module docs). Returns
+/// the fractional `g` vector, or `None` when even the relaxation is
+/// infeasible (then the ILP certainly is — Appendix A, claim 1).
 pub fn solve_lp_relaxation(inst: &CoverInstance) -> Option<Vec<f64>> {
     let l = inst.len();
-    let m = inst.m;
     if l == 0 {
         return None;
     }
-    let mut p = LpProblem::new(l + m);
-    for (j, &w) in inst.weights.iter().enumerate() {
-        p.objective[j] = w;
-    }
+    let classes = group_classes(inst);
+    let n = l + classes.sizes.len();
+    let mut p = LpProblem::new(n);
+    p.objective[..l].copy_from_slice(&inst.weights);
     // (1) Σ g_j ≤ k.
     p.add(
         (0..l).map(|j| (j, 1.0)).collect(),
         ConstraintOp::Le,
         inst.k as f64,
     );
-    // (2) t_i − Σ_{j covers i} g_j ≤ 0.
-    for i in 0..m {
-        let mut terms = vec![(l + i, 1.0)];
-        for j in 0..l {
-            if inst.covers[j].contains(i) {
-                terms.push((j, -1.0));
-            }
-        }
+    // (2) τ_c − Σ_{j ∈ sig(c)} g_j ≤ 0.
+    for (c, sig) in classes.signatures.iter().enumerate() {
+        let mut terms = vec![(l + c, 1.0)];
+        terms.extend(sig.iter().map(|&j| (j, -1.0)));
         p.add(terms, ConstraintOp::Le, 0.0);
     }
-    // (3) Σ t_i ≥ θ·m.
+    // (3) Σ_c |c|·τ_c ≥ θ·m.
     p.add(
-        (0..m).map(|i| (l + i, 1.0)).collect(),
+        classes
+            .sizes
+            .iter()
+            .enumerate()
+            .map(|(c, &size)| (l + c, size as f64))
+            .collect(),
         ConstraintOp::Ge,
-        inst.theta * m as f64,
+        inst.theta * inst.m as f64,
     );
     // (4) box constraints.
-    for v in 0..l + m {
+    for v in 0..n {
         p.with_upper_bound(v, 1.0);
     }
 
@@ -126,6 +192,12 @@ pub fn solve_lp_relaxation(inst: &CoverInstance) -> Option<Vec<f64>> {
         LpStatus::Optimal => Some(s.x[..l].to_vec()),
         _ => None,
     }
+}
+
+/// Descending weight order that never panics: numbers by `total_cmp`,
+/// then every NaN (of either sign).
+fn heavier_first(a: f64, b: f64) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(b.total_cmp(&a))
 }
 
 /// Appendix-A randomized rounding: draw `k` patterns i.i.d. with
@@ -156,7 +228,7 @@ pub fn randomized_rounding(
 
     // Weight-sorted indices for the fill-up step.
     let mut by_weight: Vec<usize> = (0..l).collect();
-    by_weight.sort_by(|&a, &b| inst.weights[b].partial_cmp(&inst.weights[a]).unwrap());
+    by_weight.sort_by(|&a, &b| heavier_first(inst.weights[a], inst.weights[b]));
 
     for _ in 0..rounds.max(1) {
         let mut chosen: Vec<usize> = Vec::new();
@@ -259,7 +331,7 @@ pub fn exhaustive_best(inst: &CoverInstance) -> Option<CoverSolution> {
     }
     let need = inst.required_coverage();
     let mut order: Vec<usize> = (0..l).collect();
-    order.sort_by(|&a, &b| inst.weights[b].partial_cmp(&inst.weights[a]).unwrap());
+    order.sort_by(|&a, &b| heavier_first(inst.weights[a], inst.weights[b]));
 
     // Suffix sums of the top-k weights for bounding.
     let sorted_weights: Vec<f64> = order.iter().map(|&j| inst.weights[j]).collect();
@@ -407,7 +479,7 @@ mod tests {
     #[test]
     fn lp_infeasible_when_ilp_infeasible_by_structure() {
         // Group 3 uncovered by every pattern ⇒ even the LP fails θ=1.
-        let i = CoverInstance {
+        let mut i = CoverInstance {
             weights: vec![1.0, 1.0],
             covers: vec![bits(4, &[0, 1]), bits(4, &[1, 2])],
             m: 4,
@@ -415,6 +487,75 @@ mod tests {
             theta: 1.0,
         };
         assert!(solve_lp_relaxation(&i).is_none());
+        // The uncovered group is in no class but still counts in θ·m, so
+        // the three covered groups meet θ = 3/4 and nothing more.
+        assert_eq!(group_classes(&i).sizes.iter().sum::<usize>(), 3);
+        i.theta = 0.75;
+        assert!(solve_lp_relaxation(&i).is_some());
+        i.theta = 0.76;
+        assert!(solve_lp_relaxation(&i).is_none());
+    }
+
+    #[test]
+    fn classes_merge_equal_signatures_in_first_group_order() {
+        // Signatures by group: {1}, {0,1}, {}, {0,1}, {1}, {}, {0}.
+        let i = CoverInstance {
+            weights: vec![1.0, 2.0, 3.0],
+            covers: vec![bits(7, &[1, 3, 6]), bits(7, &[0, 1, 3, 4]), bits(7, &[])],
+            m: 7,
+            k: 1,
+            theta: 0.5,
+        };
+        let classes = group_classes(&i);
+        assert_eq!(
+            classes,
+            GroupClasses {
+                signatures: vec![vec![1], vec![0, 1], vec![0]],
+                sizes: vec![2, 2, 1],
+            }
+        );
+        // Sizes add up to |∪ covers|: uncovered groups 2 and 5 are dropped.
+        let mut union = BitSet::new(i.m);
+        for c in &i.covers {
+            union.union_with(c);
+        }
+        assert_eq!(classes.sizes.iter().sum::<usize>(), union.count());
+        assert_eq!(group_classes(&i), classes);
+    }
+
+    #[test]
+    fn distinct_signatures_get_one_class_per_group() {
+        // Every group of `inst()` is covered and has a signature of its own,
+        // so the class LP is the full `l + m` relaxation in group order
+        // (`tests/properties.rs` checks it solves to the same bits).
+        let classes = group_classes(&inst());
+        let sigs: [&[usize]; 4] = [&[0, 1], &[0, 2], &[2, 3], &[3]];
+        assert_eq!(classes.signatures, sigs.map(|s| s.to_vec()));
+        assert_eq!(classes.sizes, vec![1; 4]);
+    }
+
+    #[test]
+    fn nan_weight_selects_without_panicking() {
+        // A NaN outcome gives a NaN CATE and so a NaN weight. NaN sorts
+        // after every number whatever its sign; every selector returns, and
+        // a set it calls feasible meets the coverage constraint.
+        assert_eq!(
+            heavier_first(f64::NAN, f64::NEG_INFINITY),
+            Ordering::Greater
+        );
+        assert_eq!(heavier_first(-f64::NAN, 0.0), Ordering::Greater);
+        assert_eq!(heavier_first(2.0, 1.0), Ordering::Less);
+        let mut i = inst();
+        i.weights[1] = f64::NAN;
+        let g = solve_lp_relaxation(&i).expect("coverage alone decides feasibility");
+        let r = randomized_rounding(&i, &g, 64, 7).unwrap();
+        assert!(r.chosen.len() <= i.k);
+        assert!(!r.feasible || r.coverage >= i.required_coverage());
+        // Pattern 1 sorts last, so branch-and-bound meets {0, 3} first.
+        let e = exhaustive_best(&i).unwrap();
+        assert_eq!(e.chosen, vec![0, 3]);
+        let gr = greedy_cover(&i).unwrap();
+        assert!(!gr.feasible || gr.coverage >= i.required_coverage());
     }
 
     #[test]

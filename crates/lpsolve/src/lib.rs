@@ -10,9 +10,11 @@
 //!
 //! * [`simplex`] — a dense two-phase primal simplex solver with Bland's
 //!   rule (exact for the small LPs this pipeline produces),
-//! * [`cover`] — the Fig. 5 LP/ILP: relaxation construction, randomized
-//!   rounding (Appendix A), the `Greedy-Last-Step` alternative, and an
-//!   exact branch-and-bound selector used by the `Brute-Force` baseline.
+//! * [`cover`] — the Fig. 5 LP/ILP: the relaxation (solved with groups of
+//!   equal covering signature merged into one class variable, which
+//!   leaves the optimum unchanged), randomized rounding (Appendix A), the
+//!   `Greedy-Last-Step` alternative, and an exact branch-and-bound selector
+//!   used by the `Brute-Force` baseline.
 
 pub mod cover;
 pub mod simplex;

@@ -5,8 +5,9 @@
 //! [`LpProblem::with_upper_bound`]). Phase 1 drives artificial variables
 //! out with the auxiliary objective; phase 2 optimizes the true objective.
 //! Bland's anti-cycling rule keeps termination guaranteed; reduced costs
-//! are recomputed per iteration, which is plenty fast for the
-//! hundreds-of-variables LPs the CauSumX pipeline produces.
+//! are recomputed per iteration, which is plenty fast for the LPs the
+//! CauSumX pipeline produces (tens of variables once `cover` has merged
+//! groups into signature classes).
 
 /// Relational operator of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
