@@ -22,14 +22,12 @@
 //! ```
 //!
 //! Per candidate treatment only the `t`-blocks are accumulated and the
-//! solve runs through [`stats::ols::ols_from_gram`]; the `O(n·p²)` Gram
+//! solve runs through [`stats::ols::fit_from_gram_at`]; the `O(n·p²)` Gram
 //! pass, the full-table row scan and the one-hot re-encoding disappear
-//! from the hot loop. The treatment-independent total sum of squares
-//! `Σ(y−ȳ)²` is likewise accumulated once at build and served to every
-//! fit. All block sums accumulate in ascending row order with the same
-//! skip-exact-zero semantics as [`stats::matrix::Matrix::gram`], so the
-//! fit — CATE, standard errors, p-values — is bit-identical to the naive
-//! path, not merely close.
+//! from the hot loop. All block sums accumulate in ascending row order
+//! with the same skip-exact-zero semantics as
+//! [`stats::matrix::Matrix::gram`], so the fit — CATE, standard errors,
+//! p-values — is bit-identical to the naive path, not merely close.
 //!
 //! Treatments arrive in either of two coordinate systems:
 //!
@@ -51,12 +49,12 @@
 //!
 //! One lattice walk touches several *distinct* backdoor sets, and those
 //! sets overlap: `{Age}`, `{Age, Gender}` and `{Age, Country}` share the
-//! subpopulation row list, the outcome gather, the TSS, the encoded `Age`
+//! subpopulation row list, the outcome gather, `Σy`, the encoded `Age`
 //! columns and the `Age×Age` Gram block. Building each
 //! [`EstimationContext`] cold repeats all of that per set.
 //!
 //! [`SubpopPanel`] hoists the sharing one level up: built once per
-//! subpopulation, it materializes the sampled row list, `y`, `Σy`, TSS,
+//! subpopulation, it materializes the sampled row list, `y`, `Σy`, `yᵀy`,
 //! and — lazily, on first use — each confounder attribute's encoded
 //! design columns with their `1ᵀZ_a` / `Z_aᵀy` vectors, plus every
 //! requested pairwise cross-Gram block `Z_aᵀZ_b` (including `a = b` and
@@ -77,6 +75,28 @@
 //! [`ContextCache`] owns the panel (see [`ContextCache::with_panel`]);
 //! `LatticeOptions::use_confounder_panel` is the ablation knob that
 //! switches the cache back to cold per-set builds.
+//!
+//! # Deferred inference
+//!
+//! A regression estimate has two halves. The **fit** — gather, overlap
+//! gate, Gram, Cholesky, `β` and the treatment coefficient's `(XᵀX)⁻¹`
+//! diagonal — decides the CATE and whether the estimate exists at all.
+//! The **inference** — the residual pass, `s²` and the Student-t tail —
+//! turns the fit into a p-value; in `Exact` mode its residual pass is an
+//! `O(n·q)` serial fold, the most expensive step of an estimate.
+//!
+//! [`EstimationContext::fit_local`] and
+//! [`EstimationContext::fit_downdated`] return the fit as a
+//! [`RegressionFit`]; [`EstimationContext::p_value_local`] runs the
+//! inference later, on the same context and mask. Both halves run
+//! today's exact arithmetic, so a deferred p-value has the same bits as
+//! the eager one, and the public `estimate`, `estimate_local`,
+//! `estimate_local_moments` and `estimate_downdated` are simply fit then
+//! inference. The lattice walk ranks, prunes and stops on CATE alone and
+//! reads a p-value only for a node that can enter its best-k list, so it
+//! holds the fit and runs the inference for those few nodes only. Every
+//! estimate path shares one residual routine (`rss`), which adds the
+//! `t·β₁` term at the treated positions only.
 //!
 //! # Numeric modes
 //!
@@ -112,7 +132,7 @@ use rand::SeedableRng;
 
 use stats::matrix::Matrix;
 use stats::numeric::{self, LaneAcc, NumericMode};
-use stats::ols::{gram_from_blocks, ols_from_gram_at};
+use stats::ols::{fit_from_gram_at, gram_from_blocks, GramFit};
 use table::bitset::BitSet;
 use table::{Column, Table};
 
@@ -148,14 +168,10 @@ struct ScopeState {
     y: Option<Arc<Vec<f64>>>,
     /// `Σy` over `rows` (regression backend with numeric outcome only).
     sum_y: f64,
-    /// `Σ(y − ȳ)²` over `rows` — the treatment-independent TSS (same
-    /// gating as `sum_y`). Accumulated once, in the exact ascending
-    /// order the naive residual pass used.
-    tss: f64,
     /// `yᵀy` over `rows` (same gating as `sum_y`) — the constant term of
-    /// the `FastV1` RSS shortcut (see `solve_regression`). Mode-dispatched
-    /// through the shared dot kernel so cold builds and panel assemblies
-    /// agree bit for bit.
+    /// the `FastV1` RSS shortcut (see `EstimationContext::rss`).
+    /// Mode-dispatched through the shared dot kernel so cold builds and
+    /// panel assemblies agree bit for bit.
     sum_y_sq: f64,
 }
 
@@ -203,15 +219,12 @@ impl ScopeState {
         let ycol = table.column(outcome);
         let y: Option<Vec<f64>> = (!matches!(ycol, Column::Cat { .. }))
             .then(|| rows.iter().map(|&r| ycol.get_f64(r)).collect());
-        let (sum_y, tss, sum_y_sq) = match &y {
-            Some(y) if opts.backend == EstimatorBackend::Regression => {
-                let sum_y = numeric::sum(opts.numeric_mode, y);
-                let ybar = sum_y / rows.len() as f64;
-                let tss = numeric::centered_sq(opts.numeric_mode, y, ybar);
-                let sum_y_sq = numeric::dot(opts.numeric_mode, y, y);
-                (sum_y, tss, sum_y_sq)
-            }
-            _ => (0.0, 0.0, 0.0),
+        let (sum_y, sum_y_sq) = match &y {
+            Some(y) if opts.backend == EstimatorBackend::Regression => (
+                numeric::sum(opts.numeric_mode, y),
+                numeric::dot(opts.numeric_mode, y, y),
+            ),
+            _ => (0.0, 0.0),
         };
 
         ScopeState {
@@ -220,7 +233,6 @@ impl ScopeState {
             local,
             y: y.map(Arc::new),
             sum_y,
-            tss,
             sum_y_sq,
         }
     }
@@ -271,6 +283,39 @@ pub struct TreatmentMoments {
     pub tz: Vec<f64>,
 }
 
+/// The fit half of one regression estimate (see [Deferred
+/// inference](self#deferred-inference)): `β` with the treatment
+/// coefficient's `(XᵀX)⁻¹` diagonal, plus the arm counts. It already
+/// decides the CATE and whether the estimate exists;
+/// [`EstimationContext::p_value_local`] on the context and mask it came
+/// from adds the p-value.
+#[derive(Debug, Clone)]
+pub struct RegressionFit {
+    fit: GramFit,
+    /// `tᵀy` — the one treatment-dependent entry of `Xᵀy`, read by the
+    /// `FastV1` RSS shortcut.
+    ty: f64,
+    n_treated: usize,
+    n_control: usize,
+}
+
+impl RegressionFit {
+    /// Estimated CATE: the treatment coefficient `β₁`.
+    pub fn cate(&self) -> f64 {
+        self.fit.beta[1]
+    }
+
+    /// Treated units among the context's (sampled) rows.
+    pub fn n_treated(&self) -> usize {
+        self.n_treated
+    }
+
+    /// Control units among the context's (sampled) rows.
+    pub fn n_control(&self) -> usize {
+        self.n_control
+    }
+}
+
 /// Treatment-independent state of CATE estimation, cached per
 /// `(subpopulation, confounder set)` pair. See the module docs.
 ///
@@ -301,12 +346,8 @@ pub struct EstimationContext {
     z_cols: Vec<Arc<Vec<f64>>>,
     /// `Σ y` over `rows`.
     sum_y: f64,
-    /// `Σ (y − ȳ)²` over `rows` — the treatment-independent TSS, hoisted
-    /// out of the per-candidate residual pass (same ascending-order
-    /// accumulation, so R² stays bit-identical).
-    tss: f64,
     /// `yᵀy` over `rows` — constant term of the `FastV1` RSS shortcut
-    /// (unused in `Exact` mode; see `solve_regression`).
+    /// (unused in `Exact` mode; see `EstimationContext::rss`).
     sum_y_sq: f64,
     /// `1ᵀZ` — per-column sums of `z_cols`.
     sum_z: Vec<f64>,
@@ -387,13 +428,17 @@ impl EstimationContext {
             y,
             z_cols,
             sum_y: scope.sum_y,
-            tss: scope.tss,
             sum_y_sq: scope.sum_y_sq,
             sum_z,
             zz,
             zy,
             x_prop,
         })
+    }
+
+    /// The estimator backend the context was built for.
+    pub fn backend(&self) -> EstimatorBackend {
+        self.backend
     }
 
     /// Rows used by every estimate from this context (after sampling).
@@ -421,7 +466,13 @@ impl EstimationContext {
     /// [`crate::estimate::estimate_effect`] on the same inputs.
     pub fn estimate(&self, treated: &BitSet) -> Option<CateResult> {
         match self.backend {
-            EstimatorBackend::Regression => self.estimate_regression(treated),
+            EstimatorBackend::Regression => {
+                // Single pass over the subpopulation: arm counts plus the
+                // treatment blocks tᵀy and tᵀZ of the normal equations.
+                let (n_treated, ty, tz) = self.gather_positions(self.dense_positions(treated));
+                let fit = self.fit_regression(n_treated, ty, &tz)?;
+                Some(self.finish(fit, self.dense_positions(treated)))
+            }
             EstimatorBackend::Ipw => self.estimate_ipw(treated),
         }
     }
@@ -437,7 +488,10 @@ impl EstimationContext {
     pub fn estimate_local(&self, treated: &BitSet) -> Option<CateResult> {
         debug_assert_eq!(treated.capacity(), self.sub_n);
         match self.backend {
-            EstimatorBackend::Regression => self.estimate_regression_local(treated),
+            EstimatorBackend::Regression => {
+                let (fit, _) = self.fit_local(treated)?;
+                Some(self.finish(fit, self.local_positions(treated)))
+            }
             EstimatorBackend::Ipw => {
                 let t: Vec<bool> = match &self.local {
                     None => (0..self.rows.len()).map(|i| treated.contains(i)).collect(),
@@ -495,68 +549,6 @@ impl EstimationContext {
         }
     }
 
-    fn estimate_regression(&self, treated: &BitSet) -> Option<CateResult> {
-        // Single pass over the subpopulation: arm counts plus the
-        // treatment blocks tᵀy and tᵀZ of the normal equations.
-        let (n_treated, ty, tz) = self.gather_positions(
-            self.rows
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| treated.contains(r))
-                .map(|(i, _)| i),
-        );
-        self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-            for (i, &r) in self.rows.iter().enumerate() {
-                let t = if treated.contains(r) { 1.0 } else { 0.0 };
-                yhat[i] += t * b1;
-            }
-        })
-    }
-
-    fn estimate_regression_local(&self, treated: &BitSet) -> Option<CateResult> {
-        // Sparse gather: only the set bits of the local treatment mask are
-        // visited (ascending = identical accumulation order to the dense
-        // scan), so the t-blocks cost O(|T|·q) instead of O(n·q).
-        match &self.local {
-            None => {
-                let n_treated = treated.count();
-                let n_control = self.rows.len() - n_treated;
-                if n_treated < self.min_arm || n_control < self.min_arm {
-                    return None; // Overlap (Eq. 4) violated.
-                }
-                let (_, ty, tz) = self.gather_positions(treated.iter());
-                // Sparse t·β₁ application: only treated elements receive
-                // the (nonzero) term; the skipped `+ 0.0·β₁` adds can at
-                // most flip a sign of zero, which the squared residuals
-                // erase — RSS is bit-identical to the dense pass.
-                self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                    for l in treated.iter() {
-                        yhat[l] += b1;
-                    }
-                })
-            }
-            Some(map) => {
-                let (n_treated, ty, tz) = self.gather_positions(
-                    treated
-                        .iter()
-                        .map(|l| map.pos_of_local[l])
-                        .filter(|&pos| pos != u32::MAX)
-                        .map(|pos| pos as usize),
-                );
-                self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                    for (i, &l) in map.loc.iter().enumerate() {
-                        let t = if treated.contains(l as usize) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        yhat[i] += t * b1;
-                    }
-                })
-            }
-        }
-    }
-
     /// [`EstimationContext::estimate_local`] for the regression backend,
     /// additionally returning the gathered [`TreatmentMoments`] so the
     /// lattice walk can cache them on the node for subset-child
@@ -565,54 +557,8 @@ impl EstimationContext {
         &self,
         treated: &BitSet,
     ) -> Option<(CateResult, TreatmentMoments)> {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
-        debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        match &self.local {
-            None => {
-                let n_treated = treated.count();
-                let n_control = self.rows.len() - n_treated;
-                if n_treated < self.min_arm || n_control < self.min_arm {
-                    return None; // Overlap (Eq. 4) violated.
-                }
-                let (_, ty, tz) = self.gather_positions(treated.iter());
-                let moments = TreatmentMoments {
-                    n_treated,
-                    ty,
-                    tz: tz.clone(),
-                };
-                let r = self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                    for l in treated.iter() {
-                        yhat[l] += b1;
-                    }
-                })?;
-                Some((r, moments))
-            }
-            Some(map) => {
-                let (n_treated, ty, tz) = self.gather_positions(
-                    treated
-                        .iter()
-                        .map(|l| map.pos_of_local[l])
-                        .filter(|&pos| pos != u32::MAX)
-                        .map(|pos| pos as usize),
-                );
-                let moments = TreatmentMoments {
-                    n_treated,
-                    ty,
-                    tz: tz.clone(),
-                };
-                let r = self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                    for (i, &l) in map.loc.iter().enumerate() {
-                        let t = if treated.contains(l as usize) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        yhat[i] += t * b1;
-                    }
-                })?;
-                Some((r, moments))
-            }
-        }
+        let (fit, moments) = self.fit_local(treated)?;
+        Some((self.finish(fit, self.local_positions(treated)), moments))
     }
 
     /// Estimate a candidate whose treated rowset (`treated`, local
@@ -634,6 +580,43 @@ impl EstimationContext {
         removed: &BitSet,
     ) -> Option<(CateResult, TreatmentMoments)> {
         debug_assert_eq!(treated.capacity(), self.sub_n);
+        let (fit, moments) = self.fit_downdated(parent, removed)?;
+        Some((self.finish(fit, self.local_positions(treated)), moments))
+    }
+
+    /// The fit half of [`EstimationContext::estimate_local_moments`]
+    /// (regression backend; see [Deferred
+    /// inference](self#deferred-inference)): the sparse gather, the
+    /// overlap gate, the Gram, Cholesky, `β` and the treatment
+    /// coefficient's `(XᵀX)⁻¹` diagonal, plus the gathered
+    /// [`TreatmentMoments`]. `None` exactly when `estimate_local` returns
+    /// `None`; [`EstimationContext::p_value_local`] on the same mask
+    /// completes it.
+    pub fn fit_local(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
+        debug_assert_eq!(treated.capacity(), self.sub_n);
+        debug_assert_eq!(self.backend, EstimatorBackend::Regression);
+        // Without sampling the arm counts are a popcount, so the overlap
+        // gate runs before paying for the gather.
+        if self.local.is_none() && !self.overlap_ok(treated.count()) {
+            return None; // Overlap (Eq. 4) violated.
+        }
+        // Sparse gather: only the set bits of the local treatment mask are
+        // visited (ascending = identical accumulation order to the dense
+        // scan), so the t-blocks cost O(|T|·q) instead of O(n·q).
+        let (n_treated, ty, tz) = self.gather_positions(self.local_positions(treated));
+        let fit = self.fit_regression(n_treated, ty, &tz)?;
+        Some((fit, TreatmentMoments { n_treated, ty, tz }))
+    }
+
+    /// The fit half of [`EstimationContext::estimate_downdated`]: the
+    /// child's moments by downdating `parent`, then the fit. The child's
+    /// mask is needed only by the inference half
+    /// ([`EstimationContext::p_value_local`]).
+    pub fn fit_downdated(
+        &self,
+        parent: &TreatmentMoments,
+        removed: &BitSet,
+    ) -> Option<(RegressionFit, TreatmentMoments)> {
         debug_assert_eq!(removed.capacity(), self.sub_n);
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
         let mut n_treated = parent.n_treated;
@@ -642,176 +625,194 @@ impl EstimationContext {
         // Subtract removed rows in ascending local order; rows the
         // §5.2(d) sampling dropped never entered the parent's moments, so
         // they are skipped here too.
-        match &self.local {
-            None => {
-                for l in removed.iter() {
-                    n_treated -= 1;
-                    ty -= self.y[l];
-                    for (j, col) in self.z_cols.iter().enumerate() {
-                        tz[j] -= col[l];
-                    }
-                }
-            }
-            Some(map) => {
-                for l in removed.iter() {
-                    let pos = map.pos_of_local[l];
-                    if pos != u32::MAX {
-                        let i = pos as usize;
-                        n_treated -= 1;
-                        ty -= self.y[i];
-                        for (j, col) in self.z_cols.iter().enumerate() {
-                            tz[j] -= col[i];
-                        }
-                    }
-                }
+        for i in self.local_positions(removed) {
+            n_treated -= 1;
+            ty -= self.y[i];
+            for (j, col) in self.z_cols.iter().enumerate() {
+                tz[j] -= col[i];
             }
         }
-        let moments = TreatmentMoments {
-            n_treated,
-            ty,
-            tz: tz.clone(),
-        };
-        let r = match &self.local {
-            None => self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                for l in treated.iter() {
-                    yhat[l] += b1;
-                }
-            }),
-            Some(map) => self.solve_regression(n_treated, ty, tz, |yhat, b1| {
-                for (i, &l) in map.loc.iter().enumerate() {
-                    let t = if treated.contains(l as usize) {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    yhat[i] += t * b1;
-                }
-            }),
-        }?;
-        Some((r, moments))
+        let fit = self.fit_regression(n_treated, ty, &tz)?;
+        Some((fit, TreatmentMoments { n_treated, ty, tz }))
     }
 
-    /// Shared back half of the regression estimate: overlap gate, Gram
-    /// assembly from the cached fixed blocks plus the caller-gathered
-    /// t-blocks, and the solve. `apply_t(yhat, β₁)` adds the `t·β₁` term
-    /// of every sampled position into the prediction buffer — dense or
-    /// sparse, whichever the caller's coordinates make cheap.
-    fn solve_regression(
-        &self,
-        n_treated: usize,
-        ty: f64,
-        tz: Vec<f64>,
-        apply_t: impl FnOnce(&mut [f64], f64),
-    ) -> Option<CateResult> {
-        let n = self.rows.len();
-        let n_control = n - n_treated;
-        if n_treated < self.min_arm || n_control < self.min_arm {
+    /// The inference half of a fit from [`EstimationContext::fit_local`]
+    /// or [`EstimationContext::fit_downdated`]: the residual pass, `s²` and
+    /// the Student-t tail. `treated` is the candidate's mask in local
+    /// coordinates — the one the fit was made for. The result has the
+    /// same bits as the p-value of the matching eager `estimate_*` call.
+    pub fn p_value_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        debug_assert_eq!(treated.capacity(), self.sub_n);
+        fit.fit
+            .p_value(self.rss(&fit.fit.beta, fit.ty, self.local_positions(treated)))
+    }
+
+    /// Does a split of the context's rows into `n_treated` treated units
+    /// and the rest meet the overlap requirement (Eq. 4)?
+    fn overlap_ok(&self, n_treated: usize) -> bool {
+        n_treated >= self.min_arm && self.rows.len() - n_treated >= self.min_arm
+    }
+
+    /// Sampled positions of the treated rows, `treated` given over the
+    /// full table: the dense membership scan over the row list.
+    fn dense_positions<'s>(&'s self, treated: &'s BitSet) -> impl Iterator<Item = usize> + 's {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &r)| treated.contains(r))
+            .map(|(i, _)| i)
+    }
+
+    /// Sampled positions of the treated rows, `treated` given in local
+    /// coordinates, ascending. Rows the §5.2(d) sampling dropped are
+    /// skipped; without sampling a local index *is* its position.
+    fn local_positions<'s>(&'s self, treated: &'s BitSet) -> impl Iterator<Item = usize> + 's {
+        let map = self.local.as_deref();
+        treated.iter().filter_map(move |l| match map {
+            None => Some(l),
+            Some(m) => {
+                let pos = m.pos_of_local[l];
+                (pos != u32::MAX).then_some(pos as usize)
+            }
+        })
+    }
+
+    /// The fit half shared by every regression estimate: overlap gate,
+    /// Gram assembly from the cached fixed blocks plus the caller-gathered
+    /// t-blocks (pure placement — see `stats::ols::gram_from_blocks`), and
+    /// [`fit_from_gram_at`] for the treatment coefficient.
+    fn fit_regression(&self, n_treated: usize, ty: f64, tz: &[f64]) -> Option<RegressionFit> {
+        if !self.overlap_ok(n_treated) {
             return None; // Overlap (Eq. 4) violated.
         }
-
-        // Assemble XᵀX / Xᵀy for X = [1, T, Z] from the cached fixed
-        // blocks plus the caller-gathered t-blocks (pure placement — see
-        // `stats::ols::gram_from_blocks`).
+        let n = self.rows.len();
         let (gram, xty) = gram_from_blocks(
             n,
             n_treated,
             self.sum_y,
             ty,
             &self.sum_z,
-            &tz,
+            tz,
             &self.zz,
             &self.zy,
         );
-
         // Inference only at index 1 — the treatment coefficient is the
         // only one estimation consumes; its se/p-value come out of the
         // same factor/solve path bit for bit.
-        let fit = ols_from_gram_at(&gram, &xty, n, 1, |beta| {
-            let rss = match self.mode {
-                NumericMode::Exact => {
-                    // Residual pass over virtual rows [1, t, z…], evaluated
-                    // column-major into a ŷ buffer: each element sees the
-                    // exact per-term addition sequence of the naive
-                    // row-major loop (init = 1·β₀, then t·β₁, then
-                    // z_j·β_{2+j} in column order), so RSS matches the
-                    // naive pass bit for bit while the z passes run over
-                    // contiguous columns the compiler can vectorize. TSS
-                    // is the treatment-independent accumulator hoisted to
-                    // build time. The algebraic shortcut below is never
-                    // taken here — it cannot replay the historical fold.
-                    let mut yhat = vec![beta[0]; n];
-                    apply_t(&mut yhat, beta[1]);
+        let fit = fit_from_gram_at(&gram, &xty, n, 1)?;
+        Some(RegressionFit {
+            fit,
+            ty,
+            n_treated,
+            n_control: n - n_treated,
+        })
+    }
+
+    /// Complete a fit eagerly: the inference half over the treated
+    /// positions `treated`, packed into the public [`CateResult`].
+    fn finish(&self, fit: RegressionFit, treated: impl Iterator<Item = usize>) -> CateResult {
+        let rss = self.rss(&fit.fit.beta, fit.ty, treated);
+        CateResult {
+            cate: fit.cate(),
+            p_value: fit.fit.p_value(rss),
+            n: self.rows.len(),
+            n_treated: fit.n_treated,
+            n_control: fit.n_control,
+        }
+    }
+
+    /// ŷ after the naive row-major loop's first two terms, in its order:
+    /// `1·β₀` everywhere, then `t·β₁` at the treated positions.
+    fn yhat_1t(&self, beta: &[f64], treated: impl Iterator<Item = usize>) -> Vec<f64> {
+        let mut yhat = vec![beta[0]; self.rows.len()];
+        for i in treated {
+            yhat[i] += beta[1];
+        }
+        yhat
+    }
+
+    /// The residual sum of squares of `beta` — the one residual routine
+    /// behind every regression estimate. `treated` yields the sampled
+    /// positions of the treated rows in ascending order, and the `t·β₁`
+    /// term is added at those positions only: a skipped `+ 0.0·β₁` can
+    /// at most flip the sign of a zero, which the squared residual
+    /// erases, so the sum has the bits of a dense pass over every row.
+    /// `ty` is the fit's `tᵀy`, which the `FastV1` shortcut reads.
+    fn rss(&self, beta: &[f64], ty: f64, treated: impl Iterator<Item = usize>) -> f64 {
+        match self.mode {
+            NumericMode::Exact => {
+                // Residual pass over virtual rows [1, t, z…], evaluated
+                // column-major into a ŷ buffer: each element sees the
+                // exact per-term addition sequence of the naive
+                // row-major loop (init = 1·β₀, then t·β₁, then
+                // z_j·β_{2+j} in column order), so RSS matches the
+                // naive pass bit for bit while the z passes run over
+                // contiguous columns the compiler can vectorize. The
+                // algebraic shortcut below is never taken here — it
+                // cannot replay the historical fold.
+                let mut yhat = self.yhat_1t(beta, treated);
+                for (j, col) in self.z_cols.iter().enumerate() {
+                    let bj = beta[2 + j];
+                    for (v, &z) in yhat.iter_mut().zip(col.iter()) {
+                        *v += z * bj;
+                    }
+                }
+                let mut rss = 0.0;
+                for (&yi, &vh) in self.y.iter().zip(&yhat) {
+                    let e = yi - vh;
+                    rss += e * e;
+                }
+                rss
+            }
+            NumericMode::FastV1 => {
+                // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
+                // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
+                // the assembled border [Σy, tᵀy, Zᵀy], skipping the
+                // O(n·q) data pass entirely. The identity cancels
+                // catastrophically when the fit is near-exact
+                // (RSS ≪ yᵀy), so it is guarded: anything below
+                // RSS_SHORTCUT_GUARD·yᵀy falls back to the fused data
+                // pass, capping the shortcut's relative rounding error
+                // around eps/GUARD ≈ 1e-12 — well inside the 1e-9
+                // cross-mode tolerance. Both branches are deterministic
+                // functions of (β, Xᵀy, data), so FastV1 stays
+                // bit-identical across threads and cache layers.
+                const RSS_SHORTCUT_GUARD: f64 = 1e-4;
+                let mut bxty = 0.0;
+                let xty = [self.sum_y, ty].into_iter().chain(self.zy.iter().copied());
+                for (b, v) in beta.iter().zip(xty) {
+                    bxty += b * v;
+                }
+                let shortcut = self.sum_y_sq - bxty;
+                if shortcut > RSS_SHORTCUT_GUARD * self.sum_y_sq {
+                    return shortcut;
+                }
+                // Fused blocked fallback: apply every z column to one
+                // L1-resident block of ŷ, then fold its residuals into
+                // the 8 lanes. BLOCK is a multiple of 8, so the lane a
+                // global index lands in is `index & 7` — identical to
+                // one unblocked lane pass (pinned by the
+                // blocked-vs-whole-array test in stats::numeric), while
+                // ŷ is touched once instead of q+1 times.
+                const BLOCK: usize = 4096;
+                let n = self.rows.len();
+                let mut yhat = self.yhat_1t(beta, treated);
+                let mut lanes = [0.0f64; 8];
+                let mut s = 0;
+                while s < n {
+                    let e = (s + BLOCK).min(n);
                     for (j, col) in self.z_cols.iter().enumerate() {
                         let bj = beta[2 + j];
-                        for (v, &z) in yhat.iter_mut().zip(col.iter()) {
+                        for (v, &z) in yhat[s..e].iter_mut().zip(&col[s..e]) {
                             *v += z * bj;
                         }
                     }
-                    let mut rss = 0.0;
-                    for (&yi, &vh) in self.y.iter().zip(&yhat) {
-                        let e = yi - vh;
-                        rss += e * e;
-                    }
-                    rss
+                    numeric::lane_sq_diff_into(&mut lanes, &self.y[s..e], &yhat[s..e]);
+                    s = e;
                 }
-                NumericMode::FastV1 => {
-                    // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
-                    // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
-                    // the assembled border, skipping the O(n·q) data pass
-                    // entirely. The identity cancels catastrophically when
-                    // the fit is near-exact (RSS ≪ yᵀy), so it is guarded:
-                    // anything below RSS_SHORTCUT_GUARD·yᵀy falls back to
-                    // the fused data pass, capping the shortcut's relative
-                    // rounding error around eps/GUARD ≈ 1e-12 — well inside
-                    // the 1e-9 cross-mode tolerance. Both branches are
-                    // deterministic functions of (β, Xᵀy, data), so FastV1
-                    // stays bit-identical across threads and cache layers.
-                    const RSS_SHORTCUT_GUARD: f64 = 1e-4;
-                    let mut bxty = 0.0;
-                    for (b, v) in beta.iter().zip(xty.iter()) {
-                        bxty += b * v;
-                    }
-                    let shortcut = self.sum_y_sq - bxty;
-                    if shortcut > RSS_SHORTCUT_GUARD * self.sum_y_sq {
-                        shortcut
-                    } else {
-                        // Fused blocked fallback: apply every z column to
-                        // one L1-resident block of ŷ, then fold its
-                        // residuals into the 8 lanes. BLOCK is a multiple
-                        // of 8, so the lane a global index lands in is
-                        // `index & 7` — identical to one unblocked lane
-                        // pass (pinned by the blocked-vs-whole-array test
-                        // in stats::numeric), while ŷ is touched once
-                        // instead of q+1 times.
-                        const BLOCK: usize = 4096;
-                        let mut yhat = vec![beta[0]; n];
-                        apply_t(&mut yhat, beta[1]);
-                        let mut lanes = [0.0f64; 8];
-                        let mut s = 0;
-                        while s < n {
-                            let e = (s + BLOCK).min(n);
-                            for (j, col) in self.z_cols.iter().enumerate() {
-                                let bj = beta[2 + j];
-                                for (v, &z) in yhat[s..e].iter_mut().zip(&col[s..e]) {
-                                    *v += z * bj;
-                                }
-                            }
-                            numeric::lane_sq_diff_into(&mut lanes, &self.y[s..e], &yhat[s..e]);
-                            s = e;
-                        }
-                        numeric::fold8(lanes)
-                    }
-                }
-            };
-            (rss, self.tss)
-        })?;
-        Some(CateResult {
-            cate: fit.beta[1],
-            p_value: fit.p_value[1],
-            n,
-            n_treated,
-            n_control,
-        })
+                numeric::fold8(lanes)
+            }
+        }
     }
 
     fn estimate_ipw(&self, treated: &BitSet) -> Option<CateResult> {
@@ -847,7 +848,7 @@ struct AttrBlocks {
 /// The shared confounder panel of one subpopulation — every
 /// treatment-independent quantity that distinct backdoor sets of the same
 /// subpopulation would otherwise rebuild per [`EstimationContext`]: the
-/// sampled row list, the outcome vector with `Σy`/TSS, each encoded
+/// sampled row list, the outcome vector with `Σy`/`yᵀy`, each encoded
 /// attribute's design columns (with their `1ᵀZ_a`/`Z_aᵀy` borders), and
 /// the pairwise cross-Gram blocks `Z_aᵀZ_b`. Attribute and pair blocks
 /// materialize lazily on first use; [`SubpopPanel::assemble`] stitches a
@@ -873,8 +874,6 @@ pub struct SubpopPanel {
     y: Arc<Vec<f64>>,
     /// `Σy` over `rows` (regression backend only).
     sum_y: f64,
-    /// `Σ(y − ȳ)²` over `rows` (regression backend only).
-    tss: f64,
     /// `yᵀy` over `rows` (regression backend only) — the `FastV1` RSS
     /// shortcut constant, shared with every assembled context.
     sum_y_sq: f64,
@@ -888,7 +887,7 @@ pub struct SubpopPanel {
 impl SubpopPanel {
     /// Build the panel's subpopulation-level state: row list (with the
     /// §5.2(d) sampling applied exactly as [`EstimationContext::new`]
-    /// applies it), outcome gather, `Σy` and TSS. Attribute and pair
+    /// applies it), outcome gather, `Σy` and `yᵀy`. Attribute and pair
     /// blocks are deferred to first use — which attributes matter depends
     /// on the backdoor sets the walk actually touches.
     pub fn new(table: &Table, subpop: Option<&BitSet>, outcome: usize, opts: &CateOptions) -> Self {
@@ -906,7 +905,6 @@ impl SubpopPanel {
             outcome_ok,
             y: scope.y.unwrap_or_default(),
             sum_y: scope.sum_y,
-            tss: scope.tss,
             sum_y_sq: scope.sum_y_sq,
             attrs: HashMap::new(),
             pairs: HashMap::new(),
@@ -1069,7 +1067,6 @@ impl SubpopPanel {
             y: Arc::clone(&self.y),
             z_cols,
             sum_y: self.sum_y,
-            tss: self.tss,
             sum_y_sq: self.sum_y_sq,
             sum_z,
             zz,

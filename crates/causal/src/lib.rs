@@ -19,9 +19,10 @@
 //!   cache: row list, outcome, confounder encoding and the fixed Gram
 //!   blocks are built once per (subpopulation, confounder set) and reused
 //!   across every candidate treatment, with bit-identical results to the
-//!   naive path,
+//!   naive path. A regression estimate splits into a fit (the CATE) and
+//!   an on-demand inference (the p-value, [`context::RegressionFit`]),
 //! * [`context::SubpopPanel`] — the per-subpopulation confounder panel
-//!   one level up: row list, outcome, TSS, per-attribute encodings and
+//!   one level up: row list, outcome, `Σy`, per-attribute encodings and
 //!   pairwise cross-Gram blocks shared across *all* confounder sets of a
 //!   subpopulation, so each context build becomes an `O(q²)` assembly.
 
@@ -35,7 +36,7 @@ pub mod ipw;
 pub mod logistic;
 
 pub use backdoor::backdoor_set;
-pub use context::{ContextCache, EstimationContext, SubpopPanel, TreatmentMoments};
+pub use context::{ContextCache, EstimationContext, RegressionFit, SubpopPanel, TreatmentMoments};
 pub use dag::{Dag, DagError};
 pub use estimate::{estimate_cate, CateOptions, CateResult};
 pub use ipw::{estimate_att_matching, estimate_cate_ipw};

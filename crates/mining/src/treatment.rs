@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use causal::backdoor::{attrs_affecting_outcome, backdoor_set};
-use causal::context::{ContextCache, EstimationContext, TreatmentMoments};
+use causal::context::{ContextCache, EstimationContext, RegressionFit, TreatmentMoments};
 use causal::dag::Dag;
 use causal::estimate::{estimate_effect, CateOptions, CateResult, EstimatorBackend};
 use causal::NumericMode;
@@ -75,8 +75,11 @@ pub struct LatticeOptions {
     /// Near-zero-CATE pruning threshold, as a fraction of the outcome's
     /// standard deviation (optimization b).
     pub min_abs_cate_frac: f64,
-    /// Statistical-significance requirement for the *returned* treatment;
-    /// nodes failing it may still be expanded.
+    /// Statistical-significance requirement for the *returned* treatment:
+    /// a node enters the best list only when its p-value is `<=` this
+    /// bound, so a NaN p-value (from `df ≤ 0` or a zero standard error) is
+    /// never significant — the same test the brute-force path applies.
+    /// Nodes failing it may still be expanded.
     pub max_p_value: f64,
     /// Estimator options (sampling, overlap, one-hot caps).
     pub cate_opts: CateOptions,
@@ -97,7 +100,7 @@ pub struct LatticeOptions {
     pub use_estimation_cache: bool,
     /// Share one [`causal::context::SubpopPanel`] across all confounder
     /// sets of a subpopulation, so each [`causal::context::EstimationContext`]
-    /// is assembled from precomputed blocks (row list, outcome, TSS,
+    /// is assembled from precomputed blocks (row list, outcome, `Σy`,
     /// per-attribute encodings, pairwise cross-Gram blocks) instead of an
     /// `O(n·q²)` cold build per set. `false` replays the per-set cold
     /// builds — results are bit-identical; the switch exists for ablation
@@ -1097,7 +1100,7 @@ impl<'a> TreatmentMiner<'a> {
                         &batch.keys[i],
                         &self.opts.cate_opts,
                     )
-                    .map(|r| (r, None))
+                    .map(|r| (r.into(), None))
                 }
             })
             .collect()
@@ -1243,6 +1246,48 @@ struct NodeAux {
     moments: Option<TreatmentMoments>,
 }
 
+/// A node's p-value. The walk ranks, prunes and stops on CATE alone, so a
+/// regression estimate keeps only its fit and runs the inference half
+/// (the residual pass and the Student-t tail) when [`insert_best`] needs
+/// the p-value. The IPW backend and the `use_estimation_cache = false`
+/// ablation estimate eagerly and carry a known value.
+#[derive(Clone)]
+enum PValue {
+    Known(f64),
+    Deferred(RegressionFit),
+}
+
+/// One candidate's estimate as the walk keeps it.
+#[derive(Clone)]
+struct Est {
+    cate: f64,
+    p: PValue,
+    n_treated: usize,
+    n_control: usize,
+}
+
+impl From<CateResult> for Est {
+    fn from(r: CateResult) -> Self {
+        Est {
+            cate: r.cate,
+            p: PValue::Known(r.p_value),
+            n_treated: r.n_treated,
+            n_control: r.n_control,
+        }
+    }
+}
+
+impl From<RegressionFit> for Est {
+    fn from(fit: RegressionFit) -> Self {
+        Est {
+            cate: fit.cate(),
+            n_treated: fit.n_treated(),
+            n_control: fit.n_control(),
+            p: PValue::Deferred(fit),
+        }
+    }
+}
+
 /// A lattice node that survived estimation (local-coordinate mask).
 #[derive(Clone)]
 struct Node {
@@ -1252,11 +1297,29 @@ struct Node {
     /// sampling), reused for the children's downdate size guard.
     count: usize,
     cate: f64,
-    p: f64,
+    p: PValue,
     n_treated: usize,
     n_control: usize,
     /// Downdating byproducts (estimation-cache + regression mode only).
     aux: Option<Arc<NodeAux>>,
+}
+
+impl Node {
+    /// The node's p-value, running the deferred inference on the context
+    /// the fit came from when only the fit is held.
+    fn p_value(&self, contexts: &ContextCache) -> f64 {
+        match &self.p {
+            PValue::Known(p) => *p,
+            PValue::Deferred(fit) => self
+                .aux
+                .as_ref()
+                .and_then(|aux| contexts.get(&aux.key))
+                .expect(
+                    "a deferred fit's node keeps its confounder key, whose context stays cached",
+                )
+                .p_value_local(fit, &self.mask),
+        }
+    }
 }
 
 /// A generated-but-unestimated lattice candidate (local-coordinate mask).
@@ -1282,29 +1345,30 @@ struct DowndatePlan {
 
 /// One candidate's evaluation: the estimate (if solvable) plus, in
 /// moments-tracking mode, the treatment blocks cached for downdating.
-type EvalRes = Option<(CateResult, Option<TreatmentMoments>)>;
+type EvalRes = Option<(Est, Option<TreatmentMoments>)>;
 
 /// Cache-mode evaluation of one candidate: downdate when a plan is
 /// present, otherwise gather — with moments when the walk tracks them.
+/// The regression backend returns the fit alone (its p-value is
+/// deferred); IPW estimates eagerly.
 fn eval_cached(
     ctx: &EstimationContext,
     cand: &Cand,
     plan: Option<&DowndatePlan>,
     track: bool,
 ) -> EvalRes {
+    if ctx.backend() == EstimatorBackend::Ipw {
+        return ctx.estimate_local(&cand.mask).map(|r| (r.into(), None));
+    }
     if let Some(p) = plan {
         if let Some(m) = p.parent.moments.as_ref() {
             return ctx
-                .estimate_downdated(&cand.mask, m, &p.removed)
-                .map(|(r, mm)| (r, Some(mm)));
+                .fit_downdated(m, &p.removed)
+                .map(|(fit, mm)| (fit.into(), Some(mm)));
         }
     }
-    if track {
-        ctx.estimate_local_moments(&cand.mask)
-            .map(|(r, m)| (r, Some(m)))
-    } else {
-        ctx.estimate_local(&cand.mask).map(|r| (r, None))
-    }
+    ctx.fit_local(&cand.mask)
+        .map(|(fit, m)| (fit.into(), track.then_some(m)))
 }
 
 /// Floor on candidates per scheduler chunk — a level too small to
@@ -1625,7 +1689,7 @@ impl<'w> WalkState<'w> {
                         &keys[i],
                         &miner.opts.cate_opts,
                     )
-                    .map(|r| (r, None))
+                    .map(|r| (r.into(), None))
                 };
                 results.push(r);
             }
@@ -1797,7 +1861,7 @@ impl<'w> WalkState<'w> {
                     mask: cand.mask.clone(),
                     count: cand.count,
                     cate: r.cate,
-                    p: r.p_value,
+                    p: r.p,
                     n_treated: r.n_treated,
                     n_control: r.n_control,
                     aux: store_aux.then(|| {
@@ -1838,28 +1902,19 @@ impl<'w> WalkState<'w> {
         }
     }
 
-    /// Best-first list of at most k significant nodes. Returns whether
-    /// the *top* entry improved — Algorithm 2's termination criterion
-    /// watches only the recorded maximum (lines 10–13).
+    /// Offer `node` to the current direction's best-k list (see
+    /// [`insert_best`]); returns whether it became the new top entry.
     fn update_best(&mut self, node: &Node) -> bool {
         let dir = self.dirs[self.dir_idx];
-        if node.p > self.miner.opts.max_p_value {
-            return false;
-        }
-        let improved_top = self
-            .best
-            .first()
-            .is_none_or(|b| dir.better(node.cate, b.cate));
-        let pos = self
-            .best
-            .iter()
-            .position(|b| dir.better(node.cate, b.cate))
-            .unwrap_or(self.best.len());
-        if pos < self.k {
-            self.best.insert(pos, node.clone());
-            self.best.truncate(self.k);
-        }
-        improved_top
+        let contexts = &self.ctxs.contexts;
+        insert_best(
+            &mut self.best,
+            self.k,
+            dir,
+            self.miner.opts.max_p_value,
+            node,
+            |n| n.p_value(contexts),
+        )
     }
 
     /// Close out the current direction: materialize its best-k patterns,
@@ -1874,7 +1929,7 @@ impl<'w> WalkState<'w> {
             .map(|b| TreatmentResult {
                 pattern: miner.pattern_of(&b.atoms),
                 cate: b.cate,
-                p_value: b.p,
+                p_value: b.p_value(&self.ctxs.contexts),
                 n_treated: b.n_treated,
                 n_control: b.n_control,
             })
@@ -1911,6 +1966,44 @@ impl<'w> WalkState<'w> {
                 regathers: self.regathers,
             },
         }
+    }
+}
+
+/// Algorithm 2's best-k bookkeeping: insert `node` into the best-first
+/// list `best` (at most `k ≥ 1` entries) when it ranks within the top `k`
+/// and is significant (`p <= max_p`, so a NaN p-value never is). Returns
+/// whether the *top* entry improved — the termination criterion of lines
+/// 10–13 watches only the recorded maximum.
+///
+/// `p_value` runs only for a node that would land within the top `k`. A
+/// node that would not cannot beat the top entry either (`k ≥ 1`), so
+/// reading its p-value first — the rule this replaces — reaches the same
+/// list and the same return value. Entries are stored with their p-value
+/// known.
+fn insert_best(
+    best: &mut Vec<Node>,
+    k: usize,
+    dir: Direction,
+    max_p: f64,
+    node: &Node,
+    p_value: impl FnOnce(&Node) -> f64,
+) -> bool {
+    let pos = best
+        .iter()
+        .position(|b| dir.better(node.cate, b.cate))
+        .unwrap_or(best.len());
+    if pos >= k {
+        return false;
+    }
+    let p = p_value(node);
+    if p <= max_p {
+        let mut entry = node.clone();
+        entry.p = PValue::Known(p);
+        best.insert(pos, entry);
+        best.truncate(k);
+        pos == 0
+    } else {
+        false
     }
 }
 
@@ -2419,6 +2512,143 @@ mod tests {
             LatticeOptions::default(),
             Arc::clone(&memo),
         );
+    }
+
+    /// A bare node with a known p-value, for the best-list tests.
+    fn scored(cate: f64, p: f64) -> Node {
+        Node {
+            atoms: Vec::new(),
+            mask: BitSet::new(0),
+            count: 0,
+            cate,
+            p: PValue::Known(p),
+            n_treated: 0,
+            n_control: 0,
+            aux: None,
+        }
+    }
+
+    fn known_p(n: &Node) -> f64 {
+        match n.p {
+            PValue::Known(p) => p,
+            PValue::Deferred(_) => panic!("test nodes carry known p-values"),
+        }
+    }
+
+    /// A NaN p-value (df ≤ 0 or a zero standard error) is not
+    /// significant: the node stays out of the best list, exactly as the
+    /// brute-force path's `p_value <= max_p_value` filter drops it.
+    #[test]
+    fn nan_p_value_is_not_significant() {
+        let mut best = Vec::new();
+        let dir = Direction::Positive;
+        assert!(!insert_best(
+            &mut best,
+            3,
+            dir,
+            0.05,
+            &scored(4.0, f64::NAN),
+            known_p
+        ));
+        assert!(best.is_empty());
+        assert!(insert_best(
+            &mut best,
+            3,
+            dir,
+            0.05,
+            &scored(2.0, 0.01),
+            known_p
+        ));
+        assert!(!insert_best(
+            &mut best,
+            3,
+            dir,
+            0.05,
+            &scored(5.0, f64::NAN),
+            known_p
+        ));
+        assert_eq!(best.len(), 1);
+        assert_eq!(best[0].cate, 2.0);
+        // The bound itself is significant.
+        assert!(insert_best(
+            &mut best,
+            3,
+            dir,
+            0.05,
+            &scored(6.0, 0.05),
+            known_p
+        ));
+        assert_eq!(best.len(), 2);
+    }
+
+    /// `insert_best` reads p only for a node that can enter the best list.
+    /// Run it beside the rule it replaced, which reads p first (with the
+    /// NaN fix applied), over random `(cate, p)` sequences with ties and
+    /// NaN: the best lists and the improvement flags must be identical.
+    #[test]
+    fn insert_best_matches_p_first_rule() {
+        fn p_first(
+            best: &mut Vec<(f64, f64)>,
+            k: usize,
+            dir: Direction,
+            max_p: f64,
+            (cate, p): (f64, f64),
+        ) -> bool {
+            if p.is_nan() || p > max_p {
+                return false;
+            }
+            let improved_top = best.first().is_none_or(|b| dir.better(cate, b.0));
+            let pos = best
+                .iter()
+                .position(|b| dir.better(cate, b.0))
+                .unwrap_or(best.len());
+            if pos < k {
+                best.insert(pos, (cate, p));
+                best.truncate(k);
+            }
+            improved_top
+        }
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(c, p)| (c.to_bits(), p.to_bits())).collect()
+        };
+        let cates = [-2.0, -1.0, 1.0, 2.0, 2.0, 3.0, f64::NAN];
+        let ps = [0.0, 0.01, 0.05, 0.05, 0.5, f64::NAN];
+        let max_p = 0.05;
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut offered, mut read) = (0usize, 0usize);
+        for _ in 0..2_000 {
+            let k = rng.gen_range(1usize..5);
+            let dir = if rng.gen_bool(0.5) {
+                Direction::Positive
+            } else {
+                Direction::Negative
+            };
+            let (mut old, mut new): (Vec<(f64, f64)>, Vec<Node>) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0usize..24) {
+                let cate = cates[rng.gen_range(0..cates.len())];
+                let p = ps[rng.gen_range(0..ps.len())];
+                let rank = new
+                    .iter()
+                    .position(|b| dir.better(cate, b.cate))
+                    .unwrap_or(new.len());
+                let want = p_first(&mut old, k, dir, max_p, (cate, p));
+                let mut reads = 0;
+                let got = insert_best(&mut new, k, dir, max_p, &scored(cate, p), |n| {
+                    reads += 1;
+                    known_p(n)
+                });
+                assert_eq!(got, want, "improvement flag for ({cate}, {p})");
+                let new_list: Vec<(f64, f64)> = new.iter().map(|n| (n.cate, known_p(n))).collect();
+                assert_eq!(bits(&new_list), bits(&old), "best list after ({cate}, {p})");
+                assert!(reads <= 1);
+                offered += 1;
+                read += reads;
+                if rank >= k {
+                    assert_eq!(reads, 0, "p read for a node ranked below k");
+                }
+            }
+        }
+        assert!(read < offered, "no node was skipped: {read} of {offered}");
     }
 
     #[test]

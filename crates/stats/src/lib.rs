@@ -30,5 +30,7 @@ pub use corr::{fisher_z_test, partial_correlation, pearson};
 pub use dist::{chi2_sf, normal_cdf, student_t_sf};
 pub use matrix::Matrix;
 pub use numeric::NumericMode;
-pub use ols::{gram_from_blocks, ols, ols_from_gram, ols_from_gram_at, OlsFit};
+pub use ols::{
+    fit_from_gram_at, gram_from_blocks, ols, ols_from_gram, ols_from_gram_at, GramFit, OlsFit,
+};
 pub use rank::kendall_tau;

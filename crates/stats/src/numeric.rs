@@ -145,24 +145,6 @@ pub fn lane_dot(a: &[f64], b: &[f64]) -> f64 {
     fold8(l)
 }
 
-/// 8-lane strided centered sum of squares `Σ (xᵢ − c)²`.
-#[inline]
-pub fn lane_centered_sq(xs: &[f64], c: f64) -> f64 {
-    let mut l = [0.0f64; 8];
-    let mut it = xs.chunks_exact(8);
-    for ch in it.by_ref() {
-        for k in 0..8 {
-            let d = ch[k] - c;
-            l[k] += d * d;
-        }
-    }
-    for (k, &v) in it.remainder().iter().enumerate() {
-        let d = v - c;
-        l[k] += d * d;
-    }
-    fold8(l)
-}
-
 /// Accumulate `Σ (yᵢ − ŷᵢ)²` over one block into existing lanes.
 ///
 /// Callers stream a long array through this in blocks; as long as every
@@ -210,22 +192,6 @@ pub fn dot(mode: NumericMode, a: &[f64], b: &[f64]) -> f64 {
     match mode {
         NumericMode::Exact => a.iter().zip(b).map(|(x, y)| x * y).sum(),
         NumericMode::FastV1 => lane_dot(a, b),
-    }
-}
-
-/// Mode-dispatched centered sum of squares `Σ (xᵢ − c)²`.
-#[inline]
-pub fn centered_sq(mode: NumericMode, xs: &[f64], c: f64) -> f64 {
-    match mode {
-        NumericMode::Exact => {
-            let mut t = 0.0;
-            for &v in xs {
-                let d = v - c;
-                t += d * d;
-            }
-            t
-        }
-        NumericMode::FastV1 => lane_centered_sq(xs, c),
     }
 }
 

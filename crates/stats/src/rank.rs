@@ -6,11 +6,12 @@
 //! matching `scipy.stats.kendalltau`'s default.
 
 /// Kendall's τ-b between two equal-length score vectors. Returns `None`
-/// when either vector is constant (τ undefined).
+/// when either vector is constant or holds a NaN (τ undefined: a NaN score
+/// has no rank).
 pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
     assert_eq!(x.len(), y.len());
     let n = x.len();
-    if n < 2 {
+    if n < 2 || x.iter().chain(y).any(|v| v.is_nan()) {
         return None;
     }
     let mut concordant = 0i64;
@@ -44,10 +45,12 @@ pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
     Some((concordant - discordant) as f64 / ((denom_x as f64) * (denom_y as f64)).sqrt())
 }
 
-/// Number of tied pairs within a vector: Σ t_k(t_k−1)/2 over tie groups.
+/// Number of tied pairs within a NaN-free vector: Σ t_k(t_k−1)/2 over tie
+/// groups. `total_cmp` places `-0.0` directly before `+0.0`, so the runs of
+/// `==`-equal values are the same as under `partial_cmp`.
 fn ties_joint_adjust(v: &[f64]) -> i64 {
     let mut sorted: Vec<f64> = v.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let mut total = 0i64;
     let mut run = 1i64;
     for i in 1..sorted.len() {
@@ -99,5 +102,23 @@ mod tests {
     fn constant_vector_undefined() {
         assert!(kendall_tau(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_none());
         assert!(kendall_tau(&[1.0], &[2.0]).is_none());
+    }
+
+    #[test]
+    fn nan_input_is_undefined_not_a_panic() {
+        let ranks = [1.0, 2.0, 3.0, 4.0];
+        let holed = [1.0, f64::NAN, 3.0, 4.0];
+        assert!(kendall_tau(&holed, &ranks).is_none());
+        assert!(kendall_tau(&ranks, &holed).is_none());
+        assert!(kendall_tau(&[f64::NAN; 3], &[f64::NAN; 3]).is_none());
+    }
+
+    #[test]
+    fn signed_zeros_tie() {
+        // -0.0 == 0.0: one tie group of two, exactly like [0, 0, 1, 2].
+        let x = [-0.0, 0.0, 1.0, 2.0];
+        let y = [1.0, 2.0, 3.0, 4.0];
+        let want = kendall_tau(&[0.0, 0.0, 1.0, 2.0], &y).unwrap();
+        assert_eq!(kendall_tau(&x, &y).unwrap().to_bits(), want.to_bits());
     }
 }

@@ -8,7 +8,9 @@
 //!    on a [`Projector`]-projected mask) against the dense full-width scan
 //!    ([`EstimationContext::estimate`]) — bit-identical, across all
 //!    confounder mixes, with and without the §5.2(d) sampling cap, on both
-//!    estimator backends;
+//!    estimator backends and in both numeric modes — and deferred
+//!    inference (a fit now, its p-value later) against the eager estimate
+//!    on the gathered, moments and downdated paths;
 //! 2. the projected lattice walk against the full-width cold-start walk
 //!    (`use_estimation_cache = false`), including the paired
 //!    positive+negative walk;
@@ -18,11 +20,12 @@
 
 use proptest::prelude::*;
 
-use causal::context::EstimationContext;
-use causal::estimate::{CateOptions, EstimatorBackend};
-use causal::Dag;
+use causal::context::{EstimationContext, RegressionFit};
+use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
+use causal::{Dag, NumericMode};
 use causumx::{ConfigBuilder, Session};
 use mining::treatment::{Direction, LatticeOptions, TreatmentMiner, TreatmentResult};
+use proptest::test_runner::TestCaseResult;
 use table::bitset::{BitSet, Projector};
 use table::{Table, TableBuilder};
 
@@ -73,10 +76,36 @@ fn arb_rows() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Vec<i64>, Vec<i64>, Ve
     })
 }
 
+/// A deferred fit completed by [`EstimationContext::p_value_local`] must
+/// reproduce its eager estimate: `None` in the same cases, and otherwise
+/// the same CATE, arm counts and p-value bits.
+fn check_deferred(
+    ctx: &EstimationContext,
+    mask: &BitSet,
+    fit: Option<RegressionFit>,
+    eager: Option<CateResult>,
+) -> TestCaseResult {
+    match (fit, eager) {
+        (Some(f), Some(e)) => {
+            prop_assert_eq!(f.cate().to_bits(), e.cate.to_bits());
+            prop_assert_eq!(f.n_treated(), e.n_treated);
+            prop_assert_eq!(f.n_control(), e.n_control);
+            let p = ctx.p_value_local(&f, mask);
+            prop_assert_eq!(p.to_bits(), e.p_value.to_bits(), "p {} vs {}", p, e.p_value);
+        }
+        (f, e) => prop_assert_eq!(f.is_none(), e.is_none()),
+    }
+    Ok(())
+}
+
 proptest! {
     /// (1) `estimate_local` on the projected treatment mask is
     /// bit-identical to `estimate` on the full-width mask — every
-    /// confounder mix, with and without sampling, both backends.
+    /// confounder mix, with and without sampling, both backends, both
+    /// numeric modes. For the regression backend the deferred p-value of
+    /// `fit_local` and `fit_downdated` (a subset
+    /// child downdated from the treated set's moments) has the bits of
+    /// the matching eager estimate.
     #[test]
     fn sparse_gather_matches_dense_scan((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise);
@@ -86,14 +115,24 @@ proptest! {
         let sub_bits = BitSet::from_mask(&subpop);
         let projector = Projector::new(&sub_bits);
         let tlocal = projector.project(&tbits);
+        // A subset child of the treated set, for the downdated path.
+        let child_mask: Vec<bool> = (0..n).map(|i| treated[i] && cb[i] % 2 == 0).collect();
+        let child = projector.project(&BitSet::from_mask(&child_mask));
+        let removed = tlocal.difference(&child);
 
+        for mode in [NumericMode::Exact, NumericMode::FastV1] {
         for confounders in [vec![], vec![1], vec![2], vec![1, 2]] {
             for (backend, cap) in [
                 (EstimatorBackend::Regression, None),
                 (EstimatorBackend::Regression, Some(n / 2)),
                 (EstimatorBackend::Ipw, None),
             ] {
-                let opts = CateOptions { sample_cap: cap, backend, ..CateOptions::default() };
+                let opts = CateOptions {
+                    sample_cap: cap,
+                    backend,
+                    numeric_mode: mode,
+                    ..CateOptions::default()
+                };
                 let Some(ctx) =
                     EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
                 else { continue };
@@ -113,7 +152,30 @@ proptest! {
                     }
                     (d, s) => prop_assert_eq!(d.is_none(), s.is_none()),
                 }
+                if backend == EstimatorBackend::Ipw {
+                    continue;
+                }
+                let fit = ctx.fit_local(&tlocal);
+                let eager_m = ctx.estimate_local_moments(&tlocal);
+                if let (Some((_, fm)), Some((_, em))) = (&fit, &eager_m) {
+                    prop_assert_eq!(fm.n_treated, em.n_treated);
+                    prop_assert_eq!(fm.ty.to_bits(), em.ty.to_bits());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&fm.tz), bits(&em.tz));
+                }
+                let fit = fit.map(|(f, _)| f);
+                check_deferred(&ctx, &tlocal, fit.clone(), ctx.estimate_local(&tlocal))?;
+                check_deferred(&ctx, &tlocal, fit, eager_m.as_ref().map(|(r, _)| *r))?;
+                if let Some((_, parent)) = &eager_m {
+                    check_deferred(
+                        &ctx,
+                        &child,
+                        ctx.fit_downdated(parent, &removed).map(|(f, _)| f),
+                        ctx.estimate_downdated(&child, parent, &removed).map(|(r, _)| r),
+                    )?;
+                }
             }
+        }
         }
     }
 
