@@ -89,7 +89,8 @@ fn bench_cate(c: &mut Criterion) {
 /// `EstimationContext` economics: the one-off build cost per
 /// (subpopulation, confounder set) vs the per-treatment estimate cost it
 /// amortizes — with the dense full-width scan and the sparse local gather
-/// side by side (the local path is what the projected lattice walk pays).
+/// side by side (the local path is what the projected lattice walk pays),
+/// plus the sparse gather on a context built with a 400-row sample cap.
 fn bench_estimation_context(c: &mut Criterion) {
     let ds = datagen::so::generate(8_000, 1);
     let edu = ds.table.attr("Education").unwrap();
@@ -129,6 +130,17 @@ fn bench_estimation_context(c: &mut Criterion) {
     let local = treated.project(&subpop);
     group.bench_function("estimate_sparse_8k_q3", |b| {
         b.iter(|| ctx.estimate_local(&local).unwrap().cate)
+    });
+    // The same estimate under the §5.2(d) sample cap: the walk visits only
+    // the treated rows the 400-row sample kept.
+    let capped = CateOptions {
+        sample_cap: Some(400),
+        ..CateOptions::default()
+    };
+    let sampled =
+        EstimationContext::new(&ds.table, Some(&subpop), ds.outcome, &conf, &capped).unwrap();
+    group.bench_function("estimate_sparse_sampled_8k_cap400_q3", |b| {
+        b.iter(|| sampled.estimate_local(&local).unwrap().cate)
     });
     group.finish();
 }

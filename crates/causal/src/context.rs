@@ -37,9 +37,28 @@
 //! * [`EstimationContext::estimate_local`] takes a set in the
 //!   subpopulation's *local* coordinates (bit `i` = the `i`-th
 //!   subpopulation row, see [`table::bitset::Projector`]) and gathers the
-//!   `t`-blocks sparsely by iterating only its set bits (`O(|T|·q)`).
+//!   `t`-blocks sparsely by walking only its set bits (`O(|T|·q)`).
 //!   Ascending bit order visits the identical rows in the identical order
 //!   as the dense scan, so both entry points produce bit-identical fits.
+//!
+//! # The row walker
+//!
+//! Every per-candidate row pass — the `tᵀy`/`tᵀZ` gather, the `FastV1`
+//! downdate of a parent's moments, and the residual's `t·β₁` term — reads
+//! the treated rows through one word-level walker (`TreatedRows`). It
+//! yields the *sampled positions* of the treated rows in ascending order.
+//! When the §5.2(d) sampling dropped rows, the context keeps the sampled
+//! local indices as a bitset with per-word rank prefixes (a
+//! [`table::bitset::Projector`] over them). The walker ANDs each word of
+//! the local mask with the sampled word before visiting any bit, and a
+//! visited bit's position is its rank among the sampled indices. So a
+//! treated row the sample left out is never visited: a sampled estimate
+//! reads only the rows it uses, not every treated row of the
+//! subpopulation. Without sampling a local index is its position. The
+//! passes read the design columns as slices hoisted out of the row loop.
+//! Each accumulator sees its rows in ascending order, so every fold —
+//! `Exact`'s serial sum, `FastV1`'s lane = visitation rank `& 7` — has
+//! the bits of a per-row pass over the same positions.
 //!
 //! The IPW backend reuses the same cache: the propensity design `[1, Z]`
 //! is treatment-independent, so the context pre-assembles it once and each
@@ -133,25 +152,49 @@ use rand::SeedableRng;
 use stats::matrix::Matrix;
 use stats::numeric::{self, LaneAcc, NumericMode};
 use stats::ols::{fit_from_gram_at, gram_from_blocks, GramFit};
-use table::bitset::BitSet;
+use table::bitset::{BitSet, Projector};
 use table::{Column, Table};
 
 use crate::estimate::{append_confounder, CateOptions, CateResult, EstimatorBackend};
 use crate::ipw::ipw_from_parts;
 
-/// Sampled-position ↔ local-coordinate maps, present only when the
-/// §5.2(d) sampling actually dropped rows (otherwise sampled position `i`
-/// *is* local index `i` and the maps are elided).
-struct LocalIdx {
-    /// Local (subpopulation-rank) index of each sampled position.
-    loc: Vec<u32>,
-    /// Sampled position of each local index, `u32::MAX` when unsampled.
-    pos_of_local: Vec<u32>,
+/// One candidate's treated rows as every per-candidate row pass reads
+/// them: the gather, the `FastV1` downdate and the residual's `t·β₁`
+/// term all walk the rows through [`TreatedRows::for_each`].
+#[derive(Clone, Copy)]
+struct TreatedRows<'a> {
+    mask: &'a BitSet,
+    /// `Some`: `mask` is in local coordinates and these are the sampled
+    /// local indices. `None`: bit `i` of `mask` already is sampled
+    /// position `i`.
+    sampled: Option<&'a Projector>,
+}
+
+impl TreatedRows<'_> {
+    /// The row walker: calls `visit` with the sampled position of every
+    /// treated row, in ascending order. Under sampling each word of the
+    /// mask is ANDed with the sampled word first, so an unsampled row is
+    /// never visited, let alone read.
+    #[inline]
+    fn for_each(self, visit: impl FnMut(usize)) {
+        match self.sampled {
+            None => self.mask.for_each_set(visit),
+            Some(s) => s.for_each_local(self.mask, visit),
+        }
+    }
+
+    /// How many rows [`TreatedRows::for_each`] visits.
+    fn count(self) -> usize {
+        match self.sampled {
+            None => self.mask.count(),
+            Some(s) => self.mask.intersection_count(s.universe()),
+        }
+    }
 }
 
 /// The treatment- *and* confounder-independent scope of one
-/// `(subpopulation, outcome, opts)` triple: sampled row list, local
-/// maps, outcome gather and its sums. Derived by exactly one function
+/// `(subpopulation, outcome, opts)` triple: sampled row list, sampled
+/// local indices, outcome gather and its sums. Derived by exactly one function
 /// ([`ScopeState::build`]) so the cold [`EstimationContext::new`] build
 /// and the [`SubpopPanel`] can never drift apart — the bit-identity
 /// contract requires both to sample, gather and accumulate identically.
@@ -161,8 +204,11 @@ struct ScopeState {
     rows: Arc<Vec<usize>>,
     /// Local coordinate width: subpopulation size before sampling.
     sub_n: usize,
-    /// Sampling maps (see [`LocalIdx`]); `None` = identity.
-    local: Option<Arc<LocalIdx>>,
+    /// The sampled local indices, present only when the §5.2(d) sampling
+    /// dropped rows; `None` = local index `i` is sampled position `i`.
+    /// A sampled local index's position is its rank among them (see the
+    /// [row walker](self#the-row-walker)).
+    sampled: Option<Arc<Projector>>,
     /// Outcome gathered over `rows`; `None` when the outcome attribute
     /// is categorical (every estimate would be `None`).
     y: Option<Arc<Vec<f64>>>,
@@ -207,13 +253,14 @@ impl ScopeState {
             }
         }
         let rows: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
-        let local = (rows.len() < sub_n).then(|| {
-            let loc: Vec<u32> = pairs.iter().map(|&(_, l)| l).collect();
-            let mut pos_of_local = vec![u32::MAX; sub_n];
-            for (i, &l) in loc.iter().enumerate() {
-                pos_of_local[l as usize] = i as u32;
+        // Rows and local ranks ascend together, so sampled position `i`
+        // holds the `i`-th smallest sampled local index — its rank.
+        let sampled = (rows.len() < sub_n).then(|| {
+            let mut bits = BitSet::new(sub_n);
+            for &(_, l) in &pairs {
+                bits.insert(l as usize);
             }
-            Arc::new(LocalIdx { loc, pos_of_local })
+            Arc::new(Projector::new(&bits))
         });
 
         let ycol = table.column(outcome);
@@ -230,7 +277,7 @@ impl ScopeState {
         ScopeState {
             rows: Arc::new(rows),
             sub_n,
-            local,
+            sampled,
             y: y.map(Arc::new),
             sum_y,
             sum_y_sq,
@@ -336,8 +383,9 @@ pub struct EstimationContext {
     /// Width of the local coordinate space: the subpopulation size
     /// *before* sampling (= table width when unscoped).
     sub_n: usize,
-    /// Sampling maps (see [`LocalIdx`]); `None` = identity.
-    local: Option<Arc<LocalIdx>>,
+    /// The sampled local indices (see `ScopeState::sampled`); `None` =
+    /// no row was dropped.
+    sampled: Option<Arc<Projector>>,
     /// Outcome gathered over `rows`.
     y: Arc<Vec<f64>>,
     /// Encoded confounder design columns over `rows` (numerics raw,
@@ -424,7 +472,7 @@ impl EstimationContext {
             mode: opts.numeric_mode,
             rows: scope.rows,
             sub_n: scope.sub_n,
-            local: scope.local,
+            sampled: scope.sampled,
             y,
             z_cols,
             sum_y: scope.sum_y,
@@ -467,11 +515,21 @@ impl EstimationContext {
     pub fn estimate(&self, treated: &BitSet) -> Option<CateResult> {
         match self.backend {
             EstimatorBackend::Regression => {
-                // Single pass over the subpopulation: arm counts plus the
-                // treatment blocks tᵀy and tᵀZ of the normal equations.
-                let (n_treated, ty, tz) = self.gather_positions(self.dense_positions(treated));
-                let fit = self.fit_regression(n_treated, ty, &tz)?;
-                Some(self.finish(fit, self.dense_positions(treated)))
+                // The dense membership scan over the row list yields a
+                // mask over sampled positions; from there the walker and
+                // kernels are the local path's.
+                let mut mask = BitSet::new(self.rows.len());
+                for (i, &r) in self.rows.iter().enumerate() {
+                    if treated.contains(r) {
+                        mask.insert(i);
+                    }
+                }
+                let rows = TreatedRows {
+                    mask: &mask,
+                    sampled: None,
+                };
+                let fit = self.fit_regression(&self.gather(rows))?;
+                Some(self.finish(fit, rows))
             }
             EstimatorBackend::Ipw => self.estimate_ipw(treated),
         }
@@ -486,65 +544,72 @@ impl EstimationContext {
     /// in ascending order, which visits the identical rows in the
     /// identical order as the dense membership scan.
     pub fn estimate_local(&self, treated: &BitSet) -> Option<CateResult> {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
         match self.backend {
             EstimatorBackend::Regression => {
                 let (fit, _) = self.fit_local(treated)?;
-                Some(self.finish(fit, self.local_positions(treated)))
+                Some(self.finish(fit, self.local(treated)))
             }
             EstimatorBackend::Ipw => {
-                let t: Vec<bool> = match &self.local {
-                    None => (0..self.rows.len()).map(|i| treated.contains(i)).collect(),
-                    Some(m) => m
-                        .loc
-                        .iter()
-                        .map(|&l| treated.contains(l as usize))
-                        .collect(),
-                };
+                let mut t = vec![false; self.rows.len()];
+                self.local(treated).for_each(|i| t[i] = true);
                 self.ipw_with_indicator(t)
             }
         }
     }
 
-    /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the sampled
-    /// positions yielded by `it` (ascending), with the context's numeric
-    /// kernels. In `Exact` mode this is the historical serial fold; in
-    /// `FastV1` every reduction streams through a [`LaneAcc`], assigning
-    /// lanes by visitation rank — so the dense membership scan, the local
-    /// sparse gather and the sampled gather all produce identical bits
-    /// whenever they visit the same positions in the same order.
-    fn gather_positions(&self, it: impl Iterator<Item = usize>) -> (usize, f64, Vec<f64>) {
-        let q = self.z_cols.len();
+    /// `treated`, given in local coordinates, as the row walker reads it.
+    fn local<'s>(&'s self, treated: &'s BitSet) -> TreatedRows<'s> {
+        debug_assert_eq!(treated.capacity(), self.sub_n);
+        TreatedRows {
+            mask: treated,
+            sampled: self.sampled.as_deref(),
+        }
+    }
+
+    /// The design columns as plain slices, hoisted out of a row loop.
+    fn col_slices(&self) -> Vec<&[f64]> {
+        self.z_cols.iter().map(|c| c.as_slice()).collect()
+    }
+
+    /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
+    /// (ascending), with the context's numeric kernels. In `Exact` mode
+    /// this is the historical serial fold; in `FastV1` every reduction
+    /// streams through a [`LaneAcc`], assigning lanes by visitation rank
+    /// — so the dense membership scan, the local sparse gather and the
+    /// sampled gather all produce identical bits whenever they visit the
+    /// same positions in the same order.
+    fn gather(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
+        let y = self.y.as_slice();
+        let cols = self.col_slices();
+        let mut n_treated = 0usize;
         match self.mode {
             NumericMode::Exact => {
-                let mut n_treated = 0usize;
                 let mut ty = 0.0;
-                let mut tz = vec![0.0; q];
-                for i in it {
+                let mut tz = vec![0.0; cols.len()];
+                rows.for_each(|i| {
                     n_treated += 1;
-                    ty += self.y[i];
-                    for (j, col) in self.z_cols.iter().enumerate() {
-                        tz[j] += col[i];
+                    ty += y[i];
+                    for (acc, col) in tz.iter_mut().zip(&cols) {
+                        *acc += col[i];
                     }
-                }
-                (n_treated, ty, tz)
+                });
+                TreatmentMoments { n_treated, ty, tz }
             }
             NumericMode::FastV1 => {
-                let mut n_treated = 0usize;
                 let mut ty = LaneAcc::new();
-                let mut tz: Vec<LaneAcc> = (0..q).map(|_| LaneAcc::new()).collect();
-                for i in it {
+                let mut tz = vec![LaneAcc::new(); cols.len()];
+                rows.for_each(|i| {
                     n_treated += 1;
-                    ty.push(self.y[i]);
-                    for (j, col) in self.z_cols.iter().enumerate() {
-                        tz[j].push(col[i]);
+                    ty.push(y[i]);
+                    for (acc, col) in tz.iter_mut().zip(&cols) {
+                        acc.push(col[i]);
                     }
-                }
-                (
+                });
+                TreatmentMoments {
                     n_treated,
-                    ty.finish(),
-                    tz.iter().map(LaneAcc::finish).collect(),
-                )
+                    ty: ty.finish(),
+                    tz: tz.iter().map(LaneAcc::finish).collect(),
+                }
             }
         }
     }
@@ -558,7 +623,7 @@ impl EstimationContext {
         treated: &BitSet,
     ) -> Option<(CateResult, TreatmentMoments)> {
         let (fit, moments) = self.fit_local(treated)?;
-        Some((self.finish(fit, self.local_positions(treated)), moments))
+        Some((self.finish(fit, self.local(treated)), moments))
     }
 
     /// Estimate a candidate whose treated rowset (`treated`, local
@@ -579,9 +644,8 @@ impl EstimationContext {
         parent: &TreatmentMoments,
         removed: &BitSet,
     ) -> Option<(CateResult, TreatmentMoments)> {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
         let (fit, moments) = self.fit_downdated(parent, removed)?;
-        Some((self.finish(fit, self.local_positions(treated)), moments))
+        Some((self.finish(fit, self.local(treated)), moments))
     }
 
     /// The fit half of [`EstimationContext::estimate_local_moments`]
@@ -593,19 +657,20 @@ impl EstimationContext {
     /// `None`; [`EstimationContext::p_value_local`] on the same mask
     /// completes it.
     pub fn fit_local(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        // Without sampling the arm counts are a popcount, so the overlap
-        // gate runs before paying for the gather.
-        if self.local.is_none() && !self.overlap_ok(treated.count()) {
+        let rows = self.local(treated);
+        // The arm counts are a popcount (of `treated ∧ sampled` under
+        // sampling), so the overlap gate runs before paying for the
+        // gather.
+        if !self.overlap_ok(rows.count()) {
             return None; // Overlap (Eq. 4) violated.
         }
-        // Sparse gather: only the set bits of the local treatment mask are
-        // visited (ascending = identical accumulation order to the dense
-        // scan), so the t-blocks cost O(|T|·q) instead of O(n·q).
-        let (n_treated, ty, tz) = self.gather_positions(self.local_positions(treated));
-        let fit = self.fit_regression(n_treated, ty, &tz)?;
-        Some((fit, TreatmentMoments { n_treated, ty, tz }))
+        // Sparse gather: only the treated (sampled) rows are visited
+        // (ascending = identical accumulation order to the dense scan),
+        // so the t-blocks cost O(|T|·q) instead of O(n·q).
+        let moments = self.gather(rows);
+        let fit = self.fit_regression(&moments)?;
+        Some((fit, moments))
     }
 
     /// The fit half of [`EstimationContext::estimate_downdated`]: the
@@ -617,23 +682,27 @@ impl EstimationContext {
         parent: &TreatmentMoments,
         removed: &BitSet,
     ) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(removed.capacity(), self.sub_n);
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        let mut n_treated = parent.n_treated;
-        let mut ty = parent.ty;
-        let mut tz = parent.tz.clone();
+        let y = self.y.as_slice();
+        let cols = self.col_slices();
+        let TreatmentMoments {
+            mut n_treated,
+            mut ty,
+            mut tz,
+        } = parent.clone();
         // Subtract removed rows in ascending local order; rows the
-        // §5.2(d) sampling dropped never entered the parent's moments, so
-        // they are skipped here too.
-        for i in self.local_positions(removed) {
+        // §5.2(d) sampling dropped never entered the parent's moments,
+        // and the walker skips them.
+        self.local(removed).for_each(|i| {
             n_treated -= 1;
-            ty -= self.y[i];
-            for (j, col) in self.z_cols.iter().enumerate() {
-                tz[j] -= col[i];
+            ty -= y[i];
+            for (acc, col) in tz.iter_mut().zip(&cols) {
+                *acc -= col[i];
             }
-        }
-        let fit = self.fit_regression(n_treated, ty, &tz)?;
-        Some((fit, TreatmentMoments { n_treated, ty, tz }))
+        });
+        let moments = TreatmentMoments { n_treated, ty, tz };
+        let fit = self.fit_regression(&moments)?;
+        Some((fit, moments))
     }
 
     /// The inference half of a fit from [`EstimationContext::fit_local`]
@@ -642,9 +711,8 @@ impl EstimationContext {
     /// coordinates — the one the fit was made for. The result has the
     /// same bits as the p-value of the matching eager `estimate_*` call.
     pub fn p_value_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
         fit.fit
-            .p_value(self.rss(&fit.fit.beta, fit.ty, self.local_positions(treated)))
+            .p_value(self.rss(&fit.fit.beta, fit.ty, self.local(treated)))
     }
 
     /// Does a split of the context's rows into `n_treated` treated units
@@ -653,46 +721,22 @@ impl EstimationContext {
         n_treated >= self.min_arm && self.rows.len() - n_treated >= self.min_arm
     }
 
-    /// Sampled positions of the treated rows, `treated` given over the
-    /// full table: the dense membership scan over the row list.
-    fn dense_positions<'s>(&'s self, treated: &'s BitSet) -> impl Iterator<Item = usize> + 's {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &r)| treated.contains(r))
-            .map(|(i, _)| i)
-    }
-
-    /// Sampled positions of the treated rows, `treated` given in local
-    /// coordinates, ascending. Rows the §5.2(d) sampling dropped are
-    /// skipped; without sampling a local index *is* its position.
-    fn local_positions<'s>(&'s self, treated: &'s BitSet) -> impl Iterator<Item = usize> + 's {
-        let map = self.local.as_deref();
-        treated.iter().filter_map(move |l| match map {
-            None => Some(l),
-            Some(m) => {
-                let pos = m.pos_of_local[l];
-                (pos != u32::MAX).then_some(pos as usize)
-            }
-        })
-    }
-
     /// The fit half shared by every regression estimate: overlap gate,
-    /// Gram assembly from the cached fixed blocks plus the caller-gathered
+    /// Gram assembly from the cached fixed blocks plus the gathered
     /// t-blocks (pure placement — see `stats::ols::gram_from_blocks`), and
     /// [`fit_from_gram_at`] for the treatment coefficient.
-    fn fit_regression(&self, n_treated: usize, ty: f64, tz: &[f64]) -> Option<RegressionFit> {
-        if !self.overlap_ok(n_treated) {
+    fn fit_regression(&self, t: &TreatmentMoments) -> Option<RegressionFit> {
+        if !self.overlap_ok(t.n_treated) {
             return None; // Overlap (Eq. 4) violated.
         }
         let n = self.rows.len();
         let (gram, xty) = gram_from_blocks(
             n,
-            n_treated,
+            t.n_treated,
             self.sum_y,
-            ty,
+            t.ty,
             &self.sum_z,
-            tz,
+            &t.tz,
             &self.zz,
             &self.zy,
         );
@@ -702,15 +746,15 @@ impl EstimationContext {
         let fit = fit_from_gram_at(&gram, &xty, n, 1)?;
         Some(RegressionFit {
             fit,
-            ty,
-            n_treated,
-            n_control: n - n_treated,
+            ty: t.ty,
+            n_treated: t.n_treated,
+            n_control: n - t.n_treated,
         })
     }
 
-    /// Complete a fit eagerly: the inference half over the treated
-    /// positions `treated`, packed into the public [`CateResult`].
-    fn finish(&self, fit: RegressionFit, treated: impl Iterator<Item = usize>) -> CateResult {
+    /// Complete a fit eagerly: the inference half over the treated rows,
+    /// packed into the public [`CateResult`].
+    fn finish(&self, fit: RegressionFit, treated: TreatedRows<'_>) -> CateResult {
         let rss = self.rss(&fit.fit.beta, fit.ty, treated);
         CateResult {
             cate: fit.cate(),
@@ -723,22 +767,20 @@ impl EstimationContext {
 
     /// ŷ after the naive row-major loop's first two terms, in its order:
     /// `1·β₀` everywhere, then `t·β₁` at the treated positions.
-    fn yhat_1t(&self, beta: &[f64], treated: impl Iterator<Item = usize>) -> Vec<f64> {
+    fn yhat_1t(&self, beta: &[f64], treated: TreatedRows<'_>) -> Vec<f64> {
         let mut yhat = vec![beta[0]; self.rows.len()];
-        for i in treated {
-            yhat[i] += beta[1];
-        }
+        treated.for_each(|i| yhat[i] += beta[1]);
         yhat
     }
 
     /// The residual sum of squares of `beta` — the one residual routine
-    /// behind every regression estimate. `treated` yields the sampled
+    /// behind every regression estimate. The walker yields the sampled
     /// positions of the treated rows in ascending order, and the `t·β₁`
     /// term is added at those positions only: a skipped `+ 0.0·β₁` can
     /// at most flip the sign of a zero, which the squared residual
     /// erases, so the sum has the bits of a dense pass over every row.
     /// `ty` is the fit's `tᵀy`, which the `FastV1` shortcut reads.
-    fn rss(&self, beta: &[f64], ty: f64, treated: impl Iterator<Item = usize>) -> f64 {
+    fn rss(&self, beta: &[f64], ty: f64, treated: TreatedRows<'_>) -> f64 {
         match self.mode {
             NumericMode::Exact => {
                 // Residual pass over virtual rows [1, t, z…], evaluated
@@ -865,8 +907,9 @@ pub struct SubpopPanel {
     rows: Arc<Vec<usize>>,
     /// Local coordinate width (subpopulation size before sampling).
     sub_n: usize,
-    /// Sampling maps; `None` = identity (see [`LocalIdx`]).
-    local: Option<Arc<LocalIdx>>,
+    /// The sampled local indices (see `ScopeState::sampled`); `None` =
+    /// no row was dropped.
+    sampled: Option<Arc<Projector>>,
     /// `false` when the outcome attribute is categorical — every assembly
     /// returns `None`, mirroring [`EstimationContext::new`].
     outcome_ok: bool,
@@ -901,7 +944,7 @@ impl SubpopPanel {
             mode: opts.numeric_mode,
             rows: scope.rows,
             sub_n: scope.sub_n,
-            local: scope.local,
+            sampled: scope.sampled,
             outcome_ok,
             y: scope.y.unwrap_or_default(),
             sum_y: scope.sum_y,
@@ -1063,7 +1106,7 @@ impl SubpopPanel {
             mode: self.mode,
             rows: Arc::clone(&self.rows),
             sub_n: self.sub_n,
-            local: self.local.clone(),
+            sampled: self.sampled.clone(),
             y: Arc::clone(&self.y),
             z_cols,
             sum_y: self.sum_y,
@@ -1297,6 +1340,94 @@ mod tests {
         assert_eq!(cached.cate, naive.cate);
         assert_eq!(cached.p_value, naive.p_value);
         assert_eq!(cached.n, 1_500);
+    }
+
+    /// The row walker never reads an unsampled row: on a sampled context,
+    /// `fit_local`, `fit_downdated` and `p_value_local` give the same bits
+    /// whether or not the masks' unsampled bits are cleared first, in both
+    /// numeric modes. The outcome's large offset makes the `FastV1` RSS
+    /// shortcut fall back to the data pass, so its `t·β₁` walk runs too.
+    #[test]
+    fn sampled_walk_ignores_unsampled_bits() {
+        let n = 6_000;
+        let mut rng = StdRng::seed_from_u64(23);
+        let z: Vec<i64> = (0..n).map(|_| rng.gen_range(0..5)).collect();
+        let treated: Vec<bool> = z
+            .iter()
+            .map(|&zi| rng.gen_bool(0.2 + 0.1 * zi as f64))
+            .collect();
+        let y: Vec<f64> = (0..n)
+            .map(|i| {
+                1e3 + 10.0 * treated[i] as i64 as f64 + 5.0 * z[i] as f64 + rng.gen_range(-1.0..1.0)
+            })
+            .collect();
+        let table = TableBuilder::new()
+            .int("z", z)
+            .unwrap()
+            .float("y", y)
+            .unwrap()
+            .build()
+            .unwrap();
+        let subpop = BitSet::from_mask(&(0..n).map(|i| i % 4 != 1).collect::<Vec<_>>());
+        let parent = Projector::new(&subpop).project(&BitSet::from_mask(&treated));
+        let mut child = parent.clone();
+        for l in parent.iter().filter(|l| l % 3 == 0) {
+            child.remove(l);
+        }
+        let removed = parent.difference(&child);
+        let moment_bits = |m: &TreatmentMoments| -> (usize, u64, Vec<u64>) {
+            (
+                m.n_treated,
+                m.ty.to_bits(),
+                m.tz.iter().map(|v| v.to_bits()).collect(),
+            )
+        };
+        for mode in [NumericMode::Exact, NumericMode::FastV1] {
+            let opts = CateOptions {
+                sample_cap: Some(800),
+                seed: 5,
+                numeric_mode: mode,
+                ..CateOptions::default()
+            };
+            let ctx = EstimationContext::new(&table, Some(&subpop), 1, &[0], &opts).unwrap();
+            let sampled = ctx
+                .sampled
+                .as_deref()
+                .expect("the cap drops rows")
+                .universe();
+            let clear = |m: &BitSet| {
+                let mut c = m.clone();
+                c.intersect_with(sampled);
+                c
+            };
+            for m in [&parent, &child, &removed] {
+                assert!(
+                    m.difference_count(sampled) > 0,
+                    "{mode:?}: unsampled bits set"
+                );
+            }
+
+            let (fit, moments) = ctx.fit_local(&parent).unwrap();
+            let (fit_c, moments_c) = ctx.fit_local(&clear(&parent)).unwrap();
+            assert_eq!(fit.cate().to_bits(), fit_c.cate().to_bits(), "{mode:?}");
+            assert_eq!(moment_bits(&moments), moment_bits(&moments_c), "{mode:?}");
+            let p = ctx.p_value_local(&fit, &parent);
+            assert_eq!(
+                p.to_bits(),
+                ctx.p_value_local(&fit, &clear(&parent)).to_bits()
+            );
+
+            let (down, down_m) = ctx.fit_downdated(&moments, &removed).unwrap();
+            let (down_c, down_mc) = ctx.fit_downdated(&moments, &clear(&removed)).unwrap();
+            assert_eq!(down.cate().to_bits(), down_c.cate().to_bits(), "{mode:?}");
+            assert_eq!(moment_bits(&down_m), moment_bits(&down_mc), "{mode:?}");
+            let p_child = ctx.p_value_local(&down, &child);
+            assert_eq!(
+                p_child.to_bits(),
+                ctx.p_value_local(&down, &clear(&child)).to_bits()
+            );
+            assert!(p.is_finite() && p_child.is_finite(), "{mode:?}");
+        }
     }
 
     #[test]

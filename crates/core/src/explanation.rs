@@ -82,7 +82,10 @@ pub struct Summary {
     pub total_weight: f64,
     /// Number of candidate explanation patterns fed to selection.
     pub candidates: usize,
-    /// CATE estimations performed during treatment mining.
+    /// Lattice candidates evaluated during treatment mining, summed over
+    /// both directions (see `mining::treatment::LatticeStats::evaluated`):
+    /// level 1 is estimated once and shared by the two directions, but
+    /// counts in each.
     pub cate_evaluations: usize,
     /// Subset candidates served by incremental Gram downdating during
     /// treatment mining (nonzero only under `NumericMode::FastV1` with

@@ -101,4 +101,4 @@ pub use session::{
 };
 
 #[allow(deprecated)]
-pub use pipeline::{Causumx, CausumxError};
+pub use pipeline::Causumx;

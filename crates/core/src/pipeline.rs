@@ -22,10 +22,6 @@ use crate::explanation::{Explanation, Summary};
 use crate::session::{select_candidates, Session};
 use mining::treatment::TreatmentResult;
 
-/// Pipeline errors — now an alias of the unified [`crate::Error`].
-#[deprecated(since = "0.2.0", note = "use `causumx::Error`")]
-pub type CausumxError = Error;
-
 /// Candidate explanation patterns — the output of steps 1+2 of Algorithm 1,
 /// before selection. Exposed so the variant algorithms and the benchmarks
 /// can reuse mined candidates with different selection strategies.
@@ -39,7 +35,8 @@ pub struct CandidateSet {
     pub grouping_ms: f64,
     /// Treatment-mining wall-clock.
     pub treatment_ms: f64,
-    /// Total CATE estimations performed.
+    /// Lattice candidates evaluated, summed over both directions (see
+    /// [`crate::Summary::cate_evaluations`]).
     pub cate_evaluations: usize,
     /// Subset candidates whose treatment moments were derived by
     /// downdating the parent's cached moments (`FastV1` + estimation

@@ -80,7 +80,8 @@ pub struct Report {
     pub total_weight: f64,
     /// Candidate explanation patterns fed to selection.
     pub candidates: usize,
-    /// CATE estimations performed during treatment mining.
+    /// Lattice candidates evaluated during treatment mining (see
+    /// [`crate::Summary::cate_evaluations`]).
     pub cate_evaluations: usize,
     /// Subset candidates served by incremental Gram downdating
     /// (`NumericMode::FastV1` only).

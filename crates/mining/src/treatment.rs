@@ -274,7 +274,11 @@ pub struct TreatmentResult {
 /// Work counters, reported by the figure-14 style breakdowns.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeStats {
-    /// CATE estimations performed.
+    /// Lattice candidates evaluated, counted per direction. A paired walk
+    /// estimates level 1 once and the negative direction absorbs those
+    /// estimates; the shared level still counts in both directions, so
+    /// this is the number of candidates each direction's walk evaluated,
+    /// not the number of fits run.
     pub evaluated: usize,
     /// Lattice levels materialized.
     pub levels: usize,
@@ -728,9 +732,11 @@ impl<'a> TreatmentMiner<'a> {
     /// over one shared per-subpopulation estimation cache. The two walks of
     /// the same grouping pattern touch the same backdoor sets, so each
     /// [`causal::context::EstimationContext`] is built once and serves both
-    /// directions — results are identical to two independent
-    /// [`TreatmentMiner::top_k_treatments`] calls (context construction is
-    /// deterministic), the Gram-build work is simply not repeated.
+    /// directions, and level 1 — every overlap-passing atom, whatever the
+    /// direction — is estimated once and absorbed by both. Results are
+    /// identical to two independent [`TreatmentMiner::top_k_treatments`]
+    /// calls (context construction and estimation are deterministic); the
+    /// Gram builds and level-1 fits are simply not repeated.
     pub fn top_treatments_paired(
         &self,
         subpop: &BitSet,
@@ -1427,8 +1433,9 @@ struct LevelBatch {
 
 /// The resumable Algorithm-2 walk of one subpopulation: direction
 /// sequence (positive, then optionally negative, sharing one
-/// [`CtxCache`] exactly like the old paired walk), current frontier,
-/// best-k list and work counters. `pump` drives the serial parts
+/// [`CtxCache`] exactly like the old paired walk, and the positive
+/// walk's level-1 estimates), current frontier, best-k list and work
+/// counters. `pump` drives the serial parts
 /// (candidate generation, in-order context builds) until a level is
 /// ready to fan out; `absorb` replays the serial post-level logic on the
 /// index-merged results, so the walk's decisions — and counters — are
@@ -1462,6 +1469,11 @@ struct WalkState<'w> {
     max_levels: usize,
     /// Finished per-direction result lists, index-aligned with `dirs`.
     outputs: Vec<Vec<TreatmentResult>>,
+    /// The first direction's level-1 `(keys, results)`, kept while a later
+    /// direction still has to walk. Level 1 is every overlap-passing atom
+    /// in every direction, estimated on the same contexts and masks, so
+    /// the later direction absorbs a clone instead of estimating it again.
+    level1: Option<(Vec<Vec<usize>>, Vec<EvalRes>)>,
 }
 
 impl<'w> WalkState<'w> {
@@ -1493,6 +1505,7 @@ impl<'w> WalkState<'w> {
             regathers: 0,
             max_levels: 0,
             outputs: Vec::new(),
+            level1: None,
         }
     }
 
@@ -1582,7 +1595,14 @@ impl<'w> WalkState<'w> {
     fn next_cands(&mut self) -> Option<Vec<Cand>> {
         while self.dir_idx < self.dirs.len() {
             let cands = if self.fresh {
-                self.level1_cands()
+                let cands = self.level1_cands();
+                if let Some((keys, results)) = self.level1.take() {
+                    // A later direction: level 1 was estimated by the
+                    // first one.
+                    self.absorb(&cands, &keys, results);
+                    continue;
+                }
+                cands
             } else if !self.stopped
                 && !self.level.is_empty()
                 && self.level_no < self.miner.opts.max_level
@@ -1839,6 +1859,9 @@ impl<'w> WalkState<'w> {
     fn absorb(&mut self, cands: &[Cand], keys: &[Vec<usize>], results: Vec<EvalRes>) {
         debug_assert_eq!(cands.len(), results.len());
         debug_assert_eq!(cands.len(), keys.len());
+        if self.fresh && self.dir_idx == 0 && self.dirs.len() > 1 {
+            self.level1 = Some((keys.to_vec(), results.clone()));
+        }
         let dir = self.dirs[self.dir_idx];
         let opts = &self.miner.opts;
         let store_aux = self.store_aux();
@@ -2410,34 +2433,101 @@ mod tests {
     }
 
     /// The paired walk must return exactly what two independent directed
-    /// walks return, while building each estimation context only once.
+    /// walks return — the negative direction absorbs the positive one's
+    /// level-1 estimates instead of re-running them — on every estimate
+    /// path (Exact, FastV1 with downdating, IPW, the cache-off cold
+    /// estimator) and on both the serial and the fanned scheduler path,
+    /// while building each estimation context only once.
     #[test]
     fn paired_walk_matches_independent_walks() {
         let (table, dag) = synth(2000, 42);
-        let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], LatticeOptions::default());
         let subpop = BitSet::full(table.nrows());
-        let (pos, s_pos) = miner.top_k_treatments(&subpop, Direction::Positive, 3);
-        let (neg, s_neg) = miner.top_k_treatments(&subpop, Direction::Negative, 3);
-        let paired = miner.top_treatments_paired(&subpop, 3, true);
-        let keys = |ts: &[TreatmentResult]| -> Vec<(String, u64)> {
+        let with_cate = |cate_opts: CateOptions| LatticeOptions {
+            cate_opts,
+            ..LatticeOptions::default()
+        };
+        let cases = [
+            ("exact", LatticeOptions::default()),
+            (
+                "fast_v1",
+                with_cate(CateOptions {
+                    numeric_mode: NumericMode::FastV1,
+                    ..CateOptions::default()
+                }),
+            ),
+            (
+                "ipw",
+                with_cate(CateOptions {
+                    backend: EstimatorBackend::Ipw,
+                    ..CateOptions::default()
+                }),
+            ),
+            (
+                "cache off",
+                LatticeOptions {
+                    use_estimation_cache: false,
+                    ..LatticeOptions::default()
+                },
+            ),
+        ];
+        let bits = |ts: &[TreatmentResult]| -> Vec<(String, u64, u64, usize, usize)> {
             ts.iter()
-                .map(|t| (t.pattern.key(), t.cate.to_bits()))
+                .map(|t| {
+                    (
+                        t.pattern.key(),
+                        t.cate.to_bits(),
+                        t.p_value.to_bits(),
+                        t.n_treated,
+                        t.n_control,
+                    )
+                })
                 .collect()
         };
-        assert_eq!(keys(&paired.positive), keys(&pos), "bit-identical positive");
-        assert_eq!(keys(&paired.negative), keys(&neg), "bit-identical negative");
-        assert_eq!(paired.stats.evaluated, s_pos.evaluated + s_neg.evaluated);
-        // Shared cache: strictly fewer context builds than the two
-        // independent walks combined (both directions touch the same
-        // backdoor sets on this data).
-        assert!(
-            paired.stats.contexts_built < s_pos.contexts_built + s_neg.contexts_built,
-            "paired {} !< {} + {}",
-            paired.stats.contexts_built,
-            s_pos.contexts_built,
-            s_neg.contexts_built
-        );
-        assert!(paired.stats.contexts_built >= 1);
+        for (name, opts) in cases {
+            let cache = opts.use_estimation_cache;
+            let fast = opts.cate_opts.numeric_mode == NumericMode::FastV1;
+            let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], opts);
+            let (pos, s_pos) = miner.top_k_treatments(&subpop, Direction::Positive, 3);
+            let (neg, s_neg) = miner.top_k_treatments(&subpop, Direction::Negative, 3);
+            assert!(
+                !pos.is_empty() && !neg.is_empty(),
+                "{name}: both directions find treatments"
+            );
+            assert!(
+                s_pos.levels >= 2,
+                "{name}: the walk gets past the shared level 1"
+            );
+            if fast {
+                assert!(
+                    s_pos.downdates + s_neg.downdates > 0,
+                    "{name}: downdates exercised"
+                );
+            }
+            for threads in [1, 4] {
+                let case = format!("{name}, {threads} threads");
+                let paired = miner.top_treatments_paired_with(&subpop, 3, true, threads);
+                assert_eq!(bits(&paired.positive), bits(&pos), "{case}: positive");
+                assert_eq!(bits(&paired.negative), bits(&neg), "{case}: negative");
+                let st = paired.stats;
+                assert_eq!(st.evaluated, s_pos.evaluated + s_neg.evaluated, "{case}");
+                assert_eq!(st.levels, s_pos.levels.max(s_neg.levels), "{case}");
+                assert_eq!(st.downdates, s_pos.downdates + s_neg.downdates, "{case}");
+                assert_eq!(st.regathers, s_pos.regathers + s_neg.regathers, "{case}");
+                if cache {
+                    // Shared cache: strictly fewer context builds than the
+                    // two independent walks combined (both directions
+                    // touch the same backdoor sets on this data).
+                    assert!(
+                        st.contexts_built >= 1
+                            && st.contexts_built < s_pos.contexts_built + s_neg.contexts_built,
+                        "{case}: paired {} vs {} + {}",
+                        st.contexts_built,
+                        s_pos.contexts_built,
+                        s_neg.contexts_built
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -249,6 +249,20 @@ impl BitSet {
         })
     }
 
+    /// Call `visit` with every set bit position in increasing order, one
+    /// word at a time — the internal-iteration form of [`BitSet::iter`]
+    /// for hot row loops, which it outruns there.
+    #[inline]
+    pub fn for_each_set(&self, mut visit: impl FnMut(usize)) {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                visit(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    }
+
     /// Materialize as a boolean mask of length `capacity()`.
     pub fn to_mask(&self) -> Vec<bool> {
         let mut m = vec![false; self.nbits];
@@ -346,8 +360,19 @@ impl Projector {
 
     /// Project a full-width set into local coordinates (see type docs).
     pub fn project(&self, global: &BitSet) -> BitSet {
-        debug_assert_eq!(global.nbits, self.universe.nbits);
         let mut out = BitSet::new(self.n_local);
+        self.for_each_local(global, |l| out.insert(l));
+        out
+    }
+
+    /// Call `visit` with the local index of every element of `global ∩
+    /// universe`, in increasing order — [`Projector::project`] without
+    /// materializing the set. Each word of `global` is ANDed with the
+    /// universe's word first, so a bit outside the universe is never
+    /// visited.
+    #[inline]
+    pub fn for_each_local(&self, global: &BitSet, mut visit: impl FnMut(usize)) {
+        debug_assert_eq!(global.nbits, self.universe.nbits);
         for (wi, (&g, &u)) in global.words.iter().zip(&self.universe.words).enumerate() {
             let mut m = g & u;
             if m == 0 {
@@ -357,11 +382,10 @@ impl Projector {
             while m != 0 {
                 let b = m.trailing_zeros();
                 let below = u & ((1u64 << b) - 1);
-                out.insert(base + below.count_ones() as usize);
+                visit(base + below.count_ones() as usize);
                 m &= m - 1;
             }
         }
-        out
     }
 
     /// Scatter a local set back to full-table width.
@@ -495,6 +519,12 @@ mod tests {
         let s = BitSet::from_mask(&mask);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(s.to_mask(), mask);
+        // The word-level walker visits the same bits in the same order,
+        // across word boundaries too.
+        let wide = BitSet::from_mask(&(0..300).map(|i| i % 7 == 0 || i == 63).collect::<Vec<_>>());
+        let mut seen = Vec::new();
+        wide.for_each_set(|i| seen.push(i));
+        assert_eq!(seen, wide.iter().collect::<Vec<_>>());
     }
 
     #[test]
