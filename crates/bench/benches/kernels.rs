@@ -146,10 +146,11 @@ fn bench_estimation_context(c: &mut Criterion) {
 }
 
 /// Confounder-panel economics: the contexts of several overlapping
-/// backdoor sets built cold (one `O(n·q²)` pass per set — the PR 4 path)
-/// vs assembled from one shared [`SubpopPanel`] (each row gather, column
-/// encode and cross-Gram block computed once per subpopulation), plus the
-/// marginal cost of a fully warm `O(q²)` assembly.
+/// backdoor sets built cold (one `O(n·q²)` pass per set over dense
+/// one-hot columns) vs assembled from one shared [`SubpopPanel`] (each
+/// row gather, level coding and cross-Gram block computed once per
+/// subpopulation), a cold panel build of one categorical-heavy set, and
+/// the marginal cost of a fully warm `O(q²)` assembly.
 fn bench_confounder_panel(c: &mut Criterion) {
     let ds = datagen::so::generate(8_000, 1);
     let subpop = {
@@ -184,6 +185,20 @@ fn bench_confounder_panel(c: &mut Criterion) {
     let mut group = c.benchmark_group("confounder_panel");
     group.bench_function("cold_builds_4sets_8k", |b| b.iter(|| build_all(false)));
     group.bench_function("panel_builds_4sets_8k", |b| b.iter(|| build_all(true)));
+    // A cold panel build of Role's parents in the SO DAG (q = 10): two
+    // numeric and two categorical confounders, so its pair blocks include
+    // a categorical×categorical contingency table.
+    let role_backdoor: Vec<usize> = ["Age", "Education", "Major", "YearsCoding"]
+        .iter()
+        .map(|&a| attr(a))
+        .collect();
+    group.bench_function("panel_builds_role_backdoor_8k", |b| {
+        b.iter(|| {
+            SubpopPanel::new(&ds.table, Some(&subpop), ds.outcome, &opts)
+                .assemble(&ds.table, &role_backdoor)
+                .map_or(0, |ctx| ctx.num_design_cols())
+        })
+    });
     // Warm assembly: every attribute and pair block already materialized.
     let mut panel = SubpopPanel::new(&ds.table, Some(&subpop), ds.outcome, &opts);
     for s in &sets {

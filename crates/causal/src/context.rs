@@ -12,8 +12,8 @@
 //! [`EstimationContext`] hoists everything treatment-independent out of the
 //! loop. Built once per `(subpopulation, confounder set)` pair, it caches
 //! the (sampled) row-index list, the gathered outcome vector `y`, the
-//! encoded confounder design columns `Z`, and the fixed blocks of the Gram
-//! matrix of the design `X = [1, T, Z]`:
+//! confounder design `Z`, and the fixed blocks of the Gram matrix of the
+//! design `X = [1, T, Z]`:
 //!
 //! ```text
 //!       ⎡  n      Σt     1ᵀZ  ⎤            ⎡ Σy  ⎤
@@ -37,7 +37,8 @@
 //! * [`EstimationContext::estimate_local`] takes a set in the
 //!   subpopulation's *local* coordinates (bit `i` = the `i`-th
 //!   subpopulation row, see [`table::bitset::Projector`]) and gathers the
-//!   `t`-blocks sparsely by walking only its set bits (`O(|T|·q)`).
+//!   `t`-blocks sparsely by walking only its set bits (`O(|T|·k)` for `k`
+//!   confounder attributes, see [Level codes](self#level-codes)).
 //!   Ascending bit order visits the identical rows in the identical order
 //!   as the dense scan, so both entry points produce bit-identical fits.
 //!
@@ -55,10 +56,11 @@
 //! treated row the sample left out is never visited: a sampled estimate
 //! reads only the rows it uses, not every treated row of the
 //! subpopulation. Without sampling a local index is its position. The
-//! passes read the design columns as slices hoisted out of the row loop.
-//! Each accumulator sees its rows in ascending order, so every fold —
-//! `Exact`'s serial sum, `FastV1`'s lane = visitation rank `& 7` — has
-//! the bits of a per-row pass over the same positions.
+//! passes read the design's dense columns and level codes as slices
+//! hoisted out of the row loop, in a layout each context fixes once when
+//! it is built. Each accumulator sees its rows in ascending order, so
+//! every fold — `Exact`'s serial sum, `FastV1`'s lane = visitation rank
+//! `& 7` — has the bits of a per-row pass over the same positions.
 //!
 //! The IPW backend reuses the same cache: the propensity design `[1, Z]`
 //! is treatment-independent, so the context pre-assembles it once and each
@@ -69,31 +71,71 @@
 //! One lattice walk touches several *distinct* backdoor sets, and those
 //! sets overlap: `{Age}`, `{Age, Gender}` and `{Age, Country}` share the
 //! subpopulation row list, the outcome gather, `Σy`, the encoded `Age`
-//! columns and the `Age×Age` Gram block. Building each
+//! column and the `Age×Age` Gram block. Building each
 //! [`EstimationContext`] cold repeats all of that per set.
 //!
 //! [`SubpopPanel`] hoists the sharing one level up: built once per
 //! subpopulation, it materializes the sampled row list, `y`, `Σy`, `yᵀy`,
-//! and — lazily, on first use — each confounder attribute's encoded
-//! design columns with their `1ᵀZ_a` / `Z_aᵀy` vectors, plus every
-//! requested pairwise cross-Gram block `Z_aᵀZ_b` (including `a = b` and
-//! the `×1`/`×y` borders above). [`SubpopPanel::assemble`] then builds the
-//! context for a concrete confounder set by *stitching* the relevant
-//! blocks — `O(q²)` placement instead of the `O(n·q²)` accumulation pass —
-//! and sharing the row/outcome/column buffers via [`Arc`].
+//! and — lazily, on first use — each confounder attribute's design block
+//! with its `1ᵀZ_a` / `Z_aᵀy` vectors, plus every requested pairwise
+//! cross-Gram block `Z_aᵀZ_b` (including `a = b`).
+//! [`SubpopPanel::assemble`] then builds the context for a concrete
+//! confounder set by *stitching* the relevant blocks — `O(q²)` placement
+//! instead of the `O(n·q²)` accumulation pass — and sharing the
+//! row/outcome/design buffers via [`Arc`].
 //!
-//! Every block is an independent ascending-row-order accumulation: entry
-//! `(i, j)` of the assembled `ZᵀZ` is the same `Σ_r z_i[r]·z_j[r]` sum,
-//! added in the same order, whether it was accumulated inside one cold
-//! context build or once in the panel and copied into place (for `a > b`
-//! pairs the stored block is read transposed — `z_i·z_j` and `z_j·z_i`
-//! are the same f64 product, so even that is bit-exact). The assembled
-//! context is therefore **bit-identical** to the cold-built one; the
-//! property tests in `tests/confounder_panel.rs` pin this.
+//! ## Level codes
+//!
+//! In the panel a numeric confounder is one dense column, but a
+//! categorical one with `d` kept dummies is not `d` dense 0/1 columns: it
+//! is one level code per sampled row. Codes `0..d` are the kept dummies;
+//! code `d` covers the reference level and every level past
+//! `CateOptions::max_onehot_levels`. The levels come from the same helper
+//! the dense encoding calls, so the two can never pick different ones.
+//! Every Gram entry that the dense columns would give becomes a count or
+//! a per-level sum (the AC/DC and LMFAO way of computing such entries
+//! without one-hot columns):
+//!
+//! * `1ᵀZ_a`, the diagonal block `Z_aᵀZ_a` and a categorical×categorical
+//!   block are integer counts, the last from one contingency pass;
+//! * `Z_aᵀy` and a numeric×categorical block are per-level sums of `y` or
+//!   of the numeric column, from [`stats::numeric::group_sums`], which
+//!   replays the dense dot's fold: one serial accumulator per level in
+//!   `Exact`, eight lanes per level (lane = position `& 7`) in `FastV1`.
+//!
+//! The per-row passes read the codes too: the `tᵀZ_a` gather is a level
+//! histogram of the walked rows, the `FastV1` downdate subtracts the
+//! removed rows' histogram, the residual adds `β` looked up by level
+//! through a table whose reference slot holds `+0.0`, and the IPW backend
+//! builds its dense propensity design from them. The cold
+//! [`EstimationContext::new`] build keeps the dense one-hot columns: with
+//! the naive estimators it is the oracle the codes are tested against.
+//!
+//! ## Why the bits hold
+//!
+//! Every block is an independent ascending-row-order accumulation, so an
+//! entry stitched from the panel is the sum a cold build forms (for
+//! `a > b` pairs the stored block is read transposed — `z_i·z_j` and
+//! `z_j·z_i` are the same f64 product). Where the panel reads codes
+//! instead of dense columns:
+//!
+//! * every product of two 0/1 columns is 0 or 1, so the entry is an
+//!   integer count, which `f64` sums exactly in any order — the counts,
+//!   the gather's histogram and the downdate's subtraction alike;
+//! * the products a per-level sum skips are `0·x = ±0`, and for finite
+//!   data without `−0.0` — which [`table::Table::new`] guarantees — they
+//!   cannot change the sum, since every kept level has a row (see
+//!   [`stats::numeric::group_sums`]);
+//! * the residual's skipped `0·β` terms can at most flip the sign of a
+//!   zero ŷ, which the squared residual erases.
+//!
+//! So an assembled context gives the cold build's Gram entries, `β`,
+//! CATEs and p-values bit for bit in both numeric modes; the property
+//! tests in `tests/confounder_panel.rs` pin this.
 //!
 //! [`ContextCache`] owns the panel (see [`ContextCache::with_panel`]);
-//! `LatticeOptions::use_confounder_panel` is the ablation knob that
-//! switches the cache back to cold per-set builds.
+//! `LatticeOptions::use_confounder_panel = false` switches the cache to
+//! cold per-set builds — the dense one-hot oracle.
 //!
 //! # Deferred inference
 //!
@@ -155,7 +197,9 @@ use stats::ols::{fit_from_gram_at, gram_from_blocks, GramFit};
 use table::bitset::{BitSet, Projector};
 use table::{Column, Table};
 
-use crate::estimate::{append_confounder, CateOptions, CateResult, EstimatorBackend};
+use crate::estimate::{
+    append_confounder, onehot_levels, CateOptions, CateResult, EstimatorBackend,
+};
 use crate::ipw::ipw_from_parts;
 
 /// One candidate's treated rows as every per-candidate row pass reads
@@ -303,14 +347,194 @@ fn col_dot(mode: NumericMode, a: &[f64], b: &[f64]) -> f64 {
     numeric::dot(mode, a, b)
 }
 
+/// A categorical confounder as one level code per row instead of `d`
+/// dense one-hot columns. Codes `0..d` are the kept dummies — the
+/// attribute's design columns, in order — and code `d` covers the
+/// reference level and every truncated level, which have no column.
+struct LevelCodes {
+    codes: Vec<u32>,
+    d: usize,
+}
+
+/// One confounder attribute's share of a context's design `Z`.
+#[derive(Clone)]
+enum ZBlock {
+    /// One dense design column: a numeric confounder's values or, on the
+    /// cold oracle path, one one-hot dummy.
+    Dense(Arc<Vec<f64>>),
+    /// A categorical confounder's level codes (the panel's encoding).
+    Coded(Arc<LevelCodes>),
+}
+
+impl ZBlock {
+    /// Design columns the block spans.
+    fn width(&self) -> usize {
+        match self {
+            ZBlock::Dense(_) => 1,
+            ZBlock::Coded(c) => c.d,
+        }
+    }
+}
+
+/// A context's confounder design, laid out once when the context is
+/// built: every block in design-column order (the order the residual
+/// adds its terms in), plus the gather's split of the same blocks into
+/// dense columns and level histograms.
+#[derive(Default)]
+struct Design {
+    /// `(first design column, block)`, in design-column order. Coded
+    /// blocks without a kept level are left out: they span no column.
+    blocks: Vec<(usize, ZBlock)>,
+    /// Design columns in total (`q`).
+    q: usize,
+    /// `(design column, values)` of every dense block.
+    dense: Vec<(usize, Arc<Vec<f64>>)>,
+    /// `(first design column, first histogram slot, codes)` of every coded
+    /// block. A coded block owns `d + 1` slots, the last one the
+    /// reference's.
+    coded: Vec<(usize, usize, Arc<LevelCodes>)>,
+    /// Histogram slots in total.
+    slots: usize,
+}
+
+impl Design {
+    fn new(blocks: impl IntoIterator<Item = ZBlock>) -> Self {
+        let mut z = Design::default();
+        for b in blocks {
+            let col = z.q;
+            match &b {
+                ZBlock::Dense(v) => z.dense.push((col, Arc::clone(v))),
+                ZBlock::Coded(c) if c.d == 0 => continue,
+                ZBlock::Coded(c) => {
+                    z.coded.push((col, z.slots, Arc::clone(c)));
+                    z.slots += c.d + 1;
+                }
+            }
+            z.q += b.width();
+            z.blocks.push((col, b));
+        }
+        z
+    }
+
+    /// The dense columns and the coded blocks' `(first slot, codes)` as
+    /// plain slices, hoisted out of a row loop.
+    fn slices(&self) -> (Vec<&[f64]>, Vec<(usize, &[u32])>) {
+        let dense = self.dense.iter().map(|(_, c)| c.as_slice()).collect();
+        let coded = self
+            .coded
+            .iter()
+            .map(|(_, s, c)| (*s, c.codes.as_slice()))
+            .collect();
+        (dense, coded)
+    }
+
+    /// Call `f(design column, count)` for every kept level of every coded
+    /// block, reading the counts from a histogram laid out by `coded`.
+    fn for_each_count(&self, hist: &[u32], mut f: impl FnMut(usize, f64)) {
+        for (col, slot, c) in &self.coded {
+            for (l, &k) in hist[*slot..*slot + c.d].iter().enumerate() {
+                f(col + l, f64::from(k));
+            }
+        }
+    }
+}
+
+/// One design block's `Zβ` term of ŷ (see `EstimationContext::z_terms`).
+enum ZTerm<'a> {
+    /// A dense column and its coefficient: adds `z·β_j`.
+    Dense(&'a [f64], f64),
+    /// Level codes and the coefficient of each code (the reference's
+    /// `+0.0` last): adds `β[code]`.
+    Coded(&'a [u32], Vec<f64>),
+}
+
+/// Add the `Zβ` terms to `yhat`, which holds ŷ of the positions from
+/// `start` on, term by term in design-column order. Where the dense
+/// design adds `β_l` plus `d − 1` products `0·β_j = ±0`, a coded term
+/// adds `β_l` alone, or `+0.0` at a reference row. The two ŷ can then
+/// differ only in the sign of a zero; later terms keep it that way, and
+/// the squared residual erases the sign.
+fn add_z_terms(terms: &[ZTerm<'_>], yhat: &mut [f64], start: usize) {
+    for term in terms {
+        match term {
+            ZTerm::Dense(col, b) => {
+                for (v, &z) in yhat.iter_mut().zip(&col[start..]) {
+                    *v += z * b;
+                }
+            }
+            ZTerm::Coded(codes, lut) => {
+                for (v, &c) in yhat.iter_mut().zip(&codes[start..]) {
+                    *v += lut[c as usize];
+                }
+            }
+        }
+    }
+}
+
+/// A running sum in one numeric mode's gather order: [`SerialAcc`] for
+/// `Exact`, [`LaneAcc`] (lane = visitation rank) for `FastV1`.
+trait GatherAcc: Clone + Default {
+    fn push(&mut self, v: f64);
+    fn finish(&self) -> f64;
+}
+
+/// The `Exact` gather's serial fold, from `+0.0`.
+#[derive(Clone, Default)]
+struct SerialAcc(f64);
+
+impl GatherAcc for SerialAcc {
+    #[inline]
+    fn push(&mut self, v: f64) {
+        self.0 += v;
+    }
+
+    fn finish(&self) -> f64 {
+        self.0
+    }
+}
+
+impl GatherAcc for LaneAcc {
+    #[inline]
+    fn push(&mut self, v: f64) {
+        LaneAcc::push(self, v);
+    }
+
+    fn finish(&self) -> f64 {
+        LaneAcc::finish(self)
+    }
+}
+
+/// `Z_aᵀZ_b` of two coded attributes, `d_a × d_b` row-major: one pass
+/// counting the rows of every level pair. Each entry is the dense dot of
+/// two 0/1 columns — an integer count, which `f64` holds exactly.
+fn contingency(a: &LevelCodes, b: &LevelCodes) -> Vec<f64> {
+    let w = b.d + 1;
+    let mut cnt = vec![0u32; (a.d + 1) * w];
+    for (&ca, &cb) in a.codes.iter().zip(&b.codes) {
+        cnt[ca as usize * w + cb as usize] += 1;
+    }
+    cnt.chunks_exact(w)
+        .take(a.d)
+        .flat_map(|row| row[..b.d].iter().map(|&k| f64::from(k)))
+        .collect()
+}
+
 /// Densify the propensity design `[1, Z]` for the IPW backend. Shared by
 /// the cold build and the panel assembly — same values, same layout.
-fn densify_prop(n: usize, z_cols: &[Arc<Vec<f64>>]) -> Matrix {
-    let mut x = Matrix::zeros(n, z_cols.len() + 1);
+fn densify_prop(n: usize, z: &Design) -> Matrix {
+    let mut x = Matrix::zeros(n, z.q + 1);
     for r in 0..n {
         x[(r, 0)] = 1.0;
-        for (c, col) in z_cols.iter().enumerate() {
-            x[(r, c + 1)] = col[r];
+        for (j, b) in &z.blocks {
+            match b {
+                ZBlock::Dense(col) => x[(r, j + 1)] = col[r],
+                ZBlock::Coded(c) => {
+                    let l = c.codes[r] as usize;
+                    if l < c.d {
+                        x[(r, j + 1 + l)] = 1.0;
+                    }
+                }
+            }
         }
     }
     x
@@ -366,11 +590,11 @@ impl RegressionFit {
 /// Treatment-independent state of CATE estimation, cached per
 /// `(subpopulation, confounder set)` pair. See the module docs.
 ///
-/// Built either cold by [`EstimationContext::new`] (one `O(n·q²)` pass)
-/// or assembled from a [`SubpopPanel`]'s precomputed blocks (`O(q²)`
-/// stitching, sharing the row list / outcome / encoded columns with every
-/// other context of the same subpopulation). Both construction paths
-/// yield bit-identical estimates.
+/// Built either cold by [`EstimationContext::new`] (one `O(n·q²)` pass
+/// over dense one-hot columns — the oracle) or assembled from a
+/// [`SubpopPanel`]'s precomputed blocks (`O(q²)` stitching, sharing the
+/// row list / outcome / level codes with every other context of the same
+/// subpopulation). Both construction paths yield bit-identical estimates.
 pub struct EstimationContext {
     backend: EstimatorBackend,
     min_arm: usize,
@@ -388,16 +612,16 @@ pub struct EstimationContext {
     sampled: Option<Arc<Projector>>,
     /// Outcome gathered over `rows`.
     y: Arc<Vec<f64>>,
-    /// Encoded confounder design columns over `rows` (numerics raw,
-    /// categoricals one-hot with the reference level dropped). Each
-    /// column is shared with the panel when panel-assembled.
-    z_cols: Vec<Arc<Vec<f64>>>,
+    /// The confounder design over `rows`: numerics raw, categoricals as
+    /// level codes when panel-assembled (shared with the panel) or as
+    /// dense one-hot columns when built cold.
+    z: Design,
     /// `Σ y` over `rows`.
     sum_y: f64,
     /// `yᵀy` over `rows` — constant term of the `FastV1` RSS shortcut
     /// (unused in `Exact` mode; see `EstimationContext::rss`).
     sum_y_sq: f64,
-    /// `1ᵀZ` — per-column sums of `z_cols`.
+    /// `1ᵀZ` — per-column sums of the design.
     sum_z: Vec<f64>,
     /// `ZᵀZ` — the fixed `q×q` Gram block.
     zz: Matrix,
@@ -418,6 +642,10 @@ impl EstimationContext {
     /// identical row list with the identical seed on every call. The IPW
     /// backend does not sample (matching
     /// [`crate::ipw::estimate_cate_ipw`]).
+    ///
+    /// Categorical confounders become dense one-hot columns here, as in
+    /// the naive estimators; [`SubpopPanel::assemble`] gives the same bits
+    /// from level codes.
     pub fn new(
         table: &Table,
         subpop: Option<&BitSet>,
@@ -428,11 +656,13 @@ impl EstimationContext {
         let scope = ScopeState::build(table, subpop, outcome, opts);
         let y = scope.y?; // categorical outcome
 
+        // The dense one-hot encoding: this cold build is the oracle the
+        // panel's level codes are tested against.
         let mut raw: Vec<Vec<f64>> = Vec::new();
         for &z in confounders {
             append_confounder(table, z, &scope.rows, opts.max_onehot_levels, &mut raw);
         }
-        let mut z_cols: Vec<Arc<Vec<f64>>> = raw.into_iter().map(Arc::new).collect();
+        let z_cols: Vec<Arc<Vec<f64>>> = raw.into_iter().map(Arc::new).collect();
 
         let n = scope.rows.len();
         let q = z_cols.len();
@@ -459,11 +689,12 @@ impl EstimationContext {
             (Vec::new(), Matrix::zeros(0, 0), Vec::new())
         };
 
-        let x_prop = (opts.backend == EstimatorBackend::Ipw).then(|| densify_prop(n, &z_cols));
+        let mut z = Design::new(z_cols.into_iter().map(ZBlock::Dense));
+        let x_prop = (opts.backend == EstimatorBackend::Ipw).then(|| densify_prop(n, &z));
         if opts.backend == EstimatorBackend::Ipw {
             // The propensity design is a dense copy of the same values;
-            // keeping z_cols too would double the memory for nothing.
-            z_cols = Vec::new();
+            // keeping the design too would double the memory for nothing.
+            z = Design::default();
         }
 
         Some(EstimationContext {
@@ -474,7 +705,7 @@ impl EstimationContext {
             sub_n: scope.sub_n,
             sampled: scope.sampled,
             y,
-            z_cols,
+            z,
             sum_y: scope.sum_y,
             sum_y_sq: scope.sum_y_sq,
             sum_z,
@@ -505,7 +736,7 @@ impl EstimationContext {
     pub fn num_design_cols(&self) -> usize {
         match &self.x_prop {
             Some(x) => x.ncols() - 1,
-            None => self.z_cols.len(),
+            None => self.z.q,
         }
     }
 
@@ -566,51 +797,48 @@ impl EstimationContext {
         }
     }
 
-    /// The design columns as plain slices, hoisted out of a row loop.
-    fn col_slices(&self) -> Vec<&[f64]> {
-        self.z_cols.iter().map(|c| c.as_slice()).collect()
-    }
-
     /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
     /// (ascending), with the context's numeric kernels. In `Exact` mode
-    /// this is the historical serial fold; in `FastV1` every reduction
-    /// streams through a [`LaneAcc`], assigning lanes by visitation rank
-    /// — so the dense membership scan, the local sparse gather and the
-    /// sampled gather all produce identical bits whenever they visit the
-    /// same positions in the same order.
+    /// the sums are the historical serial fold; in `FastV1` they stream
+    /// through a [`LaneAcc`], assigning lanes by visitation rank — so the
+    /// dense membership scan, the local sparse gather and the sampled
+    /// gather all produce identical bits whenever they visit the same
+    /// positions in the same order. A coded block's `tᵀZ_a` is a level
+    /// histogram: each entry of a dense one-hot gather is a sum of 0/1
+    /// values, an integer that every fold order gives exactly.
     fn gather(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
-        let y = self.y.as_slice();
-        let cols = self.col_slices();
-        let mut n_treated = 0usize;
         match self.mode {
-            NumericMode::Exact => {
-                let mut ty = 0.0;
-                let mut tz = vec![0.0; cols.len()];
-                rows.for_each(|i| {
-                    n_treated += 1;
-                    ty += y[i];
-                    for (acc, col) in tz.iter_mut().zip(&cols) {
-                        *acc += col[i];
-                    }
-                });
-                TreatmentMoments { n_treated, ty, tz }
+            NumericMode::Exact => self.gather_with::<SerialAcc>(rows),
+            NumericMode::FastV1 => self.gather_with::<LaneAcc>(rows),
+        }
+    }
+
+    fn gather_with<A: GatherAcc>(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
+        let y = self.y.as_slice();
+        let (dense, coded) = self.z.slices();
+        let mut n_treated = 0usize;
+        let mut ty = A::default();
+        let mut acc = vec![A::default(); dense.len()];
+        let mut hist = vec![0u32; self.z.slots];
+        rows.for_each(|i| {
+            n_treated += 1;
+            ty.push(y[i]);
+            for (a, col) in acc.iter_mut().zip(&dense) {
+                a.push(col[i]);
             }
-            NumericMode::FastV1 => {
-                let mut ty = LaneAcc::new();
-                let mut tz = vec![LaneAcc::new(); cols.len()];
-                rows.for_each(|i| {
-                    n_treated += 1;
-                    ty.push(y[i]);
-                    for (acc, col) in tz.iter_mut().zip(&cols) {
-                        acc.push(col[i]);
-                    }
-                });
-                TreatmentMoments {
-                    n_treated,
-                    ty: ty.finish(),
-                    tz: tz.iter().map(LaneAcc::finish).collect(),
-                }
+            for &(slot, codes) in &coded {
+                hist[slot + codes[i] as usize] += 1;
             }
+        });
+        let mut tz = vec![0.0; self.z.q];
+        for ((j, _), a) in self.z.dense.iter().zip(&acc) {
+            tz[*j] = a.finish();
+        }
+        self.z.for_each_count(&hist, |j, k| tz[j] = k);
+        TreatmentMoments {
+            n_treated,
+            ty: ty.finish(),
+            tz,
         }
     }
 
@@ -629,9 +857,9 @@ impl EstimationContext {
     /// Estimate a candidate whose treated rowset (`treated`, local
     /// coordinates) is `parent`'s minus `removed`: derive the treatment
     /// blocks by subtracting the removed rows' contributions from the
-    /// parent's cached moments — `O(|removed|·q)` instead of the
-    /// `O(|T|·q)` regather — then solve as usual. Returns the child's own
-    /// moments for further downdating.
+    /// parent's cached moments — `O(|removed|·k)` for `k` design blocks
+    /// instead of the `O(|T|·k)` regather — then solve as usual. Returns
+    /// the child's own moments for further downdating.
     ///
     /// FP subtraction cannot replay a fold order, so the result is within
     /// rounding of (not bit-identical to) the direct gather; the lattice
@@ -667,7 +895,8 @@ impl EstimationContext {
         }
         // Sparse gather: only the treated (sampled) rows are visited
         // (ascending = identical accumulation order to the dense scan),
-        // so the t-blocks cost O(|T|·q) instead of O(n·q).
+        // so the t-blocks cost O(|T|·k) for k design blocks instead of
+        // O(n·q).
         let moments = self.gather(rows);
         let fit = self.fit_regression(&moments)?;
         Some((fit, moments))
@@ -684,7 +913,7 @@ impl EstimationContext {
     ) -> Option<(RegressionFit, TreatmentMoments)> {
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
         let y = self.y.as_slice();
-        let cols = self.col_slices();
+        let (dense, coded) = self.z.slices();
         let TreatmentMoments {
             mut n_treated,
             mut ty,
@@ -692,14 +921,21 @@ impl EstimationContext {
         } = parent.clone();
         // Subtract removed rows in ascending local order; rows the
         // §5.2(d) sampling dropped never entered the parent's moments,
-        // and the walker skips them.
+        // and the walker skips them. A coded block's entries are integer
+        // counts, so subtracting the removed rows' level histogram at
+        // once has the bits of subtracting 1 row by row.
+        let mut hist = vec![0u32; self.z.slots];
         self.local(removed).for_each(|i| {
             n_treated -= 1;
             ty -= y[i];
-            for (acc, col) in tz.iter_mut().zip(&cols) {
-                *acc -= col[i];
+            for ((j, _), col) in self.z.dense.iter().zip(&dense) {
+                tz[*j] -= col[i];
+            }
+            for &(slot, codes) in &coded {
+                hist[slot + codes[i] as usize] += 1;
             }
         });
+        self.z.for_each_count(&hist, |j, k| tz[j] -= k);
         let moments = TreatmentMoments { n_treated, ty, tz };
         let fit = self.fit_regression(&moments)?;
         Some((fit, moments))
@@ -773,13 +1009,33 @@ impl EstimationContext {
         yhat
     }
 
+    /// The `Zβ` terms of ŷ, one per design block in design-column order.
+    /// A coded block's `β` is looked up by level through a table whose
+    /// reference slot holds `+0.0`, with no branch on the level.
+    fn z_terms<'s>(&'s self, beta: &[f64]) -> Vec<ZTerm<'s>> {
+        self.z
+            .blocks
+            .iter()
+            .map(|(j, b)| match b {
+                ZBlock::Dense(col) => ZTerm::Dense(col, beta[2 + j]),
+                ZBlock::Coded(c) => {
+                    let mut lut = beta[2 + j..2 + j + c.d].to_vec();
+                    lut.push(0.0);
+                    ZTerm::Coded(&c.codes, lut)
+                }
+            })
+            .collect()
+    }
+
     /// The residual sum of squares of `beta` — the one residual routine
     /// behind every regression estimate. The walker yields the sampled
     /// positions of the treated rows in ascending order, and the `t·β₁`
     /// term is added at those positions only: a skipped `+ 0.0·β₁` can
     /// at most flip the sign of a zero, which the squared residual
     /// erases, so the sum has the bits of a dense pass over every row.
-    /// `ty` is the fit's `tᵀy`, which the `FastV1` shortcut reads.
+    /// Coded confounders skip their `0·β` terms the same way (see
+    /// `add_z_terms`). `ty` is the fit's `tᵀy`, which the `FastV1`
+    /// shortcut reads.
     fn rss(&self, beta: &[f64], ty: f64, treated: TreatedRows<'_>) -> f64 {
         match self.mode {
             NumericMode::Exact => {
@@ -793,12 +1049,7 @@ impl EstimationContext {
                 // algebraic shortcut below is never taken here — it
                 // cannot replay the historical fold.
                 let mut yhat = self.yhat_1t(beta, treated);
-                for (j, col) in self.z_cols.iter().enumerate() {
-                    let bj = beta[2 + j];
-                    for (v, &z) in yhat.iter_mut().zip(col.iter()) {
-                        *v += z * bj;
-                    }
-                }
+                add_z_terms(&self.z_terms(beta), &mut yhat, 0);
                 let mut rss = 0.0;
                 for (&yi, &vh) in self.y.iter().zip(&yhat) {
                     let e = yi - vh;
@@ -839,16 +1090,12 @@ impl EstimationContext {
                 const BLOCK: usize = 4096;
                 let n = self.rows.len();
                 let mut yhat = self.yhat_1t(beta, treated);
+                let terms = self.z_terms(beta);
                 let mut lanes = [0.0f64; 8];
                 let mut s = 0;
                 while s < n {
                     let e = (s + BLOCK).min(n);
-                    for (j, col) in self.z_cols.iter().enumerate() {
-                        let bj = beta[2 + j];
-                        for (v, &z) in yhat[s..e].iter_mut().zip(&col[s..e]) {
-                            *v += z * bj;
-                        }
-                    }
+                    add_z_terms(&terms, &mut yhat[s..e], s);
                     numeric::lane_sq_diff_into(&mut lanes, &self.y[s..e], &yhat[s..e]);
                     s = e;
                 }
@@ -874,14 +1121,15 @@ impl EstimationContext {
     }
 }
 
-/// Per-attribute design blocks of a [`SubpopPanel`]: the encoded columns
-/// of one confounder attribute over the panel's (sampled) rows, plus the
-/// treatment-independent Gram borders they contribute.
+/// Per-attribute design blocks of a [`SubpopPanel`]: one confounder
+/// attribute over the panel's (sampled) rows, plus the
+/// treatment-independent Gram borders it contributes.
 struct AttrBlocks {
-    /// Encoded design columns (numeric raw / categorical one-hot, exactly
-    /// [`append_confounder`]'s output), shared with assembled contexts.
-    cols: Vec<Arc<Vec<f64>>>,
-    /// `1ᵀZ_a` — per-column sums (regression backend only).
+    /// The attribute's design block — a numeric confounder's values, a
+    /// categorical one's level codes — shared with assembled contexts.
+    z: ZBlock,
+    /// `1ᵀZ_a` — per-column sums; a coded block's are its level counts
+    /// (regression backend only).
     sum_z: Vec<f64>,
     /// `Z_aᵀy` (regression backend only).
     zy: Vec<f64>,
@@ -974,56 +1222,101 @@ impl SubpopPanel {
         if self.attrs.contains_key(&attr) {
             return;
         }
-        let mut raw: Vec<Vec<f64>> = Vec::new();
-        append_confounder(table, attr, &self.rows, self.max_onehot_levels, &mut raw);
+        let regression = self.backend == EstimatorBackend::Regression;
+        let blocks = match table.column(attr) {
+            Column::Cat { codes, dict } => self.code_attr(codes, dict.len()),
+            col => {
+                let x: Vec<f64> = self.rows.iter().map(|&r| col.get_f64(r)).collect();
+                // The same shared border kernels the cold build runs.
+                let (sum_z, zy) = if regression {
+                    (
+                        vec![col_sum(self.mode, &x)],
+                        vec![col_dot(self.mode, &x, &self.y)],
+                    )
+                } else {
+                    (Vec::new(), Vec::new())
+                };
+                AttrBlocks {
+                    z: ZBlock::Dense(Arc::new(x)),
+                    sum_z,
+                    zy,
+                }
+            }
+        };
+        self.attrs.insert(attr, blocks);
+    }
+
+    /// Encode a categorical confounder as level codes in two passes over
+    /// the rows: gather the table's codes while counting each level, then
+    /// remap them to design codes (kept levels by [`onehot_levels`], the
+    /// rest to the reference code) while summing `y` per level.
+    fn code_attr(&self, table_codes: &[u32], levels: usize) -> AttrBlocks {
+        let mut freq = vec![0usize; levels];
+        let mut codes: Vec<u32> = self
+            .rows
+            .iter()
+            .map(|&r| {
+                let c = table_codes[r];
+                freq[c as usize] += 1;
+                c
+            })
+            .collect();
+        let kept = onehot_levels(&freq, self.max_onehot_levels);
+        let d = kept.len();
+        let mut remap = vec![d as u32; levels];
+        for (l, &level) in kept.iter().enumerate() {
+            remap[level] = l as u32;
+        }
         let (sum_z, zy) = if self.backend == EstimatorBackend::Regression {
-            // The same shared border kernels the cold build runs.
-            let sum_z: Vec<f64> = raw.iter().map(|c| col_sum(self.mode, c)).collect();
-            let zy: Vec<f64> = raw.iter().map(|c| col_dot(self.mode, c, &self.y)).collect();
-            (sum_z, zy)
+            let zy = numeric::group_sums(self.mode, d, &self.y, |r| {
+                let c = remap[codes[r] as usize];
+                codes[r] = c;
+                c as usize
+            });
+            // A 0/1 column sums to its count in any fold order.
+            (kept.iter().map(|&level| freq[level] as f64).collect(), zy)
         } else {
+            for c in &mut codes {
+                *c = remap[*c as usize];
+            }
             (Vec::new(), Vec::new())
         };
-        self.attrs.insert(
-            attr,
-            AttrBlocks {
-                cols: raw.into_iter().map(Arc::new).collect(),
-                sum_z,
-                zy,
-            },
-        );
+        AttrBlocks {
+            z: ZBlock::Coded(Arc::new(LevelCodes { codes, d })),
+            sum_z,
+            zy,
+        }
     }
 
     /// Materialize the cross-Gram block of an attribute pair (no-op when
-    /// cached). Both attributes must already be materialized.
+    /// cached), stored row-major as `q_lo × q_hi`. Both attributes must
+    /// already be materialized. Dense pairs go through the shared
+    /// `col_dot` kernel the cold build runs; every block that involves a
+    /// coded attribute is a count or a per-level sum with the dense
+    /// dot's bits (see [`numeric::group_sums`]).
     fn ensure_pair(&mut self, a: usize, b: usize) {
         let key = (a.min(b), a.max(b));
         if self.pairs.contains_key(&key) {
             return;
         }
         let (lo, hi) = key;
-        let ca = &self.attrs[&lo].cols;
-        let cb = &self.attrs[&hi].cols;
-        let (qa, qb) = (ca.len(), cb.len());
-        let mut block = vec![0.0; qa * qb];
-        if lo == hi {
-            // Diagonal block: upper triangle accumulated through the
-            // shared `col_dot` kernel, mirrored — the same per-entry sums
-            // the cold build computes and mirrors.
-            for i in 0..qa {
-                for j in i..qa {
-                    let s = col_dot(self.mode, &ca[i], &ca[j]);
-                    block[i * qa + j] = s;
-                    block[j * qa + i] = s;
+        let (za, zb) = (&self.attrs[&lo], &self.attrs[&hi]);
+        let block = match (&za.z, &zb.z) {
+            (ZBlock::Dense(x), ZBlock::Dense(w)) => vec![col_dot(self.mode, x, w)],
+            (ZBlock::Coded(c), _) if lo == hi => {
+                // A dummy times itself is its count; two dummies of one
+                // attribute never share a row.
+                let mut block = vec![0.0; c.d * c.d];
+                for (l, &k) in za.sum_z.iter().enumerate() {
+                    block[l * c.d + l] = k;
                 }
+                block
             }
-        } else {
-            for i in 0..qa {
-                for j in 0..qb {
-                    block[i * qb + j] = col_dot(self.mode, &ca[i], &cb[j]);
-                }
+            (ZBlock::Coded(ca), ZBlock::Coded(cb)) => contingency(ca, cb),
+            (ZBlock::Dense(x), ZBlock::Coded(c)) | (ZBlock::Coded(c), ZBlock::Dense(x)) => {
+                numeric::group_sums(self.mode, c.d, x, |r| c.codes[r] as usize)
             }
-        }
+        };
         self.pairs.insert(key, block);
     }
 
@@ -1049,26 +1342,25 @@ impl SubpopPanel {
 
         // Stitch the per-attribute borders in confounder order — the
         // order the cold build encodes them in.
-        let mut z_cols: Vec<Arc<Vec<f64>>> = Vec::new();
         let mut sum_z: Vec<f64> = Vec::new();
         let mut zy: Vec<f64> = Vec::new();
         let mut offsets = Vec::with_capacity(confounders.len());
         for &a in confounders {
             let blk = &self.attrs[&a];
-            offsets.push(z_cols.len());
-            z_cols.extend(blk.cols.iter().cloned());
+            offsets.push(sum_z.len());
             sum_z.extend_from_slice(&blk.sum_z);
             zy.extend_from_slice(&blk.zy);
         }
-        let q = z_cols.len();
+        let mut z = Design::new(confounders.iter().map(|a| self.attrs[a].z.clone()));
+        let q = z.q;
 
         let zz = if self.backend == EstimatorBackend::Regression {
             let mut zz = Matrix::zeros(q, q);
             for (ai, &a) in confounders.iter().enumerate() {
-                let qa = self.attrs[&a].cols.len();
+                let qa = self.attrs[&a].z.width();
                 let oa = offsets[ai];
                 for (bj, &b) in confounders.iter().enumerate().skip(ai) {
-                    let qb = self.attrs[&b].cols.len();
+                    let qb = self.attrs[&b].z.width();
                     let ob = offsets[bj];
                     let block = &self.pairs[&(a.min(b), a.max(b))];
                     for i in 0..qa {
@@ -1093,11 +1385,11 @@ impl SubpopPanel {
         };
 
         let x_prop =
-            (self.backend == EstimatorBackend::Ipw).then(|| densify_prop(self.rows.len(), &z_cols));
+            (self.backend == EstimatorBackend::Ipw).then(|| densify_prop(self.rows.len(), &z));
         if self.backend == EstimatorBackend::Ipw {
             // Mirror the cold build: the propensity design holds the same
-            // values densely, so the column handles are dropped.
-            z_cols = Vec::new();
+            // values densely, so the block handles are dropped.
+            z = Design::default();
         }
 
         Some(EstimationContext {
@@ -1108,7 +1400,7 @@ impl SubpopPanel {
             sub_n: self.sub_n,
             sampled: self.sampled.clone(),
             y: Arc::clone(&self.y),
-            z_cols,
+            z,
             sum_y: self.sum_y,
             sum_y_sq: self.sum_y_sq,
             sum_z,
@@ -1133,8 +1425,9 @@ impl SubpopPanel {
 /// By default the cache routes builds through a shared [`SubpopPanel`]
 /// (see the [module docs](self)): the first build materializes the
 /// subpopulation-level state once, and every context is assembled from
-/// panel blocks. [`ContextCache::with_panel`]`(false)` restores cold
-/// per-set builds — the `use_confounder_panel = false` ablation path.
+/// panel blocks, with categorical confounders as level codes.
+/// [`ContextCache::with_panel`]`(false)` builds every set cold with dense
+/// one-hot columns — the `use_confounder_panel = false` oracle path.
 ///
 /// ```
 /// use causal::context::ContextCache;
@@ -1187,9 +1480,11 @@ impl ContextCache {
     }
 
     /// Empty cache with the panel explicitly enabled or disabled.
-    /// `with_panel(false)` builds every context cold per confounder set —
-    /// results are bit-identical either way; the switch exists for
-    /// ablation benchmarks and equivalence tests.
+    /// `with_panel(false)` builds every context cold per confounder set,
+    /// with categorical confounders as dense one-hot columns: the oracle
+    /// the panel's level codes are checked against. Results are
+    /// bit-identical either way; the switch exists for equivalence tests
+    /// and ablation benchmarks.
     pub fn with_panel(use_panel: bool) -> Self {
         ContextCache {
             map: HashMap::new(),

@@ -43,7 +43,11 @@ pub struct CateOptions {
     pub seed: u64,
     /// Max one-hot dummies per categorical confounder (most frequent levels
     /// kept; the rest fold into the reference). Keeps designs small on
-    /// high-cardinality attributes like Country.
+    /// high-cardinality attributes like Country. The dense one-hot
+    /// oracles materialize these dummies as columns; the confounder panel
+    /// ([`crate::context::SubpopPanel`]) keeps one level code per row
+    /// instead, with the same kept levels, so the cap bounds its design
+    /// width, not its memory.
     pub max_onehot_levels: usize,
     /// Overlap: minimum number of units required in each arm.
     pub min_arm: usize,
@@ -205,10 +209,11 @@ pub fn estimate_cate(
 }
 
 /// Append design columns for one confounder: raw values for numerics,
-/// one-hot dummies (reference = most frequent level, capped) for
-/// categoricals. Shared by the naive estimators and
-/// [`crate::context::EstimationContext`] so every backend sees the exact
-/// same feature encoding.
+/// dense one-hot dummies for categoricals, with the levels
+/// [`onehot_levels`] keeps. The dense encoding of the naive estimators
+/// and of the cold [`crate::context::EstimationContext::new`] build —
+/// the oracles the level-coded [`crate::context::SubpopPanel`] is tested
+/// against.
 pub(crate) fn append_confounder(
     table: &Table,
     attr: usize,
@@ -227,11 +232,7 @@ pub(crate) fn append_confounder(
             for &r in rows {
                 freq[codes[r] as usize] += 1;
             }
-            let mut levels: Vec<usize> = (0..dict.len()).filter(|&l| freq[l] > 0).collect();
-            levels.sort_by_key(|&l| std::cmp::Reverse(freq[l]));
-            // Drop the most frequent level as the reference; keep at most
-            // `max_levels` dummies.
-            for &level in levels.iter().skip(1).take(max_levels) {
+            for level in onehot_levels(&freq, max_levels) {
                 cols.push(
                     rows.iter()
                         .map(|&r| if codes[r] as usize == level { 1.0 } else { 0.0 })
@@ -240,6 +241,20 @@ pub(crate) fn append_confounder(
             }
         }
     }
+}
+
+/// The levels a categorical confounder keeps as one-hot dummies, in
+/// design-column order, given each level's frequency over the estimation
+/// rows: the most frequent level is the reference and gets no dummy, and
+/// at most `max_levels` of the others are kept, most frequent first (ties
+/// in dictionary order). Every level not kept folds into the reference.
+/// Both encodings — the dense dummies of [`append_confounder`] and the
+/// level codes of [`crate::context::SubpopPanel`] — pick their levels
+/// here, so they can never pick different ones.
+pub(crate) fn onehot_levels(freq: &[usize], max_levels: usize) -> Vec<usize> {
+    let mut levels: Vec<usize> = (0..freq.len()).filter(|&l| freq[l] > 0).collect();
+    levels.sort_by_key(|&l| std::cmp::Reverse(freq[l]));
+    levels.into_iter().skip(1).take(max_levels).collect()
 }
 
 #[cfg(test)]

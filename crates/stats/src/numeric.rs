@@ -195,6 +195,45 @@ pub fn dot(mode: NumericMode, a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
+/// Mode-dispatched per-group sums: entry `g < groups` is `Σ x[i]` over
+/// the indices `i` with `group_of(i) == g`; an index mapped to `groups`
+/// belongs to no group and is skipped.
+///
+/// Entry `g` has the bits of `dot(mode, ind_g, x)`, where `ind_g` is the
+/// 0/1 indicator of group `g`, whenever `x` is finite without `−0.0` and
+/// the group has an index. `Exact` keeps one serial accumulator per
+/// group; `FastV1` keeps eight lanes per group, lane = index `& 7` as
+/// [`lane_dot`] assigns them, folded by [`fold8`]. The products the
+/// grouping skips are `0·x = ±0`. Before the group's first index the
+/// dense fold holds `±0`, and that index sets both folds to `x` (or
+/// `+0.0`); from then on the sum is nonzero or `+0.0`, which adding `±0`
+/// leaves alone. A `FastV1` lane the group never visits is `+0.0` on both
+/// sides, since `+0.0 + ±0 = +0.0`.
+pub fn group_sums(
+    mode: NumericMode,
+    groups: usize,
+    x: &[f64],
+    mut group_of: impl FnMut(usize) -> usize,
+) -> Vec<f64> {
+    match mode {
+        NumericMode::Exact => {
+            let mut acc = vec![0.0f64; groups + 1];
+            for (i, &v) in x.iter().enumerate() {
+                acc[group_of(i)] += v;
+            }
+            acc.truncate(groups);
+            acc
+        }
+        NumericMode::FastV1 => {
+            let mut lanes = vec![[0.0f64; 8]; groups + 1];
+            for (i, &v) in x.iter().enumerate() {
+                lanes[group_of(i)][i & 7] += v;
+            }
+            lanes[..groups].iter().map(|&l| fold8(l)).collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +294,38 @@ mod tests {
                 s = e;
             }
             assert_eq!(whole.to_bits(), fold8(l).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn group_sums_match_indicator_dots() {
+        for n in [0, 1, 7, 8, 9, 40, 65, 300] {
+            // Negative, positive, exact zeros and exact cancellations;
+            // no −0.0.
+            let mut x: Vec<f64> = series(n).iter().map(|v| v - 50.0).collect();
+            for i in 0..n {
+                if i % 5 == 2 {
+                    x[i] = 0.0;
+                } else if i % 7 == 6 {
+                    x[i] = -x[i - 1];
+                }
+            }
+            for groups in [1, 3, 4] {
+                // Code `groups` belongs to no group.
+                let group_of = |i: usize| (i * 7 + i / 3) % (groups + 1);
+                for mode in [NumericMode::Exact, NumericMode::FastV1] {
+                    let got = group_sums(mode, groups, &x, group_of);
+                    assert_eq!(got.len(), groups);
+                    for (g, &s) in got.iter().enumerate() {
+                        let ind: Vec<f64> = (0..n).map(|i| f64::from(group_of(i) == g)).collect();
+                        if !ind.contains(&1.0) {
+                            continue;
+                        }
+                        let want = dot(mode, &ind, &x);
+                        assert_eq!(s.to_bits(), want.to_bits(), "{mode:?} n={n} g={g}");
+                    }
+                }
+            }
         }
     }
 

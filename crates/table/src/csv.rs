@@ -225,6 +225,34 @@ mod tests {
         assert!(parse_csv("a\n\"oops\n").is_err());
     }
 
+    /// Non-finite cells parse as `f64`, so the column is inferred `Float`
+    /// and `Table::new` rejects it, naming the first bad data row.
+    #[test]
+    fn non_finite_cells_are_rejected() {
+        for (cell, row) in [("NaN", 1), ("inf", 0), ("-inf", 2)] {
+            let text = match row {
+                0 => format!("x,y\n{cell},a\n2.5,b\n3,c\n"),
+                1 => format!("x,y\n1.5,a\n{cell},b\n3,c\n"),
+                _ => format!("x,y\n1.5,a\n2,b\n{cell},c\n"),
+            };
+            assert_eq!(
+                parse_csv(&text).unwrap_err(),
+                TableError::NonFinite {
+                    column: "x".into(),
+                    row
+                },
+                "{cell}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_zero_cell_is_stored_as_positive_zero() {
+        let t = parse_csv("x\n-0.0\n1.5\n").unwrap();
+        assert_eq!(t.schema().field(0).dtype, DType::Float);
+        assert_eq!(t.column(0).get_f64(0).to_bits(), 0.0f64.to_bits());
+    }
+
     #[test]
     fn empty_input_errors() {
         assert!(matches!(parse_csv(""), Err(TableError::EmptyTable)));

@@ -53,6 +53,16 @@ pub enum TableError {
     },
     /// The operation requires a non-empty table.
     EmptyTable,
+    /// A `Float` column held NaN or ±inf. The engine's sums replay one
+    /// fold order bit for bit only over finite values, so
+    /// [`crate::Table::new`] rejects non-finite data instead of
+    /// estimating on it.
+    NonFinite {
+        /// The offending column's name.
+        column: String,
+        /// 0-based index of the first non-finite row.
+        row: usize,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -83,6 +93,12 @@ impl fmt::Display for TableError {
                 write!(f, "value `{value}` not in dictionary of column `{column}`")
             }
             TableError::EmptyTable => write!(f, "operation requires a non-empty table"),
+            TableError::NonFinite { column, row } => {
+                write!(
+                    f,
+                    "column `{column}` holds a non-finite value (NaN or ±inf) at row {row}"
+                )
+            }
         }
     }
 }

@@ -19,7 +19,15 @@ pub struct Table {
 impl Table {
     /// Construct from a schema and matching columns. Verifies arity and row
     /// counts; use [`TableBuilder`] for incremental construction.
-    pub fn new(schema: Schema, columns: Vec<Column>) -> Result<Self> {
+    ///
+    /// `Float` columns must be finite: the first NaN or ±inf is rejected
+    /// with [`TableError::NonFinite`], naming its column and row. `−0.0`
+    /// is stored as `+0.0`, the same number: it is the one finite value
+    /// whose sum with a zero can depend on the order of the terms (in the
+    /// sign of an exact zero), and the estimation kernels rely on every
+    /// order giving the same bits. [`TableBuilder::float`] and
+    /// [`crate::csv`] go through here, so they inherit both rules.
+    pub fn new(schema: Schema, mut columns: Vec<Column>) -> Result<Self> {
         if schema.len() != columns.len() {
             return Err(TableError::LengthMismatch {
                 expected: schema.len(),
@@ -42,6 +50,14 @@ impl Table {
                     expected: schema.field(i).dtype.name(),
                     got: c.dtype().name(),
                 });
+            }
+        }
+        for (i, c) in columns.iter_mut().enumerate() {
+            if let Column::Float(v) = c {
+                finite_floats(v).map_err(|row| TableError::NonFinite {
+                    column: schema.field(i).name.clone(),
+                    row,
+                })?;
             }
         }
         Ok(Table {
@@ -149,6 +165,19 @@ impl Table {
     }
 }
 
+/// Check that every value is finite and store `−0.0` as `+0.0`;
+/// `Err(row)` names the first NaN or ±inf.
+fn finite_floats(values: &mut [f64]) -> std::result::Result<(), usize> {
+    for (row, v) in values.iter_mut().enumerate() {
+        if !v.is_finite() {
+            return Err(row);
+        }
+        // `−0.0 + 0.0` is `+0.0`; every other finite value is unchanged.
+        *v += 0.0;
+    }
+    Ok(())
+}
+
 /// Incremental, column-at-a-time table builder.
 #[derive(Debug, Default)]
 pub struct TableBuilder {
@@ -205,7 +234,8 @@ impl TableBuilder {
         Ok(self)
     }
 
-    /// Add a float column.
+    /// Add a float column. [`TableBuilder::build`] rejects NaN and ±inf
+    /// and stores `−0.0` as `+0.0` (see [`Table::new`]).
     pub fn float(mut self, name: &str, values: Vec<f64>) -> Result<Self> {
         self.check_name(name)?;
         self.fields.push(Field::new(name, DType::Float));
@@ -280,6 +310,47 @@ mod tests {
         let sel = t.select(&[3, 0]);
         assert_eq!(sel.ncols(), 2);
         assert_eq!(sel.schema().field(0).name, "salary");
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_floats() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = TableBuilder::new()
+                .int("a", vec![1, 2, 3])
+                .unwrap()
+                .float("x", vec![1.0, bad, bad])
+                .unwrap()
+                .build();
+            assert_eq!(
+                r.unwrap_err(),
+                TableError::NonFinite {
+                    column: "x".into(),
+                    row: 1
+                },
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        let expected = [0.0f64.to_bits(), 0.0f64.to_bits(), (-1.5f64).to_bits()];
+        let bits =
+            |t: &Table| -> Vec<u64> { (0..3).map(|r| t.column(0).get_f64(r).to_bits()).collect() };
+        let built = TableBuilder::new()
+            .float("x", vec![-0.0, 0.0, -1.5])
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(bits(&built), expected);
+        let schema = Schema::new(vec![Field::new("x", DType::Float)]);
+        let direct = Table::new(schema, vec![Column::Float(vec![-0.0, 0.0, -1.5])]).unwrap();
+        assert_eq!(bits(&direct), expected);
+        // `Table::new` rejects non-finite values in directly built
+        // columns too.
+        let schema = Schema::new(vec![Field::new("x", DType::Float)]);
+        let r = Table::new(schema, vec![Column::Float(vec![0.5, f64::NAN])]);
+        assert!(matches!(r, Err(TableError::NonFinite { row: 1, .. })));
     }
 
     #[test]
