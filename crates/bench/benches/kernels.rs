@@ -12,7 +12,8 @@ use causal::estimate::{estimate_cate, CateOptions};
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
 use mining::grouping::mine_grouping_patterns;
-use mining::treatment::{Direction, LatticeOptions, TreatmentMiner};
+use mining::treatment::{LatticeOptions, TreatmentMiner};
+use mining::RunGuard;
 use table::bitset::BitSet;
 use table::fd::{fd_closure, treatment_attrs};
 use table::pattern::{Pattern, Pred};
@@ -171,8 +172,16 @@ fn bench_confounder_panel(c: &mut Criterion) {
         vec![attr("Age"), attr("Gender"), attr("EducationParents")],
     ];
     let opts = CateOptions::default();
-    let build_all = |use_panel: bool| -> usize {
-        let mut cache = ContextCache::with_panel(use_panel);
+    let cold_all = || -> usize {
+        sets.iter()
+            .map(|s| {
+                EstimationContext::new(&ds.table, Some(&subpop), ds.outcome, s, &opts)
+                    .map_or(0, |ctx| ctx.n())
+            })
+            .sum()
+    };
+    let panel_all = || -> usize {
+        let mut cache = ContextCache::new();
         sets.iter()
             .map(|s| {
                 cache
@@ -183,8 +192,8 @@ fn bench_confounder_panel(c: &mut Criterion) {
     };
 
     let mut group = c.benchmark_group("confounder_panel");
-    group.bench_function("cold_builds_4sets_8k", |b| b.iter(|| build_all(false)));
-    group.bench_function("panel_builds_4sets_8k", |b| b.iter(|| build_all(true)));
+    group.bench_function("cold_builds_4sets_8k", |b| b.iter(cold_all));
+    group.bench_function("panel_builds_4sets_8k", |b| b.iter(panel_all));
     // A cold panel build of Role's parents in the SO DAG (q = 10): two
     // numeric and two categorical confounders, so its pair blocks include
     // a categorical×categorical contingency table.
@@ -324,12 +333,15 @@ fn bench_lattice(c: &mut Criterion) {
         LatticeOptions::default(),
     );
     let subpop = table::bitset::BitSet::full(ds.table.nrows());
+    let guard = RunGuard::unlimited();
     c.bench_function("treatment_lattice_so_4k", |b| {
         b.iter(|| {
+            // The best positive treatment, on one worker per core.
             miner
-                .top_treatment(&subpop, Direction::Positive)
-                .0
-                .is_some()
+                .mine_paired_many_guarded(&[&subpop], 1, false, 0, &guard)
+                .unwrap()[0]
+                .positive
+                .is_empty()
         })
     });
 }

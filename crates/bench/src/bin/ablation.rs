@@ -4,7 +4,7 @@
 //! * (a) DAG-based attribute pruning (`prune_by_dag`),
 //! * (b) near-zero-CATE pruning + top-50 % retention (`min_abs_cate_frac`,
 //!   `top_frac`),
-//! * (c) parallelism across grouping patterns (`parallel`),
+//! * (c) parallelism across grouping patterns (`threads`),
 //! * (d) sampled CATE estimation (`sample_cap`) — on at paper scale only,
 //!   so here we show the *cost* of switching it on at small scale too.
 //!
@@ -35,7 +35,7 @@ fn main() {
         }),
         ("no (c) parallelism", {
             let mut c = paper_config();
-            c.threads = Some(1);
+            c.threads = 1;
             c
         }),
         ("with (d) sampling cap 2k", {

@@ -10,9 +10,10 @@
 //! ```
 
 use bench::ExpOptions;
-use causumx::{render_summary, ConfigBuilder};
+use causumx::{ConfigBuilder, Report};
 use mining::grouping::mine_grouping_patterns;
-use mining::treatment::{Direction, TreatmentMiner};
+use mining::treatment::{LatticeStats, TreatmentMiner};
+use mining::RunGuard;
 use table::fd::fd_closure;
 
 fn main() {
@@ -39,11 +40,24 @@ fn main() {
         config.lattice.clone(),
     );
 
+    let subpops: Vec<_> = groupings.iter().map(|gp| &gp.rows).collect();
+    let mined = miner
+        .mine_paired_many_guarded(
+            &subpops,
+            1,
+            true,
+            config.effective_threads(),
+            &RunGuard::unlimited(),
+        )
+        .expect("an unguarded walk succeeds");
     let mut explanations = Vec::new();
-    for gp in &groupings {
-        let (pos, _) = miner.top_treatment(&gp.rows, Direction::Positive);
-        let (neg, _) = miner.top_treatment(&gp.rows, Direction::Negative);
-        let e = causumx::Explanation::new(gp.pattern.clone(), gp.coverage.clone(), pos, neg);
+    for (gp, mut paired) in groupings.iter().zip(mined) {
+        let e = causumx::Explanation::new(
+            gp.pattern.clone(),
+            gp.coverage.clone(),
+            paired.positive.pop(),
+            paired.negative.pop(),
+        );
         if e.has_treatment() {
             explanations.push(e);
         }
@@ -55,13 +69,12 @@ fn main() {
         explanations,
         grouping_ms: 0.0,
         treatment_ms: 0.0,
-        cate_evaluations: 0,
-        downdates: 0,
-        regathers: 0,
+        stats: LatticeStats::default(),
     };
     let summary =
         causumx::select_candidates(&config, &candidates, causumx::SelectionMethod::LpRounding);
 
     println!("Fig. 6 — SO, sensitive attributes only (k=3, θ=1):\n");
-    print!("{}", render_summary(&ds.table, &view, &summary, "salary"));
+    let report = Report::new(&ds.table, &view, &summary, "salary");
+    print!("{}", report.render_text());
 }

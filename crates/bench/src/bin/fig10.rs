@@ -11,7 +11,8 @@
 use bench::{fmt, paper_config, session_for, ExpOptions, Report};
 use datagen::synthetic::{generate, SynthParams};
 use mining::grouping::mine_grouping_patterns;
-use mining::treatment::{Direction, TreatmentMiner};
+use mining::treatment::TreatmentMiner;
+use mining::RunGuard;
 use table::bitset::BitSet;
 use table::fd::fd_closure;
 
@@ -98,7 +99,12 @@ fn main() {
 
         let (mut psum, mut rsum, mut cnt) = (0.0, 0.0, 0usize);
         for gp in groupings.iter().take(20) {
-            let (greedy, _) = miner.top_treatment(&gp.rows, Direction::Positive);
+            // The greedy walk's best positive treatment.
+            let greedy = miner
+                .mine_paired_many_guarded(&[&gp.rows], 1, false, 0, &RunGuard::unlimited())
+                .expect("an unguarded walk succeeds")
+                .pop()
+                .and_then(|mut paired| paired.positive.pop());
             let Some(greedy) = greedy else { continue };
             let all = miner.all_treatments(&gp.rows, 2);
             let Some(best) = all

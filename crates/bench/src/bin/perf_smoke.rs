@@ -45,20 +45,6 @@
 //! backdoor memo). The `warm_speedup` factor in the JSON is the
 //! repeated-query dividend of the session API.
 //!
-//! It also runs a **local-kernel scenario**: the same pipeline with
-//! serial (`level_parallelism = 1`) vs auto-parallel within-level
-//! candidate estimation, asserting the two summaries are bit-identical
-//! (the projected walk's determinism contract). When `--baseline` names a
-//! prior artifact, the per-size `cate_evaluations` and `total_weight` are
-//! additionally asserted against it — the local-kernel rework must not
-//! change a single reported number, only the clock.
-//!
-//! The **confounder-panel scenario** A/Bs `use_confounder_panel`: the
-//! treatment step with per-subpopulation panel assembly (the default)
-//! vs the cold per-confounder-set context builds it replaced (the PR 4
-//! path), asserting bit-identical summaries — the panel must only move
-//! the clock, never a reported number.
-//!
 //! The **scheduler scenario** drives the unified work-stealing
 //! scheduler on a skewed many-pattern workload (low `apriori_tau`, so
 //! grouping patterns differ in cost by orders of magnitude) with
@@ -189,12 +175,6 @@ fn main() {
     // Session scenario: the same query served twice by one session.
     let session_point = run_session_scenario(if quick { 4_000 } else { 12_000 }, seed);
 
-    // Local-kernel scenario: serial vs parallel level evaluation.
-    let local_point = run_local_kernel_scenario(if quick { 4_000 } else { 12_000 }, seed);
-
-    // Confounder-panel scenario: panel assembly vs cold context builds.
-    let panel_point = run_confounder_panel_scenario(if quick { 4_000 } else { 12_000 }, seed);
-
     // Scheduler scenario: skewed many-pattern workload, serial vs auto.
     let sched_point = run_scheduler_scenario(if quick { 4_000 } else { 12_000 }, seed);
 
@@ -272,20 +252,6 @@ fn main() {
         session_point.prepare_ms,
         session_point.warm_ms,
         session_point.cold_ms / session_point.warm_ms,
-    );
-    println!(
-        "local-kernel scenario (n = {}): treatment step {:.1} ms serial levels vs {:.1} ms \
-         auto-parallel levels, {} cate evaluations, bit-identical summaries\n",
-        local_point.n, local_point.serial_ms, local_point.parallel_ms, local_point.cate_evaluations,
-    );
-    println!(
-        "confounder-panel scenario (n = {}): treatment step {:.1} ms panel vs {:.1} ms cold \
-         context builds (\u{00d7}{:.2}), {} cate evaluations, bit-identical summaries\n",
-        panel_point.n,
-        panel_point.panel_ms,
-        panel_point.cold_ms,
-        panel_point.cold_ms / panel_point.panel_ms,
-        panel_point.cate_evaluations,
     );
     println!(
         "scheduler scenario (n = {}, {} auto workers): pipeline {:.1} ms serial vs {:.1} ms \
@@ -367,8 +333,6 @@ fn main() {
         &scale_points,
         &prior,
         &session_point,
-        &local_point,
-        &panel_point,
         &sched_point,
         &guards_point,
         &numeric_point,
@@ -451,108 +415,6 @@ fn run_session_scenario(n: usize, seed: u64) -> SessionPoint {
         cold_ms,
         warm_ms,
         cate_evaluations,
-    }
-}
-
-/// Measurements of the local-kernel scenario: the treatment-mining step
-/// with serial vs auto-parallel within-level evaluation. On a single-core
-/// host the two collapse to the same code path; the scenario still
-/// asserts the determinism contract (bit-identical summaries, equal work
-/// counters) that makes the parallel fan-out safe to enable anywhere.
-struct LocalKernelPoint {
-    n: usize,
-    /// Treatment step, `level_parallelism = 1` (best of 3).
-    serial_ms: f64,
-    /// Treatment step, `level_parallelism = 0` = one worker per core
-    /// (best of 3).
-    parallel_ms: f64,
-    cate_evaluations: usize,
-}
-
-/// Measurements of the confounder-panel scenario: the treatment-mining
-/// step with the per-subpopulation panel (default) vs the cold
-/// per-confounder-set context builds (`use_confounder_panel = false`,
-/// i.e. the pre-panel hot path). The scenario asserts the ablation
-/// contract: identical work counters and bit-identical summaries — the
-/// panel is a pure reorganization of the same floating-point sums.
-struct ConfounderPanelPoint {
-    n: usize,
-    /// Treatment step with panel assembly (best of 3).
-    panel_ms: f64,
-    /// Treatment step with cold per-set builds (best of 3).
-    cold_ms: f64,
-    cate_evaluations: usize,
-}
-
-fn run_confounder_panel_scenario(n: usize, seed: u64) -> ConfounderPanelPoint {
-    let ds = so::generate(n, seed);
-    let query = ds.query();
-    let run_with = |panel: bool| -> (f64, causumx::Summary) {
-        let mut best_ms = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..3 {
-            let cfg = causumx::ConfigBuilder::new()
-                .use_confounder_panel(panel)
-                .build()
-                .expect("valid config");
-            let session = Session::new(ds.table.clone(), ds.dag.clone(), cfg);
-            let summary = session.prepare(query.clone()).expect("prepare").run();
-            best_ms = best_ms.min(summary.timings.treatment_ms);
-            last = Some(summary);
-        }
-        (best_ms, last.expect("three repetitions"))
-    };
-    let (panel_ms, with_panel) = run_with(true);
-    let (cold_ms, cold) = run_with(false);
-    assert_eq!(
-        with_panel.total_weight.to_bits(),
-        cold.total_weight.to_bits(),
-        "the confounder panel must not change the summary"
-    );
-    assert_eq!(with_panel.cate_evaluations, cold.cate_evaluations);
-    assert_eq!(with_panel.covered, cold.covered);
-    assert_eq!(with_panel.candidates, cold.candidates);
-    ConfounderPanelPoint {
-        n,
-        panel_ms,
-        cold_ms,
-        cate_evaluations: with_panel.cate_evaluations,
-    }
-}
-
-fn run_local_kernel_scenario(n: usize, seed: u64) -> LocalKernelPoint {
-    let ds = so::generate(n, seed);
-    let query = ds.query();
-    let run_with = |level_threads: usize| -> (f64, causumx::Summary) {
-        let mut best_ms = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..3 {
-            let cfg = causumx::ConfigBuilder::new()
-                .threads(level_threads)
-                .build()
-                .expect("valid config");
-            let session = Session::new(ds.table.clone(), ds.dag.clone(), cfg);
-            let summary = session.prepare(query.clone()).expect("prepare").run();
-            best_ms = best_ms.min(summary.timings.treatment_ms);
-            last = Some(summary);
-        }
-        (best_ms, last.expect("three repetitions"))
-    };
-    let (serial_ms, serial) = run_with(1);
-    let (parallel_ms, parallel) = run_with(0);
-    assert_eq!(
-        serial.total_weight.to_bits(),
-        parallel.total_weight.to_bits(),
-        "level parallelism must not change the summary"
-    );
-    assert_eq!(serial.cate_evaluations, parallel.cate_evaluations);
-    assert_eq!(serial.covered, parallel.covered);
-    assert_eq!(serial.candidates, parallel.candidates);
-    LocalKernelPoint {
-        n,
-        serial_ms,
-        parallel_ms,
-        cate_evaluations: serial.cate_evaluations,
     }
 }
 
@@ -976,8 +838,6 @@ fn render_json(
     scale: &[SizePoint],
     prior: &[PriorSize],
     session: &SessionPoint,
-    local: &LocalKernelPoint,
-    panel: &ConfounderPanelPoint,
     sched: &SchedPoint,
     guards: &GuardsPoint,
     numeric: &NumericModePoint,
@@ -1083,23 +943,6 @@ fn render_json(
         session.warm_ms,
         session.cold_ms / session.warm_ms,
         session.cate_evaluations,
-    );
-    let _ = writeln!(
-        s,
-        "  \"local_kernel\": {{\"n\": {}, \"serial_level_ms\": {:.3}, \
-         \"parallel_level_ms\": {:.3}, \"cate_evaluations\": {}, \"bit_identical\": true}},",
-        local.n, local.serial_ms, local.parallel_ms, local.cate_evaluations,
-    );
-    let _ = writeln!(
-        s,
-        "  \"confounder_panel\": {{\"n\": {}, \"panel_ms\": {:.3}, \
-         \"cold_context_ms\": {:.3}, \"panel_speedup\": {:.3}, \"cate_evaluations\": {}, \
-         \"bit_identical\": true}},",
-        panel.n,
-        panel.panel_ms,
-        panel.cold_ms,
-        panel.cold_ms / panel.panel_ms,
-        panel.cate_evaluations,
     );
     let _ = writeln!(
         s,

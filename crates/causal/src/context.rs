@@ -133,9 +133,9 @@
 //! CATEs and p-values bit for bit in both numeric modes; the property
 //! tests in `tests/confounder_panel.rs` pin this.
 //!
-//! [`ContextCache`] owns the panel (see [`ContextCache::with_panel`]);
-//! `LatticeOptions::use_confounder_panel = false` switches the cache to
-//! cold per-set builds — the dense one-hot oracle.
+//! [`ContextCache`] owns the panel and builds every context through it;
+//! the cold [`EstimationContext::new`] build is the dense one-hot oracle
+//! that tests hold it to.
 //!
 //! # Deferred inference
 //!
@@ -1422,12 +1422,10 @@ impl SubpopPanel {
 /// counts build *attempts* — the work counter the treatment miner reports
 /// in its lattice statistics.
 ///
-/// By default the cache routes builds through a shared [`SubpopPanel`]
-/// (see the [module docs](self)): the first build materializes the
+/// The cache routes builds through a shared [`SubpopPanel`] (see the
+/// [module docs](self)): the first build materializes the
 /// subpopulation-level state once, and every context is assembled from
 /// panel blocks, with categorical confounders as level codes.
-/// [`ContextCache::with_panel`]`(false)` builds every set cold with dense
-/// one-hot columns — the `use_confounder_panel = false` oracle path.
 ///
 /// ```
 /// use causal::context::ContextCache;
@@ -1458,52 +1456,29 @@ impl SubpopPanel {
 /// assert_eq!(cache.builds(), 2);
 /// assert_eq!(cache.panel().unwrap().attrs_built(), 1);
 /// ```
+#[derive(Default)]
 pub struct ContextCache {
     map: HashMap<Vec<usize>, Option<Arc<EstimationContext>>>,
     builds: usize,
-    /// Route builds through the shared panel?
-    use_panel: bool,
-    /// The panel, created on the first build (panel mode only).
+    /// The panel, created on the first build.
     panel: Option<SubpopPanel>,
 }
 
-impl Default for ContextCache {
-    fn default() -> Self {
-        Self::with_panel(true)
-    }
-}
-
 impl ContextCache {
-    /// Empty cache, panel-backed (the default build path).
+    /// Empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Empty cache with the panel explicitly enabled or disabled.
-    /// `with_panel(false)` builds every context cold per confounder set,
-    /// with categorical confounders as dense one-hot columns: the oracle
-    /// the panel's level codes are checked against. Results are
-    /// bit-identical either way; the switch exists for equivalence tests
-    /// and ablation benchmarks.
-    pub fn with_panel(use_panel: bool) -> Self {
-        ContextCache {
-            map: HashMap::new(),
-            builds: 0,
-            use_panel,
-            panel: None,
-        }
-    }
-
-    /// The shared subpopulation panel, if one has been materialized
-    /// (panel mode only, after the first build).
+    /// The shared subpopulation panel, once the first build has
+    /// materialized it.
     pub fn panel(&self) -> Option<&SubpopPanel> {
         self.panel.as_ref()
     }
 
-    /// Number of context build attempts performed — cold
-    /// [`EstimationContext::new`] calls or [`SubpopPanel::assemble`]
-    /// calls, whichever mode the cache is in (including failed builds,
-    /// which are also cached). Identical accounting on both paths.
+    /// Number of context build attempts performed — one
+    /// [`SubpopPanel::assemble`] call per distinct confounder set
+    /// (including failed builds, which are also cached).
     pub fn builds(&self) -> usize {
         self.builds
     }
@@ -1542,10 +1517,8 @@ impl ContextCache {
     /// `Vec`, and this sits on the per-CATE-evaluation hot path, so no
     /// defensive clone.
     ///
-    /// In panel mode (the default) the first call materializes the
-    /// [`SubpopPanel`] and every context is assembled from its blocks;
-    /// otherwise each distinct set is built cold. Both paths produce
-    /// bit-identical contexts and identical `builds()` accounting.
+    /// The first call materializes the [`SubpopPanel`]; every context is
+    /// assembled from its blocks.
     pub fn get_or_build(
         &mut self,
         table: &Table,
@@ -1558,13 +1531,10 @@ impl ContextCache {
             Entry::Occupied(o) => o.into_mut().as_deref(),
             Entry::Vacant(v) => {
                 self.builds += 1;
-                let ctx = if self.use_panel {
-                    self.panel
-                        .get_or_insert_with(|| SubpopPanel::new(table, subpop, outcome, opts))
-                        .assemble(table, v.key())
-                } else {
-                    EstimationContext::new(table, subpop, outcome, v.key(), opts)
-                };
+                let ctx = self
+                    .panel
+                    .get_or_insert_with(|| SubpopPanel::new(table, subpop, outcome, opts))
+                    .assemble(table, v.key());
                 v.insert(ctx.map(Arc::new)).as_deref()
             }
         }

@@ -134,11 +134,10 @@ pub fn estimate_cate(
     if opts.numeric_mode == NumericMode::FastV1 {
         // FastV1 has exactly one implementation of every reduction — the
         // context kernels. Delegating a one-shot context build here keeps
-        // the naive path (the `use_estimation_cache = false` ablation)
-        // bit-identical to the cached path within the mode, the same
-        // coherence the Exact contract provides through matching serial
-        // folds. (Exact keeps its historical standalone code below, which
-        // the context tests pin against.)
+        // this oracle bit-identical to the cached path within the mode,
+        // the same coherence the Exact contract provides through matching
+        // serial folds. (Exact keeps its historical standalone code below,
+        // which the context tests pin against.)
         let sub_bits = subpop.map(BitSet::from_mask);
         let ctx = EstimationContext::new(table, sub_bits.as_ref(), outcome, confounders, opts)?;
         return ctx.estimate(&BitSet::from_mask(treated));

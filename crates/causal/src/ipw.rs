@@ -5,8 +5,8 @@
 //!
 //! Both estimate the same quantity as [`crate::estimate::estimate_cate`]
 //! (regression adjustment); having independent estimators lets the test
-//! suite cross-validate the backends against each other, and the ablation
-//! benches compare their cost.
+//! suite cross-validate the backends against each other, and the benches
+//! compare their cost.
 
 use stats::dist::normal_two_sided;
 use stats::matrix::Matrix;

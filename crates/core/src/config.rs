@@ -51,20 +51,12 @@ pub struct CausumxConfig {
     /// Treatment-lattice options (Algorithm 2 + its optimizations).
     pub lattice: LatticeOptions,
     /// Worker count for the unified work-stealing mining scheduler
-    /// (optimization c — and within-level fan-out, which now share one
-    /// pool): `Some(0)` = one worker per available core, `Some(1)` =
-    /// fully serial, `Some(n)` = exactly `n` workers (may exceed the
-    /// core count — useful for determinism tests; results are
-    /// bit-identical at any setting). `None` (the default) derives the
-    /// count from the deprecated [`CausumxConfig::parallel`] /
-    /// `lattice.level_parallelism` aliases via
-    /// [`CausumxConfig::effective_threads`], so configs assembled by
-    /// direct field access keep their old behavior.
-    pub threads: Option<usize>,
-    /// **Deprecated alias** (use [`ConfigBuilder::threads`]): parallelize
-    /// treatment mining across grouping patterns. Only consulted when
-    /// [`CausumxConfig::threads`] is `None`.
-    pub parallel: bool,
+    /// (optimization c — and within-level fan-out, which share one
+    /// pool): `0` (the default) = one worker per available core, `1` =
+    /// fully serial, `n` = exactly `n` workers (may exceed the core
+    /// count — useful for determinism tests; results are bit-identical
+    /// at any setting).
+    pub threads: usize,
     /// Rounding trials for the LP step.
     pub rounding_rounds: usize,
     /// RNG seed for the rounding step.
@@ -104,8 +96,7 @@ impl Default for CausumxConfig {
             apriori_tau: 0.1,
             max_grouping_len: 3,
             lattice: LatticeOptions::default(),
-            threads: None,
-            parallel: true,
+            threads: 0,
             rounding_rounds: 64,
             seed: 0xCA05,
             selection: SelectionMethod::LpRounding,
@@ -123,19 +114,11 @@ impl CausumxConfig {
         ConfigBuilder::new()
     }
 
-    /// The scheduler worker knob actually in force: the explicit
-    /// [`CausumxConfig::threads`] value when set, otherwise derived from
-    /// the deprecated aliases — `parallel = true` maps to `0` (one worker
-    /// per core), `parallel = false` falls back to
-    /// `lattice.level_parallelism` (whose old meaning, within-level
-    /// workers with a serial outer loop, is exactly what the unified
-    /// scheduler runs with that count).
+    /// The scheduler worker count every mining call of this
+    /// configuration runs with: [`CausumxConfig::threads`] (`0` = one
+    /// worker per core).
     pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            Some(t) => t,
-            None if self.parallel => 0,
-            None => self.lattice.level_parallelism,
-        }
+        self.threads
     }
 
     /// Build the per-query [`RunGuard`] this configuration asks for:
@@ -182,16 +165,17 @@ impl CausumxConfig {
         if self.max_grouping_len == 0 {
             return reject("max_grouping_len", "must be at least 1".into());
         }
-        if let Some(t) = self.threads {
-            // 0 = auto and explicit counts may exceed the core count (for
-            // determinism testing), but four-digit worker pools are a
-            // typo, not a plan.
-            if t > MAX_THREADS {
-                return reject(
-                    "threads",
-                    format!("worker count must be at most {MAX_THREADS}, got {t}"),
-                );
-            }
+        // 0 = auto and explicit counts may exceed the core count (for
+        // determinism testing), but four-digit worker pools are a typo,
+        // not a plan.
+        if self.threads > MAX_THREADS {
+            return reject(
+                "threads",
+                format!(
+                    "worker count must be at most {MAX_THREADS}, got {}",
+                    self.threads
+                ),
+            );
         }
         if self.deadline == Some(Duration::ZERO) {
             return reject(
@@ -310,48 +294,9 @@ impl ConfigBuilder {
     /// count are allowed for determinism testing). One pool serves both
     /// fan-out dimensions — across grouping patterns and within lattice
     /// levels — and results are bit-identical at every setting, so this
-    /// is purely a performance/footprint knob. Supersedes the deprecated
-    /// `parallel` / `level_parallelism` pair.
+    /// is purely a performance/footprint knob.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = Some(threads);
-        self
-    }
-
-    /// Deprecated alias of [`ConfigBuilder::threads`]: `parallel(true)` ≙
-    /// `threads(0)` (auto), `parallel(false)` falls back to the
-    /// `level_parallelism` alias (see
-    /// [`CausumxConfig::effective_threads`]). Ignored once `threads` is
-    /// set explicitly.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `threads` — one knob drives the unified scheduler"
-    )]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.cfg.parallel = parallel;
-        self
-    }
-
-    /// Deprecated alias of [`ConfigBuilder::threads`]: sets the worker
-    /// count consulted when the old `parallel` alias is `false` (the two
-    /// pools this pair used to toggle between are now one scheduler).
-    /// Ignored once `threads` is set explicitly.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `threads` — one knob drives the unified scheduler"
-    )]
-    pub fn level_parallelism(mut self, threads: usize) -> Self {
-        self.cfg.lattice.level_parallelism = threads;
-        self
-    }
-
-    /// Share one per-subpopulation confounder panel across all backdoor
-    /// sets, assembling each estimation context from precomputed blocks
-    /// (convenience for `lattice.use_confounder_panel`; default `true`).
-    /// `false` replays the cold per-set context builds — results are
-    /// bit-identical; the knob exists for ablation benchmarks, mirroring
-    /// `lattice.use_estimation_cache`.
-    pub fn use_confounder_panel(mut self, enabled: bool) -> Self {
-        self.cfg.lattice.use_confounder_panel = enabled;
+        self.cfg.threads = threads;
         self
     }
 
@@ -361,19 +306,11 @@ impl ConfigBuilder {
     /// bit-replay contract pins; [`NumericMode::FastV1`] switches the hot
     /// reduction kernels to fixed-lane partial sums folded in a pinned
     /// order — deterministic within the mode at any thread count, and
-    /// agreeing with `Exact` to ~1e-9 relative tolerance.
+    /// agreeing with `Exact` to ~1e-9 relative tolerance. `FastV1` also
+    /// derives subset candidates' treatment moments by downdating their
+    /// parent's instead of re-gathering them.
     pub fn numeric_mode(mut self, mode: NumericMode) -> Self {
         self.cfg.lattice.cate_opts.numeric_mode = mode;
-        self
-    }
-
-    /// Derive subset-candidate treatment moments by downdating the parent's
-    /// cached moments instead of re-gathering (convenience for
-    /// `lattice.use_downdating`; default `true`). Effective only under
-    /// [`NumericMode::FastV1`] with the estimation cache and the regression
-    /// backend; `Exact` mode always re-gathers to preserve bit replay.
-    pub fn use_downdating(mut self, enabled: bool) -> Self {
-        self.cfg.lattice.use_downdating = enabled;
         self
     }
 
@@ -457,8 +394,8 @@ mod tests {
     fn builder_defaults_validate() {
         let c = ConfigBuilder::new().build().unwrap();
         assert_eq!(c.k, 5);
-        assert_eq!(c.threads, None);
-        assert_eq!(c.effective_threads(), 0, "default = auto workers");
+        assert_eq!(c.threads, 0, "default = auto workers");
+        assert_eq!(c.effective_threads(), 0);
         let c2 = CausumxConfig::builder()
             .k(3)
             .theta(1.0)
@@ -476,45 +413,11 @@ mod tests {
     fn numeric_mode_knob_defaults_and_sets() {
         let c = ConfigBuilder::new().build().unwrap();
         assert_eq!(c.lattice.cate_opts.numeric_mode, NumericMode::Exact);
-        assert!(c.lattice.use_downdating, "downdating defaults on");
         let fast = ConfigBuilder::new()
             .numeric_mode(NumericMode::FastV1)
-            .use_downdating(false)
             .build()
             .unwrap();
         assert_eq!(fast.lattice.cate_opts.numeric_mode, NumericMode::FastV1);
-        assert!(!fast.lattice.use_downdating);
-    }
-
-    /// The deprecated `parallel` / `level_parallelism` pair still maps
-    /// onto the unified knob exactly as the two-pool engine behaved:
-    /// cross-pattern parallelism on → auto workers; off → the
-    /// within-level count.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_map_to_threads() {
-        let on = ConfigBuilder::new().parallel(true).build().unwrap();
-        assert_eq!(on.effective_threads(), 0);
-        let off = ConfigBuilder::new().parallel(false).build().unwrap();
-        assert_eq!(
-            off.effective_threads(),
-            0,
-            "parallel(false) with default level_parallelism = 0 kept auto within-level workers"
-        );
-        let serial = ConfigBuilder::new()
-            .parallel(false)
-            .level_parallelism(1)
-            .build()
-            .unwrap();
-        assert_eq!(serial.effective_threads(), 1);
-        // An explicit `threads` wins over both aliases.
-        let explicit = ConfigBuilder::new()
-            .parallel(false)
-            .level_parallelism(1)
-            .threads(4)
-            .build()
-            .unwrap();
-        assert_eq!(explicit.effective_threads(), 4);
     }
 
     #[test]

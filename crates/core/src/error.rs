@@ -1,8 +1,8 @@
 //! The unified error type of the engine.
 //!
 //! Every fallible entry point of the crate — configuration building,
-//! query preparation (by name, index or SQL), and the deprecated one-shot
-//! pipeline — reports a single [`Error`]. Table-layer failures are wrapped
+//! query preparation (by name, index or SQL), and the guarded runs —
+//! reports a single [`Error`]. Table-layer failures are wrapped
 //! verbatim, except SQL parse failures, which are promoted to the
 //! dedicated [`Error::Sql`] variant carrying the byte position of the
 //! offending token (the table crate's [`TableError::Sql`] is an encoding

@@ -88,11 +88,11 @@ pub struct Summary {
     /// counts in each.
     pub cate_evaluations: usize,
     /// Subset candidates served by incremental Gram downdating during
-    /// treatment mining (nonzero only under `NumericMode::FastV1` with
-    /// the estimation cache and regression backend).
+    /// treatment mining (nonzero only under `NumericMode::FastV1` with the
+    /// regression backend).
     pub downdates: usize,
-    /// Cached-walk candidates with a join parent that re-gathered
-    /// instead of downdating (always the full parented count under
+    /// Candidates with a join parent that re-gathered instead of
+    /// downdating (always the full parented count under
     /// `NumericMode::Exact`, which never downdates).
     pub regathers: usize,
     /// Per-phase wall-clock.

@@ -64,8 +64,6 @@
 //!
 //! [`Session`] orchestrates them and owns the cross-query caches (FD
 //! splits, backdoor memo); [`render::Report`] is the structured output.
-//! The pre-session one-shot engine ([`Causumx`]) remains as a deprecated
-//! shim for one release.
 //!
 //! ## Lifeguards
 //!
@@ -81,7 +79,6 @@
 pub mod config;
 pub mod error;
 pub mod explanation;
-pub mod pipeline;
 pub mod render;
 pub mod session;
 
@@ -90,15 +87,8 @@ pub use config::{CausumxConfig, ConfigBuilder, SelectionMethod};
 pub use error::Error;
 pub use explanation::{Explanation, StepTimings, Summary};
 pub use mining::{CancelHandle, FaultKind, FaultPlan, FaultSite, QueryProgress, RunGuard};
-pub use pipeline::{union_coverage, CandidateSet};
-pub use render::{
-    error_json, json_escape, render_summary, summary_json, Report, ReportExplanation,
-    ReportTreatment,
-};
+pub use render::{error_json, json_escape, Report, ReportExplanation, ReportTreatment};
 pub use session::{
-    select_candidates, AttrSplit, DiscoveryAlgo, PreparedCacheStats, PreparedQuery, QueryBuilder,
-    Session, SessionCounters,
+    select_candidates, AttrSplit, CandidateSet, DiscoveryAlgo, PreparedCacheStats, PreparedQuery,
+    QueryBuilder, Session, SessionCounters,
 };
-
-#[allow(deprecated)]
-pub use pipeline::Causumx;

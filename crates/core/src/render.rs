@@ -9,9 +9,6 @@
 //! [`Report::render_text`] — the paper's templates are static text
 //! ("Those templates were generated via prompt questions to ChatGPT", §6),
 //! which we author directly.
-//!
-//! The free functions [`render_summary`] and [`summary_json`] are the
-//! pre-`Report` entry points, kept as thin wrappers.
 
 use std::fmt::Write as _;
 
@@ -86,7 +83,7 @@ pub struct Report {
     /// Subset candidates served by incremental Gram downdating
     /// (`NumericMode::FastV1` only).
     pub downdates: usize,
-    /// Parented cached-walk candidates that re-gathered instead.
+    /// Parented candidates that re-gathered instead.
     pub regathers: usize,
     /// Per-phase wall-clock.
     pub timings: StepTimings,
@@ -280,17 +277,6 @@ impl Report {
     }
 }
 
-/// Render a whole summary in the Fig. 2 bullet style (wrapper over
-/// [`Report::render_text`]).
-pub fn render_summary(
-    table: &Table,
-    view: &AggView,
-    summary: &Summary,
-    outcome_name: &str,
-) -> String {
-    Report::new(table, view, summary, outcome_name).render_text()
-}
-
 /// Minimal JSON string escaping — exposed so layers composing their own
 /// envelopes around [`error_json`] (e.g. the serve crate's HTTP-level
 /// errors) escape identically.
@@ -312,15 +298,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialize a summary as JSON (wrapper over [`Report::to_json`], naming
-/// the outcome after the view's averaged attribute).
-pub fn summary_json(table: &Table, view: &AggView, summary: &Summary) -> String {
-    let outcome = table.schema().field(view.avg_attr).name.clone();
-    Report::new(table, view, summary, &outcome).to_json()
-}
-
 /// Serialize an [`Error`] as JSON — the failure-side counterpart of
-/// [`summary_json`], so services surfacing query results as JSON can
+/// [`Report::to_json`], so services surfacing query results as JSON can
 /// render a tripped lifeguard or an isolated worker panic without
 /// string-matching `Display` output. `code` is the stable snake_case tag
 /// from [`Error::code`] (`kind` carries the same value for historical
@@ -438,7 +417,7 @@ mod tests {
     #[test]
     fn renders_fig2_style_bullet() {
         let (table, view, summary) = setup();
-        let text = render_summary(&table, &view, &summary, "salary");
+        let text = Report::new(&table, &view, &summary, "salary").render_text();
         assert!(text.contains("groups where continent = EU"), "{text}");
         assert!(text.contains("edu = MSc"), "{text}");
         assert!(text.contains("effect size 36.00"), "{text}");
@@ -450,7 +429,7 @@ mod tests {
     #[test]
     fn summary_json_is_valid_shape() {
         let (table, view, summary) = setup();
-        let j = summary_json(&table, &view, &summary);
+        let j = Report::new(&table, &view, &summary, "salary").to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"m\":3"));
         assert!(j.contains("\"covered\":2"));
@@ -508,7 +487,7 @@ mod tests {
     fn empty_summary_message() {
         let (table, view, mut summary) = setup();
         summary.explanations.clear();
-        let text = render_summary(&table, &view, &summary, "salary");
+        let text = Report::new(&table, &view, &summary, "salary").render_text();
         assert!(text.contains("No explanation patterns"));
     }
 

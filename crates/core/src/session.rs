@@ -57,7 +57,7 @@ use lpsolve::cover::{
 };
 use mining::grouping::{mine_grouping_patterns, GroupingPattern};
 use mining::sched;
-use mining::treatment::{BackdoorMemo, MinerParts, TreatmentMiner, TreatmentResult};
+use mining::treatment::{BackdoorMemo, LatticeStats, MinerParts, TreatmentMiner, TreatmentResult};
 use mining::RunGuard;
 use table::fd::fd_closure;
 use table::pattern::Pattern;
@@ -67,8 +67,26 @@ use table::{Table, TableError};
 use crate::config::{CausumxConfig, SelectionMethod};
 use crate::error::Error;
 use crate::explanation::{Explanation, StepTimings, Summary};
-use crate::pipeline::CandidateSet;
 use crate::render::Report;
+
+/// Candidate explanation patterns — the output of steps 1+2 of Algorithm 1,
+/// before selection. Exposed so the variant algorithms and the benchmarks
+/// can reuse mined candidates with different selection strategies.
+#[derive(Debug, Clone)]
+pub struct CandidateSet {
+    /// The materialized aggregate view.
+    pub view: AggView,
+    /// One entry per surviving grouping pattern.
+    pub explanations: Vec<Explanation>,
+    /// Mining wall-clock (steps 1 and 2).
+    pub grouping_ms: f64,
+    /// Treatment-mining wall-clock.
+    pub treatment_ms: f64,
+    /// Lattice work counters, summed field by field over every grouping
+    /// pattern's walk. The exhaustive enumeration counts each estimated
+    /// pattern in `evaluated` and leaves the other counters at zero.
+    pub stats: LatticeStats,
+}
 
 /// Causal-discovery algorithm selector for
 /// [`Session::with_discovered_dag`] — the "no hand-written DAG" path in
@@ -805,14 +823,7 @@ impl<'s> PreparedQuery<'s> {
     /// task panicked — the historical contract. Use [`Self::try_run`] for
     /// the fallible, lifeguarded variant.
     pub fn run(&self) -> Summary {
-        let guard = RunGuard::unlimited();
-        match self.run_guarded(&guard) {
-            Ok(summary) => summary,
-            Err(Error::Worker { task, payload }) => {
-                panic!("mining task '{task}' panicked: {payload}")
-            }
-            Err(e) => panic!("unguarded query run aborted: {e}"),
-        }
+        expect_unguarded(self.run_guarded(&RunGuard::unlimited()))
     }
 
     /// Run the full pipeline under the lifeguards configured on this
@@ -852,14 +863,7 @@ impl<'s> PreparedQuery<'s> {
     /// Unguarded and panicking on worker failure, like [`Self::run`]. Use
     /// [`Self::try_mine_candidates`] for the lifeguarded variant.
     pub fn mine_candidates(&self) -> CandidateSet {
-        let guard = RunGuard::unlimited();
-        match self.mine_candidates_inner(false, &guard) {
-            Ok(candidates) => candidates,
-            Err(Error::Worker { task, payload }) => {
-                panic!("mining task '{task}' panicked: {payload}")
-            }
-            Err(e) => panic!("unguarded mining run aborted: {e}"),
-        }
+        expect_unguarded(self.mine_candidates_inner(false, &RunGuard::unlimited()))
     }
 
     /// Steps 1+2 of Algorithm 1 under a caller-supplied [`RunGuard`].
@@ -868,14 +872,7 @@ impl<'s> PreparedQuery<'s> {
     }
 
     fn mine_candidates_brute(&self) -> CandidateSet {
-        let guard = RunGuard::unlimited();
-        match self.mine_candidates_inner(true, &guard) {
-            Ok(candidates) => candidates,
-            Err(Error::Worker { task, payload }) => {
-                panic!("mining task '{task}' panicked: {payload}")
-            }
-            Err(e) => panic!("unguarded mining run aborted: {e}"),
-        }
+        expect_unguarded(self.mine_candidates_inner(true, &RunGuard::unlimited()))
     }
 
     fn mine_candidates_inner(
@@ -906,8 +903,7 @@ impl<'s> PreparedQuery<'s> {
             .map_err(|trip| mining::treatment::MineError::from_trip(trip, guard.progress()))?;
 
         let t1 = Instant::now();
-        let (explanations, cate_evaluations, downdates, regathers) =
-            self.mine_treatments(&groupings, exhaustive, guard)?;
+        let (explanations, stats) = self.mine_treatments(&groupings, exhaustive, guard)?;
         let treatment_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         Ok(CandidateSet {
@@ -915,9 +911,7 @@ impl<'s> PreparedQuery<'s> {
             explanations,
             grouping_ms,
             treatment_ms,
-            cate_evaluations,
-            downdates,
-            regathers,
+            stats,
         })
     }
 
@@ -927,7 +921,7 @@ impl<'s> PreparedQuery<'s> {
     /// Both paths run on the unified work-stealing scheduler
     /// (`mining::sched`), sized by [`CausumxConfig::effective_threads`].
     /// Algorithm 2 hands *all* subpopulations to
-    /// [`TreatmentMiner::mine_paired_many`] in one call, so its (pattern
+    /// [`TreatmentMiner::mine_paired_many_guarded`] in one call, so its (pattern
     /// × level × candidate-chunk) tasks interleave freely across
     /// patterns — a skewed workload no longer strands workers on the
     /// small patterns while one giant pattern runs alone. Results come
@@ -938,24 +932,26 @@ impl<'s> PreparedQuery<'s> {
         groupings: &[GroupingPattern],
         exhaustive: bool,
         guard: &RunGuard,
-    ) -> Result<(Vec<Explanation>, usize, usize, usize), Error> {
+    ) -> Result<(Vec<Explanation>, LatticeStats), Error> {
         let miner = &self.miner;
         let config = &self.config;
         let threads = config.effective_threads();
 
-        // Per-pattern tuples: (explanation, evaluations, downdates,
-        // regathers). The exhaustive path has no cached-moment walk, so it
-        // contributes zeros to the downdate counters.
-        let results: Vec<(Explanation, usize, usize, usize)> = if exhaustive {
+        // Per-pattern explanation and walk counters. The exhaustive path
+        // has no lattice walk, so it counts only its evaluations.
+        let results: Vec<(Explanation, LatticeStats)> = if exhaustive {
             // Full-lattice enumeration has no level structure to chunk, so
             // each pattern is one scheduler task; slots keep the output in
             // grouping-pattern order regardless of completion order. A
             // panicking pattern is caught here and fails only this query;
             // a guard trip drains the remaining tasks as no-ops.
-            let work = |gp: &GroupingPattern| -> (Explanation, usize, usize, usize) {
+            let work = |gp: &GroupingPattern| -> (Explanation, LatticeStats) {
                 let subpop = &gp.rows;
                 let all = miner.all_treatments(subpop, config.lattice.max_level);
-                let evals = all.len();
+                let stats = LatticeStats {
+                    evaluated: all.len(),
+                    ..LatticeStats::default()
+                };
                 let sig = |t: &&TreatmentResult| t.p_value <= config.lattice.max_p_value;
                 // `total_cmp` is safe here: zero CATEs are filtered out
                 // just above and the estimators never produce NaN
@@ -977,12 +973,10 @@ impl<'s> PreparedQuery<'s> {
                 };
                 (
                     Explanation::new(gp.pattern.clone(), gp.coverage.clone(), pos, neg),
-                    evals,
-                    0,
-                    0,
+                    stats,
                 )
             };
-            let slots: Vec<OnceLock<(Explanation, usize, usize, usize)>> =
+            let slots: Vec<OnceLock<(Explanation, LatticeStats)>> =
                 (0..groupings.len()).map(|_| OnceLock::new()).collect();
             let failure: OnceLock<Error> = OnceLock::new();
             sched::run_graph(threads, (0..groupings.len()).collect(), |i: usize, _| {
@@ -1044,27 +1038,25 @@ impl<'s> PreparedQuery<'s> {
                             paired.positive.pop(),
                             paired.negative.pop(),
                         ),
-                        paired.stats.evaluated,
-                        paired.stats.downdates,
-                        paired.stats.regathers,
+                        paired.stats,
                     )
                 })
                 .collect()
         };
 
-        let mut evals = 0;
-        let mut downdates = 0;
-        let mut regathers = 0;
+        let mut stats = LatticeStats::default();
         let mut explanations = Vec::new();
-        for (e, n, d, g) in results {
-            evals += n;
-            downdates += d;
-            regathers += g;
+        for (e, s) in results {
+            stats.evaluated += s.evaluated;
+            stats.levels += s.levels;
+            stats.contexts_built += s.contexts_built;
+            stats.downdates += s.downdates;
+            stats.regathers += s.regathers;
             if e.has_treatment() {
                 explanations.push(e);
             }
         }
-        Ok((explanations, evals, downdates, regathers))
+        Ok((explanations, stats))
     }
 
     /// Step 3: selection by the requested method over mined candidates,
@@ -1077,8 +1069,10 @@ impl<'s> PreparedQuery<'s> {
     /// for a *single* output group (by its display label) — the
     /// prototype-UI affordance §4.2 describes. Uses the precomputed view
     /// and group bitsets (no query re-run) and one shared estimation
-    /// context for both directions. Returns `None` when the label does not
-    /// match any group of the view.
+    /// context for both directions, on the configured worker count.
+    /// Returns `None` when the label does not match any group of the view.
+    ///
+    /// Unguarded and panicking on worker failure, like [`Self::run`].
     pub fn explain_group(
         &self,
         label: &str,
@@ -1087,9 +1081,16 @@ impl<'s> PreparedQuery<'s> {
         let table = &self.session.table;
         let gid = (0..self.core.view.num_groups())
             .find(|&g| self.core.view.group_label(table, g) == label)?;
-        let paired = self
-            .miner
-            .top_treatments_paired(self.group_bits(gid), k, true);
+        let mined = self.miner.mine_paired_many_guarded(
+            &[self.group_bits(gid)],
+            k,
+            true,
+            self.config.effective_threads(),
+            &RunGuard::unlimited(),
+        );
+        let paired = expect_unguarded(mined.map_err(Error::from))
+            .pop()
+            .expect("one subpopulation in, one result out");
         Some((paired.positive, paired.negative))
     }
 
@@ -1103,6 +1104,19 @@ impl<'s> PreparedQuery<'s> {
             .name
             .clone();
         Report::new(&self.session.table, &self.core.view, summary, &outcome)
+    }
+}
+
+/// Unwrap the result of a run under an unlimited guard. Only a worker
+/// panic (or an injected fault) can fail such a run; the infallible entry
+/// points re-raise it as a panic that names the failed task.
+fn expect_unguarded<T>(result: Result<T, Error>) -> T {
+    match result {
+        Ok(v) => v,
+        Err(Error::Worker { task, payload }) => {
+            panic!("mining task '{task}' panicked: {payload}")
+        }
+        Err(e) => panic!("unguarded run aborted: {e}"),
     }
 }
 
@@ -1161,9 +1175,9 @@ pub fn select_candidates(
         feasible,
         total_weight,
         candidates: candidates.explanations.len(),
-        cate_evaluations: candidates.cate_evaluations,
-        downdates: candidates.downdates,
-        regathers: candidates.regathers,
+        cate_evaluations: candidates.stats.evaluated,
+        downdates: candidates.stats.downdates,
+        regathers: candidates.stats.regathers,
         timings: StepTimings {
             grouping_ms: candidates.grouping_ms,
             treatment_ms: candidates.treatment_ms,
@@ -1311,7 +1325,7 @@ mod tests {
 
     // Parallel-equals-sequential coverage lives in
     // `tests/scheduler_determinism.rs`, which runs the full pipeline
-    // across a worker-count × workload-shape × ablation matrix.
+    // across a worker-count × workload-shape × numeric-mode matrix.
 
     #[test]
     fn greedy_variant_runs() {
@@ -1393,6 +1407,56 @@ mod tests {
         }
         // Unknown label → None.
         assert!(pq.explain_group("Atlantis", 3).is_none());
+    }
+
+    /// `explain_group` runs on the configured worker count: a panic
+    /// injected at (pattern 0, level 1, chunk 0) fails the serial walk as
+    /// task `pattern 0` at `threads(1)`, and the fanned walk as the chunk
+    /// task that panicked at `threads(4)`.
+    #[test]
+    fn explain_group_honors_threads() {
+        use mining::{FaultKind, FaultPlan, FaultSite};
+        let (table, dag) = build();
+        let site = FaultSite {
+            pattern: 0,
+            level: 1,
+            chunk: 0,
+        };
+        for (threads, task) in [(1, "'pattern 0'"), (4, "'pattern 0 level 1 chunk 0'")] {
+            let cfg = crate::ConfigBuilder::new()
+                .threads(threads)
+                .fault_plan(FaultPlan::new().inject(site, FaultKind::Panic))
+                .build()
+                .unwrap();
+            let session = Session::new(table.clone(), dag.clone(), cfg);
+            let pq = session
+                .query()
+                .group_by("country")
+                .avg("salary")
+                .prepare()
+                .unwrap();
+            let payload = catch_unwind(AssertUnwindSafe(|| pq.explain_group("FR", 3)))
+                .expect_err("the injected panic fails the drill-down");
+            let msg = sched::payload_string(payload.as_ref());
+            assert!(
+                msg.contains(&format!("mining task {task} panicked")),
+                "threads({threads}): {msg}"
+            );
+        }
+    }
+
+    /// A raw query grouping by no attribute evaluates to one global group.
+    #[test]
+    fn empty_group_by_is_one_global_group() {
+        let (table, dag) = build();
+        let mut cfg = engine_config();
+        cfg.theta = 0.0;
+        let session = Session::new(table, dag, cfg);
+        let summary = session
+            .prepare(GroupByAvgQuery::new(vec![], 4))
+            .unwrap()
+            .run();
+        assert_eq!(summary.m, 1, "GROUP BY nothing = one global group");
     }
 
     #[test]

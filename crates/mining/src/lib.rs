@@ -38,6 +38,6 @@ pub use grouping::{mine_grouping_patterns, GroupingPattern};
 pub use sched::faults::{FaultKind, FaultPlan, FaultSite};
 pub use sched::guard::{CancelHandle, QueryProgress, RunGuard};
 pub use treatment::{
-    BackdoorMemo, Direction, LatticeOptions, LatticeStats, MineError, MinerParts, PairedTreatments,
+    BackdoorMemo, LatticeOptions, LatticeStats, MineError, MinerParts, PairedTreatments,
     TreatmentMiner, TreatmentResult,
 };

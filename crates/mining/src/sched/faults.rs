@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] names (pattern, level, chunk) sites in the lattice
 //! walk and the fault to fire there: a panic, an artificial delay, a
 //! spurious scheduler wakeup, or a cooperative cancel. Plans are gated
-//! through `LatticeOptions::fault_plan` exactly like the ablation knobs,
-//! so production configs carry `None` and pay nothing.
+//! through `LatticeOptions::fault_plan`, so production configs carry
+//! `None` and pay nothing.
 //!
 //! Injection is deterministic: a site either is or is not reached by
 //! the walk (unreached sites are no-ops), and each registered fault

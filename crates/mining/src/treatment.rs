@@ -23,7 +23,7 @@ use std::time::Duration;
 use causal::backdoor::{attrs_affecting_outcome, backdoor_set};
 use causal::context::{ContextCache, EstimationContext, RegressionFit, TreatmentMoments};
 use causal::dag::Dag;
-use causal::estimate::{estimate_effect, CateOptions, CateResult, EstimatorBackend};
+use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
 use causal::NumericMode;
 use table::bitset::{BitSet, Projector};
 use table::pattern::{Op, Pattern, Pred};
@@ -36,7 +36,7 @@ use crate::sched::payload_string;
 
 /// Search direction σ of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Treatments with the highest positive CATE.
     Positive,
     /// Treatments with the lowest negative CATE.
@@ -90,51 +90,12 @@ pub struct LatticeOptions {
     /// Use the causal DAG to drop attributes with no path to the outcome
     /// (optimization a).
     pub prune_by_dag: bool,
-    /// Route estimations through the subpopulation-scoped
-    /// [`causal::context::EstimationContext`] cache (row list, outcome,
-    /// confounder encoding
-    /// and Gram blocks built once per subpopulation × confounder set).
-    /// `false` falls back to the naive cold-start estimator — results are
-    /// identical; the switch exists for equivalence tests and ablation
-    /// benchmarks.
-    pub use_estimation_cache: bool,
-    /// Share one [`causal::context::SubpopPanel`] across all confounder
-    /// sets of a subpopulation, so each [`causal::context::EstimationContext`]
-    /// is assembled from precomputed blocks (row list, outcome, `Σy`,
-    /// per-attribute encodings, pairwise cross-Gram blocks) instead of an
-    /// `O(n·q²)` cold build per set. `false` replays the per-set cold
-    /// builds — results are bit-identical; the switch exists for ablation
-    /// benchmarks (mirrors `use_estimation_cache`, and is a no-op when
-    /// that is `false`).
-    pub use_confounder_panel: bool,
-    /// Scheduler worker count for standalone miner entry points
-    /// ([`TreatmentMiner::top_k_treatments`],
-    /// [`TreatmentMiner::top_treatments_paired`]): `0` = one worker per
-    /// available core, `1` = serial, `n` = exactly `n`. **Deprecated
-    /// alias** — the engine's unified `threads` knob
-    /// (`ConfigBuilder::threads` in the `causumx` crate) supersedes it;
-    /// this field remains honored for callers driving the miner directly.
-    /// Results are bit-identical at every setting: estimation fans out as
-    /// candidate chunks on the [`crate::sched`] work-stealing scheduler
-    /// and merges back in candidate order.
-    pub level_parallelism: usize,
     /// Deterministic fault-injection plan for the chaos suite
     /// ([`crate::sched::faults`]): panics, delays, spurious wakeups or
     /// cooperative cancels fired at chosen (pattern, level, chunk)
     /// points of the walk. `None` (the default, and the only production
-    /// setting) injects nothing and costs nothing — the knob is gated
-    /// here exactly like the ablation switches.
+    /// setting) injects nothing and costs nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Derive a subset candidate's treatment blocks by *downdating* its
-    /// parent's cached moments (subtracting the removed rows) instead of
-    /// re-gathering `O(|T|·q)` — see
-    /// [`causal::context::EstimationContext::estimate_downdated`].
-    /// Effective only in `NumericMode::FastV1` with the estimation cache
-    /// and regression backend; `Exact` mode always takes the full-regather
-    /// fallback because FP subtraction cannot replay the bit-identity
-    /// contract's fold order. The walk counts its choices in
-    /// [`LatticeStats::downdates`] / [`LatticeStats::regathers`].
-    pub use_downdating: bool,
 }
 
 impl Default for LatticeOptions {
@@ -149,11 +110,7 @@ impl Default for LatticeOptions {
             numeric_bins: 4,
             max_atoms_per_attr: 16,
             prune_by_dag: true,
-            use_estimation_cache: true,
-            use_confounder_panel: true,
-            level_parallelism: 0,
             fault_plan: None,
-            use_downdating: true,
         }
     }
 }
@@ -287,18 +244,19 @@ pub struct LatticeStats {
     pub contexts_built: usize,
     /// Subset candidates whose treatment blocks were derived by
     /// incremental Gram downdating from the parent's cached moments
-    /// (FastV1 mode with `use_downdating`; always 0 in `Exact` mode).
+    /// (FastV1 mode only; always 0 in `Exact` mode, see
+    /// [`causal::context::EstimationContext::estimate_downdated`]).
     pub downdates: usize,
     /// Subset candidates that were *eligible* for downdating (a kept
-    /// parent on the previous level, regression backend, estimation cache
-    /// on) but took the full-regather fallback instead — every such
-    /// candidate in `Exact` mode, plus key-mismatch/drift-guard fallbacks
-    /// in FastV1.
+    /// parent on the previous level, regression backend) but took the
+    /// full-regather fallback instead — every such candidate in `Exact`
+    /// mode, plus key-mismatch/size-guard fallbacks in FastV1.
     pub regathers: usize,
 }
 
-/// Top-`k` positive and negative treatments mined over one *shared*
-/// estimation cache — see [`TreatmentMiner::top_treatments_paired`].
+/// Top-`k` positive and negative treatments of one subpopulation, mined
+/// over one *shared* set of estimation contexts — see
+/// [`TreatmentMiner::mine_paired_many_guarded`].
 #[derive(Debug, Clone)]
 pub struct PairedTreatments {
     /// Best positive treatments, sorted best-first.
@@ -426,13 +384,13 @@ impl MinerParts {
 }
 
 /// The treatment-pattern miner: precomputes atomic predicates and their row
-/// masks once, then answers `top_treatment` queries per grouping pattern
-/// (these calls are `&self` and thread-safe, enabling the paper's
-/// optimization (c) — parallelism across grouping patterns — in the
-/// caller). Subpopulations travel as [`BitSet`]s end-to-end; within one
-/// query all estimations share a per-confounder-set
-/// [`causal::context::EstimationContext`],
-/// so only the treatment column is re-gathered per candidate.
+/// masks once, then mines the top treatments of many grouping patterns
+/// per [`TreatmentMiner::mine_paired_many_guarded`] call (these calls are
+/// `&self` and thread-safe; the call itself fans the patterns out on the
+/// scheduler — the paper's optimization (c)). Subpopulations travel as
+/// [`BitSet`]s end-to-end; within one query all estimations share a
+/// per-confounder-set [`causal::context::EstimationContext`], so only the
+/// treatment column is re-gathered per candidate.
 pub struct TreatmentMiner<'a> {
     table: &'a Table,
     dag: &'a Dag,
@@ -650,8 +608,8 @@ impl<'a> TreatmentMiner<'a> {
     /// Evaluate the CATE of an arbitrary treatment pattern within `subpop`.
     pub fn eval_pattern(&self, subpop: &BitSet, pattern: &Pattern) -> Option<TreatmentResult> {
         let treated = BitSet::from_mask(&pattern.eval(self.table).ok()?);
-        let mut ctxs = CtxCache::new(&self.opts);
-        let r = self.estimate(&mut ctxs, subpop, &treated, &pattern.attrs())?;
+        let mut contexts = ContextCache::new();
+        let r = self.estimate(&mut contexts, subpop, &treated, &pattern.attrs())?;
         Some(TreatmentResult {
             pattern: pattern.clone(),
             cate: r.cate,
@@ -661,148 +619,56 @@ impl<'a> TreatmentMiner<'a> {
         })
     }
 
-    /// One estimate, routed through the per-query context cache (or the
-    /// naive cold-start path when `use_estimation_cache` is off).
+    /// One estimate on the subpopulation's context for the backdoor set
+    /// of `attrs`, built into `contexts` on first use.
     fn estimate(
         &self,
-        ctxs: &mut CtxCache,
+        contexts: &mut ContextCache,
         subpop: &BitSet,
         treated: &BitSet,
         attrs: &[usize],
     ) -> Option<CateResult> {
-        let confounders = self.confounders_for(attrs);
-        if self.opts.use_estimation_cache {
-            ctxs.contexts
-                .get_or_build(
-                    self.table,
-                    Some(subpop),
-                    self.outcome,
-                    confounders,
-                    &self.opts.cate_opts,
-                )?
-                .estimate(treated)
-        } else {
-            let mask = ctxs
-                .subpop_mask
-                .get_or_insert_with(|| Arc::new(subpop.to_mask()));
-            estimate_effect(
+        contexts
+            .get_or_build(
                 self.table,
-                Some(mask.as_slice()),
-                &treated.to_mask(),
+                Some(subpop),
                 self.outcome,
-                &confounders,
+                self.confounders_for(attrs),
                 &self.opts.cate_opts,
-            )
-        }
+            )?
+            .estimate(treated)
     }
 
-    /// Algorithm 2: the top treatment pattern for a subpopulation in the
-    /// requested direction, plus traversal statistics.
-    pub fn top_treatment(
-        &self,
-        subpop: &BitSet,
-        dir: Direction,
-    ) -> (Option<TreatmentResult>, LatticeStats) {
-        let (mut list, stats) = self.top_k_treatments(subpop, dir, 1);
-        (list.pop(), stats)
-    }
-
-    /// Top-`k` treatment patterns in the requested direction — the paper's
-    /// UI affordance ("analysts … can even \[view\] top-k positive/negative
-    /// treatments for a grouping pattern"). Results are sorted best-first;
-    /// every entry passes the significance gate. Traversal effort is the
-    /// same as [`TreatmentMiner::top_treatment`]: the lattice walk is
-    /// identical, only the record-keeping widens.
-    pub fn top_k_treatments(
-        &self,
-        subpop: &BitSet,
-        dir: Direction,
-        k: usize,
-    ) -> (Vec<TreatmentResult>, LatticeStats) {
-        let mut out = self.mine_walks_or_panic(&[subpop], k, &[dir], self.opts.level_parallelism);
-        let paired = out.pop().expect("one subpopulation in, one result out");
-        let list = match dir {
-            Direction::Positive => paired.positive,
-            Direction::Negative => paired.negative,
-        };
-        (list, paired.stats)
-    }
-
-    /// Mine the top-`k` positive *and* (optionally) negative treatments
-    /// over one shared per-subpopulation estimation cache. The two walks of
-    /// the same grouping pattern touch the same backdoor sets, so each
-    /// [`causal::context::EstimationContext`] is built once and serves both
-    /// directions, and level 1 — every overlap-passing atom, whatever the
-    /// direction — is estimated once and absorbed by both. Results are
-    /// identical to two independent [`TreatmentMiner::top_k_treatments`]
-    /// calls (context construction and estimation are deterministic); the
-    /// Gram builds and level-1 fits are simply not repeated.
-    pub fn top_treatments_paired(
-        &self,
-        subpop: &BitSet,
-        k: usize,
-        mine_negative: bool,
-    ) -> PairedTreatments {
-        self.top_treatments_paired_with(subpop, k, mine_negative, self.opts.level_parallelism)
-    }
-
-    /// [`TreatmentMiner::top_treatments_paired`] with a per-call override
-    /// of the scheduler worker count (`0` = one per core, `1` = serial).
-    /// Results are identical at any setting. Nested calls — e.g. from a
-    /// task already running on the [`crate::sched`] pool — execute inline
-    /// on the calling worker, so layered fan-out can never multiply into
-    /// cores² threads.
-    pub fn top_treatments_paired_with(
-        &self,
-        subpop: &BitSet,
-        k: usize,
-        mine_negative: bool,
-        threads: usize,
-    ) -> PairedTreatments {
-        self.mine_paired_many(&[subpop], k, mine_negative, threads)
-            .pop()
-            .expect("one subpopulation in, one result out")
-    }
-
-    /// Mine the top-`k` paired treatments of *many* subpopulations on one
-    /// work-stealing scheduler: every (pattern × lattice level ×
-    /// candidate chunk) becomes a task, so workers finishing a small
-    /// pattern immediately steal candidate chunks from whichever pattern
-    /// still has work — a skewed workload (one giant pattern among many
-    /// tiny ones) no longer strands cores the way the old
-    /// one-pool-per-dimension split did.
+    /// Algorithm 2 for many subpopulations: the top-`k` positive and
+    /// (when `mine_negative`) negative treatments of each, sorted
+    /// best-first, every entry passing the significance gate. The returned
+    /// vector is index-aligned with `subpops`.
     ///
-    /// Per-pattern state (the [`ContextCache`] with its confounder panel,
-    /// the local atom projection, the walk frontier) is sharded — one
-    /// mutex-guarded walk per subpopulation — so panels for distinct
-    /// subpopulations build concurrently, while chunk evaluations read
-    /// pre-built shared contexts without any lock. Results merge in
-    /// (pattern index, level, candidate index) order via index-addressed
-    /// slots, which keeps every summary bit-identical to `threads = 1` at
-    /// any worker count; the returned vector is index-aligned with
-    /// `subpops`.
-    pub fn mine_paired_many(
-        &self,
-        subpops: &[&BitSet],
-        k: usize,
-        mine_negative: bool,
-        threads: usize,
-    ) -> Vec<PairedTreatments> {
-        let dirs: &[Direction] = if mine_negative {
-            &[Direction::Positive, Direction::Negative]
-        } else {
-            &[Direction::Positive]
-        };
-        self.mine_walks_or_panic(subpops, k, dirs, threads)
-    }
-
-    /// [`TreatmentMiner::mine_paired_many`] under a caller-supplied
-    /// [`RunGuard`]: the walk checks the guard at every chunk boundary
-    /// and level merge and returns a structured [`MineError`] instead of
-    /// panicking — cooperative cancellation, deadlines, memory budgets
-    /// and caught worker panics all surface here with partial-progress
-    /// diagnostics. An `Ok` result is bit-identical to the unguarded
-    /// call at any worker count.
+    /// The two walks of one subpopulation share its estimation contexts —
+    /// they touch the same backdoor sets, so each
+    /// [`causal::context::EstimationContext`] is built once — and level 1
+    /// (every overlap-passing atom, whatever the direction) is estimated
+    /// once and absorbed by both. Results equal two independent
+    /// single-direction walks.
+    ///
+    /// All subpopulations run on one work-stealing scheduler of `threads`
+    /// workers (`0` = one per core, `1` = serial): every (pattern ×
+    /// lattice level × candidate chunk) becomes a task, so workers
+    /// finishing a small pattern steal candidate chunks from whichever
+    /// pattern still has work. Per-pattern state (the [`ContextCache`]
+    /// with its confounder panel, the local atom projection, the walk
+    /// frontier) is sharded — one mutex-guarded walk per subpopulation —
+    /// while chunk evaluations read pre-built shared contexts without any
+    /// lock. Results merge in (pattern, level, candidate) order, so every
+    /// result is bit-identical at any worker count. A nested call — from
+    /// a task already running on the [`crate::sched`] pool — runs inline
+    /// on the calling worker, so layered fan-out never multiplies into
+    /// cores² threads.
+    ///
+    /// The walk checks `guard` at every chunk boundary and level merge
+    /// and returns a structured [`MineError`] instead of panicking —
+    /// cooperative cancellation, deadlines, memory budgets and caught
+    /// worker panics all surface here with partial-progress diagnostics.
     pub fn mine_paired_many_guarded(
         &self,
         subpops: &[&BitSet],
@@ -819,36 +685,15 @@ impl<'a> TreatmentMiner<'a> {
         self.mine_walks(subpops, k, dirs, threads, guard)
     }
 
-    /// Unguarded driver for the legacy infallible entry points: runs
-    /// under an unlimited guard and converts the only failures that can
-    /// still occur (a worker panic, or a fault-plan-injected trip) back
-    /// into a panic, preserving the old propagation semantics.
-    fn mine_walks_or_panic(
-        &self,
-        subpops: &[&BitSet],
-        k: usize,
-        dirs: &[Direction],
-        threads: usize,
-    ) -> Vec<PairedTreatments> {
-        let guard = RunGuard::unlimited();
-        match self.mine_walks(subpops, k, dirs, threads, &guard) {
-            Ok(out) => out,
-            Err(MineError::Worker { task, payload }) => {
-                panic!("mining task '{task}' panicked: {payload}")
-            }
-            Err(e) => panic!("unguarded mining run aborted: {e}"),
-        }
-    }
-
-    /// Shared driver behind every lattice entry point: each
-    /// subpopulation's walk is a resumable state machine
-    /// ([`WalkState`]) advanced by scheduler tasks. A `Start` task pumps
-    /// the walk until it has a level of candidates to estimate (the
-    /// serial part: Apriori joins, memoized backdoor lookups, in-order
-    /// context builds), then fans the level out as [`sched::ChunkSlots`]
-    /// chunk tasks; the worker completing a level's last chunk re-locks
-    /// that pattern's state, merges results in candidate order, and pumps
-    /// again.
+    /// The driver behind [`TreatmentMiner::mine_paired_many_guarded`],
+    /// for any direction sequence: each subpopulation's walk is a
+    /// resumable state machine ([`WalkState`]) advanced by scheduler
+    /// tasks. A `Start` task pumps the walk until it has a level of
+    /// candidates to estimate (the serial part: Apriori joins, memoized
+    /// backdoor lookups, in-order context builds), then fans the level out
+    /// as [`sched::ChunkSlots`] chunk tasks; the worker completing a
+    /// level's last chunk re-locks that pattern's state, merges results in
+    /// candidate order, and pumps again.
     ///
     /// Failure model: every task body is caught with `catch_unwind`
     /// while the pattern/level/chunk identity is still known, so a panic
@@ -979,7 +824,7 @@ impl<'a> TreatmentMiner<'a> {
                             let _ = failure.set(trip_error(trip, guard.progress()));
                             return None;
                         }
-                        Some(self.eval_chunk(&batch, batch.ranges[chunk].clone()))
+                        Some(Self::eval_chunk(&batch, batch.ranges[chunk].clone()))
                     }));
                     match evaluated {
                         Ok(Some(out)) => {
@@ -1082,32 +927,17 @@ impl<'a> TreatmentMiner<'a> {
     }
 
     /// Estimate one contiguous candidate chunk of a prepared level. Runs
-    /// lock-free on any scheduler worker: cache mode reads the pre-built
-    /// `Arc<EstimationContext>` pinned into the batch per candidate; the
-    /// `use_estimation_cache = false` ablation unprojects back to
-    /// full-table width and reruns the cold-start estimator.
-    fn eval_chunk(&self, batch: &LevelBatch, range: Range<usize>) -> Vec<EvalRes> {
+    /// lock-free on any scheduler worker: it reads the pre-built
+    /// `Arc<EstimationContext>` pinned into the batch per candidate.
+    fn eval_chunk(batch: &LevelBatch, range: Range<usize>) -> Vec<EvalRes> {
         range
             .map(|i| -> EvalRes {
-                if self.opts.use_estimation_cache {
-                    eval_cached(
-                        batch.ctx[i].as_ref()?,
-                        &batch.cands[i],
-                        batch.plans.get(i).and_then(|p| p.as_ref()),
-                        batch.track,
-                    )
-                } else {
-                    let global = batch.space.projector.unproject(&batch.cands[i].mask);
-                    estimate_effect(
-                        self.table,
-                        batch.subpop_mask.as_deref().map(|m| m.as_slice()),
-                        &global.to_mask(),
-                        self.outcome,
-                        &batch.keys[i],
-                        &self.opts.cate_opts,
-                    )
-                    .map(|r| (r.into(), None))
-                }
+                eval_cached(
+                    batch.ctx[i].as_ref()?,
+                    &batch.cands[i],
+                    batch.plans.get(i).and_then(|p| p.as_ref()),
+                    batch.track,
+                )
             })
             .collect()
     }
@@ -1117,7 +947,7 @@ impl<'a> TreatmentMiner<'a> {
     /// baseline and the Fig. 10 precision/recall study only.
     pub fn all_treatments(&self, subpop: &BitSet, max_len: usize) -> Vec<TreatmentResult> {
         let sub_bits = subpop;
-        let mut ctxs = CtxCache::new(&self.opts);
+        let mut contexts = ContextCache::new();
         // Loop invariants hoisted out of the exponential enumeration.
         let sub_n = sub_bits.count();
         let min_arm = self.opts.cate_opts.min_arm;
@@ -1136,7 +966,7 @@ impl<'a> TreatmentMiner<'a> {
                 if treated_in_sub >= min_arm && sub_n - treated_in_sub >= min_arm {
                     let attrs: Vec<usize> =
                         atoms.iter().map(|&x| self.atoms[x as usize].attr).collect();
-                    if let Some(r) = self.estimate(&mut ctxs, sub_bits, mask, &attrs) {
+                    if let Some(r) = self.estimate(&mut contexts, sub_bits, mask, &attrs) {
                         out.push(TreatmentResult {
                             pattern: self.pattern_of(atoms),
                             cate: r.cate,
@@ -1198,28 +1028,6 @@ impl<'a> TreatmentMiner<'a> {
     }
 }
 
-/// Per-subpopulation estimation cache: the [`ContextCache`] shared by all
-/// lattice walks over one subpopulation (positive *and* negative — see
-/// [`TreatmentMiner::top_treatments_paired`]), the subpopulation-local
-/// projection of the atom space (built on the first walk, reused by the
-/// second), plus the materialized subpopulation mask only the naive
-/// fallback path (`use_estimation_cache = false`) needs.
-struct CtxCache {
-    contexts: ContextCache,
-    local: Option<Arc<LocalSpace>>,
-    subpop_mask: Option<Arc<Vec<bool>>>,
-}
-
-impl CtxCache {
-    fn new(opts: &LatticeOptions) -> Self {
-        CtxCache {
-            contexts: ContextCache::with_panel(opts.use_confounder_panel),
-            local: None,
-            subpop_mask: None,
-        }
-    }
-}
-
 /// The atom space re-indexed into one subpopulation's local coordinates:
 /// the global→local rank map plus every atom mask projected down to
 /// `|subpop|` bits. Built once per subpopulation; every join intersection,
@@ -1242,11 +1050,11 @@ impl LocalSpace {
 }
 
 /// Estimation byproducts cached on a kept node for its children: the
-/// confounder key the node was estimated under, and — in FastV1 mode with
-/// `use_downdating` — its treatment-block moments. A child whose key
-/// matches can derive its own blocks by downdating instead of
-/// re-gathering; key-only entries (Exact mode) exist so the walk can
-/// still count the fallback regathers it performs.
+/// confounder key the node was estimated under, and — in FastV1 mode —
+/// its treatment-block moments. A child whose key matches can derive its
+/// own blocks by downdating instead of re-gathering; key-only entries
+/// (Exact mode) exist so the walk can still count the fallback regathers
+/// it performs.
 struct NodeAux {
     key: Vec<usize>,
     moments: Option<TreatmentMoments>,
@@ -1255,8 +1063,8 @@ struct NodeAux {
 /// A node's p-value. The walk ranks, prunes and stops on CATE alone, so a
 /// regression estimate keeps only its fit and runs the inference half
 /// (the residual pass and the Student-t tail) when [`insert_best`] needs
-/// the p-value. The IPW backend and the `use_estimation_cache = false`
-/// ablation estimate eagerly and carry a known value.
+/// the p-value. The IPW backend estimates eagerly and carries a known
+/// value.
 #[derive(Clone)]
 enum PValue {
     Known(f64),
@@ -1306,7 +1114,7 @@ struct Node {
     p: PValue,
     n_treated: usize,
     n_control: usize,
-    /// Downdating byproducts (estimation-cache + regression mode only).
+    /// Downdating byproducts (regression backend only).
     aux: Option<Arc<NodeAux>>,
 }
 
@@ -1353,8 +1161,8 @@ struct DowndatePlan {
 /// moments-tracking mode, the treatment blocks cached for downdating.
 type EvalRes = Option<(Est, Option<TreatmentMoments>)>;
 
-/// Cache-mode evaluation of one candidate: downdate when a plan is
-/// present, otherwise gather — with moments when the walk tracks them.
+/// Evaluation of one candidate: downdate when a plan is present,
+/// otherwise gather — with moments when the walk tracks them.
 /// The regression backend returns the fit alone (its p-value is
 /// deferred); IPW estimates eagerly.
 fn eval_cached(
@@ -1406,34 +1214,29 @@ struct PatternSlot<'w> {
 
 /// One lattice level, frozen for lock-free fan-out: the candidates, their
 /// memoized confounder keys, the pre-built estimation context per
-/// candidate (cache mode), the shared local projection, and the
-/// index-addressed result slots the chunks complete into. Everything is
-/// `Arc`-shared so an `Eval` task needs no access to the walk state.
+/// candidate, and the index-addressed result slots the chunks complete
+/// into. Everything is `Arc`-shared so an `Eval` task needs no access to
+/// the walk state.
 struct LevelBatch {
     /// 1-based lattice level these candidates belong to — the `level`
     /// coordinate of guard checkpoints and fault sites.
     level: usize,
     cands: Vec<Cand>,
     keys: Vec<Vec<usize>>,
-    /// Per-candidate pre-built context (empty in the
-    /// `use_estimation_cache = false` ablation).
+    /// Per-candidate pre-built context (`None` where the build failed).
     ctx: Vec<Option<Arc<EstimationContext>>>,
     /// Per-candidate downdate plan (empty unless the walk stores aux;
     /// `None` entries regather).
     plans: Vec<Option<DowndatePlan>>,
-    /// Chunks return moments alongside each estimate (FastV1 +
-    /// downdating).
+    /// Chunks return moments alongside each estimate (FastV1).
     track: bool,
-    space: Arc<LocalSpace>,
-    /// Materialized subpopulation mask (ablation path only).
-    subpop_mask: Option<Arc<Vec<bool>>>,
     ranges: Vec<Range<usize>>,
     slots: sched::ChunkSlots<EvalRes>,
 }
 
 /// The resumable Algorithm-2 walk of one subpopulation: direction
-/// sequence (positive, then optionally negative, sharing one
-/// [`CtxCache`] exactly like the old paired walk, and the positive
+/// sequence (positive, then optionally negative, sharing the
+/// subpopulation's contexts and local projection, and the positive
 /// walk's level-1 estimates), current frontier, best-k list and work
 /// counters. `pump` drives the serial parts
 /// (candidate generation, in-order context builds) until a level is
@@ -1449,7 +1252,12 @@ struct WalkState<'w> {
     /// The query's lifeguard: progress counters plus the limits checked
     /// at chunk boundaries and level merges.
     guard: &'w RunGuard,
-    ctxs: CtxCache,
+    /// The subpopulation's estimation contexts, shared by both
+    /// directions.
+    contexts: ContextCache,
+    /// The subpopulation-local projection of the atom space, built on
+    /// first use and shared by both directions.
+    local: Option<Arc<LocalSpace>>,
     min_cate: f64,
     /// Index into `dirs` of the direction currently walking.
     dir_idx: usize,
@@ -1492,7 +1300,8 @@ impl<'w> WalkState<'w> {
             dirs,
             workers,
             guard,
-            ctxs: CtxCache::new(&miner.opts),
+            contexts: ContextCache::new(),
+            local: None,
             min_cate: miner.opts.min_abs_cate_frac * miner.outcome_std,
             dir_idx: 0,
             fresh: true,
@@ -1510,19 +1319,17 @@ impl<'w> WalkState<'w> {
     }
 
     /// Does the walk cache aux (confounder key + optional moments) on
-    /// kept nodes? Requires the estimation cache and regression backend —
-    /// the naive and IPW paths have no cached moments to downdate.
+    /// kept nodes? Requires the regression backend — IPW has no cached
+    /// moments to downdate.
     fn store_aux(&self) -> bool {
-        let o = &self.miner.opts;
-        o.use_estimation_cache && o.cate_opts.backend == EstimatorBackend::Regression
+        self.miner.opts.cate_opts.backend == EstimatorBackend::Regression
     }
 
     /// Does the walk track treatment moments and downdate subset
     /// candidates? Only in FastV1: FP subtraction cannot replay the Exact
     /// contract's fold order, so Exact always regathers.
     fn track_moments(&self) -> bool {
-        let o = &self.miner.opts;
-        self.store_aux() && o.cate_opts.numeric_mode == NumericMode::FastV1 && o.use_downdating
+        self.store_aux() && self.miner.opts.cate_opts.numeric_mode == NumericMode::FastV1
     }
 
     /// Serially decide, per candidate, whether its treatment blocks come
@@ -1571,10 +1378,11 @@ impl<'w> WalkState<'w> {
     /// The subpopulation-local atom projection, built on first use and
     /// shared across levels and directions (and with in-flight batches).
     fn space(&mut self) -> Arc<LocalSpace> {
-        if self.ctxs.local.is_none() {
-            self.ctxs.local = Some(Arc::new(LocalSpace::new(self.subpop, &self.miner.atoms)));
-        }
-        Arc::clone(self.ctxs.local.as_ref().expect("just built"))
+        let (subpop, atoms) = (self.subpop, &self.miner.atoms);
+        Arc::clone(
+            self.local
+                .get_or_insert_with(|| Arc::new(LocalSpace::new(subpop, atoms))),
+        )
     }
 
     /// Drive the walk forward until it either needs a level estimated
@@ -1645,11 +1453,6 @@ impl<'w> WalkState<'w> {
     ) -> Result<(Vec<Vec<usize>>, Vec<EvalRes>), MineError> {
         let miner = self.miner;
         let level = self.pending_level();
-        let cache_mode = miner.opts.use_estimation_cache;
-        let space = if cache_mode { None } else { Some(self.space()) };
-        if !cache_mode && self.ctxs.subpop_mask.is_none() {
-            self.ctxs.subpop_mask = Some(Arc::new(self.subpop.to_mask()));
-        }
         // Keys and downdate plans derive serially up front, in candidate
         // order — the identical sequence of memo lookups (and counter
         // increments) `prepare_batch` performs for the fanned path.
@@ -1684,33 +1487,18 @@ impl<'w> WalkState<'w> {
                 return Err(trip_error(trip, self.guard.progress()));
             }
             for i in range.clone() {
-                let cand = &cands[i];
-                let r = if cache_mode {
-                    self.ctxs
-                        .contexts
-                        .get_or_build(
-                            miner.table,
-                            Some(self.subpop),
-                            miner.outcome,
-                            keys[i].clone(),
-                            &miner.opts.cate_opts,
-                        )
-                        .and_then(|ctx| {
-                            eval_cached(ctx, cand, plans.get(i).and_then(|p| p.as_ref()), track)
-                        })
-                } else {
-                    let space = space.as_ref().expect("built above for the ablation path");
-                    let global = space.projector.unproject(&cand.mask);
-                    estimate_effect(
+                let r = self
+                    .contexts
+                    .get_or_build(
                         miner.table,
-                        self.ctxs.subpop_mask.as_deref().map(|m| m.as_slice()),
-                        &global.to_mask(),
+                        Some(self.subpop),
                         miner.outcome,
-                        &keys[i],
+                        keys[i].clone(),
                         &miner.opts.cate_opts,
                     )
-                    .map(|r| (r.into(), None))
-                };
+                    .and_then(|ctx| {
+                        eval_cached(ctx, &cands[i], plans.get(i).and_then(|p| p.as_ref()), track)
+                    });
                 results.push(r);
             }
         }
@@ -1804,7 +1592,6 @@ impl<'w> WalkState<'w> {
     fn prepare_batch(&mut self, cands: Vec<Cand>) -> Arc<LevelBatch> {
         let miner = self.miner;
         let level = self.pending_level();
-        let space = self.space();
         let keys: Vec<Vec<usize>> = cands
             .iter()
             .map(|c| {
@@ -1816,25 +1603,19 @@ impl<'w> WalkState<'w> {
                 miner.confounders_for(&attrs)
             })
             .collect();
-        let ctx: Vec<Option<Arc<EstimationContext>>> = if miner.opts.use_estimation_cache {
-            keys.iter()
-                .map(|key| {
-                    let _ = self.ctxs.contexts.get_or_build(
-                        miner.table,
-                        Some(self.subpop),
-                        miner.outcome,
-                        key.clone(),
-                        &miner.opts.cate_opts,
-                    );
-                    self.ctxs.contexts.get_shared(key)
-                })
-                .collect()
-        } else {
-            if self.ctxs.subpop_mask.is_none() {
-                self.ctxs.subpop_mask = Some(Arc::new(self.subpop.to_mask()));
-            }
-            Vec::new()
-        };
+        let ctx: Vec<Option<Arc<EstimationContext>>> = keys
+            .iter()
+            .map(|key| {
+                let _ = self.contexts.get_or_build(
+                    miner.table,
+                    Some(self.subpop),
+                    miner.outcome,
+                    key.clone(),
+                    &miner.opts.cate_opts,
+                );
+                self.contexts.get_shared(key)
+            })
+            .collect();
         let plans = self.plan_level(&cands, &keys);
         let ranges = sched::chunk_ranges(cands.len(), self.workers, MIN_CHUNK);
         let slots = sched::ChunkSlots::new(ranges.len());
@@ -1845,8 +1626,6 @@ impl<'w> WalkState<'w> {
             ctx,
             plans,
             track: self.track_moments(),
-            space,
-            subpop_mask: self.ctxs.subpop_mask.clone(),
             ranges,
             slots,
         })
@@ -1929,7 +1708,7 @@ impl<'w> WalkState<'w> {
     /// [`insert_best`]); returns whether it became the new top entry.
     fn update_best(&mut self, node: &Node) -> bool {
         let dir = self.dirs[self.dir_idx];
-        let contexts = &self.ctxs.contexts;
+        let contexts = &self.contexts;
         insert_best(
             &mut self.best,
             self.k,
@@ -1952,7 +1731,7 @@ impl<'w> WalkState<'w> {
             .map(|b| TreatmentResult {
                 pattern: miner.pattern_of(&b.atoms),
                 cate: b.cate,
-                p_value: b.p_value(&self.ctxs.contexts),
+                p_value: b.p_value(&self.contexts),
                 n_treated: b.n_treated,
                 n_control: b.n_control,
             })
@@ -1984,7 +1763,7 @@ impl<'w> WalkState<'w> {
             stats: LatticeStats {
                 evaluated: self.evaluated,
                 levels: self.max_levels,
-                contexts_built: self.ctxs.contexts.builds(),
+                contexts_built: self.contexts.builds(),
                 downdates: self.downdates,
                 regathers: self.regathers,
             },
@@ -2244,12 +2023,56 @@ mod tests {
         (table, dag)
     }
 
+    /// One serial single-direction walk: the best `k` treatments of
+    /// `subpop` in direction `dir`, with the walk's counters.
+    fn walk(
+        miner: &TreatmentMiner<'_>,
+        subpop: &BitSet,
+        dir: Direction,
+        k: usize,
+    ) -> (Vec<TreatmentResult>, LatticeStats) {
+        let mut out = miner
+            .mine_walks(&[subpop], k, &[dir], 1, &RunGuard::unlimited())
+            .expect("an unguarded walk without faults succeeds");
+        let paired = out.pop().expect("one subpopulation in, one result out");
+        let list = match dir {
+            Direction::Positive => paired.positive,
+            Direction::Negative => paired.negative,
+        };
+        (list, paired.stats)
+    }
+
+    /// The single best treatment of `subpop` in direction `dir`.
+    fn top(
+        miner: &TreatmentMiner<'_>,
+        subpop: &BitSet,
+        dir: Direction,
+    ) -> (Option<TreatmentResult>, LatticeStats) {
+        let (mut list, stats) = walk(miner, subpop, dir, 1);
+        (list.pop(), stats)
+    }
+
+    /// The paired walk through the public entry point.
+    fn mine_paired(
+        miner: &TreatmentMiner<'_>,
+        subpop: &BitSet,
+        k: usize,
+        mine_negative: bool,
+        threads: usize,
+    ) -> PairedTreatments {
+        miner
+            .mine_paired_many_guarded(&[subpop], k, mine_negative, threads, &RunGuard::unlimited())
+            .expect("an unguarded walk without faults succeeds")
+            .pop()
+            .expect("one subpopulation in, one result out")
+    }
+
     #[test]
     fn finds_best_positive_and_negative_atoms() {
         let (table, dag) = synth(2000, 42);
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], LatticeOptions::default());
         let subpop = BitSet::full(table.nrows());
-        let (pos, _) = miner.top_treatment(&subpop, Direction::Positive);
+        let (pos, _) = top(&miner, &subpop, Direction::Positive);
         let pos = pos.expect("positive treatment must exist");
         assert!(
             pos.pattern.display(&table).contains("t1 = hi"),
@@ -2260,7 +2083,7 @@ mod tests {
 
         // The most negative treatment is t1 = lo (CATE ≈ −10), possibly
         // strengthened by conjunction with t2 = hi.
-        let (neg, _) = miner.top_treatment(&subpop, Direction::Negative);
+        let (neg, _) = top(&miner, &subpop, Direction::Negative);
         let neg = neg.expect("negative treatment must exist");
         assert!(
             neg.pattern.display(&table).contains("t1 = lo"),
@@ -2317,7 +2140,7 @@ mod tests {
         let dag = Dag::new(&["t1", "t2", "o"], &[("t1", "o"), ("t2", "o")]).unwrap();
         let miner = TreatmentMiner::new(&table, &dag, 2, &[0, 1], LatticeOptions::default());
         let subpop = BitSet::full(n);
-        let (best, stats) = miner.top_treatment(&subpop, Direction::Positive);
+        let (best, stats) = top(&miner, &subpop, Direction::Positive);
         let best = best.unwrap();
         assert_eq!(
             best.pattern.len(),
@@ -2353,7 +2176,7 @@ mod tests {
         let miner = TreatmentMiner::new(&table, &dag, 1, &[0], opts);
         assert!(miner.num_atoms() > 0);
         let subpop = BitSet::full(n);
-        let (best, _) = miner.top_treatment(&subpop, Direction::Positive);
+        let (best, _) = top(&miner, &subpop, Direction::Positive);
         let best = best.unwrap();
         let disp = best.pattern.display(&table);
         assert!(disp.contains("age <"), "got {disp}");
@@ -2389,8 +2212,8 @@ mod tests {
         let miner = TreatmentMiner::new(&table, &dag, 2, &[1], LatticeOptions::default());
         let sub_a = BitSet::from_mask(&(0..n).map(|i| i % 2 == 0).collect::<Vec<_>>());
         let sub_b = BitSet::from_mask(&(0..n).map(|i| i % 2 == 1).collect::<Vec<_>>());
-        let (pa, _) = miner.top_treatment(&sub_a, Direction::Positive);
-        let (pb, _) = miner.top_treatment(&sub_b, Direction::Negative);
+        let (pa, _) = top(&miner, &sub_a, Direction::Positive);
+        let (pb, _) = top(&miner, &sub_b, Direction::Negative);
         let pa = pa.unwrap();
         let pb = pb.unwrap();
         assert!(pa.cate > 4.0 && pa.pattern.display(&table).contains("t1 = yes"));
@@ -2408,7 +2231,7 @@ mod tests {
             .iter()
             .max_by(|a, b| a.cate.partial_cmp(&b.cate).unwrap())
             .unwrap();
-        let (greedy, _) = miner.top_treatment(&subpop, Direction::Positive);
+        let (greedy, _) = top(&miner, &subpop, Direction::Positive);
         let greedy = greedy.unwrap();
         // Greedy may be suboptimal but on this easy instance should match.
         assert!((brute_best.cate - greedy.cate).abs() < 1.0);
@@ -2419,7 +2242,7 @@ mod tests {
         let (table, dag) = synth(2000, 42);
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], LatticeOptions::default());
         let subpop = BitSet::full(table.nrows());
-        let (top3, _) = miner.top_k_treatments(&subpop, Direction::Positive, 3);
+        let (top3, _) = walk(&miner, &subpop, Direction::Positive, 3);
         assert!(top3.len() >= 2, "multiple positive treatments exist");
         for w in top3.windows(2) {
             assert!(w[0].cate >= w[1].cate, "must be sorted best-first");
@@ -2428,16 +2251,16 @@ mod tests {
             top3.iter().map(|t| t.pattern.key()).collect();
         assert_eq!(keys.len(), top3.len(), "patterns must be distinct");
         // #1 of top-k equals the single top treatment.
-        let (single, _) = miner.top_treatment(&subpop, Direction::Positive);
+        let (single, _) = top(&miner, &subpop, Direction::Positive);
         assert_eq!(single.unwrap().pattern.key(), top3[0].pattern.key());
     }
 
     /// The paired walk must return exactly what two independent directed
     /// walks return — the negative direction absorbs the positive one's
     /// level-1 estimates instead of re-running them — on every estimate
-    /// path (Exact, FastV1 with downdating, IPW, the cache-off cold
-    /// estimator) and on both the serial and the fanned scheduler path,
-    /// while building each estimation context only once.
+    /// path (Exact, FastV1 with downdating, IPW) and on both the serial
+    /// and the fanned scheduler path, while building each estimation
+    /// context only once.
     #[test]
     fn paired_walk_matches_independent_walks() {
         let (table, dag) = synth(2000, 42);
@@ -2462,13 +2285,6 @@ mod tests {
                     ..CateOptions::default()
                 }),
             ),
-            (
-                "cache off",
-                LatticeOptions {
-                    use_estimation_cache: false,
-                    ..LatticeOptions::default()
-                },
-            ),
         ];
         let bits = |ts: &[TreatmentResult]| -> Vec<(String, u64, u64, usize, usize)> {
             ts.iter()
@@ -2484,11 +2300,10 @@ mod tests {
                 .collect()
         };
         for (name, opts) in cases {
-            let cache = opts.use_estimation_cache;
             let fast = opts.cate_opts.numeric_mode == NumericMode::FastV1;
             let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], opts);
-            let (pos, s_pos) = miner.top_k_treatments(&subpop, Direction::Positive, 3);
-            let (neg, s_neg) = miner.top_k_treatments(&subpop, Direction::Negative, 3);
+            let (pos, s_pos) = walk(&miner, &subpop, Direction::Positive, 3);
+            let (neg, s_neg) = walk(&miner, &subpop, Direction::Negative, 3);
             assert!(
                 !pos.is_empty() && !neg.is_empty(),
                 "{name}: both directions find treatments"
@@ -2505,7 +2320,7 @@ mod tests {
             }
             for threads in [1, 4] {
                 let case = format!("{name}, {threads} threads");
-                let paired = miner.top_treatments_paired_with(&subpop, 3, true, threads);
+                let paired = mine_paired(&miner, &subpop, 3, true, threads);
                 assert_eq!(bits(&paired.positive), bits(&pos), "{case}: positive");
                 assert_eq!(bits(&paired.negative), bits(&neg), "{case}: negative");
                 let st = paired.stats;
@@ -2513,19 +2328,17 @@ mod tests {
                 assert_eq!(st.levels, s_pos.levels.max(s_neg.levels), "{case}");
                 assert_eq!(st.downdates, s_pos.downdates + s_neg.downdates, "{case}");
                 assert_eq!(st.regathers, s_pos.regathers + s_neg.regathers, "{case}");
-                if cache {
-                    // Shared cache: strictly fewer context builds than the
-                    // two independent walks combined (both directions
-                    // touch the same backdoor sets on this data).
-                    assert!(
-                        st.contexts_built >= 1
-                            && st.contexts_built < s_pos.contexts_built + s_neg.contexts_built,
-                        "{case}: paired {} vs {} + {}",
-                        st.contexts_built,
-                        s_pos.contexts_built,
-                        s_neg.contexts_built
-                    );
-                }
+                // Shared contexts: strictly fewer builds than the two
+                // independent walks combined (both directions touch the
+                // same backdoor sets on this data).
+                assert!(
+                    st.contexts_built >= 1
+                        && st.contexts_built < s_pos.contexts_built + s_neg.contexts_built,
+                    "{case}: paired {} vs {} + {}",
+                    st.contexts_built,
+                    s_pos.contexts_built,
+                    s_neg.contexts_built
+                );
             }
         }
     }
@@ -2535,7 +2348,7 @@ mod tests {
         let (table, dag) = synth(1000, 8);
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1, 2], LatticeOptions::default());
         let subpop = BitSet::full(table.nrows());
-        let paired = miner.top_treatments_paired(&subpop, 1, false);
+        let paired = mine_paired(&miner, &subpop, 1, false, 1);
         assert!(!paired.positive.is_empty());
         assert!(paired.negative.is_empty());
     }
@@ -2746,7 +2559,7 @@ mod tests {
         let (table, dag) = synth(200, 1);
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default());
         let subpop = BitSet::new(table.nrows());
-        let (r, _) = miner.top_treatment(&subpop, Direction::Positive);
+        let (r, _) = top(&miner, &subpop, Direction::Positive);
         assert!(r.is_none());
     }
 }

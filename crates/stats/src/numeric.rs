@@ -6,9 +6,9 @@
 //!
 //! * [`NumericMode::Exact`] — the historical contract: a single serial
 //!   accumulator folded in ascending element order. Bit-for-bit reproducible
-//!   against every artifact committed since the seed, at any thread count and
-//!   under every ablation knob, because all cache layers replay the same
-//!   ascending-order sum.
+//!   against every artifact committed since the seed and at any thread
+//!   count, and equal to the cold estimators the tests hold the cache layers
+//!   to, because every layer replays the same ascending-order sum.
 //! * [`NumericMode::FastV1`] — eight strided partial sums (lane `k` takes
 //!   elements whose index ≡ `k` (mod 8)) folded in the pinned pairwise order
 //!   of [`fold8`]. Breaking the serial FP dependency chain lets the compiler
@@ -30,7 +30,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NumericMode {
     /// Serial ascending-order accumulation; bit-identical to all prior
-    /// artifacts and across every ablation knob.
+    /// artifacts and to the cold estimators.
     #[default]
     Exact,
     /// 8-lane strided partial sums folded via [`fold8`]; deterministic
@@ -73,8 +73,8 @@ pub fn fold8(l: [f64; 8]) -> f64 {
 ///
 /// Lane assignment is by *visitation rank*: the `i`-th pushed value lands in
 /// lane `i & 7`, so the result depends only on the visited value sequence —
-/// exactly the property the estimation cache needs to stay deterministic
-/// across dense, sampled and downdated gathers.
+/// exactly the property the estimation contexts need to stay
+/// deterministic across dense, sampled and downdated gathers.
 #[derive(Debug, Clone)]
 pub struct LaneAcc {
     lanes: [f64; 8],

@@ -19,18 +19,20 @@
 //!    confounder and one independent of it — every estimate, fit,
 //!    downdate and p-value;
 //! 2. one panel serving many sets inside a [`causal::context::ContextCache`]
-//!    against the cold per-set cache, for both estimator backends;
-//! 3. the full miner and pipeline with `use_confounder_panel` on vs off,
-//!    at `level_parallelism ∈ {1, 4}` — summaries bit-identical in every
-//!    combination.
+//!    against a cold [`causal::context::EstimationContext::new`] build per
+//!    set, for both estimator backends;
+//! 3. the lattice walk on an SO table, at 1 and 4 workers: every result
+//!    equals the cold estimator run from scratch (`common::check_oracle`).
+
+mod common;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use causal::context::{ContextCache, EstimationContext, SubpopPanel, TreatmentMoments};
 use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
-use causumx::{ConfigBuilder, Session, Summary};
-use mining::treatment::{LatticeOptions, TreatmentMiner, TreatmentResult};
+use mining::treatment::{LatticeOptions, TreatmentMiner};
+use mining::RunGuard;
 use stats::numeric::NumericMode;
 use table::bitset::{BitSet, Projector};
 use table::{Table, TableBuilder};
@@ -287,8 +289,10 @@ proptest! {
         }
     }
 
-    /// (2) A panel-backed [`ContextCache`] matches the cold per-set cache
-    /// bit for bit, for both estimator backends, over repeated lookups.
+    /// (2) A panel-backed [`ContextCache`] matches a cold
+    /// [`EstimationContext::new`] build per set bit for bit, for both
+    /// estimator backends, over repeated lookups, and builds each set
+    /// once.
     #[test]
     fn panel_cache_matches_cold_cache((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise, 3);
@@ -298,101 +302,45 @@ proptest! {
 
         for backend in [EstimatorBackend::Regression, EstimatorBackend::Ipw] {
             let opts = CateOptions { backend, ..CateOptions::default() };
-            let mut with_panel = ContextCache::with_panel(true);
-            let mut cold = ContextCache::with_panel(false);
+            let mut cache = ContextCache::new();
             for _ in 0..2 {
                 for confounders in confounder_mixes() {
-                    let a = with_panel
-                        .get_or_build(&table, Some(&sub_bits), 3, confounders.clone(), &opts)
-                        .and_then(|ctx| ctx.estimate(&tbits));
-                    let b = cold
+                    let cold =
+                        EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
+                            .and_then(|ctx| ctx.estimate(&tbits));
+                    let cached = cache
                         .get_or_build(&table, Some(&sub_bits), 3, confounders, &opts)
                         .and_then(|ctx| ctx.estimate(&tbits));
-                    assert_bit_identical(a, b)?;
+                    assert_bit_identical(cached, cold)?;
                 }
             }
-            // Identical `builds()` accounting on both paths.
-            prop_assert_eq!(with_panel.builds(), cold.builds());
-            prop_assert!(with_panel.panel().is_some());
-            prop_assert!(cold.panel().is_none());
+            prop_assert_eq!(cache.builds(), confounder_mixes().len());
+            prop_assert!(cache.panel().is_some());
         }
     }
 }
 
-fn treatment_keys(ts: &[TreatmentResult]) -> Vec<(String, u64, u64)> {
-    ts.iter()
-        .map(|t| (t.pattern.key(), t.cate.to_bits(), t.p_value.to_bits()))
-        .collect()
-}
-
-/// (3a) The lattice walk with the panel on vs off returns bit-identical
-/// treatments and identical work counters, at serial and 4-way
-/// within-level parallelism.
+/// (3) The lattice walk — panel-assembled contexts with level-coded
+/// categoricals — returns treatments that equal the cold estimator run
+/// from scratch (dense one-hot columns), at serial and 4-way fan-out.
 #[test]
 fn miner_panel_ablation_bit_identical() {
     let ds = datagen::so::generate(2_000, 11);
     let t_attrs = table::fd::treatment_attrs(&ds.table, &ds.group_by, &[ds.outcome]);
-    let opts_on = LatticeOptions::default();
-    let opts_off = LatticeOptions {
-        use_confounder_panel: false,
-        ..LatticeOptions::default()
-    };
-    let on = TreatmentMiner::new(&ds.table, &ds.dag, ds.outcome, &t_attrs, opts_on);
-    let off = TreatmentMiner::new(&ds.table, &ds.dag, ds.outcome, &t_attrs, opts_off);
+    let opts = LatticeOptions::default();
+    let miner = TreatmentMiner::new(&ds.table, &ds.dag, ds.outcome, &t_attrs, opts.clone());
     let subpop = BitSet::full(ds.table.nrows());
+    let mask = vec![true; ds.table.nrows()];
     for threads in [1usize, 4] {
-        let a = on.top_treatments_paired_with(&subpop, 3, true, threads);
-        let b = off.top_treatments_paired_with(&subpop, 3, true, threads);
-        assert_eq!(
-            treatment_keys(&a.positive),
-            treatment_keys(&b.positive),
-            "positive walk, {threads} threads"
-        );
-        assert_eq!(
-            treatment_keys(&a.negative),
-            treatment_keys(&b.negative),
-            "negative walk, {threads} threads"
-        );
-        assert_eq!(a.stats.evaluated, b.stats.evaluated);
-        assert_eq!(a.stats.contexts_built, b.stats.contexts_built);
-    }
-}
-
-fn run_pipeline(panel: bool, threads: usize, seed: u64) -> Summary {
-    let ds = datagen::so::generate(3_000, seed);
-    let cfg = ConfigBuilder::new()
-        .use_confounder_panel(panel)
-        .threads(threads)
-        .build()
-        .unwrap();
-    Session::new(ds.table.clone(), ds.dag.clone(), cfg)
-        .prepare(ds.query())
-        .unwrap()
-        .run()
-}
-
-/// (3b) End-to-end pipeline summaries are bit-identical across the
-/// `use_confounder_panel` × `threads ∈ {1, 4}` grid.
-#[test]
-fn pipeline_panel_ablation_bit_identical() {
-    for seed in [7u64, 21] {
-        let reference = run_pipeline(true, 1, seed);
-        for (panel, threads) in [(true, 4), (false, 1), (false, 4)] {
-            let other = run_pipeline(panel, threads, seed);
-            assert_eq!(
-                reference.total_weight.to_bits(),
-                other.total_weight.to_bits(),
-                "seed {seed}, panel {panel}, {threads} threads"
-            );
-            assert_eq!(reference.cate_evaluations, other.cate_evaluations);
-            assert_eq!(reference.covered, other.covered);
-            assert_eq!(reference.candidates, other.candidates);
-            let keys = |s: &Summary| {
-                let mut v: Vec<String> = s.explanations.iter().map(|e| e.grouping.key()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(keys(&reference), keys(&other));
+        let paired = miner
+            .mine_paired_many_guarded(&[&subpop], 3, true, threads, &RunGuard::unlimited())
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert!(!paired.positive.is_empty() && !paired.negative.is_empty());
+        for t in paired.positive.iter().chain(&paired.negative) {
+            common::check_oracle(&ds.table, &miner, ds.outcome, &mask, t, &opts.cate_opts)
+                .unwrap_or_else(|err| panic!("{threads} threads: {err}"));
         }
     }
 }

@@ -152,8 +152,12 @@ fn discovered_dags_agree_roughly_with_ground_truth_effects() {
         mining::treatment::LatticeOptions::default(),
     );
     let subpop = table::bitset::BitSet::full(ds.table.nrows());
-    let (best, _) = gt_miner.top_treatment(&subpop, mining::treatment::Direction::Positive);
-    let best = best.expect("ground-truth best treatment");
+    let best = gt_miner
+        .mine_paired_many_guarded(&[&subpop], 1, false, 0, &mining::RunGuard::unlimited())
+        .expect("an unguarded walk succeeds")
+        .pop()
+        .and_then(|mut paired| paired.positive.pop())
+        .expect("ground-truth best treatment");
 
     let pc_miner = mining::treatment::TreatmentMiner::new(
         &ds.table,

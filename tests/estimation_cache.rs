@@ -4,9 +4,11 @@
 //! work-stealing parallelism) must be *behaviour-preserving*: these
 //! properties pin (1) context-cached CATE estimation against the naive
 //! `estimate_cate` path across random tables and confounder mixes, (2) the
-//! cached bitset-native `top_treatment` against the seed's mask-based
-//! cold-start behaviour, and (3) work-stealing parallel pipeline output
-//! against the sequential run.
+//! paired lattice walk's results against the cold estimator run from
+//! scratch and against the brute-force enumeration, and (3) work-stealing
+//! parallel pipeline output against the sequential run.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -14,7 +16,8 @@ use causal::context::EstimationContext;
 use causal::estimate::{estimate_cate, CateOptions};
 use causal::Dag;
 use causumx::{Session, Summary};
-use mining::treatment::{Direction, LatticeOptions, TreatmentMiner};
+use mining::treatment::{LatticeOptions, TreatmentMiner};
+use mining::RunGuard;
 use table::bitset::BitSet;
 use table::{Table, TableBuilder};
 
@@ -104,43 +107,36 @@ proptest! {
         }
     }
 
-    /// (2) The bitset-native, context-cached lattice walk returns exactly
-    /// the patterns and statistics of the seed's mask-based cold-start
-    /// behaviour (`use_estimation_cache = false` replays it).
+    /// (2) Every result of the paired lattice walk (k = 3, both
+    /// directions) equals the cold estimator run from scratch on the same
+    /// subpopulation mask (`common::check_oracle`, bit for bit), and
+    /// appears with the same bits in the brute-force enumeration
+    /// `all_treatments` over the same lattice depth.
     #[test]
     fn cached_miner_matches_naive_miner((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise);
         let dag = dag();
         let sub_bits = BitSet::from_mask(&subpop);
+        let opts = LatticeOptions::default();
+        let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1], opts.clone());
 
-        let cached = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default());
-        let naive = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions {
-            use_estimation_cache: false,
-            ..LatticeOptions::default()
-        });
-
-        for dir in [Direction::Positive, Direction::Negative] {
-            let (rc, sc) = cached.top_k_treatments(&sub_bits, dir, 3);
-            let (rn, sn) = naive.top_k_treatments(&sub_bits, dir, 3);
-            prop_assert_eq!(sc.evaluated, sn.evaluated, "same work counters");
-            prop_assert_eq!(sc.levels, sn.levels);
-            prop_assert_eq!(rc.len(), rn.len());
-            for (c, nv) in rc.iter().zip(&rn) {
-                prop_assert_eq!(c.pattern.key(), nv.pattern.key());
-                prop_assert_eq!(c.cate, nv.cate, "bit-identical CATE");
-                prop_assert_eq!(c.p_value, nv.p_value);
-                prop_assert_eq!(c.n_treated, nv.n_treated);
-                prop_assert_eq!(c.n_control, nv.n_control);
-            }
-        }
-
-        // Brute-force enumeration takes the same cached path.
-        let ac = cached.all_treatments(&sub_bits, 2);
-        let an = naive.all_treatments(&sub_bits, 2);
-        prop_assert_eq!(ac.len(), an.len());
-        for (c, nv) in ac.iter().zip(&an) {
-            prop_assert_eq!(c.pattern.key(), nv.pattern.key());
-            prop_assert_eq!(c.cate, nv.cate);
+        let paired = miner
+            .mine_paired_many_guarded(&[&sub_bits], 3, true, 1, &RunGuard::unlimited())
+            .unwrap()
+            .pop()
+            .unwrap();
+        let all = miner.all_treatments(&sub_bits, opts.max_level);
+        for t in paired.positive.iter().chain(&paired.negative) {
+            let oracle = common::check_oracle(&table, &miner, 3, &subpop, t, &opts.cate_opts);
+            prop_assert!(oracle.is_ok(), "{:?}", oracle);
+            let key = t.pattern.key();
+            let brute = all.iter().find(|b| b.pattern.key() == key);
+            prop_assert!(brute.is_some(), "{} missing from the enumeration", key);
+            let brute = brute.unwrap();
+            prop_assert_eq!(brute.cate.to_bits(), t.cate.to_bits(), "{}", key);
+            prop_assert_eq!(brute.p_value.to_bits(), t.p_value.to_bits(), "{}", key);
+            prop_assert_eq!(brute.n_treated, t.n_treated);
+            prop_assert_eq!(brute.n_control, t.n_control);
         }
     }
 }

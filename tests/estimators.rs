@@ -1,13 +1,19 @@
 //! Estimator-backend cross-validation: the regression, IPW and matching
-//! backends must agree on synthetic SCMs with known effects, and the whole
-//! pipeline must run with either backend (§7's propensity-weighting
-//! extension).
+//! backends must agree on synthetic SCMs with known effects, the miner's
+//! estimates must recover the analytic effects of the paper's synthetic
+//! SCM, and the whole pipeline must run with either backend (§7's
+//! propensity-weighting extension).
 
 use causal::estimate::{estimate_cate, estimate_effect, CateOptions, EstimatorBackend};
 use causal::ipw::{estimate_att_matching, estimate_cate_ipw};
+use causal::NumericMode;
 use causumx::{CausumxConfig, Session};
+use datagen::synthetic::{true_atomic_cate, SynthParams};
+use mining::treatment::{LatticeOptions, TreatmentMiner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use table::bitset::BitSet;
+use table::pattern::{Pattern, Pred};
 use table::{Table, TableBuilder};
 
 /// Confounded SCM with tunable true effect and confounder strength.
@@ -60,6 +66,68 @@ fn three_backends_agree_on_known_effect() {
             );
         }
     }
+}
+
+/// Ground truth from the paper's synthetic SCM (the Fig. 10 study):
+/// `O = T₁ − T₂ + T₃ − T₄` over i.i.d. uniform treatments on {1..5}, so
+/// every atomic treatment `T_k = v` has the analytic CATE
+/// [`true_atomic_cate`]. The miner's estimate of each one on the full
+/// table ([`TreatmentMiner::eval_pattern`]) lies within five standard
+/// errors of it, for both backends and both numeric modes. The other
+/// `j − 1` treatments are the outcome's only noise, with variance
+/// `2(j − 1)`, so one standard error of a difference in arm means is
+/// `√(2(j − 1)·(1/n_t + 1/n_c))`.
+#[test]
+fn miner_recovers_known_atomic_effects() {
+    let j = 4;
+    let mut estimates = 0;
+    for seed in [1u64, 7, 42, 99, 1234] {
+        let params = SynthParams {
+            n: 2_000,
+            n_grouping: 3,
+            n_treatment: j,
+            tuples_per_group: 4,
+        };
+        let ds = datagen::synthetic::generate(params, seed);
+        let t_attrs: Vec<usize> = (1..=j)
+            .map(|k| ds.table.attr(&format!("T{k}")).unwrap())
+            .collect();
+        let full = BitSet::full(ds.table.nrows());
+        for backend in [EstimatorBackend::Regression, EstimatorBackend::Ipw] {
+            for numeric_mode in [NumericMode::Exact, NumericMode::FastV1] {
+                let opts = LatticeOptions {
+                    cate_opts: CateOptions {
+                        backend,
+                        numeric_mode,
+                        ..CateOptions::default()
+                    },
+                    ..LatticeOptions::default()
+                };
+                let miner = TreatmentMiner::new(&ds.table, &ds.dag, ds.outcome, &t_attrs, opts);
+                for (k, &attr) in t_attrs.iter().enumerate() {
+                    for v in 1..=5i64 {
+                        let case = format!(
+                            "seed {seed}, {backend:?}, {numeric_mode:?}, T{} = {v}",
+                            k + 1
+                        );
+                        let r = miner
+                            .eval_pattern(&full, &Pattern::single(Pred::eq(attr, v)))
+                            .unwrap_or_else(|| panic!("{case}: no estimate"));
+                        let (n_t, n_c) = (r.n_treated as f64, r.n_control as f64);
+                        let se = (2.0 * (j - 1) as f64 * (1.0 / n_t + 1.0 / n_c)).sqrt();
+                        let truth = true_atomic_cate(k, v);
+                        assert!(
+                            (r.cate - truth).abs() <= 5.0 * se,
+                            "{case}: estimate {} vs truth {truth} (se {se:.3})",
+                            r.cate
+                        );
+                        estimates += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(estimates, 5 * 2 * 2 * 4 * 5);
 }
 
 #[test]

@@ -11,12 +11,12 @@
 //!    estimator backends and in both numeric modes — and deferred
 //!    inference (a fit now, its p-value later) against the eager estimate
 //!    on the gathered, moments and downdated paths;
-//! 2. the projected lattice walk against the full-width cold-start walk
-//!    (`use_estimation_cache = false`), including the paired
-//!    positive+negative walk;
-//! 3. parallel within-level evaluation against the serial walk — exact
+//! 2. parallel within-level evaluation against the serial walk — exact
 //!    `TreatmentResult` ordering at every thread count, and end-to-end
 //!    summary bit-identity through the session pipeline.
+//!
+//! The projected walk's results are held to the cold estimator in
+//! `tests/estimation_cache.rs` (property 2).
 
 use proptest::prelude::*;
 
@@ -24,7 +24,8 @@ use causal::context::{EstimationContext, RegressionFit};
 use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
 use causal::{Dag, NumericMode};
 use causumx::{ConfigBuilder, Session};
-use mining::treatment::{Direction, LatticeOptions, TreatmentMiner, TreatmentResult};
+use mining::treatment::{LatticeOptions, LatticeStats, TreatmentMiner, TreatmentResult};
+use mining::RunGuard;
 use proptest::test_runner::TestCaseResult;
 use table::bitset::{BitSet, Projector};
 use table::{Table, TableBuilder};
@@ -179,28 +180,7 @@ proptest! {
         }
     }
 
-    /// (2) The projected walk returns exactly what the full-width
-    /// cold-start walk returns, for the paired positive+negative mining.
-    #[test]
-    fn projected_walk_matches_full_width_walk((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
-        let dag = dag();
-        let sub_bits = BitSet::from_mask(&subpop);
-
-        let projected = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default());
-        let full_width = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions {
-            use_estimation_cache: false,
-            ..LatticeOptions::default()
-        });
-        let a = projected.top_treatments_paired(&sub_bits, 3, true);
-        let b = full_width.top_treatments_paired(&sub_bits, 3, true);
-        prop_assert_eq!(a.stats.evaluated, b.stats.evaluated);
-        prop_assert_eq!(a.stats.levels, b.stats.levels);
-        prop_assert_eq!(fingerprint(&a.positive), fingerprint(&b.positive));
-        prop_assert_eq!(fingerprint(&a.negative), fingerprint(&b.negative));
-    }
-
-    /// (3a) Parallel within-level evaluation preserves the exact
+    /// (2a) Parallel within-level evaluation preserves the exact
     /// `TreatmentResult` ordering of the serial walk.
     #[test]
     fn parallel_level_matches_serial_level((ca, cb, nums, noise, subpop) in arb_rows()) {
@@ -208,17 +188,19 @@ proptest! {
         let dag = dag();
         let sub_bits = BitSet::from_mask(&subpop);
 
-        let serial = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions {
-            level_parallelism: 1,
-            ..LatticeOptions::default()
-        });
-        let (rs, ss) = serial.top_k_treatments(&sub_bits, Direction::Positive, 4);
+        let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default());
+        // The top-4 positive walk at a worker count.
+        let top4 = |threads: usize| -> (Vec<TreatmentResult>, LatticeStats) {
+            let paired = miner
+                .mine_paired_many_guarded(&[&sub_bits], 4, false, threads, &RunGuard::unlimited())
+                .unwrap()
+                .pop()
+                .unwrap();
+            (paired.positive, paired.stats)
+        };
+        let (rs, ss) = top4(1);
         for threads in [2usize, 4] {
-            let par = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions {
-                level_parallelism: threads,
-                ..LatticeOptions::default()
-            });
-            let (rp, sp) = par.top_k_treatments(&sub_bits, Direction::Positive, 4);
+            let (rp, sp) = top4(threads);
             prop_assert_eq!(sp.evaluated, ss.evaluated, "threads {}", threads);
             prop_assert_eq!(sp.levels, ss.levels);
             prop_assert_eq!(sp.contexts_built, ss.contexts_built);
@@ -242,7 +224,7 @@ fn fingerprint(ts: &[TreatmentResult]) -> Vec<(String, u64, u64, usize, usize)> 
         .collect()
 }
 
-/// (3b) End-to-end: the session pipeline is bit-identical across
+/// (2b) End-to-end: the session pipeline is bit-identical across
 /// scheduler worker counts (serial, auto, and explicit oversubscription)
 /// on realistic generated data.
 #[test]

@@ -1,12 +1,12 @@
 //! Contracts of the versioned numeric modes.
 //!
 //! `NumericMode::Exact` is the historical bit-replay contract: the serial
-//! ascending-order floating-point fold, unchanged by any knob (including
-//! `use_downdating`, which Exact ignores). `NumericMode::FastV1` is a
-//! *second* pinned contract: fixed-lane (8-lane) strided partial sums
-//! folded in one documented order, plus incremental Gram downdating for
-//! subset candidates — bit-identical across thread counts and ablation
-//! knobs within the mode, and tolerance-close (1e-9 relative) to Exact.
+//! ascending-order floating-point fold, which never downdates.
+//! `NumericMode::FastV1` is a *second* pinned contract: fixed-lane
+//! (8-lane) strided partial sums folded in one documented order, plus
+//! incremental Gram downdating for subset candidates — bit-identical
+//! across thread counts within the mode, and tolerance-close (1e-9
+//! relative) to Exact.
 //!
 //! This suite pins:
 //!
@@ -18,16 +18,18 @@
 //!   mixes, sampling caps and both backends (IPW keeps exact kernels, so
 //!   there the modes agree bit for bit),
 //! * pipeline level: FastV1 summaries are bit-identical across worker
-//!   counts and the cache/panel ablations; Exact ignores the downdating
-//!   knob entirely (bit-identical, `downdates = 0`); downdating vs
-//!   re-gathering within FastV1 stays inside the 1e-9 envelope with
-//!   identical work counters.
+//!   counts; Exact never downdates (`downdates = 0`, parented candidates
+//!   re-gather); the downdated FastV1 candidates stay inside the 1e-9
+//!   envelope of the cold estimator, which re-gathers.
+
+mod common;
 
 use proptest::prelude::*;
 
 use causal::estimate::{estimate_effect, CateOptions, EstimatorBackend};
 use causal::Dag;
 use causumx::{ConfigBuilder, NumericMode, Session, Summary};
+use mining::treatment::TreatmentMiner;
 use stats::numeric::{self, LaneAcc};
 use table::{Table, TableBuilder};
 
@@ -191,127 +193,115 @@ proptest! {
 
 // ---------- pipeline level ----------
 
-fn so_run(
-    n: usize,
-    mode: NumericMode,
-    threads: usize,
-    cache: bool,
-    panel: bool,
-    downdating: bool,
-) -> Summary {
-    let ds = datagen::so::generate(n, 42);
-    let mut cfg = ConfigBuilder::new()
+fn so_config(mode: NumericMode, threads: usize) -> causumx::CausumxConfig {
+    ConfigBuilder::new()
         .numeric_mode(mode)
         .threads(threads)
-        .use_confounder_panel(panel)
-        .use_downdating(downdating)
         .build()
-        .unwrap();
-    cfg.lattice.use_estimation_cache = cache;
-    Session::new(ds.table.clone(), ds.dag.clone(), cfg)
+        .unwrap()
+}
+
+fn so_run(n: usize, mode: NumericMode, threads: usize) -> Summary {
+    let ds = datagen::so::generate(n, 42);
+    Session::new(ds.table.clone(), ds.dag.clone(), so_config(mode, threads))
         .prepare(ds.query())
         .unwrap()
         .run()
 }
 
-/// Numeric fingerprint: results and work, but *not* the walk counters —
-/// `downdates`/`regathers` are only tallied on the cached walk, so they
-/// legitimately differ across the cache ablation while every float bit
-/// stays identical.
-fn fingerprint(s: &Summary) -> (u64, usize, usize, usize) {
+/// Numeric fingerprint: result bits and every work counter.
+fn fingerprint(s: &Summary) -> (u64, usize, usize, usize, usize, usize) {
     (
         s.total_weight.to_bits(),
         s.covered,
         s.candidates,
         s.cate_evaluations,
+        s.downdates,
+        s.regathers,
     )
 }
 
-/// FastV1 with downdating disabled is one deterministic function of the
-/// input: worker count, estimation cache and confounder panel may not
-/// move a bit (the cache-off path delegates to the same lane kernels).
+/// FastV1 is one deterministic function of the input: the worker count
+/// may not move a bit or a counter.
 #[test]
 fn fast_v1_bit_identical_across_threads_and_knobs() {
-    let want = fingerprint(&so_run(3_000, NumericMode::FastV1, 1, true, true, false));
+    let want = fingerprint(&so_run(3_000, NumericMode::FastV1, 1));
     for threads in [1usize, 2, 4] {
-        for (cache, panel) in [(true, true), (true, false), (false, false)] {
-            let got = fingerprint(&so_run(
-                3_000,
-                NumericMode::FastV1,
-                threads,
-                cache,
-                panel,
-                false,
-            ));
-            assert_eq!(
-                want, got,
-                "FastV1 diverged at threads={threads} cache={cache} panel={panel}"
-            );
-        }
+        let got = fingerprint(&so_run(3_000, NumericMode::FastV1, threads));
+        assert_eq!(want, got, "FastV1 diverged at threads={threads}");
     }
 }
 
-/// With downdating on, FastV1 is still bit-identical across worker
-/// counts (plans are built serially per level), and actually exercises
-/// the downdate path on the default SO workload.
+/// FastV1 is bit-identical across worker counts, downdate and regather
+/// counters included (plans are built serially per level), and actually
+/// exercises the downdate path on the default SO workload.
 #[test]
 fn fast_v1_downdating_deterministic_and_exercised() {
-    let base = so_run(3_000, NumericMode::FastV1, 1, true, true, true);
+    let base = so_run(3_000, NumericMode::FastV1, 1);
     assert!(
         base.downdates > 0,
         "SO workload must produce subset candidates that downdate"
     );
     let want = fingerprint(&base);
     for threads in [2usize, 4] {
-        let run = so_run(3_000, NumericMode::FastV1, threads, true, true, true);
+        let run = so_run(3_000, NumericMode::FastV1, threads);
         assert_eq!(
             want,
             fingerprint(&run),
             "downdating walk diverged at threads={threads}"
         );
-        // Plans are built serially per level, so the counters are part
-        // of the determinism contract at any worker count.
-        assert_eq!(run.downdates, base.downdates, "threads={threads}");
-        assert_eq!(run.regathers, base.regathers, "threads={threads}");
     }
 }
 
-/// Exact mode never downdates: the knob is inert (bit-identical output,
-/// zero downdates either way) and parented candidates show up as
+/// Exact mode never downdates: parented candidates show up as
 /// re-gathers — the fallback that preserves the bit-replay contract.
 #[test]
 fn exact_mode_ignores_downdating_knob() {
-    let on = so_run(3_000, NumericMode::Exact, 1, true, true, true);
-    let off = so_run(3_000, NumericMode::Exact, 1, true, true, false);
-    assert_eq!(
-        fingerprint(&on),
-        fingerprint(&off),
-        "the downdating knob must be inert under Exact"
-    );
-    assert_eq!(on.downdates, 0, "Exact mode must never downdate");
+    let exact = so_run(3_000, NumericMode::Exact, 1);
+    assert_eq!(exact.downdates, 0, "Exact mode must never downdate");
     assert!(
-        on.regathers > 0,
+        exact.regathers > 0,
         "parented candidates should fall back to re-gathers under Exact"
     );
 }
 
-/// Downdating vs re-gathering within FastV1: same work, same selection,
-/// and the summary weight stays inside the 1e-9 relative envelope (the
-/// subtraction reorders FP, so bit-identity is explicitly *not* the
-/// contract here).
+/// Downdating vs re-gathering within FastV1: every treatment of every
+/// mined candidate — fitted on downdated moments where the walk could —
+/// stays inside the 1e-9 relative envelope of the cold estimator, which
+/// gathers every candidate (the subtraction reorders FP, so bit-identity
+/// is explicitly *not* the contract here).
 #[test]
 fn downdate_vs_regather_within_tolerance() {
-    let down = so_run(3_000, NumericMode::FastV1, 1, true, true, true);
-    let gather = so_run(3_000, NumericMode::FastV1, 1, true, true, false);
-    assert_eq!(down.cate_evaluations, gather.cate_evaluations);
-    assert_eq!(down.candidates, gather.candidates);
-    assert_eq!(down.covered, gather.covered);
-    assert_eq!(gather.downdates, 0, "downdating off must not downdate");
-    let rel = (down.total_weight - gather.total_weight).abs() / down.total_weight.abs().max(1e-30);
+    let ds = datagen::so::generate(3_000, 42);
+    let cfg = so_config(NumericMode::FastV1, 1);
+    let session = Session::new(ds.table.clone(), ds.dag.clone(), cfg.clone());
+    let pq = session.prepare(ds.query()).unwrap();
+    let candidates = pq.mine_candidates();
     assert!(
-        rel <= 1e-9,
-        "downdated weight drifted {rel:.3e} relative from re-gathered"
+        candidates.stats.downdates > 0,
+        "the SO workload must downdate"
     );
+    let miner = TreatmentMiner::new(
+        &ds.table,
+        &ds.dag,
+        ds.outcome,
+        &pq.attr_split().treatment,
+        cfg.lattice.clone(),
+    );
+    for e in &candidates.explanations {
+        let subpop = candidates.view.subpopulation_mask(&e.coverage);
+        for t in [&e.positive, &e.negative].into_iter().flatten() {
+            common::check_oracle(
+                &ds.table,
+                &miner,
+                ds.outcome,
+                &subpop,
+                t,
+                &cfg.lattice.cate_opts,
+            )
+            .unwrap();
+        }
+    }
 }
 
 /// Cross-mode pipeline agreement: same candidates, same coverage, and
@@ -319,8 +309,8 @@ fn downdate_vs_regather_within_tolerance() {
 /// the kernel tolerance.
 #[test]
 fn exact_and_fast_v1_pipelines_agree() {
-    let exact = so_run(3_000, NumericMode::Exact, 1, true, true, true);
-    let fast = so_run(3_000, NumericMode::FastV1, 1, true, true, true);
+    let exact = so_run(3_000, NumericMode::Exact, 1);
+    let fast = so_run(3_000, NumericMode::FastV1, 1);
     assert_eq!(exact.cate_evaluations, fast.cate_evaluations);
     assert_eq!(exact.candidates, fast.candidates);
     assert_eq!(exact.covered, fast.covered);

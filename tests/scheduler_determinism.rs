@@ -13,9 +13,6 @@
 //!   many skewed grouping patterns, one giant pattern dominating the
 //!   work, tiny/empty subpopulations, and groups emptied by a WHERE
 //!   clause before mining,
-//! * estimation-layer ablations: confounder panel on/off and the
-//!   estimation cache on/off (sharded per-pattern state must not leak
-//!   across workers in any mode),
 //! * both numeric modes: `Exact` (the pinned serial fold) and `FastV1`
 //!   (fixed-lane reductions + moment downdating), each bit-identical to
 //!   its own serial run at every worker count.
@@ -32,6 +29,7 @@ use causal::Dag;
 use causumx::{ConfigBuilder, NumericMode, Session, Summary};
 use mining::sched;
 use mining::treatment::{LatticeOptions, TreatmentMiner};
+use mining::RunGuard;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use table::bitset::BitSet;
@@ -236,15 +234,13 @@ fn fingerprint(
     )
 }
 
-fn run(w: &Workload, threads: usize, cache: bool, panel: bool, mode: NumericMode) -> Summary {
-    let mut cfg = ConfigBuilder::new()
+fn run(w: &Workload, threads: usize, mode: NumericMode) -> Summary {
+    let cfg = ConfigBuilder::new()
         .apriori_tau(0.05)
         .threads(threads)
-        .use_confounder_panel(panel)
         .numeric_mode(mode)
         .build()
         .unwrap();
-    cfg.lattice.use_estimation_cache = cache;
     let session = Session::new(w.table.clone(), w.dag.clone(), cfg);
     let mut q = session.query().group_by(w.group_by).avg(w.outcome);
     if let Some(clause) = w.where_sql {
@@ -254,24 +250,17 @@ fn run(w: &Workload, threads: usize, cache: bool, panel: bool, mode: NumericMode
 }
 
 fn assert_matrix(name: &str, w: &Workload) {
-    // (cache, panel): panel-off with cache-on, and cache-off entirely
-    // (panel is a no-op without the cache), plus the default both-on.
-    // Each knob combination runs under both numeric modes: `Exact` pins
-    // the serial ascending fold, `FastV1` the fixed-lane kernels plus
-    // moment downdating — each mode must be bit-identical to its *own*
-    // serial run at every worker count.
+    // `Exact` pins the serial ascending fold, `FastV1` the fixed-lane
+    // kernels plus moment downdating — each mode must be bit-identical to
+    // its *own* serial run at every worker count.
     for mode in [NumericMode::Exact, NumericMode::FastV1] {
-        for (cache, panel) in [(true, true), (true, false), (false, false)] {
-            let serial = run(w, 1, cache, panel, mode);
-            let want = fingerprint(&serial);
-            for threads in [2usize, 4, 8] {
-                let got = fingerprint(&run(w, threads, cache, panel, mode));
-                assert_eq!(
-                    want, got,
-                    "{name}: threads={threads} cache={cache} panel={panel} \
-                     mode={mode:?} diverged from serial"
-                );
-            }
+        let want = fingerprint(&run(w, 1, mode));
+        for threads in [2usize, 4, 8] {
+            let got = fingerprint(&run(w, threads, mode));
+            assert_eq!(
+                want, got,
+                "{name}: threads={threads} mode={mode:?} diverged from serial"
+            );
         }
     }
 }
@@ -304,7 +293,7 @@ fn where_emptied_groups_bit_identical() {
 #[test]
 fn guarded_runs_stay_bit_identical() {
     for w in [many_skewed_patterns(), one_giant_pattern()] {
-        let unguarded = fingerprint(&run(&w, 1, true, true, NumericMode::Exact));
+        let unguarded = fingerprint(&run(&w, 1, NumericMode::Exact));
         for threads in [1usize, 2, 4] {
             let cfg = ConfigBuilder::new()
                 .apriori_tau(0.05)
@@ -350,8 +339,10 @@ fn nested_walks_never_multiply_threads() {
     sched::run_graph(outer_workers, tasks, |_task, _spawn| {
         seen.lock().unwrap().insert(std::thread::current().id());
         // Asking for 8 more workers from inside a task must run inline.
-        let paired = miner.top_treatments_paired_with(&everything, 2, true, 8);
-        assert!(paired.stats.evaluated > 0);
+        let paired = miner
+            .mine_paired_many_guarded(&[&everything], 2, true, 8, &RunGuard::unlimited())
+            .unwrap();
+        assert!(paired[0].stats.evaluated > 0);
         seen.lock().unwrap().insert(std::thread::current().id());
     });
     let distinct = seen.lock().unwrap().len();

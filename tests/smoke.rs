@@ -1,8 +1,6 @@
 //! Workspace-surface smoke test: the public API contract of the
 //! quick-start in `crates/core/src/lib.rs`, pinned independently of the
-//! doctest so a docs edit can never silently drop the guarantee — plus
-//! the compatibility guarantee that the deprecated one-shot `Causumx`
-//! shim keeps compiling and behaving identically for one release.
+//! doctest so a docs edit can never silently drop the guarantee.
 
 use causumx::{ConfigBuilder, Session};
 use table::{GroupByAvgQuery, TableBuilder};
@@ -93,29 +91,4 @@ fn quickstart_is_deterministic() {
     assert_eq!(a.covered, b.covered);
     assert_eq!(a.total_weight, b.total_weight);
     assert_eq!(a.explanations.len(), b.explanations.len());
-}
-
-/// The deprecated one-shot entry point must keep compiling and return the
-/// same result as the session it wraps.
-#[test]
-#[allow(deprecated)]
-fn deprecated_causumx_shim_still_works() {
-    use causumx::Causumx;
-    let (table, dag, query) = toy();
-    let config = ConfigBuilder::new()
-        .k(2)
-        .theta(1.0)
-        .min_arm(2)
-        .build()
-        .unwrap();
-    let old = Causumx::new(&table, &dag, query.clone(), config.clone())
-        .run()
-        .unwrap();
-    let new = Session::new(table, dag, config)
-        .prepare(query)
-        .unwrap()
-        .run();
-    assert_eq!(old.covered, new.covered);
-    assert_eq!(old.total_weight.to_bits(), new.total_weight.to_bits());
-    assert_eq!(old.cate_evaluations, new.cate_evaluations);
 }

@@ -18,9 +18,10 @@
 //!   single-core CI host);
 //! * **mode agreement** — each FastV1 cell matches its Exact sibling's
 //!   work counters with total weight within 1e-9 relative;
-//! * **ablation inertness** — per cell, the estimation-cache and
-//!   confounder-panel knobs may not move a float bit under Exact, and
-//!   `use_downdating` stays inside the 1e-9 envelope under FastV1;
+//! * **oracle agreement** — per cell and mode, every treatment of every
+//!   candidate `mine_candidates` yields equals the cold estimator run
+//!   from scratch (see `common::check_oracle`): bit for bit under Exact,
+//!   within 1e-9 relative under FastV1;
 //! * **discovered-DAG quality** — `Session::with_discovered_dag` runs
 //!   every `discovery` algorithm end to end on the synthetic matrix
 //!   dataset and must reproduce the ground-truth-DAG explanations'
@@ -31,8 +32,11 @@
 //! because the fixed-thread legs measure scheduler determinism, not
 //! timing, and must not fight sibling tests for cores.
 
+mod common;
+
 use bench::workloads::{self, MatrixDataset, QueryShape, MATRIX_DATASETS, MIN_MATRIX_CELLS};
 use causumx::{ConfigBuilder, DiscoveryAlgo, NumericMode, Session, Summary};
+use mining::treatment::TreatmentMiner;
 
 /// The committed artifact; a missing file is a compile error, which is
 /// the point — the matrix section must ship with the repo.
@@ -158,19 +162,6 @@ fn full_print(s: &Summary) -> (u64, usize, usize, usize, usize, usize, usize) {
     )
 }
 
-/// Numeric fingerprint without the walk counters: `downdates` /
-/// `regathers` are only tallied on the cached walk, so they legitimately
-/// differ across the estimation-cache ablation while every float bit
-/// stays identical.
-fn numeric_print(s: &Summary) -> (u64, usize, usize, usize) {
-    (
-        s.total_weight.to_bits(),
-        s.cate_evaluations,
-        s.candidates,
-        s.covered,
-    )
-}
-
 // ---------- the committed artifact's structure ----------
 
 /// The artifact must carry the complete matrix: at least the committed
@@ -283,60 +274,56 @@ fn cells_replay_committed_fingerprints() {
     }
 }
 
-/// Per cell, the cache-layer knobs are pure reorganizations: under Exact
-/// the estimation cache and the confounder panel may not move a bit;
-/// under FastV1 disabling downdating re-gathers every subset candidate,
-/// staying inside the 1e-9 envelope with identical work.
+/// Per cell and mode, every treatment of every mined candidate — not only
+/// the selected ones — equals the cold estimator run from scratch on the
+/// candidate's subpopulation: the pattern re-evaluated on the table, the
+/// backdoor set looked up by a fresh miner, and `estimate_effect` on the
+/// dense one-hot columns. That holds the panel's level codes, the sparse
+/// gathers, the FastV1 downdates and the deferred p-values to one oracle.
 #[test]
 fn ablation_knobs_are_inert_per_cell() {
     for spec in MATRIX_DATASETS {
         let ds = workloads::generate(&spec, SEED);
         for shape in QueryShape::ALL {
-            let id =
-                |mode: NumericMode| format!("{}/{}/{}", spec.name, shape.as_str(), mode.as_str());
-            // Exact: cache off + panel off, same bits.
-            let base = run_cell(&ds, &spec, shape, NumericMode::Exact, 1);
-            let mut cfg = ConfigBuilder::new()
-                .numeric_mode(NumericMode::Exact)
-                .threads(1)
-                .use_confounder_panel(false)
-                .build()
-                .unwrap();
-            cfg.lattice.use_estimation_cache = false;
-            let ablated = Session::new(ds.table.clone(), ds.dag.clone(), cfg)
-                .prepare(workloads::shaped_query(&ds, &spec, shape))
-                .unwrap()
-                .run();
-            assert_eq!(
-                numeric_print(&base),
-                numeric_print(&ablated),
-                "{}: cache/panel ablation changed the summary",
-                id(NumericMode::Exact)
-            );
-
-            // FastV1: downdating off, tolerance-close with equal work.
-            let fast = run_cell(&ds, &spec, shape, NumericMode::FastV1, 1);
-            let cfg = ConfigBuilder::new()
-                .numeric_mode(NumericMode::FastV1)
-                .threads(1)
-                .use_downdating(false)
-                .build()
-                .unwrap();
-            let gathered = Session::new(ds.table.clone(), ds.dag.clone(), cfg)
-                .prepare(workloads::shaped_query(&ds, &spec, shape))
-                .unwrap()
-                .run();
-            assert_eq!(gathered.downdates, 0, "{}", id(NumericMode::FastV1));
-            assert_eq!(fast.cate_evaluations, gathered.cate_evaluations);
-            assert_eq!(fast.candidates, gathered.candidates);
-            assert_eq!(fast.covered, gathered.covered);
-            let rel = (fast.total_weight - gathered.total_weight).abs()
-                / fast.total_weight.abs().max(1e-30);
-            assert!(
-                rel <= 1e-9,
-                "{}: downdating knob drifted {rel:.3e} relative",
-                id(NumericMode::FastV1)
-            );
+            for mode in [NumericMode::Exact, NumericMode::FastV1] {
+                let id = format!("{}/{}/{}", spec.name, shape.as_str(), mode.as_str());
+                let cfg = ConfigBuilder::new()
+                    .numeric_mode(mode)
+                    .threads(1)
+                    .build()
+                    .unwrap();
+                let session = Session::new(ds.table.clone(), ds.dag.clone(), cfg.clone());
+                let pq = session
+                    .prepare(workloads::shaped_query(&ds, &spec, shape))
+                    .unwrap();
+                let candidates = pq.mine_candidates();
+                assert!(!candidates.explanations.is_empty(), "{id}: no candidates");
+                let outcome = pq.query().avg;
+                let oracle_miner = TreatmentMiner::new(
+                    &ds.table,
+                    &ds.dag,
+                    outcome,
+                    &pq.attr_split().treatment,
+                    cfg.lattice.clone(),
+                );
+                let mut checked = 0;
+                for e in &candidates.explanations {
+                    let subpop = candidates.view.subpopulation_mask(&e.coverage);
+                    for t in [&e.positive, &e.negative].into_iter().flatten() {
+                        common::check_oracle(
+                            &ds.table,
+                            &oracle_miner,
+                            outcome,
+                            &subpop,
+                            t,
+                            &cfg.lattice.cate_opts,
+                        )
+                        .unwrap_or_else(|err| panic!("{id}: {err}"));
+                        checked += 1;
+                    }
+                }
+                assert!(checked >= candidates.explanations.len(), "{id}");
+            }
         }
     }
 }
