@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/core crates/mining crates/causal crates/table crates/serve crates/lpsolve crates/stats)
+CRATES=(crates/core crates/mining crates/causal crates/table crates/serve crates/lpsolve crates/stats crates/discovery)
 CAP=0
 
 count=0

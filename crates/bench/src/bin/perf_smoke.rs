@@ -178,7 +178,7 @@ fn main() {
     // Scheduler scenario: skewed many-pattern workload, serial vs auto.
     let sched_point = run_scheduler_scenario(if quick { 4_000 } else { 12_000 }, seed);
 
-    // Guards scenario: single-core serial fast path, lifeguards on vs off.
+    // Guards scenario: the one-worker pipeline, lifeguards on vs off.
     let guards_point = run_guards_scenario(if quick { 4_000 } else { 30_000 }, seed, quick);
 
     // Numeric-mode scenario: Exact vs FastV1 lane kernels + downdating.
@@ -475,10 +475,10 @@ fn run_scheduler_scenario(n: usize, seed: u64) -> SchedPoint {
 }
 
 /// Measurements of the guards scenario: the full single-core pipeline
-/// (the serial fast path — no chunk bookkeeping, no pool) with the
-/// lifeguards off (`run()`, unlimited guard) vs on (`try_run()` under an
-/// ample deadline *and* memory budget, so every checkpoint — including
-/// the procfs probe — is exercised without ever tripping). The two
+/// (one worker: the scheduler runs the walk's tasks inline, no pool)
+/// with the lifeguards off (`run()`, unlimited guard) vs on (`try_run()`
+/// under an ample deadline *and* memory budget, so every checkpoint —
+/// including the procfs probe — is exercised without ever tripping). The two
 /// summaries are hard-asserted bit-identical; the overhead budget
 /// (< 2 %) and the 30 k-row serial floor (≤ 225 ms) follow the repo's
 /// warn-not-panic timing policy so loaded CI hosts never flake.
@@ -542,7 +542,7 @@ fn run_guards_scenario(n: usize, seed: u64, quick: bool) -> GuardsPoint {
     }
     if !quick && unguarded_ms > 225.0 {
         eprintln!(
-            "[warn: serial fast path {unguarded_ms:.1} ms at n = {n} misses the 225 ms floor — \
+            "[warn: one-worker pipeline {unguarded_ms:.1} ms at n = {n} misses the 225 ms floor — \
              timing noise; re-run on an idle machine before committing the artifact]"
         );
     }

@@ -76,6 +76,8 @@
 //! [`Error`] variant carrying [`QueryProgress`]; the session, its caches
 //! and the worker pool stay healthy and keep serving sibling queries.
 
+#![warn(missing_docs)]
+
 pub mod config;
 pub mod error;
 pub mod explanation;

@@ -922,11 +922,12 @@ impl<'s> PreparedQuery<'s> {
     /// (`mining::sched`), sized by [`CausumxConfig::effective_threads`].
     /// Algorithm 2 hands *all* subpopulations to
     /// [`TreatmentMiner::mine_paired_many_guarded`] in one call, so its (pattern
-    /// × level × candidate-chunk) tasks interleave freely across
-    /// patterns — a skewed workload no longer strands workers on the
-    /// small patterns while one giant pattern runs alone. Results come
-    /// back index-aligned with `groupings`, keeping summaries
-    /// bit-identical to the serial path at any worker count.
+    /// × level × candidate-chunk) tasks interleave freely across the
+    /// patterns being walked (at most one per worker) — a skewed workload
+    /// no longer strands workers on the small patterns while one giant
+    /// pattern runs alone; one worker runs the same tasks inline. Results
+    /// come back index-aligned with `groupings`, keeping summaries
+    /// bit-identical at every worker count.
     fn mine_treatments(
         &self,
         groupings: &[GroupingPattern],
@@ -1409,20 +1410,42 @@ mod tests {
         assert!(pq.explain_group("Atlantis", 3).is_none());
     }
 
-    /// `explain_group` runs on the configured worker count: a panic
-    /// injected at (pattern 0, level 1, chunk 0) fails the serial walk as
-    /// task `pattern 0` at `threads(1)`, and the fanned walk as the chunk
-    /// task that panicked at `threads(4)`.
+    /// `explain_group` runs on the configured worker count. Level 1 of the
+    /// drilled group below has 36 candidates (three attributes of twelve
+    /// levels), which `sched::chunk_ranges` splits into 4 chunks at one
+    /// worker and 5 at four, so a panic injected at (pattern 0, level 1,
+    /// chunk 4) is never reached at `threads(1)` and fails the drill-down
+    /// at `threads(4)` naming that chunk.
     #[test]
     fn explain_group_honors_threads() {
         use mining::{FaultKind, FaultPlan, FaultSite};
-        let (table, dag) = build();
+        let mut rng = StdRng::seed_from_u64(23);
+        let names = ["country", "a", "b", "c", "salary"];
+        let mut cols: Vec<Vec<String>> = vec![Vec::new(); 4];
+        let mut salary = Vec::new();
+        for i in 0..2000 {
+            cols[0].push(if i % 2 == 0 { "FR" } else { "DE" }.to_string());
+            let mut y = 50.0 + rng.gen_range(-2.0..2.0);
+            for (j, col) in cols[1..].iter_mut().enumerate() {
+                let level = rng.gen_range(0..12usize);
+                y += (level * (j + 1)) as f64;
+                col.push(format!("v{level}"));
+            }
+            salary.push(y);
+        }
+        let mut builder = TableBuilder::new();
+        for (name, col) in names.iter().zip(cols) {
+            builder = builder.cat_owned(name, col).unwrap();
+        }
+        let table = builder.float("salary", salary).unwrap().build().unwrap();
+        let edges: Vec<(&str, &str)> = names[..4].iter().map(|&a| (a, "salary")).collect();
+        let dag = Dag::new(&names, &edges).unwrap();
         let site = FaultSite {
             pattern: 0,
             level: 1,
-            chunk: 0,
+            chunk: 4,
         };
-        for (threads, task) in [(1, "'pattern 0'"), (4, "'pattern 0 level 1 chunk 0'")] {
+        for threads in [1, 4] {
             let cfg = crate::ConfigBuilder::new()
                 .threads(threads)
                 .fault_plan(FaultPlan::new().inject(site, FaultKind::Panic))
@@ -1435,13 +1458,18 @@ mod tests {
                 .avg("salary")
                 .prepare()
                 .unwrap();
-            let payload = catch_unwind(AssertUnwindSafe(|| pq.explain_group("FR", 3)))
-                .expect_err("the injected panic fails the drill-down");
-            let msg = sched::payload_string(payload.as_ref());
-            assert!(
-                msg.contains(&format!("mining task {task} panicked")),
-                "threads({threads}): {msg}"
-            );
+            let drilled = catch_unwind(AssertUnwindSafe(|| pq.explain_group("FR", 3)));
+            if threads == 1 {
+                let found = drilled.expect("one worker makes no chunk 4");
+                assert!(found.is_some(), "FR is a group of the view");
+            } else {
+                let payload = drilled.expect_err("the injected panic fails the drill-down");
+                let msg = sched::payload_string(payload.as_ref());
+                assert!(
+                    msg.contains("mining task 'pattern 0 level 1 chunk 4' panicked"),
+                    "threads({threads}): {msg}"
+                );
+            }
         }
     }
 

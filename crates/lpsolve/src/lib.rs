@@ -16,6 +16,8 @@
 //!   `Greedy-Last-Step` alternative, and an exact branch-and-bound selector
 //!   used by the `Brute-Force` baseline.
 
+#![warn(missing_docs)]
+
 pub mod cover;
 pub mod simplex;
 

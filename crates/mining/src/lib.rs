@@ -17,11 +17,12 @@
 //!   top-50 % retention, (d) sampled CATE estimation. Optimization (c) —
 //!   parallelism across grouping patterns — runs on [`sched`], the shared
 //!   work-stealing scheduler over (pattern × level × candidate-chunk)
-//!   tasks,
+//!   tasks; it is the walk's only driver, and one worker runs the same
+//!   tasks inline,
 //! * [`sched`] — the work-stealing task scheduler both fan-out dimensions
 //!   (across grouping patterns, within lattice levels) share, with the
-//!   index-ordered merge primitive that keeps results bit-identical to
-//!   the serial path at any worker count. Its [`sched::guard`] submodule
+//!   index-ordered merge primitive that keeps results bit-identical at
+//!   every worker count. Its [`sched::guard`] submodule
 //!   holds the per-query lifeguards (cancellation, deadlines, memory
 //!   budgets) and [`sched::faults`] the deterministic fault-injection
 //!   layer behind the chaos suite.

@@ -20,7 +20,8 @@
 //! overrides: a [`run_graph`] call that executes *inside* a scheduler
 //! worker runs its tasks inline on that worker instead of spawning a
 //! second pool, so nested fan-out can never multiply into `cores²`
-//! threads. Auto-resolved worker counts are additionally asserted to
+//! threads; [`workers_for`] is that rule, for callers that size their
+//! own fan-out. Auto-resolved worker counts are additionally asserted to
 //! never exceed [`available_workers`].
 //!
 //! Failure model: every task body is unwind-isolated. A panicking task
@@ -43,7 +44,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 thread_local! {
     /// Set while the current thread is executing scheduler tasks; nested
@@ -109,21 +110,29 @@ pub fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a `threads` knob to a concrete worker count: `0` = one worker
-/// per available core, `n` = exactly `n`. Explicit counts are honored
-/// verbatim — determinism tests deliberately run more workers than cores
-/// to exercise interleavings via time-slicing.
-pub fn resolve_workers(threads: usize) -> usize {
-    match threads {
-        0 => available_workers(),
-        n => n,
-    }
-}
-
 /// Whether the current thread is already executing inside a [`run_graph`]
 /// pool (in which case further `run_graph` calls run inline).
-pub fn in_scheduler() -> bool {
+fn in_scheduler() -> bool {
     IN_SCHEDULER.with(|c| c.get())
+}
+
+/// The worker count a [`run_graph`] call with this `threads` knob gets
+/// when made from the current thread. `0` = one worker per available
+/// core, `n` = exactly `n` (explicit counts are honored verbatim —
+/// determinism tests deliberately run more workers than cores to
+/// exercise interleavings via time-slicing), except that a call from
+/// inside a scheduler worker gets one: it runs inline on that worker.
+/// This is the only public resolver, so callers that size their own
+/// fan-out — chunk ranges, how many walks to keep live — agree with
+/// `run_graph`.
+pub fn workers_for(threads: usize) -> usize {
+    if in_scheduler() {
+        1
+    } else if threads == 0 {
+        available_workers()
+    } else {
+        threads
+    }
 }
 
 /// Split `0..n` into contiguous chunks for fan-out: aims at four chunks
@@ -169,7 +178,9 @@ impl std::error::Error for MissingChunks {}
 /// accumulation order downstream — invariant under any task completion
 /// interleaving.
 pub struct ChunkSlots<R> {
-    slots: Vec<OnceLock<Vec<R>>>,
+    /// One slot per chunk; each is written once by its chunk and emptied
+    /// by the merge, which moves the results out.
+    slots: Vec<Mutex<Option<Vec<R>>>>,
     remaining: AtomicUsize,
 }
 
@@ -177,7 +188,7 @@ impl<R> ChunkSlots<R> {
     /// Slots for `chunks` fan-out tasks.
     pub fn new(chunks: usize) -> Self {
         ChunkSlots {
-            slots: (0..chunks).map(|_| OnceLock::new()).collect(),
+            slots: (0..chunks).map(|_| Mutex::new(None)).collect(),
             remaining: AtomicUsize::new(chunks),
         }
     }
@@ -196,36 +207,30 @@ impl<R> ChunkSlots<R> {
     /// the final chunk to complete — signalling that the caller now owns
     /// the merge step. Panics if a chunk completes twice.
     pub fn complete(&self, chunk: usize, results: Vec<R>) -> bool {
-        assert!(
-            self.slots[chunk].set(results).is_ok(),
-            "chunk {chunk} completed twice"
-        );
+        let prev = lock_recovered(&self.slots[chunk]).replace(results);
+        assert!(prev.is_none(), "chunk {chunk} completed twice");
         self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
-    /// Concatenate all slots in chunk-index order, or report which
-    /// chunks never completed. Call after [`ChunkSlots::complete`]
-    /// returned `true`; an `Err` outside that protocol means a chunk
-    /// task died before recording its result.
-    pub fn try_merged(&self) -> Result<Vec<R>, MissingChunks>
-    where
-        R: Clone,
-    {
-        let missing: Vec<usize> = self
+    /// Move every slot's results out, concatenated in chunk-index order,
+    /// or report which chunks never completed. Call once, after
+    /// [`ChunkSlots::complete`] returned `true`; an `Err` outside that
+    /// protocol means a chunk task died before recording its result.
+    pub fn try_merged(&self) -> Result<Vec<R>, MissingChunks> {
+        let parts: Vec<Option<Vec<R>>> = self
             .slots
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.get().is_none())
-            .map(|(i, _)| i)
+            .map(|s| lock_recovered(s).take())
             .collect();
+        let missing: Vec<usize> = (0..parts.len()).filter(|&i| parts[i].is_none()).collect();
         if !missing.is_empty() {
             return Err(MissingChunks { missing });
         }
-        Ok(self
-            .slots
-            .iter()
-            .flat_map(|s| s.get().expect("checked above").iter().cloned())
-            .collect())
+        let mut merged = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
+        for part in parts.into_iter().flatten() {
+            merged.extend(part);
+        }
+        Ok(merged)
     }
 }
 
@@ -304,12 +309,12 @@ where
     T: Send,
     F: Fn(T, &Spawner<'_, T>) + Sync,
 {
-    let workers = resolve_workers(threads);
+    let workers = workers_for(threads);
     assert!(
         threads != 0 || workers <= available_workers(),
         "auto-resolved worker count {workers} exceeds available parallelism"
     );
-    if workers <= 1 || in_scheduler() {
+    if workers <= 1 {
         return run_inline(initial, &step);
     }
     let shared = Shared {
@@ -438,6 +443,7 @@ mod tests {
             let me = std::thread::current().id();
             ids.lock().unwrap().insert(me);
             assert!(in_scheduler());
+            assert_eq!(workers_for(4), 1, "a nested call gets one worker");
             // Nested fan-out: must execute on this same thread.
             run_graph(4, (0..4usize).collect(), |_inner, _| {
                 assert_eq!(std::thread::current().id(), me);
@@ -453,8 +459,8 @@ mod tests {
 
     #[test]
     fn auto_worker_count_stays_within_cores() {
-        assert!(resolve_workers(0) <= available_workers());
-        assert_eq!(resolve_workers(7), 7);
+        assert!(workers_for(0) <= available_workers());
+        assert_eq!(workers_for(7), 7);
     }
 
     #[test]

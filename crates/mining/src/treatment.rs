@@ -208,11 +208,6 @@ impl MineError {
     }
 }
 
-/// Convert a guard trip into the mining error, attaching progress.
-fn trip_error(trip: Trip, progress: QueryProgress) -> MineError {
-    MineError::from_trip(trip, progress)
-}
-
 /// A treatment pattern with its estimated effect.
 #[derive(Debug, Clone)]
 pub struct TreatmentResult {
@@ -333,10 +328,15 @@ impl BackdoorMemo {
         if let Some(hit) = sched::read_recovered(&self.map).get(&full_key) {
             return hit.clone();
         }
-        let conf = compute(&full_key.1);
-        self.walks.fetch_add(1, Ordering::Relaxed);
-        sched::write_recovered(&self.map).insert(full_key, conf.clone());
-        conf
+        // Miss: look again and compute under the write lock, so concurrent
+        // misses on one key walk the DAG once between them.
+        sched::write_recovered(&self.map)
+            .entry(full_key)
+            .or_insert_with_key(|(_, attrs)| {
+                self.walks.fetch_add(1, Ordering::Relaxed);
+                compute(attrs)
+            })
+            .clone()
     }
 }
 
@@ -445,15 +445,7 @@ impl<'a> TreatmentMiner<'a> {
         backdoor: Arc<BackdoorMemo>,
     ) -> Self {
         backdoor.attach(dag, table.ncols());
-        let attr_to_dag: Vec<Option<usize>> = (0..table.ncols())
-            .map(|a| dag.index_of(&table.schema().field(a).name))
-            .collect();
-        let mut dag_to_attr: Vec<Option<usize>> = vec![None; dag.len()];
-        for (attr, d) in attr_to_dag.iter().enumerate() {
-            if let Some(d) = d {
-                dag_to_attr[*d] = Some(attr);
-            }
-        }
+        let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
 
         // Optimization (a): prune attributes without a causal path to Y.
         let mut effective: Vec<usize> = if opts.prune_by_dag {
@@ -538,15 +530,7 @@ impl<'a> TreatmentMiner<'a> {
             "MinerParts exported from a differently-shaped table"
         );
         backdoor.attach(dag, table.ncols());
-        let attr_to_dag: Vec<Option<usize>> = (0..table.ncols())
-            .map(|a| dag.index_of(&table.schema().field(a).name))
-            .collect();
-        let mut dag_to_attr: Vec<Option<usize>> = vec![None; dag.len()];
-        for (attr, d) in attr_to_dag.iter().enumerate() {
-            if let Some(d) = d {
-                dag_to_attr[*d] = Some(attr);
-            }
-        }
+        let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
         TreatmentMiner {
             table,
             dag,
@@ -652,10 +636,11 @@ impl<'a> TreatmentMiner<'a> {
     /// single-direction walks.
     ///
     /// All subpopulations run on one work-stealing scheduler of `threads`
-    /// workers (`0` = one per core, `1` = serial): every (pattern ×
-    /// lattice level × candidate chunk) becomes a task, so workers
-    /// finishing a small pattern steal candidate chunks from whichever
-    /// pattern still has work. Per-pattern state (the [`ContextCache`]
+    /// workers (`0` = one per core, `1` = inline on the caller): every
+    /// (pattern × lattice level × candidate chunk) becomes a task, so
+    /// workers finishing a small pattern steal candidate chunks from
+    /// whichever pattern still has work, and at most one walk per worker
+    /// is live at a time. Per-pattern state (the [`ContextCache`]
     /// with its confounder panel, the local atom projection, the walk
     /// frontier) is sharded — one mutex-guarded walk per subpopulation —
     /// while chunk evaluations read pre-built shared contexts without any
@@ -686,25 +671,30 @@ impl<'a> TreatmentMiner<'a> {
     }
 
     /// The driver behind [`TreatmentMiner::mine_paired_many_guarded`],
-    /// for any direction sequence: each subpopulation's walk is a
-    /// resumable state machine ([`WalkState`]) advanced by scheduler
-    /// tasks. A `Start` task pumps the walk until it has a level of
-    /// candidates to estimate (the serial part: Apriori joins, memoized
-    /// backdoor lookups, in-order context builds), then fans the level out
-    /// as [`sched::ChunkSlots`] chunk tasks; the worker completing a
-    /// level's last chunk re-locks that pattern's state, merges results in
-    /// candidate order, and pumps again.
+    /// for any direction sequence and at every worker count: each
+    /// subpopulation's walk is a resumable state machine ([`WalkState`])
+    /// advanced by [`sched::run_graph`] tasks. A `Start` task pumps the
+    /// walk until it has a level of candidates to estimate (the serial
+    /// part: Apriori joins, memoized backdoor lookups, in-order context
+    /// builds), then fans the level out as [`sched::ChunkSlots`] chunk
+    /// tasks; the worker completing a level's last chunk re-locks that
+    /// pattern's state, merges results in candidate order, and pumps
+    /// again. One worker runs the same tasks inline, in FIFO order.
+    ///
+    /// Walks are admitted in pattern order, one per worker: the first
+    /// `workers` patterns start at once, and each walk that finalizes or
+    /// fails starts the next pattern and drops its own state (contexts,
+    /// panel, local projection). One worker therefore walks the patterns
+    /// one at a time in index order, and N workers keep at most N walks
+    /// live.
     ///
     /// Failure model: every task body is caught with `catch_unwind`
     /// while the pattern/level/chunk identity is still known, so a panic
     /// fails only its owning pattern's result slot ([`MineError::Worker`])
     /// and sibling patterns keep mining. Guard trips (cancel, deadline,
     /// memory budget) are query-wide: the first one wins a shared
-    /// failure slot and every remaining task drains as a no-op. One
-    /// worker (`threads = 1`) or a nested call takes the serial fast
-    /// path instead — no batches, no chunk slots, no locks — with guard
-    /// and fault hooks firing at the same chunk boundaries, producing
-    /// bit-identical results.
+    /// failure slot, every remaining task drains as a no-op, and no
+    /// further walk is admitted.
     fn mine_walks(
         &self,
         subpops: &[&BitSet],
@@ -722,32 +712,52 @@ impl<'a> TreatmentMiner<'a> {
             .as_ref()
             .map(|p| FaultInjector::new(Arc::clone(p)));
         let injector = injector.as_ref();
-        let workers = sched::resolve_workers(threads);
-        if workers <= 1 || sched::in_scheduler() {
-            return self.mine_walks_serial(subpops, k, dirs, guard, injector);
-        }
+        let workers = sched::workers_for(threads);
         let patterns: Vec<PatternSlot<'_>> = subpops
             .iter()
             .map(|&s| PatternSlot {
-                state: Mutex::new(WalkState::new(self, s, k, dirs, workers, guard)),
+                state: Mutex::new(Some(WalkState::new(self, s, k, dirs, workers, guard))),
                 out: OnceLock::new(),
             })
             .collect();
+        let admitted = workers.min(patterns.len());
+        // The next pattern to admit when a live walk finishes. `Relaxed`
+        // suffices: it only hands out indices, and the spawn that carries
+        // one goes through the scheduler's queue.
+        let next_start = AtomicUsize::new(admitted);
         // First guard trip wins; set once, every later task short-circuits.
         let failure: OnceLock<MineError> = OnceLock::new();
-        let fail_pattern = |p: usize, task: String, payload: &(dyn Any + Send)| {
-            let _ = patterns[p].out.set(Err(MineError::Worker {
-                task,
-                payload: payload_string(payload),
-            }));
+        // Record pattern `p`'s outcome, free its walk and admit the next
+        // pattern in its place.
+        let finish = |p: usize,
+                      result: Result<PairedTreatments, MineError>,
+                      spawn: &sched::Spawner<'_, WalkTask>| {
+            if patterns[p].out.set(result).is_err() {
+                return;
+            }
+            drop(sched::lock_recovered(&patterns[p].state).take());
+            let next = next_start.fetch_add(1, Ordering::Relaxed);
+            if next < patterns.len() {
+                spawn.spawn(WalkTask::Start(next));
+            }
+        };
+        let fail = |p: usize,
+                    task: String,
+                    payload: &(dyn Any + Send),
+                    spawn: &sched::Spawner<'_, WalkTask>| {
+            let payload = payload_string(payload);
+            finish(p, Err(MineError::Worker { task, payload }), spawn);
         };
         let advance =
             |p: usize, done: Option<Arc<LevelBatch>>, spawn: &sched::Spawner<'_, WalkTask>| {
-                let slot = &patterns[p];
-                if failure.get().is_some() || slot.out.get().is_some() {
+                if failure.get().is_some() {
                     return;
                 }
-                let mut st = sched::lock_recovered(&slot.state);
+                let mut state = sched::lock_recovered(&patterns[p].state);
+                // `None` once the walk has finished or failed.
+                let Some(st) = state.as_mut() else {
+                    return;
+                };
                 if let Some(batch) = done {
                     match batch.slots.try_merged() {
                         Ok(results) => st.absorb(&batch.cands, &batch.keys, results),
@@ -755,17 +765,16 @@ impl<'a> TreatmentMiner<'a> {
                             // Can only happen when a chunk task died
                             // without recording its result; surface it
                             // as that pattern's structured failure.
-                            drop(st);
-                            let _ = slot.out.set(Err(MineError::Worker {
-                                task: format!("pattern {p} level {} merge", batch.level),
-                                payload: e.to_string(),
-                            }));
+                            drop(state);
+                            let task = format!("pattern {p} level {} merge", batch.level);
+                            let payload = e.to_string();
+                            finish(p, Err(MineError::Worker { task, payload }), spawn);
                             return;
                         }
                     }
                     // Level-merge checkpoint.
                     if let Err(trip) = guard.check() {
-                        let _ = failure.set(trip_error(trip, guard.progress()));
+                        let _ = failure.set(MineError::from_trip(trip, guard.progress()));
                         return;
                     }
                 }
@@ -780,12 +789,13 @@ impl<'a> TreatmentMiner<'a> {
                         }
                     }
                     None => {
-                        let first = slot.out.set(Ok(st.finalize()));
-                        debug_assert!(first.is_ok(), "pattern walk finalized twice");
+                        let walk = state.take().expect("the walk was live above");
+                        drop(state);
+                        finish(p, Ok(walk.finalize()), spawn);
                     }
                 }
             };
-        let initial: Vec<WalkTask> = (0..patterns.len()).map(WalkTask::Start).collect();
+        let initial: Vec<WalkTask> = (0..admitted).map(WalkTask::Start).collect();
         sched::run_graph(threads, initial, |task, spawn| {
             if failure.get().is_some() {
                 return;
@@ -794,7 +804,7 @@ impl<'a> TreatmentMiner<'a> {
                 WalkTask::Start(p) => {
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| advance(p, None, spawn)))
                     {
-                        fail_pattern(p, format!("pattern {p} start"), payload.as_ref());
+                        fail(p, format!("pattern {p} start"), payload.as_ref(), spawn);
                     }
                 }
                 WalkTask::Eval {
@@ -806,6 +816,7 @@ impl<'a> TreatmentMiner<'a> {
                         // Owning walk already failed; drain sibling chunks.
                         return;
                     }
+                    let level = batch.level;
                     // Chunk-boundary checkpoint: injected faults fire
                     // first (they may cancel or panic), then the guard.
                     let evaluated = catch_unwind(AssertUnwindSafe(|| {
@@ -813,7 +824,7 @@ impl<'a> TreatmentMiner<'a> {
                             inj.at(
                                 FaultSite {
                                     pattern,
-                                    level: batch.level,
+                                    level,
                                     chunk,
                                 },
                                 guard,
@@ -821,7 +832,7 @@ impl<'a> TreatmentMiner<'a> {
                             );
                         }
                         if let Err(trip) = guard.check() {
-                            let _ = failure.set(trip_error(trip, guard.progress()));
+                            let _ = failure.set(MineError::from_trip(trip, guard.progress()));
                             return None;
                         }
                         Some(Self::eval_chunk(&batch, batch.ranges[chunk].clone()))
@@ -829,15 +840,11 @@ impl<'a> TreatmentMiner<'a> {
                     match evaluated {
                         Ok(Some(out)) => {
                             if batch.slots.complete(chunk, out) {
-                                let merged = Arc::clone(&batch);
                                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                                    advance(pattern, Some(merged), spawn)
+                                    advance(pattern, Some(batch), spawn)
                                 })) {
-                                    fail_pattern(
-                                        pattern,
-                                        format!("pattern {pattern} level {} merge", batch.level),
-                                        payload.as_ref(),
-                                    );
+                                    let task = format!("pattern {pattern} level {level} merge");
+                                    fail(pattern, task, payload.as_ref(), spawn);
                                 }
                             }
                         }
@@ -845,11 +852,8 @@ impl<'a> TreatmentMiner<'a> {
                         // chunk incomplete.
                         Ok(None) => {}
                         Err(payload) => {
-                            fail_pattern(
-                                pattern,
-                                format!("pattern {pattern} level {} chunk {chunk}", batch.level),
-                                payload.as_ref(),
-                            );
+                            let task = format!("pattern {pattern} level {level} chunk {chunk}");
+                            fail(pattern, task, payload.as_ref(), spawn);
                         }
                     }
                 }
@@ -858,72 +862,21 @@ impl<'a> TreatmentMiner<'a> {
         if let Some(err) = failure.into_inner() {
             return Err(err);
         }
-        let mut out = Vec::with_capacity(patterns.len());
-        for (p, slot) in patterns.into_iter().enumerate() {
-            match slot.out.into_inner() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    // Unreachable unless a walk stalled without recording
-                    // a failure; report rather than unwrap so the pool
-                    // survives even a bookkeeping bug here.
-                    return Err(MineError::Worker {
+        patterns
+            .into_iter()
+            .enumerate()
+            .map(|(p, slot)| {
+                // `None` is unreachable unless a walk stalled without
+                // recording a failure; report rather than unwrap so the
+                // pool survives even a bookkeeping bug here.
+                slot.out.into_inner().unwrap_or_else(|| {
+                    Err(MineError::Worker {
                         task: format!("pattern {p}"),
                         payload: "walk did not run to completion".to_string(),
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Serial fast path (`threads = 1`, or a nested call already on the
-    /// pool): a plain per-pattern loop with no batches, chunk slots,
-    /// `Arc`s or mutexes. Candidate generation, context builds and
-    /// estimation all run in candidate order — the same order the
-    /// fanned-out path freezes into its batches — so results, counters
-    /// and memo walks are bit-identical to every other worker count.
-    /// Guard checks and fault injection fire at the chunk boundaries
-    /// [`sched::chunk_ranges`] would produce for one worker.
-    fn mine_walks_serial(
-        &self,
-        subpops: &[&BitSet],
-        k: usize,
-        dirs: &[Direction],
-        guard: &RunGuard,
-        injector: Option<&FaultInjector>,
-    ) -> Result<Vec<PairedTreatments>, MineError> {
-        let mut out = Vec::with_capacity(subpops.len());
-        let mut first_err: Option<MineError> = None;
-        for (p, &subpop) in subpops.iter().enumerate() {
-            let mut st = WalkState::new(self, subpop, k, dirs, 1, guard);
-            let walked = catch_unwind(AssertUnwindSafe(
-                || -> Result<PairedTreatments, MineError> {
-                    while let Some(cands) = st.next_cands() {
-                        let (keys, results) = st.eval_level_inline(&cands, p, injector)?;
-                        st.absorb(&cands, &keys, results);
-                    }
-                    Ok(st.finalize())
-                },
-            ));
-            match walked {
-                Ok(Ok(r)) => out.push(r),
-                // Guard trips are query-wide: fail fast, skip the rest.
-                Ok(Err(e)) => return Err(e),
-                // A panic fails only this pattern; siblings keep mining,
-                // mirroring the pool's isolation semantics.
-                Err(payload) => {
-                    first_err.get_or_insert(MineError::Worker {
-                        task: format!("pattern {p}"),
-                        payload: payload_string(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+                    })
+                })
+            })
+            .collect()
     }
 
     /// Estimate one contiguous candidate chunk of a prepared level. Runs
@@ -1205,10 +1158,11 @@ enum WalkTask {
 /// One grouping pattern's shard: its resumable walk state plus the slot
 /// its finished summary — or structured failure — lands in. Chunk
 /// evaluations never touch the mutex — only the pump/merge steps
-/// (serial per pattern) lock it. A set `Err` marks the walk dead: its
+/// (serial per pattern) lock it. The state is taken (and dropped) when
+/// the walk finalizes or fails; a set `Err` marks the walk dead, and its
 /// remaining tasks drain without evaluating.
 struct PatternSlot<'w> {
-    state: Mutex<WalkState<'w>>,
+    state: Mutex<Option<WalkState<'w>>>,
     out: OnceLock<Result<PairedTreatments, MineError>>,
 }
 
@@ -1238,11 +1192,11 @@ struct LevelBatch {
 /// sequence (positive, then optionally negative, sharing the
 /// subpopulation's contexts and local projection, and the positive
 /// walk's level-1 estimates), current frontier, best-k list and work
-/// counters. `pump` drives the serial parts
-/// (candidate generation, in-order context builds) until a level is
-/// ready to fan out; `absorb` replays the serial post-level logic on the
-/// index-merged results, so the walk's decisions — and counters — are
-/// bit-identical to the single-threaded path.
+/// counters. `pump` drives the serial parts (candidate generation,
+/// in-order context builds) until a level is ready to fan out; `absorb`
+/// runs the post-level logic on the index-merged results, so the walk's
+/// decisions — and counters — are the same at every worker count.
+/// `finalize` consumes it.
 struct WalkState<'w> {
     miner: &'w TreatmentMiner<'w>,
     subpop: &'w BitSet,
@@ -1334,9 +1288,8 @@ impl<'w> WalkState<'w> {
 
     /// Serially decide, per candidate, whether its treatment blocks come
     /// from a parent downdate or a full gather, and count the choices.
-    /// Runs once per level in both the fanned and the serial path (before
-    /// any evaluation), so plans and counters depend only on the walk
-    /// structure — never on worker count.
+    /// Runs once per level, before any evaluation, so plans and counters
+    /// depend only on the walk structure — never on worker count.
     fn plan_level(&mut self, cands: &[Cand], keys: &[Vec<usize>]) -> Vec<Option<DowndatePlan>> {
         if !self.store_aux() {
             return Vec::new();
@@ -1387,20 +1340,12 @@ impl<'w> WalkState<'w> {
 
     /// Drive the walk forward until it either needs a level estimated
     /// (returns the prepared batch to fan out) or has finished every
-    /// direction (returns `None`; call `finalize`).
+    /// direction (returns `None`; call `finalize`). Candidate generation
+    /// (Apriori joins, direction switches) runs here, serially; levels
+    /// with no candidates are absorbed inline — `absorb` of an empty
+    /// level is the identity — so direction switches never round-trip
+    /// through the scheduler.
     fn pump(&mut self) -> Option<Arc<LevelBatch>> {
-        let cands = self.next_cands()?;
-        Some(self.prepare_batch(cands))
-    }
-
-    /// The serial core of `pump`: generate the next level's candidates
-    /// (Apriori joins, direction switches). Levels with no candidates
-    /// are absorbed inline — `evaluate` of an empty level is the
-    /// identity — so direction switches never round-trip through the
-    /// scheduler. `None` when every direction has finished. The serial
-    /// fast path calls this directly and evaluates the candidates
-    /// inline, skipping `prepare_batch`'s fan-out freezing entirely.
-    fn next_cands(&mut self) -> Option<Vec<Cand>> {
         while self.dir_idx < self.dirs.len() {
             let cands = if self.fresh {
                 let cands = self.level1_cands();
@@ -1424,85 +1369,9 @@ impl<'w> WalkState<'w> {
                 self.absorb(&[], &[], Vec::new());
                 continue;
             }
-            return Some(cands);
+            return Some(self.prepare_batch(cands));
         }
         None
-    }
-
-    /// The 1-based lattice level the next evaluation belongs to.
-    fn pending_level(&self) -> usize {
-        if self.fresh {
-            1
-        } else {
-            self.level_no + 1
-        }
-    }
-
-    /// Serial-fast-path evaluation of one level: confounder lookups,
-    /// context builds and estimates interleave per candidate, in
-    /// candidate order — the same order `prepare_batch` + `eval_chunk`
-    /// produce, so results, memo walks and `builds()` accounting are
-    /// bit-identical to the fanned-out path. Guard checks and fault
-    /// injection fire at the chunk boundaries a one-worker fan-out
-    /// would have used.
-    fn eval_level_inline(
-        &mut self,
-        cands: &[Cand],
-        pattern: usize,
-        injector: Option<&FaultInjector>,
-    ) -> Result<(Vec<Vec<usize>>, Vec<EvalRes>), MineError> {
-        let miner = self.miner;
-        let level = self.pending_level();
-        // Keys and downdate plans derive serially up front, in candidate
-        // order — the identical sequence of memo lookups (and counter
-        // increments) `prepare_batch` performs for the fanned path.
-        let keys: Vec<Vec<usize>> = cands
-            .iter()
-            .map(|c| {
-                let attrs: Vec<usize> = c
-                    .atoms
-                    .iter()
-                    .map(|&x| miner.atoms[x as usize].attr)
-                    .collect();
-                miner.confounders_for(&attrs)
-            })
-            .collect();
-        let plans = self.plan_level(cands, &keys);
-        let track = self.track_moments();
-        let ranges = sched::chunk_ranges(cands.len(), 1, MIN_CHUNK);
-        let mut results = Vec::with_capacity(cands.len());
-        for (chunk, range) in ranges.iter().enumerate() {
-            if let Some(inj) = injector {
-                inj.at(
-                    FaultSite {
-                        pattern,
-                        level,
-                        chunk,
-                    },
-                    self.guard,
-                    || {},
-                );
-            }
-            if let Err(trip) = self.guard.check() {
-                return Err(trip_error(trip, self.guard.progress()));
-            }
-            for i in range.clone() {
-                let r = self
-                    .contexts
-                    .get_or_build(
-                        miner.table,
-                        Some(self.subpop),
-                        miner.outcome,
-                        keys[i].clone(),
-                        &miner.opts.cate_opts,
-                    )
-                    .and_then(|ctx| {
-                        eval_cached(ctx, &cands[i], plans.get(i).and_then(|p| p.as_ref()), track)
-                    });
-                results.push(r);
-            }
-        }
-        Ok((keys, results))
     }
 
     /// Level 1: all atoms (GenChildren, lines 2–4). Overlap precheck on
@@ -1587,11 +1456,11 @@ impl<'w> WalkState<'w> {
 
     /// Freeze one level for fan-out: memoized backdoor lookups and
     /// context builds run here, serially and in candidate order, so
-    /// `builds()` accounting and memo walks are identical to the serial
-    /// path; chunk tasks then only read.
+    /// `builds()` accounting and memo walks do not depend on the worker
+    /// count; chunk tasks then only read.
     fn prepare_batch(&mut self, cands: Vec<Cand>) -> Arc<LevelBatch> {
         let miner = self.miner;
-        let level = self.pending_level();
+        let level = if self.fresh { 1 } else { self.level_no + 1 };
         let keys: Vec<Vec<usize>> = cands
             .iter()
             .map(|c| {
@@ -1631,7 +1500,7 @@ impl<'w> WalkState<'w> {
         })
     }
 
-    /// Replay the serial post-level logic on index-merged results: the
+    /// Run the post-level logic on index-merged results: the
     /// direction/near-zero filter in candidate order, the work counters
     /// (every candidate counts — failed estimates are work), per-level
     /// retention, best-k updates and the lines-10–13 termination test.
@@ -1747,7 +1616,9 @@ impl<'w> WalkState<'w> {
 
     /// Assemble the paired summary; `contexts_built` is attributed once,
     /// after both directions, exactly like the old shared-cache walk.
-    fn finalize(&mut self) -> PairedTreatments {
+    /// Consumes the walk, so its contexts, panel and local projection
+    /// are freed as soon as the summary exists.
+    fn finalize(mut self) -> PairedTreatments {
         debug_assert_eq!(self.outputs.len(), self.dirs.len());
         let mut positive = Vec::new();
         let mut negative = Vec::new();
@@ -1842,6 +1713,20 @@ fn retain_top<N>(
     }
     let keep = ((level.len() as f64 * frac).ceil() as usize).max(min_keep.max(1));
     level.truncate(keep.min(level.len()));
+}
+
+/// The table attribute ↔ DAG node id maps, matched by name.
+fn dag_maps(table: &Table, dag: &Dag) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
+    let attr_to_dag: Vec<Option<usize>> = (0..table.ncols())
+        .map(|a| dag.index_of(&table.schema().field(a).name))
+        .collect();
+    let mut dag_to_attr: Vec<Option<usize>> = vec![None; dag.len()];
+    for (attr, d) in attr_to_dag.iter().enumerate() {
+        if let Some(d) = d {
+            dag_to_attr[*d] = Some(attr);
+        }
+    }
+    (attr_to_dag, dag_to_attr)
 }
 
 /// Build the atomic predicate space over the effective treatment attrs.
@@ -2023,7 +1908,7 @@ mod tests {
         (table, dag)
     }
 
-    /// One serial single-direction walk: the best `k` treatments of
+    /// One single-worker, single-direction walk: the best `k` treatments of
     /// `subpop` in direction `dir`, with the walk's counters.
     fn walk(
         miner: &TreatmentMiner<'_>,
@@ -2258,9 +2143,8 @@ mod tests {
     /// The paired walk must return exactly what two independent directed
     /// walks return — the negative direction absorbs the positive one's
     /// level-1 estimates instead of re-running them — on every estimate
-    /// path (Exact, FastV1 with downdating, IPW) and on both the serial
-    /// and the fanned scheduler path, while building each estimation
-    /// context only once.
+    /// path (Exact, FastV1 with downdating, IPW) and at one and four
+    /// workers, while building each estimation context only once.
     #[test]
     fn paired_walk_matches_independent_walks() {
         let (table, dag) = synth(2000, 42);
@@ -2391,6 +2275,35 @@ mod tests {
         );
         let _ = c.confounders_for(&[0]);
         assert_eq!(memo.walks(), walks + 1);
+    }
+
+    /// Concurrent misses on one key walk the DAG once between them, so
+    /// `walks()` counts distinct keys whatever the timing.
+    #[test]
+    fn concurrent_memo_misses_walk_once() {
+        let (table, dag) = synth(200, 3);
+        let parts =
+            TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default()).parts();
+        for round in 0..300 {
+            let memo = Arc::new(BackdoorMemo::new());
+            let miner = TreatmentMiner::from_parts(
+                &table,
+                &dag,
+                LatticeOptions::default(),
+                Arc::clone(&memo),
+                &parts,
+            );
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        barrier.wait();
+                        miner.confounders_for(&[1])
+                    });
+                }
+            });
+            assert_eq!(memo.walks(), 1, "round {round}");
+        }
     }
 
     #[test]

@@ -148,7 +148,9 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
                 .unwrap();
             match q.try_run() {
                 Err(Error::Worker { task, payload }) => {
-                    assert!(task.contains("pattern 0"), "threads={threads}: task={task}");
+                    // One driver at every worker count: the label names
+                    // the chunk site, not just the pattern.
+                    assert_eq!(task, "pattern 0 level 1 chunk 0", "threads={threads}");
                     assert!(
                         payload.contains("pattern 0 level 1 chunk 0"),
                         "threads={threads}: payload={payload}"
