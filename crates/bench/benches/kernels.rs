@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the hot kernels: group-by evaluation,
-//! pattern evaluation, Apriori, CATE estimation (naive, context build,
+//! pattern evaluation, Apriori, grouping-pattern coverage, atom-space
+//! construction, CATE estimation (naive, context build,
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
 //! downdate), the treatment lattice, and the simplex/rounding selection
@@ -9,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use causal::context::{ContextCache, EstimationContext, SubpopPanel};
 use causal::estimate::{estimate_cate, CateOptions};
+use datagen::synthetic::SynthParams;
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
 use mining::grouping::mine_grouping_patterns;
@@ -54,6 +56,43 @@ fn bench_grouping_mining(c: &mut Criterion) {
     let gp = fd_closure(&ds.table, &ds.group_by, &[ds.outcome]);
     c.bench_function("grouping_patterns_10k", |b| {
         b.iter(|| mine_grouping_patterns(&ds.table, &view, &gp, 0.1, 3).len())
+    });
+}
+
+/// The synthetic_wide shape: 50k rows in 500 groups of 100, so coverage
+/// is read off Apriori row sets that each span many groups.
+fn bench_grouping_mining_wide(c: &mut Criterion) {
+    let ds = datagen::synthetic::generate(
+        SynthParams {
+            n: 50_000,
+            tuples_per_group: 100,
+            ..SynthParams::default()
+        },
+        42,
+    );
+    let view = ds.query().run(&ds.table).unwrap();
+    let gp = fd_closure(&ds.table, &ds.group_by, &[ds.outcome]);
+    c.bench_function("grouping_patterns_synth_50k_500g", |b| {
+        b.iter(|| mine_grouping_patterns(&ds.table, &view, &gp, 0.1, 3).len())
+    });
+}
+
+/// The atom space a prepare builds: every treatment attribute's atom
+/// masks over 30k SO rows (17 of its 20 columns are categorical).
+fn bench_atom_space(c: &mut Criterion) {
+    let ds = datagen::so::generate(30_000, 42);
+    let t_attrs = treatment_attrs(&ds.table, &ds.group_by, &[ds.outcome]);
+    c.bench_function("atom_space_so_30k", |b| {
+        b.iter(|| {
+            TreatmentMiner::new(
+                &ds.table,
+                &ds.dag,
+                ds.outcome,
+                &t_attrs,
+                LatticeOptions::default(),
+            )
+            .num_atoms()
+        })
     });
 }
 
@@ -413,6 +452,8 @@ criterion_group!(
         bench_pattern_eval,
         bench_apriori,
         bench_grouping_mining,
+        bench_grouping_mining_wide,
+        bench_atom_space,
         bench_cate,
         bench_estimation_context,
         bench_confounder_panel,

@@ -1,12 +1,13 @@
 //! Grouping-pattern mining (§5.1).
 //!
 //! Runs Apriori over the FD-closed attribute set, maps each frequent
-//! pattern to the set of output groups it covers (Definition 4.4), and
-//! applies the paper's post-processing: two grouping patterns covering the
-//! *same* group set are redundant — even absent FDs between their
-//! attributes — so each distinct covered set keeps only the shortest (then
-//! lexicographically smallest) pattern, pre-satisfying the incomparability
-//! constraint of Definition 4.5.
+//! pattern to the set of output groups it covers (Definition 4.4) by
+//! counting its Apriori row set per group, and applies the paper's
+//! post-processing: two grouping patterns covering the *same* group set
+//! are redundant — even absent FDs between their attributes — so each
+//! distinct covered set keeps only the shortest (then lexicographically
+//! smallest) pattern, pre-satisfying the incomparability constraint of
+//! Definition 4.5.
 
 use std::collections::HashMap;
 
@@ -47,11 +48,12 @@ pub fn mine_grouping_patterns(
     max_len: usize,
 ) -> Vec<GroupingPattern> {
     let min_support = ((tau * table.nrows() as f64).ceil() as usize).max(1);
-    let mut candidates: Vec<(Pattern, BitSet)> = Vec::new();
+    let mut candidates: Vec<GroupingPattern> = Vec::new();
 
     if gp_attrs.is_empty() {
         // Fallback: one pattern per output group, defined on A_gb itself.
-        for g in 0..view.num_groups() {
+        // Its tuples are exactly the group's, so it covers that group alone.
+        for (g, rows) in view.group_bits_all().into_iter().enumerate() {
             let preds: Vec<table::Pred> = view
                 .group_by
                 .iter()
@@ -65,30 +67,31 @@ pub fn mine_grouping_patterns(
                     table::Pred::eq(attr, v.as_str())
                 })
                 .collect();
-            candidates.push((Pattern::new(preds), BitSet::new(0)));
+            let mut coverage = BitSet::new(view.num_groups());
+            coverage.insert(g);
+            candidates.push(GroupingPattern {
+                pattern: Pattern::new(preds),
+                coverage,
+                rows,
+            });
         }
     } else {
+        let mut cover = CoverageCounter::new(view);
         for fp in apriori(table, gp_attrs, min_support, max_len) {
-            candidates.push((fp.pattern, fp.rows));
+            if let Some((coverage, rows)) = cover.cover(fp.rows) {
+                candidates.push(GroupingPattern {
+                    pattern: fp.pattern,
+                    coverage,
+                    rows,
+                });
+            }
         }
     }
 
-    // Coverage + redundancy removal.
+    // Redundancy removal.
     let mut by_coverage: HashMap<BitSet, GroupingPattern> = HashMap::new();
-    for (pattern, _) in candidates {
-        let Ok(coverage) = view.coverage(table, &pattern) else {
-            continue;
-        };
-        if coverage.is_empty() {
-            continue;
-        }
-        let rows = BitSet::from_mask(&view.subpopulation_mask(&coverage));
-        let entry = GroupingPattern {
-            pattern,
-            coverage: coverage.clone(),
-            rows,
-        };
-        match by_coverage.entry(coverage) {
+    for entry in candidates {
+        match by_coverage.entry(entry.coverage.clone()) {
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(entry);
             }
@@ -114,6 +117,87 @@ pub fn mine_grouping_patterns(
             .then(a.pattern.key().cmp(&b.pattern.key()))
     });
     out
+}
+
+/// Definition 4.4 coverage read off a pattern's row set. Group `g` is
+/// covered iff every one of its rows is in the set, so counting the set's
+/// rows per group decides coverage in one word-level pass over whichever
+/// of `view rows ∩ set` and `view rows ∖ set` is smaller — the pattern is
+/// never evaluated over the table again.
+struct CoverageCounter<'v> {
+    row_group: &'v [usize],
+    /// Rows per group.
+    counts: &'v [usize],
+    /// Rows that belong to some group (WHERE-filtered rows do not).
+    view_rows: BitSet,
+    /// `view_rows.count()`.
+    n_view: usize,
+    /// Scratch: per-group count of the rows the last walk visited.
+    visited: Vec<usize>,
+}
+
+impl<'v> CoverageCounter<'v> {
+    fn new(view: &'v AggView) -> Self {
+        let mut view_rows = BitSet::new(view.row_group.len());
+        for (row, &g) in view.row_group.iter().enumerate() {
+            if g != usize::MAX {
+                view_rows.insert(row);
+            }
+        }
+        CoverageCounter {
+            row_group: &view.row_group,
+            counts: &view.counts,
+            n_view: view_rows.count(),
+            view_rows,
+            visited: Vec::new(),
+        }
+    }
+
+    /// The groups a pattern matching `rows` covers, and the rows of those
+    /// groups (the pattern's CATE subpopulation); `None` when it covers no
+    /// group. A group only partly inside `rows` is not covered and its rows
+    /// are dropped. That cannot happen for attributes with `A_gb → W`, which
+    /// are constant within every group, but keeps the universal semantics
+    /// for any other attribute set.
+    fn cover(&mut self, mut rows: BitSet) -> Option<(BitSet, BitSet)> {
+        let m = self.counts.len();
+        let inside = self.view_rows.intersection_count(&rows);
+        let walk_inside = inside <= self.n_view - inside;
+        self.visited.clear();
+        self.visited.resize(m, 0);
+        let (visited, row_group) = (&mut self.visited, self.row_group);
+        if walk_inside {
+            self.view_rows
+                .for_each_common(&rows, |r| visited[row_group[r]] += 1);
+        } else {
+            self.view_rows
+                .for_each_difference(&rows, |r| visited[row_group[r]] += 1);
+        }
+        let mut coverage = BitSet::new(m);
+        let mut partial = false;
+        for (g, (&total, &seen)) in self.counts.iter().zip(visited.iter()).enumerate() {
+            let inside_g = if walk_inside { seen } else { total - seen };
+            if inside_g == total {
+                coverage.insert(g);
+            } else if inside_g > 0 {
+                partial = true;
+            }
+        }
+        if coverage.is_empty() {
+            return None;
+        }
+        rows.intersect_with(&self.view_rows);
+        if partial {
+            let mut kept = BitSet::new(rows.capacity());
+            rows.for_each_set(|r| {
+                if coverage.contains(row_group[r]) {
+                    kept.insert(r);
+                }
+            });
+            rows = kept;
+        }
+        Some((coverage, rows))
+    }
 }
 
 #[cfg(test)]

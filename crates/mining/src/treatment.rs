@@ -342,7 +342,9 @@ impl BackdoorMemo {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AtomKind {
-    Eq,
+    /// `attr = dict value of the code` on a categorical attribute.
+    Level(u32),
+    Eq,    // numeric attr = v
     Lower, // attr ≥ v
     Upper, // attr < v
 }
@@ -992,14 +994,53 @@ struct LocalSpace {
 }
 
 impl LocalSpace {
-    fn new(subpop: &BitSet, atoms: &[Atom]) -> Self {
+    /// Project `atoms` onto `subpop`: the level atoms of a categorical
+    /// attribute (adjacent in the atom space) together, through
+    /// `local_level_masks`; every other atom through the projector.
+    fn new(subpop: &BitSet, atoms: &[Atom], table: &Table) -> Self {
         let projector = Projector::new(subpop);
-        let atoms_local = atoms.iter().map(|a| projector.project(&a.mask)).collect();
+        let mut atoms_local = Vec::with_capacity(atoms.len());
+        for block in atoms.chunk_by(|a, b| a.attr == b.attr) {
+            match local_level_masks(block, table, subpop, projector.len()) {
+                Some(masks) => atoms_local.extend(masks),
+                None => atoms_local.extend(block.iter().map(|a| projector.project(&a.mask))),
+            }
+        }
         LocalSpace {
             projector,
             atoms_local,
         }
     }
+}
+
+/// The local masks of one categorical attribute's level atoms, filled in
+/// one pass over the subpopulation's rows through the code column: each
+/// row's code picks its mask, and a running index is its local position.
+/// `None` for any other block of atoms.
+fn local_level_masks(
+    block: &[Atom],
+    table: &Table,
+    subpop: &BitSet,
+    width: usize,
+) -> Option<Vec<BitSet>> {
+    let levels = block
+        .iter()
+        .map(|a| match a.kind {
+            AtomKind::Level(code) => Some(code),
+            _ => None,
+        })
+        .collect::<Option<Vec<u32>>>()?;
+    let Column::Cat { codes, dict } = table.column(block[0].attr) else {
+        return None;
+    };
+    let (slot_of, mut masks) = level_slots(&levels, dict.len(), width)?;
+    let mut local = 0;
+    subpop.for_each_set(|row| {
+        masks[slot_of[codes[row] as usize]].insert(local);
+        local += 1;
+    });
+    masks.pop(); // the spare
+    Some(masks)
 }
 
 /// Estimation byproducts cached on a kept node for its children: the
@@ -1331,10 +1372,10 @@ impl<'w> WalkState<'w> {
     /// The subpopulation-local atom projection, built on first use and
     /// shared across levels and directions (and with in-flight batches).
     fn space(&mut self) -> Arc<LocalSpace> {
-        let (subpop, atoms) = (self.subpop, &self.miner.atoms);
+        let (subpop, atoms, table) = (self.subpop, &self.miner.atoms, self.miner.table);
         Arc::clone(
             self.local
-                .get_or_insert_with(|| Arc::new(LocalSpace::new(subpop, atoms))),
+                .get_or_insert_with(|| Arc::new(LocalSpace::new(subpop, atoms, table))),
         )
     }
 
@@ -1730,7 +1771,11 @@ fn dag_maps(table: &Table, dag: &Dag) -> (Vec<Option<usize>>, Vec<Option<usize>>
 }
 
 /// Build the atomic predicate space over the effective treatment attrs.
+/// Each attribute's masks are filled in one pass over its column, through
+/// a branch-free slot lookup per row; categorical attributes add a
+/// frequency pass and wide numeric ones one sort.
 fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Atom> {
+    let n = table.nrows();
     let mut atoms = Vec::new();
     for &attr in attrs {
         match table.column(attr) {
@@ -1742,50 +1787,52 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
                 }
                 let mut levels: Vec<usize> = (0..dict.len()).collect();
                 levels.sort_by_key(|&l| std::cmp::Reverse(freq[l]));
-                for &l in levels.iter().take(opts.max_atoms_per_attr) {
-                    if freq[l] == 0 {
-                        continue;
-                    }
-                    let mut mask = BitSet::new(table.nrows());
-                    for (row, &c) in codes.iter().enumerate() {
-                        if c as usize == l {
-                            mask.insert(row);
-                        }
-                    }
+                let levels: Vec<u32> = levels
+                    .into_iter()
+                    .take(opts.max_atoms_per_attr)
+                    .filter(|&l| freq[l] > 0)
+                    .map(|l| l as u32)
+                    .collect();
+                let (slot_of, mut masks) = level_slots(&levels, dict.len(), n)
+                    .expect("an attribute's levels are distinct");
+                for (row, &c) in codes.iter().enumerate() {
+                    masks[slot_of[c as usize]].insert(row);
+                }
+                // `zip` leaves the spare mask behind.
+                for (&l, mask) in levels.iter().zip(masks) {
                     atoms.push(Atom {
-                        pred: Pred::eq(attr, dict.value(l as u32)),
+                        pred: Pred::eq(attr, dict.value(l)),
                         attr,
-                        kind: AtomKind::Eq,
+                        kind: AtomKind::Level(l),
                         mask,
                     });
                 }
             }
             col @ (Column::Int(_) | Column::Float(_)) => {
-                let vals: Vec<f64> = (0..table.nrows()).map(|r| col.get_f64(r)).collect();
-                let distinct = col.n_distinct();
-                if distinct <= opts.numeric_bins.max(6) {
-                    // Small integer-like domain: equality atoms.
-                    let mut uniq: Vec<f64> = vals.clone();
-                    // NaN-total sort: ingest pre-validates numeric cells,
-                    // but a NaN must not abort the whole query.
+                let vals: Vec<f64> = (0..n).map(|r| col.get_f64(r)).collect();
+                let scalar = |v: f64| match col {
+                    Column::Int(_) => Scalar::Int(v as i64),
+                    _ => Scalar::Float(v),
+                };
+                if let Some(mut uniq) = small_domain(col, opts.numeric_bins.max(6)) {
+                    // Small integer-like domain: equality atoms. NaN-total
+                    // sort: ingest pre-validates numeric cells, but a NaN
+                    // must not abort the whole query.
                     uniq.sort_by(|a, b| a.total_cmp(b));
                     uniq.dedup();
-                    for v in uniq.into_iter().take(opts.max_atoms_per_attr) {
-                        let mut mask = BitSet::new(table.nrows());
-                        for (row, &x) in vals.iter().enumerate() {
-                            if x == v {
-                                mask.insert(row);
-                            }
-                        }
-                        let value = match col {
-                            Column::Int(_) => Scalar::Int(v as i64),
-                            _ => Scalar::Float(v),
-                        };
+                    // A row's value is `uniq[s]` for `s` = the number of
+                    // domain values below it.
+                    let mut masks = vec![BitSet::new(n); uniq.len()];
+                    for (row, &x) in vals.iter().enumerate() {
+                        let slot: usize = uniq.iter().map(|&u| usize::from(u < x)).sum();
+                        masks[slot].insert(row);
+                    }
+                    for (v, mask) in uniq.into_iter().zip(masks).take(opts.max_atoms_per_attr) {
                         atoms.push(Atom {
                             pred: Pred {
                                 attr,
                                 op: Op::Eq,
-                                value,
+                                value: scalar(v),
                             },
                             attr,
                             kind: AtomKind::Eq,
@@ -1794,9 +1841,11 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
                     }
                 } else {
                     // Quantile thresholds: attr < q (Upper) and attr ≥ q
-                    // (Lower) per internal cut point.
+                    // (Lower) per internal cut point. `total_cmp` is a
+                    // total order, so the unstable sort gives the same
+                    // array as a stable one.
                     let mut sorted = vals.clone();
-                    sorted.sort_by(|a, b| a.total_cmp(b));
+                    sorted.sort_unstable_by(|a, b| a.total_cmp(b));
                     let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
                     let mut cuts: Vec<f64> = (1..opts.numeric_bins)
                         .map(|i| {
@@ -1809,45 +1858,47 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
                     if cuts.is_empty() && lo < hi {
                         // Zero-inflated / heavily skewed column: every
                         // quantile collapsed onto the minimum. Split at
-                        // the mean instead.
+                        // the mean instead — for an Int column at ⌈mean⌉:
+                        // `x ≥ mean ⟺ x ≥ ⌈mean⌉` for integers, so the
+                        // predicate shows the constant the mask tests.
                         let mean = vals.iter().sum::<f64>() / vals.len() as f64;
                         if mean > lo && mean <= hi {
-                            cuts.push(mean);
+                            cuts.push(match col {
+                                Column::Int(_) => mean.ceil(),
+                                _ => mean,
+                            });
                         }
                     }
-                    for q in cuts {
-                        let value = match col {
-                            Column::Int(_) => Scalar::Int(q as i64),
-                            _ => Scalar::Float(q),
-                        };
-                        let mut lower = BitSet::new(table.nrows());
-                        let mut upper = BitSet::new(table.nrows());
-                        for (row, &x) in vals.iter().enumerate() {
-                            if x >= q {
-                                lower.insert(row);
-                            } else {
-                                upper.insert(row);
-                            }
-                        }
+                    // The cuts increase strictly, so a row's band (the
+                    // number of cuts at or below it) is above `j` iff the
+                    // row satisfies `attr ≥ cuts[j]`.
+                    let mut bands = vec![BitSet::new(n); cuts.len() + 1];
+                    for (row, &x) in vals.iter().enumerate() {
+                        let band: usize = cuts.iter().map(|&q| usize::from(x >= q)).sum();
+                        bands[band].insert(row);
+                    }
+                    let mut upper = BitSet::new(n);
+                    for (q, band) in cuts.into_iter().zip(&bands) {
+                        upper.union_with(band);
                         atoms.push(Atom {
                             pred: Pred {
                                 attr,
                                 op: Op::Ge,
-                                value: value.clone(),
+                                value: scalar(q),
                             },
                             attr,
                             kind: AtomKind::Lower,
-                            mask: lower,
+                            mask: BitSet::full(n).difference(&upper),
                         });
                         atoms.push(Atom {
                             pred: Pred {
                                 attr,
                                 op: Op::Lt,
-                                value,
+                                value: scalar(q),
                             },
                             attr,
                             kind: AtomKind::Upper,
-                            mask: upper,
+                            mask: upper.clone(),
                         });
                     }
                 }
@@ -1855,6 +1906,51 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
         }
     }
     atoms
+}
+
+/// The code → mask-slot table of a categorical attribute's kept `levels`,
+/// and `levels.len() + 1` empty masks of `width` bits: `levels[i]` fills
+/// mask `i` and every other code the spare last mask, so one pass over the
+/// codes fills every kept level's mask without a branch. `None` when a
+/// level repeats, as it does when a caller lists an attribute twice.
+fn level_slots(levels: &[u32], dict_len: usize, width: usize) -> Option<(Vec<usize>, Vec<BitSet>)> {
+    let spare = levels.len();
+    let mut slot_of = vec![spare; dict_len];
+    for (slot, &l) in levels.iter().enumerate() {
+        if slot_of[l as usize] != spare {
+            return None;
+        }
+        slot_of[l as usize] = slot;
+    }
+    Some((slot_of, vec![BitSet::new(width); spare + 1]))
+}
+
+/// The distinct values of a numeric column when it has at most `cap` of
+/// them, under [`Column::n_distinct`]'s equality (`i64` for Int, the bit
+/// pattern for Float); `None` as soon as the scan meets a `cap + 1`-th.
+fn small_domain(col: &Column, cap: usize) -> Option<Vec<f64>> {
+    fn scan<T: Copy + PartialEq>(vals: impl Iterator<Item = T>, cap: usize) -> Option<Vec<T>> {
+        let mut seen: Vec<T> = Vec::with_capacity(cap + 1);
+        for v in vals {
+            // No early exit: the per-row test stays free of data-dependent
+            // branches; only a new value (at most `cap + 1` times) branches.
+            if !seen.iter().fold(false, |hit, &s| hit | (s == v)) {
+                if seen.len() == cap {
+                    return None;
+                }
+                seen.push(v);
+            }
+        }
+        Some(seen)
+    }
+    match col {
+        Column::Int(v) => {
+            scan(v.iter().copied(), cap).map(|d| d.into_iter().map(|x| x as f64).collect())
+        }
+        Column::Float(v) => scan(v.iter().map(|x| x.to_bits()), cap)
+            .map(|d| d.into_iter().map(f64::from_bits).collect()),
+        Column::Cat { .. } => None,
+    }
 }
 
 fn column_std(col: &Column) -> f64 {
@@ -2465,6 +2561,179 @@ mod tests {
             }
         }
         assert!(read < offered, "no node was skipped: {read} of {offered}");
+    }
+
+    /// A table whose treatment columns reach every branch of
+    /// `build_atoms`: a categorical column with more levels than the atom
+    /// cap (some of them absent after a filter), small-domain Int and
+    /// Float columns, wide ones, and zero-inflated ones whose quantile
+    /// cuts all collapse onto the minimum (the mean fallback).
+    fn atom_space_table(n: usize, seed: u64) -> (Table, Dag) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = n + n / 4;
+        let cat: Vec<String> = (0..m)
+            .map(|_| format!("c{}", rng.gen_range(0..24)))
+            .collect();
+        let small_int: Vec<i64> = (0..m).map(|_| rng.gen_range(-2..3)).collect();
+        let small_float: Vec<f64> = (0..m)
+            .map(|_| [-1.5, 0.0, 2.25, 7.0][rng.gen_range(0..4)])
+            .collect();
+        let wide_int: Vec<i64> = (0..m).map(|_| rng.gen_range(-500..1000)).collect();
+        let wide_float: Vec<f64> = (0..m).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        let zero_int: Vec<i64> = (0..m)
+            .map(|_| {
+                if rng.gen_bool(0.8) {
+                    0
+                } else {
+                    rng.gen_range(1..=10)
+                }
+            })
+            .collect();
+        let zero_float: Vec<f64> = (0..m)
+            .map(|_| {
+                if rng.gen_bool(0.8) {
+                    0.0
+                } else {
+                    rng.gen_range(0.5..40.0)
+                }
+            })
+            .collect();
+        let o: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let full = TableBuilder::new()
+            .cat_owned("cat", cat)
+            .unwrap()
+            .int("small_int", small_int)
+            .unwrap()
+            .float("small_float", small_float)
+            .unwrap()
+            .int("wide_int", wide_int)
+            .unwrap()
+            .float("wide_float", wide_float)
+            .unwrap()
+            .int("zero_int", zero_int)
+            .unwrap()
+            .float("zero_float", zero_float)
+            .unwrap()
+            .float("o", o)
+            .unwrap()
+            .build()
+            .unwrap();
+        // Dropping the rows of three levels keeps them in the dictionary
+        // with no rows left.
+        let codes = full.column(0).codes().unwrap();
+        let keep: Vec<bool> = (0..m).map(|r| codes[r] % 8 != 3).collect();
+        let table = full.filter(&keep);
+        let names = [
+            "cat",
+            "small_int",
+            "small_float",
+            "wide_int",
+            "wide_float",
+            "zero_int",
+            "zero_float",
+            "o",
+        ];
+        let edges: Vec<(&str, &str)> = names[..7].iter().map(|&a| (a, "o")).collect();
+        (table, Dag::new(&names, &edges).unwrap())
+    }
+
+    /// Every atom's mask is the row set its own predicate selects, and
+    /// every subpopulation-local mask is that mask projected — whichever
+    /// path filled them (one pass per attribute through a slot table).
+    #[test]
+    fn atom_masks_match_their_predicates_and_projections() {
+        for (seed, max_atoms, bins) in [(1, 16, 4), (2, 5, 4), (3, 3, 8), (4, 16, 2)] {
+            let (table, dag) = atom_space_table(1200, seed);
+            let opts = LatticeOptions {
+                max_atoms_per_attr: max_atoms,
+                numeric_bins: bins,
+                ..Default::default()
+            };
+            let miner = TreatmentMiner::new(&table, &dag, 7, &[0, 1, 2, 3, 4, 5, 6], opts);
+            assert_eq!(miner.effective_attrs(), vec![0, 1, 2, 3, 4, 5, 6]);
+            for atom in miner.atoms.iter() {
+                let selected = Pattern::single(atom.pred.clone()).eval(&table).unwrap();
+                assert_eq!(
+                    atom.mask,
+                    BitSet::from_mask(&selected),
+                    "seed {seed}: atom {}",
+                    atom.pred.display(&table)
+                );
+            }
+            // With at most four bins every quantile of the zero-inflated
+            // columns is 0, so they take the mean fallback: one cut.
+            if bins <= 4 {
+                for attr in [5, 6] {
+                    let cuts = miner.atoms.iter().filter(|a| a.attr == attr).count();
+                    assert_eq!(cuts, 2, "seed {seed}: attr {attr}");
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = table.nrows();
+            let subpops = [
+                BitSet::new(n),
+                BitSet::full(n),
+                BitSet::from_mask(&(0..n).map(|_| rng.gen_bool(0.3)).collect::<Vec<_>>()),
+                BitSet::from_mask(&(0..n).map(|r| r % 64 < 5).collect::<Vec<_>>()),
+            ];
+            // An attribute listed twice puts two runs of the same level
+            // atoms side by side.
+            let twice = TreatmentMiner::new(&table, &dag, 7, &[0, 0, 5], miner.opts.clone());
+            for subpop in &subpops {
+                for m in [&miner, &twice] {
+                    let space = LocalSpace::new(subpop, &m.atoms, &table);
+                    let projector = Projector::new(subpop);
+                    assert_eq!(space.atoms_local.len(), m.atoms.len());
+                    for (atom, local) in m.atoms.iter().zip(&space.atoms_local) {
+                        assert_eq!(
+                            *local,
+                            projector.project(&atom.mask),
+                            "seed {seed}: atom {} on {} rows",
+                            atom.pred.display(&table),
+                            subpop.count()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An Int column whose quartile cuts all sit on the minimum is split
+    /// at its mean, 1.1 here. The rendered predicate must select the rows
+    /// the walk estimated on: `X >= 2`, not the truncated `X >= 1`, which
+    /// also selects the twenty rows with `X = 1`.
+    #[test]
+    fn int_mean_cut_predicate_selects_the_estimated_rows() {
+        let x: Vec<i64> = (0..1000)
+            .map(|i| if i < 800 { 0 } else { (i - 800) % 10 + 1 })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let o: Vec<f64> = x
+            .iter()
+            .map(|&v| 2.0 * v as f64 + rng.gen_range(-1.0..1.0))
+            .collect();
+        let table = TableBuilder::new()
+            .int("X", x)
+            .unwrap()
+            .float("O", o)
+            .unwrap()
+            .build()
+            .unwrap();
+        let dag = Dag::new(&["X", "O"], &[("X", "O")]).unwrap();
+        let miner = TreatmentMiner::new(&table, &dag, 1, &[0], LatticeOptions::default());
+        let subpop = BitSet::full(table.nrows());
+        let all = miner.all_treatments(&subpop, 1);
+        let shown: Vec<String> = all.iter().map(|t| t.pattern.display(&table)).collect();
+        assert_eq!(shown, vec!["X >= 2", "X < 2"]);
+        for t in &all {
+            let again = miner.eval_pattern(&subpop, &t.pattern).unwrap();
+            assert_eq!(
+                (again.n_treated, again.n_control, again.cate.to_bits()),
+                (t.n_treated, t.n_control, t.cate.to_bits()),
+                "{}",
+                t.pattern.display(&table)
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   word array in 4-word chunks (with a scalar tail), which the compiler
 //!   turns into straight-line popcount code without per-iteration
 //!   bookkeeping;
+//! * **word-level walkers** — [`BitSet::for_each_set`],
+//!   [`BitSet::for_each_common`] and [`BitSet::for_each_difference`] visit
+//!   the set positions of one set, or of `a ∩ b` / `a ∖ b`, one word at a
+//!   time without materializing the combined set;
 //! * **projection** — [`Projector`] re-indexes row sets from full-table
 //!   coordinates into the local coordinates of a subpopulation (the rank of
 //!   each row among the subpopulation's rows), so that a lattice walk over
@@ -256,6 +260,37 @@ impl BitSet {
     pub fn for_each_set(&self, mut visit: impl FnMut(usize)) {
         for (wi, &w) in self.words.iter().enumerate() {
             let mut w = w;
+            while w != 0 {
+                visit(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Call `visit` with every position of `self ∩ other` in increasing
+    /// order, one word at a time, without materializing the intersection.
+    #[inline]
+    pub fn for_each_common(&self, other: &BitSet, visit: impl FnMut(usize)) {
+        self.walk_words(other, |a, b| a & b, visit);
+    }
+
+    /// Call `visit` with every position of `self ∖ other` in increasing
+    /// order, one word at a time, without materializing the difference.
+    #[inline]
+    pub fn for_each_difference(&self, other: &BitSet, visit: impl FnMut(usize)) {
+        self.walk_words(other, |a, b| a & !b, visit);
+    }
+
+    #[inline]
+    fn walk_words(
+        &self,
+        other: &BitSet,
+        combine: impl Fn(u64, u64) -> u64,
+        mut visit: impl FnMut(usize),
+    ) {
+        debug_assert_eq!(self.nbits, other.nbits);
+        for (wi, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
+            let mut w = combine(a, b);
             while w != 0 {
                 visit(wi * 64 + w.trailing_zeros() as usize);
                 w &= w - 1;
@@ -510,6 +545,13 @@ mod tests {
             for i in 0..nbits {
                 assert_eq!(d.contains(i), a.contains(i) && !b.contains(i));
             }
+            // The word-level walkers visit exactly the materialized sets.
+            let mut seen = Vec::new();
+            a.for_each_common(&b, |i| seen.push(i));
+            assert_eq!(seen, m.iter().collect::<Vec<_>>(), "nbits={nbits}");
+            seen.clear();
+            a.for_each_difference(&b, |i| seen.push(i));
+            assert_eq!(seen, d.iter().collect::<Vec<_>>(), "nbits={nbits}");
         }
     }
 

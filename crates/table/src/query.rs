@@ -84,18 +84,28 @@ impl GroupByAvgQuery {
         let mut counts: Vec<usize> = Vec::new();
         // usize::MAX marks rows filtered out by WHERE.
         let mut row_group: Vec<usize> = vec![usize::MAX; table.nrows()];
+        // Every row's key is looked up through this one buffer; a key is
+        // allocated only when it opens a new group.
+        let mut key: Vec<u32> = vec![0; key_cols.len()];
 
         for row in 0..table.nrows() {
             if !selected[row] {
                 continue;
             }
-            let key: Vec<u32> = key_cols.iter().map(|c| c[row]).collect();
-            let gid = *group_of_key.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                sums.push(0.0);
-                counts.push(0);
-                keys.len() - 1
-            });
+            for (k, c) in key.iter_mut().zip(&key_cols) {
+                *k = c[row];
+            }
+            let gid = match group_of_key.get(key.as_slice()) {
+                Some(&gid) => gid,
+                None => {
+                    let gid = keys.len();
+                    group_of_key.insert(key.clone(), gid);
+                    keys.push(key.clone());
+                    sums.push(0.0);
+                    counts.push(0);
+                    gid
+                }
+            };
             sums[gid] += outcome[row];
             counts[gid] += 1;
             row_group[row] = gid;
@@ -194,6 +204,11 @@ impl AggView {
     /// For FD-valid grouping patterns this matches the representative-tuple
     /// test, but implementing the universal check keeps the semantics exact
     /// even for patterns that only "almost" respect the FD.
+    ///
+    /// This evaluates the pattern over the whole table. Grouping-pattern
+    /// mining reads coverage off each Apriori pattern's row set instead;
+    /// this function and [`AggView::subpopulation_mask`] are the reference
+    /// it is tested against.
     pub fn coverage(&self, table: &Table, pattern: &Pattern) -> Result<BitSet> {
         let sat = pattern.eval(table)?;
         let m = self.num_groups();

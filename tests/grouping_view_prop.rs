@@ -1,0 +1,255 @@
+//! Property tests (vendored proptest) that hold grouping-pattern mining and
+//! view materialization to straightforward reference builds.
+//!
+//! * `mine_grouping_patterns` reads Definition 4.4 coverage off each
+//!   Apriori pattern's row set. The reference here is the per-pattern
+//!   loop it replaced, rebuilt from public parts: `apriori`, then
+//!   `AggView::coverage` (the pattern evaluated over the whole table) and
+//!   `AggView::subpopulation_mask` per pattern, the per-group fallback
+//!   when no grouping attribute is given, the same redundancy pruning and
+//!   the same order. Pattern keys, coverage sets, row sets and order must
+//!   agree bit for bit. The tables have grouping attributes with an exact
+//!   FD from the group-by key and attributes without one, so groups only
+//!   partly inside a pattern (which the query path never sees) occur too.
+//! * `GroupByAvgQuery::run` looks every key up through one reused buffer.
+//!   The reference is a `HashMap<Vec<u32>, usize>` build with one key per
+//!   row: keys, group numbering, average bits, counts and `row_group` must
+//!   agree.
+
+use std::collections::HashMap;
+
+use mining::apriori::apriori;
+use mining::grouping::mine_grouping_patterns;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use table::bitset::BitSet;
+use table::pattern::{Op, Pattern, Pred};
+use table::query::{AggView, GroupByAvgQuery};
+use table::{Table, TableBuilder};
+
+/// Column ids of [`random_table`].
+const A: usize = 0; // group-by, up to 7 levels
+const B: usize = 1; // second group-by, up to 3 levels
+const F: usize = 2; // a function of (A, B): exact FD from either group-by set
+const N: usize = 3; // independent of the groups: no FD
+const M: usize = 4; // F with some rows flipped: an FD that "almost" holds
+const X: usize = 5; // Int, for the WHERE clause
+const Y: usize = 6; // Float outcome
+
+fn level(prefix: &str, i: u32) -> String {
+    format!("{prefix}{i}")
+}
+
+fn random_table(seed: u64, n: usize, a_levels: u32, b_levels: u32) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut a = Vec::with_capacity(n);
+    let mut b = Vec::with_capacity(n);
+    let mut f = Vec::with_capacity(n);
+    let mut nn = Vec::with_capacity(n);
+    let mut m = Vec::with_capacity(n);
+    let mut x = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let ai = rng.gen_range(0..a_levels);
+        let bi = rng.gen_range(0..b_levels);
+        // F depends on A only, so it is constant within every group of
+        // both GROUP BY A and GROUP BY A, B.
+        let fi = ai % 3;
+        a.push(level("a", ai));
+        b.push(level("b", bi));
+        f.push(level("f", fi));
+        nn.push(level("n", rng.gen_range(0..3)));
+        let mi = if rng.gen_bool(0.05) { (fi + 1) % 3 } else { fi };
+        m.push(level("f", mi));
+        x.push(rng.gen_range(0..10i64));
+        y.push(rng.gen_range(-5.0..20.0));
+    }
+    TableBuilder::new()
+        .cat_owned("A", a)
+        .unwrap()
+        .cat_owned("B", b)
+        .unwrap()
+        .cat_owned("F", f)
+        .unwrap()
+        .cat_owned("N", nn)
+        .unwrap()
+        .cat_owned("M", m)
+        .unwrap()
+        .int("X", x)
+        .unwrap()
+        .float("Y", y)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The per-pattern loop `mine_grouping_patterns` ran before it read
+/// coverage off the Apriori row sets: every pattern evaluated over the
+/// whole table for its coverage, and its rows rebuilt from the coverage.
+fn reference_patterns(
+    table: &Table,
+    view: &AggView,
+    gp_attrs: &[usize],
+    tau: f64,
+    max_len: usize,
+) -> Vec<(String, BitSet, BitSet)> {
+    let min_support = ((tau * table.nrows() as f64).ceil() as usize).max(1);
+    let patterns: Vec<Pattern> = if gp_attrs.is_empty() {
+        (0..view.num_groups())
+            .map(|g| {
+                let preds: Vec<Pred> = view
+                    .group_by
+                    .iter()
+                    .zip(&view.keys[g])
+                    .map(|(&attr, &code)| {
+                        let v = table.column(attr).dict().unwrap().value(code).to_string();
+                        Pred::eq(attr, v.as_str())
+                    })
+                    .collect();
+                Pattern::new(preds)
+            })
+            .collect()
+    } else {
+        apriori(table, gp_attrs, min_support, max_len)
+            .into_iter()
+            .map(|fp| fp.pattern)
+            .collect()
+    };
+    let mut by_coverage: HashMap<BitSet, (Pattern, BitSet)> = HashMap::new();
+    for pattern in patterns {
+        let coverage = view.coverage(table, &pattern).unwrap();
+        if coverage.is_empty() {
+            continue;
+        }
+        let rows = BitSet::from_mask(&view.subpopulation_mask(&coverage));
+        let better = |cur: &Pattern| {
+            pattern.len() < cur.len() || (pattern.len() == cur.len() && pattern.key() < cur.key())
+        };
+        match by_coverage.get(&coverage) {
+            Some((cur, _)) if !better(cur) => {}
+            _ => {
+                by_coverage.insert(coverage, (pattern, rows));
+            }
+        }
+    }
+    let mut out: Vec<(String, BitSet, BitSet, usize)> = by_coverage
+        .into_iter()
+        .map(|(cov, (p, rows))| (p.key(), cov, rows, p.len()))
+        .collect();
+    out.sort_by(|a, b| {
+        b.1.count()
+            .cmp(&a.1.count())
+            .then(a.3.cmp(&b.3))
+            .then(a.0.cmp(&b.0))
+    });
+    out.into_iter().map(|(k, c, r, _)| (k, c, r)).collect()
+}
+
+/// The view built with one key allocation per row.
+fn reference_view(
+    table: &Table,
+    group_by: &[usize],
+    avg: usize,
+    selected: &[bool],
+) -> (Vec<Vec<u32>>, Vec<u64>, Vec<usize>, Vec<usize>) {
+    let mut group_of_key: HashMap<Vec<u32>, usize> = HashMap::new();
+    let mut keys: Vec<Vec<u32>> = Vec::new();
+    let mut sums: Vec<f64> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let mut row_group = vec![usize::MAX; table.nrows()];
+    for row in 0..table.nrows() {
+        if !selected[row] {
+            continue;
+        }
+        let key: Vec<u32> = group_by
+            .iter()
+            .map(|&g| table.column(g).codes().unwrap()[row])
+            .collect();
+        let gid = *group_of_key.entry(key.clone()).or_insert_with(|| {
+            keys.push(key);
+            sums.push(0.0);
+            counts.push(0);
+            keys.len() - 1
+        });
+        sums[gid] += table.column(avg).get_f64(row);
+        counts[gid] += 1;
+        row_group[row] = gid;
+    }
+    let avgs = sums
+        .iter()
+        .zip(&counts)
+        .map(|(s, &c)| (s / c.max(1) as f64).to_bits())
+        .collect();
+    (keys, avgs, counts, row_group)
+}
+
+/// The grouping-attribute sets the cases draw from: none (the per-group
+/// fallback), the exact FD alone, and mixes with the non-FD attributes.
+const GP_SETS: [&[usize]; 5] = [&[], &[F], &[N], &[F, N, M], &[M, N]];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn grouping_patterns_match_the_per_pattern_loop(
+        seed in any::<u64>(),
+        n in 1usize..300,
+        a_levels in 1u32..8,
+        b_levels in 1u32..4,
+        two_keys in any::<bool>(),
+        where_bound in 0i64..12,
+        use_where in any::<bool>(),
+        tau_tenths in 0usize..2,
+        max_len in 1usize..4,
+        gp_set in 0usize..5,
+    ) {
+        let table = random_table(seed, n, a_levels, b_levels);
+        let group_by = if two_keys { vec![A, B] } else { vec![A] };
+        let mut query = GroupByAvgQuery::new(group_by, Y);
+        if use_where {
+            query = query.with_where(Pattern::single(Pred::cmp(X, Op::Lt, where_bound)));
+        }
+        let view = query.run(&table).unwrap();
+        let gp_attrs = GP_SETS[gp_set];
+        let tau = tau_tenths as f64 / 10.0;
+
+        let got: Vec<(String, BitSet, BitSet)> =
+            mine_grouping_patterns(&table, &view, gp_attrs, tau, max_len)
+                .into_iter()
+                .map(|p| (p.pattern.key(), p.coverage, p.rows))
+                .collect();
+        let want = reference_patterns(&table, &view, gp_attrs, tau, max_len);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn view_matches_the_per_row_key_build(
+        seed in any::<u64>(),
+        n in 0usize..300,
+        a_levels in 1u32..8,
+        b_levels in 1u32..4,
+        shape in 0usize..4,
+        where_bound in 0i64..12,
+        use_where in any::<bool>(),
+    ) {
+        let table = random_table(seed, n, a_levels, b_levels);
+        // One and two key columns, in either order, and a key column
+        // repeated.
+        let group_by = [vec![A], vec![A, B], vec![B, A], vec![B, B]][shape].clone();
+        let mut query = GroupByAvgQuery::new(group_by.clone(), Y);
+        let mut selected = vec![true; n];
+        if use_where {
+            let phi = Pattern::single(Pred::cmp(X, Op::Lt, where_bound));
+            selected = phi.eval(&table).unwrap();
+            query = query.with_where(phi);
+        }
+        let view = query.run(&table).unwrap();
+        let (keys, avgs, counts, row_group) = reference_view(&table, &group_by, Y, &selected);
+        prop_assert_eq!(&view.keys, &keys);
+        let got_avgs: Vec<u64> = view.avgs.iter().map(|a| a.to_bits()).collect();
+        prop_assert_eq!(got_avgs, avgs);
+        prop_assert_eq!(&view.counts, &counts);
+        prop_assert_eq!(&view.row_group, &row_group);
+    }
+}
