@@ -3,8 +3,8 @@
 //! construction, CATE estimation (naive, context build,
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
-//! downdate), the treatment lattice, and the simplex/rounding selection
-//! step.
+//! downdate), the treatment lattice, one warm serve-shaped query whose
+//! walk stops at level 1, and the simplex/rounding selection step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -385,6 +385,28 @@ fn bench_lattice(c: &mut Criterion) {
     });
 }
 
+/// One warm `PreparedQuery::run` under the serve workload's
+/// configuration (`max_level 1`, `max_grouping_len 1`, `sample_cap 400`,
+/// one worker) on 30k SO rows: the walk is level 1 of every pattern, with
+/// the §5.2(d) sample, so this times the level-1 pass end to end.
+fn bench_level1_serve(c: &mut Criterion) {
+    let ds = datagen::so::generate(30_000, 42);
+    let cfg = causumx::ConfigBuilder::new()
+        .threads(1)
+        .max_level(1)
+        .max_grouping_len(1)
+        .sample_cap(Some(400))
+        .build()
+        .unwrap();
+    let session = causumx::Session::new(ds.table.clone(), ds.dag.clone(), cfg);
+    let prepared = session
+        .sql("SELECT Country, AVG(Salary) FROM so GROUP BY Country")
+        .unwrap();
+    c.bench_function("level1_serve_so_30k", |b| {
+        b.iter(|| prepared.run().cate_evaluations)
+    });
+}
+
 fn bench_selection(c: &mut Criterion) {
     // 60 candidates over 40 groups, k = 5, θ = 0.75.
     let m = 40;
@@ -460,6 +482,7 @@ criterion_group!(
         bench_bitset_kernels,
         bench_numeric_kernels,
         bench_lattice,
+        bench_level1_serve,
         bench_selection
 );
 criterion_main!(kernels);

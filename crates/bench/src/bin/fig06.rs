@@ -9,6 +9,8 @@
 //! cargo run -p bench --bin fig06 --release [-- --scale small|paper --seed N]
 //! ```
 
+use std::sync::Arc;
+
 use bench::ExpOptions;
 use causumx::{ConfigBuilder, Report};
 use mining::grouping::mine_grouping_patterns;
@@ -65,7 +67,7 @@ fn main() {
 
     // Select via the standard engine machinery.
     let candidates = causumx::CandidateSet {
-        view: view.clone(),
+        view: Arc::new(view),
         explanations,
         grouping_ms: 0.0,
         treatment_ms: 0.0,
@@ -75,6 +77,6 @@ fn main() {
         causumx::select_candidates(&config, &candidates, causumx::SelectionMethod::LpRounding);
 
     println!("Fig. 6 — SO, sensitive attributes only (k=3, θ=1):\n");
-    let report = Report::new(&ds.table, &view, &summary, "salary");
+    let report = Report::new(&ds.table, &candidates.view, &summary, "salary");
     print!("{}", report.render_text());
 }

@@ -29,7 +29,7 @@
 //! [`stats::matrix::Matrix::gram`], so the fit — CATE, standard errors,
 //! p-values — is bit-identical to the naive path, not merely close.
 //!
-//! Treatments arrive in either of two coordinate systems:
+//! Treatments arrive in one of three coordinate systems:
 //!
 //! * [`EstimationContext::estimate`] takes a row set over the *full
 //!   table* and scans the cached row list testing membership (`O(n)`
@@ -38,9 +38,15 @@
 //!   subpopulation's *local* coordinates (bit `i` = the `i`-th
 //!   subpopulation row, see [`table::bitset::Projector`]) and gathers the
 //!   `t`-blocks sparsely by walking only its set bits (`O(|T|·k)` for `k`
-//!   confounder attributes, see [Level codes](self#level-codes)).
-//!   Ascending bit order visits the identical rows in the identical order
-//!   as the dense scan, so both entry points produce bit-identical fits.
+//!   confounder attributes, see [Level codes](self#level-codes));
+//! * [`EstimationContext::fit_rows`] takes a set over the context's own
+//!   rows (bit `i` = [`EstimationContext::rows`]`[i]`, after sampling),
+//!   which a caller can sort out in one pass over those rows without
+//!   projecting anything onto the subpopulation — the lattice walk's
+//!   level 1 does, one pass per treatment attribute.
+//!
+//! Ascending bit order visits the identical rows in the identical order
+//! as the dense scan, so every entry point produces bit-identical fits.
 //!
 //! # The row walker
 //!
@@ -725,6 +731,13 @@ impl EstimationContext {
         self.rows.len()
     }
 
+    /// The table rows every estimate from this context reads (after
+    /// sampling), ascending: position `i` of a set given to
+    /// [`EstimationContext::fit_rows`] is row `rows()[i]`.
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
     /// Width of the local coordinate space accepted by
     /// [`EstimationContext::estimate_local`]: the subpopulation size
     /// before sampling.
@@ -885,8 +898,27 @@ impl EstimationContext {
     /// `None`; [`EstimationContext::p_value_local`] on the same mask
     /// completes it.
     pub fn fit_local(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
+        self.fit_walked(self.local(treated))
+    }
+
+    /// [`EstimationContext::fit_local`] for a treated set given over the
+    /// context's rows (bit `i` is [`EstimationContext::rows`]`[i]`)
+    /// instead of in local coordinates. The walker visits the positions
+    /// the local mask of the same rows would give, in the same order, so
+    /// the fit and moments have `fit_local`'s bits. Without sampling the
+    /// two coordinate systems coincide. The lattice walk builds these
+    /// sets for level 1 of a sampled context in one pass per attribute
+    /// over the sample, so no atom is projected onto the subpopulation.
+    pub fn fit_rows(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
+        debug_assert_eq!(treated.capacity(), self.rows.len());
+        self.fit_walked(TreatedRows {
+            mask: treated,
+            sampled: None,
+        })
+    }
+
+    fn fit_walked(&self, rows: TreatedRows<'_>) -> Option<(RegressionFit, TreatmentMoments)> {
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        let rows = self.local(treated);
         // The arm counts are a popcount (of `treated ∧ sampled` under
         // sampling), so the overlap gate runs before paying for the
         // gather.
@@ -949,6 +981,19 @@ impl EstimationContext {
     pub fn p_value_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
         fit.fit
             .p_value(self.rss(&fit.fit.beta, fit.ty, self.local(treated)))
+    }
+
+    /// [`EstimationContext::p_value_local`] for a fit from
+    /// [`EstimationContext::fit_rows`], on the same set over the context's
+    /// rows: the residual walk visits the same positions, so the p-value
+    /// has `p_value_local`'s bits on the matching local mask.
+    pub fn p_value_rows(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        debug_assert_eq!(treated.capacity(), self.rows.len());
+        let rows = TreatedRows {
+            mask: treated,
+            sampled: None,
+        };
+        fit.fit.p_value(self.rss(&fit.fit.beta, fit.ty, rows))
     }
 
     /// Does a split of the context's rows into `n_treated` treated units

@@ -74,8 +74,9 @@ use crate::render::Report;
 /// can reuse mined candidates with different selection strategies.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
-    /// The materialized aggregate view.
-    pub view: AggView,
+    /// The materialized aggregate view, shared with the prepared query
+    /// that mined the candidates.
+    pub view: Arc<AggView>,
     /// One entry per surviving grouping pattern.
     pub explanations: Vec<Explanation>,
     /// Mining wall-clock (steps 1 and 2).
@@ -241,7 +242,8 @@ pub struct PreparedCacheStats {
 /// of re-materializing the view and re-scanning the table for atom masks.
 struct PreparedCore {
     query: GroupByAvgQuery,
-    view: AggView,
+    /// Shared with every [`CandidateSet`] mined from this core.
+    view: Arc<AggView>,
     /// Lazily built per-group row bitsets — shared across every
     /// [`PreparedQuery`] assembled from this core, so one drill-down
     /// warms all cache hits.
@@ -553,7 +555,7 @@ impl Session {
         let parts = miner.parts();
         Ok(Arc::new(PreparedCore {
             query,
-            view,
+            view: Arc::new(view),
             group_bits: OnceLock::new(),
             split,
             parts,
@@ -907,7 +909,7 @@ impl<'s> PreparedQuery<'s> {
         let treatment_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         Ok(CandidateSet {
-            view: self.core.view.clone(),
+            view: Arc::clone(&self.core.view),
             explanations,
             grouping_ms,
             treatment_ms,

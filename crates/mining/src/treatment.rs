@@ -25,7 +25,7 @@ use causal::context::{ContextCache, EstimationContext, RegressionFit, TreatmentM
 use causal::dag::Dag;
 use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
 use causal::NumericMode;
-use table::bitset::{BitSet, Projector};
+use table::bitset::BitSet;
 use table::pattern::{Op, Pattern, Pred};
 use table::{Column, Scalar, Table};
 
@@ -223,6 +223,29 @@ pub struct TreatmentResult {
     pub n_control: usize,
 }
 
+/// One level-1 candidate as [`TreatmentMiner::level1_estimates`] reports
+/// it.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct Level1Estimate {
+    /// The atom's predicate.
+    pub pattern: Pattern,
+    /// The atom's rows in the subpopulation: the overlap gate's count.
+    pub treated_in_sub: usize,
+    /// The backdoor set the estimate adjusts for.
+    pub confounders: Vec<usize>,
+    /// The fit, where the estimate exists.
+    pub fit: Option<RegressionFit>,
+    /// The fit's moments, which the walk keeps in `FastV1` only.
+    pub moments: Option<TreatmentMoments>,
+    /// The local mask, which level 1 builds only for an unsampled
+    /// context.
+    pub mask: Option<BitSet>,
+    /// The deferred p-value, where the estimate exists: on `mask` when
+    /// there is one, else on the atom's rows of the sample.
+    pub p_value: Option<f64>,
+}
+
 /// Work counters, reported by the figure-14 style breakdowns.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeStats {
@@ -342,9 +365,7 @@ impl BackdoorMemo {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AtomKind {
-    /// `attr = dict value of the code` on a categorical attribute.
-    Level(u32),
-    Eq,    // numeric attr = v
+    Eq,    // attr = v: a categorical level or a small-domain value
     Lower, // attr ≥ v
     Upper, // attr < v
 }
@@ -354,8 +375,164 @@ struct Atom {
     pred: Pred,
     attr: usize,
     kind: AtomKind,
+    /// Index of the atom's [`AttrBlock`] in the atom space.
+    block: usize,
     /// Rows of the *full table* satisfying the atom.
     mask: BitSet,
+}
+
+/// The atomic predicate space: every atom with its full-table row mask,
+/// and the attribute blocks that say which atoms a row's value selects.
+#[derive(Debug)]
+struct AtomSpace {
+    atoms: Vec<Atom>,
+    blocks: Vec<AttrBlock>,
+}
+
+/// One treatment attribute's run of adjacent atoms, and how a row's value
+/// picks the atoms that contain it. Every row falls in one slot, and each
+/// atom holds the rows of the slots it covers ([`AttrBlock::covers`]). So
+/// one pass over a row list, looking each row's slot up, sorts the rows
+/// of every atom of the block at once ([`AttrBlock::partition`]): the
+/// full-table masks when the atom space is built, level 1's treated rows
+/// over each context's rows ([`WalkState::sort_level1`]), and local masks
+/// on demand ([`WalkState::fill_masks`]). The slot metadata is a few
+/// values per attribute, never a column per row, so a cached atom space
+/// grows by no row-sized state.
+#[derive(Debug)]
+struct AttrBlock {
+    attr: usize,
+    /// The block's atoms, as indices into the atom space.
+    atoms: Range<usize>,
+    slots: Slots,
+}
+
+/// How an [`AttrBlock`]'s rows map to slots.
+#[derive(Debug)]
+enum Slots {
+    /// A categorical attribute's code → slot table: the block's `i`-th
+    /// atom is the level of slot `i`, and every code without an atom maps
+    /// to one spare last slot.
+    Codes(Vec<usize>),
+    /// A small numeric domain, ascending: a row's slot is the number of
+    /// values below its own ([`domain_slot`]), and the `i`-th atom is
+    /// `= values[i]`.
+    Domain(Vec<f64>),
+    /// Quantile cuts, ascending: a row's slot is its band, the number of
+    /// cuts at or below its value ([`band`]). Atoms `2j` and `2j + 1` are
+    /// `≥ cuts[j]` (the bands above `j`) and `< cuts[j]` (the others).
+    Cuts(Vec<f64>),
+}
+
+/// The number of `values` below `x`: a small-domain row's slot.
+fn domain_slot(values: &[f64], x: f64) -> usize {
+    values.iter().map(|&u| usize::from(u < x)).sum()
+}
+
+/// An Int domain's slots by offset from its least value: `slot[v - lo]`
+/// is `domain_slot(values, v)` for every domain value `v`. `None` when
+/// the domain spans 256 values or more, or holds a value `f64` cannot
+/// represent exactly.
+fn offset_slots(values: &[f64]) -> Option<(i64, Vec<usize>)> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let (&lo, &hi) = (values.first()?, values.last()?);
+    if lo <= -EXACT || hi >= EXACT || hi - lo >= 256.0 {
+        return None;
+    }
+    let mut slot = vec![0; (hi - lo) as usize + 1];
+    for (s, &v) in values.iter().enumerate() {
+        slot[(v - lo) as usize] = s;
+    }
+    Some((lo as i64, slot))
+}
+
+/// The number of `cuts` at or below `x`: a row's band. The cuts increase
+/// strictly, so the band is above `j` iff `x ≥ cuts[j]`.
+fn band(cuts: &[f64], x: f64) -> usize {
+    cuts.iter().map(|&q| usize::from(x >= q)).sum()
+}
+
+impl AttrBlock {
+    fn num_slots(&self) -> usize {
+        match &self.slots {
+            Slots::Codes(_) => self.atoms.len() + 1,
+            Slots::Domain(values) => values.len(),
+            Slots::Cuts(cuts) => cuts.len() + 1,
+        }
+    }
+
+    /// Does the block's `i`-th atom contain the rows of slot `s`?
+    fn covers(&self, i: usize, s: usize) -> bool {
+        match self.slots {
+            Slots::Codes(_) | Slots::Domain(_) => i == s,
+            Slots::Cuts(_) => i.is_multiple_of(2) == (s > i / 2),
+        }
+    }
+
+    /// Sort `rows`, `len` ascending table rows, by slot in one pass: set
+    /// `s` of the result holds the positions (bit `i` is the `i`-th of
+    /// `rows`) of the rows in slot `s` ([`BitSet::partition`]). Each
+    /// column kind gets its own loop, with no per-row dispatch.
+    fn partition(
+        &self,
+        table: &Table,
+        len: usize,
+        rows: impl Iterator<Item = usize>,
+    ) -> Vec<BitSet> {
+        let n = self.num_slots();
+        match (&self.slots, table.column(self.attr)) {
+            (Slots::Codes(slot), Column::Cat { codes, .. }) => {
+                BitSet::partition(len, n, rows.map(|r| slot[codes[r] as usize]))
+            }
+            (Slots::Domain(values), Column::Int(x)) => match offset_slots(values) {
+                // Every row holds a domain value: look its slot up by offset.
+                Some((lo, slot)) => {
+                    BitSet::partition(len, n, rows.map(|r| slot[(x[r] - lo) as usize]))
+                }
+                None => BitSet::partition(len, n, rows.map(|r| domain_slot(values, x[r] as f64))),
+            },
+            (Slots::Domain(values), Column::Float(x)) => {
+                BitSet::partition(len, n, rows.map(|r| domain_slot(values, x[r])))
+            }
+            (Slots::Cuts(cuts), Column::Int(x)) => {
+                BitSet::partition(len, n, rows.map(|r| band(cuts, x[r] as f64)))
+            }
+            (Slots::Cuts(cuts), Column::Float(x)) => {
+                BitSet::partition(len, n, rows.map(|r| band(cuts, x[r])))
+            }
+            _ => {
+                unreachable!("a level block's attribute is categorical, any other block's numeric")
+            }
+        }
+    }
+
+    /// The masks of the block's atoms at positions `wanted`, over the rows
+    /// of `universe` in its local coordinates (bit `l` is the `l`-th row
+    /// of `universe`): one pass over `universe` sorts its rows by slot,
+    /// and each mask is the union of the slots its atom covers.
+    fn masks(
+        &self,
+        table: &Table,
+        universe: &BitSet,
+        wanted: impl IntoIterator<Item = usize>,
+    ) -> Vec<BitSet> {
+        let by_slot = self.partition(table, universe.count(), universe.iter());
+        wanted
+            .into_iter()
+            .map(|i| self.union(i, &by_slot))
+            .collect()
+    }
+
+    /// The rows of the block's `i`-th atom: the union of the sets of
+    /// `by_slot` (one per slot) that the atom covers.
+    fn union(&self, i: usize, by_slot: &[BitSet]) -> BitSet {
+        let mut covered = (0..by_slot.len()).filter(|&s| self.covers(i, s));
+        let mut rows = by_slot[covered.next().expect("every atom covers a slot")].clone();
+        for s in covered {
+            rows.union_with(&by_slot[s]);
+        }
+        rows
+    }
 }
 
 /// The table-scan products of a [`TreatmentMiner`]'s construction,
@@ -366,7 +543,7 @@ struct Atom {
 /// shape they were built against. Cloning is `O(1)`.
 #[derive(Debug, Clone)]
 pub struct MinerParts {
-    atoms: Arc<Vec<Atom>>,
+    space: Arc<AtomSpace>,
     outcome_std: f64,
     outcome: usize,
     nrows: usize,
@@ -376,7 +553,7 @@ pub struct MinerParts {
 impl MinerParts {
     /// Number of atomic predicates in the exported space.
     pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
+        self.space.atoms.len()
     }
 
     /// The outcome attribute the parts were exported for.
@@ -401,7 +578,7 @@ pub struct TreatmentMiner<'a> {
     /// `Arc`'d so a prepared-statement cache can share one atom space
     /// across many miners over the same table (see
     /// [`TreatmentMiner::parts`]).
-    atoms: Arc<Vec<Atom>>,
+    space: Arc<AtomSpace>,
     /// |outcome std| for the near-zero pruning threshold.
     outcome_std: f64,
     /// table attr id ↔ dag node id maps (by name).
@@ -472,7 +649,7 @@ impl<'a> TreatmentMiner<'a> {
             effective = treat_attrs.to_vec();
         }
 
-        let atoms = Arc::new(build_atoms(table, &effective, &opts));
+        let space = Arc::new(build_atoms(table, &effective, &opts));
         let outcome_std = column_std(table.column(outcome));
 
         TreatmentMiner {
@@ -480,7 +657,7 @@ impl<'a> TreatmentMiner<'a> {
             dag,
             outcome,
             opts,
-            atoms,
+            space,
             outcome_std,
             attr_to_dag,
             dag_to_attr,
@@ -496,7 +673,7 @@ impl<'a> TreatmentMiner<'a> {
     /// [`TreatmentMiner::from_parts`] instead of re-scanning the table.
     pub fn parts(&self) -> MinerParts {
         MinerParts {
-            atoms: Arc::clone(&self.atoms),
+            space: Arc::clone(&self.space),
             outcome_std: self.outcome_std,
             outcome: self.outcome,
             nrows: self.table.nrows(),
@@ -538,7 +715,7 @@ impl<'a> TreatmentMiner<'a> {
             dag,
             outcome: parts.outcome,
             opts,
-            atoms: Arc::clone(&parts.atoms),
+            space: Arc::clone(&parts.space),
             outcome_std: parts.outcome_std,
             attr_to_dag,
             dag_to_attr,
@@ -548,12 +725,12 @@ impl<'a> TreatmentMiner<'a> {
 
     /// Number of atomic treatment predicates under consideration.
     pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
+        self.space.atoms.len()
     }
 
     /// Attributes that survived the optimization-(a) pruning.
     pub fn effective_attrs(&self) -> Vec<usize> {
-        let mut a: Vec<usize> = self.atoms.iter().map(|x| x.attr).collect();
+        let mut a: Vec<usize> = self.space.blocks.iter().map(|b| b.attr).collect();
         a.sort_unstable();
         a.dedup();
         a
@@ -605,6 +782,47 @@ impl<'a> TreatmentMiner<'a> {
         })
     }
 
+    /// Level 1 of the walk over `subpop`, estimated as the walk estimates
+    /// it at `workers` workers — the same candidates, contexts, row sorts
+    /// and chunks — with every candidate's p-value completed as the walk
+    /// completes it for a best-k entrant. A hook for the tests that hold
+    /// level 1 to per-atom gathers on projected masks.
+    #[doc(hidden)]
+    pub fn level1_estimates(&self, subpop: &BitSet, workers: usize) -> Vec<Level1Estimate> {
+        let guard = RunGuard::unlimited();
+        let mut walk = WalkState::new(self, subpop, 1, &[Direction::Positive], workers, &guard);
+        let cands = walk.level1_cands();
+        if cands.is_empty() {
+            return Vec::new();
+        }
+        let batch = walk.prepare_batch(cands);
+        let results = batch
+            .ranges
+            .iter()
+            .flat_map(|r| Self::eval_chunk(&batch, r.clone()));
+        batch
+            .cands
+            .iter()
+            .zip(&batch.keys)
+            .zip(results)
+            .map(|((cand, key), r)| {
+                let node = r.map(|(est, moments)| walk.node(cand, key, est, moments));
+                Level1Estimate {
+                    pattern: self.pattern_of(&cand.atoms),
+                    treated_in_sub: cand.count,
+                    confounders: key.clone(),
+                    fit: node.as_ref().and_then(|n| match &n.p {
+                        PValue::Deferred(fit) => Some(fit.clone()),
+                        PValue::Known(_) => None,
+                    }),
+                    moments: node.as_ref().and_then(|n| n.aux.as_ref()?.moments.clone()),
+                    mask: node.as_ref().and_then(|n| n.mask.clone()),
+                    p_value: node.map(|n| n.p_value(&walk.contexts)),
+                }
+            })
+            .collect()
+    }
+
     /// One estimate on the subpopulation's context for the backdoor set
     /// of `attrs`, built into `contexts` on first use.
     fn estimate(
@@ -643,8 +861,8 @@ impl<'a> TreatmentMiner<'a> {
     /// workers finishing a small pattern steal candidate chunks from
     /// whichever pattern still has work, and at most one walk per worker
     /// is live at a time. Per-pattern state (the [`ContextCache`]
-    /// with its confounder panel, the local atom projection, the walk
-    /// frontier) is sharded — one mutex-guarded walk per subpopulation —
+    /// with its confounder panel, the walk frontier and its masks) is
+    /// sharded — one mutex-guarded walk per subpopulation —
     /// while chunk evaluations read pre-built shared contexts without any
     /// lock. Results merge in (pattern, level, candidate) order, so every
     /// result is bit-identical at any worker count. A nested call — from
@@ -686,7 +904,7 @@ impl<'a> TreatmentMiner<'a> {
     /// Walks are admitted in pattern order, one per worker: the first
     /// `workers` patterns start at once, and each walk that finalizes or
     /// fails starts the next pattern and drops its own state (contexts,
-    /// panel, local projection). One worker therefore walks the patterns
+    /// panel, frontier). One worker therefore walks the patterns
     /// one at a time in index order, and N workers keep at most N walks
     /// live.
     ///
@@ -883,13 +1101,23 @@ impl<'a> TreatmentMiner<'a> {
 
     /// Estimate one contiguous candidate chunk of a prepared level. Runs
     /// lock-free on any scheduler worker: it reads the pre-built
-    /// `Arc<EstimationContext>` pinned into the batch per candidate.
+    /// `Arc<EstimationContext>` pinned into the batch per candidate. A
+    /// level-1 atom of a sampled context is gathered from its rows of the
+    /// sample ([`EstimationContext::fit_rows`]), every other candidate
+    /// from its local mask.
     fn eval_chunk(batch: &LevelBatch, range: Range<usize>) -> Vec<EvalRes> {
         range
             .map(|i| -> EvalRes {
+                let (ctx, cand) = (batch.ctx[i].as_ref()?, &batch.cands[i]);
+                if let Some(rows) = &cand.rows {
+                    let (fit, m) = ctx.fit_rows(rows)?;
+                    return Some((fit.into(), batch.track.then_some(m)));
+                }
                 eval_cached(
-                    batch.ctx[i].as_ref()?,
-                    &batch.cands[i],
+                    ctx,
+                    cand.mask
+                        .as_ref()
+                        .expect("a candidate has its rows or its mask"),
                     batch.plans.get(i).and_then(|p| p.as_ref()),
                     batch.track,
                 )
@@ -910,20 +1138,21 @@ impl<'a> TreatmentMiner<'a> {
         // Ids of current-frontier patterns; expand depth-first by index
         // ordering so each combination is generated once.
         let mut frontier: Vec<(Vec<u16>, BitSet)> = Vec::new();
-        for (ai, atom) in self.atoms.iter().enumerate() {
+        let atoms = &self.space.atoms;
+        for (ai, atom) in atoms.iter().enumerate() {
             frontier.push((vec![ai as u16], atom.mask.clone()));
         }
         let mut level = 1;
         while !frontier.is_empty() {
             let mut next = Vec::new();
-            for (atoms, mask) in &frontier {
+            for (pattern, mask) in &frontier {
                 let treated_in_sub = mask.intersection_count(sub_bits);
                 if treated_in_sub >= min_arm && sub_n - treated_in_sub >= min_arm {
                     let attrs: Vec<usize> =
-                        atoms.iter().map(|&x| self.atoms[x as usize].attr).collect();
+                        pattern.iter().map(|&x| atoms[x as usize].attr).collect();
                     if let Some(r) = self.estimate(&mut contexts, sub_bits, mask, &attrs) {
                         out.push(TreatmentResult {
-                            pattern: self.pattern_of(atoms),
+                            pattern: self.pattern_of(pattern),
                             cate: r.cate,
                             p_value: r.p_value,
                             n_treated: r.n_treated,
@@ -932,17 +1161,17 @@ impl<'a> TreatmentMiner<'a> {
                     }
                 }
                 if level < max_len {
-                    let last = *atoms.last().expect("frontier patterns are non-empty") as usize;
-                    for nxt in last + 1..self.atoms.len() {
-                        if !self.atoms_compatible_with_all(atoms, nxt) {
+                    let last = *pattern.last().expect("frontier patterns are non-empty") as usize;
+                    for nxt in last + 1..atoms.len() {
+                        if !self.atoms_compatible_with_all(pattern, nxt) {
                             continue;
                         }
                         let mut m = mask.clone();
-                        m.intersect_with(&self.atoms[nxt].mask);
+                        m.intersect_with(&atoms[nxt].mask);
                         if m.is_empty() {
                             continue;
                         }
-                        let mut a = atoms.clone();
+                        let mut a = pattern.clone();
                         a.push(nxt as u16);
                         next.push((a, m));
                     }
@@ -958,7 +1187,7 @@ impl<'a> TreatmentMiner<'a> {
         Pattern::new(
             atoms
                 .iter()
-                .map(|&a| self.atoms[a as usize].pred.clone())
+                .map(|&a| self.space.atoms[a as usize].pred.clone())
                 .collect(),
         )
     }
@@ -966,7 +1195,7 @@ impl<'a> TreatmentMiner<'a> {
     /// Two atoms may co-occur when they are on different attributes, or
     /// form a (lower, upper) range on the same numeric attribute.
     fn atoms_compatible(&self, a: usize, b: usize) -> bool {
-        let (x, y) = (&self.atoms[a], &self.atoms[b]);
+        let (x, y) = (&self.space.atoms[a], &self.space.atoms[b]);
         if x.attr != y.attr {
             return true;
         }
@@ -981,66 +1210,6 @@ impl<'a> TreatmentMiner<'a> {
             .iter()
             .all(|&a| self.atoms_compatible(a as usize, cand))
     }
-}
-
-/// The atom space re-indexed into one subpopulation's local coordinates:
-/// the global→local rank map plus every atom mask projected down to
-/// `|subpop|` bits. Built once per subpopulation; every join intersection,
-/// overlap precheck and estimation gather in the lattice walk then runs at
-/// local width.
-struct LocalSpace {
-    projector: Projector,
-    atoms_local: Vec<BitSet>,
-}
-
-impl LocalSpace {
-    /// Project `atoms` onto `subpop`: the level atoms of a categorical
-    /// attribute (adjacent in the atom space) together, through
-    /// `local_level_masks`; every other atom through the projector.
-    fn new(subpop: &BitSet, atoms: &[Atom], table: &Table) -> Self {
-        let projector = Projector::new(subpop);
-        let mut atoms_local = Vec::with_capacity(atoms.len());
-        for block in atoms.chunk_by(|a, b| a.attr == b.attr) {
-            match local_level_masks(block, table, subpop, projector.len()) {
-                Some(masks) => atoms_local.extend(masks),
-                None => atoms_local.extend(block.iter().map(|a| projector.project(&a.mask))),
-            }
-        }
-        LocalSpace {
-            projector,
-            atoms_local,
-        }
-    }
-}
-
-/// The local masks of one categorical attribute's level atoms, filled in
-/// one pass over the subpopulation's rows through the code column: each
-/// row's code picks its mask, and a running index is its local position.
-/// `None` for any other block of atoms.
-fn local_level_masks(
-    block: &[Atom],
-    table: &Table,
-    subpop: &BitSet,
-    width: usize,
-) -> Option<Vec<BitSet>> {
-    let levels = block
-        .iter()
-        .map(|a| match a.kind {
-            AtomKind::Level(code) => Some(code),
-            _ => None,
-        })
-        .collect::<Option<Vec<u32>>>()?;
-    let Column::Cat { codes, dict } = table.column(block[0].attr) else {
-        return None;
-    };
-    let (slot_of, mut masks) = level_slots(&levels, dict.len(), width)?;
-    let mut local = 0;
-    subpop.for_each_set(|row| {
-        masks[slot_of[codes[row] as usize]].insert(local);
-        local += 1;
-    });
-    masks.pop(); // the spare
-    Some(masks)
 }
 
 /// Estimation byproducts cached on a kept node for its children: the
@@ -1096,13 +1265,19 @@ impl From<RegressionFit> for Est {
     }
 }
 
-/// A lattice node that survived estimation (local-coordinate mask).
+/// A lattice node that survived estimation.
 #[derive(Clone)]
 struct Node {
     atoms: Vec<u16>,
-    mask: BitSet, // subpopulation rows satisfying the pattern, local width
-    /// Popcount of `mask` — treated rows in the subpopulation (before
-    /// sampling), reused for the children's downdate size guard.
+    /// Subpopulation rows satisfying the pattern, local width. A level-1
+    /// node of a sampled context gets its mask only when a join or a
+    /// downdate plan will read it.
+    mask: Option<BitSet>,
+    /// A level-1 node's treated rows over its sampled context's rows (see
+    /// [`Cand::rows`]), which its p-value reads.
+    rows: Option<BitSet>,
+    /// Treated rows in the subpopulation (before sampling), reused for
+    /// the children's downdate size guard.
     count: usize,
     cate: f64,
     p: PValue,
@@ -1114,27 +1289,40 @@ struct Node {
 
 impl Node {
     /// The node's p-value, running the deferred inference on the context
-    /// the fit came from when only the fit is held.
+    /// the fit came from when only the fit is held: on the node's local
+    /// mask, or on its rows of the sample when it has no mask.
     fn p_value(&self, contexts: &ContextCache) -> f64 {
-        match &self.p {
-            PValue::Known(p) => *p,
-            PValue::Deferred(fit) => self
-                .aux
-                .as_ref()
-                .and_then(|aux| contexts.get(&aux.key))
-                .expect(
-                    "a deferred fit's node keeps its confounder key, whose context stays cached",
-                )
-                .p_value_local(fit, &self.mask),
+        let fit = match &self.p {
+            PValue::Known(p) => return *p,
+            PValue::Deferred(fit) => fit,
+        };
+        let ctx = self
+            .aux
+            .as_ref()
+            .and_then(|aux| contexts.get(&aux.key))
+            .expect("a deferred fit's node keeps its confounder key, whose context stays cached");
+        match (&self.mask, &self.rows) {
+            (Some(mask), _) => ctx.p_value_local(fit, mask),
+            (None, rows) => {
+                ctx.p_value_rows(fit, rows.as_ref().expect("a node has its mask or its rows"))
+            }
         }
     }
 }
 
-/// A generated-but-unestimated lattice candidate (local-coordinate mask).
+/// A generated-but-unestimated lattice candidate.
+#[derive(Clone)]
 struct Cand {
     atoms: Vec<u16>,
-    mask: BitSet,
-    /// Popcount of `mask` (computed by the overlap precheck anyway).
+    /// Local-coordinate mask. A level-1 atom gets one when its level is
+    /// prepared, from its attribute's pass over an unsampled context's
+    /// rows ([`WalkState::sort_level1`]).
+    mask: Option<BitSet>,
+    /// A level-1 atom's treated rows over its sampled context's rows (bit
+    /// `i` is the context's `i`-th row), in place of a mask.
+    rows: Option<BitSet>,
+    /// Treated rows in the subpopulation (computed by the overlap
+    /// precheck anyway).
     count: usize,
     /// Index into the previous level's kept nodes of the join parent
     /// whose treated rowset is the smaller superset of `mask` — the
@@ -1155,18 +1343,18 @@ struct DowndatePlan {
 /// moments-tracking mode, the treatment blocks cached for downdating.
 type EvalRes = Option<(Est, Option<TreatmentMoments>)>;
 
-/// Evaluation of one candidate: downdate when a plan is present,
-/// otherwise gather — with moments when the walk tracks them.
-/// The regression backend returns the fit alone (its p-value is
+/// Evaluation of one candidate with local mask `mask`: downdate when a
+/// plan is present, otherwise gather — with moments when the walk tracks
+/// them. The regression backend returns the fit alone (its p-value is
 /// deferred); IPW estimates eagerly.
 fn eval_cached(
     ctx: &EstimationContext,
-    cand: &Cand,
+    mask: &BitSet,
     plan: Option<&DowndatePlan>,
     track: bool,
 ) -> EvalRes {
     if ctx.backend() == EstimatorBackend::Ipw {
-        return ctx.estimate_local(&cand.mask).map(|r| (r.into(), None));
+        return ctx.estimate_local(mask).map(|r| (r.into(), None));
     }
     if let Some(p) = plan {
         if let Some(m) = p.parent.moments.as_ref() {
@@ -1175,7 +1363,7 @@ fn eval_cached(
                 .map(|(fit, mm)| (fit.into(), Some(mm)));
         }
     }
-    ctx.fit_local(&cand.mask)
+    ctx.fit_local(mask)
         .map(|(fit, m)| (fit.into(), track.then_some(m)))
 }
 
@@ -1231,8 +1419,8 @@ struct LevelBatch {
 
 /// The resumable Algorithm-2 walk of one subpopulation: direction
 /// sequence (positive, then optionally negative, sharing the
-/// subpopulation's contexts and local projection, and the positive
-/// walk's level-1 estimates), current frontier, best-k list and work
+/// subpopulation's contexts and the positive walk's level-1
+/// estimates), current frontier, best-k list and work
 /// counters. `pump` drives the serial parts (candidate generation,
 /// in-order context builds) until a level is ready to fan out; `absorb`
 /// runs the post-level logic on the index-merged results, so the walk's
@@ -1250,9 +1438,8 @@ struct WalkState<'w> {
     /// The subpopulation's estimation contexts, shared by both
     /// directions.
     contexts: ContextCache,
-    /// The subpopulation-local projection of the atom space, built on
-    /// first use and shared by both directions.
-    local: Option<Arc<LocalSpace>>,
+    /// Rows in the subpopulation.
+    sub_n: usize,
     min_cate: f64,
     /// Index into `dirs` of the direction currently walking.
     dir_idx: usize,
@@ -1272,11 +1459,12 @@ struct WalkState<'w> {
     max_levels: usize,
     /// Finished per-direction result lists, index-aligned with `dirs`.
     outputs: Vec<Vec<TreatmentResult>>,
-    /// The first direction's level-1 `(keys, results)`, kept while a later
-    /// direction still has to walk. Level 1 is every overlap-passing atom
-    /// in every direction, estimated on the same contexts and masks, so
-    /// the later direction absorbs a clone instead of estimating it again.
-    level1: Option<(Vec<Vec<usize>>, Vec<EvalRes>)>,
+    /// The first direction's level-1 `(candidates, keys, results)`, kept
+    /// while a later direction still has to walk. Level 1 is every
+    /// overlap-passing atom in every direction, estimated on the same
+    /// contexts and masks, so the later direction absorbs a clone instead
+    /// of estimating it again.
+    level1: Option<(Vec<Cand>, Vec<Vec<usize>>, Vec<EvalRes>)>,
 }
 
 impl<'w> WalkState<'w> {
@@ -1296,7 +1484,7 @@ impl<'w> WalkState<'w> {
             workers,
             guard,
             contexts: ContextCache::new(),
-            local: None,
+            sub_n: subpop.count(),
             min_cate: miner.opts.min_abs_cate_frac * miner.outcome_std,
             dir_idx: 0,
             fresh: true,
@@ -1354,9 +1542,10 @@ impl<'w> WalkState<'w> {
                     return None;
                 }
                 aux.moments.as_ref()?;
+                let (parent_mask, mask) = (parent.mask.as_ref()?, cand.mask.as_ref()?);
                 Some(DowndatePlan {
                     parent: Arc::clone(aux),
-                    removed: parent.mask.difference(&cand.mask),
+                    removed: parent_mask.difference(mask),
                 })
             });
             match (&plan, cand.parent) {
@@ -1369,16 +1558,6 @@ impl<'w> WalkState<'w> {
         plans
     }
 
-    /// The subpopulation-local atom projection, built on first use and
-    /// shared across levels and directions (and with in-flight batches).
-    fn space(&mut self) -> Arc<LocalSpace> {
-        let (subpop, atoms, table) = (self.subpop, &self.miner.atoms, self.miner.table);
-        Arc::clone(
-            self.local
-                .get_or_insert_with(|| Arc::new(LocalSpace::new(subpop, atoms, table))),
-        )
-    }
-
     /// Drive the walk forward until it either needs a level estimated
     /// (returns the prepared batch to fan out) or has finished every
     /// direction (returns `None`; call `finalize`). Candidate generation
@@ -1389,14 +1568,13 @@ impl<'w> WalkState<'w> {
     fn pump(&mut self) -> Option<Arc<LevelBatch>> {
         while self.dir_idx < self.dirs.len() {
             let cands = if self.fresh {
-                let cands = self.level1_cands();
-                if let Some((keys, results)) = self.level1.take() {
+                if let Some((cands, keys, results)) = self.level1.take() {
                     // A later direction: level 1 was estimated by the
                     // first one.
                     self.absorb(&cands, &keys, results);
                     continue;
                 }
-                cands
+                self.level1_cands()
             } else if !self.stopped
                 && !self.level.is_empty()
                 && self.level_no < self.miner.opts.max_level
@@ -1415,29 +1593,52 @@ impl<'w> WalkState<'w> {
         None
     }
 
-    /// Level 1: all atoms (GenChildren, lines 2–4). Overlap precheck on
-    /// local popcounts before paying for a regression.
-    fn level1_cands(&mut self) -> Vec<Cand> {
-        let space = self.space();
-        let sub_n = space.projector.len();
+    /// Level 1: all atoms (GenChildren, lines 2–4). The overlap precheck
+    /// is a full-width popcount of each atom's mask within the
+    /// subpopulation, before paying for a regression; no atom is
+    /// projected. [`WalkState::sort_level1`] gives the candidates their
+    /// rows when the level is prepared.
+    fn level1_cands(&self) -> Vec<Cand> {
+        let (subpop, sub_n) = (self.subpop, self.sub_n);
         let min_arm = self.miner.opts.cate_opts.min_arm;
-        space
-            .atoms_local
+        self.miner
+            .space
+            .atoms
             .iter()
             .enumerate()
-            .filter_map(|(ai, local_mask)| {
-                let treated_in_sub = local_mask.count();
+            .filter_map(|(ai, atom)| {
+                let treated_in_sub = atom.mask.intersection_count(subpop);
                 if treated_in_sub < min_arm || sub_n - treated_in_sub < min_arm {
                     return None;
                 }
                 Some(Cand {
                     atoms: vec![ai as u16],
-                    mask: local_mask.clone(),
+                    mask: None,
+                    rows: None,
                     count: treated_in_sub,
                     parent: None,
                 })
             })
             .collect()
+    }
+
+    /// Give every level-1 entry of `entries` (`(atom, mask)`) without a
+    /// mask its local mask: one pass over the subpopulation per attribute
+    /// block with such an entry ([`AttrBlock::masks`]).
+    fn fill_masks<'m>(&self, entries: impl IntoIterator<Item = (u16, &'m mut Option<BitSet>)>) {
+        let space = &self.miner.space;
+        let mut missing: Vec<(u16, &mut Option<BitSet>)> =
+            entries.into_iter().filter(|(_, m)| m.is_none()).collect();
+        missing.sort_unstable_by_key(|&(a, _)| a);
+        let block_of = |a: u16| space.atoms[a as usize].block;
+        for run in missing.chunk_by_mut(|x, y| block_of(x.0) == block_of(y.0)) {
+            let block = &space.blocks[block_of(run[0].0)];
+            let wanted = run.iter().map(|(a, _)| *a as usize - block.atoms.start);
+            let masks = block.masks(self.miner.table, self.subpop, wanted);
+            for ((_, slot), mask) in run.iter_mut().zip(masks) {
+                **slot = Some(mask);
+            }
+        }
     }
 
     /// Levels 2..: expand only children whose parents all survived. The
@@ -1446,8 +1647,7 @@ impl<'w> WalkState<'w> {
     /// walk.
     fn join_cands(&mut self) -> Vec<Cand> {
         let miner = self.miner;
-        let space = self.space();
-        let sub_n = space.projector.len();
+        let sub_n = self.sub_n;
         let min_arm = miner.opts.cate_opts.min_arm;
         let level = &self.level;
         let kept: HashSet<Vec<u16>> = level.iter().map(|n| n.atoms.clone()).collect();
@@ -1474,8 +1674,9 @@ impl<'w> WalkState<'w> {
                 if !all_parents_kept(&cand, &kept) {
                     continue;
                 }
-                let mut mask = a.mask.clone();
-                mask.intersect_with(&b.mask);
+                let (ma, mb) = (a.mask.as_ref(), b.mask.as_ref());
+                let mut mask = ma.expect("a joined node has its mask").clone();
+                mask.intersect_with(mb.expect("a joined node has its mask"));
                 let treated_in_sub = mask.count();
                 if treated_in_sub < min_arm || sub_n - treated_in_sub < min_arm {
                     continue;
@@ -1486,7 +1687,8 @@ impl<'w> WalkState<'w> {
                 let parent = if a.count <= b.count { i } else { j } as u32;
                 cands.push(Cand {
                     atoms: cand,
-                    mask,
+                    mask: Some(mask),
+                    rows: None,
                     count: treated_in_sub,
                     parent: Some(parent),
                 });
@@ -1499,7 +1701,7 @@ impl<'w> WalkState<'w> {
     /// context builds run here, serially and in candidate order, so
     /// `builds()` accounting and memo walks do not depend on the worker
     /// count; chunk tasks then only read.
-    fn prepare_batch(&mut self, cands: Vec<Cand>) -> Arc<LevelBatch> {
+    fn prepare_batch(&mut self, mut cands: Vec<Cand>) -> Arc<LevelBatch> {
         let miner = self.miner;
         let level = if self.fresh { 1 } else { self.level_no + 1 };
         let keys: Vec<Vec<usize>> = cands
@@ -1508,7 +1710,7 @@ impl<'w> WalkState<'w> {
                 let attrs: Vec<usize> = c
                     .atoms
                     .iter()
-                    .map(|&x| miner.atoms[x as usize].attr)
+                    .map(|&x| miner.space.atoms[x as usize].attr)
                     .collect();
                 miner.confounders_for(&attrs)
             })
@@ -1526,6 +1728,9 @@ impl<'w> WalkState<'w> {
                 self.contexts.get_shared(key)
             })
             .collect();
+        if self.fresh {
+            self.sort_level1(&mut cands, &ctx);
+        }
         let plans = self.plan_level(&cands, &keys);
         let ranges = sched::chunk_ranges(cands.len(), self.workers, MIN_CHUNK);
         let slots = sched::ChunkSlots::new(ranges.len());
@@ -1541,6 +1746,38 @@ impl<'w> WalkState<'w> {
         })
     }
 
+    /// Give each level-1 candidate its treated rows, one pass over its
+    /// context's rows per attribute block ([`AttrBlock::partition`]): an
+    /// atom's rows are the union of the slots it covers. The atoms of a
+    /// block share one backdoor set and so one context. Without sampling
+    /// the context's rows are the subpopulation's, and the rows are the
+    /// candidate's local mask; under sampling they cover only the sample,
+    /// and a node that needs its mask builds it later
+    /// ([`WalkState::fill_masks`]).
+    fn sort_level1(&self, cands: &mut [Cand], ctx: &[Option<Arc<EstimationContext>>]) {
+        let space = &self.miner.space;
+        let block_of = |c: &Cand| space.atoms[c.atoms[0] as usize].block;
+        let mut first = 0;
+        for run in cands.chunk_by_mut(|a, b| block_of(a) == block_of(b)) {
+            let ctx = &ctx[first];
+            first += run.len();
+            let Some(ctx) = ctx else {
+                continue;
+            };
+            let block = &space.blocks[block_of(&run[0])];
+            let by_slot = block.partition(self.miner.table, ctx.n(), ctx.rows().iter().copied());
+            let local = ctx.n() == ctx.local_width();
+            for cand in run {
+                let rows = block.union(cand.atoms[0] as usize - block.atoms.start, &by_slot);
+                if local {
+                    cand.mask = Some(rows);
+                } else {
+                    cand.rows = Some(rows);
+                }
+            }
+        }
+    }
+
     /// Run the post-level logic on index-merged results: the
     /// direction/near-zero filter in candidate order, the work counters
     /// (every candidate counts — failed estimates are work), per-level
@@ -1549,11 +1786,10 @@ impl<'w> WalkState<'w> {
         debug_assert_eq!(cands.len(), results.len());
         debug_assert_eq!(cands.len(), keys.len());
         if self.fresh && self.dir_idx == 0 && self.dirs.len() > 1 {
-            self.level1 = Some((keys.to_vec(), results.clone()));
+            self.level1 = Some((cands.to_vec(), keys.to_vec(), results.clone()));
         }
         let dir = self.dirs[self.dir_idx];
         let opts = &self.miner.opts;
-        let store_aux = self.store_aux();
         self.evaluated += cands.len();
         // Progress diagnostics for guard trips: evaluations and levels
         // aggregate across all pattern walks of the query.
@@ -1568,25 +1804,16 @@ impl<'w> WalkState<'w> {
                 if !dir.matches(r.cate) || r.cate.abs() < self.min_cate {
                     return None;
                 }
-                Some(Node {
-                    atoms: cand.atoms.clone(),
-                    mask: cand.mask.clone(),
-                    count: cand.count,
-                    cate: r.cate,
-                    p: r.p,
-                    n_treated: r.n_treated,
-                    n_control: r.n_control,
-                    aux: store_aux.then(|| {
-                        Arc::new(NodeAux {
-                            key: key.clone(),
-                            moments,
-                        })
-                    }),
-                })
+                Some(self.node(cand, key, r, moments))
             })
             .collect();
         retain_top(&mut nodes, dir, opts.top_frac, opts.min_keep, |n| n.cate);
         if self.fresh {
+            if opts.max_level > 1 {
+                // The next level joins these nodes and plans downdates
+                // from them.
+                self.fill_masks(nodes.iter_mut().map(|n| (n.atoms[0], &mut n.mask)));
+            }
             self.fresh = false;
             self.level_no = 1;
             // Level 1 seeds the best list; improvement is not yet a
@@ -1611,6 +1838,27 @@ impl<'w> WalkState<'w> {
             if !improved {
                 self.stopped = true;
             }
+        }
+    }
+
+    /// The node candidate `cand` becomes when its estimate `r` (made on
+    /// the context of confounder key `key`) is kept.
+    fn node(&self, cand: &Cand, key: &[usize], r: Est, moments: Option<TreatmentMoments>) -> Node {
+        Node {
+            atoms: cand.atoms.clone(),
+            mask: cand.mask.clone(),
+            rows: cand.rows.clone(),
+            count: cand.count,
+            cate: r.cate,
+            p: r.p,
+            n_treated: r.n_treated,
+            n_control: r.n_control,
+            aux: self.store_aux().then(|| {
+                Arc::new(NodeAux {
+                    key: key.to_vec(),
+                    moments,
+                })
+            }),
         }
     }
 
@@ -1657,8 +1905,8 @@ impl<'w> WalkState<'w> {
 
     /// Assemble the paired summary; `contexts_built` is attributed once,
     /// after both directions, exactly like the old shared-cache walk.
-    /// Consumes the walk, so its contexts, panel and local projection
-    /// are freed as soon as the summary exists.
+    /// Consumes the walk, so its contexts, panel and masks are freed as
+    /// soon as the summary exists.
     fn finalize(mut self) -> PairedTreatments {
         debug_assert_eq!(self.outputs.len(), self.dirs.len());
         let mut positive = Vec::new();
@@ -1771,14 +2019,18 @@ fn dag_maps(table: &Table, dag: &Dag) -> (Vec<Option<usize>>, Vec<Option<usize>>
 }
 
 /// Build the atomic predicate space over the effective treatment attrs.
-/// Each attribute's masks are filled in one pass over its column, through
-/// a branch-free slot lookup per row; categorical attributes add a
-/// frequency pass and wide numeric ones one sort.
-fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Atom> {
+/// Each attribute becomes one [`AttrBlock`]: its atoms' predicates and
+/// slots come from a frequency pass (categorical), a domain scan or one
+/// sort (numeric), and every mask of the block from one pass over the
+/// column ([`AttrBlock::partition`]).
+fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> AtomSpace {
     let n = table.nrows();
-    let mut atoms = Vec::new();
+    let mut space = AtomSpace {
+        atoms: Vec::new(),
+        blocks: Vec::new(),
+    };
     for &attr in attrs {
-        match table.column(attr) {
+        let (preds, slots): (Vec<(Pred, AtomKind)>, Slots) = match table.column(attr) {
             Column::Cat { codes, dict } => {
                 // Most frequent levels first, capped.
                 let mut freq = vec![0usize; dict.len()];
@@ -1793,57 +2045,43 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
                     .filter(|&l| freq[l] > 0)
                     .map(|l| l as u32)
                     .collect();
-                let (slot_of, mut masks) = level_slots(&levels, dict.len(), n)
-                    .expect("an attribute's levels are distinct");
-                for (row, &c) in codes.iter().enumerate() {
-                    masks[slot_of[c as usize]].insert(row);
+                let mut slot = vec![levels.len(); dict.len()];
+                for (i, &l) in levels.iter().enumerate() {
+                    slot[l as usize] = i;
                 }
-                // `zip` leaves the spare mask behind.
-                for (&l, mask) in levels.iter().zip(masks) {
-                    atoms.push(Atom {
-                        pred: Pred::eq(attr, dict.value(l)),
-                        attr,
-                        kind: AtomKind::Level(l),
-                        mask,
-                    });
-                }
+                let preds = levels
+                    .iter()
+                    .map(|&l| (Pred::eq(attr, dict.value(l)), AtomKind::Eq))
+                    .collect();
+                (preds, Slots::Codes(slot))
             }
             col @ (Column::Int(_) | Column::Float(_)) => {
-                let vals: Vec<f64> = (0..n).map(|r| col.get_f64(r)).collect();
-                let scalar = |v: f64| match col {
-                    Column::Int(_) => Scalar::Int(v as i64),
-                    _ => Scalar::Float(v),
+                let pred = |op: Op, v: f64| Pred {
+                    attr,
+                    op,
+                    value: match col {
+                        Column::Int(_) => Scalar::Int(v as i64),
+                        _ => Scalar::Float(v),
+                    },
                 };
-                if let Some(mut uniq) = small_domain(col, opts.numeric_bins.max(6)) {
+                if let Some(mut values) = small_domain(col, opts.numeric_bins.max(6)) {
                     // Small integer-like domain: equality atoms. NaN-total
                     // sort: ingest pre-validates numeric cells, but a NaN
                     // must not abort the whole query.
-                    uniq.sort_by(|a, b| a.total_cmp(b));
-                    uniq.dedup();
-                    // A row's value is `uniq[s]` for `s` = the number of
-                    // domain values below it.
-                    let mut masks = vec![BitSet::new(n); uniq.len()];
-                    for (row, &x) in vals.iter().enumerate() {
-                        let slot: usize = uniq.iter().map(|&u| usize::from(u < x)).sum();
-                        masks[slot].insert(row);
-                    }
-                    for (v, mask) in uniq.into_iter().zip(masks).take(opts.max_atoms_per_attr) {
-                        atoms.push(Atom {
-                            pred: Pred {
-                                attr,
-                                op: Op::Eq,
-                                value: scalar(v),
-                            },
-                            attr,
-                            kind: AtomKind::Eq,
-                            mask,
-                        });
-                    }
+                    values.sort_by(|a, b| a.total_cmp(b));
+                    values.dedup();
+                    let preds = values
+                        .iter()
+                        .take(opts.max_atoms_per_attr)
+                        .map(|&v| (pred(Op::Eq, v), AtomKind::Eq))
+                        .collect();
+                    (preds, Slots::Domain(values))
                 } else {
-                    // Quantile thresholds: attr < q (Upper) and attr ≥ q
-                    // (Lower) per internal cut point. `total_cmp` is a
+                    // Quantile thresholds: attr ≥ q (Lower) and attr < q
+                    // (Upper) per internal cut point. `total_cmp` is a
                     // total order, so the unstable sort gives the same
                     // array as a stable one.
+                    let vals: Vec<f64> = (0..n).map(|r| col.get_f64(r)).collect();
                     let mut sorted = vals.clone();
                     sorted.sort_unstable_by(|a, b| a.total_cmp(b));
                     let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
@@ -1869,60 +2107,42 @@ fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> Vec<Ato
                             });
                         }
                     }
-                    // The cuts increase strictly, so a row's band (the
-                    // number of cuts at or below it) is above `j` iff the
-                    // row satisfies `attr ≥ cuts[j]`.
-                    let mut bands = vec![BitSet::new(n); cuts.len() + 1];
-                    for (row, &x) in vals.iter().enumerate() {
-                        let band: usize = cuts.iter().map(|&q| usize::from(x >= q)).sum();
-                        bands[band].insert(row);
-                    }
-                    let mut upper = BitSet::new(n);
-                    for (q, band) in cuts.into_iter().zip(&bands) {
-                        upper.union_with(band);
-                        atoms.push(Atom {
-                            pred: Pred {
-                                attr,
-                                op: Op::Ge,
-                                value: scalar(q),
-                            },
-                            attr,
-                            kind: AtomKind::Lower,
-                            mask: BitSet::full(n).difference(&upper),
-                        });
-                        atoms.push(Atom {
-                            pred: Pred {
-                                attr,
-                                op: Op::Lt,
-                                value: scalar(q),
-                            },
-                            attr,
-                            kind: AtomKind::Upper,
-                            mask: upper.clone(),
-                        });
-                    }
+                    let preds = cuts
+                        .iter()
+                        .flat_map(|&q| {
+                            [
+                                (pred(Op::Ge, q), AtomKind::Lower),
+                                (pred(Op::Lt, q), AtomKind::Upper),
+                            ]
+                        })
+                        .collect();
+                    (preds, Slots::Cuts(cuts))
                 }
             }
+        };
+        if preds.is_empty() {
+            continue;
         }
+        let start = space.atoms.len();
+        let block = AttrBlock {
+            attr,
+            atoms: start..start + preds.len(),
+            slots,
+        };
+        let by_slot = block.partition(table, n, 0..n);
+        let b = space.blocks.len();
+        space
+            .atoms
+            .extend(preds.into_iter().enumerate().map(|(i, (pred, kind))| Atom {
+                pred,
+                attr,
+                kind,
+                block: b,
+                mask: block.union(i, &by_slot),
+            }));
+        space.blocks.push(block);
     }
-    atoms
-}
-
-/// The code → mask-slot table of a categorical attribute's kept `levels`,
-/// and `levels.len() + 1` empty masks of `width` bits: `levels[i]` fills
-/// mask `i` and every other code the spare last mask, so one pass over the
-/// codes fills every kept level's mask without a branch. `None` when a
-/// level repeats, as it does when a caller lists an attribute twice.
-fn level_slots(levels: &[u32], dict_len: usize, width: usize) -> Option<(Vec<usize>, Vec<BitSet>)> {
-    let spare = levels.len();
-    let mut slot_of = vec![spare; dict_len];
-    for (slot, &l) in levels.iter().enumerate() {
-        if slot_of[l as usize] != spare {
-            return None;
-        }
-        slot_of[l as usize] = slot;
-    }
-    Some((slot_of, vec![BitSet::new(width); spare + 1]))
+    space
 }
 
 /// The distinct values of a numeric column when it has at most `cap` of
@@ -1969,6 +2189,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use table::bitset::Projector;
     use table::TableBuilder;
 
     /// Synthetic data in the spirit of the paper's accuracy study:
@@ -2430,7 +2651,8 @@ mod tests {
     fn scored(cate: f64, p: f64) -> Node {
         Node {
             atoms: Vec::new(),
-            mask: BitSet::new(0),
+            mask: None,
+            rows: None,
             count: 0,
             cate,
             p: PValue::Known(p),
@@ -2638,8 +2860,9 @@ mod tests {
     }
 
     /// Every atom's mask is the row set its own predicate selects, and
-    /// every subpopulation-local mask is that mask projected — whichever
-    /// path filled them (one pass per attribute through a slot table).
+    /// every subpopulation-local mask a block builds is that mask
+    /// projected — both come from one pass per attribute through the
+    /// block's slots.
     #[test]
     fn atom_masks_match_their_predicates_and_projections() {
         for (seed, max_atoms, bins) in [(1, 16, 4), (2, 5, 4), (3, 3, 8), (4, 16, 2)] {
@@ -2651,7 +2874,7 @@ mod tests {
             };
             let miner = TreatmentMiner::new(&table, &dag, 7, &[0, 1, 2, 3, 4, 5, 6], opts);
             assert_eq!(miner.effective_attrs(), vec![0, 1, 2, 3, 4, 5, 6]);
-            for atom in miner.atoms.iter() {
+            for atom in miner.space.atoms.iter() {
                 let selected = Pattern::single(atom.pred.clone()).eval(&table).unwrap();
                 assert_eq!(
                     atom.mask,
@@ -2664,7 +2887,7 @@ mod tests {
             // columns is 0, so they take the mean fallback: one cut.
             if bins <= 4 {
                 for attr in [5, 6] {
-                    let cuts = miner.atoms.iter().filter(|a| a.attr == attr).count();
+                    let cuts = miner.space.atoms.iter().filter(|a| a.attr == attr).count();
                     assert_eq!(cuts, 2, "seed {seed}: attr {attr}");
                 }
             }
@@ -2676,26 +2899,126 @@ mod tests {
                 BitSet::from_mask(&(0..n).map(|_| rng.gen_bool(0.3)).collect::<Vec<_>>()),
                 BitSet::from_mask(&(0..n).map(|r| r % 64 < 5).collect::<Vec<_>>()),
             ];
-            // An attribute listed twice puts two runs of the same level
+            // An attribute listed twice puts two blocks of the same level
             // atoms side by side.
             let twice = TreatmentMiner::new(&table, &dag, 7, &[0, 0, 5], miner.opts.clone());
             for subpop in &subpops {
+                let projector = Projector::new(subpop);
                 for m in [&miner, &twice] {
-                    let space = LocalSpace::new(subpop, &m.atoms, &table);
-                    let projector = Projector::new(subpop);
-                    assert_eq!(space.atoms_local.len(), m.atoms.len());
-                    for (atom, local) in m.atoms.iter().zip(&space.atoms_local) {
-                        assert_eq!(
-                            *local,
-                            projector.project(&atom.mask),
-                            "seed {seed}: atom {} on {} rows",
-                            atom.pred.display(&table),
-                            subpop.count()
-                        );
+                    let mut seen = 0;
+                    for block in &m.space.blocks {
+                        let atoms = &m.space.atoms[block.atoms.clone()];
+                        let masks = block.masks(&table, subpop, 0..atoms.len());
+                        for (atom, local) in atoms.iter().zip(&masks) {
+                            assert_eq!(
+                                *local,
+                                projector.project(&atom.mask),
+                                "seed {seed}: atom {} on {} rows",
+                                atom.pred.display(&table),
+                                subpop.count()
+                            );
+                        }
+                        seen += masks.len();
+                    }
+                    assert_eq!(seen, m.space.atoms.len());
+                }
+            }
+        }
+    }
+
+    /// Level 1 without projection: each candidate's count is the popcount
+    /// of its projected mask, and the overlap gate keeps exactly the atoms
+    /// the projected popcounts pass. The rows a level's preparation sorts
+    /// out are the projected mask without sampling, and the atom's rows
+    /// among the context's rows under it. The masks built on demand — for
+    /// any subset of the candidates, in any order, as `absorb` builds them
+    /// for the kept nodes — equal `Projector::project`.
+    #[test]
+    fn level1_counts_and_on_demand_masks_match_projections() {
+        let (mut sorted_masks, mut sorted_rows) = (0, 0);
+        for (seed, max_atoms, bins, cap) in [(5, 16, 4, None), (6, 3, 8, Some(40))] {
+            let (table, dag) = atom_space_table(900, seed);
+            let opts = LatticeOptions {
+                max_atoms_per_attr: max_atoms,
+                numeric_bins: bins,
+                cate_opts: CateOptions {
+                    sample_cap: cap,
+                    ..CateOptions::default()
+                },
+                ..Default::default()
+            };
+            let min_arm = opts.cate_opts.min_arm;
+            let attrs = [0, 0, 1, 2, 3, 4, 5, 6];
+            let miner = TreatmentMiner::new(&table, &dag, 7, &attrs, opts);
+            let n = table.nrows();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let subpops = [
+                BitSet::new(n),
+                BitSet::full(n),
+                BitSet::from_mask(&(0..n).map(|_| rng.gen_bool(0.4)).collect::<Vec<_>>()),
+                BitSet::from_mask(&(0..n).map(|r| r % 97 < 2 * min_arm).collect::<Vec<_>>()),
+            ];
+            let guard = RunGuard::unlimited();
+            for subpop in &subpops {
+                let projector = Projector::new(subpop);
+                let sub_n = subpop.count();
+                let projected: Vec<BitSet> = miner
+                    .space
+                    .atoms
+                    .iter()
+                    .map(|a| projector.project(&a.mask))
+                    .collect();
+                let want: Vec<(u16, usize)> = projected
+                    .iter()
+                    .enumerate()
+                    .map(|(a, m)| (a as u16, m.count()))
+                    .filter(|&(_, c)| c >= min_arm && sub_n - c >= min_arm)
+                    .collect();
+                let mut walk = WalkState::new(&miner, subpop, 3, &[Direction::Positive], 1, &guard);
+                let mut cands = walk.level1_cands();
+                let got: Vec<(u16, usize)> = cands.iter().map(|c| (c.atoms[0], c.count)).collect();
+                assert_eq!(got, want, "seed {seed}, {sub_n} rows");
+                assert!(cands.iter().all(|c| c.mask.is_none() && c.rows.is_none()));
+                if !cands.is_empty() {
+                    let batch = walk.prepare_batch(cands.clone());
+                    for (c, ctx) in batch.cands.iter().zip(&batch.ctx) {
+                        let ctx = ctx
+                            .as_ref()
+                            .expect("a numeric outcome builds every context");
+                        let atom = &miner.space.atoms[c.atoms[0] as usize];
+                        match (&c.mask, &c.rows) {
+                            (Some(mask), None) => {
+                                assert_eq!(ctx.n(), sub_n, "seed {seed}: unsampled");
+                                assert_eq!(*mask, projected[c.atoms[0] as usize], "seed {seed}");
+                                sorted_masks += 1;
+                            }
+                            (None, Some(rows)) => {
+                                sorted_rows += 1;
+                                assert!(ctx.n() < sub_n, "seed {seed}: sampled");
+                                for (i, &r) in ctx.rows().iter().enumerate() {
+                                    assert_eq!(rows.contains(i), atom.mask.contains(r));
+                                }
+                            }
+                            _ => {
+                                panic!("seed {seed}: a level-1 candidate has its mask or its rows")
+                            }
+                        }
+                    }
+                }
+                // Kept nodes arrive sorted by CATE, not by atom.
+                for i in (1..cands.len()).rev() {
+                    cands.swap(i, rng.gen_range(0..=i));
+                }
+                let wanted = cands.iter_mut().filter(|_| rng.gen_bool(0.6));
+                walk.fill_masks(wanted.map(|c| (c.atoms[0], &mut c.mask)));
+                for c in &cands {
+                    if let Some(mask) = &c.mask {
+                        assert_eq!(*mask, projected[c.atoms[0] as usize], "seed {seed}");
                     }
                 }
             }
         }
+        assert!(sorted_masks > 0 && sorted_rows > 0);
     }
 
     /// An Int column whose quartile cuts all sit on the minimum is split

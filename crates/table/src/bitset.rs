@@ -298,6 +298,34 @@ impl BitSet {
         }
     }
 
+    /// Split the positions `0..len` by slot: `slots` yields the slot of
+    /// each position in order, every one below `n`, and set `s` of the
+    /// result holds the positions of slot `s`, at width `len`. One pass:
+    /// each position sets its bit in its slot's current word, and the `n`
+    /// words are stored every 64 positions.
+    pub fn partition(len: usize, n: usize, slots: impl IntoIterator<Item = usize>) -> Vec<BitSet> {
+        let mut sets = vec![BitSet::new(len); n];
+        let mut word = vec![0u64; n];
+        let mut flush = |w: usize, word: &mut [u64]| {
+            for (set, bits) in sets.iter_mut().zip(word) {
+                set.words[w] = std::mem::take(bits);
+            }
+        };
+        let mut i = 0;
+        for s in slots {
+            word[s] |= 1 << (i % 64);
+            i += 1;
+            if i % 64 == 0 {
+                flush(i / 64 - 1, &mut word);
+            }
+        }
+        assert_eq!(i, len, "one slot per position");
+        if i % 64 != 0 {
+            flush(i / 64, &mut word);
+        }
+        sets
+    }
+
     /// Materialize as a boolean mask of length `capacity()`.
     pub fn to_mask(&self) -> Vec<bool> {
         let mut m = vec![false; self.nbits];
@@ -552,6 +580,26 @@ mod tests {
             seen.clear();
             a.for_each_difference(&b, |i| seen.push(i));
             assert_eq!(seen, d.iter().collect::<Vec<_>>(), "nbits={nbits}");
+        }
+    }
+
+    /// `partition` puts every position in its slot's set, at every tail
+    /// shape: the same sets as one insert per position.
+    #[test]
+    fn partition_matches_per_position_inserts() {
+        for len in [0, 1, 63, 64, 65, 127, 128, 129, 300] {
+            for n in [1, 3, 7] {
+                let slot = |i: usize| (i * 7 + i / 5) % n;
+                let mut want = vec![BitSet::new(len); n];
+                for i in 0..len {
+                    want[slot(i)].insert(i);
+                }
+                assert_eq!(
+                    BitSet::partition(len, n, (0..len).map(slot)),
+                    want,
+                    "{len}/{n}"
+                );
+            }
         }
     }
 
