@@ -4,12 +4,14 @@
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
 //! downdate), the treatment lattice, one warm serve-shaped query whose
-//! walk stops at level 1, and the simplex/rounding selection step.
+//! walk stops at level 1, the walk's per-candidate gather and Gram fit,
+//! and the simplex/rounding selection step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use causal::context::{ContextCache, EstimationContext, SubpopPanel};
+use causal::context::{ConfounderKey, ContextCache, EstimationContext, SubpopPanel};
 use causal::estimate::{estimate_cate, CateOptions};
+use causal::NumericMode;
 use datagen::synthetic::SynthParams;
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
@@ -19,6 +21,7 @@ use mining::RunGuard;
 use table::bitset::BitSet;
 use table::fd::{fd_closure, treatment_attrs};
 use table::pattern::{Pattern, Pred};
+use table::Column;
 
 fn bench_groupby(c: &mut Criterion) {
     let ds = datagen::so::generate(10_000, 1);
@@ -222,9 +225,16 @@ fn bench_confounder_panel(c: &mut Criterion) {
     let panel_all = || -> usize {
         let mut cache = ContextCache::new();
         sets.iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(id, s)| {
                 cache
-                    .get_or_build(&ds.table, Some(&subpop), ds.outcome, s.clone(), &opts)
+                    .get_or_build(
+                        &ds.table,
+                        Some(&subpop),
+                        ds.outcome,
+                        &ConfounderKey::new(id, s.clone()),
+                        &opts,
+                    )
                     .map_or(0, |ctx| ctx.n())
             })
             .sum()
@@ -467,6 +477,96 @@ fn bench_selection(c: &mut Criterion) {
     });
 }
 
+/// The lattice walk's per-candidate kernels. `gather_so_30k`: one
+/// Role-style backdoor context (Age, Education, Major, YearsCoding: two
+/// dense and two level-coded confounders) over SO 30k, fitting a
+/// level-1-density mask (the most frequent Role) and a level-2-density one
+/// (that Role and Age < 35) — the `tᵀy`/`tᵀZ` gather plus the fit it
+/// feeds, in each numeric mode. `fit_gram`: the Gram fit alone from the
+/// bordered blocks, at the walk's mean width (p = 7) and a wide one
+/// (p = 30, above the stack scratch).
+fn bench_walk_kernels(c: &mut Criterion) {
+    let ds = datagen::so::generate(30_000, 42);
+    let attr = |name: &str| ds.table.attr(name).unwrap();
+    let backdoor: Vec<usize> = ["Age", "Education", "Major", "YearsCoding"]
+        .iter()
+        .map(|&a| attr(a))
+        .collect();
+    let Column::Cat { codes, dict } = ds.table.column(attr("Role")) else {
+        panic!("Role is categorical");
+    };
+    let mut freq = vec![0usize; dict.len()];
+    for &c in codes {
+        freq[c as usize] += 1;
+    }
+    let top = (0..freq.len()).max_by_key(|&l| freq[l]).unwrap() as u32;
+    let age = ds.table.column(attr("Age"));
+    let level1 = BitSet::from_mask(&codes.iter().map(|&c| c == top).collect::<Vec<_>>());
+    let level2 = BitSet::from_mask(
+        &(0..codes.len())
+            .map(|r| codes[r] == top && age.get_f64(r) < 35.0)
+            .collect::<Vec<_>>(),
+    );
+    let mut group = c.benchmark_group("gather_so_30k");
+    for (name, mode) in [
+        ("exact", NumericMode::Exact),
+        ("fastv1", NumericMode::FastV1),
+    ] {
+        let opts = CateOptions {
+            numeric_mode: mode,
+            ..CateOptions::default()
+        };
+        let ctx = SubpopPanel::new(&ds.table, None, ds.outcome, &opts)
+            .assemble(&ds.table, &backdoor)
+            .unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let fit = |m: &BitSet| ctx.fit_local(m).map(|(f, _)| f.cate());
+                (fit(&level1), fit(&level2))
+            })
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("fit_gram");
+    for p in [7usize, 30] {
+        let (n, q) = (2_000usize, p - 2);
+        let col = |j: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| ((i * (2 * j + 3) + j * j) % 17) as f64 + 0.25 * j as f64)
+                .collect()
+        };
+        let z: Vec<Vec<f64>> = (0..q).map(col).collect();
+        let y: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.5 + 1.0).collect();
+        let t: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        let tsum = |v: &[f64]| (0..n).filter(|&i| t[i]).map(|i| v[i]).sum::<f64>();
+        let sum_z: Vec<f64> = z.iter().map(|c| c.iter().sum()).collect();
+        let tz: Vec<f64> = z.iter().map(|c| tsum(c)).collect();
+        let zy: Vec<f64> = z.iter().map(|c| dot(c, &y)).collect();
+        let mut zz = stats::Matrix::zeros(q, q);
+        for i in 0..q {
+            for j in 0..q {
+                zz[(i, j)] = dot(&z[i], &z[j]);
+            }
+        }
+        let blocks = stats::ols::BorderedBlocks {
+            n,
+            n_treated: t.iter().filter(|&&x| x).count(),
+            sum_y: y.iter().sum(),
+            ty: tsum(&y),
+            sum_z: &sum_z,
+            tz: &tz,
+            zz: &zz,
+            zy: &zy,
+        };
+        group.bench_function(format!("p{p}"), |b| {
+            b.iter(|| blocks.fit_at(1).map(|f| f.beta[1]))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
@@ -483,6 +583,7 @@ criterion_group!(
         bench_numeric_kernels,
         bench_lattice,
         bench_level1_serve,
+        bench_walk_kernels,
         bench_selection
 );
 criterion_main!(kernels);

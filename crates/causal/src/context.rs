@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Per candidate treatment only the `t`-blocks are accumulated and the
-//! solve runs through [`stats::ols::fit_from_gram_at`]; the `O(n·p²)` Gram
+//! solve runs through [`stats::ols::BorderedBlocks::fit_at`]; the `O(n·p²)` Gram
 //! pass, the full-table row scan and the one-hot re-encoding disappear
 //! from the hot loop. All block sums accumulate in ascending row order
 //! with the same skip-exact-zero semantics as
@@ -189,7 +189,6 @@
 //! in `Exact` mode — the walk falls back to a full regather there, keeping
 //! the contract intact.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -199,7 +198,7 @@ use rand::SeedableRng;
 
 use stats::matrix::Matrix;
 use stats::numeric::{self, LaneAcc, NumericMode};
-use stats::ols::{fit_from_gram_at, gram_from_blocks, GramFit};
+use stats::ols::{BorderedBlocks, GramFit};
 use table::bitset::{BitSet, Projector};
 use table::{Column, Table};
 
@@ -422,18 +421,6 @@ impl Design {
         z
     }
 
-    /// The dense columns and the coded blocks' `(first slot, codes)` as
-    /// plain slices, hoisted out of a row loop.
-    fn slices(&self) -> (Vec<&[f64]>, Vec<(usize, &[u32])>) {
-        let dense = self.dense.iter().map(|(_, c)| c.as_slice()).collect();
-        let coded = self
-            .coded
-            .iter()
-            .map(|(_, s, c)| (*s, c.codes.as_slice()))
-            .collect();
-        (dense, coded)
-    }
-
     /// Call `f(design column, count)` for every kept level of every coded
     /// block, reading the counts from a histogram laid out by `coded`.
     fn for_each_count(&self, hist: &[u32], mut f: impl FnMut(usize, f64)) {
@@ -477,18 +464,30 @@ fn add_z_terms(terms: &[ZTerm<'_>], yhat: &mut [f64], start: usize) {
     }
 }
 
-/// A running sum in one numeric mode's gather order: [`SerialAcc`] for
-/// `Exact`, [`LaneAcc`] (lane = visitation rank) for `FastV1`.
-trait GatherAcc: Clone + Default {
+/// Columns one walk of the gather/downdate kernel folds at most: `y` and
+/// up to three dense columns, then groups of four, each group in a walk
+/// of its own.
+const FOLD_GROUP: usize = 4;
+
+/// Histogram slots the kernel keeps on the stack; more come from the heap.
+const HIST_STACK: usize = 128;
+
+/// One accumulator kind of the gather/downdate kernel
+/// ([`EstimationContext::fold_rows`]): how the walked rows' values of one
+/// column fold into one scalar.
+trait Fold: Clone {
+    /// Fold the next walked row's value.
     fn push(&mut self, v: f64);
+
+    /// The folded scalar.
     fn finish(&self) -> f64;
 }
 
-/// The `Exact` gather's serial fold, from `+0.0`.
+/// The `Exact` gather: one serial sum per column, from `+0.0`.
 #[derive(Clone, Default)]
-struct SerialAcc(f64);
+struct Serial(f64);
 
-impl GatherAcc for SerialAcc {
+impl Fold for Serial {
     #[inline]
     fn push(&mut self, v: f64) {
         self.0 += v;
@@ -499,7 +498,8 @@ impl GatherAcc for SerialAcc {
     }
 }
 
-impl GatherAcc for LaneAcc {
+/// The `FastV1` gather: eight lanes per column, lane = visitation rank.
+impl Fold for LaneAcc {
     #[inline]
     fn push(&mut self, v: f64) {
         LaneAcc::push(self, v);
@@ -508,6 +508,45 @@ impl GatherAcc for LaneAcc {
     fn finish(&self) -> f64 {
         LaneAcc::finish(self)
     }
+}
+
+/// The downdate: one serial subtraction per column from the parent's
+/// value, in ascending row order, whatever the numeric mode.
+#[derive(Clone)]
+struct Downdate(f64);
+
+impl Fold for Downdate {
+    #[inline]
+    fn push(&mut self, v: f64) {
+        self.0 -= v;
+    }
+
+    fn finish(&self) -> f64 {
+        self.0
+    }
+}
+
+/// Walk `rows` once for the `N` columns `cols(0..N)`, folding every
+/// walked position's values into `acc[..N]` in ascending order, and call
+/// `each` per position. The accumulators are locals for the whole walk, so
+/// a serial fold keeps them in registers and its add chain's latency hides
+/// the rest of the row's work.
+#[inline]
+fn fold_group<'c, A: Fold, const N: usize>(
+    acc: &mut [A; FOLD_GROUP],
+    cols: impl Fn(usize) -> &'c [f64],
+    rows: TreatedRows<'_>,
+    mut each: impl FnMut(usize),
+) {
+    let c: [&[f64]; N] = std::array::from_fn(&cols);
+    let mut a: [A; N] = std::array::from_fn(|k| acc[k].clone());
+    rows.for_each(|i| {
+        for k in 0..N {
+            a[k].push(c[k][i]);
+        }
+        each(i);
+    });
+    acc[..N].clone_from_slice(&a);
 }
 
 /// `Z_aᵀZ_b` of two coded attributes, `d_a × d_b` row-major: one pass
@@ -590,6 +629,12 @@ impl RegressionFit {
     /// Control units among the context's (sampled) rows.
     pub fn n_control(&self) -> usize {
         self.n_control
+    }
+
+    /// The fit half as [`stats::ols`](mod@stats::ols) returns it: `β`, and through
+    /// [`GramFit::p_value`] the p-value of a residual sum of squares.
+    pub fn gram(&self) -> &GramFit {
+        &self.fit
     }
 }
 
@@ -812,47 +857,91 @@ impl EstimationContext {
 
     /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
     /// (ascending), with the context's numeric kernels. In `Exact` mode
-    /// the sums are the historical serial fold; in `FastV1` they stream
-    /// through a [`LaneAcc`], assigning lanes by visitation rank — so the
-    /// dense membership scan, the local sparse gather and the sampled
-    /// gather all produce identical bits whenever they visit the same
-    /// positions in the same order. A coded block's `tᵀZ_a` is a level
-    /// histogram: each entry of a dense one-hot gather is a sum of 0/1
-    /// values, an integer that every fold order gives exactly.
+    /// the sums are the historical serial fold; in `FastV1` they fold into
+    /// eight lanes by visitation rank — so the dense membership scan, the
+    /// local sparse gather and the sampled gather all produce identical
+    /// bits whenever they visit the same positions in the same order. A
+    /// coded block's `tᵀZ_a` is a level histogram: each entry of a dense
+    /// one-hot gather is a sum of 0/1 values, an integer that every fold
+    /// order gives exactly.
     fn gather(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
-        match self.mode {
-            NumericMode::Exact => self.gather_with::<SerialAcc>(rows),
-            NumericMode::FastV1 => self.gather_with::<LaneAcc>(rows),
-        }
+        let mut tz = vec![0.0; self.z.q];
+        let set = |t: &mut f64, count| *t = count;
+        let (n_treated, ty) = match self.mode {
+            NumericMode::Exact => self.fold_rows(rows, |_| Serial::default(), &mut tz, set),
+            NumericMode::FastV1 => self.fold_rows(rows, |_| LaneAcc::new(), &mut tz, set),
+        };
+        TreatmentMoments { n_treated, ty, tz }
     }
 
-    fn gather_with<A: GatherAcc>(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
+    /// The one gather/downdate kernel. It folds the walked rows into one
+    /// accumulator per column of `[y, dense…]` (`init(k)` starts column
+    /// `k`), up to [`FOLD_GROUP`] columns per walk, with the accumulators
+    /// in registers for the whole walk; a `Vec` accumulator would cost a
+    /// load and a store per row. Every accumulator sees its rows in
+    /// ascending order, so each fold has the bits of a per-row pass: the
+    /// serial sum for `Exact`, lane = visitation rank for `FastV1`, the
+    /// serial subtraction for a downdate. The first walk also counts each
+    /// coded block's level histogram.
+    /// A dense column's folded value lands in its entry of `tz`, and every
+    /// coded block's histogram goes through `count(&mut tz[j], c)` with
+    /// the walked rows `c` of the kept level behind design column `j`.
+    /// Returns the rows walked and `y`'s folded value.
+    fn fold_rows<A: Fold>(
+        &self,
+        rows: TreatedRows<'_>,
+        init: impl Fn(usize) -> A,
+        tz: &mut [f64],
+        count: impl Fn(&mut f64, f64),
+    ) -> (usize, f64) {
         let y = self.y.as_slice();
-        let (dense, coded) = self.z.slices();
-        let mut n_treated = 0usize;
-        let mut ty = A::default();
-        let mut acc = vec![A::default(); dense.len()];
-        let mut hist = vec![0u32; self.z.slots];
-        rows.for_each(|i| {
-            n_treated += 1;
-            ty.push(y[i]);
-            for (a, col) in acc.iter_mut().zip(&dense) {
-                a.push(col[i]);
+        let cols = |k: usize| -> &[f64] {
+            match k {
+                0 => y,
+                _ => &self.z.dense[k - 1].1,
             }
-            for &(slot, codes) in &coded {
-                hist[slot + codes[i] as usize] += 1;
+        };
+        let slots = self.z.slots;
+        let mut small = [0u32; HIST_STACK];
+        let mut large = Vec::new();
+        let hist: &mut [u32] = if slots <= HIST_STACK {
+            &mut small[..slots]
+        } else {
+            large.resize(slots, 0);
+            &mut large
+        };
+        let coded = &self.z.coded;
+        let (mut walked, mut ty) = (0, 0.0);
+        let total = 1 + self.z.dense.len();
+        for first in (0..total).step_by(FOLD_GROUP) {
+            let n = (total - first).min(FOLD_GROUP);
+            // Slots past `n` are padding that no walk folds into.
+            let mut acc: [A; FOLD_GROUP] = std::array::from_fn(|k| init(first + k.min(n - 1)));
+            let cols = |k: usize| cols(first + k);
+            let counting = first == 0;
+            let each = |i: usize| {
+                if counting {
+                    walked += 1;
+                    for (_, slot, c) in coded {
+                        hist[slot + c.codes[i] as usize] += 1;
+                    }
+                }
+            };
+            match n {
+                1 => fold_group::<A, 1>(&mut acc, cols, rows, each),
+                2 => fold_group::<A, 2>(&mut acc, cols, rows, each),
+                3 => fold_group::<A, 3>(&mut acc, cols, rows, each),
+                _ => fold_group::<A, 4>(&mut acc, cols, rows, each),
             }
-        });
-        let mut tz = vec![0.0; self.z.q];
-        for ((j, _), a) in self.z.dense.iter().zip(&acc) {
-            tz[*j] = a.finish();
+            for (k, a) in acc[..n].iter().enumerate() {
+                match first + k {
+                    0 => ty = a.finish(),
+                    k => tz[self.z.dense[k - 1].0] = a.finish(),
+                }
+            }
         }
-        self.z.for_each_count(&hist, |j, k| tz[j] = k);
-        TreatmentMoments {
-            n_treated,
-            ty: ty.finish(),
-            tz,
-        }
+        self.z.for_each_count(hist, |j, c| count(&mut tz[j], c));
+        (walked, ty)
     }
 
     /// [`EstimationContext::estimate_local`] for the regression backend,
@@ -944,31 +1033,26 @@ impl EstimationContext {
         removed: &BitSet,
     ) -> Option<(RegressionFit, TreatmentMoments)> {
         debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        let y = self.y.as_slice();
-        let (dense, coded) = self.z.slices();
-        let TreatmentMoments {
-            mut n_treated,
-            mut ty,
-            mut tz,
-        } = parent.clone();
         // Subtract removed rows in ascending local order; rows the
         // §5.2(d) sampling dropped never entered the parent's moments,
         // and the walker skips them. A coded block's entries are integer
         // counts, so subtracting the removed rows' level histogram at
         // once has the bits of subtracting 1 row by row.
-        let mut hist = vec![0u32; self.z.slots];
-        self.local(removed).for_each(|i| {
-            n_treated -= 1;
-            ty -= y[i];
-            for ((j, _), col) in self.z.dense.iter().zip(&dense) {
-                tz[*j] -= col[i];
-            }
-            for &(slot, codes) in &coded {
-                hist[slot + codes[i] as usize] += 1;
-            }
-        });
-        self.z.for_each_count(&hist, |j, k| tz[j] -= k);
-        let moments = TreatmentMoments { n_treated, ty, tz };
+        let dense = &self.z.dense;
+        let mut tz = parent.tz.clone();
+        let init = |k: usize| {
+            Downdate(match k {
+                0 => parent.ty,
+                _ => parent.tz[dense[k - 1].0],
+            })
+        };
+        let (removed_rows, ty) =
+            self.fold_rows(self.local(removed), init, &mut tz, |t, count| *t -= count);
+        let moments = TreatmentMoments {
+            n_treated: parent.n_treated - removed_rows,
+            ty,
+            tz,
+        };
         let fit = self.fit_regression(&moments)?;
         Some((fit, moments))
     }
@@ -981,6 +1065,14 @@ impl EstimationContext {
     pub fn p_value_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
         fit.fit
             .p_value(self.rss(&fit.fit.beta, fit.ty, self.local(treated)))
+    }
+
+    /// The residual sum of squares [`EstimationContext::p_value_local`]
+    /// reads: a hook for the tests that hold the residual pass to a
+    /// per-row reference, since the p-value's square root can hide an ulp.
+    #[doc(hidden)]
+    pub fn rss_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        self.rss(&fit.fit.beta, fit.ty, self.local(treated))
     }
 
     /// [`EstimationContext::p_value_local`] for a fit from
@@ -1003,28 +1095,27 @@ impl EstimationContext {
     }
 
     /// The fit half shared by every regression estimate: overlap gate,
-    /// Gram assembly from the cached fixed blocks plus the gathered
-    /// t-blocks (pure placement — see `stats::ols::gram_from_blocks`), and
-    /// [`fit_from_gram_at`] for the treatment coefficient.
+    /// then [`BorderedBlocks::fit_at`] on the cached fixed blocks plus the
+    /// gathered t-blocks for the treatment coefficient, in scratch.
     fn fit_regression(&self, t: &TreatmentMoments) -> Option<RegressionFit> {
         if !self.overlap_ok(t.n_treated) {
             return None; // Overlap (Eq. 4) violated.
         }
         let n = self.rows.len();
-        let (gram, xty) = gram_from_blocks(
-            n,
-            t.n_treated,
-            self.sum_y,
-            t.ty,
-            &self.sum_z,
-            &t.tz,
-            &self.zz,
-            &self.zy,
-        );
         // Inference only at index 1 — the treatment coefficient is the
         // only one estimation consumes; its se/p-value come out of the
         // same factor/solve path bit for bit.
-        let fit = fit_from_gram_at(&gram, &xty, n, 1)?;
+        let fit = BorderedBlocks {
+            n,
+            n_treated: t.n_treated,
+            sum_y: self.sum_y,
+            ty: t.ty,
+            sum_z: &self.sum_z,
+            tz: &t.tz,
+            zz: &self.zz,
+            zy: &self.zy,
+        }
+        .fit_at(1)?;
         Some(RegressionFit {
             fit,
             ty: t.ty,
@@ -1082,70 +1173,67 @@ impl EstimationContext {
     /// `add_z_terms`). `ty` is the fit's `tᵀy`, which the `FastV1`
     /// shortcut reads.
     fn rss(&self, beta: &[f64], ty: f64, treated: TreatedRows<'_>) -> f64 {
+        if self.mode == NumericMode::FastV1 {
+            // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
+            // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
+            // the assembled border [Σy, tᵀy, Zᵀy], skipping the
+            // O(n·q) data pass entirely. The identity cancels
+            // catastrophically when the fit is near-exact
+            // (RSS ≪ yᵀy), so it is guarded: anything below
+            // RSS_SHORTCUT_GUARD·yᵀy falls back to the data pass,
+            // capping the shortcut's relative rounding error
+            // around eps/GUARD ≈ 1e-12 — well inside the 1e-9
+            // cross-mode tolerance. Both branches are deterministic
+            // functions of (β, Xᵀy, data), so FastV1 stays
+            // bit-identical across threads and cache layers.
+            const RSS_SHORTCUT_GUARD: f64 = 1e-4;
+            let mut bxty = 0.0;
+            let xty = [self.sum_y, ty].into_iter().chain(self.zy.iter().copied());
+            for (b, v) in beta.iter().zip(xty) {
+                bxty += b * v;
+            }
+            let shortcut = self.sum_y_sq - bxty;
+            if shortcut > RSS_SHORTCUT_GUARD * self.sum_y_sq {
+                return shortcut;
+            }
+        }
+        // Residual pass over virtual rows [1, t, z…], evaluated
+        // column-major into a ŷ buffer: each element sees the exact
+        // per-term addition sequence of the naive row-major loop (init =
+        // 1·β₀, then t·β₁, then z_j·β_{2+j} in column order). The z terms
+        // are applied to one L1-resident block of ŷ at a time, which then
+        // folds its residuals: serially across blocks in `Exact` (the
+        // naive pass's sum, which the algebraic shortcut above cannot
+        // replay), into the 8 lanes in `FastV1`. BLOCK is a multiple of 8,
+        // so the lane a global index lands in is `index & 7` — identical
+        // to one unblocked lane pass (pinned by the blocked-vs-whole-array
+        // test in stats::numeric) — while ŷ is touched once per block
+        // instead of q+1 times over the whole array.
+        const BLOCK: usize = 4096;
+        let n = self.rows.len();
+        let mut yhat = self.yhat_1t(beta, treated);
+        let terms = self.z_terms(beta);
+        let mut serial = 0.0;
+        let mut lanes = [0.0f64; 8];
+        let mut s = 0;
+        while s < n {
+            let e = (s + BLOCK).min(n);
+            add_z_terms(&terms, &mut yhat[s..e], s);
+            let (y, yhat) = (&self.y[s..e], &yhat[s..e]);
+            match self.mode {
+                NumericMode::Exact => {
+                    for (&yi, &vh) in y.iter().zip(yhat) {
+                        let d = yi - vh;
+                        serial += d * d;
+                    }
+                }
+                NumericMode::FastV1 => numeric::lane_sq_diff_into(&mut lanes, y, yhat),
+            }
+            s = e;
+        }
         match self.mode {
-            NumericMode::Exact => {
-                // Residual pass over virtual rows [1, t, z…], evaluated
-                // column-major into a ŷ buffer: each element sees the
-                // exact per-term addition sequence of the naive
-                // row-major loop (init = 1·β₀, then t·β₁, then
-                // z_j·β_{2+j} in column order), so RSS matches the
-                // naive pass bit for bit while the z passes run over
-                // contiguous columns the compiler can vectorize. The
-                // algebraic shortcut below is never taken here — it
-                // cannot replay the historical fold.
-                let mut yhat = self.yhat_1t(beta, treated);
-                add_z_terms(&self.z_terms(beta), &mut yhat, 0);
-                let mut rss = 0.0;
-                for (&yi, &vh) in self.y.iter().zip(&yhat) {
-                    let e = yi - vh;
-                    rss += e * e;
-                }
-                rss
-            }
-            NumericMode::FastV1 => {
-                // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
-                // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
-                // the assembled border [Σy, tᵀy, Zᵀy], skipping the
-                // O(n·q) data pass entirely. The identity cancels
-                // catastrophically when the fit is near-exact
-                // (RSS ≪ yᵀy), so it is guarded: anything below
-                // RSS_SHORTCUT_GUARD·yᵀy falls back to the fused data
-                // pass, capping the shortcut's relative rounding error
-                // around eps/GUARD ≈ 1e-12 — well inside the 1e-9
-                // cross-mode tolerance. Both branches are deterministic
-                // functions of (β, Xᵀy, data), so FastV1 stays
-                // bit-identical across threads and cache layers.
-                const RSS_SHORTCUT_GUARD: f64 = 1e-4;
-                let mut bxty = 0.0;
-                let xty = [self.sum_y, ty].into_iter().chain(self.zy.iter().copied());
-                for (b, v) in beta.iter().zip(xty) {
-                    bxty += b * v;
-                }
-                let shortcut = self.sum_y_sq - bxty;
-                if shortcut > RSS_SHORTCUT_GUARD * self.sum_y_sq {
-                    return shortcut;
-                }
-                // Fused blocked fallback: apply every z column to one
-                // L1-resident block of ŷ, then fold its residuals into
-                // the 8 lanes. BLOCK is a multiple of 8, so the lane a
-                // global index lands in is `index & 7` — identical to
-                // one unblocked lane pass (pinned by the
-                // blocked-vs-whole-array test in stats::numeric), while
-                // ŷ is touched once instead of q+1 times.
-                const BLOCK: usize = 4096;
-                let n = self.rows.len();
-                let mut yhat = self.yhat_1t(beta, treated);
-                let terms = self.z_terms(beta);
-                let mut lanes = [0.0f64; 8];
-                let mut s = 0;
-                while s < n {
-                    let e = (s + BLOCK).min(n);
-                    add_z_terms(&terms, &mut yhat[s..e], s);
-                    numeric::lane_sq_diff_into(&mut lanes, &self.y[s..e], &yhat[s..e]);
-                    s = e;
-                }
-                numeric::fold8(lanes)
-            }
+            NumericMode::Exact => serial,
+            NumericMode::FastV1 => numeric::fold8(lanes),
         }
     }
 
@@ -1456,16 +1544,46 @@ impl SubpopPanel {
     }
 }
 
-/// A keyed store of [`EstimationContext`]s for one fixed subpopulation,
-/// indexed by confounder attribute set. One lattice walk (and, via the
-/// paired positive/negative walk, one *pair* of walks) touches only a
-/// handful of distinct backdoor sets, so memoizing the context per set
-/// means each `O(n·q²)` Gram build happens exactly once per subpopulation.
+/// A confounder set with a dense id, the key [`ContextCache`] is indexed
+/// by. Two keys with one id must hold one set. The treatment miner's
+/// backdoor memo interns every set it hands out, so equal sets share an id
+/// and a lookup needs no hash of the set and no copy of it.
+#[derive(Debug, Clone)]
+pub struct ConfounderKey {
+    id: usize,
+    set: Arc<[usize]>,
+}
+
+impl ConfounderKey {
+    /// The key of confounder set `set` under id `id`; the caller keeps ids
+    /// one-to-one with sets.
+    pub fn new(id: usize, set: impl Into<Arc<[usize]>>) -> Self {
+        ConfounderKey {
+            id,
+            set: set.into(),
+        }
+    }
+
+    /// The dense id.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// The confounder attribute ids.
+    pub fn set(&self) -> &[usize] {
+        &self.set
+    }
+}
+
+/// A store of [`EstimationContext`]s for one fixed subpopulation, indexed
+/// by [`ConfounderKey`] id. One lattice walk (and, via the paired
+/// positive/negative walk, one *pair* of walks) touches only a handful of
+/// distinct backdoor sets, so memoizing the context per set means each
+/// `O(n·q²)` Gram build happens exactly once per subpopulation.
 ///
-/// A `None` entry records that the context could not be built (categorical
-/// outcome), so the failure is not retried per candidate. `builds()`
-/// counts build *attempts* — the work counter the treatment miner reports
-/// in its lattice statistics.
+/// A failed build (categorical outcome) is recorded too, so it is not
+/// retried per candidate. `builds()` counts build *attempts* — the work
+/// counter the treatment miner reports in its lattice statistics.
 ///
 /// The cache routes builds through a shared [`SubpopPanel`] (see the
 /// [module docs](self)): the first build materializes the
@@ -1473,7 +1591,7 @@ impl SubpopPanel {
 /// panel blocks, with categorical confounders as level codes.
 ///
 /// ```
-/// use causal::context::ContextCache;
+/// use causal::context::{ConfounderKey, ContextCache};
 /// use causal::estimate::CateOptions;
 /// use table::bitset::BitSet;
 /// use table::TableBuilder;
@@ -1484,26 +1602,29 @@ impl SubpopPanel {
 ///     .build().unwrap();
 /// let treated = BitSet::from_mask(&(0..40).map(|i| i % 2 == 0).collect::<Vec<bool>>());
 /// let opts = CateOptions::default();
+/// let (z, none) = (ConfounderKey::new(0, vec![0]), ConfounderKey::new(1, vec![]));
 ///
 /// let mut cache = ContextCache::new();
 /// // First use materializes the shared panel and assembles the {z}
-/// // context; the repeat is a hash lookup on the same context.
-/// let a = cache.get_or_build(&table, None, 1, vec![0], &opts)
+/// // context; the repeat is an indexed lookup of the same context.
+/// let a = cache.get_or_build(&table, None, 1, &z, &opts)
 ///     .unwrap().estimate(&treated).unwrap();
-/// let b = cache.get_or_build(&table, None, 1, vec![0], &opts)
+/// let b = cache.get_or_build(&table, None, 1, &z, &opts)
 ///     .unwrap().estimate(&treated).unwrap();
 /// assert_eq!(cache.builds(), 1);
 /// assert_eq!(a.cate.to_bits(), b.cate.to_bits());
 ///
 /// // A second confounder set reuses the panel's row list, outcome and
 /// // z-blocks instead of re-gathering them.
-/// cache.get_or_build(&table, None, 1, vec![], &opts).unwrap();
+/// cache.get_or_build(&table, None, 1, &none, &opts).unwrap();
 /// assert_eq!(cache.builds(), 2);
 /// assert_eq!(cache.panel().unwrap().attrs_built(), 1);
 /// ```
 #[derive(Default)]
 pub struct ContextCache {
-    map: HashMap<Vec<usize>, Option<Arc<EstimationContext>>>,
+    /// By key id: `None` until the set is first built, then the set and
+    /// its context (`None` when the build failed).
+    slots: Vec<Option<(Arc<[usize]>, Option<Arc<EstimationContext>>)>>,
     builds: usize,
     /// The panel, created on the first build.
     panel: Option<SubpopPanel>,
@@ -1528,39 +1649,20 @@ impl ContextCache {
         self.builds
     }
 
-    /// Distinct confounder sets seen.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// Already-built context for key id `id`, if any. `None` both when the
+    /// set was never built and when its build failed. Immutable — the
+    /// lookup a deferred p-value makes after its level was prepared.
+    pub fn get(&self, id: usize) -> Option<&EstimationContext> {
+        self.slots.get(id)?.as_ref()?.1.as_deref()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Already-built context for `confounders`, if any. `None` both when
-    /// the set was never built and when its build failed. Immutable — this
-    /// is the lookup scheduler workers use after a serial pre-build pass,
-    /// so level evaluation can share contexts without touching the cache.
-    pub fn get(&self, confounders: &[usize]) -> Option<&EstimationContext> {
-        self.map.get(confounders)?.as_deref()
-    }
-
-    /// Like [`ContextCache::get`] but returns an owned handle. Contexts
-    /// are stored behind `Arc`, so scheduler tasks can carry the context
-    /// of each pre-built candidate into a chunk evaluation without
-    /// borrowing the cache (whose owner may be mutated — e.g. to prepare
-    /// the *next* level — while earlier chunks are still in flight).
-    pub fn get_shared(&self, confounders: &[usize]) -> Option<Arc<EstimationContext>> {
-        self.map.get(confounders)?.clone()
-    }
-
-    /// Context for `confounders`, building (and caching) it on first use.
-    /// All calls must pass the same `(table, subpop, outcome, opts)` — the
-    /// cache (and its panel) is scoped to one subpopulation. Takes the key
-    /// by value: the caller's backdoor lookup already yields an owned
-    /// `Vec`, and this sits on the per-CATE-evaluation hot path, so no
-    /// defensive clone.
+    /// Context for `key`, building (and caching) it on first use. All
+    /// calls must pass the same `(table, subpop, outcome, opts)` — the
+    /// cache (and its panel) is scoped to one subpopulation. The context
+    /// is behind an `Arc`, so scheduler tasks can carry it into a chunk
+    /// evaluation without borrowing the cache (whose owner may be mutated
+    /// — e.g. to prepare the *next* level — while earlier chunks are still
+    /// in flight).
     ///
     /// The first call materializes the [`SubpopPanel`]; every context is
     /// assembled from its blocks.
@@ -1569,20 +1671,24 @@ impl ContextCache {
         table: &Table,
         subpop: Option<&BitSet>,
         outcome: usize,
-        confounders: Vec<usize>,
+        key: &ConfounderKey,
         opts: &CateOptions,
-    ) -> Option<&EstimationContext> {
-        match self.map.entry(confounders) {
-            Entry::Occupied(o) => o.into_mut().as_deref(),
-            Entry::Vacant(v) => {
-                self.builds += 1;
-                let ctx = self
-                    .panel
-                    .get_or_insert_with(|| SubpopPanel::new(table, subpop, outcome, opts))
-                    .assemble(table, v.key());
-                v.insert(ctx.map(Arc::new)).as_deref()
-            }
+    ) -> Option<&Arc<EstimationContext>> {
+        if self.slots.len() <= key.id {
+            self.slots.resize_with(key.id + 1, || None);
         }
+        let slot = &mut self.slots[key.id];
+        if slot.is_none() {
+            self.builds += 1;
+            let ctx = self
+                .panel
+                .get_or_insert_with(|| SubpopPanel::new(table, subpop, outcome, opts))
+                .assemble(table, &key.set);
+            *slot = Some((Arc::clone(&key.set), ctx.map(Arc::new)));
+        }
+        let (set, ctx) = slot.as_ref()?;
+        debug_assert_eq!(**set, *key.set, "one key id, two confounder sets");
+        ctx.as_ref()
     }
 }
 
@@ -1779,13 +1885,18 @@ mod tests {
         let opts = CateOptions::default();
         let mut cache = ContextCache::new();
         let tbits = BitSet::from_mask(&treated);
+        let (z, none) = (
+            ConfounderKey::new(3, vec![0]),
+            ConfounderKey::new(0, vec![]),
+        );
         for _ in 0..4 {
-            let ctx = cache.get_or_build(&table, None, 1, vec![0], &opts).unwrap();
+            let ctx = cache.get_or_build(&table, None, 1, &z, &opts).unwrap();
             assert!(ctx.estimate(&tbits).is_some());
-            let _ = cache.get_or_build(&table, None, 1, vec![], &opts).unwrap();
+            let _ = cache.get_or_build(&table, None, 1, &none, &opts).unwrap();
         }
         assert_eq!(cache.builds(), 2, "one build per distinct confounder set");
-        assert_eq!(cache.len(), 2);
+        assert!(cache.get(3).is_some() && cache.get(0).is_some());
+        assert!(cache.get(1).is_none() && cache.get(7).is_none());
         // Failed builds (categorical outcome) are cached too.
         let cat = TableBuilder::new()
             .cat("c", &["a"; 50])
@@ -1794,7 +1905,8 @@ mod tests {
             .unwrap();
         let mut cache = ContextCache::new();
         for _ in 0..3 {
-            assert!(cache.get_or_build(&cat, None, 0, vec![], &opts).is_none());
+            let none = ConfounderKey::new(0, vec![]);
+            assert!(cache.get_or_build(&cat, None, 0, &none, &opts).is_none());
         }
         assert_eq!(cache.builds(), 1);
     }

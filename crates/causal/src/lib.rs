@@ -36,7 +36,9 @@ pub mod ipw;
 pub mod logistic;
 
 pub use backdoor::backdoor_set;
-pub use context::{ContextCache, EstimationContext, RegressionFit, SubpopPanel, TreatmentMoments};
+pub use context::{
+    ConfounderKey, ContextCache, EstimationContext, RegressionFit, SubpopPanel, TreatmentMoments,
+};
 pub use dag::{Dag, DagError};
 pub use estimate::{estimate_cate, CateOptions, CateResult};
 pub use ipw::{estimate_att_matching, estimate_cate_ipw};

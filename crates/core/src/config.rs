@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use causal::NumericMode;
-use mining::treatment::LatticeOptions;
+use mining::treatment::{LatticeOptions, MAX_LEVEL};
 use mining::{FaultPlan, RunGuard};
 
 use crate::error::Error;
@@ -192,6 +192,15 @@ impl CausumxConfig {
         if self.lattice.max_level == 0 {
             return reject("max_level", "lattice depth must be at least 1".into());
         }
+        if self.lattice.max_level > MAX_LEVEL {
+            return reject(
+                "max_level",
+                format!(
+                    "lattice depth is at most {MAX_LEVEL}, got {}",
+                    self.lattice.max_level
+                ),
+            );
+        }
         if !(self.lattice.max_p_value > 0.0 && self.lattice.max_p_value <= 1.0) {
             return reject(
                 "max_p_value",
@@ -261,7 +270,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Lattice depth cap (convenience for `lattice.max_level`).
+    /// Lattice depth cap (convenience for `lattice.max_level`), at most
+    /// [`mining::treatment::MAX_LEVEL`].
     pub fn max_level(mut self, level: usize) -> Self {
         self.cfg.lattice.max_level = level;
         self
@@ -439,6 +449,13 @@ mod tests {
         );
         assert_eq!(
             param_of(ConfigBuilder::new().max_level(0).build()),
+            "max_level"
+        );
+        // Deeper than the walk's inline atom sets hold: rejected, never
+        // truncated.
+        assert!(ConfigBuilder::new().max_level(MAX_LEVEL).build().is_ok());
+        assert_eq!(
+            param_of(ConfigBuilder::new().max_level(MAX_LEVEL + 1).build()),
             "max_level"
         );
         assert_eq!(

@@ -14,14 +14,16 @@
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use causal::backdoor::{attrs_affecting_outcome, backdoor_set};
-use causal::context::{ContextCache, EstimationContext, RegressionFit, TreatmentMoments};
+use causal::context::{
+    ConfounderKey, ContextCache, EstimationContext, RegressionFit, TreatmentMoments,
+};
 use causal::dag::Dag;
 use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
 use causal::NumericMode;
@@ -292,9 +294,13 @@ pub struct PairedTreatments {
 /// queries walks the DAG once per distinct key, ever. The `walks` counter
 /// records actual DAG traversals (cache misses), which is what session
 /// diagnostics assert on.
+///
+/// The memo interns every backdoor set it hands out: equal sets share one
+/// dense id and one `Arc<[usize]>`, as a [`ConfounderKey`], and a walk's
+/// [`ContextCache`] is indexed by that id.
 #[derive(Debug, Default)]
 pub struct BackdoorMemo {
-    map: RwLock<HashMap<(usize, Vec<usize>), Vec<usize>>>,
+    map: RwLock<Interned>,
     walks: AtomicUsize,
     /// Fingerprint of the (DAG, schema width) the memo was first attached
     /// to — keys are attribute ids, which only mean the same thing across
@@ -302,6 +308,17 @@ pub struct BackdoorMemo {
     /// to a different graph is rejected loudly instead of silently
     /// returning the wrong confounder sets.
     fingerprint: OnceLock<u64>,
+}
+
+/// The memo's tables.
+#[derive(Debug, Default)]
+struct Interned {
+    /// `[outcome, sorted attribute ids…]` → id of its backdoor set.
+    keys: HashMap<Box<[usize]>, usize>,
+    /// Backdoor set → its id.
+    ids: HashMap<Arc<[usize]>, usize>,
+    /// The interned sets, by id.
+    sets: Vec<ConfounderKey>,
 }
 
 impl BackdoorMemo {
@@ -317,7 +334,7 @@ impl BackdoorMemo {
 
     /// Distinct `(outcome, attribute set)` keys memoized.
     pub fn len(&self) -> usize {
-        sched::read_recovered(&self.map).len()
+        sched::read_recovered(&self.map).keys.len()
     }
 
     /// Whether the memo is empty.
@@ -341,25 +358,85 @@ impl BackdoorMemo {
         );
     }
 
+    /// The interned backdoor set of `key` (`[outcome, sorted attribute
+    /// ids…]`), computing it from the attribute ids on a miss.
     fn get_or_compute(
         &self,
-        outcome: usize,
-        key: Vec<usize>,
+        key: &[usize],
         compute: impl FnOnce(&[usize]) -> Vec<usize>,
-    ) -> Vec<usize> {
-        let full_key = (outcome, key);
-        if let Some(hit) = sched::read_recovered(&self.map).get(&full_key) {
-            return hit.clone();
+    ) -> ConfounderKey {
+        {
+            let memo = sched::read_recovered(&self.map);
+            if let Some(&id) = memo.keys.get(key) {
+                return memo.sets[id].clone();
+            }
         }
         // Miss: look again and compute under the write lock, so concurrent
         // misses on one key walk the DAG once between them.
-        sched::write_recovered(&self.map)
-            .entry(full_key)
-            .or_insert_with_key(|(_, attrs)| {
-                self.walks.fetch_add(1, Ordering::Relaxed);
-                compute(attrs)
-            })
-            .clone()
+        let mut memo = sched::write_recovered(&self.map);
+        if let Some(&id) = memo.keys.get(key) {
+            return memo.sets[id].clone();
+        }
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        let set: Arc<[usize]> = compute(&key[1..]).into();
+        let id = match memo.ids.get(&set) {
+            Some(&id) => id,
+            None => {
+                let id = memo.sets.len();
+                memo.sets.push(ConfounderKey::new(id, Arc::clone(&set)));
+                memo.ids.insert(set, id);
+                id
+            }
+        };
+        memo.keys.insert(key.into(), id);
+        memo.sets[id].clone()
+    }
+}
+
+/// Deepest lattice level the walk supports: the capacity of the inline
+/// atom sets its nodes are keyed by. `CausumxConfig::validate` rejects a
+/// deeper `max_level`, and so does [`TreatmentMiner::new`].
+pub const MAX_LEVEL: usize = 7;
+
+/// A lattice node's atoms, ascending, inline: a `Copy` key that compares
+/// and hashes without touching the heap. Slots past `len` hold 0, so the
+/// derived equality and hash see the atoms only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct AtomSet {
+    ids: [u16; MAX_LEVEL],
+    len: u16,
+}
+
+impl AtomSet {
+    /// `self ∪ {a}` for an atom `a` not in `self`, kept ascending. Panics
+    /// when the set is full, which a walk to a validated `max_level`
+    /// never reaches.
+    fn with(self, a: u16) -> Self {
+        let len = self.len as usize;
+        let at = self.partition_point(|&x| x < a);
+        let mut s = self;
+        s.ids.copy_within(at..len, at + 1);
+        s.ids[at] = a;
+        s.len += 1;
+        s
+    }
+
+    /// `self` without its `i`-th atom.
+    fn without(self, i: usize) -> Self {
+        let len = self.len as usize;
+        let mut s = self;
+        s.ids.copy_within(i + 1..len, i);
+        s.ids[len - 1] = 0;
+        s.len -= 1;
+        s
+    }
+}
+
+impl Deref for AtomSet {
+    type Target = [u16];
+
+    fn deref(&self) -> &[u16] {
+        &self.ids[..self.len as usize]
     }
 }
 
@@ -595,6 +672,11 @@ impl<'a> TreatmentMiner<'a> {
     /// Build a miner over `treat_attrs` (the non-FD side of the attribute
     /// split). Applies optimization (a): attributes with no causal path to
     /// the outcome in `dag` are dropped up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `opts.max_level` exceeds [`MAX_LEVEL`]; a deeper walk
+    /// is rejected, never truncated.
     pub fn new(
         table: &'a Table,
         dag: &'a Dag,
@@ -623,6 +705,7 @@ impl<'a> TreatmentMiner<'a> {
         opts: LatticeOptions,
         backdoor: Arc<BackdoorMemo>,
     ) -> Self {
+        check_max_level(&opts);
         backdoor.attach(dag, table.ncols());
         let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
 
@@ -708,6 +791,7 @@ impl<'a> TreatmentMiner<'a> {
             (table.nrows(), table.ncols()),
             "MinerParts exported from a differently-shaped table"
         );
+        check_max_level(&opts);
         backdoor.attach(dag, table.ncols());
         let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
         TreatmentMiner {
@@ -741,11 +825,42 @@ impl<'a> TreatmentMiner<'a> {
     /// estimate over the same attributes is a hash lookup — across *all*
     /// miners sharing this memo (see [`TreatmentMiner::with_memo`]).
     pub fn confounders_for(&self, attrs: &[usize]) -> Vec<usize> {
-        let mut key = attrs.to_vec();
-        key.sort_unstable();
-        key.dedup();
+        self.attrs_key(attrs).set().to_vec()
+    }
+
+    /// The interned backdoor set of `attrs`, in any order. The memo key
+    /// `[outcome, sorted distinct attrs…]` is built on the stack for a
+    /// lattice node's attributes.
+    fn attrs_key(&self, attrs: &[usize]) -> ConfounderKey {
+        let mut stack = [0usize; MAX_LEVEL + 1];
+        let mut heap = Vec::new();
+        let key = if attrs.len() <= MAX_LEVEL {
+            &mut stack[..=attrs.len()]
+        } else {
+            heap.resize(attrs.len() + 1, 0);
+            &mut heap[..]
+        };
+        key[0] = self.outcome;
+        key[1..].copy_from_slice(attrs);
+        key[1..].sort_unstable();
+        let mut len = 1;
+        for r in 1..key.len() {
+            if len == 1 || key[r] != key[len - 1] {
+                key[len] = key[r];
+                len += 1;
+            }
+        }
         self.backdoor
-            .get_or_compute(self.outcome, key, |k| self.compute_confounders(k))
+            .get_or_compute(&key[..len], |k| self.compute_confounders(k))
+    }
+
+    /// The interned backdoor set of a lattice node's attributes.
+    fn key_of(&self, atoms: &AtomSet) -> ConfounderKey {
+        let mut attrs = [0usize; MAX_LEVEL];
+        for (attr, &a) in attrs.iter_mut().zip(atoms.iter()) {
+            *attr = self.space.atoms[a as usize].attr;
+        }
+        self.attrs_key(&attrs[..atoms.len()])
     }
 
     /// The backdoor memo backing [`TreatmentMiner::confounders_for`].
@@ -806,16 +921,16 @@ impl<'a> TreatmentMiner<'a> {
             .zip(&batch.keys)
             .zip(results)
             .map(|((cand, key), r)| {
-                let node = r.map(|(est, moments)| walk.node(cand, key, est, moments));
+                let node = r.map(|(est, moments)| walk.node(cand.clone(), key, est, moments));
                 Level1Estimate {
                     pattern: self.pattern_of(&cand.atoms),
                     treated_in_sub: cand.count,
-                    confounders: key.clone(),
+                    confounders: key.set().to_vec(),
                     fit: node.as_ref().and_then(|n| match &n.p {
                         PValue::Deferred(fit) => Some(fit.clone()),
                         PValue::Known(_) => None,
                     }),
-                    moments: node.as_ref().and_then(|n| n.aux.as_ref()?.moments.clone()),
+                    moments: node.as_ref().and_then(|n| n.moments.as_deref().cloned()),
                     mask: node.as_ref().and_then(|n| n.mask.clone()),
                     p_value: node.map(|n| n.p_value(&walk.contexts)),
                 }
@@ -837,7 +952,7 @@ impl<'a> TreatmentMiner<'a> {
                 self.table,
                 Some(subpop),
                 self.outcome,
-                self.confounders_for(attrs),
+                &self.attrs_key(attrs),
                 &self.opts.cate_opts,
             )?
             .estimate(treated)
@@ -980,7 +1095,7 @@ impl<'a> TreatmentMiner<'a> {
                 };
                 if let Some(batch) = done {
                     match batch.slots.try_merged() {
-                        Ok(results) => st.absorb(&batch.cands, &batch.keys, results),
+                        Ok(results) => st.absorb(LevelBatch::estimated(batch, results)),
                         Err(e) => {
                             // Can only happen when a chunk task died
                             // without recording its result; surface it
@@ -1212,17 +1327,6 @@ impl<'a> TreatmentMiner<'a> {
     }
 }
 
-/// Estimation byproducts cached on a kept node for its children: the
-/// confounder key the node was estimated under, and — in FastV1 mode —
-/// its treatment-block moments. A child whose key matches can derive its
-/// own blocks by downdating instead of re-gathering; key-only entries
-/// (Exact mode) exist so the walk can still count the fallback regathers
-/// it performs.
-struct NodeAux {
-    key: Vec<usize>,
-    moments: Option<TreatmentMoments>,
-}
-
 /// A node's p-value. The walk ranks, prunes and stops on CATE alone, so a
 /// regression estimate keeps only its fit and runs the inference half
 /// (the residual pass and the Student-t tail) when [`insert_best`] needs
@@ -1268,7 +1372,7 @@ impl From<RegressionFit> for Est {
 /// A lattice node that survived estimation.
 #[derive(Clone)]
 struct Node {
-    atoms: Vec<u16>,
+    atoms: AtomSet,
     /// Subpopulation rows satisfying the pattern, local width. A level-1
     /// node of a sampled context gets its mask only when a join or a
     /// downdate plan will read it.
@@ -1283,8 +1387,13 @@ struct Node {
     p: PValue,
     n_treated: usize,
     n_control: usize,
-    /// Downdating byproducts (regression backend only).
-    aux: Option<Arc<NodeAux>>,
+    /// Id of the confounder set the node was estimated under: the context
+    /// a deferred p-value runs on, and the set a child must share to
+    /// downdate from the node.
+    key: usize,
+    /// The node's treatment-block moments, which a subset child with the
+    /// same key derives its own from by downdating (`FastV1` only).
+    moments: Option<Arc<TreatmentMoments>>,
 }
 
 impl Node {
@@ -1296,11 +1405,9 @@ impl Node {
             PValue::Known(p) => return *p,
             PValue::Deferred(fit) => fit,
         };
-        let ctx = self
-            .aux
-            .as_ref()
-            .and_then(|aux| contexts.get(&aux.key))
-            .expect("a deferred fit's node keeps its confounder key, whose context stays cached");
+        let ctx = contexts
+            .get(self.key)
+            .expect("a deferred fit's context stays cached under its key");
         match (&self.mask, &self.rows) {
             (Some(mask), _) => ctx.p_value_local(fit, mask),
             (None, rows) => {
@@ -1311,9 +1418,9 @@ impl Node {
 }
 
 /// A generated-but-unestimated lattice candidate.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Cand {
-    atoms: Vec<u16>,
+    atoms: AtomSet,
     /// Local-coordinate mask. A level-1 atom gets one when its level is
     /// prepared, from its attribute's pass over an unsampled context's
     /// rows ([`WalkState::sort_level1`]).
@@ -1330,12 +1437,12 @@ struct Cand {
     parent: Option<u32>,
 }
 
-/// A prepared downdate for one candidate: the parent's cached aux (key +
-/// moments) plus the rows the child dropped. Computed serially at
+/// A prepared downdate for one candidate: the parent's cached moments
+/// plus the rows the child dropped. Computed serially at
 /// level-preparation time, so chunk evaluations stay lock-free and the
 /// `downdates`/`regathers` counters are scheduler-independent.
 struct DowndatePlan {
-    parent: Arc<NodeAux>,
+    parent: Arc<TreatmentMoments>,
     removed: BitSet,
 }
 
@@ -1357,11 +1464,9 @@ fn eval_cached(
         return ctx.estimate_local(mask).map(|r| (r.into(), None));
     }
     if let Some(p) = plan {
-        if let Some(m) = p.parent.moments.as_ref() {
-            return ctx
-                .fit_downdated(m, &p.removed)
-                .map(|(fit, mm)| (fit.into(), Some(mm)));
-        }
+        return ctx
+            .fit_downdated(&p.parent, &p.removed)
+            .map(|(fit, mm)| (fit.into(), Some(mm)));
     }
     ctx.fit_local(mask)
         .map(|(fit, m)| (fit.into(), track.then_some(m)))
@@ -1396,7 +1501,7 @@ struct PatternSlot<'w> {
 }
 
 /// One lattice level, frozen for lock-free fan-out: the candidates, their
-/// memoized confounder keys, the pre-built estimation context per
+/// interned confounder keys, the pre-built estimation context per
 /// candidate, and the index-addressed result slots the chunks complete
 /// into. Everything is `Arc`-shared so an `Eval` task needs no access to
 /// the walk state.
@@ -1405,7 +1510,7 @@ struct LevelBatch {
     /// coordinate of guard checkpoints and fault sites.
     level: usize,
     cands: Vec<Cand>,
-    keys: Vec<Vec<usize>>,
+    keys: Vec<ConfounderKey>,
     /// Per-candidate pre-built context (`None` where the build failed).
     ctx: Vec<Option<Arc<EstimationContext>>>,
     /// Per-candidate downdate plan (empty unless the walk stores aux;
@@ -1415,6 +1520,32 @@ struct LevelBatch {
     track: bool,
     ranges: Vec<Range<usize>>,
     slots: sched::ChunkSlots<EvalRes>,
+}
+
+impl LevelBatch {
+    /// The estimated level, once its last chunk has merged `results`. The
+    /// candidates and keys move out when this is the batch's last handle,
+    /// which it is unless a sibling chunk task has not yet dropped its own.
+    fn estimated(self: Arc<Self>, results: Vec<EvalRes>) -> Arc<Estimated> {
+        let (cands, keys) = match Arc::try_unwrap(self) {
+            Ok(batch) => (batch.cands, batch.keys),
+            Err(batch) => (batch.cands.clone(), batch.keys.clone()),
+        };
+        Arc::new(Estimated {
+            cands,
+            keys,
+            results,
+        })
+    }
+}
+
+/// One estimated level, index-aligned: the candidates, their keys and
+/// their results. Shared when a later direction absorbs the same level 1.
+#[derive(Default)]
+struct Estimated {
+    cands: Vec<Cand>,
+    keys: Vec<ConfounderKey>,
+    results: Vec<EvalRes>,
 }
 
 /// The resumable Algorithm-2 walk of one subpopulation: direction
@@ -1459,12 +1590,13 @@ struct WalkState<'w> {
     max_levels: usize,
     /// Finished per-direction result lists, index-aligned with `dirs`.
     outputs: Vec<Vec<TreatmentResult>>,
-    /// The first direction's level-1 `(candidates, keys, results)`, kept
-    /// while a later direction still has to walk. Level 1 is every
-    /// overlap-passing atom in every direction, estimated on the same
-    /// contexts and masks, so the later direction absorbs a clone instead
-    /// of estimating it again.
-    level1: Option<(Vec<Cand>, Vec<Vec<usize>>, Vec<EvalRes>)>,
+    /// The first direction's estimated level 1, kept while a later
+    /// direction still has to walk. Level 1 is every overlap-passing atom
+    /// in every direction, estimated on the same contexts and masks, so
+    /// the later direction absorbs it instead of estimating it again: the
+    /// first direction copies only the nodes it keeps, and the last one
+    /// takes the rest by move.
+    level1: Option<Arc<Estimated>>,
 }
 
 impl<'w> WalkState<'w> {
@@ -1519,7 +1651,7 @@ impl<'w> WalkState<'w> {
     /// from a parent downdate or a full gather, and count the choices.
     /// Runs once per level, before any evaluation, so plans and counters
     /// depend only on the walk structure — never on worker count.
-    fn plan_level(&mut self, cands: &[Cand], keys: &[Vec<usize>]) -> Vec<Option<DowndatePlan>> {
+    fn plan_level(&mut self, cands: &[Cand], keys: &[ConfounderKey]) -> Vec<Option<DowndatePlan>> {
         if !self.store_aux() {
             return Vec::new();
         }
@@ -1527,11 +1659,10 @@ impl<'w> WalkState<'w> {
         for (cand, key) in cands.iter().zip(keys) {
             let plan = cand.parent.and_then(|pi| {
                 let parent = &self.level[pi as usize];
-                let aux = parent.aux.as_ref()?;
                 // The parent's moments are tᵀZ over *its* confounder
                 // key's design columns — only a child adjusting for the
                 // identical set can reuse them.
-                if aux.key != *key {
+                if parent.key != key.id() {
                     return None;
                 }
                 // Size guard: when the child dropped more rows than it
@@ -1541,10 +1672,10 @@ impl<'w> WalkState<'w> {
                 if removed > cand.count {
                     return None;
                 }
-                aux.moments.as_ref()?;
+                let moments = parent.moments.as_ref()?;
                 let (parent_mask, mask) = (parent.mask.as_ref()?, cand.mask.as_ref()?);
                 Some(DowndatePlan {
-                    parent: Arc::clone(aux),
+                    parent: Arc::clone(moments),
                     removed: parent_mask.difference(mask),
                 })
             });
@@ -1568,10 +1699,10 @@ impl<'w> WalkState<'w> {
     fn pump(&mut self) -> Option<Arc<LevelBatch>> {
         while self.dir_idx < self.dirs.len() {
             let cands = if self.fresh {
-                if let Some((cands, keys, results)) = self.level1.take() {
+                if let Some(level) = self.level1.take() {
                     // A later direction: level 1 was estimated by the
                     // first one.
-                    self.absorb(&cands, &keys, results);
+                    self.absorb(level);
                     continue;
                 }
                 self.level1_cands()
@@ -1585,7 +1716,7 @@ impl<'w> WalkState<'w> {
                 continue;
             };
             if cands.is_empty() {
-                self.absorb(&[], &[], Vec::new());
+                self.absorb(Arc::default());
                 continue;
             }
             return Some(self.prepare_batch(cands));
@@ -1612,11 +1743,9 @@ impl<'w> WalkState<'w> {
                     return None;
                 }
                 Some(Cand {
-                    atoms: vec![ai as u16],
-                    mask: None,
-                    rows: None,
+                    atoms: AtomSet::default().with(ai as u16),
                     count: treated_in_sub,
-                    parent: None,
+                    ..Cand::default()
                 })
             })
             .collect()
@@ -1644,14 +1773,16 @@ impl<'w> WalkState<'w> {
     /// Levels 2..: expand only children whose parents all survived. The
     /// joins, dedup, parent checks and overlap prechecks are serial per
     /// pattern (they mutate the frontier), exactly as in the reference
-    /// walk.
+    /// walk. Atom sets are inline keys, so the level's two hash sets are
+    /// its only allocations besides the children's own masks, and a mask
+    /// is copied only for a child that passes the overlap precheck.
     fn join_cands(&mut self) -> Vec<Cand> {
         let miner = self.miner;
         let sub_n = self.sub_n;
         let min_arm = miner.opts.cate_opts.min_arm;
         let level = &self.level;
-        let kept: HashSet<Vec<u16>> = level.iter().map(|n| n.atoms.clone()).collect();
-        let mut seen: HashSet<Vec<u16>> = HashSet::new();
+        let kept: HashSet<AtomSet> = level.iter().map(|n| n.atoms).collect();
+        let mut seen: HashSet<AtomSet> = HashSet::new();
         let lvl = self.level_no;
         let mut cands: Vec<Cand> = Vec::new();
         for i in 0..level.len() {
@@ -1664,23 +1795,22 @@ impl<'w> WalkState<'w> {
                 if !miner.atoms_compatible(la as usize, lb as usize) {
                     continue;
                 }
-                let mut cand = a.atoms.clone();
-                cand.push(lb);
-                cand.sort_unstable();
-                if !seen.insert(cand.clone()) {
+                let cand = a.atoms.with(lb);
+                if !seen.insert(cand) {
                     continue;
                 }
                 // All parents (drop-one subsets) must have been kept.
-                if !all_parents_kept(&cand, &kept) {
+                if !(0..cand.len()).all(|d| kept.contains(&cand.without(d))) {
                     continue;
                 }
-                let (ma, mb) = (a.mask.as_ref(), b.mask.as_ref());
-                let mut mask = ma.expect("a joined node has its mask").clone();
-                mask.intersect_with(mb.expect("a joined node has its mask"));
-                let treated_in_sub = mask.count();
+                let ma = a.mask.as_ref().expect("a joined node has its mask");
+                let mb = b.mask.as_ref().expect("a joined node has its mask");
+                let treated_in_sub = ma.intersection_count(mb);
                 if treated_in_sub < min_arm || sub_n - treated_in_sub < min_arm {
                     continue;
                 }
+                let mut mask = ma.clone();
+                mask.intersect_with(mb);
                 // The child's rowset is a subset of both join parents;
                 // record the smaller one — fewer removed rows to subtract
                 // if the level gets downdated.
@@ -1704,30 +1834,23 @@ impl<'w> WalkState<'w> {
     fn prepare_batch(&mut self, mut cands: Vec<Cand>) -> Arc<LevelBatch> {
         let miner = self.miner;
         let level = if self.fresh { 1 } else { self.level_no + 1 };
-        let keys: Vec<Vec<usize>> = cands
-            .iter()
-            .map(|c| {
-                let attrs: Vec<usize> = c
-                    .atoms
-                    .iter()
-                    .map(|&x| miner.space.atoms[x as usize].attr)
-                    .collect();
-                miner.confounders_for(&attrs)
-            })
-            .collect();
-        let ctx: Vec<Option<Arc<EstimationContext>>> = keys
-            .iter()
-            .map(|key| {
-                let _ = self.contexts.get_or_build(
-                    miner.table,
-                    Some(self.subpop),
-                    miner.outcome,
-                    key.clone(),
-                    &miner.opts.cate_opts,
-                );
-                self.contexts.get_shared(key)
-            })
-            .collect();
+        let mut keys = Vec::with_capacity(cands.len());
+        let mut ctx = Vec::with_capacity(cands.len());
+        for c in &cands {
+            let key = miner.key_of(&c.atoms);
+            ctx.push(
+                self.contexts
+                    .get_or_build(
+                        miner.table,
+                        Some(self.subpop),
+                        miner.outcome,
+                        &key,
+                        &miner.opts.cate_opts,
+                    )
+                    .cloned(),
+            );
+            keys.push(key);
+        }
         if self.fresh {
             self.sort_level1(&mut cands, &ctx);
         }
@@ -1782,32 +1905,51 @@ impl<'w> WalkState<'w> {
     /// direction/near-zero filter in candidate order, the work counters
     /// (every candidate counts — failed estimates are work), per-level
     /// retention, best-k updates and the lines-10–13 termination test.
-    fn absorb(&mut self, cands: &[Cand], keys: &[Vec<usize>], results: Vec<EvalRes>) {
-        debug_assert_eq!(cands.len(), results.len());
-        debug_assert_eq!(cands.len(), keys.len());
+    /// Only the retained candidates become nodes, taking their masks by
+    /// move unless a later direction still shares the level.
+    fn absorb(&mut self, level: Arc<Estimated>) {
+        debug_assert_eq!(level.cands.len(), level.results.len());
+        debug_assert_eq!(level.cands.len(), level.keys.len());
         if self.fresh && self.dir_idx == 0 && self.dirs.len() > 1 {
-            self.level1 = Some((cands.to_vec(), keys.to_vec(), results.clone()));
+            self.level1 = Some(Arc::clone(&level));
         }
         let dir = self.dirs[self.dir_idx];
         let opts = &self.miner.opts;
-        self.evaluated += cands.len();
+        let n = level.cands.len();
+        self.evaluated += n;
         // Progress diagnostics for guard trips: evaluations and levels
         // aggregate across all pattern walks of the query.
-        self.guard.add_evaluations(cands.len());
+        self.guard.add_evaluations(n);
         self.guard.level_completed();
-        let mut nodes: Vec<Node> = cands
-            .iter()
-            .zip(keys)
-            .zip(results)
-            .filter_map(|((cand, key), r)| {
-                let (r, moments) = r?;
-                if !dir.matches(r.cate) || r.cate.abs() < self.min_cate {
-                    return None;
-                }
-                Some(self.node(cand, key, r, moments))
+        let cate = |i: &usize| level.results[*i].as_ref().map_or(f64::NAN, |(r, _)| r.cate);
+        let mut kept: Vec<usize> = (0..n)
+            .filter(|i| {
+                let c = cate(i);
+                dir.matches(c) && c.abs() >= self.min_cate
             })
             .collect();
-        retain_top(&mut nodes, dir, opts.top_frac, opts.min_keep, |n| n.cate);
+        retain_top(&mut kept, dir, opts.top_frac, opts.min_keep, cate);
+        let mut nodes: Vec<Node> = match Arc::try_unwrap(level) {
+            Ok(mut level) => kept
+                .iter()
+                .map(|&i| {
+                    let (r, moments) = level.results[i].take().expect("a kept estimate");
+                    self.node(
+                        std::mem::take(&mut level.cands[i]),
+                        &level.keys[i],
+                        r,
+                        moments,
+                    )
+                })
+                .collect(),
+            Err(level) => kept
+                .iter()
+                .map(|&i| {
+                    let (r, moments) = level.results[i].clone().expect("a kept estimate");
+                    self.node(level.cands[i].clone(), &level.keys[i], r, moments)
+                })
+                .collect(),
+        };
         if self.fresh {
             if opts.max_level > 1 {
                 // The next level joins these nodes and plans downdates
@@ -1843,22 +1985,24 @@ impl<'w> WalkState<'w> {
 
     /// The node candidate `cand` becomes when its estimate `r` (made on
     /// the context of confounder key `key`) is kept.
-    fn node(&self, cand: &Cand, key: &[usize], r: Est, moments: Option<TreatmentMoments>) -> Node {
+    fn node(
+        &self,
+        cand: Cand,
+        key: &ConfounderKey,
+        r: Est,
+        moments: Option<TreatmentMoments>,
+    ) -> Node {
         Node {
-            atoms: cand.atoms.clone(),
-            mask: cand.mask.clone(),
-            rows: cand.rows.clone(),
+            atoms: cand.atoms,
+            mask: cand.mask,
+            rows: cand.rows,
             count: cand.count,
             cate: r.cate,
             p: r.p,
             n_treated: r.n_treated,
             n_control: r.n_control,
-            aux: self.store_aux().then(|| {
-                Arc::new(NodeAux {
-                    key: key.to_vec(),
-                    moments,
-                })
-            }),
+            key: key.id(),
+            moments: moments.map(Arc::new),
         }
     }
 
@@ -1969,17 +2113,6 @@ fn insert_best(
     }
 }
 
-fn all_parents_kept(cand: &[u16], kept: &HashSet<Vec<u16>>) -> bool {
-    for drop in 0..cand.len() {
-        let mut sub = cand.to_vec();
-        sub.remove(drop);
-        if !kept.contains(&sub) {
-            return false;
-        }
-    }
-    true
-}
-
 /// Keep the top `frac` of nodes by CATE in the requested direction, but at
 /// least `min_keep` (so small levels still feed the next join).
 fn retain_top<N>(
@@ -2002,6 +2135,15 @@ fn retain_top<N>(
     }
     let keep = ((level.len() as f64 * frac).ceil() as usize).max(min_keep.max(1));
     level.truncate(keep.min(level.len()));
+}
+
+/// Reject a lattice deeper than an [`AtomSet`] holds.
+fn check_max_level(opts: &LatticeOptions) {
+    assert!(
+        opts.max_level <= MAX_LEVEL,
+        "max_level {} exceeds the deepest supported lattice level {MAX_LEVEL}",
+        opts.max_level
+    );
 }
 
 /// The table attribute ↔ DAG node id maps, matched by name.
@@ -2650,7 +2792,7 @@ mod tests {
     /// A bare node with a known p-value, for the best-list tests.
     fn scored(cate: f64, p: f64) -> Node {
         Node {
-            atoms: Vec::new(),
+            atoms: AtomSet::default(),
             mask: None,
             rows: None,
             count: 0,
@@ -2658,7 +2800,8 @@ mod tests {
             p: PValue::Known(p),
             n_treated: 0,
             n_control: 0,
-            aux: None,
+            key: 0,
+            moments: None,
         }
     }
 

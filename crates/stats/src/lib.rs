@@ -31,6 +31,6 @@ pub use dist::{chi2_sf, normal_cdf, student_t_sf};
 pub use matrix::Matrix;
 pub use numeric::NumericMode;
 pub use ols::{
-    fit_from_gram_at, gram_from_blocks, ols, ols_from_gram, ols_from_gram_at, GramFit, OlsFit,
+    fit_from_gram_at, ols, ols_from_gram, ols_from_gram_at, BorderedBlocks, GramFit, OlsFit,
 };
 pub use rank::kendall_tau;

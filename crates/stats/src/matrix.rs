@@ -132,56 +132,24 @@ impl Matrix {
 
     /// Cholesky factorization of an SPD matrix: returns lower-triangular `L`
     /// with `L Lᵀ = self`, or `None` when the matrix is not positive
-    /// definite (within tolerance).
+    /// definite (within tolerance). See [`cholesky_into`].
     pub fn cholesky(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
+        let mut l = Matrix::zeros(self.rows, self.rows);
+        cholesky_into(&self.data, self.rows, &mut l.data).then_some(l)
     }
 
     /// Cholesky factor of `self` with the escalating-ridge fallback for
-    /// numerically singular systems (λ from 1e-10 relative to the trace,
-    /// ×100 per attempt — the standard remedy for collinear one-hot
-    /// designs). The factor is deterministic, so any number of
-    /// [`Matrix::cholesky_solve`] calls against it produce exactly the
-    /// bits that separate `solve_spd` calls would — factor once, solve
-    /// many.
+    /// numerically singular systems (see [`spd_factor_into`]). The factor
+    /// is deterministic, so any number of [`Matrix::cholesky_solve`] calls
+    /// against it produce exactly the bits that separate `solve_spd` calls
+    /// would — factor once, solve many.
     pub fn spd_factor(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols);
-        if let Some(l) = self.cholesky() {
-            return Some(l);
-        }
         let n = self.rows;
-        let trace: f64 = (0..n).map(|i| self[(i, i)]).sum::<f64>().max(1.0);
-        let mut lambda = 1e-10 * trace / n as f64;
-        for _ in 0..12 {
-            let mut a = self.clone();
-            for i in 0..n {
-                a[(i, i)] += lambda;
-            }
-            if let Some(l) = a.cholesky() {
-                return Some(l);
-            }
-            lambda *= 100.0;
-        }
-        None
+        let mut l = Matrix::zeros(n, n);
+        let mut work = Vec::new();
+        spd_factor_into(&self.data, n, &mut l.data, &mut work).then_some(l)
     }
 
     /// Solve `self * x = b` for SPD `self` via Cholesky with the
@@ -210,28 +178,89 @@ impl Matrix {
     }
 
     /// Forward/back substitution given `self` is the lower Cholesky factor
-    /// (as returned by [`Matrix::cholesky`] / [`Matrix::spd_factor`]).
+    /// (as returned by [`Matrix::cholesky`] / [`Matrix::spd_factor`]); see
+    /// [`cholesky_solve_in_place`].
     pub fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.rows;
-        // Forward: L z = b
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= self[(i, k)] * z[k];
-            }
-            z[i] = s / self[(i, i)];
-        }
-        // Back: Lᵀ x = z
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = z[i];
-            for k in i + 1..n {
-                s -= self[(k, i)] * x[k];
-            }
-            x[i] = s / self[(i, i)];
-        }
+        let mut x = b.to_vec();
+        cholesky_solve_in_place(&self.data, self.rows, &mut x);
         x
+    }
+}
+
+/// The one Cholesky factorization, on row-major slices: writes the lower
+/// triangle of `L` with `L Lᵀ = a` into `l` (both `n × n`), row by row,
+/// and returns `false` as soon as a pivot is not positive. Only the lower
+/// triangle of `l` is written or read, and every entry is written before
+/// it is read, so `l` needs no initialization. [`Matrix::cholesky`] and
+/// the estimation hot path (`stats::ols::BorderedBlocks::fit_at`) both run
+/// it.
+pub fn cholesky_into(a: &[f64], n: usize, l: &mut [f64]) -> bool {
+    debug_assert!(a.len() >= n * n && l.len() >= n * n);
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[i * n + j];
+            for k in 0..j {
+                sum -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                if sum <= 0.0 {
+                    return false;
+                }
+                l[i * n + j] = sum.sqrt();
+            } else {
+                l[i * n + j] = sum / l[j * n + j];
+            }
+        }
+    }
+    true
+}
+
+/// [`cholesky_into`] with the escalating-ridge fallback for numerically
+/// singular systems: when `a` itself does not factor, each of 12 attempts
+/// factors a fresh copy of `a` (in `work`, resized to `n × n`) with `λ`
+/// added to its diagonal, starting from `λ = 1e-10 · max(tr a, 1) / n` and
+/// ×100 per attempt — the standard remedy for collinear one-hot designs.
+/// Returns whether some attempt factored; the factor is then in `l`.
+pub fn spd_factor_into(a: &[f64], n: usize, l: &mut [f64], work: &mut Vec<f64>) -> bool {
+    if cholesky_into(a, n, l) {
+        return true;
+    }
+    let trace: f64 = (0..n).map(|i| a[i * n + i]).sum::<f64>().max(1.0);
+    let mut lambda = 1e-10 * trace / n as f64;
+    work.resize(n * n, 0.0);
+    for _ in 0..12 {
+        work.copy_from_slice(&a[..n * n]);
+        for i in 0..n {
+            work[i * n + i] += lambda;
+        }
+        if cholesky_into(work, n, l) {
+            return true;
+        }
+        lambda *= 100.0;
+    }
+    false
+}
+
+/// Solve `L Lᵀ x = b` in place (`v` holds `b` on entry and `x` on exit),
+/// given the lower Cholesky factor `l` (row-major `n × n`, lower triangle
+/// read only): forward substitution `L z = b`, then back substitution
+/// `Lᵀ x = z`, each entry in the order a separate-buffer solve computes it.
+pub fn cholesky_solve_in_place(l: &[f64], n: usize, v: &mut [f64]) {
+    // Forward: L z = b
+    for i in 0..n {
+        let mut s = v[i];
+        for k in 0..i {
+            s -= l[i * n + k] * v[k];
+        }
+        v[i] = s / l[i * n + i];
+    }
+    // Back: Lᵀ x = z
+    for i in (0..n).rev() {
+        let mut s = v[i];
+        for k in i + 1..n {
+            s -= l[k * n + i] * v[k];
+        }
+        v[i] = s / l[i * n + i];
     }
 }
 

@@ -21,7 +21,7 @@
 //! produce the same bits.
 
 use crate::dist::student_t_sf;
-use crate::matrix::Matrix;
+use crate::matrix::{cholesky_solve_in_place, spd_factor_into, Matrix};
 
 /// Result of an OLS fit.
 #[derive(Debug, Clone)]
@@ -276,62 +276,112 @@ pub fn ols_from_gram_at(
     Some(fit.infer(rss, tss))
 }
 
-/// Assemble the normal equations `(XᵀX, Xᵀy)` of the bordered design
-/// `X = [1, T, Z]` from precomputed blocks — the entry point callers pair
-/// with [`ols_from_gram_at`] when the blocks are cached across many fits
-/// (CATE estimation: the `Z`-blocks are treatment-independent and the
-/// `t`-blocks are gathered per candidate).
+/// The blocks of the normal equations `(XᵀX, Xᵀy)` of the bordered design
+/// `X = [1, T, Z]`, as a caller that caches the `Z`-blocks across many fits
+/// holds them (CATE estimation: the `Z`-blocks are treatment-independent
+/// and the `t`-blocks are gathered per candidate). In the block layout of
+/// the `(q + 2) × (q + 2)` Gram:
 ///
-/// Inputs, in the block layout of the `(q + 2) × (q + 2)` Gram:
+/// ```text
+///       ⎡  n      Σt     1ᵀZ  ⎤            ⎡ Σy  ⎤
+/// XᵀX = ⎢  Σt     Σt     tᵀZ  ⎥ ,    Xᵀy = ⎢ tᵀy ⎥
+///       ⎣ Zᵀ1    Zᵀt    ZᵀZ   ⎦            ⎣ Zᵀy ⎦
+/// ```
 ///
-/// * `n` — rows of the design (the `1ᵀ1` corner),
-/// * `n_treated` — `Σt = tᵀt = 1ᵀt` (all three coincide for binary `t`),
-/// * `sum_y` / `ty` — `1ᵀy` and `tᵀy`,
-/// * `sum_z` / `tz` — `1ᵀZ` and `tᵀZ` (length `q`),
-/// * `zz` / `zy` — the fixed `q×q` block `ZᵀZ` and `Zᵀy`.
-///
-/// Pure placement: every output entry is one of the input floats, so a
-/// Gram stitched from independently accumulated blocks is bit-identical
-/// to one accumulated over the materialized design — provided each block
-/// replayed the naive ascending-row addition order.
-// One parameter per block of the normal equations — bundling them into a
-// struct would just move the field list one call site up.
-#[allow(clippy::too_many_arguments)]
-pub fn gram_from_blocks(
-    n: usize,
-    n_treated: usize,
-    sum_y: f64,
-    ty: f64,
-    sum_z: &[f64],
-    tz: &[f64],
-    zz: &Matrix,
-    zy: &[f64],
-) -> (Matrix, Vec<f64>) {
-    let q = sum_z.len();
-    debug_assert_eq!(tz.len(), q);
-    debug_assert_eq!(zy.len(), q);
-    debug_assert_eq!(zz.nrows(), q);
-    debug_assert_eq!(zz.ncols(), q);
-    let p = q + 2;
-    let mut gram = Matrix::zeros(p, p);
-    gram[(0, 0)] = n as f64;
-    gram[(0, 1)] = n_treated as f64;
-    gram[(1, 0)] = n_treated as f64;
-    gram[(1, 1)] = n_treated as f64;
-    for j in 0..q {
-        gram[(0, 2 + j)] = sum_z[j];
-        gram[(2 + j, 0)] = sum_z[j];
-        gram[(1, 2 + j)] = tz[j];
-        gram[(2 + j, 1)] = tz[j];
-        for i in 0..q {
-            gram[(2 + i, 2 + j)] = zz[(i, j)];
+/// `Σt = tᵀt = 1ᵀt` for a binary `t`.
+#[derive(Debug, Clone, Copy)]
+pub struct BorderedBlocks<'a> {
+    /// Rows of the design (the `1ᵀ1` corner).
+    pub n: usize,
+    /// `Σt`.
+    pub n_treated: usize,
+    /// `1ᵀy`.
+    pub sum_y: f64,
+    /// `tᵀy`.
+    pub ty: f64,
+    /// `1ᵀZ` (length `q`).
+    pub sum_z: &'a [f64],
+    /// `tᵀZ` (length `q`).
+    pub tz: &'a [f64],
+    /// The fixed `q × q` block `ZᵀZ`.
+    pub zz: &'a Matrix,
+    /// `Zᵀy` (length `q`).
+    pub zy: &'a [f64],
+}
+
+/// Scratch `f64`s a fit of `p ≤ 8` columns runs in, on the stack: the
+/// Gram, its factor and one solve vector.
+const SMALL_FIT: usize = 2 * 8 * 8 + 8;
+/// The same for `p ≤ 16`; a wider fit takes its scratch from the heap.
+const MEDIUM_FIT: usize = 2 * 16 * 16 + 16;
+
+impl BorderedBlocks<'_> {
+    /// [`fit_from_gram_at`] on the assembled normal equations, without
+    /// materializing a [`Matrix`]: the Gram is placed into scratch (on the
+    /// stack up to 16 columns), factored by [`crate::matrix::spd_factor_into`]
+    /// and solved in place, so the only allocation is `β`. Assembly is pure
+    /// placement — every entry is one of the input floats — and the
+    /// factor, the solve and the `[(XᵀX)⁻¹]_tt` solve run the operations of
+    /// the `Matrix` path in its order, so the [`GramFit`] has its bits.
+    /// `None` when shapes are inconsistent or empty, `target ≥ p`, or the
+    /// equations cannot be solved even with the ridge fallback.
+    pub fn fit_at(&self, target: usize) -> Option<GramFit> {
+        let q = self.sum_z.len();
+        if self.tz.len() != q || self.zy.len() != q || self.zz.nrows() != q || self.zz.ncols() != q
+        {
+            return None;
+        }
+        let p = q + 2;
+        if self.n == 0 || target >= p {
+            return None;
+        }
+        let need = 2 * p * p + p;
+        if need <= SMALL_FIT {
+            self.fit_in(&mut [0.0; SMALL_FIT][..need], target)
+        } else if need <= MEDIUM_FIT {
+            self.fit_in(&mut [0.0; MEDIUM_FIT][..need], target)
+        } else {
+            self.fit_in(&mut vec![0.0; need], target)
         }
     }
-    let mut xty = Vec::with_capacity(p);
-    xty.push(sum_y);
-    xty.push(ty);
-    xty.extend_from_slice(zy);
-    (gram, xty)
+
+    fn fit_in(&self, scratch: &mut [f64], target: usize) -> Option<GramFit> {
+        let q = self.sum_z.len();
+        let p = q + 2;
+        let (gram, rest) = scratch.split_at_mut(p * p);
+        let (l, e) = rest.split_at_mut(p * p);
+        let nt = self.n_treated as f64;
+        gram[0] = self.n as f64;
+        gram[1] = nt;
+        gram[p] = nt;
+        gram[p + 1] = nt;
+        for j in 0..q {
+            gram[2 + j] = self.sum_z[j];
+            gram[(2 + j) * p] = self.sum_z[j];
+            gram[p + 2 + j] = self.tz[j];
+            gram[(2 + j) * p + 1] = self.tz[j];
+            for i in 0..q {
+                gram[(2 + i) * p + 2 + j] = self.zz[(i, j)];
+            }
+        }
+        if !spd_factor_into(gram, p, l, &mut Vec::new()) {
+            return None;
+        }
+        let mut beta = Vec::with_capacity(p);
+        beta.push(self.sum_y);
+        beta.push(self.ty);
+        beta.extend_from_slice(self.zy);
+        cholesky_solve_in_place(l, p, &mut beta);
+        e.fill(0.0);
+        e[target] = 1.0;
+        cholesky_solve_in_place(l, p, e);
+        Some(GramFit {
+            beta,
+            target,
+            inv_diag: e[target],
+            n: self.n,
+        })
+    }
 }
 
 /// `[(XᵀX)⁻¹]_{jj}` from the Cholesky factor `l`: solve for the `j`-th
@@ -510,10 +560,11 @@ mod tests {
         assert!(tiny.df() <= 0.0 && tiny.p_value(1.0).is_nan());
     }
 
+    /// X = [1, t, z] with binary t: blocks accumulated independently fit
+    /// to the bits of the fit over the materialized design's Gram, at
+    /// every target; inconsistent shapes give `None`.
     #[test]
-    fn gram_from_blocks_matches_materialized_design() {
-        // X = [1, t, z] with binary t; blocks accumulated independently
-        // must stitch into the exact Gram of the materialized design.
+    fn bordered_fit_matches_materialized_design() {
         let n = 24;
         let t: Vec<f64> = (0..n).map(|i| ((i % 3) == 0) as i64 as f64).collect();
         let z: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 1.0).collect();
@@ -530,17 +581,24 @@ mod tests {
         let mut zz = Matrix::zeros(1, 1);
         zz[(0, 0)] = z.iter().map(|v| v * v).sum();
         let zy = [z.iter().zip(&y).map(|(a, b)| a * b).sum::<f64>()];
-        let (gram, xty) = gram_from_blocks(n, n_treated, sum_y, ty, &sum_z, &tz, &zz, &zy);
-        for i in 0..3 {
-            assert_eq!(xty[i].to_bits(), full_xty[i].to_bits(), "xty[{i}]");
-            for j in 0..3 {
-                assert_eq!(
-                    gram[(i, j)].to_bits(),
-                    full_gram[(i, j)].to_bits(),
-                    "gram[({i},{j})]"
-                );
-            }
+        let blocks = BorderedBlocks {
+            n,
+            n_treated,
+            sum_y,
+            ty,
+            sum_z: &sum_z,
+            tz: &tz,
+            zz: &zz,
+            zy: &zy,
+        };
+        for target in 0..3 {
+            let want = fit_from_gram_at(&full_gram, &full_xty, n, target).unwrap();
+            let got = blocks.fit_at(target).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "target {target}");
         }
+        assert!(blocks.fit_at(3).is_none());
+        assert!(BorderedBlocks { tz: &[], ..blocks }.fit_at(1).is_none());
+        assert!(BorderedBlocks { n: 0, ..blocks }.fit_at(1).is_none());
     }
 
     #[test]

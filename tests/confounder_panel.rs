@@ -29,7 +29,9 @@ mod common;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use causal::context::{ContextCache, EstimationContext, SubpopPanel, TreatmentMoments};
+use causal::context::{
+    ConfounderKey, ContextCache, EstimationContext, SubpopPanel, TreatmentMoments,
+};
 use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
 use mining::treatment::{LatticeOptions, TreatmentMiner};
 use mining::RunGuard;
@@ -304,12 +306,13 @@ proptest! {
             let opts = CateOptions { backend, ..CateOptions::default() };
             let mut cache = ContextCache::new();
             for _ in 0..2 {
-                for confounders in confounder_mixes() {
+                for (id, confounders) in confounder_mixes().into_iter().enumerate() {
                     let cold =
                         EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
                             .and_then(|ctx| ctx.estimate(&tbits));
+                    let key = ConfounderKey::new(id, confounders);
                     let cached = cache
-                        .get_or_build(&table, Some(&sub_bits), 3, confounders, &opts)
+                        .get_or_build(&table, Some(&sub_bits), 3, &key, &opts)
                         .and_then(|ctx| ctx.estimate(&tbits));
                     assert_bit_identical(cached, cold)?;
                 }

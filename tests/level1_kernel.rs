@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use causal::context::ContextCache;
+use causal::context::{ConfounderKey, ContextCache};
 use causal::estimate::CateOptions;
 use causal::{Dag, NumericMode};
 use mining::treatment::{LatticeOptions, TreatmentMiner, TreatmentResult};
@@ -159,6 +159,7 @@ fn check_level1(
     let min_arm = opts.cate_opts.min_arm;
     let fast = opts.cate_opts.numeric_mode == NumericMode::FastV1;
     let mut contexts = ContextCache::new();
+    let mut keys: Vec<Vec<usize>> = Vec::new();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let got = miner.level1_estimates(subpop, workers);
     // Every estimable atom is a level-1 candidate.
@@ -173,8 +174,17 @@ fn check_level1(
         prop_assert!(e.treated_in_sub >= min_arm && sub_n - e.treated_in_sub >= min_arm);
         let confounders = miner.confounders_for(&e.pattern.attrs());
         prop_assert_eq!(&e.confounders, &confounders, "{}", what);
+        // One id per distinct set, as the walk's interned keys have.
+        let id = match keys.iter().position(|k| *k == confounders) {
+            Some(id) => id,
+            None => {
+                keys.push(confounders.clone());
+                keys.len() - 1
+            }
+        };
+        let key = ConfounderKey::new(id, confounders);
         let ctx = contexts
-            .get_or_build(table, Some(subpop), Y, confounders, &opts.cate_opts)
+            .get_or_build(table, Some(subpop), Y, &key, &opts.cate_opts)
             .expect("a numeric outcome builds every context");
         match (&e.fit, ctx.fit_local(&local)) {
             (Some(fit), Some((want, moments))) => {

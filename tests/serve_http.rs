@@ -223,3 +223,69 @@ fn saturation_sheds_load_with_429() {
     assert!(stats.contains("\"rejected_saturated\":1"), "{stats}");
     server.stop();
 }
+
+/// A client that sends half a request head and stalls holds only its own
+/// connection thread: a full request on a second connection is answered
+/// at once, not after the stalled read's timeout, and the stalled request
+/// is answered once its head is complete.
+#[test]
+fn stalled_client_does_not_delay_other_connections() {
+    let (server, _handler) = spawn(ServeOptions::default());
+    let addr = server.addr;
+    let head = format!(
+        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n",
+        SQL.len()
+    );
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled
+        .write_all(head.as_bytes())
+        .expect("send half a head");
+    // The server has accepted the stalled connection and is blocked
+    // reading the rest of its head.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let started = std::time::Instant::now();
+    let (status, body) = post_query(addr, SQL, &[]);
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "a full request waited {:?} behind a stalled one",
+        started.elapsed()
+    );
+
+    // Nothing has been answered on the stalled connection yet.
+    stalled
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    assert!(
+        stalled.read(&mut byte).is_err(),
+        "the half head got a response"
+    );
+    // Completing the head gets the stalled request its answer.
+    stalled.set_read_timeout(None).unwrap();
+    stalled.write_all(format!("\r\n{SQL}").as_bytes()).unwrap();
+    let mut response = String::new();
+    stalled.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    server.stop();
+}
+
+/// A request head past `MAX_HEAD_BYTES` is answered `431` with the
+/// structured error envelope, and the server keeps serving.
+#[test]
+fn oversized_head_gets_431_envelope() {
+    let (server, _handler) = spawn(ServeOptions::default());
+    let addr = server.addr;
+    let pad = "a".repeat(serve::http::MAX_HEAD_BYTES + 1024);
+    let (status, body) = http(
+        addr,
+        format!("GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n\r\n"),
+    );
+    assert_eq!(status, 431, "{body}");
+    assert!(body.contains("\"code\":\"bad_request\""), "{body}");
+    let limit = serve::http::MAX_HEAD_BYTES.to_string();
+    assert!(body.contains(&limit), "{body}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    server.stop();
+}
