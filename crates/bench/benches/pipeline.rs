@@ -1,30 +1,9 @@
-//! End-to-end pipeline benchmarks: the full Algorithm-1 run per dataset at
-//! bench scale, plus the discovery algorithms.
+//! Causal-discovery benchmarks: PC and LiNGAM on 1k adult rows. The
+//! pipeline's end-to-end timing lives in `causumx_bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use causumx::{CausumxConfig, Session};
 use discovery::{attr_names, lingam, numeric_columns, pc};
-
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("causumx_end_to_end");
-    for (name, ds) in [
-        ("german", datagen::german::generate(1_000, 1)),
-        ("so", datagen::so::generate(4_000, 1)),
-        ("adult", datagen::adult::generate(4_000, 1)),
-    ] {
-        let query = ds.query();
-        let session = Session::new(ds.table, ds.dag, CausumxConfig::default());
-        group.bench_function(name, |b| {
-            // Prepare + run per iteration. The session-level caches (FD
-            // split, backdoor memo) stay warm across iterations, so this
-            // measures the steady-state per-query cost of a long-lived
-            // session, not first-ever-query cold start.
-            b.iter(|| session.prepare(query.clone()).unwrap().run().total_weight)
-        });
-    }
-    group.finish();
-}
 
 fn bench_discovery(c: &mut Criterion) {
     let ds = datagen::adult::generate(1_000, 1);
@@ -39,6 +18,6 @@ fn bench_discovery(c: &mut Criterion) {
 criterion_group!(
     name = pipeline;
     config = Criterion::default().sample_size(10);
-    targets = bench_end_to_end, bench_discovery
+    targets = bench_discovery
 );
 criterion_main!(pipeline);

@@ -200,3 +200,136 @@ fn selection_methods_agree_on_structure() {
         assert!(exact.total_weight >= greedy.total_weight - 1e-6);
     }
 }
+
+/// Degenerate data end to end. One hand-built table holds a constant
+/// numeric confounder (`c0`), a confounder that duplicates another
+/// (`zdup` = `z`), a one-row output group (`solo`), and a categorical
+/// treatment attribute whose one level covers every row of the view
+/// (`u`: the one row where it differs is filtered out by the WHERE
+/// clause, so the FD split still counts it as a treatment attribute).
+/// `region`, determined by `grp`, gives the grouping patterns. The
+/// regression designs are rank-deficient and some arms are empty; every
+/// run must still give a defined, finite, deterministic result whose
+/// JSON is valid.
+#[test]
+fn degenerate_inputs_give_defined_results() {
+    use causumx::NumericMode;
+
+    let groups = ["g0", "g1", "g2", "g3"];
+    let arms = ["a", "b", "c"];
+    let (mut grp, mut region, mut t, mut u) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut c0, mut z, mut y) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..240 {
+        let g = i % 4;
+        let arm = (i / 4) % 3;
+        let zi = ((i * 7) % 11) as i64;
+        grp.push(groups[g].to_string());
+        region.push(if g < 2 { "east" } else { "west" }.to_string());
+        t.push(arms[arm].to_string());
+        u.push("only".to_string());
+        c0.push(5.0);
+        z.push(zi);
+        y.push(10.0 + zi as f64 + 2.0 * g as f64 + [40.0, 0.0, -20.0][arm] + (i % 5) as f64);
+    }
+    // The one-row group.
+    grp.push("solo".into());
+    region.push("west".into());
+    t.push("a".into());
+    u.push("only".into());
+    c0.push(5.0);
+    z.push(4);
+    y.push(30.0);
+    // The row the WHERE clause drops: `u`'s second level.
+    grp.push("g0".into());
+    region.push("east".into());
+    t.push("b".into());
+    u.push("other".into());
+    c0.push(5.0);
+    z.push(1_000);
+    y.push(0.0);
+
+    let table = table::TableBuilder::new()
+        .cat_owned("grp", grp)
+        .unwrap()
+        .cat_owned("region", region)
+        .unwrap()
+        .cat_owned("t", t)
+        .unwrap()
+        .cat_owned("u", u)
+        .unwrap()
+        .float("c0", c0)
+        .unwrap()
+        .int("z", z.clone())
+        .unwrap()
+        .int("zdup", z)
+        .unwrap()
+        .float("y", y)
+        .unwrap()
+        .build()
+        .unwrap();
+    let dag = causal::Dag::new(
+        &["grp", "region", "t", "u", "c0", "z", "zdup", "y"],
+        &[
+            ("c0", "t"),
+            ("c0", "y"),
+            ("z", "t"),
+            ("z", "y"),
+            ("zdup", "t"),
+            ("zdup", "y"),
+            ("t", "y"),
+            ("u", "y"),
+            ("grp", "y"),
+        ],
+    )
+    .unwrap();
+    let sql = "SELECT grp, AVG(y) FROM d WHERE z < 100 GROUP BY grp";
+
+    for mode in [NumericMode::Exact, NumericMode::FastV1] {
+        let mut runs = Vec::new();
+        for threads in [1usize, 4] {
+            let cfg = ConfigBuilder::new()
+                .numeric_mode(mode)
+                .threads(threads)
+                .build()
+                .unwrap();
+            let max_p = cfg.lattice.max_p_value;
+            let session = Session::new(table.clone(), dag.clone(), cfg);
+            let prepared = session.sql(sql).unwrap();
+            let summary = prepared
+                .try_run()
+                .unwrap_or_else(|e| panic!("{mode:?} threads={threads}: {e}"));
+            assert_eq!(summary.m, 5, "four groups plus the one-row group");
+            assert!(summary.covered <= summary.m);
+            // `t`'s backdoor set {c0, z, zdup} is rank-deficient, and its
+            // atoms carry the largest effects, so they are what is returned.
+            assert!(!summary.explanations.is_empty(), "{mode:?}: nothing mined");
+            for e in &summary.explanations {
+                for tr in [&e.positive, &e.negative].into_iter().flatten() {
+                    assert!(tr.cate.is_finite(), "{mode:?}: CATE {}", tr.cate);
+                    assert!(
+                        tr.p_value <= max_p,
+                        "{mode:?}: p = {} above {max_p}",
+                        tr.p_value
+                    );
+                }
+            }
+            let json = prepared.report(&summary).to_json();
+            // Numbers render through `{:.6}`/`{:e}`, which print a
+            // non-finite value as `NaN`/`inf` — not JSON.
+            for token in ["NaN", "inf"] {
+                for (at, _) in json.match_indices(token) {
+                    let before = json[..at].trim_end_matches('-').chars().last();
+                    assert!(
+                        !matches!(before, Some(':' | ',' | '[')),
+                        "{mode:?}: non-finite number in {json}"
+                    );
+                }
+            }
+            runs.push((
+                summary.total_weight.to_bits(),
+                format!("{:?}", summary.explanations),
+            ));
+        }
+        assert_eq!(runs[0], runs[1], "{mode:?}: threads 1 vs 4 diverged");
+    }
+}
