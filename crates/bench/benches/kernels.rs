@@ -268,8 +268,8 @@ fn bench_confounder_panel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Word-batched popcount kernels vs the scalar reference, at the widths
-/// the pipeline actually sees (4k/30k-row tables, 200k-row scale target).
+/// Word-batched popcount kernels and projection, at the widths the
+/// pipeline actually sees (4k/30k-row tables, 200k-row scale target).
 fn bench_bitset_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitset_intersection_count");
     for &nbits in &[4_000usize, 30_000, 200_000] {
@@ -283,9 +283,6 @@ fn bench_bitset_kernels(c: &mut Criterion) {
                 b.insert(i);
             }
         }
-        group.bench_with_input(BenchmarkId::new("scalar", nbits), &nbits, |bench, _| {
-            bench.iter(|| a.intersection_count_scalar(&b))
-        });
         group.bench_with_input(BenchmarkId::new("batched", nbits), &nbits, |bench, _| {
             bench.iter(|| a.intersection_count(&b))
         });
@@ -301,10 +298,11 @@ fn bench_bitset_kernels(c: &mut Criterion) {
 }
 
 /// Numeric-mode kernels: the serial ascending fold (`Exact`) vs the
-/// fixed-lane reduction (`FastV1`) on raw sum/dot/RSS passes, and the
-/// downdated-moments path vs a full re-gather for a subset candidate —
-/// at the table widths the pipeline sees (4k/30k rows, 200k scale
-/// target).
+/// fixed-lane reduction (`FastV1`) on raw sum/dot/RSS passes, and a
+/// subset candidate's fit from downdated moments
+/// (`EstimationContext::fit_downdated`) vs a full re-gather
+/// (`EstimationContext::fit`) — at the table widths the pipeline sees
+/// (4k/30k rows, 200k scale target).
 fn bench_numeric_kernels(c: &mut Criterion) {
     use stats::numeric::{self, NumericMode};
 
@@ -355,16 +353,16 @@ fn bench_numeric_kernels(c: &mut Criterion) {
             ..CateOptions::default()
         };
         let ctx = EstimationContext::new(&ds.table, None, ds.outcome, &conf, &opts).unwrap();
-        let (_, parent_moments) = ctx.estimate_local_moments(&parent_bits).unwrap();
+        let (_, parent_moments) = ctx.fit(&parent_bits).unwrap();
         group.bench_with_input(BenchmarkId::new("regather", n), &n, |bench, _| {
-            bench.iter(|| ctx.estimate_local_moments(&child).unwrap().0.cate)
+            bench.iter(|| ctx.fit(&child).unwrap().0.cate())
         });
         group.bench_with_input(BenchmarkId::new("downdate", n), &n, |bench, _| {
             bench.iter(|| {
-                ctx.estimate_downdated(&child, &parent_moments, &removed)
+                ctx.fit_downdated(&parent_moments, &removed)
                     .unwrap()
                     .0
-                    .cate
+                    .cate()
             })
         });
     }
@@ -521,7 +519,7 @@ fn bench_walk_kernels(c: &mut Criterion) {
             .unwrap();
         group.bench_function(name, |b| {
             b.iter(|| {
-                let fit = |m: &BitSet| ctx.fit_local(m).map(|(f, _)| f.cate());
+                let fit = |m: &BitSet| ctx.fit(m).map(|(f, _)| f.cate());
                 (fit(&level1), fit(&level2))
             })
         });

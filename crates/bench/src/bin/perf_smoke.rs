@@ -18,18 +18,17 @@
 //! * `--seed N` — data seed (default 42),
 //! * `--out PATH` — JSON output path (default `results/bench_pipeline.json`),
 //! * `--baseline PATH` — a JSON file produced by an earlier `perf_smoke`
-//!   run; its per-size `treatment_ms` numbers are embedded as
-//!   `prior_treatment_ms` together with the resulting speedup factors, so
-//!   a before/after pair lives in one artifact. Counters and weights of
-//!   matching sizes (including the million-row scale point) are
-//!   hard-asserted against it; a baseline that cannot be read or holds
-//!   no size entry is fatal,
+//!   run. Every deterministic field of each matching size entry
+//!   (including the million-row scale point) is hard-asserted against
+//!   it: `cate_evaluations`, `candidates`, `covered`, `groups` and
+//!   `total_weight` (to the file's 1e-6 precision). A baseline that
+//!   cannot be read or holds no size entry is fatal,
 //! * `--matrix` — additionally run the committed workload matrix
 //!   ([`bench::workloads`]): five datasets × three query shapes ×
 //!   {Exact, FastV1}, each cell at `threads = 1` and `threads = 0`
 //!   (auto). Emits a `matrix` JSON section with one cell per line —
-//!   per-cell clocks, work counters, `downdates`/`regathers` and peak
-//!   RSS — which `tests/workload_matrix.rs` pins fingerprint by
+//!   per-cell clocks, work counters and `downdates`/`regathers` — which
+//!   `tests/workload_matrix.rs` pins fingerprint by
 //!   fingerprint. Within a cell the two thread legs are hard-asserted
 //!   bit-identical, and each FastV1 cell is hard-asserted against its
 //!   Exact sibling (equal counters, total weight within 1e-9 relative).
@@ -39,15 +38,17 @@
 //! `peak_rss_mb`. The value is a *process-wide* high-water mark, so
 //! within one invocation it is monotone across the ascending sizes — a
 //! per-size reading attributes the peak up to that point, which is what
-//! a memory-regression gate needs.
+//! a memory-regression gate needs. Matrix cells carry none: the matrix
+//! runs after the million-row point, whose peak every cell would read.
 //!
 //! Each per-size entry also records `ns_per_row_estimate` — treatment
 //! nanoseconds divided by (rows × CATE evaluations), the size-free cost
 //! of one row's worth of one estimation, comparable across sizes.
 //!
 //! Timings are wall-clock and machine-dependent; `cate_evaluations`,
-//! candidate counts and coverage are deterministic for a fixed seed, and
-//! `--baseline` holds them to the committed artifact.
+//! candidate counts, coverage, group counts and total weight are
+//! deterministic for a fixed seed, and `--baseline` holds them to the
+//! committed artifact.
 
 use std::fmt::Write as _;
 
@@ -156,11 +157,18 @@ fn main() {
     // that is the strongest cross-artifact check available).
     for p in points.iter().chain(&scale_points) {
         if let Some(prev) = prior.iter().find(|b| b.n == p.n) {
-            assert_eq!(
-                p.cate_evaluations, prev.cate_evaluations,
-                "cate_evaluations changed at n={} vs baseline",
-                p.n
-            );
+            for (field, got, want) in [
+                (
+                    "cate_evaluations",
+                    p.cate_evaluations,
+                    prev.cate_evaluations,
+                ),
+                ("candidates", p.candidates, prev.candidates),
+                ("covered", p.covered, prev.covered),
+                ("groups", p.m, prev.groups),
+            ] {
+                assert_eq!(got, want, "{field} changed at n={} vs baseline", p.n);
+            }
             assert!(
                 (p.total_weight - prev.total_weight).abs() < 1e-6,
                 "total_weight changed at n={}: {} vs baseline {}",
@@ -180,11 +188,8 @@ fn main() {
         "candidates",
         "covered",
         "peak_rss_mb",
-        "prior_treatment_ms",
-        "speedup",
     ]);
     for p in &points {
-        let prior_ms = prior.iter().find(|b| b.n == p.n).map(|b| b.treatment_ms);
         report.row(&[
             p.n.to_string(),
             fmt(p.grouping_ms, 1),
@@ -194,8 +199,6 @@ fn main() {
             p.candidates.to_string(),
             format!("{}/{}", p.covered, p.m),
             p.peak_rss_mb.map_or("-".into(), |v| fmt(v, 1)),
-            prior_ms.map_or("-".into(), |v| fmt(v, 1)),
-            prior_ms.map_or("-".into(), |v| fmt(v / p.treatment_ms, 2)),
         ]);
     }
     println!("# perf_smoke — end-to-end pipeline (dataset: so, seed {seed})\n");
@@ -226,7 +229,6 @@ fn main() {
             "cate_evals",
             "covered",
             "dd/rg",
-            "peak_rss_mb",
         ]);
         for c in cells {
             mreport.row(&[
@@ -238,7 +240,6 @@ fn main() {
                 c.cate_evaluations.to_string(),
                 format!("{}/{}", c.covered, c.m),
                 format!("{}/{}", c.downdates, c.regathers),
-                c.peak_rss_mb.map_or("-".into(), |v| fmt(v, 1)),
             ]);
         }
         println!("{}", mreport.markdown());
@@ -249,7 +250,6 @@ fn main() {
         quick,
         &points,
         &scale_points,
-        &prior,
         matrix_points.as_deref(),
     );
     let path = out_path.map(std::path::PathBuf::from).unwrap_or_else(|| {
@@ -288,8 +288,6 @@ struct MatrixPoint {
     total_weight: f64,
     downdates: usize,
     regathers: usize,
-    /// Process peak RSS after this cell (MiB); `None` off Linux.
-    peak_rss_mb: Option<f64>,
 }
 
 /// Run every committed matrix cell. Within a cell the two thread legs
@@ -377,7 +375,6 @@ fn run_matrix(seed: u64, quick: bool) -> Vec<MatrixPoint> {
                     total_weight: t1.total_weight,
                     downdates: t1.downdates,
                     regathers: t1.regathers,
-                    peak_rss_mb: bench::peak_rss_mb(),
                 });
             }
         }
@@ -439,7 +436,6 @@ fn render_json(
     quick: bool,
     points: &[SizePoint],
     scale: &[SizePoint],
-    prior: &[PriorSize],
     matrix: Option<&[MatrixPoint]>,
 ) -> String {
     let mut s = String::new();
@@ -462,10 +458,10 @@ fn render_json(
         mining::sched::available_workers()
     );
     let _ = writeln!(s, "  \"sizes\": [");
-    render_size_lines(&mut s, points, prior, "");
+    render_size_lines(&mut s, points, "");
     let _ = writeln!(s, "  ],");
     let _ = writeln!(s, "  \"scale\": [");
-    render_size_lines(&mut s, scale, prior, "\"dataset\": \"synthetic\", ");
+    render_size_lines(&mut s, scale, "\"dataset\": \"synthetic\", ");
     let _ = writeln!(s, "  ]{}", if matrix.is_some() { "," } else { "" });
     if let Some(cells) = matrix {
         // One cell per line so the differential tier
@@ -481,7 +477,7 @@ fn render_json(
                  \"grouping_ms\": {:.3}, \"treatment_ms\": {:.3}, \"selection_ms\": {:.3}, \
                  \"cate_evaluations\": {}, \"candidates\": {}, \"covered\": {}, \
                  \"total_weight\": {:.6}, \"downdates\": {}, \"regathers\": {}, \
-                 \"peak_rss_mb\": {}, \"bit_identical\": true}}{}",
+                 \"bit_identical\": true}}{}",
                 c.dataset,
                 c.shape,
                 c.mode,
@@ -498,7 +494,6 @@ fn render_json(
                 c.total_weight,
                 c.downdates,
                 c.regathers,
-                json_opt(c.peak_rss_mb),
                 comma
             );
         }
@@ -509,24 +504,15 @@ fn render_json(
 }
 
 /// One JSON line per size point, `tag` spliced in after `n`.
-fn render_size_lines(s: &mut String, points: &[SizePoint], prior: &[PriorSize], tag: &str) {
+fn render_size_lines(s: &mut String, points: &[SizePoint], tag: &str) {
     for (i, p) in points.iter().enumerate() {
         let comma = if i + 1 < points.len() { "," } else { "" };
-        let mut extra = String::new();
-        if let Some(prev) = prior.iter().find(|b| b.n == p.n) {
-            let _ = write!(
-                extra,
-                ", \"prior_treatment_ms\": {:.3}, \"treatment_speedup\": {:.3}",
-                prev.treatment_ms,
-                prev.treatment_ms / p.treatment_ms
-            );
-        }
         let _ = writeln!(
             s,
             "    {{\"n\": {}, {tag}\"grouping_ms\": {:.3}, \"treatment_ms\": {:.3}, \
              \"selection_ms\": {:.3}, \"cate_evaluations\": {}, \"candidates\": {}, \
              \"covered\": {}, \"groups\": {}, \"total_weight\": {:.6}, \
-             \"ns_per_row_estimate\": {:.4}, \"peak_rss_mb\": {}{}}}{}",
+             \"ns_per_row_estimate\": {:.4}, \"peak_rss_mb\": {}}}{}",
             p.n,
             p.grouping_ms,
             p.treatment_ms,
@@ -538,17 +524,19 @@ fn render_size_lines(s: &mut String, points: &[SizePoint], prior: &[PriorSize], 
             p.total_weight,
             ns_per_row_estimate(p),
             json_opt(p.peak_rss_mb),
-            extra,
             comma
         );
     }
 }
 
-/// A prior run's per-size record, scanned back from its JSON.
+/// A prior run's per-size record, scanned back from its JSON: every
+/// deterministic field the baseline gate compares.
 struct PriorSize {
     n: usize,
-    treatment_ms: f64,
     cate_evaluations: usize,
+    candidates: usize,
+    covered: usize,
+    groups: usize,
     total_weight: f64,
 }
 
@@ -568,18 +556,23 @@ fn read_prior_sizes(path: &str) -> Vec<PriorSize> {
         if line.contains("\"shape\":") {
             continue;
         }
-        let (Some(n), Some(ms), Some(evals), Some(w)) = (
-            field_num(line, "\"n\":"),
-            field_num(line, "\"treatment_ms\":"),
-            field_num(line, "\"cate_evaluations\":"),
-            field_num(line, "\"total_weight\":"),
+        let field = |key: &str| field_num(line, &format!("\"{key}\":"));
+        let (Some(n), Some(evals), Some(candidates), Some(covered), Some(groups), Some(w)) = (
+            field("n"),
+            field("cate_evaluations"),
+            field("candidates"),
+            field("covered"),
+            field("groups"),
+            field("total_weight"),
         ) else {
             continue;
         };
         out.push(PriorSize {
             n: n as usize,
-            treatment_ms: ms,
             cate_evaluations: evals as usize,
+            candidates: candidates as usize,
+            covered: covered as usize,
+            groups: groups as usize,
             total_weight: w,
         });
     }

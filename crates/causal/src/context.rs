@@ -29,24 +29,29 @@
 //! [`stats::matrix::Matrix::gram`], so the fit — CATE, standard errors,
 //! p-values — is bit-identical to the naive path, not merely close.
 //!
-//! Treatments arrive in one of three coordinate systems:
+//! [`EstimationContext::estimate`] takes the treated rows as a set over
+//! the *full table* and scans the cached row list testing membership
+//! (`O(n)` probes). Every other entry point — [`EstimationContext::fit`],
+//! [`EstimationContext::fit_downdated`], [`EstimationContext::p_value`]
+//! and [`EstimationContext::estimate_local`] — reads the width of the set
+//! it is given to name its coordinates:
 //!
-//! * [`EstimationContext::estimate`] takes a row set over the *full
-//!   table* and scans the cached row list testing membership (`O(n)`
-//!   probes);
-//! * [`EstimationContext::estimate_local`] takes a set in the
-//!   subpopulation's *local* coordinates (bit `i` = the `i`-th
-//!   subpopulation row, see [`table::bitset::Projector`]) and gathers the
-//!   `t`-blocks sparsely by walking only its set bits (`O(|T|·k)` for `k`
-//!   confounder attributes, see [Level codes](self#level-codes));
-//! * [`EstimationContext::fit_rows`] takes a set over the context's own
-//!   rows (bit `i` = [`EstimationContext::rows`]`[i]`, after sampling),
-//!   which a caller can sort out in one pass over those rows without
-//!   projecting anything onto the subpopulation — the lattice walk's
-//!   level 1 does, one pass per treatment attribute.
+//! * [`EstimationContext::local_width`] bits index the subpopulation's
+//!   rows (bit `i` = the `i`-th subpopulation row, see
+//!   [`table::bitset::Projector`]);
+//! * [`EstimationContext::n`] bits index the context's own rows (bit `i`
+//!   = [`EstimationContext::rows`]`[i]`, after sampling), which a caller
+//!   can sort out in one pass over those rows without projecting
+//!   anything onto the subpopulation — the lattice walk's level 1 does,
+//!   one pass per treatment attribute.
 //!
-//! Ascending bit order visits the identical rows in the identical order
-//! as the dense scan, so every entry point produces bit-identical fits.
+//! The two widths are equal exactly when the §5.2(d) sampling dropped no
+//! row, and then the two coordinate systems are one. Either way the
+//! `t`-blocks are gathered sparsely by walking only the set bits
+//! (`O(|T|·k)` for `k` confounder attributes, see [Level
+//! codes](self#level-codes)). Ascending bit order visits the identical
+//! rows in the identical order as the dense scan, so every entry point
+//! produces bit-identical fits.
 //!
 //! # The row walker
 //!
@@ -54,14 +59,15 @@
 //! downdate of a parent's moments, and the residual's `t·β₁` term — reads
 //! the treated rows through one word-level walker (`TreatedRows`). It
 //! yields the *sampled positions* of the treated rows in ascending order.
-//! When the §5.2(d) sampling dropped rows, the context keeps the sampled
-//! local indices as a bitset with per-word rank prefixes (a
-//! [`table::bitset::Projector`] over them). The walker ANDs each word of
-//! the local mask with the sampled word before visiting any bit, and a
-//! visited bit's position is its rank among the sampled indices. So a
-//! treated row the sample left out is never visited: a sampled estimate
-//! reads only the rows it uses, not every treated row of the
-//! subpopulation. Without sampling a local index is its position. The
+//! A set over the context's rows already holds them. When the §5.2(d)
+//! sampling dropped rows, the context keeps the sampled local indices as
+//! a bitset with per-word rank prefixes (a [`table::bitset::Projector`]
+//! over them), and the walker ANDs each word of a local mask with the
+//! sampled word before visiting any bit; a visited bit's position is its
+//! rank among the sampled indices. So a treated row the sample left out
+//! is never visited: a sampled estimate reads only the rows it uses, not
+//! every treated row of the subpopulation. Without sampling a local index
+//! is its position. The
 //! passes read the design's dense columns and level codes as slices
 //! hoisted out of the row loop, in a layout each context fixes once when
 //! it is built. Each accumulator sees its rows in ascending order, so
@@ -81,14 +87,15 @@
 //! [`EstimationContext`] cold repeats all of that per set.
 //!
 //! [`SubpopPanel`] hoists the sharing one level up: built once per
-//! subpopulation, it materializes the sampled row list, `y`, `Σy`, `yᵀy`,
-//! and — lazily, on first use — each confounder attribute's design block
-//! with its `1ᵀZ_a` / `Z_aᵀy` vectors, plus every requested pairwise
-//! cross-Gram block `Z_aᵀZ_b` (including `a = b`).
-//! [`SubpopPanel::assemble`] then builds the context for a concrete
-//! confounder set by *stitching* the relevant blocks — `O(q²)` placement
-//! instead of the `O(n·q²)` accumulation pass — and sharing the
-//! row/outcome/design buffers via [`Arc`].
+//! subpopulation, it holds the subpopulation's scope — the sampled row
+//! list, `y`, `Σy`, `yᵀy` and the estimator settings, built once and
+//! shared with every context it assembles — and materializes lazily, on
+//! first use, each confounder attribute's design block with its `1ᵀZ_a` /
+//! `Z_aᵀy` vectors, plus every requested pairwise cross-Gram block
+//! `Z_aᵀZ_b` (including `a = b`). [`SubpopPanel::assemble`] then builds
+//! the context for a concrete confounder set by *stitching* the relevant
+//! blocks — `O(q²)` placement instead of the `O(n·q²)` accumulation pass
+//! — and sharing the scope and design buffers via [`Arc`].
 //!
 //! ## Level codes
 //!
@@ -152,18 +159,17 @@
 //! turns the fit into a p-value; in `Exact` mode its residual pass is an
 //! `O(n·q)` serial fold, the most expensive step of an estimate.
 //!
-//! [`EstimationContext::fit_local`] and
-//! [`EstimationContext::fit_downdated`] return the fit as a
-//! [`RegressionFit`]; [`EstimationContext::p_value_local`] runs the
-//! inference later, on the same context and mask. Both halves run
-//! today's exact arithmetic, so a deferred p-value has the same bits as
-//! the eager one, and the public `estimate`, `estimate_local`,
-//! `estimate_local_moments` and `estimate_downdated` are simply fit then
-//! inference. The lattice walk ranks, prunes and stops on CATE alone and
-//! reads a p-value only for a node that can enter its best-k list, so it
-//! holds the fit and runs the inference for those few nodes only. Every
-//! estimate path shares one residual routine (`rss`), which adds the
-//! `t·β₁` term at the treated positions only.
+//! [`EstimationContext::fit`] and [`EstimationContext::fit_downdated`]
+//! return the fit as a [`RegressionFit`] with the gathered
+//! [`TreatmentMoments`]; [`EstimationContext::p_value`] runs the
+//! inference later, on the same context and treated set, given in either
+//! width. The eager `estimate` and `estimate_local` are simply fit then
+//! inference, so a deferred p-value has the eager one's bits. The lattice
+//! walk ranks, prunes and stops on CATE alone and reads a p-value only
+//! for a node that can enter its best-k list, so it holds the fit and
+//! runs the inference for those few nodes only. Every estimate path
+//! shares one residual routine, which adds the `t·β₁` term at the treated
+//! positions only.
 //!
 //! # Numeric modes
 //!
@@ -181,7 +187,7 @@
 //!   `Exact`.
 //!
 //! `FastV1` additionally enables incremental Gram *downdating*
-//! ([`EstimationContext::estimate_downdated`]): when a lattice candidate's
+//! ([`EstimationContext::fit_downdated`]): when a lattice candidate's
 //! treated rowset is a subset of its parent's, the `tᵀy`/`tᵀZ` moments are
 //! derived by subtracting the removed rows' contributions from the
 //! parent's cached [`TreatmentMoments`] instead of re-gathering `O(|T|·q)`.
@@ -208,8 +214,9 @@ use crate::estimate::{
 use crate::ipw::ipw_from_parts;
 
 /// One candidate's treated rows as every per-candidate row pass reads
-/// them: the gather, the `FastV1` downdate and the residual's `t·β₁`
-/// term all walk the rows through [`TreatedRows::for_each`].
+/// them, resolved from a treated set of either width by [`Scope::walk`]:
+/// the gather, the `FastV1` downdate and the residual's `t·β₁` term all
+/// walk the rows through [`TreatedRows::for_each`].
 #[derive(Clone, Copy)]
 struct TreatedRows<'a> {
     mask: &'a BitSet,
@@ -242,36 +249,53 @@ impl TreatedRows<'_> {
 }
 
 /// The treatment- *and* confounder-independent scope of one
-/// `(subpopulation, outcome, opts)` triple: sampled row list, sampled
-/// local indices, outcome gather and its sums. Derived by exactly one function
-/// ([`ScopeState::build`]) so the cold [`EstimationContext::new`] build
-/// and the [`SubpopPanel`] can never drift apart — the bit-identity
-/// contract requires both to sample, gather and accumulate identically.
-struct ScopeState {
+/// `(subpopulation, outcome, opts)` triple: the estimator settings, the
+/// sampled row list and local indices, the outcome gather and its sums.
+/// Built by exactly one function ([`Scope::build`]) and shared: a
+/// [`SubpopPanel`] and every context it assembles hold one `Arc` of it,
+/// and the cold [`EstimationContext::new`] builds its own the same way —
+/// the bit-identity contract requires both paths to sample, gather and
+/// accumulate identically.
+struct Scope {
+    backend: EstimatorBackend,
+    min_arm: usize,
+    /// Which reduction kernels every estimate runs (see the module docs).
+    mode: NumericMode,
     /// Subpopulation row ids (after the §5.2(d) sampling for the
     /// regression backend), ascending.
-    rows: Arc<Vec<usize>>,
-    /// Local coordinate width: subpopulation size before sampling.
+    rows: Vec<usize>,
+    /// Local coordinate width: subpopulation size before sampling (=
+    /// table width when unscoped).
     sub_n: usize,
     /// The sampled local indices, present only when the §5.2(d) sampling
     /// dropped rows; `None` = local index `i` is sampled position `i`.
     /// A sampled local index's position is its rank among them (see the
     /// [row walker](self#the-row-walker)).
-    sampled: Option<Arc<Projector>>,
-    /// Outcome gathered over `rows`; `None` when the outcome attribute
-    /// is categorical (every estimate would be `None`).
-    y: Option<Arc<Vec<f64>>>,
-    /// `Σy` over `rows` (regression backend with numeric outcome only).
+    sampled: Option<Projector>,
+    /// Outcome gathered over `rows`.
+    y: Vec<f64>,
+    /// `Σy` over `rows` (regression backend only).
     sum_y: f64,
-    /// `yᵀy` over `rows` (same gating as `sum_y`) — the constant term of
-    /// the `FastV1` RSS shortcut (see `EstimationContext::rss`).
+    /// `yᵀy` over `rows` (regression backend only) — the constant term of
+    /// the `FastV1` RSS shortcut (see `EstimationContext::rss_walked`).
     /// Mode-dispatched through the shared dot kernel so cold builds and
     /// panel assemblies agree bit for bit.
     sum_y_sq: f64,
 }
 
-impl ScopeState {
-    fn build(table: &Table, subpop: Option<&BitSet>, outcome: usize, opts: &CateOptions) -> Self {
+impl Scope {
+    /// `None` when the outcome attribute is categorical: every estimate
+    /// would be `None`.
+    fn build(
+        table: &Table,
+        subpop: Option<&BitSet>,
+        outcome: usize,
+        opts: &CateOptions,
+    ) -> Option<Self> {
+        let ycol = table.column(outcome);
+        if matches!(ycol, Column::Cat { .. }) {
+            return None;
+        }
         let nrows = table.nrows();
         debug_assert!(nrows < u32::MAX as usize, "row ids must fit u32");
         // (global row, local rank) pairs — the local rank of a row is its
@@ -309,28 +333,53 @@ impl ScopeState {
             for &(_, l) in &pairs {
                 bits.insert(l as usize);
             }
-            Arc::new(Projector::new(&bits))
+            Projector::new(&bits)
         });
 
-        let ycol = table.column(outcome);
-        let y: Option<Vec<f64>> = (!matches!(ycol, Column::Cat { .. }))
-            .then(|| rows.iter().map(|&r| ycol.get_f64(r)).collect());
-        let (sum_y, sum_y_sq) = match &y {
-            Some(y) if opts.backend == EstimatorBackend::Regression => (
-                numeric::sum(opts.numeric_mode, y),
-                numeric::dot(opts.numeric_mode, y, y),
+        let y: Vec<f64> = rows.iter().map(|&r| ycol.get_f64(r)).collect();
+        let (sum_y, sum_y_sq) = match opts.backend {
+            EstimatorBackend::Regression => (
+                numeric::sum(opts.numeric_mode, &y),
+                numeric::dot(opts.numeric_mode, &y, &y),
             ),
-            _ => (0.0, 0.0),
+            EstimatorBackend::Ipw => (0.0, 0.0),
         };
 
-        ScopeState {
-            rows: Arc::new(rows),
+        Some(Scope {
+            backend: opts.backend,
+            min_arm: opts.min_arm,
+            mode: opts.numeric_mode,
+            rows,
             sub_n,
             sampled,
-            y: y.map(Arc::new),
+            y,
             sum_y,
             sum_y_sq,
+        })
+    }
+
+    /// `treated` as the row walker reads it. Its width names its
+    /// coordinates: `sub_n` bits are local, `rows.len()` bits are
+    /// positions in the sample. The widths differ exactly when `sampled`
+    /// is set, so only a local set under sampling walks through it.
+    fn walk<'a>(&'a self, treated: &'a BitSet) -> TreatedRows<'a> {
+        let width = treated.capacity();
+        assert!(
+            width == self.sub_n || width == self.rows.len(),
+            "a treated set of {width} bits, neither the local width {} nor the {} rows",
+            self.sub_n,
+            self.rows.len()
+        );
+        TreatedRows {
+            mask: treated,
+            sampled: self.sampled.as_ref().filter(|_| width == self.sub_n),
         }
+    }
+
+    /// Does a split of the rows into `n_treated` treated units and the
+    /// rest meet the overlap requirement (Eq. 4)?
+    fn overlap_ok(&self, n_treated: usize) -> bool {
+        n_treated >= self.min_arm && self.rows.len() - n_treated >= self.min_arm
     }
 }
 
@@ -603,7 +652,7 @@ pub struct TreatmentMoments {
 /// inference](self#deferred-inference)): `β` with the treatment
 /// coefficient's `(XᵀX)⁻¹` diagonal, plus the arm counts. It already
 /// decides the CATE and whether the estimate exists;
-/// [`EstimationContext::p_value_local`] on the context and mask it came
+/// [`EstimationContext::p_value`] on the context and treated set it came
 /// from adds the p-value.
 #[derive(Debug, Clone)]
 pub struct RegressionFit {
@@ -644,34 +693,17 @@ impl RegressionFit {
 /// Built either cold by [`EstimationContext::new`] (one `O(n·q²)` pass
 /// over dense one-hot columns — the oracle) or assembled from a
 /// [`SubpopPanel`]'s precomputed blocks (`O(q²)` stitching, sharing the
-/// row list / outcome / level codes with every other context of the same
+/// scope and level codes with every other context of the same
 /// subpopulation). Both construction paths yield bit-identical estimates.
 pub struct EstimationContext {
-    backend: EstimatorBackend,
-    min_arm: usize,
-    /// Which reduction kernels every estimate runs (see the module docs).
-    mode: NumericMode,
-    /// Subpopulation row ids (after the §5.2(d) sampling for the
-    /// regression backend), ascending. Shared with the panel (and hence
-    /// with sibling contexts) when panel-assembled.
-    rows: Arc<Vec<usize>>,
-    /// Width of the local coordinate space: the subpopulation size
-    /// *before* sampling (= table width when unscoped).
-    sub_n: usize,
-    /// The sampled local indices (see `ScopeState::sampled`); `None` =
-    /// no row was dropped.
-    sampled: Option<Arc<Projector>>,
-    /// Outcome gathered over `rows`.
-    y: Arc<Vec<f64>>,
-    /// The confounder design over `rows`: numerics raw, categoricals as
-    /// level codes when panel-assembled (shared with the panel) or as
-    /// dense one-hot columns when built cold.
+    /// The subpopulation's scope: settings, (sampled) rows and outcome.
+    /// Shared with the panel, and hence with sibling contexts, when
+    /// panel-assembled.
+    scope: Arc<Scope>,
+    /// The confounder design over the scope's rows: numerics raw,
+    /// categoricals as level codes when panel-assembled (shared with the
+    /// panel) or as dense one-hot columns when built cold.
     z: Design,
-    /// `Σ y` over `rows`.
-    sum_y: f64,
-    /// `yᵀy` over `rows` — constant term of the `FastV1` RSS shortcut
-    /// (unused in `Exact` mode; see `EstimationContext::rss`).
-    sum_y_sq: f64,
     /// `1ᵀZ` — per-column sums of the design.
     sum_z: Vec<f64>,
     /// `ZᵀZ` — the fixed `q×q` Gram block.
@@ -704,8 +736,7 @@ impl EstimationContext {
         confounders: &[usize],
         opts: &CateOptions,
     ) -> Option<Self> {
-        let scope = ScopeState::build(table, subpop, outcome, opts);
-        let y = scope.y?; // categorical outcome
+        let scope = Scope::build(table, subpop, outcome, opts)?;
 
         // The dense one-hot encoding: this cold build is the oracle the
         // panel's level codes are tested against.
@@ -734,7 +765,7 @@ impl EstimationContext {
                     zz[(j, i)] = s;
                 }
             }
-            let zy: Vec<f64> = z_cols.iter().map(|c| col_dot(mode, c, &y)).collect();
+            let zy: Vec<f64> = z_cols.iter().map(|c| col_dot(mode, c, &scope.y)).collect();
             (sum_z, zz, zy)
         } else {
             (Vec::new(), Matrix::zeros(0, 0), Vec::new())
@@ -749,16 +780,8 @@ impl EstimationContext {
         }
 
         Some(EstimationContext {
-            backend: opts.backend,
-            min_arm: opts.min_arm,
-            mode: opts.numeric_mode,
-            rows: scope.rows,
-            sub_n: scope.sub_n,
-            sampled: scope.sampled,
-            y,
+            scope: Arc::new(scope),
             z,
-            sum_y: scope.sum_y,
-            sum_y_sq: scope.sum_y_sq,
             sum_z,
             zz,
             zy,
@@ -768,26 +791,28 @@ impl EstimationContext {
 
     /// The estimator backend the context was built for.
     pub fn backend(&self) -> EstimatorBackend {
-        self.backend
+        self.scope.backend
     }
 
-    /// Rows used by every estimate from this context (after sampling).
+    /// Rows used by every estimate from this context (after sampling):
+    /// the width of a treated set over [`EstimationContext::rows`].
     pub fn n(&self) -> usize {
-        self.rows.len()
+        self.scope.rows.len()
     }
 
     /// The table rows every estimate from this context reads (after
-    /// sampling), ascending: position `i` of a set given to
-    /// [`EstimationContext::fit_rows`] is row `rows()[i]`.
+    /// sampling), ascending: bit `i` of a treated set of
+    /// [`EstimationContext::n`] bits is row `rows()[i]`.
     pub fn rows(&self) -> &[usize] {
-        &self.rows
+        &self.scope.rows
     }
 
-    /// Width of the local coordinate space accepted by
-    /// [`EstimationContext::estimate_local`]: the subpopulation size
-    /// before sampling.
+    /// The subpopulation size before sampling: the width of a treated set
+    /// in local coordinates (bit `i` = the `i`-th subpopulation row).
+    /// Equal to [`EstimationContext::n`] exactly when sampling dropped no
+    /// row.
     pub fn local_width(&self) -> usize {
-        self.sub_n
+        self.scope.sub_n
     }
 
     /// Number of cached confounder design columns.
@@ -802,57 +827,146 @@ impl EstimationContext {
     /// with whichever backend the context was built for. Equivalent to
     /// [`crate::estimate::estimate_effect`] on the same inputs.
     pub fn estimate(&self, treated: &BitSet) -> Option<CateResult> {
-        match self.backend {
-            EstimatorBackend::Regression => {
-                // The dense membership scan over the row list yields a
-                // mask over sampled positions; from there the walker and
-                // kernels are the local path's.
-                let mut mask = BitSet::new(self.rows.len());
-                for (i, &r) in self.rows.iter().enumerate() {
-                    if treated.contains(r) {
-                        mask.insert(i);
-                    }
-                }
-                let rows = TreatedRows {
-                    mask: &mask,
-                    sampled: None,
-                };
-                let fit = self.fit_regression(&self.gather(rows))?;
-                Some(self.finish(fit, rows))
+        // The dense membership scan over the row list yields a set over
+        // the context's rows; from there the walker and kernels are the
+        // sparse path's.
+        let mut mask = BitSet::new(self.n());
+        for (i, &r) in self.scope.rows.iter().enumerate() {
+            if treated.contains(r) {
+                mask.insert(i);
             }
-            EstimatorBackend::Ipw => self.estimate_ipw(treated),
         }
+        self.estimate_local(&mask)
     }
 
-    /// Estimate the effect of `treated` given in the subpopulation's
-    /// *local* coordinates (`capacity == local_width()`; bit `i` = the
-    /// `i`-th subpopulation row in ascending row order — the coordinates
-    /// produced by a [`table::bitset::Projector`] over the subpopulation).
-    /// Bit-identical to [`EstimationContext::estimate`] on the unprojected
-    /// set: the treatment blocks are gathered sparsely over the set bits
-    /// in ascending order, which visits the identical rows in the
-    /// identical order as the dense membership scan.
+    /// Estimate the effect of `treated` — in local coordinates or over
+    /// the context's rows, as its width says (see the [module
+    /// docs](self)) — eagerly, with whichever backend the context was
+    /// built for: the IPW backend's one call, and for the regression
+    /// backend [`EstimationContext::fit`] then
+    /// [`EstimationContext::p_value`]. Bit-identical to
+    /// [`EstimationContext::estimate`] on the unprojected set: the sparse
+    /// walk visits the identical rows in the identical order as the dense
+    /// membership scan.
     pub fn estimate_local(&self, treated: &BitSet) -> Option<CateResult> {
-        match self.backend {
+        let rows = self.scope.walk(treated);
+        let n = self.n();
+        match self.scope.backend {
             EstimatorBackend::Regression => {
-                let (fit, _) = self.fit_local(treated)?;
-                Some(self.finish(fit, self.local(treated)))
+                let (fit, _) = self.fit_walked(rows)?;
+                let rss = self.rss_walked(&fit, rows);
+                Some(CateResult {
+                    cate: fit.cate(),
+                    p_value: fit.fit.p_value(rss),
+                    n,
+                    n_treated: fit.n_treated,
+                    n_control: fit.n_control,
+                })
             }
             EstimatorBackend::Ipw => {
-                let mut t = vec![false; self.rows.len()];
-                self.local(treated).for_each(|i| t[i] = true);
-                self.ipw_with_indicator(t)
+                let n_treated = rows.count();
+                if !self.scope.overlap_ok(n_treated) {
+                    return None;
+                }
+                let mut t = vec![false; n];
+                rows.for_each(|i| t[i] = true);
+                let x = self.x_prop.as_ref().expect("built for the IPW backend");
+                ipw_from_parts(x, &self.scope.y, &t, n_treated, n - n_treated)
             }
         }
     }
 
-    /// `treated`, given in local coordinates, as the row walker reads it.
-    fn local<'s>(&'s self, treated: &'s BitSet) -> TreatedRows<'s> {
-        debug_assert_eq!(treated.capacity(), self.sub_n);
-        TreatedRows {
-            mask: treated,
-            sampled: self.sampled.as_deref(),
+    /// The fit half of a regression estimate (see [Deferred
+    /// inference](self#deferred-inference)) of `treated`, in local
+    /// coordinates or over the context's rows as its width says: the
+    /// sparse gather, the overlap gate, the Gram, Cholesky, `β` and the
+    /// treatment coefficient's `(XᵀX)⁻¹` diagonal, plus the gathered
+    /// [`TreatmentMoments`]. `None` exactly when `estimate_local` returns
+    /// `None`; [`EstimationContext::p_value`] on the same rows completes
+    /// it. A set of either width naming the same rows gives the same
+    /// bits.
+    pub fn fit(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
+        self.fit_walked(self.scope.walk(treated))
+    }
+
+    fn fit_walked(&self, rows: TreatedRows<'_>) -> Option<(RegressionFit, TreatmentMoments)> {
+        debug_assert_eq!(self.scope.backend, EstimatorBackend::Regression);
+        // The arm counts are a popcount (of `treated ∧ sampled` under
+        // sampling), so the overlap gate runs before paying for the
+        // gather.
+        if !self.scope.overlap_ok(rows.count()) {
+            return None; // Overlap (Eq. 4) violated.
         }
+        // Sparse gather: only the treated (sampled) rows are visited
+        // (ascending = identical accumulation order to the dense scan),
+        // so the t-blocks cost O(|T|·k) for k design blocks instead of
+        // O(n·q).
+        let moments = self.gather(rows);
+        let fit = self.fit_regression(&moments)?;
+        Some((fit, moments))
+    }
+
+    /// The fit of a candidate whose treated rows are `parent`'s minus
+    /// `removed` (either width, as for [`EstimationContext::fit`]): derive
+    /// the treatment blocks by subtracting the removed rows'
+    /// contributions from the parent's cached moments — `O(|removed|·k)`
+    /// for `k` design blocks instead of the `O(|T|·k)` regather — then
+    /// solve as usual. Returns the child's own moments for further
+    /// downdating; [`EstimationContext::p_value`] on the child's rows
+    /// completes it.
+    ///
+    /// FP subtraction cannot replay a fold order, so the result is within
+    /// rounding of (not bit-identical to) the direct gather; the lattice
+    /// walk therefore only calls this in `FastV1` mode. The integer
+    /// `n_treated` is exact, so the overlap gate and arm counts match the
+    /// direct path precisely.
+    pub fn fit_downdated(
+        &self,
+        parent: &TreatmentMoments,
+        removed: &BitSet,
+    ) -> Option<(RegressionFit, TreatmentMoments)> {
+        debug_assert_eq!(self.scope.backend, EstimatorBackend::Regression);
+        // Subtract removed rows in ascending order; rows the §5.2(d)
+        // sampling dropped never entered the parent's moments, and the
+        // walker skips them. A coded block's entries are integer counts,
+        // so subtracting the removed rows' level histogram at once has
+        // the bits of subtracting 1 row by row.
+        let dense = &self.z.dense;
+        let mut tz = parent.tz.clone();
+        let init = |k: usize| {
+            Downdate(match k {
+                0 => parent.ty,
+                _ => parent.tz[dense[k - 1].0],
+            })
+        };
+        let (removed_rows, ty) =
+            self.fold_rows(self.scope.walk(removed), init, &mut tz, |t, count| {
+                *t -= count
+            });
+        let moments = TreatmentMoments {
+            n_treated: parent.n_treated - removed_rows,
+            ty,
+            tz,
+        };
+        let fit = self.fit_regression(&moments)?;
+        Some((fit, moments))
+    }
+
+    /// The inference half of a fit from [`EstimationContext::fit`] or
+    /// [`EstimationContext::fit_downdated`]: the residual pass, `s²` and
+    /// the Student-t tail. `treated` is the candidate's rows, in either
+    /// width — the rows the fit was made for. The result has the bits of
+    /// the eager estimate's p-value.
+    pub fn p_value(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        fit.fit.p_value(self.rss(fit, treated))
+    }
+
+    /// The residual sum of squares [`EstimationContext::p_value`] reads: a
+    /// hook for the tests that hold the residual pass to a per-row
+    /// reference, since the p-value's square root can hide an ulp.
+    #[doc(hidden)]
+    pub fn rss(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        self.rss_walked(fit, self.scope.walk(treated))
     }
 
     /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
@@ -867,7 +981,7 @@ impl EstimationContext {
     fn gather(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
         let mut tz = vec![0.0; self.z.q];
         let set = |t: &mut f64, count| *t = count;
-        let (n_treated, ty) = match self.mode {
+        let (n_treated, ty) = match self.scope.mode {
             NumericMode::Exact => self.fold_rows(rows, |_| Serial::default(), &mut tz, set),
             NumericMode::FastV1 => self.fold_rows(rows, |_| LaneAcc::new(), &mut tz, set),
         };
@@ -894,7 +1008,7 @@ impl EstimationContext {
         tz: &mut [f64],
         count: impl Fn(&mut f64, f64),
     ) -> (usize, f64) {
-        let y = self.y.as_slice();
+        let y = self.scope.y.as_slice();
         let cols = |k: usize| -> &[f64] {
             match k {
                 0 => y,
@@ -944,171 +1058,21 @@ impl EstimationContext {
         (walked, ty)
     }
 
-    /// [`EstimationContext::estimate_local`] for the regression backend,
-    /// additionally returning the gathered [`TreatmentMoments`] so the
-    /// lattice walk can cache them on the node for subset-child
-    /// downdating. Identical estimate bits to `estimate_local`.
-    pub fn estimate_local_moments(
-        &self,
-        treated: &BitSet,
-    ) -> Option<(CateResult, TreatmentMoments)> {
-        let (fit, moments) = self.fit_local(treated)?;
-        Some((self.finish(fit, self.local(treated)), moments))
-    }
-
-    /// Estimate a candidate whose treated rowset (`treated`, local
-    /// coordinates) is `parent`'s minus `removed`: derive the treatment
-    /// blocks by subtracting the removed rows' contributions from the
-    /// parent's cached moments — `O(|removed|·k)` for `k` design blocks
-    /// instead of the `O(|T|·k)` regather — then solve as usual. Returns
-    /// the child's own moments for further downdating.
-    ///
-    /// FP subtraction cannot replay a fold order, so the result is within
-    /// rounding of (not bit-identical to) the direct gather; the lattice
-    /// walk therefore only calls this in `FastV1` mode. The integer
-    /// `n_treated` is exact, so the overlap gate and arm counts match the
-    /// direct path precisely.
-    pub fn estimate_downdated(
-        &self,
-        treated: &BitSet,
-        parent: &TreatmentMoments,
-        removed: &BitSet,
-    ) -> Option<(CateResult, TreatmentMoments)> {
-        let (fit, moments) = self.fit_downdated(parent, removed)?;
-        Some((self.finish(fit, self.local(treated)), moments))
-    }
-
-    /// The fit half of [`EstimationContext::estimate_local_moments`]
-    /// (regression backend; see [Deferred
-    /// inference](self#deferred-inference)): the sparse gather, the
-    /// overlap gate, the Gram, Cholesky, `β` and the treatment
-    /// coefficient's `(XᵀX)⁻¹` diagonal, plus the gathered
-    /// [`TreatmentMoments`]. `None` exactly when `estimate_local` returns
-    /// `None`; [`EstimationContext::p_value_local`] on the same mask
-    /// completes it.
-    pub fn fit_local(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
-        self.fit_walked(self.local(treated))
-    }
-
-    /// [`EstimationContext::fit_local`] for a treated set given over the
-    /// context's rows (bit `i` is [`EstimationContext::rows`]`[i]`)
-    /// instead of in local coordinates. The walker visits the positions
-    /// the local mask of the same rows would give, in the same order, so
-    /// the fit and moments have `fit_local`'s bits. Without sampling the
-    /// two coordinate systems coincide. The lattice walk builds these
-    /// sets for level 1 of a sampled context in one pass per attribute
-    /// over the sample, so no atom is projected onto the subpopulation.
-    pub fn fit_rows(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(treated.capacity(), self.rows.len());
-        self.fit_walked(TreatedRows {
-            mask: treated,
-            sampled: None,
-        })
-    }
-
-    fn fit_walked(&self, rows: TreatedRows<'_>) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        // The arm counts are a popcount (of `treated ∧ sampled` under
-        // sampling), so the overlap gate runs before paying for the
-        // gather.
-        if !self.overlap_ok(rows.count()) {
-            return None; // Overlap (Eq. 4) violated.
-        }
-        // Sparse gather: only the treated (sampled) rows are visited
-        // (ascending = identical accumulation order to the dense scan),
-        // so the t-blocks cost O(|T|·k) for k design blocks instead of
-        // O(n·q).
-        let moments = self.gather(rows);
-        let fit = self.fit_regression(&moments)?;
-        Some((fit, moments))
-    }
-
-    /// The fit half of [`EstimationContext::estimate_downdated`]: the
-    /// child's moments by downdating `parent`, then the fit. The child's
-    /// mask is needed only by the inference half
-    /// ([`EstimationContext::p_value_local`]).
-    pub fn fit_downdated(
-        &self,
-        parent: &TreatmentMoments,
-        removed: &BitSet,
-    ) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(self.backend, EstimatorBackend::Regression);
-        // Subtract removed rows in ascending local order; rows the
-        // §5.2(d) sampling dropped never entered the parent's moments,
-        // and the walker skips them. A coded block's entries are integer
-        // counts, so subtracting the removed rows' level histogram at
-        // once has the bits of subtracting 1 row by row.
-        let dense = &self.z.dense;
-        let mut tz = parent.tz.clone();
-        let init = |k: usize| {
-            Downdate(match k {
-                0 => parent.ty,
-                _ => parent.tz[dense[k - 1].0],
-            })
-        };
-        let (removed_rows, ty) =
-            self.fold_rows(self.local(removed), init, &mut tz, |t, count| *t -= count);
-        let moments = TreatmentMoments {
-            n_treated: parent.n_treated - removed_rows,
-            ty,
-            tz,
-        };
-        let fit = self.fit_regression(&moments)?;
-        Some((fit, moments))
-    }
-
-    /// The inference half of a fit from [`EstimationContext::fit_local`]
-    /// or [`EstimationContext::fit_downdated`]: the residual pass, `s²` and
-    /// the Student-t tail. `treated` is the candidate's mask in local
-    /// coordinates — the one the fit was made for. The result has the
-    /// same bits as the p-value of the matching eager `estimate_*` call.
-    pub fn p_value_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
-        fit.fit
-            .p_value(self.rss(&fit.fit.beta, fit.ty, self.local(treated)))
-    }
-
-    /// The residual sum of squares [`EstimationContext::p_value_local`]
-    /// reads: a hook for the tests that hold the residual pass to a
-    /// per-row reference, since the p-value's square root can hide an ulp.
-    #[doc(hidden)]
-    pub fn rss_local(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
-        self.rss(&fit.fit.beta, fit.ty, self.local(treated))
-    }
-
-    /// [`EstimationContext::p_value_local`] for a fit from
-    /// [`EstimationContext::fit_rows`], on the same set over the context's
-    /// rows: the residual walk visits the same positions, so the p-value
-    /// has `p_value_local`'s bits on the matching local mask.
-    pub fn p_value_rows(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
-        debug_assert_eq!(treated.capacity(), self.rows.len());
-        let rows = TreatedRows {
-            mask: treated,
-            sampled: None,
-        };
-        fit.fit.p_value(self.rss(&fit.fit.beta, fit.ty, rows))
-    }
-
-    /// Does a split of the context's rows into `n_treated` treated units
-    /// and the rest meet the overlap requirement (Eq. 4)?
-    fn overlap_ok(&self, n_treated: usize) -> bool {
-        n_treated >= self.min_arm && self.rows.len() - n_treated >= self.min_arm
-    }
-
     /// The fit half shared by every regression estimate: overlap gate,
     /// then [`BorderedBlocks::fit_at`] on the cached fixed blocks plus the
     /// gathered t-blocks for the treatment coefficient, in scratch.
     fn fit_regression(&self, t: &TreatmentMoments) -> Option<RegressionFit> {
-        if !self.overlap_ok(t.n_treated) {
+        if !self.scope.overlap_ok(t.n_treated) {
             return None; // Overlap (Eq. 4) violated.
         }
-        let n = self.rows.len();
+        let n = self.scope.rows.len();
         // Inference only at index 1 — the treatment coefficient is the
         // only one estimation consumes; its se/p-value come out of the
         // same factor/solve path bit for bit.
         let fit = BorderedBlocks {
             n,
             n_treated: t.n_treated,
-            sum_y: self.sum_y,
+            sum_y: self.scope.sum_y,
             ty: t.ty,
             sum_z: &self.sum_z,
             tz: &t.tz,
@@ -1124,23 +1088,10 @@ impl EstimationContext {
         })
     }
 
-    /// Complete a fit eagerly: the inference half over the treated rows,
-    /// packed into the public [`CateResult`].
-    fn finish(&self, fit: RegressionFit, treated: TreatedRows<'_>) -> CateResult {
-        let rss = self.rss(&fit.fit.beta, fit.ty, treated);
-        CateResult {
-            cate: fit.cate(),
-            p_value: fit.fit.p_value(rss),
-            n: self.rows.len(),
-            n_treated: fit.n_treated,
-            n_control: fit.n_control,
-        }
-    }
-
     /// ŷ after the naive row-major loop's first two terms, in its order:
     /// `1·β₀` everywhere, then `t·β₁` at the treated positions.
     fn yhat_1t(&self, beta: &[f64], treated: TreatedRows<'_>) -> Vec<f64> {
-        let mut yhat = vec![beta[0]; self.rows.len()];
+        let mut yhat = vec![beta[0]; self.scope.rows.len()];
         treated.for_each(|i| yhat[i] += beta[1]);
         yhat
     }
@@ -1163,17 +1114,17 @@ impl EstimationContext {
             .collect()
     }
 
-    /// The residual sum of squares of `beta` — the one residual routine
+    /// The residual sum of squares of `fit` — the one residual routine
     /// behind every regression estimate. The walker yields the sampled
     /// positions of the treated rows in ascending order, and the `t·β₁`
     /// term is added at those positions only: a skipped `+ 0.0·β₁` can
     /// at most flip the sign of a zero, which the squared residual
     /// erases, so the sum has the bits of a dense pass over every row.
     /// Coded confounders skip their `0·β` terms the same way (see
-    /// `add_z_terms`). `ty` is the fit's `tᵀy`, which the `FastV1`
-    /// shortcut reads.
-    fn rss(&self, beta: &[f64], ty: f64, treated: TreatedRows<'_>) -> f64 {
-        if self.mode == NumericMode::FastV1 {
+    /// `add_z_terms`). The `FastV1` shortcut reads the fit's `tᵀy`.
+    fn rss_walked(&self, fit: &RegressionFit, treated: TreatedRows<'_>) -> f64 {
+        let (beta, ty) = (fit.fit.beta.as_slice(), fit.ty);
+        if self.scope.mode == NumericMode::FastV1 {
             // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
             // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
             // the assembled border [Σy, tᵀy, Zᵀy], skipping the
@@ -1188,12 +1139,14 @@ impl EstimationContext {
             // bit-identical across threads and cache layers.
             const RSS_SHORTCUT_GUARD: f64 = 1e-4;
             let mut bxty = 0.0;
-            let xty = [self.sum_y, ty].into_iter().chain(self.zy.iter().copied());
+            let xty = [self.scope.sum_y, ty]
+                .into_iter()
+                .chain(self.zy.iter().copied());
             for (b, v) in beta.iter().zip(xty) {
                 bxty += b * v;
             }
-            let shortcut = self.sum_y_sq - bxty;
-            if shortcut > RSS_SHORTCUT_GUARD * self.sum_y_sq {
+            let shortcut = self.scope.sum_y_sq - bxty;
+            if shortcut > RSS_SHORTCUT_GUARD * self.scope.sum_y_sq {
                 return shortcut;
             }
         }
@@ -1210,7 +1163,7 @@ impl EstimationContext {
         // test in stats::numeric) — while ŷ is touched once per block
         // instead of q+1 times over the whole array.
         const BLOCK: usize = 4096;
-        let n = self.rows.len();
+        let n = self.scope.rows.len();
         let mut yhat = self.yhat_1t(beta, treated);
         let terms = self.z_terms(beta);
         let mut serial = 0.0;
@@ -1219,8 +1172,8 @@ impl EstimationContext {
         while s < n {
             let e = (s + BLOCK).min(n);
             add_z_terms(&terms, &mut yhat[s..e], s);
-            let (y, yhat) = (&self.y[s..e], &yhat[s..e]);
-            match self.mode {
+            let (y, yhat) = (&self.scope.y[s..e], &yhat[s..e]);
+            match self.scope.mode {
                 NumericMode::Exact => {
                     for (&yi, &vh) in y.iter().zip(yhat) {
                         let d = yi - vh;
@@ -1231,26 +1184,10 @@ impl EstimationContext {
             }
             s = e;
         }
-        match self.mode {
+        match self.scope.mode {
             NumericMode::Exact => serial,
             NumericMode::FastV1 => numeric::fold8(lanes),
         }
-    }
-
-    fn estimate_ipw(&self, treated: &BitSet) -> Option<CateResult> {
-        let t: Vec<bool> = self.rows.iter().map(|&r| treated.contains(r)).collect();
-        self.ipw_with_indicator(t)
-    }
-
-    fn ipw_with_indicator(&self, t: Vec<bool>) -> Option<CateResult> {
-        let n = self.rows.len();
-        let n_treated = t.iter().filter(|&&b| b).count();
-        let n_control = n - n_treated;
-        if n_treated < self.min_arm || n_control < self.min_arm {
-            return None;
-        }
-        let x = self.x_prop.as_ref().expect("built for the IPW backend");
-        ipw_from_parts(x, &self.y, &t, n_treated, n_control)
     }
 }
 
@@ -1278,29 +1215,11 @@ struct AttrBlocks {
 /// context for a concrete confounder set in `O(q²)` from them. See the
 /// [module docs](self) for the bit-identity argument.
 pub struct SubpopPanel {
-    backend: EstimatorBackend,
-    min_arm: usize,
-    max_onehot_levels: usize,
-    /// Numeric kernel family (shared with every assembled context).
-    mode: NumericMode,
-    /// Sampled subpopulation row ids, ascending — identical to what every
-    /// cold [`EstimationContext::new`] of this scope derives.
-    rows: Arc<Vec<usize>>,
-    /// Local coordinate width (subpopulation size before sampling).
-    sub_n: usize,
-    /// The sampled local indices (see `ScopeState::sampled`); `None` =
-    /// no row was dropped.
-    sampled: Option<Arc<Projector>>,
-    /// `false` when the outcome attribute is categorical — every assembly
+    /// The subpopulation's scope, shared with every assembled context;
+    /// `None` when the outcome attribute is categorical — every assembly
     /// returns `None`, mirroring [`EstimationContext::new`].
-    outcome_ok: bool,
-    /// Outcome gathered over `rows` (empty when `!outcome_ok`).
-    y: Arc<Vec<f64>>,
-    /// `Σy` over `rows` (regression backend only).
-    sum_y: f64,
-    /// `yᵀy` over `rows` (regression backend only) — the `FastV1` RSS
-    /// shortcut constant, shared with every assembled context.
-    sum_y_sq: f64,
+    scope: Option<Arc<Scope>>,
+    max_onehot_levels: usize,
     /// Lazily materialized per-attribute blocks.
     attrs: HashMap<usize, AttrBlocks>,
     /// Lazily materialized cross-Gram blocks, keyed `(min(a,b), max(a,b))`
@@ -1309,35 +1228,19 @@ pub struct SubpopPanel {
 }
 
 impl SubpopPanel {
-    /// Build the panel's subpopulation-level state: row list (with the
-    /// §5.2(d) sampling applied exactly as [`EstimationContext::new`]
-    /// applies it), outcome gather, `Σy` and `yᵀy`. Attribute and pair
-    /// blocks are deferred to first use — which attributes matter depends
-    /// on the backdoor sets the walk actually touches.
+    /// Build the panel's subpopulation-level state, the scope every
+    /// assembled context shares: row list (with the §5.2(d) sampling
+    /// applied exactly as [`EstimationContext::new`] applies it), outcome
+    /// gather, `Σy` and `yᵀy`. Attribute and pair blocks are deferred to
+    /// first use — which attributes matter depends on the backdoor sets
+    /// the walk actually touches.
     pub fn new(table: &Table, subpop: Option<&BitSet>, outcome: usize, opts: &CateOptions) -> Self {
-        // The one shared scope derivation — see [`ScopeState::build`].
-        let scope = ScopeState::build(table, subpop, outcome, opts);
-        let outcome_ok = scope.y.is_some();
         SubpopPanel {
-            backend: opts.backend,
-            min_arm: opts.min_arm,
+            scope: Scope::build(table, subpop, outcome, opts).map(Arc::new),
             max_onehot_levels: opts.max_onehot_levels,
-            mode: opts.numeric_mode,
-            rows: scope.rows,
-            sub_n: scope.sub_n,
-            sampled: scope.sampled,
-            outcome_ok,
-            y: scope.y.unwrap_or_default(),
-            sum_y: scope.sum_y,
-            sum_y_sq: scope.sum_y_sq,
             attrs: HashMap::new(),
             pairs: HashMap::new(),
         }
-    }
-
-    /// Rows every assembled context estimates over (after sampling).
-    pub fn n(&self) -> usize {
-        self.rows.len()
     }
 
     /// Distinct confounder attributes materialized so far.
@@ -1351,20 +1254,19 @@ impl SubpopPanel {
     }
 
     /// Materialize the design blocks of one attribute (no-op when cached).
-    fn ensure_attr(&mut self, table: &Table, attr: usize) {
+    fn ensure_attr(&mut self, scope: &Scope, table: &Table, attr: usize) {
         if self.attrs.contains_key(&attr) {
             return;
         }
-        let regression = self.backend == EstimatorBackend::Regression;
         let blocks = match table.column(attr) {
-            Column::Cat { codes, dict } => self.code_attr(codes, dict.len()),
+            Column::Cat { codes, dict } => self.code_attr(scope, codes, dict.len()),
             col => {
-                let x: Vec<f64> = self.rows.iter().map(|&r| col.get_f64(r)).collect();
+                let x: Vec<f64> = scope.rows.iter().map(|&r| col.get_f64(r)).collect();
                 // The same shared border kernels the cold build runs.
-                let (sum_z, zy) = if regression {
+                let (sum_z, zy) = if scope.backend == EstimatorBackend::Regression {
                     (
-                        vec![col_sum(self.mode, &x)],
-                        vec![col_dot(self.mode, &x, &self.y)],
+                        vec![col_sum(scope.mode, &x)],
+                        vec![col_dot(scope.mode, &x, &scope.y)],
                     )
                 } else {
                     (Vec::new(), Vec::new())
@@ -1383,9 +1285,9 @@ impl SubpopPanel {
     /// the rows: gather the table's codes while counting each level, then
     /// remap them to design codes (kept levels by [`onehot_levels`], the
     /// rest to the reference code) while summing `y` per level.
-    fn code_attr(&self, table_codes: &[u32], levels: usize) -> AttrBlocks {
+    fn code_attr(&self, scope: &Scope, table_codes: &[u32], levels: usize) -> AttrBlocks {
         let mut freq = vec![0usize; levels];
-        let mut codes: Vec<u32> = self
+        let mut codes: Vec<u32> = scope
             .rows
             .iter()
             .map(|&r| {
@@ -1400,8 +1302,8 @@ impl SubpopPanel {
         for (l, &level) in kept.iter().enumerate() {
             remap[level] = l as u32;
         }
-        let (sum_z, zy) = if self.backend == EstimatorBackend::Regression {
-            let zy = numeric::group_sums(self.mode, d, &self.y, |r| {
+        let (sum_z, zy) = if scope.backend == EstimatorBackend::Regression {
+            let zy = numeric::group_sums(scope.mode, d, &scope.y, |r| {
                 let c = remap[codes[r] as usize];
                 codes[r] = c;
                 c as usize
@@ -1427,7 +1329,7 @@ impl SubpopPanel {
     /// `col_dot` kernel the cold build runs; every block that involves a
     /// coded attribute is a count or a per-level sum with the dense
     /// dot's bits (see [`numeric::group_sums`]).
-    fn ensure_pair(&mut self, a: usize, b: usize) {
+    fn ensure_pair(&mut self, mode: NumericMode, a: usize, b: usize) {
         let key = (a.min(b), a.max(b));
         if self.pairs.contains_key(&key) {
             return;
@@ -1435,7 +1337,7 @@ impl SubpopPanel {
         let (lo, hi) = key;
         let (za, zb) = (&self.attrs[&lo], &self.attrs[&hi]);
         let block = match (&za.z, &zb.z) {
-            (ZBlock::Dense(x), ZBlock::Dense(w)) => vec![col_dot(self.mode, x, w)],
+            (ZBlock::Dense(x), ZBlock::Dense(w)) => vec![col_dot(mode, x, w)],
             (ZBlock::Coded(c), _) if lo == hi => {
                 // A dummy times itself is its count; two dummies of one
                 // attribute never share a row.
@@ -1447,7 +1349,7 @@ impl SubpopPanel {
             }
             (ZBlock::Coded(ca), ZBlock::Coded(cb)) => contingency(ca, cb),
             (ZBlock::Dense(x), ZBlock::Coded(c)) | (ZBlock::Coded(c), ZBlock::Dense(x)) => {
-                numeric::group_sums(self.mode, c.d, x, |r| c.codes[r] as usize)
+                numeric::group_sums(mode, c.d, x, |r| c.codes[r] as usize)
             }
         };
         self.pairs.insert(key, block);
@@ -1459,16 +1361,15 @@ impl SubpopPanel {
     /// opts)` scope, at `O(q²)` placement cost for already-materialized
     /// blocks. Returns `None` when the outcome attribute is categorical.
     pub fn assemble(&mut self, table: &Table, confounders: &[usize]) -> Option<EstimationContext> {
-        if !self.outcome_ok {
-            return None;
-        }
+        let scope = Arc::clone(self.scope.as_ref()?);
+        let regression = scope.backend == EstimatorBackend::Regression;
         for &a in confounders {
-            self.ensure_attr(table, a);
+            self.ensure_attr(&scope, table, a);
         }
-        if self.backend == EstimatorBackend::Regression {
+        if regression {
             for (i, &a) in confounders.iter().enumerate() {
                 for &b in &confounders[i..] {
-                    self.ensure_pair(a, b);
+                    self.ensure_pair(scope.mode, a, b);
                 }
             }
         }
@@ -1487,7 +1388,7 @@ impl SubpopPanel {
         let mut z = Design::new(confounders.iter().map(|a| self.attrs[a].z.clone()));
         let q = z.q;
 
-        let zz = if self.backend == EstimatorBackend::Regression {
+        let zz = if regression {
             let mut zz = Matrix::zeros(q, q);
             for (ai, &a) in confounders.iter().enumerate() {
                 let qa = self.attrs[&a].z.width();
@@ -1517,25 +1418,16 @@ impl SubpopPanel {
             Matrix::zeros(0, 0)
         };
 
-        let x_prop =
-            (self.backend == EstimatorBackend::Ipw).then(|| densify_prop(self.rows.len(), &z));
-        if self.backend == EstimatorBackend::Ipw {
+        let x_prop = (!regression).then(|| densify_prop(scope.rows.len(), &z));
+        if !regression {
             // Mirror the cold build: the propensity design holds the same
             // values densely, so the block handles are dropped.
             z = Design::default();
         }
 
         Some(EstimationContext {
-            backend: self.backend,
-            min_arm: self.min_arm,
-            mode: self.mode,
-            rows: Arc::clone(&self.rows),
-            sub_n: self.sub_n,
-            sampled: self.sampled.clone(),
-            y: Arc::clone(&self.y),
+            scope,
             z,
-            sum_y: self.sum_y,
-            sum_y_sq: self.sum_y_sq,
             sum_z,
             zz,
             zy,
@@ -1759,7 +1651,7 @@ mod tests {
     }
 
     /// The row walker never reads an unsampled row: on a sampled context,
-    /// `fit_local`, `fit_downdated` and `p_value_local` give the same bits
+    /// `fit`, `fit_downdated` and `p_value` on local masks give the same bits
     /// whether or not the masks' unsampled bits are cleared first, in both
     /// numeric modes. The outcome's large offset makes the `FastV1` RSS
     /// shortcut fall back to the data pass, so its `t·β₁` walk runs too.
@@ -1807,8 +1699,9 @@ mod tests {
             };
             let ctx = EstimationContext::new(&table, Some(&subpop), 1, &[0], &opts).unwrap();
             let sampled = ctx
+                .scope
                 .sampled
-                .as_deref()
+                .as_ref()
                 .expect("the cap drops rows")
                 .universe();
             let clear = |m: &BitSet| {
@@ -1823,24 +1716,21 @@ mod tests {
                 );
             }
 
-            let (fit, moments) = ctx.fit_local(&parent).unwrap();
-            let (fit_c, moments_c) = ctx.fit_local(&clear(&parent)).unwrap();
+            let (fit, moments) = ctx.fit(&parent).unwrap();
+            let (fit_c, moments_c) = ctx.fit(&clear(&parent)).unwrap();
             assert_eq!(fit.cate().to_bits(), fit_c.cate().to_bits(), "{mode:?}");
             assert_eq!(moment_bits(&moments), moment_bits(&moments_c), "{mode:?}");
-            let p = ctx.p_value_local(&fit, &parent);
-            assert_eq!(
-                p.to_bits(),
-                ctx.p_value_local(&fit, &clear(&parent)).to_bits()
-            );
+            let p = ctx.p_value(&fit, &parent);
+            assert_eq!(p.to_bits(), ctx.p_value(&fit, &clear(&parent)).to_bits());
 
             let (down, down_m) = ctx.fit_downdated(&moments, &removed).unwrap();
             let (down_c, down_mc) = ctx.fit_downdated(&moments, &clear(&removed)).unwrap();
             assert_eq!(down.cate().to_bits(), down_c.cate().to_bits(), "{mode:?}");
             assert_eq!(moment_bits(&down_m), moment_bits(&down_mc), "{mode:?}");
-            let p_child = ctx.p_value_local(&down, &child);
+            let p_child = ctx.p_value(&down, &child);
             assert_eq!(
                 p_child.to_bits(),
-                ctx.p_value_local(&down, &clear(&child)).to_bits()
+                ctx.p_value(&down, &clear(&child)).to_bits()
             );
             assert!(p.is_finite() && p_child.is_finite(), "{mode:?}");
         }

@@ -75,8 +75,10 @@ impl Default for CateOptions {
 }
 
 /// Backend-dispatching entry point: estimate the CATE with whichever
-/// strategy `opts.backend` selects. The miners call this, so switching the
-/// whole pipeline to IPW is a one-field configuration change.
+/// strategy `opts.backend` selects, cold, from the full table. The miners
+/// estimate through [`crate::context::ContextCache`] instead, which
+/// dispatches on the same field; this is the oracle their results are
+/// held to.
 pub fn estimate_effect(
     table: &Table,
     subpop: Option<&[bool]>,

@@ -71,9 +71,6 @@ pub struct LatticeOptions {
     /// Fraction of sign-matching nodes kept per level (optimization b;
     /// paper uses 0.5).
     pub top_frac: f64,
-    /// Floor on nodes kept per level, so the join stage always has pairs to
-    /// work with even when a level is small.
-    pub min_keep: usize,
     /// Near-zero-CATE pruning threshold, as a fraction of the outcome's
     /// standard deviation (optimization b).
     pub min_abs_cate_frac: f64,
@@ -105,7 +102,6 @@ impl Default for LatticeOptions {
         LatticeOptions {
             max_level: 3,
             top_frac: 0.5,
-            min_keep: 8,
             min_abs_cate_frac: 0.01,
             max_p_value: 0.05,
             cate_opts: CateOptions::default(),
@@ -240,11 +236,11 @@ pub struct Level1Estimate {
     pub fit: Option<RegressionFit>,
     /// The fit's moments, which the walk keeps in `FastV1` only.
     pub moments: Option<TreatmentMoments>,
-    /// The local mask, which level 1 builds only for an unsampled
-    /// context.
-    pub mask: Option<BitSet>,
-    /// The deferred p-value, where the estimate exists: on `mask` when
-    /// there is one, else on the atom's rows of the sample.
+    /// The treated set the estimate read: the atom's local mask for an
+    /// unsampled context, its rows of the sample for a sampled one (empty
+    /// when the context failed to build).
+    pub treated: BitSet,
+    /// The deferred p-value on `treated`, where the estimate exists.
     pub p_value: Option<f64>,
 }
 
@@ -265,7 +261,7 @@ pub struct LatticeStats {
     /// Subset candidates whose treatment blocks were derived by
     /// incremental Gram downdating from the parent's cached moments
     /// (FastV1 mode only; always 0 in `Exact` mode, see
-    /// [`causal::context::EstimationContext::estimate_downdated`]).
+    /// [`causal::context::EstimationContext::fit_downdated`]).
     pub downdates: usize,
     /// Subset candidates that were *eligible* for downdating (a kept
     /// parent on the previous level, regression backend) but took the
@@ -931,7 +927,7 @@ impl<'a> TreatmentMiner<'a> {
                         PValue::Known(_) => None,
                     }),
                     moments: node.as_ref().and_then(|n| n.moments.as_deref().cloned()),
-                    mask: node.as_ref().and_then(|n| n.mask.clone()),
+                    treated: cand.treated.clone(),
                     p_value: node.map(|n| n.p_value(&walk.contexts)),
                 }
             })
@@ -1216,23 +1212,13 @@ impl<'a> TreatmentMiner<'a> {
 
     /// Estimate one contiguous candidate chunk of a prepared level. Runs
     /// lock-free on any scheduler worker: it reads the pre-built
-    /// `Arc<EstimationContext>` pinned into the batch per candidate. A
-    /// level-1 atom of a sampled context is gathered from its rows of the
-    /// sample ([`EstimationContext::fit_rows`]), every other candidate
-    /// from its local mask.
+    /// `Arc<EstimationContext>` pinned into the batch per candidate.
     fn eval_chunk(batch: &LevelBatch, range: Range<usize>) -> Vec<EvalRes> {
         range
             .map(|i| -> EvalRes {
-                let (ctx, cand) = (batch.ctx[i].as_ref()?, &batch.cands[i]);
-                if let Some(rows) = &cand.rows {
-                    let (fit, m) = ctx.fit_rows(rows)?;
-                    return Some((fit.into(), batch.track.then_some(m)));
-                }
                 eval_cached(
-                    ctx,
-                    cand.mask
-                        .as_ref()
-                        .expect("a candidate has its rows or its mask"),
+                    batch.ctx[i].as_ref()?,
+                    &batch.cands[i].treated,
                     batch.plans.get(i).and_then(|p| p.as_ref()),
                     batch.track,
                 )
@@ -1246,9 +1232,7 @@ impl<'a> TreatmentMiner<'a> {
     pub fn all_treatments(&self, subpop: &BitSet, max_len: usize) -> Vec<TreatmentResult> {
         let sub_bits = subpop;
         let mut contexts = ContextCache::new();
-        // Loop invariants hoisted out of the exponential enumeration.
         let sub_n = sub_bits.count();
-        let min_arm = self.opts.cate_opts.min_arm;
         let mut out = Vec::new();
         // Ids of current-frontier patterns; expand depth-first by index
         // ordering so each combination is generated once.
@@ -1261,8 +1245,7 @@ impl<'a> TreatmentMiner<'a> {
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for (pattern, mask) in &frontier {
-                let treated_in_sub = mask.intersection_count(sub_bits);
-                if treated_in_sub >= min_arm && sub_n - treated_in_sub >= min_arm {
+                if self.overlap_ok(mask.intersection_count(sub_bits), sub_n) {
                     let attrs: Vec<usize> =
                         pattern.iter().map(|&x| atoms[x as usize].attr).collect();
                     if let Some(r) = self.estimate(&mut contexts, sub_bits, mask, &attrs) {
@@ -1325,6 +1308,14 @@ impl<'a> TreatmentMiner<'a> {
             .iter()
             .all(|&a| self.atoms_compatible(a as usize, cand))
     }
+
+    /// The overlap precheck (Eq. 4) of a candidate with `count` treated
+    /// rows in a subpopulation of `sub_n`: both arms must reach `min_arm`
+    /// before a regression is paid for.
+    fn overlap_ok(&self, count: usize, sub_n: usize) -> bool {
+        let min_arm = self.opts.cate_opts.min_arm;
+        count >= min_arm && sub_n - count >= min_arm
+    }
 }
 
 /// A node's p-value. The walk ranks, prunes and stops on CATE alone, so a
@@ -1373,13 +1364,11 @@ impl From<RegressionFit> for Est {
 #[derive(Clone)]
 struct Node {
     atoms: AtomSet,
-    /// Subpopulation rows satisfying the pattern, local width. A level-1
-    /// node of a sampled context gets its mask only when a join or a
-    /// downdate plan will read it.
-    mask: Option<BitSet>,
-    /// A level-1 node's treated rows over its sampled context's rows (see
-    /// [`Cand::rows`]), which its p-value reads.
-    rows: Option<BitSet>,
+    /// The candidate's treated set (see [`Cand::treated`]). A level-1 node
+    /// of a sampled context trades its rows of the sample for its local
+    /// mask when a join or a downdate plan will read it
+    /// ([`WalkState::fill_masks`]).
+    treated: BitSet,
     /// Treated rows in the subpopulation (before sampling), reused for
     /// the children's downdate size guard.
     count: usize,
@@ -1398,21 +1387,15 @@ struct Node {
 
 impl Node {
     /// The node's p-value, running the deferred inference on the context
-    /// the fit came from when only the fit is held: on the node's local
-    /// mask, or on its rows of the sample when it has no mask.
+    /// the fit came from, on the node's treated set, when only the fit is
+    /// held.
     fn p_value(&self, contexts: &ContextCache) -> f64 {
-        let fit = match &self.p {
-            PValue::Known(p) => return *p,
-            PValue::Deferred(fit) => fit,
-        };
-        let ctx = contexts
-            .get(self.key)
-            .expect("a deferred fit's context stays cached under its key");
-        match (&self.mask, &self.rows) {
-            (Some(mask), _) => ctx.p_value_local(fit, mask),
-            (None, rows) => {
-                ctx.p_value_rows(fit, rows.as_ref().expect("a node has its mask or its rows"))
-            }
+        match &self.p {
+            PValue::Known(p) => *p,
+            PValue::Deferred(fit) => contexts
+                .get(self.key)
+                .expect("a deferred fit's context stays cached under its key")
+                .p_value(fit, &self.treated),
         }
     }
 }
@@ -1421,18 +1404,18 @@ impl Node {
 #[derive(Clone, Default)]
 struct Cand {
     atoms: AtomSet,
-    /// Local-coordinate mask. A level-1 atom gets one when its level is
-    /// prepared, from its attribute's pass over an unsampled context's
-    /// rows ([`WalkState::sort_level1`]).
-    mask: Option<BitSet>,
-    /// A level-1 atom's treated rows over its sampled context's rows (bit
-    /// `i` is the context's `i`-th row), in place of a mask.
-    rows: Option<BitSet>,
+    /// The treated rows, in the coordinates its width names (see
+    /// [`EstimationContext::fit`]). A join child's is its local mask. A
+    /// level-1 atom's comes from its attribute's pass over its context's
+    /// rows when the level is prepared ([`WalkState::sort_level1`]): the
+    /// local mask without sampling, the atom's rows of the sample under
+    /// it, and empty where the context failed to build.
+    treated: BitSet,
     /// Treated rows in the subpopulation (computed by the overlap
     /// precheck anyway).
     count: usize,
     /// Index into the previous level's kept nodes of the join parent
-    /// whose treated rowset is the smaller superset of `mask` — the
+    /// whose treated rowset is the smaller superset of `treated` — the
     /// cheaper downdate source. `None` at level 1.
     parent: Option<u32>,
 }
@@ -1450,25 +1433,25 @@ struct DowndatePlan {
 /// moments-tracking mode, the treatment blocks cached for downdating.
 type EvalRes = Option<(Est, Option<TreatmentMoments>)>;
 
-/// Evaluation of one candidate with local mask `mask`: downdate when a
-/// plan is present, otherwise gather — with moments when the walk tracks
-/// them. The regression backend returns the fit alone (its p-value is
-/// deferred); IPW estimates eagerly.
+/// Evaluation of one candidate with treated set `treated`: downdate when
+/// a plan is present, otherwise gather — with moments when the walk
+/// tracks them. The regression backend returns the fit alone (its p-value
+/// is deferred); IPW estimates eagerly.
 fn eval_cached(
     ctx: &EstimationContext,
-    mask: &BitSet,
+    treated: &BitSet,
     plan: Option<&DowndatePlan>,
     track: bool,
 ) -> EvalRes {
     if ctx.backend() == EstimatorBackend::Ipw {
-        return ctx.estimate_local(mask).map(|r| (r.into(), None));
+        return ctx.estimate_local(treated).map(|r| (r.into(), None));
     }
     if let Some(p) = plan {
         return ctx
             .fit_downdated(&p.parent, &p.removed)
             .map(|(fit, mm)| (fit.into(), Some(mm)));
     }
-    ctx.fit_local(mask)
+    ctx.fit(treated)
         .map(|(fit, m)| (fit.into(), track.then_some(m)))
 }
 
@@ -1672,11 +1655,11 @@ impl<'w> WalkState<'w> {
                 if removed > cand.count {
                     return None;
                 }
-                let moments = parent.moments.as_ref()?;
-                let (parent_mask, mask) = (parent.mask.as_ref()?, cand.mask.as_ref()?);
+                // Both sets are local masks: a join child's always is, and
+                // `absorb` gives every kept level-1 node its own.
                 Some(DowndatePlan {
-                    parent: Arc::clone(moments),
-                    removed: parent_mask.difference(mask),
+                    parent: Arc::clone(parent.moments.as_ref()?),
+                    removed: parent.treated.difference(&cand.treated),
                 })
             });
             match (&plan, cand.parent) {
@@ -1730,16 +1713,14 @@ impl<'w> WalkState<'w> {
     /// projected. [`WalkState::sort_level1`] gives the candidates their
     /// rows when the level is prepared.
     fn level1_cands(&self) -> Vec<Cand> {
-        let (subpop, sub_n) = (self.subpop, self.sub_n);
-        let min_arm = self.miner.opts.cate_opts.min_arm;
         self.miner
             .space
             .atoms
             .iter()
             .enumerate()
             .filter_map(|(ai, atom)| {
-                let treated_in_sub = atom.mask.intersection_count(subpop);
-                if treated_in_sub < min_arm || sub_n - treated_in_sub < min_arm {
+                let treated_in_sub = atom.mask.intersection_count(self.subpop);
+                if !self.miner.overlap_ok(treated_in_sub, self.sub_n) {
                     return None;
                 }
                 Some(Cand {
@@ -1751,13 +1732,17 @@ impl<'w> WalkState<'w> {
             .collect()
     }
 
-    /// Give every level-1 entry of `entries` (`(atom, mask)`) without a
-    /// mask its local mask: one pass over the subpopulation per attribute
-    /// block with such an entry ([`AttrBlock::masks`]).
-    fn fill_masks<'m>(&self, entries: impl IntoIterator<Item = (u16, &'m mut Option<BitSet>)>) {
+    /// Give every level-1 entry of `entries` (`(atom, treated set)`) whose
+    /// set is not a local mask — its rows of a sampled context's sample —
+    /// its local mask instead: one pass over the subpopulation per
+    /// attribute block with such an entry ([`AttrBlock::masks`]). The
+    /// node's p-value reads the same rows from either set.
+    fn fill_masks<'m>(&self, entries: impl IntoIterator<Item = (u16, &'m mut BitSet)>) {
         let space = &self.miner.space;
-        let mut missing: Vec<(u16, &mut Option<BitSet>)> =
-            entries.into_iter().filter(|(_, m)| m.is_none()).collect();
+        let mut missing: Vec<(u16, &mut BitSet)> = entries
+            .into_iter()
+            .filter(|(_, m)| m.capacity() != self.sub_n)
+            .collect();
         missing.sort_unstable_by_key(|&(a, _)| a);
         let block_of = |a: u16| space.atoms[a as usize].block;
         for run in missing.chunk_by_mut(|x, y| block_of(x.0) == block_of(y.0)) {
@@ -1765,7 +1750,7 @@ impl<'w> WalkState<'w> {
             let wanted = run.iter().map(|(a, _)| *a as usize - block.atoms.start);
             let masks = block.masks(self.miner.table, self.subpop, wanted);
             for ((_, slot), mask) in run.iter_mut().zip(masks) {
-                **slot = Some(mask);
+                **slot = mask;
             }
         }
     }
@@ -1778,8 +1763,6 @@ impl<'w> WalkState<'w> {
     /// is copied only for a child that passes the overlap precheck.
     fn join_cands(&mut self) -> Vec<Cand> {
         let miner = self.miner;
-        let sub_n = self.sub_n;
-        let min_arm = miner.opts.cate_opts.min_arm;
         let level = &self.level;
         let kept: HashSet<AtomSet> = level.iter().map(|n| n.atoms).collect();
         let mut seen: HashSet<AtomSet> = HashSet::new();
@@ -1803,22 +1786,19 @@ impl<'w> WalkState<'w> {
                 if !(0..cand.len()).all(|d| kept.contains(&cand.without(d))) {
                     continue;
                 }
-                let ma = a.mask.as_ref().expect("a joined node has its mask");
-                let mb = b.mask.as_ref().expect("a joined node has its mask");
-                let treated_in_sub = ma.intersection_count(mb);
-                if treated_in_sub < min_arm || sub_n - treated_in_sub < min_arm {
+                let treated_in_sub = a.treated.intersection_count(&b.treated);
+                if !miner.overlap_ok(treated_in_sub, self.sub_n) {
                     continue;
                 }
-                let mut mask = ma.clone();
-                mask.intersect_with(mb);
+                let mut treated = a.treated.clone();
+                treated.intersect_with(&b.treated);
                 // The child's rowset is a subset of both join parents;
                 // record the smaller one — fewer removed rows to subtract
                 // if the level gets downdated.
                 let parent = if a.count <= b.count { i } else { j } as u32;
                 cands.push(Cand {
                     atoms: cand,
-                    mask: Some(mask),
-                    rows: None,
+                    treated,
                     count: treated_in_sub,
                     parent: Some(parent),
                 });
@@ -1876,7 +1856,8 @@ impl<'w> WalkState<'w> {
     /// the context's rows are the subpopulation's, and the rows are the
     /// candidate's local mask; under sampling they cover only the sample,
     /// and a node that needs its mask builds it later
-    /// ([`WalkState::fill_masks`]).
+    /// ([`WalkState::fill_masks`]). Either way the set's width tells the
+    /// context which rows it names.
     fn sort_level1(&self, cands: &mut [Cand], ctx: &[Option<Arc<EstimationContext>>]) {
         let space = &self.miner.space;
         let block_of = |c: &Cand| space.atoms[c.atoms[0] as usize].block;
@@ -1889,14 +1870,8 @@ impl<'w> WalkState<'w> {
             };
             let block = &space.blocks[block_of(&run[0])];
             let by_slot = block.partition(self.miner.table, ctx.n(), ctx.rows().iter().copied());
-            let local = ctx.n() == ctx.local_width();
             for cand in run {
-                let rows = block.union(cand.atoms[0] as usize - block.atoms.start, &by_slot);
-                if local {
-                    cand.mask = Some(rows);
-                } else {
-                    cand.rows = Some(rows);
-                }
+                cand.treated = block.union(cand.atoms[0] as usize - block.atoms.start, &by_slot);
             }
         }
     }
@@ -1928,7 +1903,7 @@ impl<'w> WalkState<'w> {
                 dir.matches(c) && c.abs() >= self.min_cate
             })
             .collect();
-        retain_top(&mut kept, dir, opts.top_frac, opts.min_keep, cate);
+        retain_top(&mut kept, dir, opts.top_frac, cate);
         let mut nodes: Vec<Node> = match Arc::try_unwrap(level) {
             Ok(mut level) => kept
                 .iter()
@@ -1954,7 +1929,7 @@ impl<'w> WalkState<'w> {
             if opts.max_level > 1 {
                 // The next level joins these nodes and plans downdates
                 // from them.
-                self.fill_masks(nodes.iter_mut().map(|n| (n.atoms[0], &mut n.mask)));
+                self.fill_masks(nodes.iter_mut().map(|n| (n.atoms[0], &mut n.treated)));
             }
             self.fresh = false;
             self.level_no = 1;
@@ -1994,8 +1969,7 @@ impl<'w> WalkState<'w> {
     ) -> Node {
         Node {
             atoms: cand.atoms,
-            mask: cand.mask,
-            rows: cand.rows,
+            treated: cand.treated,
             count: cand.count,
             cate: r.cate,
             p: r.p,
@@ -2113,15 +2087,13 @@ fn insert_best(
     }
 }
 
+/// Floor on nodes kept per level, so the join stage always has pairs to
+/// work with even when a level is small.
+const MIN_KEEP: usize = 8;
+
 /// Keep the top `frac` of nodes by CATE in the requested direction, but at
-/// least `min_keep` (so small levels still feed the next join).
-fn retain_top<N>(
-    level: &mut Vec<N>,
-    dir: Direction,
-    frac: f64,
-    min_keep: usize,
-    cate: impl Fn(&N) -> f64,
-) {
+/// least [`MIN_KEEP`] (so small levels still feed the next join).
+fn retain_top<N>(level: &mut Vec<N>, dir: Direction, frac: f64, cate: impl Fn(&N) -> f64) {
     if level.is_empty() {
         return;
     }
@@ -2133,7 +2105,7 @@ fn retain_top<N>(
         Direction::Positive => level.sort_by(|a, b| cate(b).total_cmp(&cate(a))),
         Direction::Negative => level.sort_by(|a, b| cate(a).total_cmp(&cate(b))),
     }
-    let keep = ((level.len() as f64 * frac).ceil() as usize).max(min_keep.max(1));
+    let keep = ((level.len() as f64 * frac).ceil() as usize).max(MIN_KEEP);
     level.truncate(keep.min(level.len()));
 }
 
@@ -2793,8 +2765,7 @@ mod tests {
     fn scored(cate: f64, p: f64) -> Node {
         Node {
             atoms: AtomSet::default(),
-            mask: None,
-            rows: None,
+            treated: BitSet::default(),
             count: 0,
             cate,
             p: PValue::Known(p),
@@ -3073,9 +3044,10 @@ mod tests {
     /// of its projected mask, and the overlap gate keeps exactly the atoms
     /// the projected popcounts pass. The rows a level's preparation sorts
     /// out are the projected mask without sampling, and the atom's rows
-    /// among the context's rows under it. The masks built on demand — for
-    /// any subset of the candidates, in any order, as `absorb` builds them
-    /// for the kept nodes — equal `Projector::project`.
+    /// among the context's rows under it. The masks `fill_masks` swaps in
+    /// on demand — for any subset of the candidates, in any order, as
+    /// `absorb` asks for the kept nodes' — equal `Projector::project`, and
+    /// the sets left out keep their rows.
     #[test]
     fn level1_counts_and_on_demand_masks_match_projections() {
         let (mut sorted_masks, mut sorted_rows) = (0, 0);
@@ -3118,46 +3090,46 @@ mod tests {
                     .filter(|&(_, c)| c >= min_arm && sub_n - c >= min_arm)
                     .collect();
                 let mut walk = WalkState::new(&miner, subpop, 3, &[Direction::Positive], 1, &guard);
-                let mut cands = walk.level1_cands();
+                let cands = walk.level1_cands();
                 let got: Vec<(u16, usize)> = cands.iter().map(|c| (c.atoms[0], c.count)).collect();
                 assert_eq!(got, want, "seed {seed}, {sub_n} rows");
-                assert!(cands.iter().all(|c| c.mask.is_none() && c.rows.is_none()));
-                if !cands.is_empty() {
-                    let batch = walk.prepare_batch(cands.clone());
-                    for (c, ctx) in batch.cands.iter().zip(&batch.ctx) {
-                        let ctx = ctx
-                            .as_ref()
-                            .expect("a numeric outcome builds every context");
-                        let atom = &miner.space.atoms[c.atoms[0] as usize];
-                        match (&c.mask, &c.rows) {
-                            (Some(mask), None) => {
-                                assert_eq!(ctx.n(), sub_n, "seed {seed}: unsampled");
-                                assert_eq!(*mask, projected[c.atoms[0] as usize], "seed {seed}");
-                                sorted_masks += 1;
-                            }
-                            (None, Some(rows)) => {
-                                sorted_rows += 1;
-                                assert!(ctx.n() < sub_n, "seed {seed}: sampled");
-                                for (i, &r) in ctx.rows().iter().enumerate() {
-                                    assert_eq!(rows.contains(i), atom.mask.contains(r));
-                                }
-                            }
-                            _ => {
-                                panic!("seed {seed}: a level-1 candidate has its mask or its rows")
-                            }
+                assert!(cands.iter().all(|c| c.treated.capacity() == 0));
+                if cands.is_empty() {
+                    continue;
+                }
+                let batch = walk.prepare_batch(cands);
+                for (c, ctx) in batch.cands.iter().zip(&batch.ctx) {
+                    let ctx = ctx
+                        .as_ref()
+                        .expect("a numeric outcome builds every context");
+                    let atom = &miner.space.atoms[c.atoms[0] as usize];
+                    if ctx.n() == sub_n {
+                        assert_eq!(c.treated, projected[c.atoms[0] as usize], "seed {seed}");
+                        sorted_masks += 1;
+                    } else {
+                        assert_eq!(c.treated.capacity(), ctx.n(), "seed {seed}: sampled");
+                        for (i, &r) in ctx.rows().iter().enumerate() {
+                            assert_eq!(c.treated.contains(i), atom.mask.contains(r));
                         }
+                        sorted_rows += 1;
                     }
                 }
                 // Kept nodes arrive sorted by CATE, not by atom.
+                let mut cands = batch.cands.clone();
                 for i in (1..cands.len()).rev() {
                     cands.swap(i, rng.gen_range(0..=i));
                 }
-                let wanted = cands.iter_mut().filter(|_| rng.gen_bool(0.6));
-                walk.fill_masks(wanted.map(|c| (c.atoms[0], &mut c.mask)));
-                for c in &cands {
-                    if let Some(mask) = &c.mask {
-                        assert_eq!(*mask, projected[c.atoms[0] as usize], "seed {seed}");
-                    }
+                let sorted: Vec<BitSet> = cands.iter().map(|c| c.treated.clone()).collect();
+                let wanted: Vec<bool> = cands.iter().map(|_| rng.gen_bool(0.6)).collect();
+                let entries = cands.iter_mut().zip(&wanted).filter(|(_, &w)| w);
+                walk.fill_masks(entries.map(|(c, _)| (c.atoms[0], &mut c.treated)));
+                for ((c, before), w) in cands.iter().zip(&sorted).zip(wanted) {
+                    let want = if w {
+                        &projected[c.atoms[0] as usize]
+                    } else {
+                        before
+                    };
+                    assert_eq!(c.treated, *want, "seed {seed}");
                 }
             }
         }

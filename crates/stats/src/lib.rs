@@ -30,7 +30,5 @@ pub use corr::{fisher_z_test, partial_correlation, pearson};
 pub use dist::{chi2_sf, normal_cdf, student_t_sf};
 pub use matrix::Matrix;
 pub use numeric::NumericMode;
-pub use ols::{
-    fit_from_gram_at, ols, ols_from_gram, ols_from_gram_at, BorderedBlocks, GramFit, OlsFit,
-};
+pub use ols::{ols, ols_from_gram, BorderedBlocks, GramFit, OlsFit};
 pub use rank::kendall_tau;

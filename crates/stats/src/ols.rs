@@ -8,17 +8,17 @@
 //! fallback for collinear one-hot designs), `se(β_j) = √(s² [(XᵀX)⁻¹]_jj)`,
 //! and a two-sided Student-t p-value with `n − p` degrees of freedom.
 //!
-//! A single-coefficient fit from the normal equations comes in two halves.
-//! The **fit** ([`fit_from_gram_at`]) factors the Gram, solves for `β` and
-//! reads the target's `[(XᵀX)⁻¹]_jj`; it costs `O(p³)` and decides the
+//! A single-coefficient fit from the cached blocks of the normal
+//! equations ([`BorderedBlocks`]) comes in two halves. The **fit**
+//! ([`BorderedBlocks::fit_at`]) factors the Gram, solves for `β` and reads
+//! the target's `[(XᵀX)⁻¹]_jj`; it costs `O(p³)` and decides the
 //! coefficient. The **inference** ([`GramFit::p_value`]) turns the
 //! residual sum of squares into `s²`, the standard error and the
-//! Student-t tail. Only the inference needs the
-//! data again (the `O(n·p)` residual pass), so a caller that ranks many
-//! fits by their coefficient can hold the [`GramFit`] and pay for the
-//! residual pass only when it reads the p-value. [`ols_from_gram_at`] is
-//! the composition of the two halves, so an eager fit and a deferred one
-//! produce the same bits.
+//! Student-t tail. Only the inference needs the data again (the `O(n·p)`
+//! residual pass), so a caller that ranks many fits by their coefficient
+//! can hold the [`GramFit`] and pay for the residual pass only when it
+//! reads the p-value. Both halves run the operations of [`ols`] on the
+//! same design, so the target's `β` and p-value have its bits.
 
 use crate::dist::student_t_sf;
 use crate::matrix::{cholesky_solve_in_place, spd_factor_into, Matrix};
@@ -130,7 +130,7 @@ pub fn ols_from_gram(
 
 /// The fit half of a single-coefficient OLS fit (see the [module
 /// docs](self)): `β` and the target coefficient's `[(XᵀX)⁻¹]_jj`, both read
-/// off one Cholesky factor. Produced by [`fit_from_gram_at`]; the
+/// off one Cholesky factor. Produced by [`BorderedBlocks::fit_at`]; the
 /// inference half ([`GramFit::p_value`]) needs only the residual sum of
 /// squares on top.
 #[derive(Debug, Clone)]
@@ -146,134 +146,24 @@ pub struct GramFit {
 }
 
 impl GramFit {
-    /// Residual degrees of freedom `n − p`.
-    fn df(&self) -> f64 {
-        self.n as f64 - self.beta.len() as f64
-    }
-
-    /// `(s², se, p)` of the target coefficient for residual sum of squares
-    /// `rss`; `None` when `df ≤ 0`. The p-value is NaN when the standard
-    /// error is zero: an exact fit of the column leaves the coefficient
-    /// untestable.
-    fn target_inference(&self, rss: f64) -> Option<(f64, f64, f64)> {
-        let df = self.df();
+    /// Two-sided t-test p-value of the target coefficient given the
+    /// residual sum of squares; NaN when `df ≤ 0` or the standard error is
+    /// zero (an exact fit of the column leaves the coefficient
+    /// untestable). The same bits as `p_value[target]` of [`ols`] on the
+    /// same design and RSS.
+    pub fn p_value(&self, rss: f64) -> f64 {
+        let df = self.n as f64 - self.beta.len() as f64;
         if df <= 0.0 {
-            return None;
+            return f64::NAN;
         }
         let s2 = rss / df;
         let se = (s2 * self.inv_diag).max(0.0).sqrt();
-        let p = if se > 0.0 {
+        if se > 0.0 {
             student_t_sf(self.beta[self.target] / se, df)
         } else {
             f64::NAN
-        };
-        Some((s2, se, p))
-    }
-
-    /// Two-sided t-test p-value of the target coefficient given the
-    /// residual sum of squares; NaN when `df ≤ 0` or the standard error is
-    /// zero. The same bits as `p_value[target]` of [`ols_from_gram_at`].
-    pub fn p_value(&self, rss: f64) -> f64 {
-        self.target_inference(rss).map_or(f64::NAN, |(_, _, p)| p)
-    }
-
-    /// Complete the fit into an [`OlsFit`] from `(RSS, TSS)`, with
-    /// inference at the target only — every other entry of `se`/`p_value`
-    /// is NaN.
-    fn infer(self, rss: f64, tss: f64) -> OlsFit {
-        let p = self.beta.len();
-        let df = self.df();
-        let mut se = vec![f64::NAN; p];
-        let mut p_value = vec![f64::NAN; p];
-        let s2 = match self.target_inference(rss) {
-            Some((s2, se_t, p_t)) => {
-                se[self.target] = se_t;
-                p_value[self.target] = p_t;
-                s2
-            }
-            None => f64::NAN,
-        };
-        let r2 = if tss > 0.0 { 1.0 - rss / tss } else { 0.0 };
-        OlsFit {
-            beta: self.beta,
-            se,
-            p_value,
-            df,
-            s2,
-            r2,
         }
     }
-}
-
-/// The fit half of [`ols_from_gram_at`]: factor `G = XᵀX`, solve for `β`
-/// and read `[(XᵀX)⁻¹]_tt` for `t = target`. Returns `None` when shapes are
-/// inconsistent or empty, `target ≥ p`, or the normal equations cannot be
-/// solved even with the ridge fallback.
-pub fn fit_from_gram_at(gram: &Matrix, xty: &[f64], n: usize, target: usize) -> Option<GramFit> {
-    let p = gram.ncols();
-    if n == 0 || p == 0 || gram.nrows() != p || xty.len() != p || target >= p {
-        return None;
-    }
-    let l = gram.spd_factor()?;
-    let beta = l.cholesky_solve(xty);
-    let inv_diag = inv_diag(&l, p, target);
-    Some(GramFit {
-        beta,
-        target,
-        inv_diag,
-        n,
-    })
-}
-
-/// Like [`ols_from_gram`], but computes inference (standard error,
-/// p-value) only for coefficient `target`; every other entry of
-/// `se`/`p_value` is NaN. This is the CATE hot path: estimation consumes
-/// exactly `beta[1]` and `p_value[1]`, so the `p − 1` unused
-/// `(XᵀX)⁻¹`-column substitutions and Student-t evaluations per fit are
-/// pure waste. The target entries are bit-identical to the full fit's —
-/// same Cholesky factor, same column solve, same t-test.
-///
-/// This is [`fit_from_gram_at`] followed by the inference half on the
-/// caller's `(RSS, TSS)`, so its `p_value[target]` has the bits of
-/// [`GramFit::p_value`] on the same RSS.
-///
-/// ```
-/// use stats::ols::{design_with_intercept, ols_from_gram_at};
-///
-/// // y = 2 + 3x, fitted from precomputed normal equations; inference is
-/// // requested for the slope (column 1) only.
-/// let n = 12;
-/// let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-/// let y: Vec<f64> = x.iter().map(|&v| 2.0 + 3.0 * v + (v % 2.0) * 0.1).collect();
-/// let design = design_with_intercept(&[x], n);
-/// let gram = design.gram();
-/// let xty = design.tr_mul_vec(&y);
-/// let fit = ols_from_gram_at(&gram, &xty, n, 1, |beta| {
-///     // The caller supplies (RSS, TSS) from the data.
-///     let ybar = y.iter().sum::<f64>() / n as f64;
-///     let mut rss = 0.0;
-///     let mut tss = 0.0;
-///     for r in 0..n {
-///         let yhat: f64 = design.row(r).iter().zip(beta).map(|(a, b)| a * b).sum();
-///         rss += (y[r] - yhat).powi(2);
-///         tss += (y[r] - ybar).powi(2);
-///     }
-///     (rss, tss)
-/// }).unwrap();
-/// assert!((fit.beta[1] - 3.0).abs() < 0.05);
-/// assert!(fit.p_value[1] < 1e-9, "slope is significant");
-/// assert!(fit.se[0].is_nan(), "inference was computed only at index 1");
-/// ```
-pub fn ols_from_gram_at(
-    gram: &Matrix,
-    xty: &[f64],
-    n: usize,
-    target: usize,
-    residuals: impl FnOnce(&[f64]) -> (f64, f64),
-) -> Option<OlsFit> {
-    let fit = fit_from_gram_at(gram, xty, n, target)?;
-    let (rss, tss) = residuals(&fit.beta);
-    Some(fit.infer(rss, tss))
 }
 
 /// The blocks of the normal equations `(XᵀX, Xᵀy)` of the bordered design
@@ -316,15 +206,16 @@ const SMALL_FIT: usize = 2 * 8 * 8 + 8;
 const MEDIUM_FIT: usize = 2 * 16 * 16 + 16;
 
 impl BorderedBlocks<'_> {
-    /// [`fit_from_gram_at`] on the assembled normal equations, without
-    /// materializing a [`Matrix`]: the Gram is placed into scratch (on the
-    /// stack up to 16 columns), factored by [`crate::matrix::spd_factor_into`]
-    /// and solved in place, so the only allocation is `β`. Assembly is pure
-    /// placement — every entry is one of the input floats — and the
-    /// factor, the solve and the `[(XᵀX)⁻¹]_tt` solve run the operations of
-    /// the `Matrix` path in its order, so the [`GramFit`] has its bits.
-    /// `None` when shapes are inconsistent or empty, `target ≥ p`, or the
-    /// equations cannot be solved even with the ridge fallback.
+    /// The fit half at coefficient `target` (see the [module docs](self)),
+    /// without materializing a [`Matrix`]: the Gram is placed into scratch
+    /// (on the stack up to 16 columns), factored by
+    /// [`crate::matrix::spd_factor_into`] and solved in place, so the only
+    /// allocation is `β`. Assembly is pure placement — every entry is one
+    /// of the input floats — and the factor, the solve and the
+    /// `[(XᵀX)⁻¹]_tt` solve run the operations of [`ols`]'s `Matrix` path
+    /// in its order, so `β` has its bits. `None` when shapes are
+    /// inconsistent or empty, `target ≥ p`, or the equations cannot be
+    /// solved even with the ridge fallback.
     pub fn fit_at(&self, target: usize) -> Option<GramFit> {
         let q = self.sum_z.len();
         if self.tz.len() != q || self.zy.len() != q || self.zz.nrows() != q || self.zz.ncols() != q
@@ -522,47 +413,11 @@ mod tests {
         assert_eq!(full.s2, from_gram.s2);
     }
 
-    /// The fit half plus a later `p_value(rss)` gives the bits of the
-    /// composed `ols_from_gram_at` and of the full-inference fit, at every
-    /// target; with `df ≤ 0` the p-value is NaN.
-    #[test]
-    fn split_fit_matches_composed_and_full_fits() {
-        let n = 30;
-        let x1: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-        let x2: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 * 0.5).collect();
-        let y: Vec<f64> = (0..n)
-            .map(|i| 1.0 + 0.3 * x1[i] - 0.2 * x2[i] + ((i * 13) % 5) as f64 * 0.1)
-            .collect();
-        let design = design_with_intercept(&[x1, x2], n);
-        let gram = design.gram();
-        let xty = design.tr_mul_vec(&y);
-        let rss_tss = |beta: &[f64]| {
-            let ybar = y.iter().sum::<f64>() / n as f64;
-            let (mut rss, mut tss) = (0.0, 0.0);
-            for r in 0..n {
-                let yhat: f64 = design.row(r).iter().zip(beta).map(|(a, b)| a * b).sum();
-                rss += (y[r] - yhat).powi(2);
-                tss += (y[r] - ybar).powi(2);
-            }
-            (rss, tss)
-        };
-        let full = ols_from_gram(&gram, &xty, n, rss_tss).unwrap();
-        for target in 0..3 {
-            let fit = fit_from_gram_at(&gram, &xty, n, target).unwrap();
-            let deferred = fit.p_value(rss_tss(&fit.beta).0);
-            let composed = ols_from_gram_at(&gram, &xty, n, target, rss_tss).unwrap();
-            assert_eq!(deferred.to_bits(), composed.p_value[target].to_bits());
-            assert_eq!(deferred.to_bits(), full.p_value[target].to_bits());
-            assert_eq!(composed.se[target].to_bits(), full.se[target].to_bits());
-        }
-        assert!(fit_from_gram_at(&gram, &xty, n, 3).is_none());
-        let tiny = fit_from_gram_at(&gram, &xty, 3, 1).unwrap();
-        assert!(tiny.df() <= 0.0 && tiny.p_value(1.0).is_nan());
-    }
-
-    /// X = [1, t, z] with binary t: blocks accumulated independently fit
-    /// to the bits of the fit over the materialized design's Gram, at
-    /// every target; inconsistent shapes give `None`.
+    /// X = [1, t, z] with binary t: the bordered fit from independently
+    /// accumulated blocks has the `β` bits of [`ols`] on the materialized
+    /// design, and its p-value at every target has the bits of `ols`'s for
+    /// the same RSS; with `df ≤ 0` it is NaN, and inconsistent shapes give
+    /// `None`.
     #[test]
     fn bordered_fit_matches_materialized_design() {
         let n = 24;
@@ -570,8 +425,20 @@ mod tests {
         let z: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 1.0).collect();
         let y: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
         let design = design_with_intercept(&[t.clone(), z.clone()], n);
-        let full_gram = design.gram();
-        let full_xty = design.tr_mul_vec(&y);
+        let full = ols(&design, &y).unwrap();
+        // `ols`'s own residual pass, so the RSS is the one it tested.
+        let rss: f64 = (0..n)
+            .map(|r| {
+                let yhat: f64 = design
+                    .row(r)
+                    .iter()
+                    .zip(&full.beta)
+                    .map(|(a, b)| a * b)
+                    .sum();
+                (y[r] - yhat) * (y[r] - yhat)
+            })
+            .sum();
+        assert_eq!(rss / full.df, full.s2);
 
         let n_treated = t.iter().filter(|&&v| v == 1.0).count();
         let ty: f64 = t.iter().zip(&y).map(|(a, b)| a * b).sum();
@@ -591,14 +458,22 @@ mod tests {
             zz: &zz,
             zy: &zy,
         };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for target in 0..3 {
-            let want = fit_from_gram_at(&full_gram, &full_xty, n, target).unwrap();
-            let got = blocks.fit_at(target).unwrap();
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "target {target}");
+            let fit = blocks.fit_at(target).unwrap();
+            assert_eq!(bits(&fit.beta), bits(&full.beta), "target {target}");
+            let p = fit.p_value(rss);
+            assert_eq!(
+                p.to_bits(),
+                full.p_value[target].to_bits(),
+                "target {target}"
+            );
         }
         assert!(blocks.fit_at(3).is_none());
         assert!(BorderedBlocks { tz: &[], ..blocks }.fit_at(1).is_none());
         assert!(BorderedBlocks { n: 0, ..blocks }.fit_at(1).is_none());
+        let tiny = BorderedBlocks { n: 3, ..blocks }.fit_at(1).unwrap();
+        assert!(tiny.p_value(1.0).is_nan(), "df ≤ 0");
     }
 
     #[test]

@@ -165,17 +165,13 @@ fn readout(
     removed: &BitSet,
 ) -> Readout {
     let est = ctx.estimate(treated);
-    let Some((fit, moments)) = ctx.fit_local(parent) else {
+    let Some((fit, moments)) = ctx.fit(parent) else {
         return (est, None, None);
     };
-    let p = ctx.p_value_local(&fit, parent);
-    let down = ctx.fit_downdated(&moments, removed).map(|(f, m)| {
-        (
-            f.cate().to_bits(),
-            moment_bits(&m),
-            ctx.p_value_local(&f, child),
-        )
-    });
+    let p = ctx.p_value(&fit, parent);
+    let down = ctx
+        .fit_downdated(&moments, removed)
+        .map(|(f, m)| (f.cate().to_bits(), moment_bits(&m), ctx.p_value(&f, child)));
     (
         est,
         Some((
@@ -192,12 +188,12 @@ fn assert_same_readout(a: Readout, b: Readout) -> Result<(), TestCaseError> {
     assert_bit_identical(a.0, b.0)?;
     match (a.1, b.1) {
         (Some((ca, na, ma, pa)), Some((cb, nb, mb, pb))) => {
-            prop_assert_eq!(ca, cb, "fit_local CATE bits differ");
+            prop_assert_eq!(ca, cb, "fit CATE bits differ");
             prop_assert_eq!(na, nb);
             prop_assert_eq!(ma, mb, "gathered moments differ");
-            prop_assert!(same_bits(pa, pb), "p_value_local differs: {} vs {}", pa, pb);
+            prop_assert!(same_bits(pa, pb), "p_value differs: {} vs {}", pa, pb);
         }
-        (x, y) => prop_assert_eq!(x.is_none(), y.is_none(), "fit_local availability"),
+        (x, y) => prop_assert_eq!(x.is_none(), y.is_none(), "fit availability"),
     }
     match (a.2, b.2) {
         (Some((ca, ma, pa)), Some((cb, mb, pb))) => {
@@ -215,7 +211,7 @@ proptest! {
     /// gives the bits of a cold [`EstimationContext::new`] build — dense
     /// one-hot columns — for every confounder mix, in both numeric modes,
     /// with and without the sampling cap, at one-hot caps 0, 1 and 24:
-    /// the estimate, `fit_local` with its moments, `p_value_local`, and
+    /// the estimate, `fit` with its moments, `p_value`, and
     /// `fit_downdated` with the child's p-value. It runs on `a` with 3
     /// levels and with 30, each with two treatments: `ca % 3 == 0`, which
     /// on the 3-level `a` is the level `a0` — exactly collinear with `a`'s

@@ -9,11 +9,12 @@
 //!
 //! 1. `level1_matches_per_atom_gathers`: every level-1 candidate, as the
 //!    walk estimates it ([`TreatmentMiner::level1_estimates`]), against
-//!    [`EstimationContext::fit_local`] and
-//!    [`EstimationContext::p_value_local`] on the atom's
-//!    [`Projector`]-projected mask — the overlap count, every bit of the
-//!    fit, the `FastV1` moments, the deferred p-value and any local mask
-//!    the pass kept. Every column kind that builds atoms is covered, an
+//!    [`EstimationContext::fit`] and [`EstimationContext::p_value`] on the
+//!    atom's [`Projector`]-projected mask — the overlap count, every bit
+//!    of the fit, the `FastV1` moments, the deferred p-value and the
+//!    treated set the pass sorted out: the projected mask without
+//!    sampling, the atom's rows of the sample under it. Every column kind
+//!    that builds atoms is covered, an
 //!    attribute is listed twice, and the subpopulations are random, empty
 //!    and full, with and without a sample cap below their size, in both
 //!    numeric modes and at two chunkings;
@@ -143,9 +144,10 @@ fn level1_table(n: usize, seed: u64) -> (Table, Dag) {
 const TREATMENTS: [usize; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 0];
 const Y: usize = 10;
 
-/// Hold every level-1 candidate of `miner` on `subpop` to `fit_local` and
-/// `p_value_local` on the atom's projected mask; `Ok` carries how many
-/// estimates were compared.
+/// Hold every level-1 candidate of `miner` on `subpop` to `fit` and
+/// `p_value` on the atom's projected mask, and its treated set to that
+/// mask or, on a sampled context, to the atom's rows of the sample; `Ok`
+/// carries how many estimates were compared.
 fn check_level1(
     table: &Table,
     miner: &TreatmentMiner<'_>,
@@ -186,7 +188,7 @@ fn check_level1(
         let ctx = contexts
             .get_or_build(table, Some(subpop), Y, &key, &opts.cate_opts)
             .expect("a numeric outcome builds every context");
-        match (&e.fit, ctx.fit_local(&local)) {
+        match (&e.fit, ctx.fit(&local)) {
             (Some(fit), Some((want, moments))) => {
                 prop_assert_eq!(fit.cate().to_bits(), want.cate().to_bits(), "{}", what);
                 prop_assert_eq!(fit.n_treated(), want.n_treated());
@@ -204,7 +206,7 @@ fn check_level1(
                     None => prop_assert!(!fast, "{}: FastV1 keeps its moments", what),
                 }
                 let p = e.p_value.expect("an estimate has a p-value");
-                let want_p = ctx.p_value_local(&want, &local);
+                let want_p = ctx.p_value(&want, &local);
                 prop_assert_eq!(
                     p.to_bits(),
                     want_p.to_bits(),
@@ -224,8 +226,11 @@ fn check_level1(
                 w.is_some()
             ),
         }
-        if let Some(mask) = &e.mask {
-            prop_assert_eq!(mask, &local, "{}", what);
+        if ctx.n() == ctx.local_width() {
+            prop_assert_eq!(&e.treated, &local, "{}", what);
+        } else {
+            let rows: Vec<bool> = ctx.rows().iter().map(|&r| atom.contains(r)).collect();
+            prop_assert_eq!(&e.treated, &BitSet::from_mask(&rows), "{}", what);
         }
     }
     Ok(compared)

@@ -2,12 +2,15 @@
 //! that lives in this file only, never in the engine:
 //!
 //! 1. `gather_matches_per_row_fold`: the moments `n_treated`, `tᵀy` and
-//!    `tᵀZ` that [`EstimationContext::fit_local`] (and, on a sampled
-//!    context, [`EstimationContext::fit_rows`]) gathers, bit for bit,
-//!    against one fold per column over the treated rows in ascending
+//!    `tᵀZ` that [`EstimationContext::fit`] gathers from a local mask,
+//!    bit for bit, against one fold per column over the treated rows in
+//!    ascending
 //!    order — a serial sum in `Exact`, a [`LaneAcc`] (lane = visitation
 //!    rank) in `FastV1` — and a count per kept level of every categorical
-//!    confounder. Every dense-column count from 0 to 6 is covered, on
+//!    confounder; and `fit` on the same rows given over the context's
+//!    rows, which on a sampled context is the other coordinate system,
+//!    with the same fit and moment bits. Every dense-column count from 0
+//!    to 6 is covered, on
 //!    panel-assembled contexts (categoricals as level codes, 0–3 coded
 //!    blocks with repeated levels, levels without rows and single-level
 //!    columns) and on cold ones (every one-hot dummy a dense column, so
@@ -17,7 +20,7 @@
 //!    [`EstimationContext::fit_downdated`] against the parent's moments
 //!    minus each removed row, one row at a time in ascending order;
 //! 3. `residual_matches_per_row_pass`: the residual sum of squares and
-//!    the deferred p-value of [`EstimationContext::p_value_local`] against
+//!    the deferred p-value of [`EstimationContext::p_value`] against
 //!    a residual sum of squares formed row by row (ŷ in the naive order,
 //!    then a serial or an 8-lane fold) and its p-value, on contexts of
 //!    more rows than one residual block, with a near-exact fit so
@@ -253,19 +256,19 @@ fn check_gather(
         for mask in masks(subrows.len(), &mut rng) {
             let pos = visited(&subrows, ctx.rows(), &mask);
             let want = ref_bits(&reference_moments(table, conf, ctx.rows(), &pos, &opts));
-            let (_, got) = ctx
-                .fit_local(&mask)
-                .expect("no overlap gate, a solvable fit");
-            prop_assert_eq!(bits(&got), want.clone(), "{}: fit_local", what);
-            // The same rows given over the context's rows.
+            let (fit, got) = ctx.fit(&mask).expect("no overlap gate, a solvable fit");
+            prop_assert_eq!(bits(&got), want, "{}: local mask", what);
+            // The same rows given over the context's rows: under sampling
+            // a set of another width, the same fit and moment bits.
             let mut rows = BitSet::new(ctx.n());
             for &p in &pos {
                 rows.insert(p);
             }
-            let (_, got) = ctx
-                .fit_rows(&rows)
-                .expect("no overlap gate, a solvable fit");
-            prop_assert_eq!(bits(&got), want, "{}: fit_rows", what);
+            let (fit_rows, got_rows) = ctx.fit(&rows).expect("no overlap gate, a solvable fit");
+            prop_assert_eq!(bits(&got_rows), bits(&got), "{}: rows of the sample", what);
+            // `Debug` prints every f64 so that it reads back to the same
+            // bits: equal strings are equal fits.
+            prop_assert_eq!(format!("{fit_rows:?}"), format!("{fit:?}"), "{}", what);
         }
     }
     Ok(())
@@ -318,7 +321,7 @@ proptest! {
         let removed = parent.difference(&child);
         let y = table.column(table.ncols() - 1);
         for (what, opts, ctx) in contexts(&table, &conf, &subpop, seed) {
-            let (_, pm) = ctx.fit_local(&parent).expect("a solvable parent");
+            let (_, pm) = ctx.fit(&parent).expect("a solvable parent");
             let rows = ctx.rows();
             let (mut n_treated, mut ty, mut tz) = (pm.n_treated, pm.ty, pm.tz.clone());
             for p in visited(&subrows, rows, &removed) {
@@ -418,16 +421,16 @@ proptest! {
             &(0..subrows.len()).map(|_| rng.gen_bool(density)).collect::<Vec<_>>(),
         );
         for (what, opts, ctx) in contexts(&table, &conf, &subpop, seed) {
-            let (fit, _) = ctx.fit_local(&mask).expect("a solvable fit");
+            let (fit, _) = ctx.fit(&mask).expect("a solvable fit");
             let mut treated = vec![false; ctx.n()];
             for p in visited(&subrows, ctx.rows(), &mask) {
                 treated[p] = true;
             }
             let rss = reference_rss(&table, &conf, ctx.rows(), &treated, &fit.gram().beta, &opts);
-            let got = ctx.rss_local(&fit, &mask);
+            let got = ctx.rss(&fit, &mask);
             prop_assert_eq!(got.to_bits(), rss.to_bits(), "{}: rss {} vs {}", what, got, rss);
             let want = fit.gram().p_value(rss);
-            let got = ctx.p_value_local(&fit, &mask);
+            let got = ctx.p_value(&fit, &mask);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: p {} vs {}", what, got, want);
         }
     }
