@@ -1468,8 +1468,8 @@ impl ConfounderKey {
 }
 
 /// A store of [`EstimationContext`]s for one fixed subpopulation, indexed
-/// by [`ConfounderKey`] id. One lattice walk (and, via the paired
-/// positive/negative walk, one *pair* of walks) touches only a handful of
+/// by [`ConfounderKey`] id. One lattice walk, both of its directions
+/// included, touches only a handful of
 /// distinct backdoor sets, so memoizing the context per set means each
 /// `O(n·q²)` Gram build happens exactly once per subpopulation.
 ///

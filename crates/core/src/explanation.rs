@@ -3,7 +3,6 @@
 use mining::treatment::TreatmentResult;
 use table::bitset::BitSet;
 use table::pattern::Pattern;
-use table::Table;
 
 /// One explanation: a grouping pattern with its top positive and/or
 /// negative treatment patterns (§4.2, "positive and negative explanation
@@ -84,8 +83,9 @@ pub struct Summary {
     pub candidates: usize,
     /// Lattice candidates evaluated during treatment mining, summed over
     /// both directions (see `mining::treatment::LatticeStats::evaluated`):
-    /// level 1 is estimated once and shared by the two directions, but
-    /// counts in each.
+    /// the two directions walk in step and estimate level 1 once, but it
+    /// counts in each. A complete guarded run's
+    /// `RunGuard::progress().cate_evaluations` reads the same total.
     pub cate_evaluations: usize,
     /// Subset candidates served by incremental Gram downdating during
     /// treatment mining (nonzero only under `NumericMode::FastV1` with the
@@ -107,15 +107,6 @@ impl Summary {
         } else {
             self.covered as f64 / self.m as f64
         }
-    }
-
-    /// Group labels covered by explanation `i`, for display.
-    pub fn covered_labels(&self, table: &Table, view: &table::AggView, i: usize) -> Vec<String> {
-        self.explanations[i]
-            .coverage
-            .iter()
-            .map(|g| view.group_label(table, g))
-            .collect()
     }
 }
 

@@ -45,9 +45,14 @@ pub fn peak_rss_mb() -> Option<f64> {
 /// the walk got before it was stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryProgress {
-    /// Lattice levels absorbed across all pattern walks of the query.
+    /// Level batches absorbed across all pattern walks of the query. A
+    /// walk's directions step through its levels together, so one batch
+    /// is one lattice level of every direction still walking; a level
+    /// without candidates ends the walk and is not counted.
     pub levels_completed: usize,
-    /// CATE evaluations performed so far (candidate treatments scored).
+    /// CATE evaluations performed so far (candidate treatments scored),
+    /// counted as `LatticeStats::evaluated` counts them: level 1 once per
+    /// direction.
     pub cate_evaluations: usize,
 }
 
@@ -246,7 +251,7 @@ impl RunGuard {
         self.evaluations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one absorbed lattice level.
+    /// Record one absorbed level batch.
     pub fn level_completed(&self) {
         self.levels.fetch_add(1, Ordering::Relaxed);
     }

@@ -248,12 +248,12 @@ pub struct Level1Estimate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatticeStats {
     /// Lattice candidates evaluated, counted per direction. A paired walk
-    /// estimates level 1 once and the negative direction absorbs those
-    /// estimates; the shared level still counts in both directions, so
-    /// this is the number of candidates each direction's walk evaluated,
-    /// not the number of fits run.
+    /// estimates level 1 once for both directions, and that level still
+    /// counts in each, so this is the number of candidates each
+    /// direction's walk evaluated, not the number of fits run.
     pub evaluated: usize,
-    /// Lattice levels materialized.
+    /// Lattice levels materialized: the deepest level at which a
+    /// direction kept a node (at least 1), maximized over directions.
     pub levels: usize,
     /// [`causal::context::EstimationContext`]s built — one per distinct
     /// backdoor set touched by the walk(s) sharing the cache.
@@ -280,7 +280,7 @@ pub struct PairedTreatments {
     /// Best negative treatments, sorted best-first (empty when negative
     /// mining was not requested).
     pub negative: Vec<TreatmentResult>,
-    /// Combined work counters of both walks.
+    /// Combined work counters of both directions.
     pub stats: LatticeStats,
 }
 
@@ -859,11 +859,6 @@ impl<'a> TreatmentMiner<'a> {
         self.attrs_key(&attrs[..atoms.len()])
     }
 
-    /// The backdoor memo backing [`TreatmentMiner::confounders_for`].
-    pub fn backdoor_memo(&self) -> &Arc<BackdoorMemo> {
-        &self.backdoor
-    }
-
     fn compute_confounders(&self, attrs: &[usize]) -> Vec<usize> {
         let Some(y) = self.attr_to_dag[self.outcome] else {
             return Vec::new();
@@ -917,7 +912,7 @@ impl<'a> TreatmentMiner<'a> {
             .zip(&batch.keys)
             .zip(results)
             .map(|((cand, key), r)| {
-                let node = r.map(|(est, moments)| walk.node(cand.clone(), key, est, moments));
+                let node = r.map(|(est, moments)| Node::new(cand.clone(), key, est, moments));
                 Level1Estimate {
                     pattern: self.pattern_of(&cand.atoms),
                     treated_in_sub: cand.count,
@@ -959,12 +954,14 @@ impl<'a> TreatmentMiner<'a> {
     /// best-first, every entry passing the significance gate. The returned
     /// vector is index-aligned with `subpops`.
     ///
-    /// The two walks of one subpopulation share its estimation contexts —
-    /// they touch the same backdoor sets, so each
-    /// [`causal::context::EstimationContext`] is built once — and level 1
+    /// The two directions of one subpopulation walk its lattice in step,
+    /// one level at a time, and share its estimation contexts — they touch
+    /// the same backdoor sets, so each
+    /// [`causal::context::EstimationContext`] is built once. Level 1
     /// (every overlap-passing atom, whatever the direction) is estimated
-    /// once and absorbed by both. Results equal two independent
-    /// single-direction walks.
+    /// once for both; each later level estimates every live direction's
+    /// joins together. Results equal two independent single-direction
+    /// walks.
     ///
     /// All subpopulations run on one work-stealing scheduler of `threads`
     /// workers (`0` = one per core, `1` = inline on the caller): every
@@ -1091,7 +1088,7 @@ impl<'a> TreatmentMiner<'a> {
                 };
                 if let Some(batch) = done {
                     match batch.slots.try_merged() {
-                        Ok(results) => st.absorb(LevelBatch::estimated(batch, results)),
+                        Ok(results) => st.absorb(batch, results),
                         Err(e) => {
                             // Can only happen when a chunk task died
                             // without recording its result; surface it
@@ -1386,6 +1383,22 @@ struct Node {
 }
 
 impl Node {
+    /// The node candidate `cand` becomes when its estimate `r` (made on
+    /// the context of confounder key `key`) is kept.
+    fn new(cand: Cand, key: &ConfounderKey, r: Est, moments: Option<TreatmentMoments>) -> Node {
+        Node {
+            atoms: cand.atoms,
+            treated: cand.treated,
+            count: cand.count,
+            cate: r.cate,
+            p: r.p,
+            n_treated: r.n_treated,
+            n_control: r.n_control,
+            key: key.id(),
+            moments: moments.map(Arc::new),
+        }
+    }
+
     /// The node's p-value, running the deferred inference on the context
     /// the fit came from, on the node's treated set, when only the fit is
     /// held.
@@ -1414,9 +1427,13 @@ struct Cand {
     /// Treated rows in the subpopulation (computed by the overlap
     /// precheck anyway).
     count: usize,
-    /// Index into the previous level's kept nodes of the join parent
-    /// whose treated rowset is the smaller superset of `treated` — the
-    /// cheaper downdate source. `None` at level 1.
+    /// Index into the walk's directions ([`WalkState::dirs`]) of the one
+    /// whose frontier the candidate was joined from. Level 1 belongs to
+    /// every direction and leaves it 0.
+    dir: usize,
+    /// Index into that frontier of the join parent whose treated rowset
+    /// is the smaller superset of `treated` — the cheaper downdate source.
+    /// `None` at level 1.
     parent: Option<u32>,
 }
 
@@ -1483,11 +1500,13 @@ struct PatternSlot<'w> {
     out: OnceLock<Result<PairedTreatments, MineError>>,
 }
 
-/// One lattice level, frozen for lock-free fan-out: the candidates, their
-/// interned confounder keys, the pre-built estimation context per
-/// candidate, and the index-addressed result slots the chunks complete
-/// into. Everything is `Arc`-shared so an `Eval` task needs no access to
-/// the walk state.
+/// One lattice level of every direction still walking, frozen for
+/// lock-free fan-out: the candidates, their interned confounder keys, the
+/// pre-built estimation context per candidate, and the index-addressed
+/// result slots the chunks complete into. Level 1 is every direction's;
+/// from level 2 on each candidate names the direction that joined it
+/// ([`Cand::dir`]). Everything is `Arc`-shared so an `Eval` task needs no
+/// access to the walk state.
 struct LevelBatch {
     /// 1-based lattice level these candidates belong to — the `level`
     /// coordinate of guard checkpoints and fault sites.
@@ -1505,81 +1524,54 @@ struct LevelBatch {
     slots: sched::ChunkSlots<EvalRes>,
 }
 
-impl LevelBatch {
-    /// The estimated level, once its last chunk has merged `results`. The
-    /// candidates and keys move out when this is the batch's last handle,
-    /// which it is unless a sibling chunk task has not yet dropped its own.
-    fn estimated(self: Arc<Self>, results: Vec<EvalRes>) -> Arc<Estimated> {
-        let (cands, keys) = match Arc::try_unwrap(self) {
-            Ok(batch) => (batch.cands, batch.keys),
-            Err(batch) => (batch.cands.clone(), batch.keys.clone()),
-        };
-        Arc::new(Estimated {
-            cands,
-            keys,
-            results,
-        })
-    }
+/// One direction's part of a walk: its frontier, its best-k list and its
+/// depth.
+struct DirWalk {
+    dir: Direction,
+    /// The nodes the direction kept at the walk's current level, which the
+    /// next level joins. Empty once the direction has stopped: on an empty
+    /// level, or on one that does not improve (Algorithm 2 lines 10–13).
+    frontier: Vec<Node>,
+    /// Best-first, at most `k` entries, each with its p-value known.
+    best: Vec<Node>,
+    /// The deepest level at which the direction kept a node; level 1
+    /// always counts.
+    levels: usize,
 }
 
-/// One estimated level, index-aligned: the candidates, their keys and
-/// their results. Shared when a later direction absorbs the same level 1.
-#[derive(Default)]
-struct Estimated {
-    cands: Vec<Cand>,
-    keys: Vec<ConfounderKey>,
-    results: Vec<EvalRes>,
-}
-
-/// The resumable Algorithm-2 walk of one subpopulation: direction
-/// sequence (positive, then optionally negative, sharing the
-/// subpopulation's contexts and the positive walk's level-1
-/// estimates), current frontier, best-k list and work
-/// counters. `pump` drives the serial parts (candidate generation,
-/// in-order context builds) until a level is ready to fan out; `absorb`
-/// runs the post-level logic on the index-merged results, so the walk's
-/// decisions — and counters — are the same at every worker count.
-/// `finalize` consumes it.
+/// The resumable Algorithm-2 walk of one subpopulation. Every requested
+/// direction (positive, and optionally negative) steps through one level
+/// sequence over the subpopulation's shared contexts: level 1 is
+/// estimated once for all of them, and each later level joins every live
+/// direction's frontier into one batch. `pump` drives the serial parts
+/// (candidate generation, in-order context builds) until a level is
+/// ready to fan out; `absorb` runs the post-level logic on the
+/// index-merged results, so the walk's decisions — and counters — are
+/// the same at every worker count. `finalize` consumes it.
 struct WalkState<'w> {
     miner: &'w TreatmentMiner<'w>,
     subpop: &'w BitSet,
     k: usize,
-    dirs: &'w [Direction],
     workers: usize,
     /// The query's lifeguard: progress counters plus the limits checked
     /// at chunk boundaries and level merges.
     guard: &'w RunGuard,
-    /// The subpopulation's estimation contexts, shared by both
-    /// directions.
+    /// The subpopulation's estimation contexts, shared by every
+    /// direction.
     contexts: ContextCache,
     /// Rows in the subpopulation.
     sub_n: usize,
     min_cate: f64,
-    /// Index into `dirs` of the direction currently walking.
-    dir_idx: usize,
-    /// Next evaluation is level 1 of the current direction.
-    fresh: bool,
-    /// Current direction hit a termination condition (empty level or no
-    /// improvement — Algorithm 2 lines 10–13).
-    stopped: bool,
-    level: Vec<Node>,
-    level_no: usize,
-    best: Vec<Node>,
+    /// Lattice level of the last absorbed batch (0 before level 1); every
+    /// live frontier holds nodes of this level.
+    level: usize,
+    /// Per-direction state, in the requested direction order.
+    dirs: Vec<DirWalk>,
     evaluated: usize,
     /// Subset candidates evaluated via incremental Gram downdating.
     downdates: usize,
     /// Downdate-eligible candidates that took the full-regather fallback.
     regathers: usize,
-    max_levels: usize,
-    /// Finished per-direction result lists, index-aligned with `dirs`.
-    outputs: Vec<Vec<TreatmentResult>>,
-    /// The first direction's estimated level 1, kept while a later
-    /// direction still has to walk. Level 1 is every overlap-passing atom
-    /// in every direction, estimated on the same contexts and masks, so
-    /// the later direction absorbs it instead of estimating it again: the
-    /// first direction copies only the nodes it keeps, and the last one
-    /// takes the rest by move.
-    level1: Option<Arc<Estimated>>,
 }
 
 impl<'w> WalkState<'w> {
@@ -1587,7 +1579,7 @@ impl<'w> WalkState<'w> {
         miner: &'w TreatmentMiner<'w>,
         subpop: &'w BitSet,
         k: usize,
-        dirs: &'w [Direction],
+        dirs: &[Direction],
         workers: usize,
         guard: &'w RunGuard,
     ) -> Self {
@@ -1595,24 +1587,24 @@ impl<'w> WalkState<'w> {
             miner,
             subpop,
             k: k.max(1),
-            dirs,
             workers,
             guard,
             contexts: ContextCache::new(),
             sub_n: subpop.count(),
             min_cate: miner.opts.min_abs_cate_frac * miner.outcome_std,
-            dir_idx: 0,
-            fresh: true,
-            stopped: false,
-            level: Vec::new(),
-            level_no: 0,
-            best: Vec::new(),
+            level: 0,
+            dirs: dirs
+                .iter()
+                .map(|&dir| DirWalk {
+                    dir,
+                    frontier: Vec::new(),
+                    best: Vec::new(),
+                    levels: 1,
+                })
+                .collect(),
             evaluated: 0,
             downdates: 0,
             regathers: 0,
-            max_levels: 0,
-            outputs: Vec::new(),
-            level1: None,
         }
     }
 
@@ -1641,7 +1633,7 @@ impl<'w> WalkState<'w> {
         let mut plans = Vec::with_capacity(cands.len());
         for (cand, key) in cands.iter().zip(keys) {
             let plan = cand.parent.and_then(|pi| {
-                let parent = &self.level[pi as usize];
+                let parent = &self.dirs[cand.dir].frontier[pi as usize];
                 // The parent's moments are tᵀZ over *its* confounder
                 // key's design columns — only a child adjusting for the
                 // identical set can reuse them.
@@ -1675,36 +1667,18 @@ impl<'w> WalkState<'w> {
     /// Drive the walk forward until it either needs a level estimated
     /// (returns the prepared batch to fan out) or has finished every
     /// direction (returns `None`; call `finalize`). Candidate generation
-    /// (Apriori joins, direction switches) runs here, serially; levels
-    /// with no candidates are absorbed inline — `absorb` of an empty
-    /// level is the identity — so direction switches never round-trip
-    /// through the scheduler.
+    /// (the atoms, then the Apriori joins of every live frontier) runs
+    /// here, serially. A level without candidates ends the walk: every
+    /// direction has stopped, or has no children left to join.
     fn pump(&mut self) -> Option<Arc<LevelBatch>> {
-        while self.dir_idx < self.dirs.len() {
-            let cands = if self.fresh {
-                if let Some(level) = self.level1.take() {
-                    // A later direction: level 1 was estimated by the
-                    // first one.
-                    self.absorb(level);
-                    continue;
-                }
-                self.level1_cands()
-            } else if !self.stopped
-                && !self.level.is_empty()
-                && self.level_no < self.miner.opts.max_level
-            {
-                self.join_cands()
-            } else {
-                self.finish_dir();
-                continue;
-            };
-            if cands.is_empty() {
-                self.absorb(Arc::default());
-                continue;
-            }
-            return Some(self.prepare_batch(cands));
-        }
-        None
+        let cands = if self.level == 0 {
+            self.level1_cands()
+        } else if self.level < self.miner.opts.max_level {
+            self.join_cands()
+        } else {
+            return None;
+        };
+        (!cands.is_empty()).then(|| self.prepare_batch(cands))
     }
 
     /// Level 1: all atoms (GenChildren, lines 2–4). The overlap precheck
@@ -1755,65 +1729,69 @@ impl<'w> WalkState<'w> {
         }
     }
 
-    /// Levels 2..: expand only children whose parents all survived. The
-    /// joins, dedup, parent checks and overlap prechecks are serial per
-    /// pattern (they mutate the frontier), exactly as in the reference
-    /// walk. Atom sets are inline keys, so the level's two hash sets are
-    /// its only allocations besides the children's own masks, and a mask
-    /// is copied only for a child that passes the overlap precheck.
-    fn join_cands(&mut self) -> Vec<Cand> {
+    /// Levels 2..: expand, direction by direction, only children whose
+    /// parents all survived in that direction's frontier. The joins,
+    /// dedup, parent checks and overlap prechecks are serial per pattern,
+    /// exactly as in the reference walk. Atom sets are inline keys, so a
+    /// frontier's two hash sets are its only allocations besides the
+    /// children's own masks, and a mask is copied only for a child that
+    /// passes the overlap precheck.
+    fn join_cands(&self) -> Vec<Cand> {
         let miner = self.miner;
-        let level = &self.level;
-        let kept: HashSet<AtomSet> = level.iter().map(|n| n.atoms).collect();
-        let mut seen: HashSet<AtomSet> = HashSet::new();
-        let lvl = self.level_no;
+        let lvl = self.level;
         let mut cands: Vec<Cand> = Vec::new();
-        for i in 0..level.len() {
-            for j in i + 1..level.len() {
-                let (a, b) = (&level[i], &level[j]);
-                if a.atoms[..lvl - 1] != b.atoms[..lvl - 1] {
-                    continue;
+        for (dir, walk) in self.dirs.iter().enumerate() {
+            let frontier = &walk.frontier;
+            let kept: HashSet<AtomSet> = frontier.iter().map(|n| n.atoms).collect();
+            let mut seen: HashSet<AtomSet> = HashSet::new();
+            for i in 0..frontier.len() {
+                for j in i + 1..frontier.len() {
+                    let (a, b) = (&frontier[i], &frontier[j]);
+                    if a.atoms[..lvl - 1] != b.atoms[..lvl - 1] {
+                        continue;
+                    }
+                    let (la, lb) = (a.atoms[lvl - 1], b.atoms[lvl - 1]);
+                    if !miner.atoms_compatible(la as usize, lb as usize) {
+                        continue;
+                    }
+                    let cand = a.atoms.with(lb);
+                    if !seen.insert(cand) {
+                        continue;
+                    }
+                    // All parents (drop-one subsets) must have been kept.
+                    if !(0..cand.len()).all(|d| kept.contains(&cand.without(d))) {
+                        continue;
+                    }
+                    let treated_in_sub = a.treated.intersection_count(&b.treated);
+                    if !miner.overlap_ok(treated_in_sub, self.sub_n) {
+                        continue;
+                    }
+                    let mut treated = a.treated.clone();
+                    treated.intersect_with(&b.treated);
+                    // The child's rowset is a subset of both join parents;
+                    // record the smaller one — fewer removed rows to
+                    // subtract if the level gets downdated.
+                    let parent = if a.count <= b.count { i } else { j } as u32;
+                    cands.push(Cand {
+                        atoms: cand,
+                        treated,
+                        count: treated_in_sub,
+                        dir,
+                        parent: Some(parent),
+                    });
                 }
-                let (la, lb) = (a.atoms[lvl - 1], b.atoms[lvl - 1]);
-                if !miner.atoms_compatible(la as usize, lb as usize) {
-                    continue;
-                }
-                let cand = a.atoms.with(lb);
-                if !seen.insert(cand) {
-                    continue;
-                }
-                // All parents (drop-one subsets) must have been kept.
-                if !(0..cand.len()).all(|d| kept.contains(&cand.without(d))) {
-                    continue;
-                }
-                let treated_in_sub = a.treated.intersection_count(&b.treated);
-                if !miner.overlap_ok(treated_in_sub, self.sub_n) {
-                    continue;
-                }
-                let mut treated = a.treated.clone();
-                treated.intersect_with(&b.treated);
-                // The child's rowset is a subset of both join parents;
-                // record the smaller one — fewer removed rows to subtract
-                // if the level gets downdated.
-                let parent = if a.count <= b.count { i } else { j } as u32;
-                cands.push(Cand {
-                    atoms: cand,
-                    treated,
-                    count: treated_in_sub,
-                    parent: Some(parent),
-                });
             }
         }
         cands
     }
 
-    /// Freeze one level for fan-out: memoized backdoor lookups and
+    /// Freeze the next level for fan-out: memoized backdoor lookups and
     /// context builds run here, serially and in candidate order, so
     /// `builds()` accounting and memo walks do not depend on the worker
     /// count; chunk tasks then only read.
     fn prepare_batch(&mut self, mut cands: Vec<Cand>) -> Arc<LevelBatch> {
         let miner = self.miner;
-        let level = if self.fresh { 1 } else { self.level_no + 1 };
+        let level = self.level + 1;
         let mut keys = Vec::with_capacity(cands.len());
         let mut ctx = Vec::with_capacity(cands.len());
         for c in &cands {
@@ -1831,7 +1809,7 @@ impl<'w> WalkState<'w> {
             );
             keys.push(key);
         }
-        if self.fresh {
+        if level == 1 {
             self.sort_level1(&mut cands, &ctx);
         }
         let plans = self.plan_level(&cands, &keys);
@@ -1876,176 +1854,118 @@ impl<'w> WalkState<'w> {
         }
     }
 
-    /// Run the post-level logic on index-merged results: the
-    /// direction/near-zero filter in candidate order, the work counters
-    /// (every candidate counts — failed estimates are work), per-level
+    /// Run the post-level logic on a batch's index-merged results. First
+    /// the work counters: every candidate counts (failed estimates are
+    /// work), and level 1 counts once per direction. Then each direction
+    /// puts its candidates — all of level 1, its own joins after that —
+    /// through the sign/near-zero filter in candidate order, per-level
     /// retention, best-k updates and the lines-10–13 termination test.
-    /// Only the retained candidates become nodes, taking their masks by
-    /// move unless a later direction still shares the level.
-    fn absorb(&mut self, level: Arc<Estimated>) {
-        debug_assert_eq!(level.cands.len(), level.results.len());
-        debug_assert_eq!(level.cands.len(), level.keys.len());
-        if self.fresh && self.dir_idx == 0 && self.dirs.len() > 1 {
-            self.level1 = Some(Arc::clone(&level));
-        }
-        let dir = self.dirs[self.dir_idx];
-        let opts = &self.miner.opts;
-        let n = level.cands.len();
+    /// [`Direction::matches`] is sign-exclusive, so a kept candidate
+    /// belongs to exactly one direction and moves into its node.
+    fn absorb(&mut self, batch: Arc<LevelBatch>, mut results: Vec<EvalRes>) {
+        let level = batch.level;
+        let (mut cands, keys) = match Arc::try_unwrap(batch) {
+            Ok(batch) => (batch.cands, batch.keys),
+            // A sibling chunk task has not yet dropped its handle.
+            Err(batch) => (batch.cands.clone(), batch.keys.clone()),
+        };
+        debug_assert_eq!(cands.len(), results.len());
+        let n = if level == 1 {
+            cands.len() * self.dirs.len()
+        } else {
+            cands.len()
+        };
         self.evaluated += n;
         // Progress diagnostics for guard trips: evaluations and levels
         // aggregate across all pattern walks of the query.
         self.guard.add_evaluations(n);
         self.guard.level_completed();
-        let cate = |i: &usize| level.results[*i].as_ref().map_or(f64::NAN, |(r, _)| r.cate);
-        let mut kept: Vec<usize> = (0..n)
-            .filter(|i| {
-                let c = cate(i);
-                dir.matches(c) && c.abs() >= self.min_cate
-            })
-            .collect();
-        retain_top(&mut kept, dir, opts.top_frac, cate);
-        let mut nodes: Vec<Node> = match Arc::try_unwrap(level) {
-            Ok(mut level) => kept
-                .iter()
-                .map(|&i| {
-                    let (r, moments) = level.results[i].take().expect("a kept estimate");
-                    self.node(
-                        std::mem::take(&mut level.cands[i]),
-                        &level.keys[i],
-                        r,
-                        moments,
-                    )
+        let opts = &self.miner.opts;
+        let cate = |r: &EvalRes| r.as_ref().map_or(f64::NAN, |(e, _)| e.cate);
+        let mut kept: Vec<Vec<Node>> = Vec::with_capacity(self.dirs.len());
+        for (d, walk) in self.dirs.iter().enumerate() {
+            let dir = walk.dir;
+            let mut own: Vec<usize> = (0..cands.len())
+                .filter(|&i| level == 1 || cands[i].dir == d)
+                .filter(|&i| {
+                    let c = cate(&results[i]);
+                    dir.matches(c) && c.abs() >= self.min_cate
                 })
-                .collect(),
-            Err(level) => kept
-                .iter()
-                .map(|&i| {
-                    let (r, moments) = level.results[i].clone().expect("a kept estimate");
-                    self.node(level.cands[i].clone(), &level.keys[i], r, moments)
-                })
-                .collect(),
-        };
-        if self.fresh {
-            if opts.max_level > 1 {
-                // The next level joins these nodes and plans downdates
-                // from them.
-                self.fill_masks(nodes.iter_mut().map(|n| (n.atoms[0], &mut n.treated)));
-            }
-            self.fresh = false;
-            self.level_no = 1;
-            // Level 1 seeds the best list; improvement is not yet a
-            // termination signal.
-            for i in 0..nodes.len() {
-                self.update_best(&nodes[i]);
-            }
-            self.level = nodes;
-        } else {
-            if nodes.is_empty() {
-                self.stopped = true;
-                return;
-            }
-            self.level_no += 1;
-            let mut improved = false;
-            for i in 0..nodes.len() {
-                improved |= self.update_best(&nodes[i]);
-            }
-            self.level = nodes;
-            // Lines 10–13: stop at the first level that does not improve
-            // on the recorded maximum.
-            if !improved {
-                self.stopped = true;
-            }
+                .collect();
+            retain_top(&mut own, dir, opts.top_frac, |&i| cate(&results[i]));
+            let nodes = own.into_iter().map(|i| {
+                let (r, moments) = results[i].take().expect("a kept estimate");
+                Node::new(std::mem::take(&mut cands[i]), &keys[i], r, moments)
+            });
+            kept.push(nodes.collect());
         }
-    }
-
-    /// The node candidate `cand` becomes when its estimate `r` (made on
-    /// the context of confounder key `key`) is kept.
-    fn node(
-        &self,
-        cand: Cand,
-        key: &ConfounderKey,
-        r: Est,
-        moments: Option<TreatmentMoments>,
-    ) -> Node {
-        Node {
-            atoms: cand.atoms,
-            treated: cand.treated,
-            count: cand.count,
-            cate: r.cate,
-            p: r.p,
-            n_treated: r.n_treated,
-            n_control: r.n_control,
-            key: key.id(),
-            moments: moments.map(Arc::new),
+        if level == 1 && opts.max_level > 1 {
+            // The next level joins these nodes and plans downdates from
+            // them.
+            self.fill_masks(
+                kept.iter_mut()
+                    .flatten()
+                    .map(|n| (n.atoms[0], &mut n.treated)),
+            );
         }
-    }
-
-    /// Offer `node` to the current direction's best-k list (see
-    /// [`insert_best`]); returns whether it became the new top entry.
-    fn update_best(&mut self, node: &Node) -> bool {
-        let dir = self.dirs[self.dir_idx];
         let contexts = &self.contexts;
-        insert_best(
-            &mut self.best,
-            self.k,
-            dir,
-            self.miner.opts.max_p_value,
-            node,
-            |n| n.p_value(contexts),
-        )
-    }
-
-    /// Close out the current direction: materialize its best-k patterns,
-    /// fold its level count into the paired maximum, and reset the
-    /// frontier for the next direction (which restarts at level 1 over
-    /// the same shared cache).
-    fn finish_dir(&mut self) {
-        let miner = self.miner;
-        let result: Vec<TreatmentResult> = self
-            .best
-            .drain(..)
-            .map(|b| TreatmentResult {
-                pattern: miner.pattern_of(&b.atoms),
-                cate: b.cate,
-                p_value: b.p_value(&self.contexts),
-                n_treated: b.n_treated,
-                n_control: b.n_control,
-            })
-            .collect();
-        self.outputs.push(result);
-        self.max_levels = self.max_levels.max(self.level_no);
-        self.dir_idx += 1;
-        self.fresh = true;
-        self.stopped = false;
-        self.level.clear();
-        self.level_no = 0;
-    }
-
-    /// Assemble the paired summary; `contexts_built` is attributed once,
-    /// after both directions, exactly like the old shared-cache walk.
-    /// Consumes the walk, so its contexts, panel and masks are freed as
-    /// soon as the summary exists.
-    fn finalize(mut self) -> PairedTreatments {
-        debug_assert_eq!(self.outputs.len(), self.dirs.len());
-        let mut positive = Vec::new();
-        let mut negative = Vec::new();
-        for (dir, out) in self.dirs.iter().zip(self.outputs.drain(..)) {
-            match dir {
-                Direction::Positive => positive = out,
-                Direction::Negative => negative = out,
+        for (walk, nodes) in self.dirs.iter_mut().zip(kept) {
+            let mut improved = false;
+            for node in &nodes {
+                improved |= insert_best(
+                    &mut walk.best,
+                    self.k,
+                    walk.dir,
+                    opts.max_p_value,
+                    node,
+                    |n| n.p_value(contexts),
+                );
             }
+            if !nodes.is_empty() {
+                walk.levels = level;
+            }
+            // Level 1 seeds the best list; from level 2 on, a direction
+            // stops at the first level that does not improve on its
+            // recorded maximum.
+            walk.frontier = if level == 1 || improved {
+                nodes
+            } else {
+                Vec::new()
+            };
         }
-        PairedTreatments {
-            positive,
-            negative,
+        self.level = level;
+    }
+
+    /// Assemble the paired summary: each direction's best-k patterns, and
+    /// the walk's counters with `contexts_built` counted once for the
+    /// shared cache. Consumes the walk, so its contexts, panel and masks
+    /// are freed as soon as the summary exists.
+    fn finalize(self) -> PairedTreatments {
+        let mut paired = PairedTreatments {
+            positive: Vec::new(),
+            negative: Vec::new(),
             stats: LatticeStats {
                 evaluated: self.evaluated,
-                levels: self.max_levels,
+                levels: self.dirs.iter().map(|d| d.levels).max().unwrap_or(0),
                 contexts_built: self.contexts.builds(),
                 downdates: self.downdates,
                 regathers: self.regathers,
             },
+        };
+        for walk in &self.dirs {
+            let best = walk.best.iter().map(|b| TreatmentResult {
+                pattern: self.miner.pattern_of(&b.atoms),
+                cate: b.cate,
+                p_value: b.p_value(&self.contexts),
+                n_treated: b.n_treated,
+                n_control: b.n_control,
+            });
+            match walk.dir {
+                Direction::Positive => paired.positive = best.collect(),
+                Direction::Negative => paired.negative = best.collect(),
+            }
         }
+        paired
     }
 }
 
@@ -2572,10 +2492,12 @@ mod tests {
     }
 
     /// The paired walk must return exactly what two independent directed
-    /// walks return — the negative direction absorbs the positive one's
-    /// level-1 estimates instead of re-running them — on every estimate
-    /// path (Exact, FastV1 with downdating, IPW) and at one and four
-    /// workers, while building each estimation context only once.
+    /// walks return — both directions step through one level sequence,
+    /// level 1 is estimated once for both, and one `fill_masks` call gives
+    /// both directions' kept level-1 nodes their masks — on every estimate
+    /// path (Exact, FastV1 with downdating, IPW, and Exact and FastV1
+    /// under a sample cap) and at one and four workers, while building
+    /// each estimation context only once.
     #[test]
     fn paired_walk_matches_independent_walks() {
         let (table, dag) = synth(2000, 42);
@@ -2583,6 +2505,13 @@ mod tests {
         let with_cate = |cate_opts: CateOptions| LatticeOptions {
             cate_opts,
             ..LatticeOptions::default()
+        };
+        // Below the 2,000-row subpopulation: level 1 estimates on the
+        // sample, and only the kept nodes get their local masks.
+        let sampled = |numeric_mode: NumericMode| CateOptions {
+            sample_cap: Some(500),
+            numeric_mode,
+            ..CateOptions::default()
         };
         let cases = [
             ("exact", LatticeOptions::default()),
@@ -2600,6 +2529,8 @@ mod tests {
                     ..CateOptions::default()
                 }),
             ),
+            ("exact_sampled", with_cate(sampled(NumericMode::Exact))),
+            ("fast_v1_sampled", with_cate(sampled(NumericMode::FastV1))),
         ];
         let bits = |ts: &[TreatmentResult]| -> Vec<(String, u64, u64, usize, usize)> {
             ts.iter()

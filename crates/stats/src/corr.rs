@@ -3,11 +3,10 @@
 //! The PC and FCI discovery algorithms (§6.6 of the paper) decide edges via
 //! conditional independence tests. We provide the standard Gaussian
 //! machinery — partial correlation computed from the precision matrix, and
-//! Fisher's z transform for the test — plus a chi-square test on
-//! contingency tables for purely categorical data, and plain Pearson
-//! correlation used by the attribute-pruning optimization of §5.2 (a).
+//! Fisher's z transform for the test — plus plain Pearson correlation used
+//! by the attribute-pruning optimization of §5.2 (a).
 
-use crate::dist::{chi2_sf, normal_two_sided};
+use crate::dist::normal_two_sided;
 use crate::matrix::Matrix;
 
 /// Pearson correlation of two equal-length samples. Returns 0 for
@@ -87,66 +86,6 @@ pub fn fisher_z_test(x: &[f64], y: &[f64], zs: &[&[f64]]) -> f64 {
     normal_two_sided(stat)
 }
 
-/// Chi-square independence test on a contingency table between two
-/// categorical code vectors, optionally stratified by a conditioning code
-/// vector (sums the statistic over strata, as in standard CI testing for
-/// discrete data). Returns the p-value.
-pub fn chi2_independence(
-    x: &[u32],
-    y: &[u32],
-    strata: Option<&[u32]>,
-    x_card: usize,
-    y_card: usize,
-) -> f64 {
-    assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let stratum_of = |i: usize| strata.map_or(0u32, |s| s[i]);
-    let n_strata = strata
-        .map(|s| s.iter().copied().max().map_or(1, |m| m as usize + 1))
-        .unwrap_or(1);
-
-    let mut stat = 0.0;
-    let mut df_total = 0.0;
-    for s in 0..n_strata {
-        let mut counts = vec![0.0; x_card * y_card];
-        let mut row = vec![0.0; x_card];
-        let mut col = vec![0.0; y_card];
-        let mut total = 0.0;
-        for i in 0..n {
-            if stratum_of(i) as usize != s {
-                continue;
-            }
-            let (xi, yi) = (x[i] as usize, y[i] as usize);
-            counts[xi * y_card + yi] += 1.0;
-            row[xi] += 1.0;
-            col[yi] += 1.0;
-            total += 1.0;
-        }
-        if total == 0.0 {
-            continue;
-        }
-        let nz_rows = row.iter().filter(|&&v| v > 0.0).count();
-        let nz_cols = col.iter().filter(|&&v| v > 0.0).count();
-        if nz_rows < 2 || nz_cols < 2 {
-            continue;
-        }
-        for a in 0..x_card {
-            for b in 0..y_card {
-                let expect = row[a] * col[b] / total;
-                if expect > 0.0 {
-                    let d = counts[a * y_card + b] - expect;
-                    stat += d * d / expect;
-                }
-            }
-        }
-        df_total += (nz_rows - 1) as f64 * (nz_cols - 1) as f64;
-    }
-    if df_total <= 0.0 {
-        return 1.0;
-    }
-    chi2_sf(stat, df_total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,41 +135,5 @@ mod tests {
     #[test]
     fn fisher_z_small_sample_returns_one() {
         assert_eq!(fisher_z_test(&[1.0, 2.0], &[2.0, 1.0], &[]), 1.0);
-    }
-
-    #[test]
-    fn chi2_detects_association() {
-        // x == y perfectly.
-        let x: Vec<u32> = (0..200).map(|i| (i % 2) as u32).collect();
-        let y = x.clone();
-        assert!(chi2_independence(&x, &y, None, 2, 2) < 1e-10);
-        // Independent alternating patterns with co-prime periods.
-        let a: Vec<u32> = (0..210).map(|i| (i % 2) as u32).collect();
-        let b: Vec<u32> = (0..210).map(|i| (i % 3) as u32).collect();
-        assert!(chi2_independence(&a, &b, None, 2, 3) > 0.5);
-    }
-
-    #[test]
-    fn chi2_stratified_conditioning() {
-        // x → z → y: within strata of z, x and y are independent.
-        let n = 600;
-        let x: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let z = x.clone(); // z = x
-        let y: Vec<u32> = z
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v + (i as u32 % 2)) % 2)
-            .collect();
-        // Unconditionally x and y may look associated; conditioned on z the
-        // test must not reject strongly.
-        let p_cond = chi2_independence(&x, &y, Some(&z), 2, 2);
-        assert!(p_cond > 0.01);
-    }
-
-    #[test]
-    fn chi2_degenerate_returns_one() {
-        let x = vec![0u32; 50];
-        let y: Vec<u32> = (0..50).map(|i| (i % 2) as u32).collect();
-        assert_eq!(chi2_independence(&x, &y, None, 1, 2), 1.0);
     }
 }

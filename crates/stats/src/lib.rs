@@ -3,16 +3,16 @@
 //! Everything numeric that the causal-inference and discovery layers need,
 //! implemented from scratch (no BLAS/LAPACK, no SciPy):
 //!
-//! * [`matrix::Matrix`] — small dense row-major matrices with multiply,
-//!   transpose, and SPD solves (Cholesky with ridge fallback),
+//! * [`matrix::Matrix`] — small dense row-major matrices with Gram
+//!   products and SPD solves (Cholesky with ridge fallback),
 //! * [`fn@ols`] — ordinary least squares with coefficient standard errors and
 //!   two-sided t-test p-values; this is the paper's CATE estimator
 //!   (DoWhy's `backdoor.linear_regression`) re-implemented,
-//! * [`dist`] — Normal, Student-t and Chi-square CDFs via `erf`,
-//!   regularized incomplete beta and gamma functions,
-//! * [`corr`] — Pearson and partial correlation, the Fisher-z conditional
-//!   independence test used by the PC/FCI discovery algorithms, and the
-//!   chi-square independence test for contingency tables,
+//! * [`dist`] — Normal and Student-t tails via `erfc` and the regularized
+//!   incomplete beta function,
+//! * [`corr`] — Pearson and partial correlation, and the Fisher-z
+//!   conditional independence test used by the PC/FCI discovery
+//!   algorithms,
 //! * [`rank`] — Kendall's τ rank correlation (§6.6 sample-size experiment),
 //! * [`numeric`] — versioned reduction kernels: [`NumericMode::Exact`]
 //!   bit-replay vs [`NumericMode::FastV1`] 8-lane strided partial sums.
@@ -27,7 +27,7 @@ pub mod ols;
 pub mod rank;
 
 pub use corr::{fisher_z_test, partial_correlation, pearson};
-pub use dist::{chi2_sf, normal_cdf, student_t_sf};
+pub use dist::student_t_sf;
 pub use matrix::Matrix;
 pub use numeric::NumericMode;
 pub use ols::{ols, ols_from_gram, BorderedBlocks, GramFit, OlsFit};

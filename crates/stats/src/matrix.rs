@@ -56,37 +56,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = other.row(k);
-                let out_row = out.row_mut(r);
-                for c in 0..other.cols {
-                    out_row[c] += a * orow[c];
-                }
-            }
-        }
-        out
-    }
-
     /// `selfᵀ * self` — the Gram matrix, computed without materializing the
     /// transpose (the hot kernel of OLS).
     pub fn gram(&self) -> Matrix {
@@ -130,15 +99,6 @@ impl Matrix {
         out
     }
 
-    /// Cholesky factorization of an SPD matrix: returns lower-triangular `L`
-    /// with `L Lᵀ = self`, or `None` when the matrix is not positive
-    /// definite (within tolerance). See [`cholesky_into`].
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols);
-        let mut l = Matrix::zeros(self.rows, self.rows);
-        cholesky_into(&self.data, self.rows, &mut l.data).then_some(l)
-    }
-
     /// Cholesky factor of `self` with the escalating-ridge fallback for
     /// numerically singular systems (see [`spd_factor_into`]). The factor
     /// is deterministic, so any number of [`Matrix::cholesky_solve`] calls
@@ -159,26 +119,8 @@ impl Matrix {
         Some(self.spd_factor()?.cholesky_solve(b))
     }
 
-    /// Inverse of an SPD matrix via Cholesky (one factorization, then a
-    /// column-by-column substitution), with the same ridge fallback as
-    /// [`Matrix::solve_spd`].
-    pub fn inverse_spd(&self) -> Option<Matrix> {
-        let n = self.rows;
-        let l = self.spd_factor()?;
-        let mut inv = Matrix::zeros(n, n);
-        for c in 0..n {
-            let mut e = vec![0.0; n];
-            e[c] = 1.0;
-            let col = l.cholesky_solve(&e);
-            for r in 0..n {
-                inv[(r, c)] = col[r];
-            }
-        }
-        Some(inv)
-    }
-
     /// Forward/back substitution given `self` is the lower Cholesky factor
-    /// (as returned by [`Matrix::cholesky`] / [`Matrix::spd_factor`]); see
+    /// (as returned by [`Matrix::spd_factor`]); see
     /// [`cholesky_solve_in_place`].
     pub fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
         let mut x = b.to_vec();
@@ -191,9 +133,8 @@ impl Matrix {
 /// triangle of `L` with `L Lᵀ = a` into `l` (both `n × n`), row by row,
 /// and returns `false` as soon as a pivot is not positive. Only the lower
 /// triangle of `l` is written or read, and every entry is written before
-/// it is read, so `l` needs no initialization. [`Matrix::cholesky`] and
-/// the estimation hot path (`stats::ols::BorderedBlocks::fit_at`) both run
-/// it.
+/// it is read, so `l` needs no initialization. [`spd_factor_into`] runs
+/// it first on `a` itself, then on each ridged copy.
 pub fn cholesky_into(a: &[f64], n: usize, l: &mut [f64]) -> bool {
     debug_assert!(a.len() >= n * n && l.len() >= n * n);
     for i in 0..n {
@@ -296,27 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_and_transpose() {
-        let a = Matrix::from_rows(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_rows(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
-        assert_eq!(c.nrows(), 2);
-        assert_eq!(c[(0, 0)], 58.0);
-        assert_eq!(c[(1, 1)], 154.0);
-        let t = a.transpose();
-        assert_eq!(t[(2, 1)], 6.0);
-    }
-
-    #[test]
     fn gram_equals_xtx() {
+        // X = [[1,2],[3,4],[5,6]]: XᵀX = [[1+9+25, 2+12+30], [·, 4+16+36]].
         let x = Matrix::from_rows(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let g = x.gram();
-        let xtx = x.transpose().matmul(&x);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!(approx(g[(i, j)], xtx[(i, j)], 1e-12));
-            }
-        }
+        let xtx = Matrix::from_rows(2, 2, vec![35., 44., 44., 56.]);
+        assert_eq!(x.gram(), xtx);
     }
 
     #[test]
@@ -330,8 +255,8 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(2, 2, vec![0., 1., 1., 0.]);
-        assert!(a.cholesky().is_none());
+        let mut l = [0.0; 4];
+        assert!(!cholesky_into(&[0., 1., 1., 0.], 2, &mut l));
     }
 
     #[test]
@@ -342,19 +267,6 @@ mod tests {
         // Ridge solution is the minimum-norm-ish solution; A x ≈ b.
         let r0 = x[0] + x[1];
         assert!(approx(r0, 2.0, 1e-3));
-    }
-
-    #[test]
-    fn inverse_spd_round_trips() {
-        let a = Matrix::from_rows(2, 2, vec![4., 2., 2., 3.]);
-        let inv = a.inverse_spd().unwrap();
-        let prod = a.matmul(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(approx(prod[(i, j)], expect, 1e-9));
-            }
-        }
     }
 
     #[test]

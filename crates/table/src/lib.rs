@@ -38,7 +38,6 @@ pub mod pattern;
 pub mod query;
 pub mod schema;
 pub mod sql;
-pub mod summary;
 pub mod table;
 pub mod value;
 

@@ -14,11 +14,6 @@ pub enum DType {
 }
 
 impl DType {
-    /// Whether the type is numeric (orderable with `<`, `>` predicates).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DType::Int | DType::Float)
-    }
-
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -110,12 +105,5 @@ mod tests {
             s.index_of("nope"),
             Err(TableError::UnknownAttribute(_))
         ));
-    }
-
-    #[test]
-    fn dtype_numeric_split() {
-        assert!(DType::Int.is_numeric());
-        assert!(DType::Float.is_numeric());
-        assert!(!DType::Cat.is_numeric());
     }
 }

@@ -3,7 +3,7 @@
 //! (zero redundant work, bit-identical results) and the structured JSON
 //! report.
 
-use causumx::{ConfigBuilder, Error, Session};
+use causumx::{ConfigBuilder, Error, NumericMode, RunGuard, Session};
 use table::{Table, TableBuilder};
 
 /// Toy SO-shaped table with a country → continent FD and an education
@@ -332,4 +332,39 @@ fn error_surface() {
             .prepare(),
         Err(Error::EmptyView)
     ));
+}
+
+/// A complete guarded run's progress total is its work count: the guard's
+/// `cate_evaluations` equals the summary's, with and without negative
+/// mining (level 1 counts once per direction), at one and four workers,
+/// in both numeric modes.
+#[test]
+fn guard_progress_matches_summary_evaluations() {
+    let ds = datagen::so::generate(2_000, 42);
+    let query = ds.query();
+    for mode in [NumericMode::Exact, NumericMode::FastV1] {
+        for mine_negative in [true, false] {
+            for threads in [1, 4] {
+                let config = ConfigBuilder::new()
+                    .k(3)
+                    .theta(1.0)
+                    .numeric_mode(mode)
+                    .mine_negative(mine_negative)
+                    .threads(threads)
+                    .build()
+                    .unwrap();
+                let session = Session::new(ds.table.clone(), ds.dag.clone(), config);
+                let prepared = session.prepare(query.clone()).unwrap();
+                let guard = RunGuard::unlimited();
+                let summary = prepared.run_guarded(&guard).unwrap();
+                let case = format!("{mode:?}, mine_negative {mine_negative}, {threads} threads");
+                assert!(summary.cate_evaluations > 0, "{case}");
+                assert_eq!(
+                    guard.progress().cate_evaluations,
+                    summary.cate_evaluations,
+                    "{case}"
+                );
+            }
+        }
+    }
 }
