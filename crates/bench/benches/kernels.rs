@@ -170,10 +170,14 @@ fn bench_estimation_context(c: &mut Criterion) {
     group.bench_function("estimate_dense_8k_q3", |b| {
         b.iter(|| ctx.estimate(&treated).unwrap().cate)
     });
+    // The eager estimate on a local mask: the fit, then the inference on
+    // the same rows.
+    let eager = |ctx: &EstimationContext, local: &BitSet| {
+        let (fit, _) = ctx.fit(local).unwrap();
+        ctx.p_value(&fit, local)
+    };
     let local = treated.project(&subpop);
-    group.bench_function("estimate_sparse_8k_q3", |b| {
-        b.iter(|| ctx.estimate_local(&local).unwrap().cate)
-    });
+    group.bench_function("estimate_sparse_8k_q3", |b| b.iter(|| eager(&ctx, &local)));
     // The same estimate under the §5.2(d) sample cap: the walk visits only
     // the treated rows the 400-row sample kept.
     let capped = CateOptions {
@@ -183,7 +187,7 @@ fn bench_estimation_context(c: &mut Criterion) {
     let sampled =
         EstimationContext::new(&ds.table, Some(&subpop), ds.outcome, &conf, &capped).unwrap();
     group.bench_function("estimate_sparse_sampled_8k_cap400_q3", |b| {
-        b.iter(|| sampled.estimate_local(&local).unwrap().cate)
+        b.iter(|| eager(&sampled, &local))
     });
     group.finish();
 }

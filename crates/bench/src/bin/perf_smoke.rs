@@ -11,7 +11,8 @@
 //! `causumx_bench`, the harness `BENCHMARK.json` runs, which reports
 //! medians and spread.
 //!
-//! Flags:
+//! Flags (any other argument, or a value that does not parse, prints the
+//! usage line and exits with status 2):
 //!
 //! * `--quick` — smallest size only, one repetition, no million-row
 //!   point (the CI smoke gate),
@@ -52,7 +53,7 @@
 
 use std::fmt::Write as _;
 
-use bench::{fmt, results_dir, Report};
+use bench::{fmt, results_dir, Flags, Report};
 use causumx::{CausumxConfig, Session};
 use datagen::so;
 
@@ -72,31 +73,22 @@ struct SizePoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let matrix = args.iter().any(|a| a == "--matrix");
-    let mut seed = 42u64;
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(42);
-                i += 1;
-            }
-            "--out" if i + 1 < args.len() => {
-                out_path = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--baseline" if i + 1 < args.len() => {
-                baseline_path = Some(args[i + 1].clone());
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let (flags, seed) = bench::parse_args_or_exit(
+        "[--quick] [--matrix] [--seed N] [--out PATH] [--baseline PATH]",
+        |args| {
+            let flags = Flags::parse(
+                args,
+                &["--quick", "--matrix"],
+                &["--seed", "--out", "--baseline"],
+            )?;
+            let seed: u64 = flags.parsed("--seed", 42)?;
+            Ok((flags, seed))
+        },
+    );
+    let quick = flags.has("--quick");
+    let matrix = flags.has("--matrix");
+    let out_path = flags.value("--out");
+    let baseline_path = flags.value("--baseline");
 
     let sizes: &[usize] = if quick {
         &[4_000]
@@ -148,10 +140,7 @@ fn main() {
         None
     };
 
-    let prior = baseline_path
-        .as_deref()
-        .map(read_prior_sizes)
-        .unwrap_or_default();
+    let prior = baseline_path.map(read_prior_sizes).unwrap_or_default();
     // The rework contract: identical work counters and bit-identical
     // summaries (the baseline stores total_weight at 1e-6 precision, so
     // that is the strongest cross-artifact check available).

@@ -1,17 +1,19 @@
 //! # bench — shared experiment harness
 //!
 //! Utilities used by the per-figure experiment binaries in `src/bin/`:
-//! markdown/CSV emitters, wall-clock timing, scale handling (every binary
-//! accepts `--scale small|paper` and `--seed N`), and the standard §6.1
-//! configuration (k = 5, θ = 0.75, τ = 0.1).
+//! markdown/CSV emitters, wall-clock timing, strict flag parsing (every
+//! binary accepts `--scale small|paper` and `--seed N`, and rejects
+//! anything else with a usage line and exit status 2), and the standard
+//! §6.1 configuration (k = 5, θ = 0.75, τ = 0.1).
 //!
 //! Each binary prints the same rows/series its paper artifact reports and
 //! writes a machine-readable copy under `results/`.
 
 pub mod workloads;
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::fmt::{Display, Write as _};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
 
 use causumx::CausumxConfig;
@@ -29,36 +31,98 @@ pub struct ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parse `--scale` / `--seed` from `std::env::args`.
+    /// Parse `--scale small|paper` and `--seed N` (defaults `small` and
+    /// 42) from this process's arguments. Any other argument, or a value
+    /// that does not parse, prints the usage line and exits with status 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale_name = "small".to_string();
-        let mut seed = 42u64;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    scale_name = args[i + 1].clone();
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    seed = args[i + 1].parse().unwrap_or(42);
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        let scale = match scale_name.as_str() {
-            "paper" => ScaleProfile::paper(),
-            _ => ScaleProfile::small(),
-        };
-        ExpOptions {
-            scale,
-            scale_name,
-            seed,
-        }
+        parse_args_or_exit("[--scale small|paper] [--seed N]", Self::parse)
     }
+
+    /// Parse an argument list without the program name.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let flags = Flags::parse(args, &[], &["--scale", "--seed"])?;
+        let scale_name = flags.value("--scale").unwrap_or("small");
+        let scale = match scale_name {
+            "small" => ScaleProfile::small(),
+            "paper" => ScaleProfile::paper(),
+            other => return Err(format!("unknown --scale `{other}` (small|paper)")),
+        };
+        Ok(ExpOptions {
+            scale,
+            scale_name: scale_name.to_string(),
+            seed: flags.parsed("--seed", 42)?,
+        })
+    }
+}
+
+/// Command-line flags parsed against the flags one binary accepts: an
+/// unknown argument or a valued flag without its value is an error, and so
+/// is a value that [`Flags::parsed`] cannot parse, never a silent default.
+#[derive(Debug)]
+pub struct Flags {
+    /// `(flag, value)` in command-line order; a switch has no value.
+    seen: Vec<(String, Option<String>)>,
+}
+
+impl Flags {
+    /// Parse `args` (without the program name): each of `switches` stands
+    /// alone, and each of `valued` takes the next argument as its value.
+    pub fn parse(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Self, String> {
+        let mut seen = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let value = if valued.contains(&flag.as_str()) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("{flag} requires a value"))?;
+                Some(value.clone())
+            } else if switches.contains(&flag.as_str()) {
+                None
+            } else {
+                return Err(format!("unknown argument `{flag}`"));
+            };
+            seen.push((flag.clone(), value));
+        }
+        Ok(Flags { seen })
+    }
+
+    /// Was the switch `name` given?
+    pub fn has(&self, name: &str) -> bool {
+        self.seen.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value of the last `name` given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.seen.iter().rev().find(|(flag, _)| flag == name)?;
+        value.as_deref()
+    }
+
+    /// The value of the last `name` given, parsed, or `default` when the
+    /// flag is absent.
+    pub fn parsed<T: FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.value(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|e| format!("{name} `{v}`: {e}"))
+        })
+    }
+}
+
+/// Run `parse` on this process's arguments (without the program name).
+/// On an error, print it and the usage line `usage: <program> <flags>` to
+/// stderr and exit with status 2.
+pub fn parse_args_or_exit<T>(flags: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let program = Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
+    let args: Vec<String> = args.collect();
+    parse(&args).unwrap_or_else(|e| {
+        eprintln!("{program}: {e}\nusage: {program} {flags}");
+        std::process::exit(2)
+    })
 }
 
 /// The paper's default configuration (§6.1).
@@ -186,6 +250,39 @@ mod tests {
         });
         assert_eq!(v, 7);
         assert!(ms >= 4.0);
+    }
+
+    /// The experiment binaries' parser accepts its two flags in any order
+    /// and rejects unknown flags, unknown scales, unparsable seeds and a
+    /// flag without its value; switches and other valued flags parse
+    /// against the lists they are given.
+    #[test]
+    fn flags_are_parsed_strictly() {
+        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        let o = ExpOptions::parse(&[]).unwrap();
+        assert_eq!((o.scale_name.as_str(), o.seed), ("small", 42));
+        let o = ExpOptions::parse(&args("--seed 7 --scale paper")).unwrap();
+        assert_eq!((o.scale_name.as_str(), o.seed), ("paper", 7));
+        for bad in [
+            "--scale Paper",
+            "--scale bogus",
+            "--seed 4x",
+            "--seed -1",
+            "--seed",
+            "--bogus",
+            "--scale small extra",
+        ] {
+            assert!(ExpOptions::parse(&args(bad)).is_err(), "{bad} accepted");
+        }
+
+        let (switches, valued) = (["--quick", "--matrix"], ["--seed", "--out", "--baseline"]);
+        let f = Flags::parse(&args("--quick --out a --out b"), &switches, &valued).unwrap();
+        assert!(f.has("--quick") && !f.has("--matrix"));
+        assert_eq!(f.value("--out"), Some("b"));
+        assert_eq!(f.value("--baseline"), None);
+        assert_eq!(f.parsed("--seed", 42u64), Ok(42));
+        let err = Flags::parse(&args("--quick --baselin x"), &switches, &valued).unwrap_err();
+        assert!(err.contains("--baselin"), "{err}");
     }
 
     #[test]

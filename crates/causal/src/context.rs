@@ -32,9 +32,8 @@
 //! [`EstimationContext::estimate`] takes the treated rows as a set over
 //! the *full table* and scans the cached row list testing membership
 //! (`O(n)` probes). Every other entry point — [`EstimationContext::fit`],
-//! [`EstimationContext::fit_downdated`], [`EstimationContext::p_value`]
-//! and [`EstimationContext::estimate_local`] — reads the width of the set
-//! it is given to name its coordinates:
+//! [`EstimationContext::fit_downdated`] and [`EstimationContext::p_value`]
+//! — reads the width of the set it is given to name its coordinates:
 //!
 //! * [`EstimationContext::local_width`] bits index the subpopulation's
 //!   rows (bit `i` = the `i`-th subpopulation row, see
@@ -73,10 +72,6 @@
 //! it is built. Each accumulator sees its rows in ascending order, so
 //! every fold — `Exact`'s serial sum, `FastV1`'s lane = visitation rank
 //! `& 7` — has the bits of a per-row pass over the same positions.
-//!
-//! The IPW backend reuses the same cache: the propensity design `[1, Z]`
-//! is treatment-independent, so the context pre-assembles it once and each
-//! evaluation only re-fits the logistic regression on a fresh `t` gather.
 //!
 //! # The per-subpopulation confounder panel
 //!
@@ -118,9 +113,8 @@
 //!
 //! The per-row passes read the codes too: the `tᵀZ_a` gather is a level
 //! histogram of the walked rows, the `FastV1` downdate subtracts the
-//! removed rows' histogram, the residual adds `β` looked up by level
-//! through a table whose reference slot holds `+0.0`, and the IPW backend
-//! builds its dense propensity design from them. The cold
+//! removed rows' histogram, and the residual adds `β` looked up by level
+//! through a table whose reference slot holds `+0.0`. The cold
 //! [`EstimationContext::new`] build keeps the dense one-hot columns: with
 //! the naive estimators it is the oracle the codes are tested against.
 //!
@@ -163,13 +157,13 @@
 //! return the fit as a [`RegressionFit`] with the gathered
 //! [`TreatmentMoments`]; [`EstimationContext::p_value`] runs the
 //! inference later, on the same context and treated set, given in either
-//! width. The eager `estimate` and `estimate_local` are simply fit then
-//! inference, so a deferred p-value has the eager one's bits. The lattice
-//! walk ranks, prunes and stops on CATE alone and reads a p-value only
-//! for a node that can enter its best-k list, so it holds the fit and
-//! runs the inference for those few nodes only. Every estimate path
-//! shares one residual routine, which adds the `t·β₁` term at the treated
-//! positions only.
+//! width. The eager `estimate` is simply fit then inference, so a
+//! deferred p-value has the eager one's bits. The lattice walk ranks,
+//! prunes and stops on CATE alone and reads a p-value only for a node
+//! that can enter its best-k list, so it holds the fit and runs the
+//! inference for those few nodes only. Every estimate path shares one
+//! residual routine, which adds the `t·β₁` term at the treated positions
+//! only.
 //!
 //! # Numeric modes
 //!
@@ -208,10 +202,7 @@ use stats::ols::{BorderedBlocks, GramFit};
 use table::bitset::{BitSet, Projector};
 use table::{Column, Table};
 
-use crate::estimate::{
-    append_confounder, onehot_levels, CateOptions, CateResult, EstimatorBackend,
-};
-use crate::ipw::ipw_from_parts;
+use crate::estimate::{append_confounder, onehot_levels, CateOptions, CateResult};
 
 /// One candidate's treated rows as every per-candidate row pass reads
 /// them, resolved from a treated set of either width by [`Scope::walk`]:
@@ -257,12 +248,10 @@ impl TreatedRows<'_> {
 /// the bit-identity contract requires both paths to sample, gather and
 /// accumulate identically.
 struct Scope {
-    backend: EstimatorBackend,
     min_arm: usize,
     /// Which reduction kernels every estimate runs (see the module docs).
     mode: NumericMode,
-    /// Subpopulation row ids (after the §5.2(d) sampling for the
-    /// regression backend), ascending.
+    /// Subpopulation row ids (after the §5.2(d) sampling), ascending.
     rows: Vec<usize>,
     /// Local coordinate width: subpopulation size before sampling (=
     /// table width when unscoped).
@@ -274,12 +263,11 @@ struct Scope {
     sampled: Option<Projector>,
     /// Outcome gathered over `rows`.
     y: Vec<f64>,
-    /// `Σy` over `rows` (regression backend only).
+    /// `Σy` over `rows`.
     sum_y: f64,
-    /// `yᵀy` over `rows` (regression backend only) — the constant term of
-    /// the `FastV1` RSS shortcut (see `EstimationContext::rss_walked`).
-    /// Mode-dispatched through the shared dot kernel so cold builds and
-    /// panel assemblies agree bit for bit.
+    /// `yᵀy` over `rows` — the constant term of the `FastV1` RSS shortcut
+    /// (see `EstimationContext::rss`). Mode-dispatched through the shared
+    /// dot kernel so cold builds and panel assemblies agree bit for bit.
     sum_y_sq: f64,
 }
 
@@ -311,18 +299,16 @@ impl Scope {
             None => (0..nrows).map(|r| (r, r as u32)).collect(),
         };
         let sub_n = pairs.len();
-        if opts.backend == EstimatorBackend::Regression {
-            if let Some(cap) = opts.sample_cap {
-                if pairs.len() > cap {
-                    // Fisher–Yates over the pair vector consumes the RNG
-                    // exactly as the seed's shuffle over the bare row
-                    // vector did (same length, same positional swaps), so
-                    // the sampled row list is bit-identical.
-                    let mut rng = StdRng::seed_from_u64(opts.seed);
-                    pairs.shuffle(&mut rng);
-                    pairs.truncate(cap);
-                    pairs.sort_unstable(); // deterministic design ordering
-                }
+        if let Some(cap) = opts.sample_cap {
+            if pairs.len() > cap {
+                // Fisher–Yates over the pair vector consumes the RNG
+                // exactly as the seed's shuffle over the bare row vector
+                // did (same length, same positional swaps), so the sampled
+                // row list is bit-identical.
+                let mut rng = StdRng::seed_from_u64(opts.seed);
+                pairs.shuffle(&mut rng);
+                pairs.truncate(cap);
+                pairs.sort_unstable(); // deterministic design ordering
             }
         }
         let rows: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
@@ -337,16 +323,10 @@ impl Scope {
         });
 
         let y: Vec<f64> = rows.iter().map(|&r| ycol.get_f64(r)).collect();
-        let (sum_y, sum_y_sq) = match opts.backend {
-            EstimatorBackend::Regression => (
-                numeric::sum(opts.numeric_mode, &y),
-                numeric::dot(opts.numeric_mode, &y, &y),
-            ),
-            EstimatorBackend::Ipw => (0.0, 0.0),
-        };
+        let sum_y = numeric::sum(opts.numeric_mode, &y);
+        let sum_y_sq = numeric::dot(opts.numeric_mode, &y, &y);
 
         Some(Scope {
-            backend: opts.backend,
             min_arm: opts.min_arm,
             mode: opts.numeric_mode,
             rows,
@@ -613,27 +593,6 @@ fn contingency(a: &LevelCodes, b: &LevelCodes) -> Vec<f64> {
         .collect()
 }
 
-/// Densify the propensity design `[1, Z]` for the IPW backend. Shared by
-/// the cold build and the panel assembly — same values, same layout.
-fn densify_prop(n: usize, z: &Design) -> Matrix {
-    let mut x = Matrix::zeros(n, z.q + 1);
-    for r in 0..n {
-        x[(r, 0)] = 1.0;
-        for (j, b) in &z.blocks {
-            match b {
-                ZBlock::Dense(col) => x[(r, j + 1)] = col[r],
-                ZBlock::Coded(c) => {
-                    let l = c.codes[r] as usize;
-                    if l < c.d {
-                        x[(r, j + 1 + l)] = 1.0;
-                    }
-                }
-            }
-        }
-    }
-    x
-}
-
 /// The treatment-block moments of one evaluated candidate — everything a
 /// subset child needs to derive its own blocks by *downdating* instead of
 /// re-gathering. Cached on kept lattice nodes by the treatment miner
@@ -710,9 +669,6 @@ pub struct EstimationContext {
     zz: Matrix,
     /// `Zᵀy`.
     zy: Vec<f64>,
-    /// Propensity design `[1, Z]` for the IPW backend (assembled lazily
-    /// only when `backend == Ipw`).
-    x_prop: Option<Matrix>,
 }
 
 impl EstimationContext {
@@ -720,11 +676,9 @@ impl EstimationContext {
     /// confounder set. Returns `None` when the outcome attribute is
     /// categorical — every per-treatment estimate would be `None` anyway.
     ///
-    /// Sampling (`opts.sample_cap`) is applied here, once, for the
-    /// regression backend — reproducing the naive path, which samples the
-    /// identical row list with the identical seed on every call. The IPW
-    /// backend does not sample (matching
-    /// [`crate::ipw::estimate_cate_ipw`]).
+    /// Sampling (`opts.sample_cap`) is applied here, once — reproducing
+    /// the naive path, which samples the identical row list with the
+    /// identical seed on every call.
     ///
     /// Categorical confounders become dense one-hot columns here, as in
     /// the naive estimators; [`SubpopPanel::assemble`] gives the same bits
@@ -746,52 +700,30 @@ impl EstimationContext {
         }
         let z_cols: Vec<Arc<Vec<f64>>> = raw.into_iter().map(Arc::new).collect();
 
-        let n = scope.rows.len();
         let q = z_cols.len();
-        // Gram blocks are regression-only; the IPW backend never reads
-        // them, so skip the O(n·q²) pass there.
-        let (sum_z, zz, zy) = if opts.backend == EstimatorBackend::Regression {
-            let mode = opts.numeric_mode;
-            let sum_z: Vec<f64> = z_cols.iter().map(|c| col_sum(mode, c)).collect();
-            // ZᵀZ / Zᵀy run through the shared `col_dot` kernel — in
-            // Exact mode the same per-entry addition sequence as
-            // Matrix::gram / tr_mul_vec over the full design, which is
-            // what makes the fits bit-identical.
-            let mut zz = Matrix::zeros(q, q);
-            for i in 0..q {
-                for j in i..q {
-                    let s = col_dot(mode, &z_cols[i], &z_cols[j]);
-                    zz[(i, j)] = s;
-                    zz[(j, i)] = s;
-                }
+        let mode = opts.numeric_mode;
+        let sum_z: Vec<f64> = z_cols.iter().map(|c| col_sum(mode, c)).collect();
+        // ZᵀZ / Zᵀy run through the shared `col_dot` kernel — in Exact
+        // mode the same per-entry addition sequence as Matrix::gram /
+        // tr_mul_vec over the full design, which is what makes the fits
+        // bit-identical.
+        let mut zz = Matrix::zeros(q, q);
+        for i in 0..q {
+            for j in i..q {
+                let s = col_dot(mode, &z_cols[i], &z_cols[j]);
+                zz[(i, j)] = s;
+                zz[(j, i)] = s;
             }
-            let zy: Vec<f64> = z_cols.iter().map(|c| col_dot(mode, c, &scope.y)).collect();
-            (sum_z, zz, zy)
-        } else {
-            (Vec::new(), Matrix::zeros(0, 0), Vec::new())
-        };
-
-        let mut z = Design::new(z_cols.into_iter().map(ZBlock::Dense));
-        let x_prop = (opts.backend == EstimatorBackend::Ipw).then(|| densify_prop(n, &z));
-        if opts.backend == EstimatorBackend::Ipw {
-            // The propensity design is a dense copy of the same values;
-            // keeping the design too would double the memory for nothing.
-            z = Design::default();
         }
+        let zy: Vec<f64> = z_cols.iter().map(|c| col_dot(mode, c, &scope.y)).collect();
 
         Some(EstimationContext {
             scope: Arc::new(scope),
-            z,
+            z: Design::new(z_cols.into_iter().map(ZBlock::Dense)),
             sum_z,
             zz,
             zy,
-            x_prop,
         })
-    }
-
-    /// The estimator backend the context was built for.
-    pub fn backend(&self) -> EstimatorBackend {
-        self.scope.backend
     }
 
     /// Rows used by every estimate from this context (after sampling):
@@ -817,15 +749,13 @@ impl EstimationContext {
 
     /// Number of cached confounder design columns.
     pub fn num_design_cols(&self) -> usize {
-        match &self.x_prop {
-            Some(x) => x.ncols() - 1,
-            None => self.z.q,
-        }
+        self.z.q
     }
 
     /// Estimate the effect of `treated` (a row set over the *full* table)
-    /// with whichever backend the context was built for. Equivalent to
-    /// [`crate::estimate::estimate_effect`] on the same inputs.
+    /// eagerly: [`EstimationContext::fit`] then
+    /// [`EstimationContext::p_value`]. Equivalent to
+    /// [`crate::estimate::estimate_cate`] on the same inputs.
     pub fn estimate(&self, treated: &BitSet) -> Option<CateResult> {
         // The dense membership scan over the row list yields a set over
         // the context's rows; from there the walker and kernels are the
@@ -836,44 +766,14 @@ impl EstimationContext {
                 mask.insert(i);
             }
         }
-        self.estimate_local(&mask)
-    }
-
-    /// Estimate the effect of `treated` — in local coordinates or over
-    /// the context's rows, as its width says (see the [module
-    /// docs](self)) — eagerly, with whichever backend the context was
-    /// built for: the IPW backend's one call, and for the regression
-    /// backend [`EstimationContext::fit`] then
-    /// [`EstimationContext::p_value`]. Bit-identical to
-    /// [`EstimationContext::estimate`] on the unprojected set: the sparse
-    /// walk visits the identical rows in the identical order as the dense
-    /// membership scan.
-    pub fn estimate_local(&self, treated: &BitSet) -> Option<CateResult> {
-        let rows = self.scope.walk(treated);
-        let n = self.n();
-        match self.scope.backend {
-            EstimatorBackend::Regression => {
-                let (fit, _) = self.fit_walked(rows)?;
-                let rss = self.rss_walked(&fit, rows);
-                Some(CateResult {
-                    cate: fit.cate(),
-                    p_value: fit.fit.p_value(rss),
-                    n,
-                    n_treated: fit.n_treated,
-                    n_control: fit.n_control,
-                })
-            }
-            EstimatorBackend::Ipw => {
-                let n_treated = rows.count();
-                if !self.scope.overlap_ok(n_treated) {
-                    return None;
-                }
-                let mut t = vec![false; n];
-                rows.for_each(|i| t[i] = true);
-                let x = self.x_prop.as_ref().expect("built for the IPW backend");
-                ipw_from_parts(x, &self.scope.y, &t, n_treated, n - n_treated)
-            }
-        }
+        let (fit, _) = self.fit(&mask)?;
+        Some(CateResult {
+            cate: fit.cate(),
+            p_value: self.p_value(&fit, &mask),
+            n: self.n(),
+            n_treated: fit.n_treated,
+            n_control: fit.n_control,
+        })
     }
 
     /// The fit half of a regression estimate (see [Deferred
@@ -881,16 +781,14 @@ impl EstimationContext {
     /// coordinates or over the context's rows as its width says: the
     /// sparse gather, the overlap gate, the Gram, Cholesky, `β` and the
     /// treatment coefficient's `(XᵀX)⁻¹` diagonal, plus the gathered
-    /// [`TreatmentMoments`]. `None` exactly when `estimate_local` returns
-    /// `None`; [`EstimationContext::p_value`] on the same rows completes
+    /// [`TreatmentMoments`]. `None` exactly when the estimate does not
+    /// exist; [`EstimationContext::p_value`] on the same rows completes
     /// it. A set of either width naming the same rows gives the same
-    /// bits.
+    /// bits: the sparse walk visits the identical rows in the identical
+    /// order as the dense membership scan of
+    /// [`EstimationContext::estimate`].
     pub fn fit(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
-        self.fit_walked(self.scope.walk(treated))
-    }
-
-    fn fit_walked(&self, rows: TreatedRows<'_>) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(self.scope.backend, EstimatorBackend::Regression);
+        let rows = self.scope.walk(treated);
         // The arm counts are a popcount (of `treated ∧ sampled` under
         // sampling), so the overlap gate runs before paying for the
         // gather.
@@ -925,7 +823,6 @@ impl EstimationContext {
         parent: &TreatmentMoments,
         removed: &BitSet,
     ) -> Option<(RegressionFit, TreatmentMoments)> {
-        debug_assert_eq!(self.scope.backend, EstimatorBackend::Regression);
         // Subtract removed rows in ascending order; rows the §5.2(d)
         // sampling dropped never entered the parent's moments, and the
         // walker skips them. A coded block's entries are integer counts,
@@ -959,14 +856,6 @@ impl EstimationContext {
     /// the eager estimate's p-value.
     pub fn p_value(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
         fit.fit.p_value(self.rss(fit, treated))
-    }
-
-    /// The residual sum of squares [`EstimationContext::p_value`] reads: a
-    /// hook for the tests that hold the residual pass to a per-row
-    /// reference, since the p-value's square root can hide an ulp.
-    #[doc(hidden)]
-    pub fn rss(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
-        self.rss_walked(fit, self.scope.walk(treated))
     }
 
     /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
@@ -1114,15 +1003,20 @@ impl EstimationContext {
             .collect()
     }
 
-    /// The residual sum of squares of `fit` — the one residual routine
-    /// behind every regression estimate. The walker yields the sampled
-    /// positions of the treated rows in ascending order, and the `t·β₁`
-    /// term is added at those positions only: a skipped `+ 0.0·β₁` can
-    /// at most flip the sign of a zero, which the squared residual
-    /// erases, so the sum has the bits of a dense pass over every row.
-    /// Coded confounders skip their `0·β` terms the same way (see
+    /// The residual sum of squares of `fit` on `treated`, the rows the fit
+    /// was made for — the one residual routine behind every estimate, which
+    /// [`EstimationContext::p_value`] reads; public as a hook for the
+    /// tests that hold the residual pass to a per-row reference, since the
+    /// p-value's square root can hide an ulp. The walker yields the
+    /// sampled positions of the treated rows in ascending order, and the
+    /// `t·β₁` term is added at those positions only: a skipped
+    /// `+ 0.0·β₁` can at most flip the sign of a zero, which the squared
+    /// residual erases, so the sum has the bits of a dense pass over every
+    /// row. Coded confounders skip their `0·β` terms the same way (see
     /// `add_z_terms`). The `FastV1` shortcut reads the fit's `tᵀy`.
-    fn rss_walked(&self, fit: &RegressionFit, treated: TreatedRows<'_>) -> f64 {
+    #[doc(hidden)]
+    pub fn rss(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
+        let treated = self.scope.walk(treated);
         let (beta, ty) = (fit.fit.beta.as_slice(), fit.ty);
         if self.scope.mode == NumericMode::FastV1 {
             // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
@@ -1198,10 +1092,9 @@ struct AttrBlocks {
     /// The attribute's design block — a numeric confounder's values, a
     /// categorical one's level codes — shared with assembled contexts.
     z: ZBlock,
-    /// `1ᵀZ_a` — per-column sums; a coded block's are its level counts
-    /// (regression backend only).
+    /// `1ᵀZ_a` — per-column sums; a coded block's are its level counts.
     sum_z: Vec<f64>,
-    /// `Z_aᵀy` (regression backend only).
+    /// `Z_aᵀy`.
     zy: Vec<f64>,
 }
 
@@ -1263,18 +1156,10 @@ impl SubpopPanel {
             col => {
                 let x: Vec<f64> = scope.rows.iter().map(|&r| col.get_f64(r)).collect();
                 // The same shared border kernels the cold build runs.
-                let (sum_z, zy) = if scope.backend == EstimatorBackend::Regression {
-                    (
-                        vec![col_sum(scope.mode, &x)],
-                        vec![col_dot(scope.mode, &x, &scope.y)],
-                    )
-                } else {
-                    (Vec::new(), Vec::new())
-                };
                 AttrBlocks {
+                    sum_z: vec![col_sum(scope.mode, &x)],
+                    zy: vec![col_dot(scope.mode, &x, &scope.y)],
                     z: ZBlock::Dense(Arc::new(x)),
-                    sum_z,
-                    zy,
                 }
             }
         };
@@ -1302,23 +1187,15 @@ impl SubpopPanel {
         for (l, &level) in kept.iter().enumerate() {
             remap[level] = l as u32;
         }
-        let (sum_z, zy) = if scope.backend == EstimatorBackend::Regression {
-            let zy = numeric::group_sums(scope.mode, d, &scope.y, |r| {
-                let c = remap[codes[r] as usize];
-                codes[r] = c;
-                c as usize
-            });
-            // A 0/1 column sums to its count in any fold order.
-            (kept.iter().map(|&level| freq[level] as f64).collect(), zy)
-        } else {
-            for c in &mut codes {
-                *c = remap[*c as usize];
-            }
-            (Vec::new(), Vec::new())
-        };
+        let zy = numeric::group_sums(scope.mode, d, &scope.y, |r| {
+            let c = remap[codes[r] as usize];
+            codes[r] = c;
+            c as usize
+        });
         AttrBlocks {
             z: ZBlock::Coded(Arc::new(LevelCodes { codes, d })),
-            sum_z,
+            // A 0/1 column sums to its count in any fold order.
+            sum_z: kept.iter().map(|&level| freq[level] as f64).collect(),
             zy,
         }
     }
@@ -1362,15 +1239,12 @@ impl SubpopPanel {
     /// blocks. Returns `None` when the outcome attribute is categorical.
     pub fn assemble(&mut self, table: &Table, confounders: &[usize]) -> Option<EstimationContext> {
         let scope = Arc::clone(self.scope.as_ref()?);
-        let regression = scope.backend == EstimatorBackend::Regression;
         for &a in confounders {
             self.ensure_attr(&scope, table, a);
         }
-        if regression {
-            for (i, &a) in confounders.iter().enumerate() {
-                for &b in &confounders[i..] {
-                    self.ensure_pair(scope.mode, a, b);
-                }
+        for (i, &a) in confounders.iter().enumerate() {
+            for &b in &confounders[i..] {
+                self.ensure_pair(scope.mode, a, b);
             }
         }
 
@@ -1385,44 +1259,30 @@ impl SubpopPanel {
             sum_z.extend_from_slice(&blk.sum_z);
             zy.extend_from_slice(&blk.zy);
         }
-        let mut z = Design::new(confounders.iter().map(|a| self.attrs[a].z.clone()));
-        let q = z.q;
-
-        let zz = if regression {
-            let mut zz = Matrix::zeros(q, q);
-            for (ai, &a) in confounders.iter().enumerate() {
-                let qa = self.attrs[&a].z.width();
-                let oa = offsets[ai];
-                for (bj, &b) in confounders.iter().enumerate().skip(ai) {
-                    let qb = self.attrs[&b].z.width();
-                    let ob = offsets[bj];
-                    let block = &self.pairs[&(a.min(b), a.max(b))];
-                    for i in 0..qa {
-                        for j in 0..qb {
-                            // Stored q_lo × q_hi; read transposed when the
-                            // set orders the pair descending (same f64 —
-                            // the products commute bit-exactly).
-                            let v = if a <= b {
-                                block[i * qb + j]
-                            } else {
-                                block[j * qa + i]
-                            };
-                            zz[(oa + i, ob + j)] = v;
-                            zz[(ob + j, oa + i)] = v;
-                        }
+        let z = Design::new(confounders.iter().map(|a| self.attrs[a].z.clone()));
+        let mut zz = Matrix::zeros(z.q, z.q);
+        for (ai, &a) in confounders.iter().enumerate() {
+            let qa = self.attrs[&a].z.width();
+            let oa = offsets[ai];
+            for (bj, &b) in confounders.iter().enumerate().skip(ai) {
+                let qb = self.attrs[&b].z.width();
+                let ob = offsets[bj];
+                let block = &self.pairs[&(a.min(b), a.max(b))];
+                for i in 0..qa {
+                    for j in 0..qb {
+                        // Stored q_lo × q_hi; read transposed when the set
+                        // orders the pair descending (same f64 — the
+                        // products commute bit-exactly).
+                        let v = if a <= b {
+                            block[i * qb + j]
+                        } else {
+                            block[j * qa + i]
+                        };
+                        zz[(oa + i, ob + j)] = v;
+                        zz[(ob + j, oa + i)] = v;
                     }
                 }
             }
-            zz
-        } else {
-            Matrix::zeros(0, 0)
-        };
-
-        let x_prop = (!regression).then(|| densify_prop(scope.rows.len(), &z));
-        if !regression {
-            // Mirror the cold build: the propensity design holds the same
-            // values densely, so the block handles are dropped.
-            z = Design::default();
         }
 
         Some(EstimationContext {
@@ -1431,7 +1291,6 @@ impl SubpopPanel {
             sum_z,
             zz,
             zy,
-            x_prop,
         })
     }
 }
@@ -1587,7 +1446,7 @@ impl ContextCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::{estimate_cate, estimate_effect};
+    use crate::estimate::estimate_cate;
     use rand::Rng;
     use table::TableBuilder;
 
@@ -1752,21 +1611,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(EstimationContext::new(&table, None, 0, &[], &CateOptions::default()).is_none());
-    }
-
-    #[test]
-    fn ipw_backend_matches_naive() {
-        let (table, treated) = confounded(4_000, 13);
-        let opts = CateOptions {
-            backend: EstimatorBackend::Ipw,
-            ..CateOptions::default()
-        };
-        let tbits = BitSet::from_mask(&treated);
-        let ctx = EstimationContext::new(&table, None, 1, &[0], &opts).unwrap();
-        let cached = ctx.estimate(&tbits).unwrap();
-        let naive = estimate_effect(&table, None, &treated, 1, &[0], &opts).unwrap();
-        assert_eq!(cached.cate, naive.cate);
-        assert_eq!(cached.p_value, naive.p_value);
     }
 
     #[test]

@@ -22,17 +22,6 @@ use stats::ols::ols;
 use table::bitset::BitSet;
 use table::{Column, Table};
 
-/// Which estimation strategy computes the effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EstimatorBackend {
-    /// Linear-regression adjustment (the paper's DoWhy setup) — default.
-    #[default]
-    Regression,
-    /// Stabilized inverse propensity weighting (§7's suggested
-    /// alternative), see [`crate::ipw::estimate_cate_ipw`].
-    Ipw,
-}
-
 /// Knobs for the estimator.
 #[derive(Debug, Clone)]
 pub struct CateOptions {
@@ -51,13 +40,10 @@ pub struct CateOptions {
     pub max_onehot_levels: usize,
     /// Overlap: minimum number of units required in each arm.
     pub min_arm: usize,
-    /// Estimation strategy.
-    pub backend: EstimatorBackend,
-    /// Which reduction kernels the regression path runs: `Exact`
-    /// (default) replays the historical ascending-order accumulation bit
-    /// for bit; `FastV1` uses 8-lane strided partial sums (deterministic
-    /// within the mode, see [`stats::numeric`]). The IPW backend keeps
-    /// exact kernels in both modes.
+    /// Which reduction kernels the regression runs: `Exact` (default)
+    /// replays the historical ascending-order accumulation bit for bit;
+    /// `FastV1` uses 8-lane strided partial sums (deterministic within
+    /// the mode, see [`stats::numeric`]).
     pub numeric_mode: NumericMode,
 }
 
@@ -68,31 +54,7 @@ impl Default for CateOptions {
             seed: 0x5eed,
             max_onehot_levels: 24,
             min_arm: 5,
-            backend: EstimatorBackend::Regression,
             numeric_mode: NumericMode::Exact,
-        }
-    }
-}
-
-/// Backend-dispatching entry point: estimate the CATE with whichever
-/// strategy `opts.backend` selects, cold, from the full table. The miners
-/// estimate through [`crate::context::ContextCache`] instead, which
-/// dispatches on the same field; this is the oracle their results are
-/// held to.
-pub fn estimate_effect(
-    table: &Table,
-    subpop: Option<&[bool]>,
-    treated: &[bool],
-    outcome: usize,
-    confounders: &[usize],
-    opts: &CateOptions,
-) -> Option<CateResult> {
-    match opts.backend {
-        EstimatorBackend::Regression => {
-            estimate_cate(table, subpop, treated, outcome, confounders, opts)
-        }
-        EstimatorBackend::Ipw => {
-            crate::ipw::estimate_cate_ipw(table, subpop, treated, outcome, confounders, opts)
         }
     }
 }
@@ -112,7 +74,9 @@ pub struct CateResult {
     pub n_control: usize,
 }
 
-/// Estimate `CATE(T, Y | B=b)`.
+/// Estimate `CATE(T, Y | B=b)`, cold, from the full table. The miners
+/// estimate through [`crate::context::ContextCache`] instead; this is the
+/// oracle their results are held to.
 ///
 /// * `subpop` — boolean mask of the conditioning subpopulation (`None` for
 ///   the whole table, i.e. plain ATE),

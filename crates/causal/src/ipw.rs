@@ -1,12 +1,12 @@
 //! Inverse-propensity-weighting (IPW) and nearest-neighbour matching CATE
-//! estimators — the alternative backends §7 points at for richer treatment
+//! estimators — the alternatives §7 points at for richer treatment
 //! handling ("there are standard approaches in causal inference to address
 //! them, such as propensity weighting").
 //!
 //! Both estimate the same quantity as [`crate::estimate::estimate_cate`]
-//! (regression adjustment); having independent estimators lets the test
-//! suite cross-validate the backends against each other, and the benches
-//! compare their cost.
+//! (regression adjustment), which is the engine's only estimator. They are
+//! independent reference estimators: the test suite cross-validates the
+//! regression estimates against them.
 
 use stats::dist::normal_two_sided;
 use stats::matrix::Matrix;
@@ -60,23 +60,7 @@ pub fn estimate_cate_ipw(
             x[(r, c + 1)] = col[r];
         }
     }
-    ipw_from_parts(&x, &y, &t, n_treated, n_control)
-}
-
-/// The treatment-dependent tail of the IPW estimator: logistic propensity
-/// fit on the prepared design `x = [1, Z]`, then the stabilized (Hájek)
-/// contrast with its influence-function p-value. Split out so
-/// [`crate::context::EstimationContext`] can reuse a cached design across
-/// many treatments.
-pub(crate) fn ipw_from_parts(
-    x: &Matrix,
-    y: &[f64],
-    t: &[bool],
-    n_treated: usize,
-    n_control: usize,
-) -> Option<CateResult> {
-    let n = y.len();
-    let fit = logistic(x, t, 40)?;
+    let fit = logistic(&x, &t, 40)?;
 
     // Hájek estimator.
     let (mut sw1, mut swy1, mut sw0, mut swy0) = (0.0, 0.0, 0.0, 0.0);

@@ -88,8 +88,7 @@ pub struct Summary {
     /// `RunGuard::progress().cate_evaluations` reads the same total.
     pub cate_evaluations: usize,
     /// Subset candidates served by incremental Gram downdating during
-    /// treatment mining (nonzero only under `NumericMode::FastV1` with the
-    /// regression backend).
+    /// treatment mining (nonzero only under `NumericMode::FastV1`).
     pub downdates: usize,
     /// Candidates with a join parent that re-gathered instead of
     /// downdating (always the full parented count under

@@ -25,7 +25,7 @@ use causal::context::{
     ConfounderKey, ContextCache, EstimationContext, RegressionFit, TreatmentMoments,
 };
 use causal::dag::Dag;
-use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
+use causal::estimate::{CateOptions, CateResult};
 use causal::NumericMode;
 use table::bitset::BitSet;
 use table::pattern::{Op, Pattern, Pred};
@@ -264,9 +264,9 @@ pub struct LatticeStats {
     /// [`causal::context::EstimationContext::fit_downdated`]).
     pub downdates: usize,
     /// Subset candidates that were *eligible* for downdating (a kept
-    /// parent on the previous level, regression backend) but took the
-    /// full-regather fallback instead — every such candidate in `Exact`
-    /// mode, plus key-mismatch/size-guard fallbacks in FastV1.
+    /// parent on the previous level) but took the full-regather fallback
+    /// instead — every such candidate in `Exact` mode, plus
+    /// key-mismatch/size-guard fallbacks in FastV1.
     pub regathers: usize,
 }
 
@@ -912,16 +912,16 @@ impl<'a> TreatmentMiner<'a> {
             .zip(&batch.keys)
             .zip(results)
             .map(|((cand, key), r)| {
-                let node = r.map(|(est, moments)| Node::new(cand.clone(), key, est, moments));
+                let (fit, moments) = r.unzip();
+                let node = fit
+                    .clone()
+                    .map(|fit| Node::new(cand.clone(), key, fit, None));
                 Level1Estimate {
                     pattern: self.pattern_of(&cand.atoms),
                     treated_in_sub: cand.count,
                     confounders: key.set().to_vec(),
-                    fit: node.as_ref().and_then(|n| match &n.p {
-                        PValue::Deferred(fit) => Some(fit.clone()),
-                        PValue::Known(_) => None,
-                    }),
-                    moments: node.as_ref().and_then(|n| n.moments.as_deref().cloned()),
+                    fit,
+                    moments: moments.flatten(),
                     treated: cand.treated.clone(),
                     p_value: node.map(|n| n.p_value(&walk.contexts)),
                 }
@@ -1316,45 +1316,13 @@ impl<'a> TreatmentMiner<'a> {
 }
 
 /// A node's p-value. The walk ranks, prunes and stops on CATE alone, so a
-/// regression estimate keeps only its fit and runs the inference half
-/// (the residual pass and the Student-t tail) when [`insert_best`] needs
-/// the p-value. The IPW backend estimates eagerly and carries a known
-/// value.
+/// node keeps only its fit and runs the inference half (the residual pass
+/// and the Student-t tail) when [`insert_best`] needs the p-value; a
+/// best-list entry keeps the known value.
 #[derive(Clone)]
 enum PValue {
     Known(f64),
     Deferred(RegressionFit),
-}
-
-/// One candidate's estimate as the walk keeps it.
-#[derive(Clone)]
-struct Est {
-    cate: f64,
-    p: PValue,
-    n_treated: usize,
-    n_control: usize,
-}
-
-impl From<CateResult> for Est {
-    fn from(r: CateResult) -> Self {
-        Est {
-            cate: r.cate,
-            p: PValue::Known(r.p_value),
-            n_treated: r.n_treated,
-            n_control: r.n_control,
-        }
-    }
-}
-
-impl From<RegressionFit> for Est {
-    fn from(fit: RegressionFit) -> Self {
-        Est {
-            cate: fit.cate(),
-            n_treated: fit.n_treated(),
-            n_control: fit.n_control(),
-            p: PValue::Deferred(fit),
-        }
-    }
 }
 
 /// A lattice node that survived estimation.
@@ -1383,17 +1351,22 @@ struct Node {
 }
 
 impl Node {
-    /// The node candidate `cand` becomes when its estimate `r` (made on
-    /// the context of confounder key `key`) is kept.
-    fn new(cand: Cand, key: &ConfounderKey, r: Est, moments: Option<TreatmentMoments>) -> Node {
+    /// The node candidate `cand` becomes when its fit (made on the context
+    /// of confounder key `key`) is kept.
+    fn new(
+        cand: Cand,
+        key: &ConfounderKey,
+        fit: RegressionFit,
+        moments: Option<TreatmentMoments>,
+    ) -> Node {
         Node {
             atoms: cand.atoms,
             treated: cand.treated,
             count: cand.count,
-            cate: r.cate,
-            p: r.p,
-            n_treated: r.n_treated,
-            n_control: r.n_control,
+            cate: fit.cate(),
+            n_treated: fit.n_treated(),
+            n_control: fit.n_control(),
+            p: PValue::Deferred(fit),
             key: key.id(),
             moments: moments.map(Arc::new),
         }
@@ -1446,30 +1419,25 @@ struct DowndatePlan {
     removed: BitSet,
 }
 
-/// One candidate's evaluation: the estimate (if solvable) plus, in
+/// One candidate's evaluation: the fit (if solvable) plus, in
 /// moments-tracking mode, the treatment blocks cached for downdating.
-type EvalRes = Option<(Est, Option<TreatmentMoments>)>;
+type EvalRes = Option<(RegressionFit, Option<TreatmentMoments>)>;
 
 /// Evaluation of one candidate with treated set `treated`: downdate when
 /// a plan is present, otherwise gather — with moments when the walk
-/// tracks them. The regression backend returns the fit alone (its p-value
-/// is deferred); IPW estimates eagerly.
+/// tracks them. Returns the fit alone; its p-value is deferred.
 fn eval_cached(
     ctx: &EstimationContext,
     treated: &BitSet,
     plan: Option<&DowndatePlan>,
     track: bool,
 ) -> EvalRes {
-    if ctx.backend() == EstimatorBackend::Ipw {
-        return ctx.estimate_local(treated).map(|r| (r.into(), None));
-    }
     if let Some(p) = plan {
         return ctx
             .fit_downdated(&p.parent, &p.removed)
-            .map(|(fit, mm)| (fit.into(), Some(mm)));
+            .map(|(fit, mm)| (fit, Some(mm)));
     }
-    ctx.fit(treated)
-        .map(|(fit, m)| (fit.into(), track.then_some(m)))
+    ctx.fit(treated).map(|(fit, m)| (fit, track.then_some(m)))
 }
 
 /// Floor on candidates per scheduler chunk — a level too small to
@@ -1515,8 +1483,7 @@ struct LevelBatch {
     keys: Vec<ConfounderKey>,
     /// Per-candidate pre-built context (`None` where the build failed).
     ctx: Vec<Option<Arc<EstimationContext>>>,
-    /// Per-candidate downdate plan (empty unless the walk stores aux;
-    /// `None` entries regather).
+    /// Per-candidate downdate plan (`None` entries regather).
     plans: Vec<Option<DowndatePlan>>,
     /// Chunks return moments alongside each estimate (FastV1).
     track: bool,
@@ -1608,18 +1575,11 @@ impl<'w> WalkState<'w> {
         }
     }
 
-    /// Does the walk cache aux (confounder key + optional moments) on
-    /// kept nodes? Requires the regression backend — IPW has no cached
-    /// moments to downdate.
-    fn store_aux(&self) -> bool {
-        self.miner.opts.cate_opts.backend == EstimatorBackend::Regression
-    }
-
     /// Does the walk track treatment moments and downdate subset
     /// candidates? Only in FastV1: FP subtraction cannot replay the Exact
     /// contract's fold order, so Exact always regathers.
     fn track_moments(&self) -> bool {
-        self.store_aux() && self.miner.opts.cate_opts.numeric_mode == NumericMode::FastV1
+        self.miner.opts.cate_opts.numeric_mode == NumericMode::FastV1
     }
 
     /// Serially decide, per candidate, whether its treatment blocks come
@@ -1627,9 +1587,6 @@ impl<'w> WalkState<'w> {
     /// Runs once per level, before any evaluation, so plans and counters
     /// depend only on the walk structure — never on worker count.
     fn plan_level(&mut self, cands: &[Cand], keys: &[ConfounderKey]) -> Vec<Option<DowndatePlan>> {
-        if !self.store_aux() {
-            return Vec::new();
-        }
         let mut plans = Vec::with_capacity(cands.len());
         for (cand, key) in cands.iter().zip(keys) {
             let plan = cand.parent.and_then(|pi| {
@@ -1881,7 +1838,7 @@ impl<'w> WalkState<'w> {
         self.guard.add_evaluations(n);
         self.guard.level_completed();
         let opts = &self.miner.opts;
-        let cate = |r: &EvalRes| r.as_ref().map_or(f64::NAN, |(e, _)| e.cate);
+        let cate = |r: &EvalRes| r.as_ref().map_or(f64::NAN, |(fit, _)| fit.cate());
         let mut kept: Vec<Vec<Node>> = Vec::with_capacity(self.dirs.len());
         for (d, walk) in self.dirs.iter().enumerate() {
             let dir = walk.dir;
@@ -1894,8 +1851,8 @@ impl<'w> WalkState<'w> {
                 .collect();
             retain_top(&mut own, dir, opts.top_frac, |&i| cate(&results[i]));
             let nodes = own.into_iter().map(|i| {
-                let (r, moments) = results[i].take().expect("a kept estimate");
-                Node::new(std::mem::take(&mut cands[i]), &keys[i], r, moments)
+                let (fit, moments) = results[i].take().expect("a kept estimate");
+                Node::new(std::mem::take(&mut cands[i]), &keys[i], fit, moments)
             });
             kept.push(nodes.collect());
         }
@@ -2495,8 +2452,8 @@ mod tests {
     /// walks return — both directions step through one level sequence,
     /// level 1 is estimated once for both, and one `fill_masks` call gives
     /// both directions' kept level-1 nodes their masks — on every estimate
-    /// path (Exact, FastV1 with downdating, IPW, and Exact and FastV1
-    /// under a sample cap) and at one and four workers, while building
+    /// path (Exact, FastV1 with downdating, and Exact and FastV1 under a
+    /// sample cap) and at one and four workers, while building
     /// each estimation context only once.
     #[test]
     fn paired_walk_matches_independent_walks() {
@@ -2519,13 +2476,6 @@ mod tests {
                 "fast_v1",
                 with_cate(CateOptions {
                     numeric_mode: NumericMode::FastV1,
-                    ..CateOptions::default()
-                }),
-            ),
-            (
-                "ipw",
-                with_cate(CateOptions {
-                    backend: EstimatorBackend::Ipw,
                     ..CateOptions::default()
                 }),
             ),

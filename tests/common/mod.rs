@@ -4,14 +4,14 @@
 //! panel-assembled contexts, level codes, sparse gathers, downdates and
 //! deferred p-values — must equal the estimator run from scratch: the
 //! treatment pattern re-evaluated on the table, the backdoor set looked up
-//! again, and [`estimate_effect`] (the dense one-hot cold build) fitted on
+//! again, and [`estimate_cate`] (the dense one-hot cold build) fitted on
 //! the subpopulation mask. Under `NumericMode::Exact` the CATE, p-value and
 //! arm counts must match bit for bit. Under `NumericMode::FastV1` the arm
 //! counts must match and the CATE and p-value must agree within 1e-9
 //! relative, because a downdated fit subtracts its parent's moments in a
 //! different order than the oracle's gather.
 
-use causal::estimate::{estimate_effect, CateOptions};
+use causal::estimate::{estimate_cate, CateOptions};
 use causal::NumericMode;
 use mining::treatment::{TreatmentMiner, TreatmentResult};
 use table::Table;
@@ -34,7 +34,7 @@ pub fn check_oracle(
         .eval(table)
         .map_err(|e| format!("{what}: does not evaluate: {e}"))?;
     let confounders = miner.confounders_for(&got.pattern.attrs());
-    let want = estimate_effect(table, Some(subpop), &treated, outcome, &confounders, opts)
+    let want = estimate_cate(table, Some(subpop), &treated, outcome, &confounders, opts)
         .ok_or_else(|| format!("{what}: the oracle has no estimate"))?;
     if (got.n_treated, got.n_control) != (want.n_treated, want.n_control) {
         return Err(format!(

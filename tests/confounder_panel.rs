@@ -20,7 +20,7 @@
 //!    downdate and p-value;
 //! 2. one panel serving many sets inside a [`causal::context::ContextCache`]
 //!    against a cold [`causal::context::EstimationContext::new`] build per
-//!    set, for both estimator backends;
+//!    set;
 //! 3. the lattice walk on an SO table, at 1 and 4 workers: every result
 //!    equals the cold estimator run from scratch (`common::check_oracle`).
 
@@ -32,7 +32,7 @@ use proptest::test_runner::TestCaseError;
 use causal::context::{
     ConfounderKey, ContextCache, EstimationContext, SubpopPanel, TreatmentMoments,
 };
-use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
+use causal::estimate::{CateOptions, CateResult};
 use mining::treatment::{LatticeOptions, TreatmentMiner};
 use mining::RunGuard;
 use stats::numeric::NumericMode;
@@ -288,9 +288,8 @@ proptest! {
     }
 
     /// (2) A panel-backed [`ContextCache`] matches a cold
-    /// [`EstimationContext::new`] build per set bit for bit, for both
-    /// estimator backends, over repeated lookups, and builds each set
-    /// once.
+    /// [`EstimationContext::new`] build per set bit for bit, over repeated
+    /// lookups, and builds each set once.
     #[test]
     fn panel_cache_matches_cold_cache((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise, 3);
@@ -298,24 +297,21 @@ proptest! {
         let tbits = BitSet::from_mask(&treated);
         let sub_bits = BitSet::from_mask(&subpop);
 
-        for backend in [EstimatorBackend::Regression, EstimatorBackend::Ipw] {
-            let opts = CateOptions { backend, ..CateOptions::default() };
-            let mut cache = ContextCache::new();
-            for _ in 0..2 {
-                for (id, confounders) in confounder_mixes().into_iter().enumerate() {
-                    let cold =
-                        EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
-                            .and_then(|ctx| ctx.estimate(&tbits));
-                    let key = ConfounderKey::new(id, confounders);
-                    let cached = cache
-                        .get_or_build(&table, Some(&sub_bits), 3, &key, &opts)
-                        .and_then(|ctx| ctx.estimate(&tbits));
-                    assert_bit_identical(cached, cold)?;
-                }
+        let opts = CateOptions::default();
+        let mut cache = ContextCache::new();
+        for _ in 0..2 {
+            for (id, confounders) in confounder_mixes().into_iter().enumerate() {
+                let cold = EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
+                    .and_then(|ctx| ctx.estimate(&tbits));
+                let key = ConfounderKey::new(id, confounders);
+                let cached = cache
+                    .get_or_build(&table, Some(&sub_bits), 3, &key, &opts)
+                    .and_then(|ctx| ctx.estimate(&tbits));
+                assert_bit_identical(cached, cold)?;
             }
-            prop_assert_eq!(cache.builds(), confounder_mixes().len());
-            prop_assert!(cache.panel().is_some());
         }
+        prop_assert_eq!(cache.builds(), confounder_mixes().len());
+        prop_assert!(cache.panel().is_some());
     }
 }
 

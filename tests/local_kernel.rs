@@ -4,14 +4,13 @@
 //! hoisted TSS, single-factor inference, parallel level evaluation) must
 //! be *behaviour-preserving*. These tests pin:
 //!
-//! 1. sparse-gather local estimation ([`EstimationContext::estimate_local`]
-//!    on a [`Projector`]-projected mask) against the dense full-width scan
-//!    ([`EstimationContext::estimate`]) — bit-identical, across all
-//!    confounder mixes, with and without the §5.2(d) sampling cap, on both
-//!    estimator backends and in both numeric modes — and deferred
-//!    inference (a fit now, its p-value later) against the dense estimate:
-//!    bit for bit on a gathered fit, within 1e-9 relative on a downdated
-//!    one;
+//! 1. sparse-gather local estimation with deferred inference
+//!    ([`EstimationContext::fit`] on a [`Projector`]-projected mask, its
+//!    p-value later from [`EstimationContext::p_value`]) against the dense
+//!    full-width scan ([`EstimationContext::estimate`]) — bit for bit on a
+//!    gathered fit, within 1e-9 relative on a downdated one, across all
+//!    confounder mixes, with and without the §5.2(d) sampling cap, in both
+//!    numeric modes;
 //! 2. parallel within-level evaluation against the serial walk — exact
 //!    `TreatmentResult` ordering at every thread count, and end-to-end
 //!    summary bit-identity through the session pipeline.
@@ -22,7 +21,7 @@
 use proptest::prelude::*;
 
 use causal::context::{EstimationContext, RegressionFit};
-use causal::estimate::{CateOptions, CateResult, EstimatorBackend};
+use causal::estimate::{CateOptions, CateResult};
 use causal::{Dag, NumericMode};
 use causumx::{ConfigBuilder, Session};
 use mining::treatment::{LatticeOptions, LatticeStats, TreatmentMiner, TreatmentResult};
@@ -111,14 +110,12 @@ fn check_deferred(
 }
 
 proptest! {
-    /// (1) `estimate_local` on the projected treatment mask is
-    /// bit-identical to `estimate` on the full-width mask — every
-    /// confounder mix, with and without sampling, both backends, both
-    /// numeric modes. For the regression backend `fit` plus a later
-    /// `p_value` on the projected mask has the bits of the dense estimate
-    /// on the unprojected set, and `fit_downdated` (a subset child
-    /// downdated from the treated set's moments) plus `p_value` is within
-    /// 1e-9 relative of the dense estimate of the child.
+    /// (1) `fit` plus a later `p_value` on the projected treatment mask
+    /// has the bits of the dense `estimate` on the full-width mask — every
+    /// confounder mix, with and without sampling, both numeric modes — and
+    /// `fit_downdated` (a subset child downdated from the treated set's
+    /// moments) plus `p_value` is within 1e-9 relative of the dense
+    /// estimate of the child.
     #[test]
     fn sparse_gather_matches_dense_scan((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise);
@@ -136,14 +133,9 @@ proptest! {
 
         for mode in [NumericMode::Exact, NumericMode::FastV1] {
         for confounders in [vec![], vec![1], vec![2], vec![1, 2]] {
-            for (backend, cap) in [
-                (EstimatorBackend::Regression, None),
-                (EstimatorBackend::Regression, Some(n / 2)),
-                (EstimatorBackend::Ipw, None),
-            ] {
+            for cap in [None, Some(n / 2)] {
                 let opts = CateOptions {
                     sample_cap: cap,
-                    backend,
                     numeric_mode: mode,
                     ..CateOptions::default()
                 };
@@ -151,24 +143,6 @@ proptest! {
                     EstimationContext::new(&table, Some(&sub_bits), 3, &confounders, &opts)
                 else { continue };
                 prop_assert_eq!(ctx.local_width(), sub_bits.count());
-                let dense = ctx.estimate(&tbits);
-                let sparse = ctx.estimate_local(&tlocal);
-                match (dense, sparse) {
-                    (Some(d), Some(s)) => {
-                        prop_assert_eq!(d.cate.to_bits(), s.cate.to_bits(),
-                            "cate {} vs {}", d.cate, s.cate);
-                        let p_match = d.p_value.to_bits() == s.p_value.to_bits()
-                            || (d.p_value.is_nan() && s.p_value.is_nan());
-                        prop_assert!(p_match, "p {} vs {}", d.p_value, s.p_value);
-                        prop_assert_eq!(d.n, s.n);
-                        prop_assert_eq!(d.n_treated, s.n_treated);
-                        prop_assert_eq!(d.n_control, s.n_control);
-                    }
-                    (d, s) => prop_assert_eq!(d.is_none(), s.is_none()),
-                }
-                if backend == EstimatorBackend::Ipw {
-                    continue;
-                }
                 let fit = ctx.fit(&tlocal);
                 let dense = ctx.estimate(&tbits);
                 check_deferred(&ctx, &tlocal, fit.as_ref().map(|(f, _)| f.clone()), dense, 0.0)?;

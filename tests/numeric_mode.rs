@@ -15,8 +15,7 @@
 //!   accumulation at any block boundary produce identical bits,
 //! * estimator level (proptest): Exact and FastV1 agree within 1e-9
 //!   relative on CATE and p-value across random tables, confounder
-//!   mixes, sampling caps and both backends (IPW keeps exact kernels, so
-//!   there the modes agree bit for bit),
+//!   mixes and sampling caps,
 //! * pipeline level: FastV1 summaries are bit-identical across worker
 //!   counts; Exact never downdates (`downdates = 0`, parented candidates
 //!   re-gather); the downdated FastV1 candidates stay inside the 1e-9
@@ -26,7 +25,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use causal::estimate::{estimate_effect, CateOptions, EstimatorBackend};
+use causal::estimate::{estimate_cate, CateOptions};
 use causal::Dag;
 use causumx::{ConfigBuilder, NumericMode, Session, Summary};
 use mining::treatment::TreatmentMiner;
@@ -145,46 +144,36 @@ fn close(a: f64, b: f64) -> bool {
 
 proptest! {
     /// Exact and FastV1 agree within 1e-9 relative on CATE and p-value
-    /// for every confounder mix, sampling cap and backend, and perform
-    /// identical work (same n/n_treated/n_control, same Some/None
-    /// shape). Under IPW the two modes are bit-identical — FastV1 only
-    /// versions the regression kernels.
+    /// for every confounder mix and sampling cap, and perform identical
+    /// work (same n/n_treated/n_control, same Some/None shape).
     #[test]
     fn fast_v1_tracks_exact_across_mixes((ca, cb, nums, noise, subpop) in arb_rows()) {
         let table = build_table(&ca, &cb, &nums, &noise);
         let n = table.nrows();
         let treated: Vec<bool> = ca.iter().map(|&v| v % 3 == 0).collect();
 
-        for backend in [EstimatorBackend::Regression, EstimatorBackend::Ipw] {
-            for confounders in [vec![], vec![1], vec![2], vec![1, 2]] {
-                for cap in [None, Some(n / 2)] {
-                    let opts = |mode| CateOptions {
-                        sample_cap: cap,
-                        backend,
-                        numeric_mode: mode,
-                        ..CateOptions::default()
-                    };
-                    let exact = estimate_effect(&table, Some(&subpop), &treated, 3,
-                        &confounders, &opts(NumericMode::Exact));
-                    let fast = estimate_effect(&table, Some(&subpop), &treated, 3,
-                        &confounders, &opts(NumericMode::FastV1));
-                    match (exact, fast) {
-                        (Some(e), Some(f)) => {
-                            prop_assert!(close(e.cate, f.cate),
-                                "{backend:?} cate {} vs {}", e.cate, f.cate);
-                            prop_assert!(close(e.p_value, f.p_value),
-                                "{backend:?} p {} vs {}", e.p_value, f.p_value);
-                            prop_assert_eq!(e.n, f.n);
-                            prop_assert_eq!(e.n_treated, f.n_treated);
-                            prop_assert_eq!(e.n_control, f.n_control);
-                            if backend == EstimatorBackend::Ipw {
-                                prop_assert_eq!(e.cate.to_bits(), f.cate.to_bits(),
-                                    "IPW must keep exact kernels in both modes");
-                            }
-                        }
-                        (e, f) => prop_assert_eq!(e.is_none(), f.is_none(),
-                            "modes disagreed on estimability"),
+        for confounders in [vec![], vec![1], vec![2], vec![1, 2]] {
+            for cap in [None, Some(n / 2)] {
+                let opts = |mode| CateOptions {
+                    sample_cap: cap,
+                    numeric_mode: mode,
+                    ..CateOptions::default()
+                };
+                let exact = estimate_cate(&table, Some(&subpop), &treated, 3,
+                    &confounders, &opts(NumericMode::Exact));
+                let fast = estimate_cate(&table, Some(&subpop), &treated, 3,
+                    &confounders, &opts(NumericMode::FastV1));
+                match (exact, fast) {
+                    (Some(e), Some(f)) => {
+                        prop_assert!(close(e.cate, f.cate), "cate {} vs {}", e.cate, f.cate);
+                        prop_assert!(close(e.p_value, f.p_value),
+                            "p {} vs {}", e.p_value, f.p_value);
+                        prop_assert_eq!(e.n, f.n);
+                        prop_assert_eq!(e.n_treated, f.n_treated);
+                        prop_assert_eq!(e.n_control, f.n_control);
                     }
+                    (e, f) => prop_assert_eq!(e.is_none(), f.is_none(),
+                        "modes disagreed on estimability"),
                 }
             }
         }

@@ -227,6 +227,63 @@ proptest! {
     }
 }
 
+/// The exact optimum by plain enumeration: the heaviest of every
+/// non-empty subset of at most `k` candidates whose union covers
+/// `⌈θ·m⌉` groups, or `None` when no subset does.
+fn enumerated_optimum(inst: &CoverInstance) -> Option<f64> {
+    let need = inst.required_coverage();
+    let mut best: Option<f64> = None;
+    for subset in 1u32..1 << inst.len() {
+        if subset.count_ones() as usize > inst.k {
+            continue;
+        }
+        let chosen = (0..inst.len()).filter(|&j| (subset >> j) & 1 == 1);
+        let mut covered = BitSet::new(inst.m);
+        let mut weight = 0.0;
+        for j in chosen {
+            covered.union_with(&inst.covers[j]);
+            weight += inst.weights[j];
+        }
+        if covered.count() >= need && best.is_none_or(|b| weight > b) {
+            best = Some(weight);
+        }
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    /// Selection against its exact optimum on instances of at most 10
+    /// candidates: the branch and bound of `exhaustive_best` reaches the
+    /// enumerated optimum (or both find no feasible subset), and every
+    /// feasible LP + rounding result weighs no more than it.
+    #[test]
+    fn exhaustive_best_is_the_enumerated_optimum(inst in arb_cover()) {
+        prop_assert!(inst.len() <= 10);
+        let optimum = enumerated_optimum(&inst);
+        let exact = exhaustive_best(&inst);
+        prop_assert_eq!(exact.is_some(), optimum.is_some());
+        if let (Some(sol), Some(opt)) = (&exact, optimum) {
+            let weight: f64 = sol.chosen.iter().map(|&j| inst.weights[j]).sum();
+            prop_assert!(sol.chosen.len() <= inst.k);
+            prop_assert!(sol.coverage >= inst.required_coverage());
+            prop_assert!((sol.total_weight - weight).abs() <= 1e-9 * weight.max(1.0));
+            prop_assert!((sol.total_weight - opt).abs() <= 1e-9 * opt.max(1.0),
+                "branch and bound {} vs enumeration {}", sol.total_weight, opt);
+        }
+        if let Some(g) = solve_lp_relaxation(&inst) {
+            for seed in [1, 2, 3] {
+                let Some(r) = randomized_rounding(&inst, &g, 16, seed) else { continue };
+                if r.feasible {
+                    let opt = optimum.expect("a feasible rounding implies a feasible subset");
+                    prop_assert!(r.total_weight <= opt + 1e-9 * opt.max(1.0),
+                        "rounding {} above the optimum {}", r.total_weight, opt);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn distinct_signatures_solve_the_full_lp_bit_for_bit() {
     // Every group has a covering signature of its own, so the class LP is

@@ -213,7 +213,6 @@ fn contexts(
                 min_arm: 0,
                 max_onehot_levels: 4,
                 seed,
-                ..CateOptions::default()
             };
             let y = table.ncols() - 1;
             let panel = SubpopPanel::new(table, Some(subpop), y, &opts)

@@ -277,7 +277,7 @@ fn cells_replay_committed_fingerprints() {
 /// Per cell and mode, every treatment of every mined candidate — not only
 /// the selected ones — equals the cold estimator run from scratch on the
 /// candidate's subpopulation: the pattern re-evaluated on the table, the
-/// backdoor set looked up by a fresh miner, and `estimate_effect` on the
+/// backdoor set looked up by a fresh miner, and `estimate_cate` on the
 /// dense one-hot columns. That holds the panel's level codes, the sparse
 /// gathers, the FastV1 downdates and the deferred p-values to one oracle.
 #[test]
