@@ -1,12 +1,9 @@
 //! The dataset × query-shape workload matrix.
 //!
-//! One definition of "scenario diversity", shared by the bench harness
-//! (`perf_smoke --matrix`, which commits per-cell timings and counters to
-//! `results/bench_pipeline.json`) and the differential test tier
-//! (`tests/workload_matrix.rs`, which hard-pins those counters and checks
-//! the numeric contracts cell by cell). Keeping both sides on the same
-//! module means a cell cannot silently drift between what CI measures and
-//! what the tests verify.
+//! One definition of "scenario diversity" for the differential test tier
+//! (`tests/workload_matrix.rs`), which pins every cell's work counters
+//! and total weight as constants and checks the numeric contracts cell by
+//! cell.
 //!
 //! The matrix spans:
 //!
@@ -18,8 +15,8 @@
 //! * **three query shapes** — the dataset's representative single
 //!   group-by, a WHERE-filtered variant of it, and a multi-attribute
 //!   group-by;
-//! * and, at the harness/test layer, **numeric modes** {Exact, FastV1} ×
-//!   **threads** {1, auto}.
+//! * and, at the test layer, **numeric modes** {Exact, FastV1} ×
+//!   **threads** {1, 4}.
 //!
 //! Row counts are deliberately small (1–2.5 k): counters are
 //! size-dependent but deterministic, and the same cells must be cheap
@@ -47,7 +44,7 @@ impl QueryShape {
     /// Every shape, in matrix order.
     pub const ALL: [QueryShape; 3] = [QueryShape::Single, QueryShape::Filtered, QueryShape::Multi];
 
-    /// Stable lowercase label used in JSON cells and test names.
+    /// Stable lowercase label used in cell identifiers and test names.
     pub fn as_str(&self) -> &'static str {
         match self {
             QueryShape::Single => "single",
@@ -73,7 +70,7 @@ pub struct MatrixDataset {
     pub multi_group_by: [&'static str; 2],
 }
 
-/// The five dataset rows of the committed matrix, in artifact order.
+/// The five dataset rows of the committed matrix, in matrix order.
 pub const MATRIX_DATASETS: [MatrixDataset; 5] = [
     MatrixDataset {
         name: "so",
@@ -133,9 +130,9 @@ pub fn generate(spec: &MatrixDataset, seed: u64) -> Dataset {
 }
 
 /// Build the query of one (dataset, shape) combination against the
-/// generated table. Panics on a spec/schema mismatch — the matrix is a
-/// committed artifact, so a rename in a generator must fail loudly here
-/// rather than silently drop a cell.
+/// generated table. Panics on a spec/schema mismatch — every cell is
+/// pinned, so a rename in a generator must fail loudly here rather than
+/// silently drop a cell.
 pub fn shaped_query(ds: &Dataset, spec: &MatrixDataset, shape: QueryShape) -> GroupByAvgQuery {
     let table = &ds.table;
     match shape {
@@ -161,8 +158,8 @@ pub fn shaped_query(ds: &Dataset, spec: &MatrixDataset, shape: QueryShape) -> Gr
 }
 
 /// A fully specified matrix cell: (dataset, shape, numeric mode). The
-/// thread axis ({1, auto}) lives *inside* a cell — both runs must agree
-/// bit for bit, so a cell carries one set of counters and two clocks.
+/// thread axis lives *inside* a cell: every worker count must agree bit
+/// for bit, so a cell has one set of counters.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixCell {
     /// Dataset row of this cell.
@@ -174,7 +171,7 @@ pub struct MatrixCell {
 }
 
 impl MatrixCell {
-    /// Stable cell identifier used in JSON and test diagnostics, e.g.
+    /// Stable cell identifier used in the pin table and test diagnostics, e.g.
     /// `so/filtered/fast_v1`.
     pub fn id(&self) -> String {
         format!(
@@ -186,7 +183,7 @@ impl MatrixCell {
     }
 }
 
-/// Enumerate every committed matrix cell in artifact order: datasets
+/// Enumerate every committed matrix cell in matrix order: datasets
 /// outermost, then shapes, then modes — 5 × 3 × 2 = 30 cells.
 pub fn matrix_cells() -> Vec<MatrixCell> {
     let mut out = Vec::new();
@@ -203,10 +200,6 @@ pub fn matrix_cells() -> Vec<MatrixCell> {
     }
     out
 }
-
-/// Sanity bound used by tests and the CI schema gate: every committed
-/// artifact must carry at least this many matrix cells.
-pub const MIN_MATRIX_CELLS: usize = 15;
 
 /// Subsample helper shared by discovery-driven workloads: the
 /// deterministic first-`rows` prefix of a table (discovery algorithms are
@@ -225,7 +218,6 @@ mod tests {
     fn matrix_has_thirty_cells_in_stable_order() {
         let cells = matrix_cells();
         assert_eq!(cells.len(), 30);
-        assert!(cells.len() >= MIN_MATRIX_CELLS);
         assert_eq!(cells[0].id(), "so/single/exact");
         assert_eq!(cells[1].id(), "so/single/fast_v1");
         assert_eq!(cells[29].id(), "synthetic/multi/fast_v1");

@@ -127,7 +127,7 @@ impl CausumxConfig {
     /// [`crate::PreparedQuery::try_run`]; exposed so callers can take
     /// the guard's cancel handle before starting the query.
     pub fn run_guard(&self) -> RunGuard {
-        let mut guard = RunGuard::new();
+        let mut guard = RunGuard::unlimited();
         if let Some(d) = self.deadline {
             guard = guard.with_deadline(d);
         }

@@ -5,16 +5,32 @@
 //! cargo run -p datagen --bin gen --release -- so 10000 42 /tmp/so.csv
 //! ```
 
+const USAGE: &str =
+    "usage: gen <german|adult|so|impus|accidents|synthetic> <rows> <seed> <out.csv>";
+
+/// Print what is wrong and the usage line, then exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}; {USAGE}");
+    std::process::exit(2)
+}
+
+/// Parse a non-negative integer argument or exit through [`usage_error`].
+fn number<T: std::str::FromStr>(what: &str, text: &str) -> T {
+    text.parse().unwrap_or_else(|_| {
+        usage_error(&format!(
+            "{what} must be a non-negative integer, got `{text}`"
+        ))
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let usage = "usage: gen <german|adult|so|impus|accidents|synthetic> <rows> <seed> <out.csv>";
     if args.len() != 5 {
-        eprintln!("{usage}");
-        std::process::exit(2);
+        usage_error(&format!("expected 4 arguments, got {}", args.len() - 1));
     }
     let name = args[1].as_str();
-    let n: usize = args[2].parse().expect("rows must be a number");
-    let seed: u64 = args[3].parse().expect("seed must be a number");
+    let n: usize = number("rows", &args[2]);
+    let seed: u64 = number("seed", &args[3]);
     let out = &args[4];
 
     let ds = match name {
@@ -30,10 +46,7 @@ fn main() {
             },
             seed,
         ),
-        other => {
-            eprintln!("unknown dataset `{other}`; {usage}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown dataset `{other}`")),
     };
     table::csv::write_csv(&ds.table, out).expect("write csv");
     eprintln!(

@@ -148,7 +148,8 @@ impl Default for RunGuard {
 
 impl RunGuard {
     /// A guard with no deadline and no memory budget. It can still be
-    /// cancelled through [`RunGuard::cancel_handle`].
+    /// cancelled through [`RunGuard::cancel_handle`], and limits are added
+    /// with the `with_*` builders.
     pub fn unlimited() -> Self {
         RunGuard {
             cancel: Arc::new(AtomicBool::new(false)),
@@ -161,12 +162,6 @@ impl RunGuard {
             levels: AtomicUsize::new(0),
             evaluations: AtomicUsize::new(0),
         }
-    }
-
-    /// Alias for [`RunGuard::unlimited`]; limits are added with the
-    /// `with_*` builders.
-    pub fn new() -> Self {
-        Self::unlimited()
     }
 
     /// Set a wall-clock deadline measured from now.
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_trips_immediately() {
-        let g = RunGuard::new().with_deadline(Duration::ZERO);
+        let g = RunGuard::unlimited().with_deadline(Duration::ZERO);
         match g.check() {
             Err(Trip::DeadlineExceeded { budget }) => assert_eq!(budget, Duration::ZERO),
             other => panic!("expected deadline trip, got {other:?}"),
@@ -309,7 +304,7 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
         // Baseline reading 0, then 4 MiB growth per check.
-        let g = RunGuard::new()
+        let g = RunGuard::unlimited()
             .with_memory_probe(move || Some(c.fetch_add(1, Ordering::Relaxed) * (4 << 20)))
             .with_memory_budget_bytes(1 << 20);
         match g.check() {

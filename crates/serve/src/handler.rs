@@ -210,7 +210,7 @@ impl Handler {
             },
             None => self.opts.default_deadline,
         };
-        let mut guard = RunGuard::new();
+        let mut guard = RunGuard::unlimited();
         if let Some(d) = deadline {
             guard = guard.with_deadline(d);
         }

@@ -10,13 +10,23 @@
 //! Binds one [`causumx::Session`] over the chosen dataset and serves
 //! `POST /query` (SQL in, report JSON out), `GET /healthz` and
 //! `GET /stats` until killed. See `README.md` for a curl example.
+//!
+//! Exit status: 2 on a usage error (an unknown flag, a missing or invalid
+//! value, an unknown `--dataset`), 0 after `--help` prints the usage line
+//! on stdout, and 1 when the address cannot be bound.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use causumx::{ConfigBuilder, Session};
+use causumx::{CausumxConfig, ConfigBuilder, Session};
 use serve::handler::{Handler, ServeOptions};
+
+const USAGE: &str = "usage: causumx-serve [--port N] [--addr HOST] \
+                     [--dataset so|synthetic] [--rows N] [--seed N] \
+                     [--threads N] [--cache N] [--deadline-ms N] \
+                     [--memory-budget-mb N] [--max-inflight N] \
+                     [--max-queue N] [--allow-chaos]";
 
 /// Parsed command line.
 struct Args {
@@ -25,34 +35,28 @@ struct Args {
     dataset: String,
     rows: usize,
     seed: u64,
-    threads: usize,
-    cache: usize,
+    config: CausumxConfig,
     opts: ServeOptions,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            addr: "127.0.0.1".into(),
-            port: 7878,
-            dataset: "so".into(),
-            rows: 12_000,
-            seed: 7,
-            threads: 0,
-            cache: 64,
-            opts: ServeOptions {
-                default_deadline: Some(Duration::from_secs(30)),
-                memory_budget_mb: None,
-                max_inflight: 4,
-                max_queued: 16,
-                allow_chaos: false,
-            },
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+/// Parse the command line; `Ok(None)` when it asks for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
+    let mut args = Args {
+        addr: "127.0.0.1".into(),
+        port: 7878,
+        dataset: "so".into(),
+        rows: 12_000,
+        seed: 7,
+        config: CausumxConfig::default(),
+        opts: ServeOptions {
+            default_deadline: Some(Duration::from_secs(30)),
+            memory_budget_mb: None,
+            max_inflight: 4,
+            max_queued: 16,
+            allow_chaos: false,
+        },
+    };
+    let (mut threads, mut cache) = (0, 64);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -63,7 +67,12 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--port: {e}"))?
             }
-            "--dataset" => args.dataset = value("--dataset")?,
+            "--dataset" => {
+                args.dataset = value("--dataset")?;
+                if !matches!(args.dataset.as_str(), "so" | "synthetic") {
+                    return Err(format!("unknown dataset `{}` (so|synthetic)", args.dataset));
+                }
+            }
             "--rows" => {
                 args.rows = value("--rows")?
                     .parse()
@@ -75,12 +84,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--threads" => {
-                args.threads = value("--threads")?
+                threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--cache" => {
-                args.cache = value("--cache")?
+                cache = value("--cache")?
                     .parse()
                     .map_err(|e| format!("--cache: {e}"))?
             }
@@ -108,22 +117,21 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--max-queue: {e}"))?
             }
             "--allow-chaos" => args.opts.allow_chaos = true,
-            "--help" | "-h" => {
-                return Err("usage: causumx-serve [--port N] [--addr HOST] \
-                            [--dataset so|synthetic] [--rows N] [--seed N] \
-                            [--threads N] [--cache N] [--deadline-ms N] \
-                            [--memory-budget-mb N] [--max-inflight N] \
-                            [--max-queue N] [--allow-chaos]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(args)
+    args.config = ConfigBuilder::new()
+        .threads(threads)
+        .prepared_statements(cache)
+        .build()
+        .map_err(|e| e.to_string())?;
+    Ok(Some(args))
 }
 
-fn build_session(args: &Args) -> Result<Session, String> {
-    let ds = match args.dataset.as_str() {
+/// Generate the dataset `--dataset` names.
+fn generate(args: &Args) -> datagen::Dataset {
+    match args.dataset.as_str() {
         "so" => datagen::so::generate(args.rows, args.seed),
         "synthetic" => datagen::synthetic::generate(
             datagen::synthetic::SynthParams {
@@ -132,35 +140,29 @@ fn build_session(args: &Args) -> Result<Session, String> {
             },
             args.seed,
         ),
-        other => return Err(format!("unknown dataset `{other}` (so|synthetic)")),
-    };
-    let config = ConfigBuilder::new()
-        .threads(args.threads)
-        .prepared_statements(args.cache)
-        .build()
-        .map_err(|e| e.to_string())?;
-    Ok(Session::new(ds.table, ds.dag, config))
+        other => unreachable!("parse_args admits only so|synthetic, got `{other}`"),
+    }
 }
 
 fn main() -> ExitCode {
+    // Both exit before any data is generated.
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            eprintln!("causumx-serve: {msg}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     eprintln!(
         "causumx-serve: generating dataset `{}` ({} rows, seed {})…",
         args.dataset, args.rows, args.seed
     );
-    let session = match build_session(&args) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("causumx-serve: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ds = generate(&args);
+    let session = Session::new(ds.table, ds.dag, args.config);
     let schema: Vec<&str> = session
         .table()
         .schema()

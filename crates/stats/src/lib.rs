@@ -30,5 +30,5 @@ pub use corr::{fisher_z_test, partial_correlation, pearson};
 pub use dist::student_t_sf;
 pub use matrix::Matrix;
 pub use numeric::NumericMode;
-pub use ols::{ols, ols_from_gram, BorderedBlocks, GramFit, OlsFit};
+pub use ols::{ols, BorderedBlocks, GramFit, OlsFit};
 pub use rank::kendall_tau;

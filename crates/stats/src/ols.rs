@@ -50,47 +50,22 @@ pub fn ols(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
     if n == 0 || p == 0 || y.len() != n {
         return None;
     }
-    let gram = x.gram();
-    let xty = x.tr_mul_vec(y);
-    ols_from_gram(&gram, &xty, n, |beta| {
-        let mut rss = 0.0;
-        let mut tss = 0.0;
-        let ybar = y.iter().sum::<f64>() / n as f64;
-        for r in 0..n {
-            let row = x.row(r);
-            let yhat: f64 = row.iter().zip(beta).map(|(a, b)| a * b).sum();
-            let e = y[r] - yhat;
-            rss += e * e;
-            let d = y[r] - ybar;
-            tss += d * d;
-        }
-        (rss, tss)
-    })
-}
+    let l = x.gram().spd_factor()?;
+    let beta = l.cholesky_solve(&x.tr_mul_vec(y));
 
-/// Solve-from-Gram entry point: fit OLS from precomputed normal equations
-/// `G = XᵀX` and `Xᵀy`, without ever materializing `X`. Callers that cache
-/// the fixed blocks of `G` across many fits (e.g. CATE estimation where
-/// only the treatment column changes) assemble `G`/`Xᵀy` in `O(p²)` and
-/// land here, skipping the `O(n·p²)` Gram accumulation entirely.
-///
-/// `residuals` receives the solved `β` and must return `(RSS, TSS)` — the
-/// residual and total sums of squares. Computing them from the data keeps
-/// inference free of the catastrophic cancellation that the algebraic
-/// shortcut `RSS = yᵀy − 2βᵀXᵀy + βᵀGβ` suffers on near-exact fits.
-pub fn ols_from_gram(
-    gram: &Matrix,
-    xty: &[f64],
-    n: usize,
-    residuals: impl FnOnce(&[f64]) -> (f64, f64),
-) -> Option<OlsFit> {
-    let p = gram.ncols();
-    if n == 0 || p == 0 || gram.nrows() != p || xty.len() != p {
-        return None;
+    // RSS and TSS from the data, not from the algebraic shortcut
+    // `yᵀy − 2βᵀXᵀy + βᵀGβ`, which cancels catastrophically on near-exact
+    // fits.
+    let mut rss = 0.0;
+    let mut tss = 0.0;
+    let ybar = y.iter().sum::<f64>() / n as f64;
+    for r in 0..n {
+        let yhat: f64 = x.row(r).iter().zip(&beta).map(|(a, b)| a * b).sum();
+        let e = y[r] - yhat;
+        rss += e * e;
+        let d = y[r] - ybar;
+        tss += d * d;
     }
-    let l = gram.spd_factor()?;
-    let beta = l.cholesky_solve(xty);
-    let (rss, tss) = residuals(&beta);
 
     let df = n as f64 - p as f64;
     let (s2, se, p_value) = if df > 0.0 {
@@ -382,35 +357,6 @@ mod tests {
         let design = design_with_intercept(&[t], 6);
         let fit = ols(&design, &y).unwrap();
         assert!(approx(fit.beta[1], 6.0, 1e-9));
-    }
-
-    #[test]
-    fn ols_from_gram_matches_full_fit() {
-        let n = 40;
-        let x1: Vec<f64> = (0..n).map(|i| (i % 9) as f64).collect();
-        let y: Vec<f64> = x1
-            .iter()
-            .map(|&v| 2.0 + 0.7 * v + (v % 3.0) * 0.1)
-            .collect();
-        let design = design_with_intercept(&[x1], n);
-        let full = ols(&design, &y).unwrap();
-        let gram = design.gram();
-        let xty = design.tr_mul_vec(&y);
-        let from_gram = ols_from_gram(&gram, &xty, n, |beta| {
-            let mut rss = 0.0;
-            let mut tss = 0.0;
-            let ybar = y.iter().sum::<f64>() / n as f64;
-            for r in 0..n {
-                let yhat: f64 = design.row(r).iter().zip(beta).map(|(a, b)| a * b).sum();
-                rss += (y[r] - yhat).powi(2);
-                tss += (y[r] - ybar).powi(2);
-            }
-            (rss, tss)
-        })
-        .unwrap();
-        assert_eq!(full.beta, from_gram.beta);
-        assert_eq!(full.p_value, from_gram.p_value);
-        assert_eq!(full.s2, from_gram.s2);
     }
 
     /// X = [1, t, z] with binary t: the bordered fit from independently

@@ -323,7 +323,7 @@ fn memory_budget_trips_via_synthetic_probe() {
     // the 1 MiB budget trips at the first checked chunk boundary.
     let calls = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&calls);
-    let guard = RunGuard::new()
+    let guard = RunGuard::unlimited()
         .with_memory_probe(move || Some(c.fetch_add(1, Ordering::Relaxed) * (4 << 20)))
         .with_memory_budget_bytes(1 << 20);
     match q.run_guarded(&guard) {
@@ -341,7 +341,7 @@ fn memory_budget_trips_via_synthetic_probe() {
     // Only that run died: the same prepared query under a real (huge)
     // budget completes.
     let ok = q
-        .run_guarded(&RunGuard::new().with_memory_budget_mb(1 << 20))
+        .run_guarded(&RunGuard::unlimited().with_memory_budget_mb(1 << 20))
         .expect("huge budget must not trip");
     assert!(ok.m > 0);
 }
@@ -359,7 +359,7 @@ fn cancel_handle_works_from_another_thread() {
 
     // Deterministic: cancelled before the run starts — the first
     // checkpoint sees it.
-    let guard = RunGuard::new();
+    let guard = RunGuard::unlimited();
     let handle = guard.cancel_handle();
     std::thread::spawn(move || handle.cancel()).join().unwrap();
     assert!(matches!(
@@ -370,7 +370,7 @@ fn cancel_handle_works_from_another_thread() {
     // Racy flavor: cancel mid-flight. Either the run finished first
     // (complete summary) or it was cancelled cleanly — never anything
     // else.
-    let guard = RunGuard::new();
+    let guard = RunGuard::unlimited();
     let handle = guard.cancel_handle();
     std::thread::scope(|scope| {
         scope.spawn(|| {

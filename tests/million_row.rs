@@ -3,11 +3,13 @@
 //! Runs the full pipeline — synthetic generation, session preparation,
 //! grouping mining, the scheduler-driven lattice walk, and LP selection —
 //! on a 1 M-row [`datagen::synthetic`] instance, and hard-asserts the
-//! result against a committed baseline: the exact `cate_evaluations`
-//! count, the exact `total_weight` bit pattern, and a peak-RSS ceiling.
+//! result against a committed baseline: the exact `cate_evaluations`,
+//! `candidates` and coverage counts, the exact `total_weight` bit
+//! pattern, and a peak-RSS ceiling.
 //!
-//! It is too slow for the per-PR gate (`perf_smoke --quick` covers that),
-//! so it is ignored by default; CI runs it weekly and on demand via
+//! It is too slow for the per-PR gate (`tests/workload_matrix.rs` pins the
+//! matrix cells and the SO pipeline at 4k–30k rows there), so it is
+//! ignored by default; CI runs it weekly and on demand via
 //!
 //! ```text
 //! cargo test --release --test million_row -- --ignored
@@ -28,6 +30,8 @@ use datagen::synthetic::{self, SynthParams};
 /// implementation; bit-identical at any worker count by the
 /// determinism contract.
 const BASELINE_CATE_EVALUATIONS: usize = 1438;
+const BASELINE_CANDIDATES: usize = 14;
+const BASELINE_GROUPS: usize = 1000;
 const BASELINE_TOTAL_WEIGHT: f64 = 61.039941878153925;
 
 /// Peak-RSS ceiling in MiB. Measured ≈ 260 MiB for the whole process
@@ -56,6 +60,12 @@ fn million_row_pipeline_matches_baseline() {
         summary.cate_evaluations, BASELINE_CATE_EVALUATIONS,
         "cate_evaluations drifted from committed baseline"
     );
+    assert_eq!(
+        summary.candidates, BASELINE_CANDIDATES,
+        "candidates drifted"
+    );
+    assert_eq!(summary.m, BASELINE_GROUPS, "group count drifted");
+    assert_eq!(summary.covered, BASELINE_GROUPS, "coverage drifted");
     assert_eq!(
         summary.total_weight.to_bits(),
         BASELINE_TOTAL_WEIGHT.to_bits(),

@@ -1,21 +1,20 @@
 //! The workload-matrix differential tier.
 //!
-//! `results/bench_pipeline.json` commits a `matrix` section — five
-//! datasets × three query shapes × {Exact, FastV1} from
-//! [`bench::workloads`], measured by `perf_smoke --matrix` — and this
-//! suite is the other half of that contract: it re-runs every cell in
-//! debug builds and hard-asserts
+//! The committed workload matrix — five datasets × three query shapes ×
+//! {Exact, FastV1} from [`bench::workloads`] — is pinned here, cell by
+//! cell, as Rust constants. This suite re-runs every cell in debug builds
+//! and hard-asserts
 //!
-//! * **committed fingerprints** — each fresh cell reproduces the
-//!   artifact's `cate_evaluations`, `candidates`, `covered`, `groups`,
-//!   `downdates`, `regathers` and `total_weight` (to the artifact's 6
-//!   printed decimals) exactly. A counter drift anywhere in the engine
-//!   shows up as a named cell, not a vague diff;
+//! * **committed fingerprints** — each fresh cell reproduces its pinned
+//!   `cate_evaluations`, `candidates`, `covered`, `groups`, `downdates`
+//!   and `regathers` exactly, and `total_weight` within 1e-5 of its
+//!   six-decimal pin. A counter drift anywhere in the engine shows up as
+//!   a named cell, not a vague diff. The SO pipeline at 4k, 12k and 30k
+//!   rows is pinned the same way ([`SO_SIZE_PINS`], weights within 1e-6);
 //! * **thread bit-identity** — within a cell, `threads = 1` and
-//!   `threads = 4` agree bit for bit, weights and walk counters
-//!   included (the auto leg of the artifact already asserted `1` vs
-//!   `0`; the fixed `4` here exercises real workers even on a
-//!   single-core CI host);
+//!   `threads = 4` agree bit for bit, weights and walk counters included
+//!   (the fixed `4` exercises real workers even on a single-core CI
+//!   host);
 //! * **mode agreement** — each FastV1 cell matches its Exact sibling's
 //!   work counters with total weight within 1e-9 relative;
 //! * **oracle agreement** — per cell and mode, every treatment of every
@@ -30,103 +29,66 @@
 //!
 //! The suite runs in the serialized CI leg (`RUST_TEST_THREADS=1`)
 //! because the fixed-thread legs measure scheduler determinism, not
-//! timing, and must not fight sibling tests for cores.
+//! timing, and must not fight sibling tests for cores. An intentional
+//! change to a counter or weight updates its constant here in the same
+//! commit, with the reason recorded in CHANGES.md.
 
 mod common;
 
-use bench::workloads::{self, MatrixDataset, QueryShape, MATRIX_DATASETS, MIN_MATRIX_CELLS};
-use causumx::{ConfigBuilder, DiscoveryAlgo, NumericMode, Session, Summary};
+use bench::workloads::{self, MatrixDataset, QueryShape, MATRIX_DATASETS};
+use causumx::{CausumxConfig, ConfigBuilder, DiscoveryAlgo, NumericMode, Session, Summary};
 use mining::treatment::TreatmentMiner;
 
-/// The committed artifact; a missing file is a compile error, which is
-/// the point — the matrix section must ship with the repo.
-const ARTIFACT: &str = include_str!("../results/bench_pipeline.json");
-
-/// The seed the committed artifact was generated with (checked against
-/// its `seed` field before any fingerprint is compared).
+/// The data seed every pin below was recorded at.
 const SEED: u64 = 42;
 
-// ---------- artifact parsing (line scan of our own format) ----------
+/// The committed fingerprint of every matrix cell at [`SEED`], default
+/// config otherwise, in [`workloads::matrix_cells`] order: `(cell, n,
+/// groups, cate_evaluations, candidates, covered, total_weight, downdates,
+/// regathers)`, with `total_weight` to six decimals.
+#[rustfmt::skip]
+const CELL_PINS: [(&str, usize, usize, usize, usize, usize, f64, usize, usize); 30] = [
+    ("so/single/exact", 2000, 20, 5425, 26, 17, 671.715551, 0, 3033),
+    ("so/single/fast_v1", 2000, 20, 5425, 26, 17, 671.715551, 1054, 1979),
+    ("so/filtered/exact", 2000, 20, 4662, 26, 16, 622.499696, 0, 2386),
+    ("so/filtered/fast_v1", 2000, 20, 4662, 26, 16, 622.499696, 788, 1598),
+    ("so/multi/exact", 2000, 58, 4953, 26, 55, 668.729172, 0, 2717),
+    ("so/multi/fast_v1", 2000, 58, 4953, 26, 55, 668.729172, 931, 1786),
+    ("accidents/single/exact", 2000, 41, 711, 6, 35, 5.590720, 0, 339),
+    ("accidents/single/fast_v1", 2000, 41, 711, 6, 35, 5.590720, 173, 166),
+    ("accidents/filtered/exact", 2000, 41, 674, 6, 35, 5.945023, 0, 302),
+    ("accidents/filtered/fast_v1", 2000, 41, 674, 6, 35, 5.945023, 158, 144),
+    ("accidents/multi/exact", 2000, 82, 660, 6, 82, 5.800665, 0, 312),
+    ("accidents/multi/fast_v1", 2000, 82, 660, 6, 82, 5.800665, 143, 169),
+    ("adult/single/exact", 2000, 12, 306, 3, 12, 2.735278, 0, 156),
+    ("adult/single/fast_v1", 2000, 12, 306, 3, 12, 2.735278, 85, 71),
+    ("adult/filtered/exact", 2000, 12, 300, 3, 12, 2.750660, 0, 162),
+    ("adult/filtered/fast_v1", 2000, 12, 300, 3, 12, 2.750660, 87, 75),
+    ("adult/multi/exact", 2000, 24, 287, 3, 24, 2.691385, 0, 149),
+    ("adult/multi/fast_v1", 2000, 24, 287, 3, 24, 2.691385, 79, 70),
+    ("german/single/exact", 1000, 10, 632, 10, 5, 6.027317, 0, 272),
+    ("german/single/fast_v1", 1000, 10, 632, 10, 5, 6.027317, 188, 84),
+    ("german/filtered/exact", 1000, 10, 454, 8, 5, 5.598622, 0, 178),
+    ("german/filtered/fast_v1", 1000, 10, 454, 8, 5, 5.598622, 126, 52),
+    ("german/multi/exact", 1000, 30, 886, 14, 5, 5.731751, 0, 318),
+    ("german/multi/fast_v1", 1000, 30, 886, 14, 5, 5.731751, 259, 59),
+    ("synthetic/single/exact", 2000, 50, 1274, 14, 50, 60.567287, 0, 714),
+    ("synthetic/single/fast_v1", 2000, 50, 1274, 14, 50, 60.567287, 4, 710),
+    ("synthetic/filtered/exact", 2000, 50, 1234, 14, 50, 54.030716, 0, 702),
+    ("synthetic/filtered/fast_v1", 2000, 50, 1234, 14, 50, 54.030716, 2, 700),
+    ("synthetic/multi/exact", 2000, 4, 367, 4, 4, 44.328468, 0, 207),
+    ("synthetic/multi/fast_v1", 2000, 4, 367, 4, 4, 44.328468, 0, 207),
+];
 
-/// One committed matrix cell, scanned back from its artifact line.
-struct CommittedCell {
-    dataset: String,
-    shape: String,
-    mode: String,
-    n: usize,
-    groups: usize,
-    cate_evaluations: usize,
-    candidates: usize,
-    covered: usize,
-    total_weight: f64,
-    downdates: usize,
-    regathers: usize,
-    bit_identical: bool,
-}
-
-impl CommittedCell {
-    fn id(&self) -> String {
-        format!("{}/{}/{}", self.dataset, self.shape, self.mode)
-    }
-}
-
-/// Parse the number following `key` on `line`, if present.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the quoted string following `key` on `line`, if present.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let start = line.find(key)? + key.len();
-    let rest = line[start..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Every matrix cell committed in the artifact, in artifact order. The
-/// format is one cell per line (perf_smoke guarantees it), so a line
-/// scan suffices — no JSON parser in the offline container.
-fn committed_cells() -> Vec<CommittedCell> {
-    let mut out = Vec::new();
-    for line in ARTIFACT.lines() {
-        let Some(shape) = field_str(line, "\"shape\":") else {
-            continue;
-        };
-        let cell = CommittedCell {
-            dataset: field_str(line, "\"dataset\":").expect("matrix line has dataset"),
-            shape,
-            mode: field_str(line, "\"mode\":").expect("matrix line has mode"),
-            n: field_num(line, "\"n\":").expect("matrix line has n") as usize,
-            groups: field_num(line, "\"groups\":").expect("groups") as usize,
-            cate_evaluations: field_num(line, "\"cate_evaluations\":").expect("evals") as usize,
-            candidates: field_num(line, "\"candidates\":").expect("candidates") as usize,
-            covered: field_num(line, "\"covered\":").expect("covered") as usize,
-            total_weight: field_num(line, "\"total_weight\":").expect("weight"),
-            downdates: field_num(line, "\"downdates\":").expect("downdates") as usize,
-            regathers: field_num(line, "\"regathers\":").expect("regathers") as usize,
-            bit_identical: line.contains("\"bit_identical\": true"),
-        };
-        out.push(cell);
-    }
-    out
-}
-
-/// The artifact's top-level `seed` field.
-fn artifact_seed() -> u64 {
-    ARTIFACT
-        .lines()
-        .find_map(|l| {
-            l.trim_start()
-                .starts_with("\"seed\":")
-                .then(|| field_num(l, "\"seed\":"))
-                .flatten()
-        })
-        .expect("artifact has a seed field") as u64
-}
+/// The SO pipeline at [`SEED`], default config, on the representative
+/// query (`GROUP BY Country, AVG(Salary)`): `(rows, cate_evaluations,
+/// candidates, covered, groups, total_weight)`, with `total_weight` to six
+/// decimals. The million-row point is pinned in `tests/million_row.rs`.
+const SO_SIZE_PINS: [(usize, usize, usize, usize, usize, f64); 3] = [
+    (4_000, 5774, 26, 15, 20, 679.462069),
+    (12_000, 6299, 27, 15, 20, 704.215489),
+    (30_000, 6382, 27, 16, 20, 664.680408),
+];
 
 // ---------- cell execution ----------
 
@@ -162,50 +124,30 @@ fn full_print(s: &Summary) -> (u64, usize, usize, usize, usize, usize, usize) {
     )
 }
 
-// ---------- the committed artifact's structure ----------
+// ---------- the committed pins ----------
 
-/// The artifact must carry the complete matrix: at least the committed
-/// floor of cells, exactly the cells [`bench::workloads`] enumerates, in
-/// enumeration order, each self-consistent and generated at the pinned
-/// seed.
+/// The pin table covers exactly the cells [`bench::workloads`] enumerates,
+/// in enumeration order and at each dataset's row count, and every pin is
+/// self-consistent: work recorded, a positive weight, and at least one
+/// but no more than all groups covered.
 #[test]
-fn committed_artifact_pins_the_full_matrix() {
-    assert_eq!(
-        artifact_seed(),
-        SEED,
-        "artifact was generated at a non-default seed; regenerate with \
-         `perf_smoke --matrix` before running the differential tier"
-    );
-    let cells = committed_cells();
-    assert!(
-        cells.len() >= MIN_MATRIX_CELLS,
-        "artifact has {} matrix cells, below the committed floor {}",
-        cells.len(),
-        MIN_MATRIX_CELLS
-    );
-    let want: Vec<String> = workloads::matrix_cells().iter().map(|c| c.id()).collect();
-    let got: Vec<String> = cells.iter().map(|c| c.id()).collect();
-    assert_eq!(got, want, "artifact cells must mirror bench::workloads");
-    for c in &cells {
+fn cell_pins_mirror_the_matrix() {
+    let want: Vec<(String, usize)> = workloads::matrix_cells()
+        .iter()
+        .map(|c| (c.id(), c.dataset.n))
+        .collect();
+    let got: Vec<(String, usize)> = CELL_PINS.iter().map(|p| (p.0.to_string(), p.1)).collect();
+    assert_eq!(got, want, "CELL_PINS must mirror bench::workloads");
+    for (id, _, groups, evals, candidates, covered, weight, _, _) in CELL_PINS {
         assert!(
-            c.bit_identical,
-            "{}: thread legs were not bit-identical",
-            c.id()
+            groups > 0 && evals > 0 && candidates > 0,
+            "{id}: no work pinned"
         );
-        assert!(c.n > 0 && c.groups > 0, "{}", c.id());
-        assert!(c.cate_evaluations > 0, "{}: no work recorded", c.id());
-        assert!(c.candidates > 0, "{}", c.id());
         assert!(
-            c.covered > 0 && c.covered <= c.groups,
-            "{}: covered {} of {} groups",
-            c.id(),
-            c.covered,
-            c.groups
+            covered > 0 && covered <= groups,
+            "{id}: covered {covered} of {groups} groups"
         );
-        assert!(c.total_weight > 0.0, "{}", c.id());
-        if c.mode == "exact" {
-            assert_eq!(c.downdates, 0, "{}: Exact must never downdate", c.id());
-        }
+        assert!(weight > 0.0, "{id}");
     }
 }
 
@@ -216,7 +158,6 @@ fn committed_artifact_pins_the_full_matrix() {
 /// sibling with identical work counters.
 #[test]
 fn cells_replay_committed_fingerprints() {
-    let committed = committed_cells();
     for spec in MATRIX_DATASETS {
         let ds = workloads::generate(&spec, SEED);
         for shape in QueryShape::ALL {
@@ -231,27 +172,26 @@ fn cells_replay_committed_fingerprints() {
                     "{id}: threads 1 vs 4 diverged"
                 );
 
-                let pin = committed
-                    .iter()
-                    .find(|c| c.id() == id)
-                    .unwrap_or_else(|| panic!("{id} missing from the committed artifact"));
-                assert_eq!(pin.n, spec.n, "{id}");
-                assert_eq!(t1.m, pin.groups, "{id}: group count drifted");
+                let (_, _, groups, evals, candidates, covered, weight, downdates, regathers) =
+                    *CELL_PINS
+                        .iter()
+                        .find(|p| p.0 == id)
+                        .unwrap_or_else(|| panic!("{id} has no pin"));
+                assert_eq!(t1.m, groups, "{id}: group count drifted");
                 assert_eq!(
-                    t1.cate_evaluations, pin.cate_evaluations,
-                    "{id}: cate_evaluations drifted from the committed artifact"
+                    t1.cate_evaluations, evals,
+                    "{id}: cate_evaluations drifted from the committed pin"
                 );
-                assert_eq!(t1.candidates, pin.candidates, "{id}: candidates drifted");
-                assert_eq!(t1.covered, pin.covered, "{id}: coverage drifted");
-                assert_eq!(t1.downdates, pin.downdates, "{id}: downdates drifted");
-                assert_eq!(t1.regathers, pin.regathers, "{id}: regathers drifted");
-                // The artifact prints 6 decimals; anything beyond
-                // rounding error is a real numeric change.
+                assert_eq!(t1.candidates, candidates, "{id}: candidates drifted");
+                assert_eq!(t1.covered, covered, "{id}: coverage drifted");
+                assert_eq!(t1.downdates, downdates, "{id}: downdates drifted");
+                assert_eq!(t1.regathers, regathers, "{id}: regathers drifted");
+                // The pin has 6 decimals; anything beyond rounding error
+                // is a real numeric change.
                 assert!(
-                    (t1.total_weight - pin.total_weight).abs() < 1e-5,
-                    "{id}: total_weight {} drifted from committed {}",
-                    t1.total_weight,
-                    pin.total_weight
+                    (t1.total_weight - weight).abs() < 1e-5,
+                    "{id}: total_weight {} drifted from committed {weight}",
+                    t1.total_weight
                 );
 
                 match mode {
@@ -271,6 +211,33 @@ fn cells_replay_committed_fingerprints() {
                 }
             }
         }
+    }
+}
+
+/// The SO pipeline at each pinned size, fresh session, default config:
+/// reproduce the committed counters exactly and the weight to the pin's
+/// six decimals.
+#[test]
+fn so_sizes_replay_committed_pins() {
+    for (n, evals, candidates, covered, groups, weight) in SO_SIZE_PINS {
+        let ds = datagen::so::generate(n, SEED);
+        let query = ds.query();
+        let s = Session::new(ds.table, ds.dag, CausumxConfig::default())
+            .prepare(query)
+            .unwrap()
+            .run();
+        assert_eq!(
+            s.cate_evaluations, evals,
+            "n={n}: cate_evaluations drifted from the committed pin"
+        );
+        assert_eq!(s.candidates, candidates, "n={n}: candidates drifted");
+        assert_eq!(s.covered, covered, "n={n}: coverage drifted");
+        assert_eq!(s.m, groups, "n={n}: group count drifted");
+        assert!(
+            (s.total_weight - weight).abs() < 1e-6,
+            "n={n}: total_weight {} drifted from committed {weight}",
+            s.total_weight
+        );
     }
 }
 
