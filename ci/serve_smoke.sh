@@ -10,7 +10,10 @@
 #   * POST /query + tight
 #     X-Deadline-Ms          → 504 deadline_exceeded envelope
 #   * GET  /stats            → 200 with prepared_cache counters, and the
-#     server is still alive after the failed requests above.
+#     server is still alive after the failed requests above;
+#   * two statements differing only in their WHERE bound → the second
+#     leaves /stats' session.atom_blocks_built unchanged (atoms are built
+#     once per session, not per statement).
 # Any failure prints the server's log.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,6 +83,26 @@ deadline=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 stats=$(curl -s "$BASE/stats") || fail "GET /stats failed"
 echo "$stats" | grep -q '"prepared_cache"' || fail "/stats lacks prepared_cache: $stats"
 echo "$stats" | python3 -m json.tool >/dev/null || fail "/stats is not valid JSON"
+
+# Atoms belong to the session: a statement that differs from the one
+# before only in its WHERE bound builds no atom block.
+atom_blocks() {
+    curl -s "$BASE/stats" | python3 -c \
+        'import json, sys; print(json.load(sys.stdin)["session"]["atom_blocks_built"])'
+}
+for bound in 50 51; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary \
+        "SELECT Country, AVG(Salary) FROM so WHERE Age < $bound GROUP BY Country" "$BASE/query") \
+        || fail "POST /query (Age < $bound) failed"
+    [ "$code" = "200" ] || fail "Age < $bound answered $code, expected 200"
+    blocks=$(atom_blocks) || fail "/stats lacks session.atom_blocks_built"
+    if [ "$bound" = 50 ]; then
+        [ "$blocks" -gt 0 ] || fail "no atom block built after two queries"
+        first_blocks=$blocks
+    fi
+done
+[ "$blocks" = "$first_blocks" ] \
+    || fail "a WHERE-only change built atom blocks: $first_blocks -> $blocks"
 
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true

@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the hot kernels: group-by evaluation,
 //! pattern evaluation, Apriori, grouping-pattern coverage, atom-space
-//! construction, CATE estimation (naive, context build,
+//! construction (from scratch and from a session's warm atom memo), CATE
+//! estimation (naive, context build,
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
 //! downdate), the treatment lattice, one warm serve-shaped query whose
 //! walk stops at level 1, the walk's per-candidate gather and Gram fit,
 //! and the simplex/rounding selection step.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -16,7 +19,7 @@ use datagen::synthetic::SynthParams;
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
 use mining::grouping::mine_grouping_patterns;
-use mining::treatment::{LatticeOptions, TreatmentMiner};
+use mining::treatment::{AtomMemo, BackdoorMemo, LatticeOptions, TreatmentMiner};
 use mining::RunGuard;
 use table::bitset::BitSet;
 use table::fd::{fd_closure, treatment_attrs};
@@ -80,8 +83,10 @@ fn bench_grouping_mining_wide(c: &mut Criterion) {
     });
 }
 
-/// The atom space a prepare builds: every treatment attribute's atom
-/// masks over 30k SO rows (17 of its 20 columns are categorical).
+/// The atom space of a session's first prepare: every treatment
+/// attribute's atom masks over 30k SO rows (17 of its 20 columns are
+/// categorical). Every later prepare on the session assembles the same
+/// space from its warm atom memo (`atom_space_so_30k_warm`).
 fn bench_atom_space(c: &mut Criterion) {
     let ds = datagen::so::generate(30_000, 42);
     let t_attrs = treatment_attrs(&ds.table, &ds.group_by, &[ds.outcome]);
@@ -97,6 +102,21 @@ fn bench_atom_space(c: &mut Criterion) {
             .num_atoms()
         })
     });
+    let (backdoor, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
+    let warm = || {
+        TreatmentMiner::with_memos(
+            &ds.table,
+            &ds.dag,
+            ds.outcome,
+            &t_attrs,
+            LatticeOptions::default(),
+            Arc::clone(&backdoor),
+            &atoms,
+        )
+        .num_atoms()
+    };
+    warm();
+    c.bench_function("atom_space_so_30k_warm", |b| b.iter(warm));
 }
 
 fn bench_cate(c: &mut Criterion) {

@@ -10,10 +10,14 @@
 //!   per group-by set,
 //! * backdoor adjustment sets are memoized in one [`BackdoorMemo`] shared
 //!   by every query's treatment miner,
-//! * each prepared query materializes its aggregate view and
-//!   atomic-treatment space exactly once, no matter how often it is
-//!   re-run; per-group row bitsets are built lazily — all groups in a
-//!   single pass on the first drill-down — and cached.
+//! * each treatment attribute's atoms (predicates, slots and full-table
+//!   masks) are built once per session and set of atom options, in one
+//!   [`AtomMemo`] shared by every query's miner, whatever its WHERE
+//!   clause or GROUP BY set,
+//! * each prepared query materializes its aggregate view exactly once,
+//!   no matter how often it is re-run; per-group row bitsets are built
+//!   lazily — all groups in a single pass on the first drill-down — and
+//!   cached.
 //!
 //! Queries are built by name through [`Session::query`], from SQL through
 //! [`Session::sql`], or from a raw [`GroupByAvgQuery`] through
@@ -57,7 +61,7 @@ use lpsolve::cover::{
 };
 use mining::grouping::{mine_grouping_patterns, GroupingPattern};
 use mining::sched;
-use mining::treatment::{BackdoorMemo, LatticeStats, MinerParts, TreatmentMiner, TreatmentResult};
+use mining::treatment::{AtomMemo, BackdoorMemo, LatticeStats, TreatmentMiner, TreatmentResult};
 use mining::RunGuard;
 use table::fd::fd_closure;
 use table::pattern::Pattern;
@@ -196,12 +200,17 @@ pub struct SessionCounters {
     pub fd_closures_computed: usize,
     /// Backdoor DAG walks actually performed (memo misses).
     pub backdoor_walks: usize,
+    /// Treatment-attribute atom blocks built (atom-memo misses): at most
+    /// one per column and set of atom options over the session's life.
+    pub atom_blocks_built: usize,
     /// Queries prepared.
     pub queries_prepared: usize,
     /// Full mining passes executed (`run`/`mine_candidates`).
     pub runs: usize,
     /// Prepared-statement cache hits ([`Session::prepare_cached`] calls
-    /// that skipped view materialization and atom building entirely).
+    /// that reused a cached view and FD split). Atoms are not the
+    /// statement's: hit or miss, a prepare builds only the atom blocks
+    /// the session has not built yet.
     pub prepared_cache_hits: usize,
     /// Prepared-statement cache misses (including every call while the
     /// cache is disabled with capacity 0).
@@ -235,11 +244,12 @@ pub struct PreparedCacheStats {
     pub evictions: usize,
 }
 
-/// The session-owned, query-lifetime-free parts of a prepared statement:
-/// everything [`PreparedQuery`] precomputes that does not borrow the
-/// session. Cache entries hold an `Arc` of this; a hit rebuilds the
-/// borrowing [`TreatmentMiner`] from [`MinerParts`] in `O(ncols)` instead
-/// of re-materializing the view and re-scanning the table for atom masks.
+/// What a prepared statement computes from its own text: the view, its
+/// lazily built group bitsets and the FD split. None of it borrows the
+/// session or depends on the configuration. Cache entries hold an `Arc`
+/// of this, so a hit skips the view; the atoms are the session's, not
+/// the statement's, and every [`PreparedQuery`] assembles its miner from
+/// the session's [`AtomMemo`].
 struct PreparedCore {
     query: GroupByAvgQuery,
     /// Shared with every [`CandidateSet`] mined from this core.
@@ -249,7 +259,6 @@ struct PreparedCore {
     /// warms all cache hits.
     group_bits: OnceLock<Vec<table::BitSet>>,
     split: Arc<AttrSplit>,
-    parts: MinerParts,
 }
 
 /// LRU state of the prepared-statement cache. Guarded by one mutex: all
@@ -273,6 +282,8 @@ pub struct Session {
     fd_cache: RwLock<HashMap<(Vec<usize>, usize), Arc<AttrSplit>>>,
     /// Backdoor-set memo shared by every miner this session builds.
     backdoor: Arc<BackdoorMemo>,
+    /// Treatment-atom memo shared by every miner this session builds.
+    atoms: AtomMemo,
     /// Prepared-statement cache: normalized statement → prepared core.
     prep_cache: Mutex<PrepCache>,
     counters: Counters,
@@ -300,6 +311,7 @@ impl Session {
             config,
             fd_cache: RwLock::new(HashMap::new()),
             backdoor: Arc::new(BackdoorMemo::new()),
+            atoms: AtomMemo::new(),
             prep_cache: Mutex::new(PrepCache::default()),
             counters: Counters::default(),
         }
@@ -356,12 +368,13 @@ impl Session {
         &self.config
     }
 
-    /// Replace the configuration. Dataset-level caches (FD splits,
-    /// backdoor memo) survive — they do not depend on the configuration;
-    /// queries prepared *before* the change keep their snapshot. The
-    /// prepared-statement cache is cleared: its cores embed
-    /// configuration-dependent state (the atom space depends on the
-    /// lattice options).
+    /// Replace the configuration. Dataset-level caches survive: the FD
+    /// splits and the backdoor memo do not depend on the configuration,
+    /// and the atom memo keys each block by the atom options it was built
+    /// under, so blocks of the old options are never served under new
+    /// ones. Queries prepared *before* the change keep their snapshot.
+    /// The prepared-statement cache is cleared, so the new capacity
+    /// starts from an empty cache.
     pub fn set_config(&mut self, config: CausumxConfig) {
         self.config = config;
         let mut cache = sched::lock_recovered(&self.prep_cache);
@@ -375,6 +388,7 @@ impl Session {
             views_materialized: self.counters.views_materialized.load(Ordering::Relaxed),
             fd_closures_computed: self.counters.fd_closures_computed.load(Ordering::Relaxed),
             backdoor_walks: self.backdoor.walks(),
+            atom_blocks_built: self.atoms.blocks_built(),
             queries_prepared: self.counters.queries_prepared.load(Ordering::Relaxed),
             runs: self.counters.runs.load(Ordering::Relaxed),
             prepared_cache_hits: self.counters.prepared_cache_hits.load(Ordering::Relaxed),
@@ -418,7 +432,8 @@ impl Session {
     /// Validate a raw [`GroupByAvgQuery`] and precompute everything it
     /// needs: the materialized view, per-group row bitsets, the FD
     /// attribute split (cached across queries) and the treatment miner
-    /// (atom space + shared backdoor memo).
+    /// (atoms from the session's atom memo, plus the shared backdoor
+    /// memo).
     ///
     /// An empty `group_by` is accepted here (it evaluates to a single
     /// global group, as the raw query always did) — the name-based
@@ -445,7 +460,7 @@ impl Session {
     /// # Ok::<(), causumx::Error>(())
     /// ```
     pub fn prepare(&self, query: GroupByAvgQuery) -> Result<PreparedQuery<'_>, Error> {
-        let core = self.build_core(query, &self.config)?;
+        let core = self.build_core(query)?;
         Ok(self.assemble(core, self.config.clone()))
     }
 
@@ -454,9 +469,9 @@ impl Session {
     /// attributes, averaged attribute and WHERE predicate — whether built
     /// by name, by index or parsed from SQL in any whitespace/case
     /// spelling) share one prepared core, so repeats skip view
-    /// materialization and atom building entirely. Hits and misses are
-    /// observable via [`Session::prepared_cache_stats`]; capacity comes
-    /// from [`CausumxConfig::prepared_statements`] (LRU beyond it, `0`
+    /// materialization. Hits and misses are observable via
+    /// [`Session::prepared_cache_stats`]; capacity comes from
+    /// [`CausumxConfig::prepared_statements`] (LRU beyond it, `0`
     /// disables). Reports from a cache hit are bit-identical to a fresh
     /// prepare.
     pub fn prepare_cached(&self, query: GroupByAvgQuery) -> Result<PreparedQuery<'_>, Error> {
@@ -479,7 +494,7 @@ impl Session {
         self.counters
             .prepared_cache_misses
             .fetch_add(1, Ordering::Relaxed);
-        let core = self.build_core(query, &self.config)?;
+        let core = self.build_core(query)?;
         if capacity > 0 {
             let mut cache = sched::lock_recovered(&self.prep_cache);
             cache.tick += 1;
@@ -516,26 +531,22 @@ impl Session {
     /// Prepare `query` under a per-query configuration override instead
     /// of the session default — how a service applies request-scoped
     /// deadlines, budgets or (in tests) fault plans without mutating the
-    /// shared session. Always bypasses the prepared-statement cache: the
-    /// override may change the atom space, and fault plans are meant to
-    /// fire on exactly this query.
+    /// shared session. Always bypasses the prepared-statement cache, so
+    /// fault plans fire on exactly this query. It shares the session's
+    /// memos: atom blocks are keyed by the atom options they were built
+    /// under, and fault plans fire only inside the walk.
     pub fn prepare_with(
         &self,
         query: GroupByAvgQuery,
         config: CausumxConfig,
     ) -> Result<PreparedQuery<'_>, Error> {
-        let core = self.build_core(query, &config)?;
+        let core = self.build_core(query)?;
         Ok(self.assemble(core, config))
     }
 
-    /// Materialize the view and build every session-lifetime part of a
-    /// prepared statement. `config` decides the lattice options baked
-    /// into the atom space.
-    fn build_core(
-        &self,
-        query: GroupByAvgQuery,
-        config: &CausumxConfig,
-    ) -> Result<Arc<PreparedCore>, Error> {
+    /// Materialize the view and look up the FD split of a prepared
+    /// statement.
+    fn build_core(&self, query: GroupByAvgQuery) -> Result<Arc<PreparedCore>, Error> {
         let view = query.run(&self.table)?;
         self.counters
             .views_materialized
@@ -544,34 +555,27 @@ impl Session {
             return Err(Error::EmptyView);
         }
         let split = self.attr_split(&query);
-        let miner = TreatmentMiner::with_memo(
-            &self.table,
-            &self.dag,
-            query.avg,
-            &split.treatment,
-            config.lattice.clone(),
-            Arc::clone(&self.backdoor),
-        );
-        let parts = miner.parts();
         Ok(Arc::new(PreparedCore {
             query,
             view: Arc::new(view),
             group_bits: OnceLock::new(),
             split,
-            parts,
         }))
     }
 
-    /// Bind a prepared core to this session: rebuild the borrowing miner
-    /// from the core's [`MinerParts`] (cheap — the atom space is shared
-    /// via `Arc`) and snapshot `config` onto the query.
+    /// Bind a prepared core to this session: build its miner through the
+    /// session's memos, which build only the atom blocks no earlier
+    /// prepare built under `config`'s atom options, and snapshot `config`
+    /// onto the query.
     fn assemble(&self, core: Arc<PreparedCore>, config: CausumxConfig) -> PreparedQuery<'_> {
-        let miner = TreatmentMiner::from_parts(
+        let miner = TreatmentMiner::with_memos(
             &self.table,
             &self.dag,
+            core.query.avg,
+            &core.split.treatment,
             config.lattice.clone(),
             Arc::clone(&self.backdoor),
-            &core.parts,
+            &self.atoms,
         );
         self.counters
             .queries_prepared
@@ -778,9 +782,9 @@ pub struct PreparedQuery<'s> {
     session: &'s Session,
     /// Configuration snapshot taken at prepare time.
     config: CausumxConfig,
-    /// The session-lifetime prepared state (query, view, lazily built
-    /// per-group bitsets, FD split, miner parts) — possibly shared with
-    /// other handles through the prepared-statement cache.
+    /// The statement's prepared state (query, view, lazily built
+    /// per-group bitsets, FD split) — possibly shared with other handles
+    /// through the prepared-statement cache.
     core: Arc<PreparedCore>,
     miner: TreatmentMiner<'s>,
 }

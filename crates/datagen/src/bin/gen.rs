@@ -4,6 +4,9 @@
 //! ```sh
 //! cargo run -p datagen --bin gen --release -- so 10000 42 /tmp/so.csv
 //! ```
+//!
+//! A bad argument exits with status 2 and the usage line; an output path
+//! that cannot be written exits with status 1 and names the path.
 
 const USAGE: &str =
     "usage: gen <german|adult|so|impus|accidents|synthetic> <rows> <seed> <out.csv>";
@@ -48,7 +51,10 @@ fn main() {
         ),
         other => usage_error(&format!("unknown dataset `{other}`")),
     };
-    table::csv::write_csv(&ds.table, out).expect("write csv");
+    if let Err(e) = std::fs::write(out, table::csv::to_csv(&ds.table)) {
+        eprintln!("gen: cannot write {out}: {e}");
+        std::process::exit(1)
+    }
     eprintln!(
         "wrote {} rows × {} attrs to {out} (group-by {:?}, outcome {})",
         ds.table.nrows(),

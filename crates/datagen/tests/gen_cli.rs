@@ -1,6 +1,7 @@
 //! The `gen` binary's command-line contract: a bad argument prints the
-//! usage line and exits with status 2 (no panic), and a valid run writes
-//! the CSV.
+//! usage line and exits with status 2 (no panic), an unwritable output
+//! path is named on stderr with status 1 (no panic), and a valid run
+//! writes the CSV.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -55,4 +56,20 @@ fn tiny_run_writes_the_csv() {
     assert_eq!(text.lines().count(), 21, "{text}");
     // The ground-truth DAG goes to stdout in DOT.
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("digraph causal {"));
+}
+
+#[test]
+fn unwritable_path_names_the_path_and_exits_1() {
+    let dir = scratch_csv("gen_missing_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let csv = dir.join("x.csv");
+    let out = gen(&["so", "10", "1", csv.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("gen: cannot write {}", csv.display())),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(!csv.exists());
 }

@@ -39,6 +39,6 @@ pub use grouping::{mine_grouping_patterns, GroupingPattern};
 pub use sched::faults::{FaultKind, FaultPlan, FaultSite};
 pub use sched::guard::{CancelHandle, QueryProgress, RunGuard};
 pub use treatment::{
-    BackdoorMemo, LatticeOptions, LatticeStats, MineError, MinerParts, PairedTreatments,
+    AtomMemo, BackdoorMemo, LatticeOptions, LatticeStats, MineError, PairedTreatments,
     TreatmentMiner, TreatmentResult,
 };

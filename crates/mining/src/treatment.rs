@@ -389,6 +389,133 @@ impl BackdoorMemo {
     }
 }
 
+/// Shared memo of treatment atoms over one table: each attribute's block
+/// of atoms (their predicates, slots and full-table masks) under each set
+/// of atom options it is asked for, and each outcome attribute's
+/// standard deviation. Atoms depend on neither a query's WHERE clause nor
+/// its GROUP BY set, so a session hands one memo to every miner it
+/// builds, as it does its [`BackdoorMemo`], and a miner builds only the
+/// blocks no earlier miner over the memo built. The memo holds at most
+/// one block per column and option set, whatever queries it serves.
+///
+/// A lookup of a built block reads it without taking a lock; concurrent
+/// first lookups of one block build it once between them. The
+/// `blocks_built` counter records builds (memo misses).
+#[derive(Debug, Default)]
+pub struct AtomMemo {
+    /// The identity of the table the memo was first attached to
+    /// ([`table_identity`]), and one entry per column of it.
+    bound: OnceLock<(Box<[usize]>, Box<[ColumnAtoms]>)>,
+    built: AtomicUsize,
+}
+
+/// The [`LatticeOptions`] fields building an attribute's atoms reads: with
+/// the attribute, the key of its block in an [`AtomMemo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AtomOpts {
+    max_atoms_per_attr: usize,
+    numeric_bins: usize,
+}
+
+impl AtomOpts {
+    fn of(opts: &LatticeOptions) -> Self {
+        AtomOpts {
+            max_atoms_per_attr: opts.max_atoms_per_attr,
+            numeric_bins: opts.numeric_bins,
+        }
+    }
+}
+
+/// One column's entry of an [`AtomMemo`].
+#[derive(Debug, Default)]
+struct ColumnAtoms {
+    /// The column's standard deviation, for a walk with it as outcome.
+    std: OnceLock<f64>,
+    /// The column's blocks, one per set of atom options looked up.
+    blocks: OnceLock<Box<Variant>>,
+}
+
+/// A column's block under one set of atom options (`None` when the
+/// column yields no atom), and the link to the next set: an append-only
+/// list, so a reader follows it without a lock.
+#[derive(Debug)]
+struct Variant {
+    opts: AtomOpts,
+    block: OnceLock<Option<Arc<AttrBlock>>>,
+    next: OnceLock<Box<Variant>>,
+}
+
+impl AtomMemo {
+    /// Empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of attribute blocks built (memo misses) so far.
+    pub fn blocks_built(&self) -> usize {
+        self.built.load(Ordering::Relaxed)
+    }
+
+    /// Bind the memo to `table` on first use; panic if a later miner
+    /// attaches it to a different table.
+    fn attach(&self, table: &Table) {
+        let (bound, _) = self.bound.get_or_init(|| {
+            let columns = (0..table.ncols()).map(|_| ColumnAtoms::default());
+            (table_identity(table).collect(), columns.collect())
+        });
+        assert!(
+            bound.iter().copied().eq(table_identity(table)),
+            "AtomMemo shared across different tables — atoms would silently select the wrong rows"
+        );
+    }
+
+    fn column(&self, attr: usize) -> &ColumnAtoms {
+        &self.bound.get().expect("AtomMemo is attached before use").1[attr]
+    }
+
+    /// The block of `attr` under `opts`, built on the first lookup.
+    fn block(&self, table: &Table, attr: usize, opts: AtomOpts) -> Option<Arc<AttrBlock>> {
+        let mut link = &self.column(attr).blocks;
+        loop {
+            let variant = link.get_or_init(|| {
+                Box::new(Variant {
+                    opts,
+                    block: OnceLock::new(),
+                    next: OnceLock::new(),
+                })
+            });
+            if variant.opts == opts {
+                let block = variant.block.get_or_init(|| {
+                    self.built.fetch_add(1, Ordering::Relaxed);
+                    build_block(table, attr, opts).map(Arc::new)
+                });
+                return block.clone();
+            }
+            link = &variant.next;
+        }
+    }
+
+    /// The standard deviation of `attr`'s column.
+    fn std(&self, table: &Table, attr: usize) -> f64 {
+        *self
+            .column(attr)
+            .std
+            .get_or_init(|| column_std(table.column(attr)))
+    }
+}
+
+/// What tells one table from another for [`AtomMemo::attach`]: its row
+/// count and the address of every column's buffer, which a table keeps
+/// when it moves and no two live tables share.
+fn table_identity(table: &Table) -> impl Iterator<Item = usize> + '_ {
+    let buffer = |col: &Column| match col {
+        Column::Cat { codes, .. } => codes.as_ptr() as usize,
+        Column::Int(v) => v.as_ptr() as usize,
+        Column::Float(v) => v.as_ptr() as usize,
+    };
+    std::iter::once(table.nrows()).chain((0..table.ncols()).map(move |c| buffer(table.column(c))))
+}
+
 /// Deepest lattice level the walk supports: the capacity of the inline
 /// atom sets its nodes are keyed by. `CausumxConfig::validate` rejects a
 /// deeper `max_level`, and so does [`TreatmentMiner::new`].
@@ -443,23 +570,62 @@ enum AtomKind {
     Upper, // attr < v
 }
 
-#[derive(Debug, Clone)]
+/// One atom of an [`AttrBlock`].
+#[derive(Debug)]
 struct Atom {
     pred: Pred,
-    attr: usize,
     kind: AtomKind,
-    /// Index of the atom's [`AttrBlock`] in the atom space.
-    block: usize,
     /// Rows of the *full table* satisfying the atom.
     mask: BitSet,
 }
 
-/// The atomic predicate space: every atom with its full-table row mask,
-/// and the attribute blocks that say which atoms a row's value selects.
+/// A miner's atomic predicate space: the blocks of its treatment
+/// attributes, in attribute order. Atom ids run through the blocks in
+/// that order. The blocks come from an [`AtomMemo`] and are shared with
+/// every space over the same table and atom options; only the id → block
+/// map is the space's own.
 #[derive(Debug)]
 struct AtomSpace {
-    atoms: Vec<Atom>,
-    blocks: Vec<AttrBlock>,
+    blocks: Vec<Arc<AttrBlock>>,
+    /// Atom id → (index of its block in `blocks`, position in the block).
+    ids: Vec<(usize, usize)>,
+}
+
+impl AtomSpace {
+    /// The space of `attrs`, in that order, from `memo`'s blocks (built
+    /// on first use). An attribute without atoms adds no block.
+    fn new(memo: &AtomMemo, table: &Table, attrs: &[usize], opts: AtomOpts) -> Self {
+        let mut space = AtomSpace {
+            blocks: Vec::new(),
+            ids: Vec::new(),
+        };
+        for &attr in attrs {
+            if let Some(block) = memo.block(table, attr, opts) {
+                let b = space.blocks.len();
+                space.ids.extend((0..block.atoms.len()).map(|i| (b, i)));
+                space.blocks.push(block);
+            }
+        }
+        space
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn atom(&self, a: usize) -> &Atom {
+        let (b, i) = self.ids[a];
+        &self.blocks[b].atoms[i]
+    }
+
+    fn attr(&self, a: usize) -> usize {
+        self.blocks[self.ids[a].0].attr
+    }
+
+    /// Every atom, in id order.
+    fn atoms(&self) -> impl Iterator<Item = &Atom> {
+        self.blocks.iter().flat_map(|b| b.atoms.iter())
+    }
 }
 
 /// One treatment attribute's run of adjacent atoms, and how a row's value
@@ -467,16 +633,14 @@ struct AtomSpace {
 /// atom holds the rows of the slots it covers ([`AttrBlock::covers`]). So
 /// one pass over a row list, looking each row's slot up, sorts the rows
 /// of every atom of the block at once ([`AttrBlock::partition`]): the
-/// full-table masks when the atom space is built, level 1's treated rows
-/// over each context's rows ([`WalkState::sort_level1`]), and local masks
-/// on demand ([`WalkState::fill_masks`]). The slot metadata is a few
-/// values per attribute, never a column per row, so a cached atom space
-/// grows by no row-sized state.
+/// full-table masks when the block is built, level 1's treated rows over
+/// each context's rows ([`WalkState::sort_level1`]), and local masks on
+/// demand ([`WalkState::fill_masks`]). The slot metadata is a few values
+/// per attribute, never a column per row.
 #[derive(Debug)]
 struct AttrBlock {
     attr: usize,
-    /// The block's atoms, as indices into the atom space.
-    atoms: Range<usize>,
+    atoms: Vec<Atom>,
     slots: Slots,
 }
 
@@ -608,36 +772,10 @@ impl AttrBlock {
     }
 }
 
-/// The table-scan products of a [`TreatmentMiner`]'s construction,
-/// exported by [`TreatmentMiner::parts`] and re-imported by
-/// [`TreatmentMiner::from_parts`]: the atomic predicate space (shared via
-/// `Arc` — each atom's full-table row mask is the expensive part of
-/// `prepare`) plus the outcome statistics, fingerprinted with the table
-/// shape they were built against. Cloning is `O(1)`.
-#[derive(Debug, Clone)]
-pub struct MinerParts {
-    space: Arc<AtomSpace>,
-    outcome_std: f64,
-    outcome: usize,
-    nrows: usize,
-    ncols: usize,
-}
-
-impl MinerParts {
-    /// Number of atomic predicates in the exported space.
-    pub fn num_atoms(&self) -> usize {
-        self.space.atoms.len()
-    }
-
-    /// The outcome attribute the parts were exported for.
-    pub fn outcome(&self) -> usize {
-        self.outcome
-    }
-}
-
-/// The treatment-pattern miner: precomputes atomic predicates and their row
-/// masks once, then mines the top treatments of many grouping patterns
-/// per [`TreatmentMiner::mine_paired_many_guarded`] call (these calls are
+/// The treatment-pattern miner: holds the atomic predicates of its
+/// treatment attributes with their row masks, then mines the top
+/// treatments of many grouping patterns per
+/// [`TreatmentMiner::mine_paired_many_guarded`] call (these calls are
 /// `&self` and thread-safe; the call itself fans the patterns out on the
 /// scheduler — the paper's optimization (c)). Subpopulations travel as
 /// [`BitSet`]s end-to-end; within one query all estimations share a
@@ -648,10 +786,7 @@ pub struct TreatmentMiner<'a> {
     dag: &'a Dag,
     outcome: usize,
     opts: LatticeOptions,
-    /// `Arc`'d so a prepared-statement cache can share one atom space
-    /// across many miners over the same table (see
-    /// [`TreatmentMiner::parts`]).
-    space: Arc<AtomSpace>,
+    space: AtomSpace,
     /// |outcome std| for the near-zero pruning threshold.
     outcome_std: f64,
     /// table attr id ↔ dag node id maps (by name).
@@ -666,8 +801,9 @@ pub struct TreatmentMiner<'a> {
 
 impl<'a> TreatmentMiner<'a> {
     /// Build a miner over `treat_attrs` (the non-FD side of the attribute
-    /// split). Applies optimization (a): attributes with no causal path to
-    /// the outcome in `dag` are dropped up front.
+    /// split), with memos of its own: every atom is built here. Applies
+    /// optimization (a): attributes with no causal path to the outcome in
+    /// `dag` are dropped up front.
     ///
     /// # Panics
     ///
@@ -680,29 +816,39 @@ impl<'a> TreatmentMiner<'a> {
         treat_attrs: &[usize],
         opts: LatticeOptions,
     ) -> Self {
-        Self::with_memo(
+        Self::with_memos(
             table,
             dag,
             outcome,
             treat_attrs,
             opts,
             Arc::new(BackdoorMemo::new()),
+            &AtomMemo::new(),
         )
     }
 
-    /// Like [`TreatmentMiner::new`] but sharing an externally owned
-    /// [`BackdoorMemo`], so backdoor sets computed by one miner (query)
-    /// are reused by every other miner over the same DAG.
-    pub fn with_memo(
+    /// Like [`TreatmentMiner::new`] but over externally owned memos: the
+    /// [`BackdoorMemo`] shares backdoor sets with every other miner over
+    /// the same DAG, and the [`AtomMemo`] supplies each attribute's atoms,
+    /// building only those no earlier miner over it built. The atoms and
+    /// their ids are those [`TreatmentMiner::new`] would build.
+    ///
+    /// # Panics
+    ///
+    /// As [`TreatmentMiner::new`], and when either memo was first used
+    /// with a different DAG or table.
+    pub fn with_memos(
         table: &'a Table,
         dag: &'a Dag,
         outcome: usize,
         treat_attrs: &[usize],
         opts: LatticeOptions,
         backdoor: Arc<BackdoorMemo>,
+        atoms: &AtomMemo,
     ) -> Self {
         check_max_level(&opts);
         backdoor.attach(dag, table.ncols());
+        atoms.attach(table);
         let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
 
         // Optimization (a): prune attributes without a causal path to Y.
@@ -728,8 +874,8 @@ impl<'a> TreatmentMiner<'a> {
             effective = treat_attrs.to_vec();
         }
 
-        let space = Arc::new(build_atoms(table, &effective, &opts));
-        let outcome_std = column_std(table.column(outcome));
+        let space = AtomSpace::new(atoms, table, &effective, AtomOpts::of(&opts));
+        let outcome_std = atoms.std(table, outcome);
 
         TreatmentMiner {
             table,
@@ -744,68 +890,9 @@ impl<'a> TreatmentMiner<'a> {
         }
     }
 
-    /// Export the table-scan products of this miner's construction — the
-    /// atomic predicate space (every atom's row mask is an `O(n)` table
-    /// scan) and the outcome standard deviation — as a cheaply clonable
-    /// [`MinerParts`]. A prepared-statement cache holds these so a
-    /// repeated query rebuilds its miner in `O(ncols)` via
-    /// [`TreatmentMiner::from_parts`] instead of re-scanning the table.
-    pub fn parts(&self) -> MinerParts {
-        MinerParts {
-            space: Arc::clone(&self.space),
-            outcome_std: self.outcome_std,
-            outcome: self.outcome,
-            nrows: self.table.nrows(),
-            ncols: self.table.ncols(),
-        }
-    }
-
-    /// Rebuild a miner from [`MinerParts`] previously exported by
-    /// [`TreatmentMiner::parts`]. Only the attribute↔DAG maps are
-    /// recomputed (`O(ncols)` name lookups); the atom space and outcome
-    /// statistics are shared untouched, so the rebuilt miner walks the
-    /// lattice bit-identically to the one that exported the parts.
-    ///
-    /// The parts are only meaningful against the same table, DAG, outcome
-    /// attribute and lattice options they were exported under — the
-    /// caller (the session's prepared-statement cache) guarantees this;
-    /// shape mismatches are rejected loudly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `table`/`outcome` disagree with the shape recorded in
-    /// `parts` (wrong row/column count or outcome attribute).
-    pub fn from_parts(
-        table: &'a Table,
-        dag: &'a Dag,
-        opts: LatticeOptions,
-        backdoor: Arc<BackdoorMemo>,
-        parts: &MinerParts,
-    ) -> Self {
-        assert_eq!(
-            (parts.nrows, parts.ncols),
-            (table.nrows(), table.ncols()),
-            "MinerParts exported from a differently-shaped table"
-        );
-        check_max_level(&opts);
-        backdoor.attach(dag, table.ncols());
-        let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
-        TreatmentMiner {
-            table,
-            dag,
-            outcome: parts.outcome,
-            opts,
-            space: Arc::clone(&parts.space),
-            outcome_std: parts.outcome_std,
-            attr_to_dag,
-            dag_to_attr,
-            backdoor,
-        }
-    }
-
     /// Number of atomic treatment predicates under consideration.
     pub fn num_atoms(&self) -> usize {
-        self.space.atoms.len()
+        self.space.len()
     }
 
     /// Attributes that survived the optimization-(a) pruning.
@@ -819,7 +906,7 @@ impl<'a> TreatmentMiner<'a> {
     /// Confounder attributes (backdoor set) for a treatment over `attrs`.
     /// Memoized per attribute set: the DAG walk runs once, every further
     /// estimate over the same attributes is a hash lookup — across *all*
-    /// miners sharing this memo (see [`TreatmentMiner::with_memo`]).
+    /// miners sharing this memo (see [`TreatmentMiner::with_memos`]).
     pub fn confounders_for(&self, attrs: &[usize]) -> Vec<usize> {
         self.attrs_key(attrs).set().to_vec()
     }
@@ -854,7 +941,7 @@ impl<'a> TreatmentMiner<'a> {
     fn key_of(&self, atoms: &AtomSet) -> ConfounderKey {
         let mut attrs = [0usize; MAX_LEVEL];
         for (attr, &a) in attrs.iter_mut().zip(atoms.iter()) {
-            *attr = self.space.atoms[a as usize].attr;
+            *attr = self.space.attr(a as usize);
         }
         self.attrs_key(&attrs[..atoms.len()])
     }
@@ -1233,9 +1320,9 @@ impl<'a> TreatmentMiner<'a> {
         let mut out = Vec::new();
         // Ids of current-frontier patterns; expand depth-first by index
         // ordering so each combination is generated once.
+        let space = &self.space;
         let mut frontier: Vec<(Vec<u16>, BitSet)> = Vec::new();
-        let atoms = &self.space.atoms;
-        for (ai, atom) in atoms.iter().enumerate() {
+        for (ai, atom) in space.atoms().enumerate() {
             frontier.push((vec![ai as u16], atom.mask.clone()));
         }
         let mut level = 1;
@@ -1244,7 +1331,7 @@ impl<'a> TreatmentMiner<'a> {
             for (pattern, mask) in &frontier {
                 if self.overlap_ok(mask.intersection_count(sub_bits), sub_n) {
                     let attrs: Vec<usize> =
-                        pattern.iter().map(|&x| atoms[x as usize].attr).collect();
+                        pattern.iter().map(|&x| space.attr(x as usize)).collect();
                     if let Some(r) = self.estimate(&mut contexts, sub_bits, mask, &attrs) {
                         out.push(TreatmentResult {
                             pattern: self.pattern_of(pattern),
@@ -1257,12 +1344,12 @@ impl<'a> TreatmentMiner<'a> {
                 }
                 if level < max_len {
                     let last = *pattern.last().expect("frontier patterns are non-empty") as usize;
-                    for nxt in last + 1..atoms.len() {
+                    for nxt in last + 1..space.len() {
                         if !self.atoms_compatible_with_all(pattern, nxt) {
                             continue;
                         }
                         let mut m = mask.clone();
-                        m.intersect_with(&atoms[nxt].mask);
+                        m.intersect_with(&space.atom(nxt).mask);
                         if m.is_empty() {
                             continue;
                         }
@@ -1282,7 +1369,7 @@ impl<'a> TreatmentMiner<'a> {
         Pattern::new(
             atoms
                 .iter()
-                .map(|&a| self.space.atoms[a as usize].pred.clone())
+                .map(|&a| self.space.atom(a as usize).pred.clone())
                 .collect(),
         )
     }
@@ -1290,12 +1377,12 @@ impl<'a> TreatmentMiner<'a> {
     /// Two atoms may co-occur when they are on different attributes, or
     /// form a (lower, upper) range on the same numeric attribute.
     fn atoms_compatible(&self, a: usize, b: usize) -> bool {
-        let (x, y) = (&self.space.atoms[a], &self.space.atoms[b]);
-        if x.attr != y.attr {
+        let space = &self.space;
+        if space.attr(a) != space.attr(b) {
             return true;
         }
         matches!(
-            (x.kind, y.kind),
+            (space.atom(a).kind, space.atom(b).kind),
             (AtomKind::Lower, AtomKind::Upper) | (AtomKind::Upper, AtomKind::Lower)
         )
     }
@@ -1646,8 +1733,7 @@ impl<'w> WalkState<'w> {
     fn level1_cands(&self) -> Vec<Cand> {
         self.miner
             .space
-            .atoms
-            .iter()
+            .atoms()
             .enumerate()
             .filter_map(|(ai, atom)| {
                 let treated_in_sub = atom.mask.intersection_count(self.subpop);
@@ -1675,10 +1761,10 @@ impl<'w> WalkState<'w> {
             .filter(|(_, m)| m.capacity() != self.sub_n)
             .collect();
         missing.sort_unstable_by_key(|&(a, _)| a);
-        let block_of = |a: u16| space.atoms[a as usize].block;
+        let block_of = |a: u16| space.ids[a as usize].0;
         for run in missing.chunk_by_mut(|x, y| block_of(x.0) == block_of(y.0)) {
             let block = &space.blocks[block_of(run[0].0)];
-            let wanted = run.iter().map(|(a, _)| *a as usize - block.atoms.start);
+            let wanted = run.iter().map(|(a, _)| space.ids[*a as usize].1);
             let masks = block.masks(self.miner.table, self.subpop, wanted);
             for ((_, slot), mask) in run.iter_mut().zip(masks) {
                 **slot = mask;
@@ -1795,7 +1881,7 @@ impl<'w> WalkState<'w> {
     /// context which rows it names.
     fn sort_level1(&self, cands: &mut [Cand], ctx: &[Option<Arc<EstimationContext>>]) {
         let space = &self.miner.space;
-        let block_of = |c: &Cand| space.atoms[c.atoms[0] as usize].block;
+        let block_of = |c: &Cand| space.ids[c.atoms[0] as usize].0;
         let mut first = 0;
         for run in cands.chunk_by_mut(|a, b| block_of(a) == block_of(b)) {
             let ctx = &ctx[first];
@@ -1806,7 +1892,7 @@ impl<'w> WalkState<'w> {
             let block = &space.blocks[block_of(&run[0])];
             let by_slot = block.partition(self.miner.table, ctx.n(), ctx.rows().iter().copied());
             for cand in run {
-                cand.treated = block.union(cand.atoms[0] as usize - block.atoms.start, &by_slot);
+                cand.treated = block.union(space.ids[cand.atoms[0] as usize].1, &by_slot);
             }
         }
     }
@@ -2009,131 +2095,123 @@ fn dag_maps(table: &Table, dag: &Dag) -> (Vec<Option<usize>>, Vec<Option<usize>>
     (attr_to_dag, dag_to_attr)
 }
 
-/// Build the atomic predicate space over the effective treatment attrs.
-/// Each attribute becomes one [`AttrBlock`]: its atoms' predicates and
-/// slots come from a frequency pass (categorical), a domain scan or one
-/// sort (numeric), and every mask of the block from one pass over the
-/// column ([`AttrBlock::partition`]).
-fn build_atoms(table: &Table, attrs: &[usize], opts: &LatticeOptions) -> AtomSpace {
+/// Build the [`AttrBlock`] of `attr` under `opts`, or `None` when the
+/// attribute yields no atom. The atoms' predicates and slots come from a
+/// frequency pass (categorical), a domain scan or one sort (numeric), and
+/// every mask of the block from one pass over the column
+/// ([`AttrBlock::partition`]).
+fn build_block(table: &Table, attr: usize, opts: AtomOpts) -> Option<AttrBlock> {
     let n = table.nrows();
-    let mut space = AtomSpace {
-        atoms: Vec::new(),
-        blocks: Vec::new(),
-    };
-    for &attr in attrs {
-        let (preds, slots): (Vec<(Pred, AtomKind)>, Slots) = match table.column(attr) {
-            Column::Cat { codes, dict } => {
-                // Most frequent levels first, capped.
-                let mut freq = vec![0usize; dict.len()];
-                for &c in codes {
-                    freq[c as usize] += 1;
-                }
-                let mut levels: Vec<usize> = (0..dict.len()).collect();
-                levels.sort_by_key(|&l| std::cmp::Reverse(freq[l]));
-                let levels: Vec<u32> = levels
-                    .into_iter()
-                    .take(opts.max_atoms_per_attr)
-                    .filter(|&l| freq[l] > 0)
-                    .map(|l| l as u32)
-                    .collect();
-                let mut slot = vec![levels.len(); dict.len()];
-                for (i, &l) in levels.iter().enumerate() {
-                    slot[l as usize] = i;
-                }
-                let preds = levels
-                    .iter()
-                    .map(|&l| (Pred::eq(attr, dict.value(l)), AtomKind::Eq))
-                    .collect();
-                (preds, Slots::Codes(slot))
+    let (preds, slots): (Vec<(Pred, AtomKind)>, Slots) = match table.column(attr) {
+        Column::Cat { codes, dict } => {
+            // Most frequent levels first, capped.
+            let mut freq = vec![0usize; dict.len()];
+            for &c in codes {
+                freq[c as usize] += 1;
             }
-            col @ (Column::Int(_) | Column::Float(_)) => {
-                let pred = |op: Op, v: f64| Pred {
-                    attr,
-                    op,
-                    value: match col {
-                        Column::Int(_) => Scalar::Int(v as i64),
-                        _ => Scalar::Float(v),
-                    },
-                };
-                if let Some(mut values) = small_domain(col, opts.numeric_bins.max(6)) {
-                    // Small integer-like domain: equality atoms. NaN-total
-                    // sort: ingest pre-validates numeric cells, but a NaN
-                    // must not abort the whole query.
-                    values.sort_by(|a, b| a.total_cmp(b));
-                    values.dedup();
-                    let preds = values
-                        .iter()
-                        .take(opts.max_atoms_per_attr)
-                        .map(|&v| (pred(Op::Eq, v), AtomKind::Eq))
-                        .collect();
-                    (preds, Slots::Domain(values))
-                } else {
-                    // Quantile thresholds: attr ≥ q (Lower) and attr < q
-                    // (Upper) per internal cut point. `total_cmp` is a
-                    // total order, so the unstable sort gives the same
-                    // array as a stable one.
-                    let vals: Vec<f64> = (0..n).map(|r| col.get_f64(r)).collect();
-                    let mut sorted = vals.clone();
-                    sorted.sort_unstable_by(|a, b| a.total_cmp(b));
-                    let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
-                    let mut cuts: Vec<f64> = (1..opts.numeric_bins)
-                        .map(|i| {
-                            let idx = i * sorted.len() / opts.numeric_bins;
-                            sorted[idx.min(sorted.len() - 1)]
-                        })
-                        .filter(|&q| q > lo) // cut at the min is degenerate
-                        .collect();
-                    cuts.dedup();
-                    if cuts.is_empty() && lo < hi {
-                        // Zero-inflated / heavily skewed column: every
-                        // quantile collapsed onto the minimum. Split at
-                        // the mean instead — for an Int column at ⌈mean⌉:
-                        // `x ≥ mean ⟺ x ≥ ⌈mean⌉` for integers, so the
-                        // predicate shows the constant the mask tests.
-                        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-                        if mean > lo && mean <= hi {
-                            cuts.push(match col {
-                                Column::Int(_) => mean.ceil(),
-                                _ => mean,
-                            });
-                        }
-                    }
-                    let preds = cuts
-                        .iter()
-                        .flat_map(|&q| {
-                            [
-                                (pred(Op::Ge, q), AtomKind::Lower),
-                                (pred(Op::Lt, q), AtomKind::Upper),
-                            ]
-                        })
-                        .collect();
-                    (preds, Slots::Cuts(cuts))
-                }
+            let mut levels: Vec<usize> = (0..dict.len()).collect();
+            levels.sort_by_key(|&l| std::cmp::Reverse(freq[l]));
+            let levels: Vec<u32> = levels
+                .into_iter()
+                .take(opts.max_atoms_per_attr)
+                .filter(|&l| freq[l] > 0)
+                .map(|l| l as u32)
+                .collect();
+            let mut slot = vec![levels.len(); dict.len()];
+            for (i, &l) in levels.iter().enumerate() {
+                slot[l as usize] = i;
             }
-        };
-        if preds.is_empty() {
-            continue;
+            let preds = levels
+                .iter()
+                .map(|&l| (Pred::eq(attr, dict.value(l)), AtomKind::Eq))
+                .collect();
+            (preds, Slots::Codes(slot))
         }
-        let start = space.atoms.len();
-        let block = AttrBlock {
-            attr,
-            atoms: start..start + preds.len(),
-            slots,
-        };
-        let by_slot = block.partition(table, n, 0..n);
-        let b = space.blocks.len();
-        space
-            .atoms
-            .extend(preds.into_iter().enumerate().map(|(i, (pred, kind))| Atom {
-                pred,
+        col @ (Column::Int(_) | Column::Float(_)) => {
+            let pred = |op: Op, v: f64| Pred {
                 attr,
-                kind,
-                block: b,
-                mask: block.union(i, &by_slot),
-            }));
-        space.blocks.push(block);
+                op,
+                value: match col {
+                    Column::Int(_) => Scalar::Int(v as i64),
+                    _ => Scalar::Float(v),
+                },
+            };
+            if let Some(mut values) = small_domain(col, opts.numeric_bins.max(6)) {
+                // Small integer-like domain: equality atoms. NaN-total
+                // sort: ingest pre-validates numeric cells, but a NaN
+                // must not abort the whole query.
+                values.sort_by(|a, b| a.total_cmp(b));
+                values.dedup();
+                let preds = values
+                    .iter()
+                    .take(opts.max_atoms_per_attr)
+                    .map(|&v| (pred(Op::Eq, v), AtomKind::Eq))
+                    .collect();
+                (preds, Slots::Domain(values))
+            } else {
+                // Quantile thresholds: attr ≥ q (Lower) and attr < q
+                // (Upper) per internal cut point. `total_cmp` is a
+                // total order, so the unstable sort gives the same
+                // array as a stable one.
+                let vals: Vec<f64> = (0..n).map(|r| col.get_f64(r)).collect();
+                let mut sorted = vals.clone();
+                sorted.sort_unstable_by(|a, b| a.total_cmp(b));
+                let (lo, hi) = (sorted[0], sorted[sorted.len() - 1]);
+                let mut cuts: Vec<f64> = (1..opts.numeric_bins)
+                    .map(|i| {
+                        let idx = i * sorted.len() / opts.numeric_bins;
+                        sorted[idx.min(sorted.len() - 1)]
+                    })
+                    .filter(|&q| q > lo) // cut at the min is degenerate
+                    .collect();
+                cuts.dedup();
+                if cuts.is_empty() && lo < hi {
+                    // Zero-inflated / heavily skewed column: every
+                    // quantile collapsed onto the minimum. Split at
+                    // the mean instead — for an Int column at ⌈mean⌉:
+                    // `x ≥ mean ⟺ x ≥ ⌈mean⌉` for integers, so the
+                    // predicate shows the constant the mask tests.
+                    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+                    if mean > lo && mean <= hi {
+                        cuts.push(match col {
+                            Column::Int(_) => mean.ceil(),
+                            _ => mean,
+                        });
+                    }
+                }
+                let preds = cuts
+                    .iter()
+                    .flat_map(|&q| {
+                        [
+                            (pred(Op::Ge, q), AtomKind::Lower),
+                            (pred(Op::Lt, q), AtomKind::Upper),
+                        ]
+                    })
+                    .collect();
+                (preds, Slots::Cuts(cuts))
+            }
+        }
+    };
+    if preds.is_empty() {
+        return None;
     }
-    space
+    let mut block = AttrBlock {
+        attr,
+        atoms: preds
+            .into_iter()
+            .map(|(pred, kind)| Atom {
+                pred,
+                kind,
+                mask: BitSet::default(),
+            })
+            .collect(),
+        slots,
+    };
+    let by_slot = block.partition(table, n, 0..n);
+    for i in 0..block.atoms.len() {
+        block.atoms[i].mask = block.union(i, &by_slot);
+    }
+    Some(block)
 }
 
 /// The distinct values of a numeric column when it has at most `cap` of
@@ -2553,37 +2631,40 @@ mod tests {
     #[test]
     fn shared_backdoor_memo_walks_once() {
         let (table, dag) = synth(800, 5);
-        let memo = Arc::new(BackdoorMemo::new());
-        let a = TreatmentMiner::with_memo(
+        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
+        let a = TreatmentMiner::with_memos(
             &table,
             &dag,
             3,
             &[0, 1, 2],
             LatticeOptions::default(),
             Arc::clone(&memo),
+            &atoms,
         );
         let _ = a.confounders_for(&[0]);
         let _ = a.confounders_for(&[0, 1]);
         let walks = memo.walks();
         assert_eq!(walks, 2);
-        let b = TreatmentMiner::with_memo(
+        let b = TreatmentMiner::with_memos(
             &table,
             &dag,
             3,
             &[0, 1, 2],
             LatticeOptions::default(),
             Arc::clone(&memo),
+            &atoms,
         );
         assert_eq!(b.confounders_for(&[0]), a.confounders_for(&[0]));
         assert_eq!(memo.walks(), walks, "second miner hits the shared memo");
         // A different outcome is a different key — it must re-walk.
-        let c = TreatmentMiner::with_memo(
+        let c = TreatmentMiner::with_memos(
             &table,
             &dag,
             2,
             &[0, 1],
             LatticeOptions::default(),
             Arc::clone(&memo),
+            &atoms,
         );
         let _ = c.confounders_for(&[0]);
         assert_eq!(memo.walks(), walks + 1);
@@ -2594,16 +2675,17 @@ mod tests {
     #[test]
     fn concurrent_memo_misses_walk_once() {
         let (table, dag) = synth(200, 3);
-        let parts =
-            TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default()).parts();
+        let atoms = AtomMemo::new();
         for round in 0..300 {
             let memo = Arc::new(BackdoorMemo::new());
-            let miner = TreatmentMiner::from_parts(
+            let miner = TreatmentMiner::with_memos(
                 &table,
                 &dag,
+                3,
+                &[0, 1],
                 LatticeOptions::default(),
                 Arc::clone(&memo),
-                &parts,
+                &atoms,
             );
             let barrier = std::sync::Barrier::new(4);
             std::thread::scope(|s| {
@@ -2623,23 +2705,94 @@ mod tests {
     fn shared_memo_rejects_foreign_dag() {
         let (table, dag) = synth(200, 2);
         let other = Dag::new(&["t1", "t2", "t3", "o"], &[("t2", "o")]).unwrap();
-        let memo = Arc::new(BackdoorMemo::new());
-        let _a = TreatmentMiner::with_memo(
+        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
+        let _a = TreatmentMiner::with_memos(
             &table,
             &dag,
             3,
             &[0, 1],
             LatticeOptions::default(),
             Arc::clone(&memo),
+            &atoms,
         );
-        let _b = TreatmentMiner::with_memo(
+        let _b = TreatmentMiner::with_memos(
             &table,
             &other,
             3,
             &[0, 1],
             LatticeOptions::default(),
             Arc::clone(&memo),
+            &atoms,
         );
+    }
+
+    /// Miners over one atom memo build each (attribute, atom options)
+    /// block once and share it, whatever attribute subsets they ask for
+    /// and however the table has moved since; their atoms equal those of
+    /// miners with memos of their own.
+    #[test]
+    fn shared_atom_memo_builds_each_block_once() {
+        let (table, dag) = atom_space_table(600, 9);
+        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
+        let first = TreatmentMiner::with_memos(
+            &table,
+            &dag,
+            7,
+            &[0, 1, 2],
+            LatticeOptions::default(),
+            Arc::clone(&memo),
+            &atoms,
+        );
+        let block = Arc::clone(&first.space.blocks[0]);
+        assert_eq!(atoms.blocks_built(), 3);
+        drop(first);
+        // Moving the table keeps its column buffers, and so the memo's
+        // binding.
+        let table = Box::new(table);
+        let wide = LatticeOptions {
+            numeric_bins: 8,
+            ..Default::default()
+        };
+        let cases: [(&[usize], &LatticeOptions, usize); 4] = [
+            (&[0, 1, 2, 3], &LatticeOptions::default(), 4),
+            (&[3, 0], &LatticeOptions::default(), 4),
+            (&[0, 3, 4], &wide, 7),
+            (&[4, 0], &wide, 7),
+        ];
+        for (attrs, opts, built) in cases {
+            let shared = TreatmentMiner::with_memos(
+                &table,
+                &dag,
+                7,
+                attrs,
+                opts.clone(),
+                Arc::clone(&memo),
+                &atoms,
+            );
+            assert_eq!(atoms.blocks_built(), built, "{attrs:?}");
+            let own = TreatmentMiner::new(&table, &dag, 7, attrs, opts.clone());
+            assert_eq!(shared.num_atoms(), own.num_atoms());
+            for (a, b) in shared.space.atoms().zip(own.space.atoms()) {
+                assert_eq!((&a.pred, a.kind), (&b.pred, b.kind));
+                assert_eq!(a.mask, b.mask, "{}", a.pred.display(&table));
+            }
+            assert_eq!(shared.outcome_std.to_bits(), own.outcome_std.to_bits());
+            let zero = shared.space.blocks.iter().find(|b| b.attr == 0).unwrap();
+            assert_eq!(Arc::ptr_eq(zero, &block), opts.numeric_bins == 4);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "AtomMemo shared across different tables")]
+    fn atom_memo_rejects_foreign_table() {
+        let (table, dag) = synth(200, 2);
+        let copy = table.clone();
+        let atoms = AtomMemo::new();
+        let memo = Arc::new(BackdoorMemo::new());
+        let opts = LatticeOptions::default();
+        let _a =
+            TreatmentMiner::with_memos(&table, &dag, 3, &[0], opts.clone(), memo.clone(), &atoms);
+        let _b = TreatmentMiner::with_memos(&copy, &dag, 3, &[0], opts, memo, &atoms);
     }
 
     /// A bare node with a known p-value, for the best-list tests.
@@ -2781,7 +2934,7 @@ mod tests {
     }
 
     /// A table whose treatment columns reach every branch of
-    /// `build_atoms`: a categorical column with more levels than the atom
+    /// `build_block`: a categorical column with more levels than the atom
     /// cap (some of them absent after a filter), small-domain Int and
     /// Float columns, wide ones, and zero-inflated ones whose quantile
     /// cuts all collapse onto the minimum (the mean fallback).
@@ -2869,7 +3022,7 @@ mod tests {
             };
             let miner = TreatmentMiner::new(&table, &dag, 7, &[0, 1, 2, 3, 4, 5, 6], opts);
             assert_eq!(miner.effective_attrs(), vec![0, 1, 2, 3, 4, 5, 6]);
-            for atom in miner.space.atoms.iter() {
+            for atom in miner.space.atoms() {
                 let selected = Pattern::single(atom.pred.clone()).eval(&table).unwrap();
                 assert_eq!(
                     atom.mask,
@@ -2882,7 +3035,8 @@ mod tests {
             // columns is 0, so they take the mean fallback: one cut.
             if bins <= 4 {
                 for attr in [5, 6] {
-                    let cuts = miner.space.atoms.iter().filter(|a| a.attr == attr).count();
+                    let cuts = miner.space.blocks.iter().filter(|b| b.attr == attr);
+                    let cuts: usize = cuts.map(|b| b.atoms.len()).sum();
                     assert_eq!(cuts, 2, "seed {seed}: attr {attr}");
                 }
             }
@@ -2902,9 +3056,8 @@ mod tests {
                 for m in [&miner, &twice] {
                     let mut seen = 0;
                     for block in &m.space.blocks {
-                        let atoms = &m.space.atoms[block.atoms.clone()];
-                        let masks = block.masks(&table, subpop, 0..atoms.len());
-                        for (atom, local) in atoms.iter().zip(&masks) {
+                        let masks = block.masks(&table, subpop, 0..block.atoms.len());
+                        for (atom, local) in block.atoms.iter().zip(&masks) {
                             assert_eq!(
                                 *local,
                                 projector.project(&atom.mask),
@@ -2915,7 +3068,7 @@ mod tests {
                         }
                         seen += masks.len();
                     }
-                    assert_eq!(seen, m.space.atoms.len());
+                    assert_eq!(seen, m.space.len());
                 }
             }
         }
@@ -2960,8 +3113,7 @@ mod tests {
                 let sub_n = subpop.count();
                 let projected: Vec<BitSet> = miner
                     .space
-                    .atoms
-                    .iter()
+                    .atoms()
                     .map(|a| projector.project(&a.mask))
                     .collect();
                 let want: Vec<(u16, usize)> = projected
@@ -2983,7 +3135,7 @@ mod tests {
                     let ctx = ctx
                         .as_ref()
                         .expect("a numeric outcome builds every context");
-                    let atom = &miner.space.atoms[c.atoms[0] as usize];
+                    let atom = miner.space.atom(c.atoms[0] as usize);
                     if ctx.n() == sub_n {
                         assert_eq!(c.treated, projected[c.atoms[0] as usize], "seed {seed}");
                         sorted_masks += 1;

@@ -323,7 +323,8 @@ impl Handler {
                 "\"admission\":{{\"inflight\":{},\"queued\":{},",
                 "\"max_inflight\":{},\"max_queued\":{}}},",
                 "\"session\":{{\"views_materialized\":{},\"queries_prepared\":{},",
-                "\"runs\":{},\"fd_closures_computed\":{},\"backdoor_walks\":{}}},",
+                "\"runs\":{},\"fd_closures_computed\":{},\"backdoor_walks\":{},",
+                "\"atom_blocks_built\":{}}},",
                 "\"prepared_cache\":{{\"len\":{},\"capacity\":{},\"hits\":{},",
                 "\"misses\":{},\"evictions\":{}}}}}"
             ),
@@ -342,6 +343,7 @@ impl Handler {
             sc.runs,
             sc.fd_closures_computed,
             sc.backdoor_walks,
+            sc.atom_blocks_built,
             cache.len,
             cache.capacity,
             cache.hits,

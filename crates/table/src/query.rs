@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 
 use crate::bitset::BitSet;
+use crate::column::Column;
 use crate::error::TableError;
 use crate::pattern::Pattern;
 use crate::table::Table;
@@ -47,69 +48,82 @@ impl GroupByAvgQuery {
     }
 
     /// Evaluate the query over `table`.
+    ///
+    /// Groups are numbered in order of first appearance among the
+    /// selected rows. The first group-by column numbers its groups through
+    /// a table indexed by its dictionary codes; each further column
+    /// refines them through one map keyed by (group so far, code), packed
+    /// into an integer. Each group's sum adds its rows in row order.
     pub fn run(&self, table: &Table) -> Result<AggView> {
+        let mut key_cols: Vec<(&[u32], usize)> = Vec::with_capacity(self.group_by.len());
         for &g in &self.group_by {
-            if table.column(g).codes().is_none() {
-                return Err(TableError::NonCategoricalGroupBy(
-                    table.schema().field(g).name.clone(),
-                ));
+            match table.column(g) {
+                Column::Cat { codes, dict } => key_cols.push((codes, dict.len())),
+                _ => {
+                    return Err(TableError::NonCategoricalGroupBy(
+                        table.schema().field(g).name.clone(),
+                    ))
+                }
             }
         }
-        let outcome: Vec<f64> = match table.column(self.avg) {
-            crate::column::Column::Int(v) => v.iter().map(|&x| x as f64).collect(),
-            crate::column::Column::Float(v) => v.clone(),
-            crate::column::Column::Cat { .. } => {
-                return Err(TableError::TypeMismatch {
-                    column: table.schema().field(self.avg).name.clone(),
-                    expected: "numeric AVG attribute",
-                    got: "cat",
-                })
-            }
+        let outcome = table.column(self.avg);
+        if outcome.codes().is_some() {
+            return Err(TableError::TypeMismatch {
+                column: table.schema().field(self.avg).name.clone(),
+                expected: "numeric AVG attribute",
+                got: "cat",
+            });
+        }
+        let selected: Option<Vec<bool>> = match &self.where_clause {
+            Some(phi) => Some(phi.eval(table)?),
+            None => None,
         };
 
-        let selected: Vec<bool> = match &self.where_clause {
-            Some(phi) => phi.eval(table)?,
-            None => vec![true; table.nrows()],
-        };
-
-        let key_cols: Vec<&[u32]> = self
-            .group_by
-            .iter()
-            .map(|&g| table.column(g).codes().expect("checked categorical"))
-            .collect();
-
-        let mut group_of_key: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut keys: Vec<Vec<u32>> = Vec::new();
-        let mut sums: Vec<f64> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
         // usize::MAX marks rows filtered out by WHERE.
         let mut row_group: Vec<usize> = vec![usize::MAX; table.nrows()];
-        // Every row's key is looked up through this one buffer; a key is
-        // allocated only when it opens a new group.
-        let mut key: Vec<u32> = vec![0; key_cols.len()];
-
-        for row in 0..table.nrows() {
-            if !selected[row] {
+        let mut keys: Vec<Vec<u32>> = Vec::new();
+        // Without a group-by column every selected row is in one group.
+        let (first, width, rest) = match key_cols.split_first() {
+            Some((&(codes, width), rest)) => (Some(codes), width, rest),
+            None => (None, 1, &[][..]),
+        };
+        let mut slot = vec![usize::MAX; width];
+        for (row, group) in row_group.iter_mut().enumerate() {
+            if selected.as_ref().is_some_and(|s| !s[row]) {
                 continue;
             }
-            for (k, c) in key.iter_mut().zip(&key_cols) {
-                *k = c[row];
+            let code = first.map_or(0, |codes| codes[row]);
+            let g = &mut slot[code as usize];
+            if *g == usize::MAX {
+                *g = keys.len();
+                keys.push(first.map(|_| vec![code]).unwrap_or_default());
             }
-            let gid = match group_of_key.get(key.as_slice()) {
-                Some(&gid) => gid,
-                None => {
-                    let gid = keys.len();
-                    group_of_key.insert(key.clone(), gid);
-                    keys.push(key.clone());
-                    sums.push(0.0);
-                    counts.push(0);
-                    gid
-                }
-            };
-            sums[gid] += outcome[row];
-            counts[gid] += 1;
-            row_group[row] = gid;
+            *group = *g;
         }
+        for &(codes, _) in rest {
+            // Row ids, and so group ids, fit 32 bits.
+            let mut refined: HashMap<u64, usize> = HashMap::new();
+            let mut refined_keys: Vec<Vec<u32>> = Vec::new();
+            for (group, &code) in row_group.iter_mut().zip(codes) {
+                if *group == usize::MAX {
+                    continue;
+                }
+                let packed = (*group as u64) << 32 | u64::from(code);
+                *group = *refined.entry(packed).or_insert_with(|| {
+                    let mut key = keys[*group].clone();
+                    key.push(code);
+                    refined_keys.push(key);
+                    refined_keys.len() - 1
+                });
+            }
+            keys = refined_keys;
+        }
+
+        let (sums, counts) = match outcome {
+            Column::Int(v) => sum_groups(&row_group, keys.len(), |row| v[row] as f64),
+            Column::Float(v) => sum_groups(&row_group, keys.len(), |row| v[row]),
+            Column::Cat { .. } => unreachable!("checked numeric"),
+        };
 
         let avgs: Vec<f64> = sums
             .iter()
@@ -126,6 +140,24 @@ impl GroupByAvgQuery {
             row_group,
         })
     }
+}
+
+/// Each of `m` groups' sum of `value` over its rows, in row order, and
+/// its row count.
+fn sum_groups(
+    row_group: &[usize],
+    m: usize,
+    value: impl Fn(usize) -> f64,
+) -> (Vec<f64>, Vec<usize>) {
+    let mut sums = vec![0.0; m];
+    let mut counts = vec![0; m];
+    for (row, &g) in row_group.iter().enumerate() {
+        if g != usize::MAX {
+            sums[g] += value(row);
+            counts[g] += 1;
+        }
+    }
+    (sums, counts)
 }
 
 /// The materialized aggregate view `Q(D)`: one bar per group.

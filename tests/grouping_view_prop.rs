@@ -11,10 +11,13 @@
 //!   agree bit for bit. The tables have grouping attributes with an exact
 //!   FD from the group-by key and attributes without one, so groups only
 //!   partly inside a pattern (which the query path never sees) occur too.
-//! * `GroupByAvgQuery::run` looks every key up through one reused buffer.
-//!   The reference is a `HashMap<Vec<u32>, usize>` build with one key per
-//!   row: keys, group numbering, average bits, counts and `row_group` must
-//!   agree.
+//! * `GroupByAvgQuery::run` numbers the groups of its first key column
+//!   through a code-indexed table and refines them column by column. The
+//!   reference is a `HashMap<Vec<u32>, usize>` build with one key per
+//!   row: keys, group numbering (first appearance), average bits, counts
+//!   and `row_group` must agree. The shapes include the empty GROUP BY, a
+//!   column with up to one level per row in two- and three-column keys,
+//!   and WHERE clauses that drop whole levels.
 
 use std::collections::HashMap;
 
@@ -36,12 +39,14 @@ const N: usize = 3; // independent of the groups: no FD
 const M: usize = 4; // F with some rows flipped: an FD that "almost" holds
 const X: usize = 5; // Int, for the WHERE clause
 const Y: usize = 6; // Float outcome
+const H: usize = 7; // group-by, up to one level per row
+const L: usize = 8; // Int, H's level number: a WHERE on it drops whole H levels
 
 fn level(prefix: &str, i: u32) -> String {
     format!("{prefix}{i}")
 }
 
-fn random_table(seed: u64, n: usize, a_levels: u32, b_levels: u32) -> Table {
+fn random_table(seed: u64, n: usize, a_levels: u32, b_levels: u32, h_levels: u32) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut a = Vec::with_capacity(n);
     let mut b = Vec::with_capacity(n);
@@ -65,6 +70,7 @@ fn random_table(seed: u64, n: usize, a_levels: u32, b_levels: u32) -> Table {
         x.push(rng.gen_range(0..10i64));
         y.push(rng.gen_range(-5.0..20.0));
     }
+    let hl: Vec<u32> = (0..n).map(|_| rng.gen_range(0..h_levels)).collect();
     TableBuilder::new()
         .cat_owned("A", a)
         .unwrap()
@@ -79,6 +85,10 @@ fn random_table(seed: u64, n: usize, a_levels: u32, b_levels: u32) -> Table {
         .int("X", x)
         .unwrap()
         .float("Y", y)
+        .unwrap()
+        .cat_owned("H", hl.iter().map(|&i| level("h", i)).collect())
+        .unwrap()
+        .int("L", hl.iter().map(|&i| i64::from(i)).collect())
         .unwrap()
         .build()
         .unwrap()
@@ -204,7 +214,7 @@ proptest! {
         max_len in 1usize..4,
         gp_set in 0usize..5,
     ) {
-        let table = random_table(seed, n, a_levels, b_levels);
+        let table = random_table(seed, n, a_levels, b_levels, 1);
         let group_by = if two_keys { vec![A, B] } else { vec![A] };
         let mut query = GroupByAvgQuery::new(group_by, Y);
         if use_where {
@@ -229,18 +239,40 @@ proptest! {
         n in 0usize..300,
         a_levels in 1u32..8,
         b_levels in 1u32..4,
-        shape in 0usize..4,
+        h_pick in 0u32..300,
+        shape in 0usize..10,
         where_bound in 0i64..12,
-        use_where in any::<bool>(),
+        where_kind in 0usize..3,
     ) {
-        let table = random_table(seed, n, a_levels, b_levels);
-        // One and two key columns, in either order, and a key column
-        // repeated.
-        let group_by = [vec![A], vec![A, B], vec![B, A], vec![B, B]][shape].clone();
+        // H has up to one level per row.
+        let h_levels = 1 + h_pick % (n as u32).max(1);
+        let table = random_table(seed, n, a_levels, b_levels, h_levels);
+        // No key column, one, two and three, in several orders, and a key
+        // column repeated.
+        let group_by = [
+            vec![],
+            vec![A],
+            vec![A, B],
+            vec![B, A],
+            vec![B, B],
+            vec![H, A],
+            vec![A, H],
+            vec![B, H, A],
+            vec![H, B, A],
+            vec![A, B, H],
+        ][shape]
+            .clone();
         let mut query = GroupByAvgQuery::new(group_by.clone(), Y);
         let mut selected = vec![true; n];
-        if use_where {
-            let phi = Pattern::single(Pred::cmp(X, Op::Lt, where_bound));
+        // No WHERE, one across the groups, or one dropping the H levels
+        // numbered below a bound (and with them whole groups).
+        let phi = match where_kind {
+            1 => Some(Pred::cmp(X, Op::Lt, where_bound)),
+            2 => Some(Pred::cmp(L, Op::Ge, where_bound * i64::from(h_levels) / 12)),
+            _ => None,
+        };
+        if let Some(phi) = phi {
+            let phi = Pattern::single(phi);
             selected = phi.eval(&table).unwrap();
             query = query.with_where(phi);
         }

@@ -2,7 +2,11 @@
 //! hit/miss/eviction accounting, key normalization (SQL spelling and
 //! builder-built queries share entries), LRU eviction order, bit-identity
 //! of cache-hit reports, `set_config` invalidation and the `capacity = 0`
-//! kill switch.
+//! kill switch — and for the session's atom memo underneath it: a miss
+//! builds no atom block an earlier prepare built, under concurrent misses
+//! too, and other atom options get blocks of their own.
+
+use std::sync::Barrier;
 
 use causumx::{ConfigBuilder, Session, Summary};
 use table::{Table, TableBuilder};
@@ -190,4 +194,94 @@ fn capacity_zero_disables_caching() {
     assert_eq!((stats.misses, stats.hits, stats.len), (2, 0, 0));
     assert_eq!(stats.capacity, 0);
     assert_eq!(fingerprint(&first), fingerprint(&second));
+}
+
+/// `SQL` with a WHERE bound on age: a new statement per bound, with the
+/// same treatment attributes.
+fn bounded(bound: i64) -> String {
+    format!("SELECT country, AVG(salary) FROM t WHERE age < {bound} GROUP BY country")
+}
+
+#[test]
+fn where_variants_build_each_atom_block_once() {
+    let session = session_with_capacity(8);
+    let first = session.sql(&bounded(70)).unwrap();
+    let built = session.counters().atom_blocks_built;
+    assert_eq!(built, first.attr_split().treatment.len());
+    for bound in [40, 50] {
+        session.sql(&bounded(bound)).unwrap();
+    }
+    for bound in [30, 35, 45, 55, 60] {
+        session.sql_cached(&bounded(bound)).unwrap();
+    }
+    let counters = session.counters();
+    assert_eq!(counters.prepared_cache_misses, 5);
+    assert_eq!(
+        counters.atom_blocks_built, built,
+        "statements differing only in WHERE rebuilt atoms"
+    );
+
+    // A miss assembled from the memo reports what a fresh session does.
+    let fresh = session_with_capacity(8);
+    let want = fingerprint(&fresh.sql(&bounded(65)).unwrap().run());
+    assert_eq!(
+        fingerprint(&session.sql_cached(&bounded(65)).unwrap().run()),
+        want
+    );
+    assert_eq!(session.counters().atom_blocks_built, built);
+}
+
+#[test]
+fn prepare_with_other_atom_options_builds_its_own_blocks() {
+    let session = session_with_capacity(8);
+    let query = table::sql::parse_query(session.table(), SQL).unwrap();
+    let default_run = fingerprint(&session.prepare(query.clone()).unwrap().run());
+    let built = session.counters().atom_blocks_built;
+
+    let mut config = session.config().clone();
+    config.lattice.numeric_bins = 8;
+    let pq = session.prepare_with(query.clone(), config.clone()).unwrap();
+    assert_eq!(
+        session.counters().atom_blocks_built,
+        2 * built,
+        "numeric_bins 8 must get blocks of its own, not the session's"
+    );
+    let (table, dag) = toy();
+    let fresh = Session::new(table, dag, config);
+    let got = fingerprint(&pq.run());
+    assert_eq!(
+        got,
+        fingerprint(&fresh.prepare(query.clone()).unwrap().run())
+    );
+    assert_ne!(got, default_run, "eight bins cut age into other atoms");
+
+    // The session's own options still get their own blocks back.
+    assert_eq!(
+        fingerprint(&session.prepare(query).unwrap().run()),
+        default_run
+    );
+    assert_eq!(session.counters().atom_blocks_built, 2 * built);
+}
+
+#[test]
+fn concurrent_misses_build_each_atom_block_once() {
+    let reference = session_with_capacity(16);
+    reference.sql(SQL).unwrap();
+    let want = reference.counters().atom_blocks_built;
+    for round in 0..20 {
+        let session = session_with_capacity(16);
+        let barrier = Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (session, barrier) = (&session, &barrier);
+                s.spawn(move || {
+                    let sql = bounded(70 + t);
+                    barrier.wait();
+                    session.sql_cached(&sql).unwrap();
+                });
+            }
+        });
+        assert_eq!(session.prepared_cache_stats().misses, 8);
+        assert_eq!(session.counters().atom_blocks_built, want, "round {round}");
+    }
 }

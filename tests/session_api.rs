@@ -187,6 +187,7 @@ fn prepared_reuse_no_redundant_work() {
     assert_eq!(after_prepare.fd_closures_computed, 1);
     assert_eq!(after_prepare.queries_prepared, 1);
     assert_eq!(after_prepare.backdoor_walks, 0, "no mining yet");
+    assert!(after_prepare.atom_blocks_built > 0, "the miner's atoms");
 
     let first = prepared.run();
     let after_first = session.counters();
@@ -236,12 +237,47 @@ fn prepared_reuse_no_redundant_work() {
         .unwrap();
     let c = session.counters();
     assert_eq!(c.fd_closures_computed, 1, "FD split cache hit");
+    assert_eq!(
+        c.atom_blocks_built, after_prepare.atom_blocks_built,
+        "the second query builds no atom block"
+    );
     let walks_before = c.backdoor_walks;
     let _ = again.run();
     assert_eq!(
         session.counters().backdoor_walks,
         walks_before,
         "backdoor memo shared across queries"
+    );
+}
+
+/// Atoms belong to the session, not to a GROUP BY set: 50 distinct sets
+/// on SO build at most one block per column between them.
+#[test]
+fn group_by_sets_share_the_atom_memo() {
+    let ds = datagen::so::generate(2_000, 42);
+    let outcome = ds.outcome;
+    let session = Session::new(ds.table, ds.dag, ConfigBuilder::new().build().unwrap());
+    let ncols = session.table().ncols();
+    let cats: Vec<usize> = (0..ncols)
+        .filter(|&c| c != outcome && session.table().column(c).codes().is_some())
+        .collect();
+    let sets: Vec<Vec<usize>> = cats
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| cats[i + 1..].iter().map(move |&b| vec![a, b]))
+        .take(50)
+        .collect();
+    assert_eq!(sets.len(), 50);
+    for set in sets {
+        let query = table::query::GroupByAvgQuery::new(set, outcome);
+        session.prepare(query).unwrap();
+    }
+    let counters = session.counters();
+    assert_eq!(counters.fd_closures_computed, 50);
+    assert!(
+        counters.atom_blocks_built <= ncols,
+        "{} blocks for {ncols} columns",
+        counters.atom_blocks_built
     );
 }
 

@@ -7,10 +7,10 @@
 //!
 //! * **committed fingerprints** — each fresh cell reproduces its pinned
 //!   `cate_evaluations`, `candidates`, `covered`, `groups`, `downdates`
-//!   and `regathers` exactly, and `total_weight` within 1e-5 of its
-//!   six-decimal pin. A counter drift anywhere in the engine shows up as
-//!   a named cell, not a vague diff. The SO pipeline at 4k, 12k and 30k
-//!   rows is pinned the same way ([`SO_SIZE_PINS`], weights within 1e-6);
+//!   and `regathers` exactly, and `total_weight` bit for bit. A counter
+//!   or weight drift anywhere in the engine shows up as a named cell, not
+//!   a vague diff. The SO pipeline at 4k, 12k and 30k rows is pinned the
+//!   same way ([`SO_SIZE_PINS`]);
 //! * **thread bit-identity** — within a cell, `threads = 1` and
 //!   `threads = 4` agree bit for bit, weights and walk counters included
 //!   (the fixed `4` exercises real workers even on a single-core CI
@@ -45,49 +45,51 @@ const SEED: u64 = 42;
 /// The committed fingerprint of every matrix cell at [`SEED`], default
 /// config otherwise, in [`workloads::matrix_cells`] order: `(cell, n,
 /// groups, cate_evaluations, candidates, covered, total_weight, downdates,
-/// regathers)`, with `total_weight` to six decimals.
+/// regathers)`. Each `total_weight` is written as the shortest decimal
+/// that parses back to its exact `f64`, and compared by `to_bits()`.
 #[rustfmt::skip]
 const CELL_PINS: [(&str, usize, usize, usize, usize, usize, f64, usize, usize); 30] = [
-    ("so/single/exact", 2000, 20, 5425, 26, 17, 671.715551, 0, 3033),
-    ("so/single/fast_v1", 2000, 20, 5425, 26, 17, 671.715551, 1054, 1979),
-    ("so/filtered/exact", 2000, 20, 4662, 26, 16, 622.499696, 0, 2386),
-    ("so/filtered/fast_v1", 2000, 20, 4662, 26, 16, 622.499696, 788, 1598),
-    ("so/multi/exact", 2000, 58, 4953, 26, 55, 668.729172, 0, 2717),
-    ("so/multi/fast_v1", 2000, 58, 4953, 26, 55, 668.729172, 931, 1786),
-    ("accidents/single/exact", 2000, 41, 711, 6, 35, 5.590720, 0, 339),
-    ("accidents/single/fast_v1", 2000, 41, 711, 6, 35, 5.590720, 173, 166),
-    ("accidents/filtered/exact", 2000, 41, 674, 6, 35, 5.945023, 0, 302),
-    ("accidents/filtered/fast_v1", 2000, 41, 674, 6, 35, 5.945023, 158, 144),
-    ("accidents/multi/exact", 2000, 82, 660, 6, 82, 5.800665, 0, 312),
-    ("accidents/multi/fast_v1", 2000, 82, 660, 6, 82, 5.800665, 143, 169),
-    ("adult/single/exact", 2000, 12, 306, 3, 12, 2.735278, 0, 156),
-    ("adult/single/fast_v1", 2000, 12, 306, 3, 12, 2.735278, 85, 71),
-    ("adult/filtered/exact", 2000, 12, 300, 3, 12, 2.750660, 0, 162),
-    ("adult/filtered/fast_v1", 2000, 12, 300, 3, 12, 2.750660, 87, 75),
-    ("adult/multi/exact", 2000, 24, 287, 3, 24, 2.691385, 0, 149),
-    ("adult/multi/fast_v1", 2000, 24, 287, 3, 24, 2.691385, 79, 70),
-    ("german/single/exact", 1000, 10, 632, 10, 5, 6.027317, 0, 272),
-    ("german/single/fast_v1", 1000, 10, 632, 10, 5, 6.027317, 188, 84),
-    ("german/filtered/exact", 1000, 10, 454, 8, 5, 5.598622, 0, 178),
-    ("german/filtered/fast_v1", 1000, 10, 454, 8, 5, 5.598622, 126, 52),
-    ("german/multi/exact", 1000, 30, 886, 14, 5, 5.731751, 0, 318),
-    ("german/multi/fast_v1", 1000, 30, 886, 14, 5, 5.731751, 259, 59),
-    ("synthetic/single/exact", 2000, 50, 1274, 14, 50, 60.567287, 0, 714),
-    ("synthetic/single/fast_v1", 2000, 50, 1274, 14, 50, 60.567287, 4, 710),
-    ("synthetic/filtered/exact", 2000, 50, 1234, 14, 50, 54.030716, 0, 702),
-    ("synthetic/filtered/fast_v1", 2000, 50, 1234, 14, 50, 54.030716, 2, 700),
-    ("synthetic/multi/exact", 2000, 4, 367, 4, 4, 44.328468, 0, 207),
-    ("synthetic/multi/fast_v1", 2000, 4, 367, 4, 4, 44.328468, 0, 207),
+    ("so/single/exact", 2000, 20, 5425, 26, 17, 671.7155507830878, 0, 3033),
+    ("so/single/fast_v1", 2000, 20, 5425, 26, 17, 671.7155507830879, 1054, 1979),
+    ("so/filtered/exact", 2000, 20, 4662, 26, 16, 622.4996958161698, 0, 2386),
+    ("so/filtered/fast_v1", 2000, 20, 4662, 26, 16, 622.4996958161698, 788, 1598),
+    ("so/multi/exact", 2000, 58, 4953, 26, 55, 668.729172365278, 0, 2717),
+    ("so/multi/fast_v1", 2000, 58, 4953, 26, 55, 668.7291723652781, 931, 1786),
+    ("accidents/single/exact", 2000, 41, 711, 6, 35, 5.590719819032495, 0, 339),
+    ("accidents/single/fast_v1", 2000, 41, 711, 6, 35, 5.5907198190325005, 173, 166),
+    ("accidents/filtered/exact", 2000, 41, 674, 6, 35, 5.945023496645562, 0, 302),
+    ("accidents/filtered/fast_v1", 2000, 41, 674, 6, 35, 5.945023496645563, 158, 144),
+    ("accidents/multi/exact", 2000, 82, 660, 6, 82, 5.800664803215715, 0, 312),
+    ("accidents/multi/fast_v1", 2000, 82, 660, 6, 82, 5.800664803215725, 143, 169),
+    ("adult/single/exact", 2000, 12, 306, 3, 12, 2.7352778732983287, 0, 156),
+    ("adult/single/fast_v1", 2000, 12, 306, 3, 12, 2.7352778732983287, 85, 71),
+    ("adult/filtered/exact", 2000, 12, 300, 3, 12, 2.7506596227444895, 0, 162),
+    ("adult/filtered/fast_v1", 2000, 12, 300, 3, 12, 2.7506596227444895, 87, 75),
+    ("adult/multi/exact", 2000, 24, 287, 3, 24, 2.6913845505114384, 0, 149),
+    ("adult/multi/fast_v1", 2000, 24, 287, 3, 24, 2.6913845505114384, 79, 70),
+    ("german/single/exact", 1000, 10, 632, 10, 5, 6.027317052170651, 0, 272),
+    ("german/single/fast_v1", 1000, 10, 632, 10, 5, 6.027317052170651, 188, 84),
+    ("german/filtered/exact", 1000, 10, 454, 8, 5, 5.5986223054231905, 0, 178),
+    ("german/filtered/fast_v1", 1000, 10, 454, 8, 5, 5.5986223054231905, 126, 52),
+    ("german/multi/exact", 1000, 30, 886, 14, 5, 5.731751017344238, 0, 318),
+    ("german/multi/fast_v1", 1000, 30, 886, 14, 5, 5.731751017344238, 259, 59),
+    ("synthetic/single/exact", 2000, 50, 1274, 14, 50, 60.56728680408733, 0, 714),
+    ("synthetic/single/fast_v1", 2000, 50, 1274, 14, 50, 60.56728680408733, 4, 710),
+    ("synthetic/filtered/exact", 2000, 50, 1234, 14, 50, 54.03071618905801, 0, 702),
+    ("synthetic/filtered/fast_v1", 2000, 50, 1234, 14, 50, 54.03071618905801, 2, 700),
+    ("synthetic/multi/exact", 2000, 4, 367, 4, 4, 44.3284675757216, 0, 207),
+    ("synthetic/multi/fast_v1", 2000, 4, 367, 4, 4, 44.3284675757216, 0, 207),
 ];
 
 /// The SO pipeline at [`SEED`], default config, on the representative
 /// query (`GROUP BY Country, AVG(Salary)`): `(rows, cate_evaluations,
-/// candidates, covered, groups, total_weight)`, with `total_weight` to six
-/// decimals. The million-row point is pinned in `tests/million_row.rs`.
+/// candidates, covered, groups, total_weight)`, with `total_weight` exact,
+/// as in [`CELL_PINS`]. The million-row point is pinned in
+/// `tests/million_row.rs`.
 const SO_SIZE_PINS: [(usize, usize, usize, usize, usize, f64); 3] = [
-    (4_000, 5774, 26, 15, 20, 679.462069),
-    (12_000, 6299, 27, 15, 20, 704.215489),
-    (30_000, 6382, 27, 16, 20, 664.680408),
+    (4_000, 5774, 26, 15, 20, 679.462069473112),
+    (12_000, 6299, 27, 15, 20, 704.2154892473363),
+    (30_000, 6382, 27, 16, 20, 664.680407540236),
 ];
 
 // ---------- cell execution ----------
@@ -186,10 +188,9 @@ fn cells_replay_committed_fingerprints() {
                 assert_eq!(t1.covered, covered, "{id}: coverage drifted");
                 assert_eq!(t1.downdates, downdates, "{id}: downdates drifted");
                 assert_eq!(t1.regathers, regathers, "{id}: regathers drifted");
-                // The pin has 6 decimals; anything beyond rounding error
-                // is a real numeric change.
-                assert!(
-                    (t1.total_weight - weight).abs() < 1e-5,
+                assert_eq!(
+                    t1.total_weight.to_bits(),
+                    weight.to_bits(),
                     "{id}: total_weight {} drifted from committed {weight}",
                     t1.total_weight
                 );
@@ -215,8 +216,7 @@ fn cells_replay_committed_fingerprints() {
 }
 
 /// The SO pipeline at each pinned size, fresh session, default config:
-/// reproduce the committed counters exactly and the weight to the pin's
-/// six decimals.
+/// reproduce the committed counters and the weight's bits exactly.
 #[test]
 fn so_sizes_replay_committed_pins() {
     for (n, evals, candidates, covered, groups, weight) in SO_SIZE_PINS {
@@ -233,8 +233,9 @@ fn so_sizes_replay_committed_pins() {
         assert_eq!(s.candidates, candidates, "n={n}: candidates drifted");
         assert_eq!(s.covered, covered, "n={n}: coverage drifted");
         assert_eq!(s.m, groups, "n={n}: group count drifted");
-        assert!(
-            (s.total_weight - weight).abs() < 1e-6,
+        assert_eq!(
+            s.total_weight.to_bits(),
+            weight.to_bits(),
             "n={n}: total_weight {} drifted from committed {weight}",
             s.total_weight
         );
