@@ -2,10 +2,16 @@
 # Gate: `causumx-serve` keeps its usage exit codes, boots, answers a real
 # query over TCP, and sheds failures as structured envelopes without dying.
 #
-# Checks that `--bogus` exits 2 and `--help` exits 0, starts the server on
-# a small generated dataset, then asserts with plain curl:
+# Checks that `--bogus` and `--memory-budget-mb 0` exit 2 and `--help`
+# exits 0, starts the server on a small generated dataset with chaos
+# allowed, then asserts with plain curl:
 #   * GET  /healthz          → 200 {"status":"ok"}
 #   * POST /query            → 200 report JSON (Definition 4.5 fields)
+#   * the same statement with X-Chaos: panic → 500 worker_panic envelope,
+#     then without the header → 200 and the first report (timings
+#     stripped), both served from the cached statement: /stats'
+#     prepared_cache.hits rises by 2, so the fault never reached the
+#     shared core;
 #   * POST /query (bad SQL)  → 400 envelope with "kind" and "code"
 #   * POST /query + tight
 #     X-Deadline-Ms          → 504 deadline_exceeded envelope
@@ -37,9 +43,12 @@ BIN=./target/release/causumx-serve
 status=0
 "$BIN" --bogus >"$LOG" 2>&1 || status=$?
 [ "$status" = 2 ] || fail "--bogus exited $status, expected 2"
+status=0
+"$BIN" --memory-budget-mb 0 >"$LOG" 2>&1 || status=$?
+[ "$status" = 2 ] || fail "--memory-budget-mb 0 exited $status, expected 2"
 "$BIN" --help >"$LOG" 2>&1 || fail "--help exited non-zero"
 
-"$BIN" --port "$PORT" --rows 4000 --seed 7 --deadline-ms 30000 >"$LOG" 2>&1 &
+"$BIN" --port "$PORT" --rows 4000 --seed 7 --deadline-ms 30000 --allow-chaos >"$LOG" 2>&1 &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
@@ -55,12 +64,36 @@ done
 health=$(curl -s "$BASE/healthz") || fail "GET /healthz failed"
 [ "$health" = '{"status":"ok"}' ] || fail "bad /healthz body: $health"
 
-report=$(curl -s -X POST --data-binary \
-    'SELECT Country, AVG(Salary) FROM so GROUP BY Country' "$BASE/query") \
+REPORT_SQL='SELECT Country, AVG(Salary) FROM so GROUP BY Country'
+report=$(curl -s -X POST --data-binary "$REPORT_SQL" "$BASE/query") \
     || fail "POST /query failed"
 echo "$report" | grep -q '"explanations"' || fail "report lacks explanations: $report"
 echo "$report" | grep -q '"total_explainability"' || fail "report lacks total_explainability"
 echo "$report" | python3 -m json.tool >/dev/null || fail "report is not valid JSON"
+
+# A chaos request arms its fault on its own guard and shares the cached
+# statement; the clean request after it must get the first report back.
+cache_hits() {
+    curl -s "$BASE/stats" | python3 -c \
+        'import json, sys; print(json.load(sys.stdin)["prepared_cache"]["hits"])'
+}
+strip_timings() {
+    python3 -c 'import json, sys; r = json.load(sys.stdin); r.pop("timings"); print(json.dumps(r, sort_keys=True))'
+}
+hits_before=$(cache_hits) || fail "/stats lacks prepared_cache.hits"
+chaos=$(curl -s -w '\n%{http_code}' -X POST -H 'X-Chaos: panic' \
+    --data-binary "$REPORT_SQL" "$BASE/query") || fail "chaos POST failed"
+[ "$(echo "$chaos" | tail -n 1)" = "500" ] || fail "chaos request answered: $chaos"
+echo "$chaos" | grep -q '"code":"worker_panic"' || fail "chaos envelope lacks worker_panic: $chaos"
+again=$(curl -s -w '\n%{http_code}' -X POST --data-binary "$REPORT_SQL" "$BASE/query") \
+    || fail "POST /query after chaos failed"
+[ "$(echo "$again" | tail -n 1)" = "200" ] || fail "query after chaos answered: $again"
+first=$(echo "$report" | strip_timings) || fail "first report has no timings"
+second=$(echo "$again" | sed '$d' | strip_timings) || fail "report after chaos has no timings"
+[ "$first" = "$second" ] || fail "report after chaos differs from the first"
+hits_after=$(cache_hits) || fail "/stats lacks prepared_cache.hits"
+[ "$hits_after" = $((hits_before + 2)) ] \
+    || fail "chaos and clean requests did not both hit the cache: $hits_before -> $hits_after"
 
 badsql=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary \
     'SELECT Country, AVG(Wages) FROM so GROUP BY Country' "$BASE/query") \

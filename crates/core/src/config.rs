@@ -10,12 +10,8 @@
 //! assert!(ConfigBuilder::new().theta(1.5).build().is_err());
 //! ```
 
-use std::sync::Arc;
-use std::time::Duration;
-
 use causal::NumericMode;
 use mining::treatment::{LatticeOptions, MAX_LEVEL};
-use mining::{FaultPlan, RunGuard};
 
 use crate::error::Error;
 
@@ -38,6 +34,11 @@ pub const MAX_THREADS: usize = 512;
 
 /// End-to-end parameters. Defaults follow §6.1: `k = 5`, `θ = 0.75`,
 /// Apriori threshold `τ = 0.1`.
+///
+/// Per-run controls that only ever stop a run (deadline, memory budget,
+/// cancellation, injected faults) are not configuration: they live on
+/// the [`mining::RunGuard`] passed to
+/// [`crate::PreparedQuery::run_guarded`].
 #[derive(Debug, Clone)]
 pub struct CausumxConfig {
     /// Size constraint: at most `k` explanation patterns.
@@ -67,19 +68,6 @@ pub struct CausumxConfig {
     /// (the paper's default pairing); when `false` only positive
     /// treatments are mined.
     pub mine_negative: bool,
-    /// Wall-clock deadline per query, honored by the fallible entry
-    /// points ([`crate::PreparedQuery::try_run`]): the walk checks it at
-    /// chunk boundaries and level merges and surfaces
-    /// [`Error::DeadlineExceeded`] with partial-progress diagnostics.
-    /// `None` (default) = unlimited. The infallible `run()` ignores it.
-    pub deadline: Option<Duration>,
-    /// Memory budget per query in mebibytes, measured as peak-RSS
-    /// (`VmHWM`) growth over the reading taken when the query's guard is
-    /// built; honored by the fallible entry points, surfacing
-    /// [`Error::MemoryBudget`]. `VmHWM` is process-wide, so the delta is
-    /// a lower bound on the query's own footprint, not an exact
-    /// attribution. `None` (default) = unlimited.
-    pub memory_budget_mb: Option<u64>,
     /// Capacity of the session's prepared-statement cache (entries), used
     /// by [`crate::Session::prepare_cached`] and the serve layer: distinct
     /// normalized statements beyond this bound evict the least recently
@@ -101,8 +89,6 @@ impl Default for CausumxConfig {
             seed: 0xCA05,
             selection: SelectionMethod::LpRounding,
             mine_negative: true,
-            deadline: None,
-            memory_budget_mb: None,
             prepared_statements: 64,
         }
     }
@@ -119,22 +105,6 @@ impl CausumxConfig {
     /// worker per core).
     pub fn effective_threads(&self) -> usize {
         self.threads
-    }
-
-    /// Build the per-query [`RunGuard`] this configuration asks for:
-    /// deadline measured from now, memory budget baselined against the
-    /// current `VmHWM` reading. Called once per guarded run by
-    /// [`crate::PreparedQuery::try_run`]; exposed so callers can take
-    /// the guard's cancel handle before starting the query.
-    pub fn run_guard(&self) -> RunGuard {
-        let mut guard = RunGuard::unlimited();
-        if let Some(d) = self.deadline {
-            guard = guard.with_deadline(d);
-        }
-        if let Some(mb) = self.memory_budget_mb {
-            guard = guard.with_memory_budget_mb(mb);
-        }
-        guard
     }
 
     /// Check every invariant the builder enforces. Exposed so configs
@@ -175,18 +145,6 @@ impl CausumxConfig {
                     "worker count must be at most {MAX_THREADS}, got {}",
                     self.threads
                 ),
-            );
-        }
-        if self.deadline == Some(Duration::ZERO) {
-            return reject(
-                "deadline",
-                "deadline must be positive (omit it for unlimited)".into(),
-            );
-        }
-        if self.memory_budget_mb == Some(0) {
-            return reject(
-                "memory_budget_mb",
-                "memory budget must be positive (omit it for unlimited)".into(),
             );
         }
         if self.lattice.max_level == 0 {
@@ -324,35 +282,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Wall-clock deadline per query (must be positive), honored by the
-    /// fallible entry points — see [`CausumxConfig::deadline`].
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.cfg.deadline = Some(deadline);
-        self
-    }
-
-    /// Memory budget per query in mebibytes (must be positive), honored
-    /// by the fallible entry points — see
-    /// [`CausumxConfig::memory_budget_mb`].
-    pub fn memory_budget_mb(mut self, budget_mb: u64) -> Self {
-        self.cfg.memory_budget_mb = Some(budget_mb);
-        self
-    }
-
     /// Capacity of the session's prepared-statement cache — see
     /// [`CausumxConfig::prepared_statements`]. `0` disables caching.
     pub fn prepared_statements(mut self, capacity: usize) -> Self {
         self.cfg.prepared_statements = capacity;
-        self
-    }
-
-    /// Deterministic fault-injection plan for the chaos suite: panics,
-    /// delays, spurious wakeups or cancels fired at chosen (pattern,
-    /// level, chunk) points of the lattice walk (convenience for
-    /// `lattice.fault_plan`). Test-only by design — production configs
-    /// leave it unset and pay nothing.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.lattice.fault_plan = Some(Arc::new(plan));
         self
     }
 
@@ -468,46 +401,6 @@ mod tests {
         );
         assert!(ConfigBuilder::new().threads(MAX_THREADS).build().is_ok());
         assert!(ConfigBuilder::new().threads(0).build().is_ok());
-        assert_eq!(
-            param_of(ConfigBuilder::new().deadline(Duration::ZERO).build()),
-            "deadline"
-        );
-        assert_eq!(
-            param_of(ConfigBuilder::new().memory_budget_mb(0).build()),
-            "memory_budget_mb"
-        );
-    }
-
-    #[test]
-    fn guard_knobs_build_and_validate() {
-        let c = ConfigBuilder::new()
-            .deadline(Duration::from_millis(250))
-            .memory_budget_mb(512)
-            .build()
-            .unwrap();
-        assert_eq!(c.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(c.memory_budget_mb, Some(512));
-        // The derived guard starts un-tripped (deadline in the future,
-        // budget baselined at the current reading).
-        assert!(c.run_guard().check().is_ok());
-        // Default config: unlimited guard.
-        assert!(CausumxConfig::default().run_guard().check().is_ok());
-    }
-
-    #[test]
-    fn fault_plan_knob_reaches_lattice_options() {
-        use mining::{FaultKind, FaultSite};
-        let plan = FaultPlan::new().inject(
-            FaultSite {
-                pattern: 0,
-                level: 1,
-                chunk: 0,
-            },
-            FaultKind::Cancel,
-        );
-        let c = ConfigBuilder::new().fault_plan(plan).build().unwrap();
-        assert_eq!(c.lattice.fault_plan.as_ref().map(|p| p.len()), Some(1));
-        assert!(CausumxConfig::default().lattice.fault_plan.is_none());
     }
 
     #[test]

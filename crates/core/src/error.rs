@@ -10,8 +10,7 @@
 
 use std::fmt;
 
-use mining::treatment::MineError;
-use mining::QueryProgress;
+use mining::{MineError, QueryProgress};
 use table::TableError;
 
 /// Engine error: configuration, query-shape, SQL, table-layer or

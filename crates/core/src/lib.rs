@@ -67,14 +67,17 @@
 //!
 //! ## Lifeguards
 //!
-//! Every query can run under a [`RunGuard`]: a wall-clock deadline and a
-//! peak-RSS memory budget set on the configuration
-//! ([`ConfigBuilder::deadline`], [`ConfigBuilder::memory_budget_mb`]) and
-//! enforced through [`PreparedQuery::try_run`], plus cooperative
-//! cancellation from another thread via [`CancelHandle`]. A tripped guard
-//! or a panicking mining task fails only that query with a structured
-//! [`Error`] variant carrying [`QueryProgress`]; the session, its caches
-//! and the worker pool stay healthy and keep serving sibling queries.
+//! Every query can run under a [`RunGuard`] through
+//! [`PreparedQuery::run_guarded`]: the guard is the one per-run object,
+//! holding a wall-clock deadline ([`RunGuard::with_deadline`]), a
+//! peak-RSS memory budget ([`RunGuard::with_memory_budget_mb`]), a cancel
+//! flag other threads trip through [`CancelHandle`], and, for chaos
+//! tests, an armed [`FaultPlan`] ([`RunGuard::with_faults`]). None of it
+//! is configuration: a guard only stops a run, never changes its bits. A
+//! tripped guard or a panicking mining task fails only that query with a
+//! structured [`Error`] variant carrying [`QueryProgress`]; the session,
+//! its caches and the worker pool stay healthy and keep serving sibling
+//! queries.
 
 #![warn(missing_docs)]
 

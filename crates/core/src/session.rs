@@ -23,9 +23,10 @@
 //! [`Session::sql`], or from a raw [`GroupByAvgQuery`] through
 //! [`Session::prepare`]; all three resolve to a validated
 //! [`PreparedQuery`] whose `run`/`explain_group` methods are infallible.
-//! [`PreparedQuery::try_run`] is the lifeguarded variant: it enforces the
-//! configured deadline and memory budget, honors cooperative cancellation
-//! and isolates mining panics, reporting each as a structured [`Error`].
+//! [`PreparedQuery::run_guarded`] is the lifeguarded variant: it runs
+//! under a caller-built [`RunGuard`] (deadline, memory budget,
+//! cooperative cancellation, armed faults) and isolates mining panics,
+//! reporting each as a structured [`Error`].
 //!
 //! ```
 //! use causumx::{ConfigBuilder, Session};
@@ -239,8 +240,8 @@ pub struct PreparedCacheStats {
     pub hits: usize,
     /// Lifetime cache misses.
     pub misses: usize,
-    /// Entries evicted by the LRU policy (not counting `set_config`
-    /// clears).
+    /// Entries evicted by the LRU policy: on an insert beyond the
+    /// capacity, or when [`Session::set_config`] lowers it.
     pub evictions: usize,
 }
 
@@ -270,6 +271,23 @@ struct PrepCache {
     entries: HashMap<String, (Arc<PreparedCore>, u64)>,
     tick: u64,
     evictions: usize,
+}
+
+impl PrepCache {
+    /// Evict least recently used entries, counting each, until at most
+    /// `capacity` remain.
+    fn trim(&mut self, capacity: usize) {
+        while self.entries.len() > capacity {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, last))| *last)
+                .map(|(k, _)| k.clone())
+                .expect("len > capacity implies non-empty");
+            self.entries.remove(&lru);
+            self.evictions += 1;
+        }
+    }
 }
 
 /// A long-lived engine bound to one dataset and causal DAG, serving many
@@ -368,18 +386,20 @@ impl Session {
         &self.config
     }
 
-    /// Replace the configuration. Dataset-level caches survive: the FD
-    /// splits and the backdoor memo do not depend on the configuration,
-    /// and the atom memo keys each block by the atom options it was built
-    /// under, so blocks of the old options are never served under new
-    /// ones. Queries prepared *before* the change keep their snapshot.
-    /// The prepared-statement cache is cleared, so the new capacity
-    /// starts from an empty cache.
+    /// Replace the configuration. Every cache survives: the FD splits,
+    /// the backdoor memo and the cached statements' cores (view, group
+    /// bitsets, FD split) do not depend on the configuration, and the
+    /// atom memo keys each block by the atom options it was built under,
+    /// so blocks of the old options are never served under new ones. The
+    /// statement cache is trimmed to the new
+    /// [`CausumxConfig::prepared_statements`] capacity by its LRU rule
+    /// (capacity 0 empties it), each trimmed entry counting as an
+    /// eviction. Queries prepared *before* the change keep their
+    /// snapshot; later ones, cache hits included, run under the new
+    /// configuration.
     pub fn set_config(&mut self, config: CausumxConfig) {
         self.config = config;
-        let mut cache = sched::lock_recovered(&self.prep_cache);
-        cache.entries.clear();
-        cache.tick = 0;
+        sched::lock_recovered(&self.prep_cache).trim(self.config.prepared_statements);
     }
 
     /// Snapshot of the session's work counters.
@@ -461,7 +481,7 @@ impl Session {
     /// ```
     pub fn prepare(&self, query: GroupByAvgQuery) -> Result<PreparedQuery<'_>, Error> {
         let core = self.build_core(query)?;
-        Ok(self.assemble(core, self.config.clone()))
+        Ok(self.assemble(core))
     }
 
     /// [`Session::prepare`] through the bounded prepared-statement cache:
@@ -488,7 +508,7 @@ impl Session {
                 self.counters
                     .prepared_cache_hits
                     .fetch_add(1, Ordering::Relaxed);
-                return Ok(self.assemble(core, self.config.clone()));
+                return Ok(self.assemble(core));
             }
         }
         self.counters
@@ -506,18 +526,9 @@ impl Session {
                 .entries
                 .entry(key)
                 .or_insert_with(|| (Arc::clone(&core), tick));
-            while cache.entries.len() > capacity {
-                let lru = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, last))| *last)
-                    .map(|(k, _)| k.clone())
-                    .expect("len > capacity > 0 implies non-empty");
-                cache.entries.remove(&lru);
-                cache.evictions += 1;
-            }
+            cache.trim(capacity);
         }
-        Ok(self.assemble(core, self.config.clone()))
+        Ok(self.assemble(core))
     }
 
     /// [`Session::sql`] through the prepared-statement cache: parse,
@@ -526,22 +537,6 @@ impl Session {
     pub fn sql_cached(&self, statement: &str) -> Result<PreparedQuery<'_>, Error> {
         let query = table::sql::parse_query(&self.table, statement)?;
         self.prepare_cached(query)
-    }
-
-    /// Prepare `query` under a per-query configuration override instead
-    /// of the session default — how a service applies request-scoped
-    /// deadlines, budgets or (in tests) fault plans without mutating the
-    /// shared session. Always bypasses the prepared-statement cache, so
-    /// fault plans fire on exactly this query. It shares the session's
-    /// memos: atom blocks are keyed by the atom options they were built
-    /// under, and fault plans fire only inside the walk.
-    pub fn prepare_with(
-        &self,
-        query: GroupByAvgQuery,
-        config: CausumxConfig,
-    ) -> Result<PreparedQuery<'_>, Error> {
-        let core = self.build_core(query)?;
-        Ok(self.assemble(core, config))
     }
 
     /// Materialize the view and look up the FD split of a prepared
@@ -565,9 +560,10 @@ impl Session {
 
     /// Bind a prepared core to this session: build its miner through the
     /// session's memos, which build only the atom blocks no earlier
-    /// prepare built under `config`'s atom options, and snapshot `config`
-    /// onto the query.
-    fn assemble(&self, core: Arc<PreparedCore>, config: CausumxConfig) -> PreparedQuery<'_> {
+    /// prepare built under the configuration's atom options, and snapshot
+    /// the configuration onto the query.
+    fn assemble(&self, core: Arc<PreparedCore>) -> PreparedQuery<'_> {
+        let config = self.config.clone();
         let miner = TreatmentMiner::with_memos(
             &self.table,
             &self.dag,
@@ -826,25 +822,19 @@ impl<'s> PreparedQuery<'s> {
     /// backdoor memo).
     ///
     /// Runs unguarded (no deadline, no budget) and panics if a mining
-    /// task panicked — the historical contract. Use [`Self::try_run`] for
-    /// the fallible, lifeguarded variant.
+    /// task panicked — the historical contract. Use [`Self::run_guarded`]
+    /// for the fallible, lifeguarded variant.
     pub fn run(&self) -> Summary {
         expect_unguarded(self.run_guarded(&RunGuard::unlimited()))
     }
 
-    /// Run the full pipeline under the lifeguards configured on this
-    /// query's [`CausumxConfig`] snapshot (`deadline`,
-    /// `memory_budget_mb`). Returns the structured [`Error`] variant when
-    /// a guard trips or a mining task panics; the session, its caches and
-    /// the worker pool stay healthy either way.
-    pub fn try_run(&self) -> Result<Summary, Error> {
-        let guard = self.config.run_guard();
-        self.run_guarded(&guard)
-    }
-
-    /// Run the full pipeline under a caller-supplied [`RunGuard`] — the
-    /// way to cancel a query from another thread (via
-    /// [`RunGuard::cancel_handle`]) or to plug in a custom memory probe.
+    /// Run the full pipeline under a caller-built [`RunGuard`]: its
+    /// deadline, memory budget and armed faults apply to this run, and
+    /// [`RunGuard::cancel_handle`] cancels it from another thread.
+    /// Returns the structured [`Error`] variant when the guard trips or a
+    /// mining task panics; the session, its caches and the worker pool
+    /// stay healthy either way. A run that completes is bit-identical to
+    /// [`Self::run`].
     pub fn run_guarded(&self, guard: &RunGuard) -> Result<Summary, Error> {
         let candidates = self.try_mine_candidates(guard)?;
         Ok(self.select(&candidates, self.config.selection))
@@ -904,9 +894,7 @@ impl<'s> PreparedQuery<'s> {
         // One checkpoint between phases: a deadline or budget blown during
         // grouping mining is noticed before the (far larger) lattice walk
         // starts.
-        guard
-            .check()
-            .map_err(|trip| mining::treatment::MineError::from_trip(trip, guard.progress()))?;
+        guard.check()?;
 
         let t1 = Instant::now();
         let (explanations, stats) = self.mine_treatments(&groupings, exhaustive, guard)?;
@@ -990,10 +978,8 @@ impl<'s> PreparedQuery<'s> {
                 if failure.get().is_some() {
                     return; // query already failed; drain remaining tasks
                 }
-                if let Err(trip) = guard.check() {
-                    let _ = failure.set(
-                        mining::treatment::MineError::from_trip(trip, guard.progress()).into(),
-                    );
+                if let Err(e) = guard.check() {
+                    let _ = failure.set(e.into());
                     return;
                 }
                 match catch_unwind(AssertUnwindSafe(|| work(&groupings[i]))) {
@@ -1085,6 +1071,18 @@ impl<'s> PreparedQuery<'s> {
         label: &str,
         k: usize,
     ) -> Option<(Vec<TreatmentResult>, Vec<TreatmentResult>)> {
+        self.explain_group_guarded(label, k, &RunGuard::unlimited())
+            .map(expect_unguarded)
+    }
+
+    /// [`Self::explain_group`] under `guard`, returning a failed walk as
+    /// its structured [`Error`].
+    fn explain_group_guarded(
+        &self,
+        label: &str,
+        k: usize,
+        guard: &RunGuard,
+    ) -> Option<Result<(Vec<TreatmentResult>, Vec<TreatmentResult>), Error>> {
         let table = &self.session.table;
         let gid = (0..self.core.view.num_groups())
             .find(|&g| self.core.view.group_label(table, g) == label)?;
@@ -1093,12 +1091,12 @@ impl<'s> PreparedQuery<'s> {
             k,
             true,
             self.config.effective_threads(),
-            &RunGuard::unlimited(),
+            guard,
         );
-        let paired = expect_unguarded(mined.map_err(Error::from))
-            .pop()
-            .expect("one subpopulation in, one result out");
-        Some((paired.positive, paired.negative))
+        Some(mined.map_err(Error::from).map(|mut walks| {
+            let paired = walks.pop().expect("one subpopulation in, one result out");
+            (paired.positive, paired.negative)
+        }))
     }
 
     /// Build a structured [`Report`] from a summary of this query.
@@ -1115,8 +1113,8 @@ impl<'s> PreparedQuery<'s> {
 }
 
 /// Unwrap the result of a run under an unlimited guard. Only a worker
-/// panic (or an injected fault) can fail such a run; the infallible entry
-/// points re-raise it as a panic that names the failed task.
+/// panic can fail such a run; the infallible entry points re-raise it as
+/// a panic that names the failed task.
 fn expect_unguarded<T>(result: Result<T, Error>) -> T {
     match result {
         Ok(v) => v,
@@ -1419,7 +1417,7 @@ mod tests {
     /// `explain_group` runs on the configured worker count. Level 1 of the
     /// drilled group below has 36 candidates (three attributes of twelve
     /// levels), which `sched::chunk_ranges` splits into 4 chunks at one
-    /// worker and 5 at four, so a panic injected at (pattern 0, level 1,
+    /// worker and 5 at four, so a panic armed at (pattern 0, level 1,
     /// chunk 4) is never reached at `threads(1)` and fails the drill-down
     /// at `threads(4)` naming that chunk.
     #[test]
@@ -1454,7 +1452,6 @@ mod tests {
         for threads in [1, 4] {
             let cfg = crate::ConfigBuilder::new()
                 .threads(threads)
-                .fault_plan(FaultPlan::new().inject(site, FaultKind::Panic))
                 .build()
                 .unwrap();
             let session = Session::new(table.clone(), dag.clone(), cfg);
@@ -1464,17 +1461,17 @@ mod tests {
                 .avg("salary")
                 .prepare()
                 .unwrap();
-            let drilled = catch_unwind(AssertUnwindSafe(|| pq.explain_group("FR", 3)));
-            if threads == 1 {
-                let found = drilled.expect("one worker makes no chunk 4");
-                assert!(found.is_some(), "FR is a group of the view");
-            } else {
-                let payload = drilled.expect_err("the injected panic fails the drill-down");
-                let msg = sched::payload_string(payload.as_ref());
-                assert!(
-                    msg.contains("mining task 'pattern 0 level 1 chunk 4' panicked"),
-                    "threads({threads}): {msg}"
-                );
+            let guard =
+                RunGuard::unlimited().with_faults(FaultPlan::new().inject(site, FaultKind::Panic));
+            let drilled = pq
+                .explain_group_guarded("FR", 3, &guard)
+                .expect("FR is a group of the view");
+            match (threads, drilled) {
+                (1, Ok(_)) => {}
+                (4, Err(Error::Worker { task, .. })) => {
+                    assert_eq!(task, "pattern 0 level 1 chunk 4");
+                }
+                (threads, other) => panic!("threads({threads}): {other:?}"),
             }
         }
     }

@@ -22,10 +22,10 @@
 //! * [`sched`] — the work-stealing task scheduler both fan-out dimensions
 //!   (across grouping patterns, within lattice levels) share, with the
 //!   index-ordered merge primitive that keeps results bit-identical at
-//!   every worker count. Its [`sched::guard`] submodule
-//!   holds the per-query lifeguards (cancellation, deadlines, memory
-//!   budgets) and [`sched::faults`] the deterministic fault-injection
-//!   layer behind the chaos suite.
+//!   every worker count. Its [`sched::guard`] submodule holds
+//!   [`RunGuard`], the one per-run object (cancellation, deadline, memory
+//!   budget, armed fault plan, progress counters), and [`sched::faults`]
+//!   the deterministic faults the chaos suite arms on it.
 
 #![warn(missing_docs)]
 
@@ -37,8 +37,8 @@ pub mod treatment;
 pub use apriori::{apriori, FrequentPattern};
 pub use grouping::{mine_grouping_patterns, GroupingPattern};
 pub use sched::faults::{FaultKind, FaultPlan, FaultSite};
-pub use sched::guard::{CancelHandle, QueryProgress, RunGuard};
+pub use sched::guard::{CancelHandle, MineError, QueryProgress, RunGuard};
 pub use treatment::{
-    AtomMemo, BackdoorMemo, LatticeOptions, LatticeStats, MineError, PairedTreatments,
-    TreatmentMiner, TreatmentResult,
+    AtomMemo, BackdoorMemo, LatticeOptions, LatticeStats, PairedTreatments, TreatmentMiner,
+    TreatmentResult,
 };

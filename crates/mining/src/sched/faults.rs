@@ -2,22 +2,20 @@
 //!
 //! A [`FaultPlan`] names (pattern, level, chunk) sites in the lattice
 //! walk and the fault to fire there: a panic, an artificial delay, a
-//! spurious scheduler wakeup, or a cooperative cancel. Plans are gated
-//! through `LatticeOptions::fault_plan`, so production configs carry
-//! `None` and pay nothing.
+//! spurious scheduler wakeup, or a cooperative cancel. A plan is armed
+//! on one run's guard ([`RunGuard::with_faults`]), never on the
+//! configuration, so a cached prepared query never carries a fault and
+//! an unarmed run pays one `Option` test per chunk.
+//!
+//! [`RunGuard::with_faults`]: super::guard::RunGuard::with_faults
 //!
 //! Injection is deterministic: a site either is or is not reached by
 //! the walk (unreached sites are no-ops), and each registered fault
-//! fires at most once per [`FaultInjector`] (one injector is armed per
-//! guarded mining call). The chaos tests build on this to assert that
-//! an injected fault yields exactly one structured error while sibling
-//! queries stay bit-identical.
+//! fires at most once per armed guard. The chaos tests build on this to
+//! assert that an injected fault yields exactly one structured error
+//! while sibling queries stay bit-identical.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-use super::guard::RunGuard;
 
 /// A (pattern, level, chunk) coordinate in the lattice walk where a
 /// fault fires. `pattern` indexes the query's subpopulations in input
@@ -43,15 +41,16 @@ pub enum FaultKind {
     /// Wake every pool worker with nothing new to do (exercises the
     /// condvar loop against lost-wakeup/spurious-wakeup bugs).
     SpuriousWake,
-    /// Trigger the query's own [`RunGuard`] cancel flag (exercises the
-    /// cooperative-cancellation path from inside the walk).
+    /// Trigger the run's own [`RunGuard`](super::guard::RunGuard) cancel
+    /// flag (exercises the cooperative-cancellation path from inside the
+    /// walk).
     Cancel,
 }
 
 /// An ordered set of faults to inject into one query's walk.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    faults: Vec<(FaultSite, FaultKind)>,
+    pub(super) faults: Vec<(FaultSite, FaultKind)>,
 }
 
 impl FaultPlan {
@@ -77,49 +76,9 @@ impl FaultPlan {
     }
 }
 
-/// A [`FaultPlan`] armed for one guarded mining call: tracks which
-/// faults have fired so each fires at most once per call.
-pub struct FaultInjector {
-    plan: Arc<FaultPlan>,
-    fired: Vec<AtomicBool>,
-}
-
-impl FaultInjector {
-    /// Arm `plan` with fresh fire-once state.
-    pub fn new(plan: Arc<FaultPlan>) -> Self {
-        let fired = (0..plan.faults.len())
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        FaultInjector { plan, fired }
-    }
-
-    /// Fire any not-yet-fired faults registered at `site`. `guard` is
-    /// the query's own guard (targeted by [`FaultKind::Cancel`]) and
-    /// `wake` pokes the scheduler's condvar ([`FaultKind::SpuriousWake`]).
-    ///
-    /// [`FaultKind::Panic`] panics out of this call; callers run inside
-    /// the walk's unwind-isolated task bodies, so the panic is caught
-    /// and attributed to the owning pattern.
-    pub fn at(&self, site: FaultSite, guard: &RunGuard, wake: impl Fn()) {
-        for (i, (s, kind)) in self.plan.faults.iter().enumerate() {
-            if *s != site || self.fired[i].swap(true, Ordering::AcqRel) {
-                continue;
-            }
-            match kind {
-                FaultKind::Panic => panic!(
-                    "injected fault: panic at pattern {} level {} chunk {}",
-                    site.pattern, site.level, site.chunk
-                ),
-                FaultKind::Delay(d) => std::thread::sleep(*d),
-                FaultKind::SpuriousWake => wake(),
-                FaultKind::Cancel => guard.cancel_handle().cancel(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::guard::{MineError, RunGuard};
     use super::*;
 
     const SITE: FaultSite = FaultSite {
@@ -130,9 +89,8 @@ mod tests {
 
     #[test]
     fn empty_plan_is_noop() {
-        let inj = FaultInjector::new(Arc::new(FaultPlan::new()));
-        let g = RunGuard::unlimited();
-        inj.at(SITE, &g, || {});
+        let g = RunGuard::unlimited().with_faults(FaultPlan::new());
+        g.fire_faults(SITE, || {});
         assert_eq!(g.check(), Ok(()));
     }
 
@@ -141,51 +99,53 @@ mod tests {
         let plan = FaultPlan::new().inject(SITE, FaultKind::Cancel);
         assert_eq!(plan.len(), 1);
         assert!(!plan.is_empty());
-        let inj = FaultInjector::new(Arc::new(plan));
-        let g = RunGuard::unlimited();
+        let g = RunGuard::unlimited().with_faults(plan);
         let other = FaultSite { pattern: 9, ..SITE };
-        inj.at(other, &g, || {});
+        g.fire_faults(other, || {});
         assert_eq!(g.check(), Ok(()), "unreached site must be a no-op");
-        inj.at(SITE, &g, || {});
-        assert!(g.check().is_err());
+        g.fire_faults(SITE, || {});
+        assert!(matches!(g.check(), Err(MineError::Cancelled { .. })));
     }
 
     #[test]
     fn panic_fault_panics_with_site_in_payload() {
-        let plan = Arc::new(FaultPlan::new().inject(SITE, FaultKind::Panic));
-        let inj = FaultInjector::new(Arc::clone(&plan));
-        let g = RunGuard::unlimited();
+        let plan = FaultPlan::new().inject(SITE, FaultKind::Panic);
+        let g = RunGuard::unlimited().with_faults(plan.clone());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.at(SITE, &g, || {});
+            g.fire_faults(SITE, || {});
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("pattern 0 level 1 chunk 0"));
-        // Fire-once: the same site is silent on the second visit.
-        inj.at(SITE, &g, || {});
+        // Fire-once: the same site is silent on the second visit…
+        g.fire_faults(SITE, || {});
+        // …while a fresh guard armed with the same plan fires again.
+        let again = RunGuard::unlimited().with_faults(plan);
+        let refired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            again.fire_faults(SITE, || {});
+        }));
+        assert!(refired.is_err());
     }
 
     #[test]
     fn spurious_wake_calls_waker() {
-        use std::sync::atomic::AtomicUsize;
-        let plan = Arc::new(FaultPlan::new().inject(SITE, FaultKind::SpuriousWake));
-        let inj = FaultInjector::new(plan);
-        let g = RunGuard::unlimited();
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let plan = FaultPlan::new().inject(SITE, FaultKind::SpuriousWake);
+        let g = RunGuard::unlimited().with_faults(plan);
         let woke = AtomicUsize::new(0);
-        inj.at(SITE, &g, || {
+        g.fire_faults(SITE, || {
             woke.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(woke.load(Ordering::Relaxed), 1);
+        assert_eq!(g.check(), Ok(()));
     }
 
     #[test]
     fn delay_fault_sleeps() {
-        let plan =
-            Arc::new(FaultPlan::new().inject(SITE, FaultKind::Delay(Duration::from_millis(5))));
-        let inj = FaultInjector::new(plan);
-        let g = RunGuard::unlimited();
+        let plan = FaultPlan::new().inject(SITE, FaultKind::Delay(Duration::from_millis(5)));
+        let g = RunGuard::unlimited().with_faults(plan);
         let t0 = std::time::Instant::now();
-        inj.at(SITE, &g, || {});
+        g.fire_faults(SITE, || {});
         assert!(t0.elapsed() >= Duration::from_millis(4));
     }
 }

@@ -1,12 +1,16 @@
-//! Per-query lifeguards: cooperative cancellation, wall-clock deadlines
-//! and memory budgets for the lattice walk.
+//! Per-run lifeguards: cooperative cancellation, wall-clock deadlines,
+//! memory budgets and armed fault plans for the lattice walk.
 //!
-//! A [`RunGuard`] is created once per guarded mining call and checked at
-//! chunk boundaries and level merges. Checks are cooperative: nothing is
-//! pre-empted, the walk simply stops spawning work and surfaces a
-//! structured [`Trip`] with partial-progress diagnostics. The guard also
-//! owns the query's progress counters (levels absorbed, CATE
-//! evaluations) so every failure can report how far the walk got.
+//! A [`RunGuard`] is the one per-run object: created once per guarded
+//! run and checked at chunk boundaries and level merges. Checks are
+//! cooperative: nothing is pre-empted, the walk simply stops spawning
+//! work, and [`RunGuard::check`] returns the structured [`MineError`]
+//! with the run's [`QueryProgress`] attached. The guard owns those
+//! progress counters (levels absorbed, CATE evaluations), so every
+//! failure reports how far the walk got, and, once armed with
+//! [`RunGuard::with_faults`], the fire-once state of a [`FaultPlan`].
+//! A guard only ever stops a run: no limit, counter or fault changes a
+//! bit of a run that completes.
 //!
 //! Memory accounting reuses the `VmHWM` probe that the bench harness
 //! reports ([`peak_rss_bytes`], moved here so both layers share one
@@ -19,6 +23,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use super::faults::{FaultKind, FaultPlan, FaultSite};
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable
@@ -56,26 +62,75 @@ pub struct QueryProgress {
     pub cate_evaluations: usize,
 }
 
-/// Why a guarded run was stopped. Converted into the mining-level error
-/// (and from there into `causumx::Error`) with [`QueryProgress`]
-/// attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Trip {
-    /// The query's [`CancelHandle`] was triggered.
-    Cancelled,
-    /// The wall-clock deadline elapsed.
+/// Structured failure of one guarded run. The guard-trip variants carry
+/// [`QueryProgress`] so callers can report how far the walk got;
+/// `Worker` carries which task panicked and its stringified payload.
+/// Exactly one of these surfaces per failed query — sibling patterns
+/// finish, and the pool stays healthy for the next call.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MineError {
+    /// The query's cancel handle was triggered (or a `Cancel` fault
+    /// fired) and the walk stopped at the next checkpoint.
+    Cancelled {
+        /// Progress at the checkpoint that noticed the cancellation.
+        progress: QueryProgress,
+    },
+    /// The wall-clock deadline elapsed mid-walk.
     DeadlineExceeded {
         /// The configured deadline.
-        budget: Duration,
+        after: Duration,
+        /// Progress at the checkpoint that noticed the deadline.
+        progress: QueryProgress,
     },
-    /// Peak-RSS growth over the guard's baseline exceeded the budget.
+    /// Peak-RSS growth exceeded the query's memory budget.
     MemoryBudget {
         /// Allowed growth in bytes.
         budget_bytes: u64,
         /// Observed growth in bytes when the check fired.
         observed_bytes: u64,
+        /// Progress at the checkpoint that noticed the overshoot.
+        progress: QueryProgress,
+    },
+    /// A walk task panicked; the panic was caught and attributed to its
+    /// owning pattern instead of poisoning the pool.
+    Worker {
+        /// Which task failed, e.g. `"pattern 2 level 3 chunk 1"`.
+        task: String,
+        /// Stringified panic payload.
+        payload: String,
     },
 }
+
+impl std::fmt::Display for MineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MineError::Cancelled { progress } => write!(
+                f,
+                "query cancelled after {} levels / {} CATE evaluations",
+                progress.levels_completed, progress.cate_evaluations
+            ),
+            MineError::DeadlineExceeded { after, progress } => write!(
+                f,
+                "deadline of {after:?} exceeded after {} levels / {} CATE evaluations",
+                progress.levels_completed, progress.cate_evaluations
+            ),
+            MineError::MemoryBudget {
+                budget_bytes,
+                observed_bytes,
+                progress,
+            } => write!(
+                f,
+                "memory budget of {budget_bytes} bytes exceeded ({observed_bytes} observed) after {} levels / {} CATE evaluations",
+                progress.levels_completed, progress.cate_evaluations
+            ),
+            MineError::Worker { task, payload } => {
+                write!(f, "worker task '{task}' panicked: {payload}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MineError {}
 
 /// Cloneable, thread-safe handle that cancels its guarded run from any
 /// thread. Cancellation is cooperative: the walk notices at the next
@@ -99,13 +154,16 @@ impl CancelHandle {
 
 type MemProbe = dyn Fn() -> Option<u64> + Send + Sync;
 
-/// Per-query guard: cancellation token, optional deadline, optional
-/// memory budget, and the query's progress counters.
+/// Per-run guard: cancellation token, optional deadline, optional
+/// memory budget, optional armed fault plan, and the run's progress
+/// counters.
 ///
-/// Checks are cheap when a limit is unset (one relaxed atomic load for
-/// the cancel flag); the memory probe reads procfs only when a budget
-/// is configured, rate-limited to one read per `PROBE_INTERVAL_MS`
-/// (the first check always probes).
+/// Checks are cheap when a limit is unset (one atomic load for the
+/// cancel flag); the memory probe reads procfs only when a budget is
+/// configured, rate-limited to one read per `PROBE_INTERVAL_MS` (the
+/// first check always probes). A guard arms a fault plan for one run:
+/// each fault fires at most once per guard, so re-running a query with
+/// the same plan takes a fresh guard.
 pub struct RunGuard {
     cancel: Arc<AtomicBool>,
     deadline: Option<(Instant, Duration)>,
@@ -116,6 +174,8 @@ pub struct RunGuard {
     last_probe_ms: AtomicU64,
     levels: AtomicUsize,
     evaluations: AtomicUsize,
+    /// The armed plan and one fire-once flag per registered fault.
+    faults: Option<(FaultPlan, Box<[AtomicBool]>)>,
 }
 
 /// A procfs read costs tens of microseconds while a checkpoint costs
@@ -135,6 +195,7 @@ impl std::fmt::Debug for RunGuard {
             .field("cancelled", &self.cancel.load(Ordering::Relaxed))
             .field("deadline", &self.deadline)
             .field("memory_budget_bytes", &self.memory_budget_bytes)
+            .field("faults", &self.faults.as_ref().map(|(plan, _)| plan))
             .field("progress", &self.progress())
             .finish()
     }
@@ -147,9 +208,9 @@ impl Default for RunGuard {
 }
 
 impl RunGuard {
-    /// A guard with no deadline and no memory budget. It can still be
-    /// cancelled through [`RunGuard::cancel_handle`], and limits are added
-    /// with the `with_*` builders.
+    /// A guard with no deadline, no memory budget and no faults. It can
+    /// still be cancelled through [`RunGuard::cancel_handle`], and limits
+    /// are added with the `with_*` builders.
     pub fn unlimited() -> Self {
         RunGuard {
             cancel: Arc::new(AtomicBool::new(false)),
@@ -161,6 +222,7 @@ impl RunGuard {
             last_probe_ms: AtomicU64::new(NEVER_PROBED),
             levels: AtomicUsize::new(0),
             evaluations: AtomicUsize::new(0),
+            faults: None,
         }
     }
 
@@ -197,6 +259,16 @@ impl RunGuard {
         self
     }
 
+    /// Arm `plan` on this guard's run: each registered fault fires the
+    /// first time the walk reaches its site, and at most once. For the
+    /// chaos suite and the serve layer's opt-in `X-Chaos` header; an
+    /// unarmed guard costs the walk one `Option` test per chunk.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        let fired = plan.faults.iter().map(|_| AtomicBool::new(false)).collect();
+        self.faults = Some((plan, fired));
+        self
+    }
+
     /// A handle that cancels this guard's run from any thread.
     pub fn cancel_handle(&self) -> CancelHandle {
         CancelHandle {
@@ -211,15 +283,21 @@ impl RunGuard {
         }
     }
 
-    /// Check every configured limit; `Err` means the run must stop.
-    /// Called at chunk boundaries and level merges.
-    pub fn check(&self) -> Result<(), Trip> {
+    /// Check every configured limit; `Err` is the structured failure the
+    /// run stops with, carrying the progress made so far. Called at chunk
+    /// boundaries and level merges; allocation-free.
+    pub fn check(&self) -> Result<(), MineError> {
         if self.cancel.load(Ordering::Acquire) {
-            return Err(Trip::Cancelled);
+            return Err(MineError::Cancelled {
+                progress: self.progress(),
+            });
         }
-        if let Some((at, budget)) = self.deadline {
+        if let Some((at, after)) = self.deadline {
             if Instant::now() >= at {
-                return Err(Trip::DeadlineExceeded { budget });
+                return Err(MineError::DeadlineExceeded {
+                    after,
+                    progress: self.progress(),
+                });
             }
         }
         if let Some(budget_bytes) = self.memory_budget_bytes {
@@ -230,15 +308,43 @@ impl RunGuard {
                 if let Some(now) = self.probe_now() {
                     let observed_bytes = now.saturating_sub(self.baseline_bytes);
                     if observed_bytes > budget_bytes {
-                        return Err(Trip::MemoryBudget {
+                        return Err(MineError::MemoryBudget {
                             budget_bytes,
                             observed_bytes,
+                            progress: self.progress(),
                         });
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Fire the armed faults registered at `site` that have not fired
+    /// yet; `wake` pokes the scheduler's condvar
+    /// ([`FaultKind::SpuriousWake`]). A no-op on an unarmed guard.
+    ///
+    /// [`FaultKind::Panic`] panics out of this call; the walk calls it
+    /// inside its unwind-isolated task bodies, so the panic is caught
+    /// and attributed to the owning pattern.
+    pub(crate) fn fire_faults(&self, site: FaultSite, wake: impl Fn()) {
+        let Some((plan, fired)) = &self.faults else {
+            return;
+        };
+        for ((s, kind), fired) in plan.faults.iter().zip(fired.iter()) {
+            if *s != site || fired.swap(true, Ordering::AcqRel) {
+                continue;
+            }
+            match kind {
+                FaultKind::Panic => panic!(
+                    "injected fault: panic at pattern {} level {} chunk {}",
+                    site.pattern, site.level, site.chunk
+                ),
+                FaultKind::Delay(d) => std::thread::sleep(*d),
+                FaultKind::SpuriousWake => wake(),
+                FaultKind::Cancel => self.cancel.store(true, Ordering::Release),
+            }
+        }
     }
 
     /// Record `n` CATE evaluations.
@@ -284,16 +390,30 @@ mod tests {
         let g = RunGuard::unlimited();
         let h = g.cancel_handle();
         assert!(!h.is_cancelled());
+        g.add_evaluations(5);
+        g.level_completed();
         h.cancel();
         assert!(h.is_cancelled());
-        assert_eq!(g.check(), Err(Trip::Cancelled));
+        // The trip carries the progress made before it.
+        assert_eq!(
+            g.check(),
+            Err(MineError::Cancelled {
+                progress: QueryProgress {
+                    levels_completed: 1,
+                    cate_evaluations: 5
+                }
+            })
+        );
     }
 
     #[test]
     fn zero_deadline_trips_immediately() {
         let g = RunGuard::unlimited().with_deadline(Duration::ZERO);
         match g.check() {
-            Err(Trip::DeadlineExceeded { budget }) => assert_eq!(budget, Duration::ZERO),
+            Err(MineError::DeadlineExceeded { after, progress }) => {
+                assert_eq!(after, Duration::ZERO);
+                assert_eq!(progress, QueryProgress::default());
+            }
             other => panic!("expected deadline trip, got {other:?}"),
         }
     }
@@ -308,9 +428,10 @@ mod tests {
             .with_memory_probe(move || Some(c.fetch_add(1, Ordering::Relaxed) * (4 << 20)))
             .with_memory_budget_bytes(1 << 20);
         match g.check() {
-            Err(Trip::MemoryBudget {
+            Err(MineError::MemoryBudget {
                 budget_bytes,
                 observed_bytes,
+                ..
             }) => {
                 assert_eq!(budget_bytes, 1 << 20);
                 assert!(observed_bytes > budget_bytes);

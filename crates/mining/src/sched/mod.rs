@@ -31,9 +31,9 @@
 //! Queue locks recover from poison instead of aborting (the protected
 //! state is a task queue that stays valid across a caught unwind), and
 //! [`ChunkSlots::try_merged`] reports missing chunks as a structured
-//! error instead of panicking. Per-query limits live one level up in
-//! [`guard`], and [`faults`] provides the deterministic fault-injection
-//! hooks the chaos suite drives through these paths.
+//! error instead of panicking. Per-run limits and armed fault plans live
+//! on [`guard::RunGuard`], and [`faults`] names the deterministic faults
+//! the chaos suite arms there to drive these paths.
 
 pub mod faults;
 pub mod guard;

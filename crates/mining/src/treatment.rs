@@ -18,7 +18,6 @@ use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 use causal::backdoor::{attrs_affecting_outcome, backdoor_set};
 use causal::context::{
@@ -32,8 +31,8 @@ use table::pattern::{Op, Pattern, Pred};
 use table::{Column, Scalar, Table};
 
 use crate::sched;
-use crate::sched::faults::{FaultInjector, FaultPlan, FaultSite};
-use crate::sched::guard::{QueryProgress, RunGuard, Trip};
+use crate::sched::faults::FaultSite;
+use crate::sched::guard::{MineError, RunGuard};
 use crate::sched::payload_string;
 
 /// Search direction σ of Algorithm 2.
@@ -89,12 +88,6 @@ pub struct LatticeOptions {
     /// Use the causal DAG to drop attributes with no path to the outcome
     /// (optimization a).
     pub prune_by_dag: bool,
-    /// Deterministic fault-injection plan for the chaos suite
-    /// ([`crate::sched::faults`]): panics, delays, spurious wakeups or
-    /// cooperative cancels fired at chosen (pattern, level, chunk)
-    /// points of the walk. `None` (the default, and the only production
-    /// setting) injects nothing and costs nothing.
-    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl Default for LatticeOptions {
@@ -108,100 +101,6 @@ impl Default for LatticeOptions {
             numeric_bins: 4,
             max_atoms_per_attr: 16,
             prune_by_dag: true,
-            fault_plan: None,
-        }
-    }
-}
-
-/// Structured failure of one guarded mining call
-/// ([`TreatmentMiner::mine_paired_many_guarded`]). The guard-trip
-/// variants carry [`QueryProgress`] so callers can report how far the
-/// walk got; `Worker` carries which task panicked and its stringified
-/// payload. Exactly one of these surfaces per failed query — sibling
-/// patterns finish, and the pool stays healthy for the next call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MineError {
-    /// The query's cancel handle was triggered (or a `Cancel` fault
-    /// fired) and the walk stopped at the next checkpoint.
-    Cancelled {
-        /// Progress at the checkpoint that noticed the cancellation.
-        progress: QueryProgress,
-    },
-    /// The wall-clock deadline elapsed mid-walk.
-    DeadlineExceeded {
-        /// The configured deadline.
-        after: Duration,
-        /// Progress at the checkpoint that noticed the deadline.
-        progress: QueryProgress,
-    },
-    /// Peak-RSS growth exceeded the query's memory budget.
-    MemoryBudget {
-        /// Allowed growth in bytes.
-        budget_bytes: u64,
-        /// Observed growth in bytes when the check fired.
-        observed_bytes: u64,
-        /// Progress at the checkpoint that noticed the overshoot.
-        progress: QueryProgress,
-    },
-    /// A walk task panicked; the panic was caught and attributed to its
-    /// owning pattern instead of poisoning the pool.
-    Worker {
-        /// Which task failed, e.g. `"pattern 2 level 3 chunk 1"`.
-        task: String,
-        /// Stringified panic payload.
-        payload: String,
-    },
-}
-
-impl std::fmt::Display for MineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MineError::Cancelled { progress } => write!(
-                f,
-                "query cancelled after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            MineError::DeadlineExceeded { after, progress } => write!(
-                f,
-                "deadline of {after:?} exceeded after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            MineError::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
-                progress,
-            } => write!(
-                f,
-                "memory budget of {budget_bytes} bytes exceeded ({observed_bytes} observed) after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            MineError::Worker { task, payload } => {
-                write!(f, "worker task '{task}' panicked: {payload}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MineError {}
-
-impl MineError {
-    /// Convert a guard [`Trip`] into the mining error, attaching the
-    /// progress snapshot the caller observed at the checkpoint.
-    pub fn from_trip(trip: Trip, progress: QueryProgress) -> MineError {
-        match trip {
-            Trip::Cancelled => MineError::Cancelled { progress },
-            Trip::DeadlineExceeded { budget } => MineError::DeadlineExceeded {
-                after: budget,
-                progress,
-            },
-            Trip::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
-            } => MineError::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
-                progress,
-            },
         }
     }
 }
@@ -1121,12 +1020,6 @@ impl<'a> TreatmentMiner<'a> {
         if subpops.is_empty() {
             return Ok(Vec::new());
         }
-        let injector = self
-            .opts
-            .fault_plan
-            .as_ref()
-            .map(|p| FaultInjector::new(Arc::clone(p)));
-        let injector = injector.as_ref();
         let workers = sched::workers_for(threads);
         let patterns: Vec<PatternSlot<'_>> = subpops
             .iter()
@@ -1188,8 +1081,8 @@ impl<'a> TreatmentMiner<'a> {
                         }
                     }
                     // Level-merge checkpoint.
-                    if let Err(trip) = guard.check() {
-                        let _ = failure.set(MineError::from_trip(trip, guard.progress()));
+                    if let Err(e) = guard.check() {
+                        let _ = failure.set(e);
                         return;
                     }
                 }
@@ -1232,22 +1125,18 @@ impl<'a> TreatmentMiner<'a> {
                         return;
                     }
                     let level = batch.level;
-                    // Chunk-boundary checkpoint: injected faults fire
-                    // first (they may cancel or panic), then the guard.
+                    // Chunk-boundary checkpoint: the guard's armed faults
+                    // fire first (they may cancel or panic), then its
+                    // limits.
                     let evaluated = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.at(
-                                FaultSite {
-                                    pattern,
-                                    level,
-                                    chunk,
-                                },
-                                guard,
-                                || spawn.poke(),
-                            );
-                        }
-                        if let Err(trip) = guard.check() {
-                            let _ = failure.set(MineError::from_trip(trip, guard.progress()));
+                        let site = FaultSite {
+                            pattern,
+                            level,
+                            chunk,
+                        };
+                        guard.fire_faults(site, || spawn.poke());
+                        if let Err(e) = guard.check() {
+                            let _ = failure.set(e);
                             return None;
                         }
                         Some(Self::eval_chunk(&batch, batch.ranges[chunk].clone()))

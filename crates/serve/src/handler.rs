@@ -5,13 +5,15 @@
 //! [`Handler::handle`] concurrently. Each `POST /query` request:
 //!
 //! 1. builds its [`RunGuard`] *first* (deadline from the `X-Deadline-Ms`
-//!    header or the configured default, plus the memory budget), so time
-//!    spent waiting for admission counts against the deadline,
+//!    header or the configured default, the memory budget, and the
+//!    `X-Chaos` fault when the server allows it), so time spent waiting
+//!    for admission counts against the deadline,
 //! 2. passes the bounded [`AdmissionQueue`] (or is rejected with `429` +
 //!    a structured envelope),
 //! 3. prepares through the session's prepared-statement cache
 //!    ([`Session::sql_cached`]) — repeat statements skip view
-//!    materialization and atom building,
+//!    materialization; a chaos request shares the cache too, because
+//!    its fault lives on its guard and never on a cached core,
 //! 4. runs guarded; any [`causumx::Error`] maps onto an HTTP status via
 //!    [`status_for`] with the [`causumx::error_json`] envelope as body.
 //!
@@ -217,6 +219,14 @@ impl Handler {
         if let Some(mb) = self.opts.memory_budget_mb {
             guard = guard.with_memory_budget_mb(mb);
         }
+        match self.chaos_plan(req) {
+            Ok(Some(plan)) => guard = guard.with_faults(plan),
+            Ok(None) => {}
+            Err(e) => {
+                self.counters.queries_err.fetch_add(1, Ordering::Relaxed);
+                return Response::json(status_for(&e), error_json(&e));
+            }
+        }
 
         let permit = match self.admission.admit() {
             Ok(p) => p,
@@ -236,7 +246,7 @@ impl Handler {
             }
         };
 
-        let result = self.run_query(sql, req, &guard);
+        let result = self.run_query(sql, &guard);
         drop(permit);
         match result {
             Ok(json) => {
@@ -252,28 +262,16 @@ impl Handler {
 
     /// Prepare (through the statement cache) and run one query under
     /// `guard`, rendering the report on success.
-    fn run_query(&self, sql: &str, req: &Request, guard: &RunGuard) -> Result<String, Error> {
+    fn run_query(&self, sql: &str, guard: &RunGuard) -> Result<String, Error> {
         // A deadline blown while queued is reported before any work.
-        guard
-            .check()
-            .map_err(|trip| mining::treatment::MineError::from_trip(trip, guard.progress()))?;
-        let prepared = match self.chaos_plan(req)? {
-            Some(plan) => {
-                // Chaos requests bypass the statement cache: the fault
-                // must arm on exactly this query, and a poisoned core
-                // must never be shared.
-                let query = table::sql::parse_query(self.session.table(), sql)?;
-                let mut config = self.session.config().clone();
-                config.lattice.fault_plan = Some(Arc::new(plan));
-                self.session.prepare_with(query, config)?
-            }
-            None => self.session.sql_cached(sql)?,
-        };
+        guard.check()?;
+        let prepared = self.session.sql_cached(sql)?;
         let summary = prepared.run_guarded(guard)?;
         Ok(prepared.report(&summary).to_json())
     }
 
-    /// Parse the `X-Chaos` header into a fault plan, if enabled.
+    /// Parse the `X-Chaos` header into a fault plan for the request's
+    /// guard, if enabled.
     fn chaos_plan(&self, req: &Request) -> Result<Option<FaultPlan>, Error> {
         let Some(value) = req.header("x-chaos") else {
             return Ok(None);
@@ -486,8 +484,12 @@ mod tests {
         assert_eq!(resp.status, 500);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"code\":\"worker_panic\""), "{body}");
-        // The session survives: the same statement runs clean afterwards.
+        // The session survives: the same statement runs clean afterwards,
+        // from the core the chaos request cached (the fault was on its
+        // guard, not on the core).
         assert_eq!(on.handle(&post(sql)).status, 200);
+        let cache = on.session().prepared_cache_stats();
+        assert_eq!((cache.misses, cache.hits), (1, 1));
         // Unknown kinds are rejected.
         assert_eq!(chaos(&on, "meteor").status, 400);
     }

@@ -12,8 +12,9 @@
 //! `GET /stats` until killed. See `README.md` for a curl example.
 //!
 //! Exit status: 2 on a usage error (an unknown flag, a missing or invalid
-//! value, an unknown `--dataset`), 0 after `--help` prints the usage line
-//! on stdout, and 1 when the address cannot be bound.
+//! value, a zero `--memory-budget-mb`, an unknown `--dataset`), 0 after
+//! `--help` prints the usage line on stdout, and 1 when the address cannot
+//! be bound.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -100,11 +101,15 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.opts.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--memory-budget-mb" => {
-                args.opts.memory_budget_mb = Some(
-                    value("--memory-budget-mb")?
-                        .parse()
-                        .map_err(|e| format!("--memory-budget-mb: {e}"))?,
-                )
+                let mb: u64 = value("--memory-budget-mb")?
+                    .parse()
+                    .map_err(|e| format!("--memory-budget-mb: {e}"))?;
+                if mb == 0 {
+                    return Err(
+                        "--memory-budget-mb must be positive (omit it for unlimited)".into(),
+                    );
+                }
+                args.opts.memory_budget_mb = Some(mb);
             }
             "--max-inflight" => {
                 args.opts.max_inflight = value("--max-inflight")?

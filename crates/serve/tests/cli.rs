@@ -1,9 +1,10 @@
 //! The `causumx-serve` binary's exit-status contract: a usage error (an
-//! unknown flag, a missing or unparsable value, an unknown `--dataset`)
-//! exits 2, `--help` prints the usage line on stdout and exits 0, and a
-//! failed bind exits 1. Every case here exits on its own; a child still
-//! running after [`TIMEOUT`] is killed and fails the test, so a
-//! regression cannot leave a server behind.
+//! unknown flag, a missing or unparsable value, a zero
+//! `--memory-budget-mb`, an unknown `--dataset`) exits 2, `--help` prints
+//! the usage line on stdout and exits 0, and a failed bind exits 1. Every
+//! case here exits on its own; a child still running after [`TIMEOUT`] is
+//! killed and fails the test, so a regression cannot leave a server
+//! behind.
 
 use std::net::TcpListener;
 use std::process::{Command, Output, Stdio};
@@ -56,6 +57,13 @@ fn missing_or_unparsable_value_is_a_usage_error() {
     assert_usage_error(&["--port", "x"]);
     assert_usage_error(&["--rows", "-1"]);
     assert_usage_error(&["--threads", "100000"]);
+}
+
+/// A zero budget would trip whenever the process's peak RSS grows
+/// during a request; unlimited is spelled by omitting the flag.
+#[test]
+fn zero_memory_budget_is_a_usage_error() {
+    assert_usage_error(&["--memory-budget-mb", "0"]);
 }
 
 #[test]

@@ -1,11 +1,10 @@
-//! Minimal CSV reader/writer.
+//! Minimal CSV parser and serializer over in-memory text.
 //!
 //! Supports the subset of RFC 4180 needed for the examples: header row,
 //! comma separation, double-quote quoting with `""` escapes. Column types
 //! are inferred (int → float → categorical fallback) unless a schema is
 //! supplied.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use crate::column::{Column, Dict};
@@ -42,15 +41,6 @@ pub fn parse_csv(text: &str) -> Result<Table> {
     Table::new(Schema::new(fields), columns)
 }
 
-/// Read and parse a CSV file.
-pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
-    let text = std::fs::read_to_string(path.as_ref()).map_err(|e| TableError::Csv {
-        line: 0,
-        msg: format!("io error: {e}"),
-    })?;
-    parse_csv(&text)
-}
-
 /// Serialize a table to CSV text.
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
@@ -70,14 +60,6 @@ pub fn to_csv(table: &Table) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Write a table to a CSV file.
-pub fn write_csv(table: &Table, path: impl AsRef<Path>) -> Result<()> {
-    std::fs::write(path.as_ref(), to_csv(table)).map_err(|e| TableError::Csv {
-        line: 0,
-        msg: format!("io error: {e}"),
-    })
 }
 
 fn quote(s: &str) -> String {

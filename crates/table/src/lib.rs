@@ -21,7 +21,7 @@
 //! * [`fd`] — functional-dependency checks `A_gb → W` used to split the
 //!   schema into grouping-pattern and treatment-pattern attributes (§4.1),
 //! * [`bitset::BitSet`] — compact row/group sets used by the miners,
-//! * [`csv`] — minimal CSV reader/writer for examples and debugging.
+//! * [`csv`] — minimal CSV parser and serializer for examples and debugging.
 //!
 //! The engine deliberately has no nulls: every experiment in the paper runs
 //! on fully-populated (or imputed) data, and the generators in `datagen`

@@ -13,7 +13,7 @@
 //! and must reproduce the baseline bit-for-bit.
 
 use causal::Dag;
-use causumx::{ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, Session, Summary};
+use causumx::{ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, RunGuard, Session, Summary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,13 +95,14 @@ proptest! {
         );
 
         let site = FaultSite { pattern, level, chunk };
-        let cfg = config(threads)
-            .fault_plan(FaultPlan::new().inject(site, FaultKind::Cancel))
-            .build()
-            .unwrap();
-        let session = Session::new(table.clone(), dag.clone(), cfg);
+        let plan = FaultPlan::new().inject(site, FaultKind::Cancel);
+        // Each fault fires at most once per guard: every run arms a fresh one.
+        let run_faulted = |q: &causumx::PreparedQuery<'_>| {
+            q.run_guarded(&RunGuard::unlimited().with_faults(plan.clone()))
+        };
+        let session = Session::new(table.clone(), dag.clone(), config(threads).build().unwrap());
         let q = session.query().group_by("country").avg("y").prepare().unwrap();
-        match q.try_run() {
+        match run_faulted(&q) {
             Ok(summary) => prop_assert_eq!(
                 &want,
                 &fingerprint(&summary),
@@ -122,8 +123,8 @@ proptest! {
         // Determinism: the faulted query's outcome is a function of the
         // site, not of scheduling luck — rerunning must agree on
         // success-vs-cancelled.
-        let again_cancelled = matches!(q.try_run(), Err(Error::Cancelled { .. }));
-        let first_cancelled = matches!(q.try_run(), Err(Error::Cancelled { .. }));
+        let again_cancelled = matches!(run_faulted(&q), Err(Error::Cancelled { .. }));
+        let first_cancelled = matches!(run_faulted(&q), Err(Error::Cancelled { .. }));
         prop_assert_eq!(again_cancelled, first_cancelled);
 
         // The session survives whatever happened: a clean run on the

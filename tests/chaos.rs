@@ -1,8 +1,8 @@
 //! Chaos suite: deterministic fault injection against the query
 //! lifeguards.
 //!
-//! Each test arms a [`FaultPlan`] (or a guard limit) on one query and
-//! asserts the failure-model contract end to end:
+//! Each test arms a [`FaultPlan`] (or a limit) on one run's [`RunGuard`]
+//! and asserts the failure-model contract end to end:
 //!
 //! * an injected fault surfaces as **exactly one** structured
 //!   [`causumx::Error`] naming its site,
@@ -90,6 +90,12 @@ fn config(threads: usize, mode: NumericMode) -> ConfigBuilder {
         .numeric_mode(mode)
 }
 
+/// A fresh guard armed with `plan`: each fault fires at most once per
+/// guard, so every run takes its own.
+fn armed(plan: &FaultPlan) -> RunGuard {
+    RunGuard::unlimited().with_faults(plan.clone())
+}
+
 /// Both numeric modes: the failure model must hold identically under the
 /// pinned serial fold and the fixed-lane FastV1 kernels.
 const MODES: [NumericMode; 2] = [NumericMode::Exact, NumericMode::FastV1];
@@ -134,11 +140,12 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
     {
         let want = fingerprint(&baseline(&table, &dag, threads, mode));
 
-        let cfg = config(threads, mode)
-            .fault_plan(FaultPlan::new().inject(SITE, FaultKind::Panic))
-            .build()
-            .unwrap();
-        let mut session = Session::new(table.clone(), dag.clone(), cfg);
+        let plan = FaultPlan::new().inject(SITE, FaultKind::Panic);
+        let session = Session::new(
+            table.clone(),
+            dag.clone(),
+            config(threads, mode).build().unwrap(),
+        );
         {
             let q = session
                 .query()
@@ -146,7 +153,7 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
                 .avg("y")
                 .prepare()
                 .unwrap();
-            match q.try_run() {
+            match q.run_guarded(&armed(&plan)) {
                 Err(Error::Worker { task, payload }) => {
                     // One driver at every worker count: the label names
                     // the chunk site, not just the pattern.
@@ -158,15 +165,17 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
                 }
                 other => panic!("threads={threads}: expected worker error, got {other:?}"),
             }
-            // Fault fires once per guarded call; re-arming per run means
-            // the next run of the *same* query fails identically — still
+            // Fault fires once per guard; arming a fresh guard means the
+            // next run of the *same* query fails identically — still
             // exactly one structured error, still no poisoned pool.
-            assert!(matches!(q.try_run(), Err(Error::Worker { .. })));
+            assert!(matches!(
+                q.run_guarded(&armed(&plan)),
+                Err(Error::Worker { .. })
+            ));
         }
 
-        // The session (and its FD/backdoor caches) survives: disarm the
-        // plan and the same query is bit-identical to the clean baseline.
-        session.set_config(config(threads, mode).build().unwrap());
+        // The session (and its FD/backdoor caches) survives: without the
+        // plan the same query is bit-identical to the clean baseline.
         let clean = session.query().group_by("country").avg("y").run().unwrap();
         assert_eq!(
             want,
@@ -182,11 +191,12 @@ fn concurrent_sibling_query_stays_bit_identical() {
     let threads = 2;
     let want = fingerprint(&baseline(&table, &dag, threads, NumericMode::Exact));
 
-    let faulted_cfg = config(threads, NumericMode::Exact)
-        .fault_plan(FaultPlan::new().inject(SITE, FaultKind::Panic))
-        .build()
-        .unwrap();
-    let faulted = Session::new(table.clone(), dag.clone(), faulted_cfg);
+    let plan = FaultPlan::new().inject(SITE, FaultKind::Panic);
+    let faulted = Session::new(
+        table.clone(),
+        dag.clone(),
+        config(threads, NumericMode::Exact).build().unwrap(),
+    );
     let clean = Session::new(
         table.clone(),
         dag.clone(),
@@ -201,7 +211,7 @@ fn concurrent_sibling_query_stays_bit_identical() {
                 .avg("y")
                 .prepare()
                 .unwrap();
-            q.try_run()
+            q.run_guarded(&armed(&plan))
         });
         let sibling = scope.spawn(|| {
             let q = clean
@@ -243,7 +253,7 @@ fn benign_faults_leave_results_bit_identical() {
                 },
                 FaultKind::Panic,
             );
-        let cfg = config(threads, mode).fault_plan(plan).build().unwrap();
+        let cfg = config(threads, mode).build().unwrap();
         let session = Session::new(table.clone(), dag.clone(), cfg);
         let q = session
             .query()
@@ -251,7 +261,9 @@ fn benign_faults_leave_results_bit_identical() {
             .avg("y")
             .prepare()
             .unwrap();
-        let got = q.try_run().expect("benign faults must not fail the query");
+        let got = q
+            .run_guarded(&armed(&plan))
+            .expect("benign faults must not fail the query");
         assert_eq!(
             want,
             fingerprint(&got),
@@ -267,18 +279,19 @@ fn cancel_fault_surfaces_clean_cancelled_error() {
         .into_iter()
         .flat_map(|t| MODES.map(|m| (t, m)))
     {
-        let cfg = config(threads, mode)
-            .fault_plan(FaultPlan::new().inject(SITE, FaultKind::Cancel))
-            .build()
-            .unwrap();
-        let session = Session::new(table.clone(), dag.clone(), cfg);
+        let plan = FaultPlan::new().inject(SITE, FaultKind::Cancel);
+        let session = Session::new(
+            table.clone(),
+            dag.clone(),
+            config(threads, mode).build().unwrap(),
+        );
         let q = session
             .query()
             .group_by("country")
             .avg("y")
             .prepare()
             .unwrap();
-        match q.try_run() {
+        match q.run_guarded(&armed(&plan)) {
             Err(Error::Cancelled { .. }) => {}
             other => panic!("threads={threads}: expected cancellation, got {other:?}"),
         }
@@ -288,18 +301,14 @@ fn cancel_fault_surfaces_clean_cancelled_error() {
 #[test]
 fn immediate_deadline_trips_with_progress() {
     let (table, dag) = dataset();
-    let cfg = config(2, NumericMode::Exact)
-        .deadline(Duration::from_nanos(1))
-        .build()
-        .unwrap();
-    let session = Session::new(table, dag, cfg);
+    let session = Session::new(table, dag, config(2, NumericMode::Exact).build().unwrap());
     let q = session
         .query()
         .group_by("country")
         .avg("y")
         .prepare()
         .unwrap();
-    match q.try_run() {
+    match q.run_guarded(&RunGuard::unlimited().with_deadline(Duration::from_nanos(1))) {
         Err(Error::DeadlineExceeded { after_ms, .. }) => assert_eq!(after_ms, 0),
         other => panic!("expected deadline trip, got {other:?}"),
     }
@@ -391,11 +400,12 @@ fn pool_survives_repeated_faulted_runs() {
     let threads = 4;
     let want = fingerprint(&baseline(&table, &dag, threads, NumericMode::Exact));
 
-    let cfg = config(threads, NumericMode::Exact)
-        .fault_plan(FaultPlan::new().inject(SITE, FaultKind::Panic))
-        .build()
-        .unwrap();
-    let faulted = Session::new(table.clone(), dag.clone(), cfg);
+    let plan = FaultPlan::new().inject(SITE, FaultKind::Panic);
+    let faulted = Session::new(
+        table.clone(),
+        dag.clone(),
+        config(threads, NumericMode::Exact).build().unwrap(),
+    );
     let q = faulted
         .query()
         .group_by("country")
@@ -404,7 +414,7 @@ fn pool_survives_repeated_faulted_runs() {
         .unwrap();
     for round in 0..5 {
         assert!(
-            matches!(q.try_run(), Err(Error::Worker { .. })),
+            matches!(q.run_guarded(&armed(&plan)), Err(Error::Worker { .. })),
             "round {round}: fault stopped firing"
         );
     }

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full Algorithm-1 pipeline on every
 //! dataset generator, checking the Definition 4.5 contract on the output.
 
-use causumx::{CausumxConfig, ConfigBuilder, SelectionMethod, Session, Summary};
+use causumx::{CausumxConfig, ConfigBuilder, RunGuard, SelectionMethod, Session, Summary};
 use table::bitset::BitSet;
 
 /// Bind a dataset to a fresh session (cloning so `ds` stays usable).
@@ -296,7 +296,7 @@ fn degenerate_inputs_give_defined_results() {
             let session = Session::new(table.clone(), dag.clone(), cfg);
             let prepared = session.sql(sql).unwrap();
             let summary = prepared
-                .try_run()
+                .run_guarded(&RunGuard::unlimited())
                 .unwrap_or_else(|e| panic!("{mode:?} threads={threads}: {e}"));
             assert_eq!(summary.m, 5, "four groups plus the one-row group");
             assert!(summary.covered <= summary.m);

@@ -1,10 +1,11 @@
 //! Integration tests for the session's bounded prepared-statement cache:
 //! hit/miss/eviction accounting, key normalization (SQL spelling and
 //! builder-built queries share entries), LRU eviction order, bit-identity
-//! of cache-hit reports, `set_config` invalidation and the `capacity = 0`
-//! kill switch — and for the session's atom memo underneath it: a miss
-//! builds no atom block an earlier prepare built, under concurrent misses
-//! too, and other atom options get blocks of their own.
+//! of cache-hit reports, `set_config` keeping the cache (trimmed to the
+//! new capacity) and the `capacity = 0` kill switch — and for the
+//! session's atom memo underneath it: a miss builds no atom block an
+//! earlier prepare built, under concurrent misses too, and other atom
+//! options get blocks of their own.
 
 use std::sync::Barrier;
 
@@ -168,21 +169,49 @@ fn lru_evicts_the_least_recently_used_statement() {
     assert_eq!(stats.len, 2);
 }
 
+/// Cached cores (view, group bitsets, FD split) do not depend on the
+/// configuration, so `set_config` keeps them: the next prepare of a
+/// cached statement is a hit that runs under the new configuration. A
+/// lower capacity trims the cache by the LRU rule.
 #[test]
-fn set_config_invalidates_the_cache() {
+fn set_config_keeps_the_cache_and_trims_to_capacity() {
     let mut session = session_with_capacity(8);
-    session.sql_cached(SQL).unwrap();
-    assert_eq!(session.prepared_cache_stats().len, 1);
+    let filtered = "SELECT country, AVG(salary) FROM t WHERE age < 40 GROUP BY country";
+    let old_run = fingerprint(&session.sql_cached(SQL).unwrap().run());
+    session.sql_cached(filtered).unwrap();
+    session.sql_cached(SQL).unwrap(); // hit: `SQL` is now the most recent
 
-    let config = session.config().clone();
-    session.set_config(config);
+    let mut config = session.config().clone();
+    config.k = 1;
+    session.set_config(config.clone());
+    let views = session.counters().views_materialized;
+    let hit = fingerprint(&session.sql_cached(SQL).unwrap().run());
+    let stats = session.prepared_cache_stats();
+    assert_eq!((stats.misses, stats.hits, stats.len), (2, 2, 2));
+    assert_eq!(stats.evictions, 0);
     assert_eq!(
-        session.prepared_cache_stats().len,
-        0,
-        "reconfiguring must drop cores built under the old config"
+        session.counters().views_materialized,
+        views,
+        "a hit after set_config materialized a view"
     );
+    let (table, dag) = toy();
+    let fresh = Session::new(table, dag, config.clone());
+    assert_eq!(hit, fingerprint(&fresh.sql(SQL).unwrap().run()));
+    assert_ne!(hit, old_run, "k = 1 must change the summary");
+
+    // Capacity 1 keeps the most recently used statement only.
+    config.prepared_statements = 1;
+    session.set_config(config.clone());
+    let stats = session.prepared_cache_stats();
+    assert_eq!((stats.len, stats.capacity, stats.evictions), (1, 1, 1));
     session.sql_cached(SQL).unwrap();
-    assert_eq!(session.prepared_cache_stats().misses, 2);
+    assert_eq!(session.prepared_cache_stats().hits, 3);
+
+    // Capacity 0 empties it.
+    config.prepared_statements = 0;
+    session.set_config(config);
+    let stats = session.prepared_cache_stats();
+    assert_eq!((stats.len, stats.evictions), (0, 2));
 }
 
 #[test]
@@ -231,16 +260,20 @@ fn where_variants_build_each_atom_block_once() {
     assert_eq!(session.counters().atom_blocks_built, built);
 }
 
+/// A cache hit after `set_config` assembles its miner under the new atom
+/// options, which get atom blocks of their own.
 #[test]
-fn prepare_with_other_atom_options_builds_its_own_blocks() {
-    let session = session_with_capacity(8);
-    let query = table::sql::parse_query(session.table(), SQL).unwrap();
-    let default_run = fingerprint(&session.prepare(query.clone()).unwrap().run());
+fn set_config_with_other_atom_options_builds_its_own_blocks() {
+    let mut session = session_with_capacity(8);
+    let default_run = fingerprint(&session.sql_cached(SQL).unwrap().run());
     let built = session.counters().atom_blocks_built;
 
-    let mut config = session.config().clone();
+    let default_config = session.config().clone();
+    let mut config = default_config.clone();
     config.lattice.numeric_bins = 8;
-    let pq = session.prepare_with(query.clone(), config.clone()).unwrap();
+    session.set_config(config.clone());
+    let got = fingerprint(&session.sql_cached(SQL).unwrap().run());
+    assert_eq!(session.prepared_cache_stats().hits, 1);
     assert_eq!(
         session.counters().atom_blocks_built,
         2 * built,
@@ -248,16 +281,13 @@ fn prepare_with_other_atom_options_builds_its_own_blocks() {
     );
     let (table, dag) = toy();
     let fresh = Session::new(table, dag, config);
-    let got = fingerprint(&pq.run());
-    assert_eq!(
-        got,
-        fingerprint(&fresh.prepare(query.clone()).unwrap().run())
-    );
+    assert_eq!(got, fingerprint(&fresh.sql(SQL).unwrap().run()));
     assert_ne!(got, default_run, "eight bins cut age into other atoms");
 
-    // The session's own options still get their own blocks back.
+    // The old options still get their own blocks back.
+    session.set_config(default_config);
     assert_eq!(
-        fingerprint(&session.prepare(query).unwrap().run()),
+        fingerprint(&session.sql_cached(SQL).unwrap().run()),
         default_run
     );
     assert_eq!(session.counters().atom_blocks_built, 2 * built);

@@ -286,10 +286,10 @@ fn where_emptied_groups_bit_identical() {
 }
 
 /// Lifeguards must be pure observers: running the same workloads under
-/// an (ample) deadline and memory budget through the fallible `try_run`
-/// path must stay bit-identical to the unguarded serial run at every
-/// worker count — the guard checkpoints may not perturb chunking, merge
-/// order or FP accumulation.
+/// a guard with an (ample) deadline and memory budget through the
+/// fallible `run_guarded` path must stay bit-identical to the unguarded
+/// serial run at every worker count — the guard checkpoints may not
+/// perturb chunking, merge order or FP accumulation.
 #[test]
 fn guarded_runs_stay_bit_identical() {
     for w in [many_skewed_patterns(), one_giant_pattern()] {
@@ -298,8 +298,6 @@ fn guarded_runs_stay_bit_identical() {
             let cfg = ConfigBuilder::new()
                 .apriori_tau(0.05)
                 .threads(threads)
-                .deadline(std::time::Duration::from_secs(3600))
-                .memory_budget_mb(1 << 20)
                 .build()
                 .unwrap();
             let session = Session::new(w.table.clone(), w.dag.clone(), cfg);
@@ -307,10 +305,13 @@ fn guarded_runs_stay_bit_identical() {
             if let Some(clause) = w.where_sql {
                 q = q.where_sql(clause);
             }
+            let guard = RunGuard::unlimited()
+                .with_deadline(std::time::Duration::from_secs(3600))
+                .with_memory_budget_mb(1 << 20);
             let summary = q
                 .prepare()
                 .unwrap()
-                .try_run()
+                .run_guarded(&guard)
                 .expect("ample limits must not trip");
             assert_eq!(
                 unguarded,

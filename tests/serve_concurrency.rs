@@ -144,8 +144,9 @@ fn post(sql: &str) -> serve::Request {
 /// (prepared-statement cache, admission, guards, chaos) driven by four
 /// client threads through a seeded, shuffled script of warm repeats,
 /// cold statements whose reports all differ, and one `x-chaos: panic`
-/// request. Every 200 body, `timings` stripped, must equal a fresh
-/// serial session's report; the poisoned request must answer a 500
+/// request for the warm statement, served from the same cached core.
+/// Every 200 body, `timings` stripped, must equal a fresh serial
+/// session's report; the poisoned request must answer a 500
 /// `worker_panic` envelope and the handler must keep serving after it.
 #[test]
 fn handler_mixed_load_is_bit_identical_to_serial() {
@@ -260,10 +261,10 @@ fn handler_mixed_load_is_bit_identical_to_serial() {
         strip_timings(&String::from_utf8(after.body).unwrap()),
         expected[0]
     );
+    // Every warm repeat, the poisoned request and the request after it
+    // hit the warm core: the fault lived on the poisoned request's guard,
+    // so the bit-identity asserts above prove the shared core stayed
+    // clean.
     let cache = handler.session().prepared_cache_stats();
-    assert!(
-        cache.hits >= WARM,
-        "warm repeats must hit the prepared cache: {} hits for {WARM} repeats",
-        cache.hits
-    );
+    assert_eq!(cache.hits, WARM + 2);
 }
