@@ -2,8 +2,8 @@
 # Gate: `causumx-serve` keeps its usage exit codes, boots, answers a real
 # query over TCP, and sheds failures as structured envelopes without dying.
 #
-# Checks that `--bogus` and `--memory-budget-mb 0` exit 2 and `--help`
-# exits 0, starts the server on a small generated dataset with chaos
+# Checks that `--bogus`, `--deadline-ms 0` and `--memory-budget-mb 0`
+# exit 2 and `--help` exits 0, starts the server on a small generated dataset with chaos
 # allowed, then asserts with plain curl:
 #   * GET  /healthz          → 200 {"status":"ok"}
 #   * POST /query            → 200 report JSON (Definition 4.5 fields)
@@ -12,7 +12,7 @@
 #     stripped), both served from the cached statement: /stats'
 #     prepared_cache.hits rises by 2, so the fault never reached the
 #     shared core;
-#   * POST /query (bad SQL)  → 400 envelope with "kind" and "code"
+#   * POST /query (bad SQL)  → 400 envelope with "code" and no "kind"
 #   * POST /query + tight
 #     X-Deadline-Ms          → 504 deadline_exceeded envelope
 #   * GET  /stats            → 200 with prepared_cache counters, and the
@@ -43,6 +43,9 @@ BIN=./target/release/causumx-serve
 status=0
 "$BIN" --bogus >"$LOG" 2>&1 || status=$?
 [ "$status" = 2 ] || fail "--bogus exited $status, expected 2"
+status=0
+"$BIN" --deadline-ms 0 >"$LOG" 2>&1 || status=$?
+[ "$status" = 2 ] || fail "--deadline-ms 0 exited $status, expected 2"
 status=0
 "$BIN" --memory-budget-mb 0 >"$LOG" 2>&1 || status=$?
 [ "$status" = 2 ] || fail "--memory-budget-mb 0 exited $status, expected 2"
@@ -103,6 +106,9 @@ badbody=$(curl -s -X POST --data-binary \
     'SELECT Country, AVG(Wages) FROM so GROUP BY Country' "$BASE/query") \
     || fail "bad-SQL POST failed"
 echo "$badbody" | grep -q '"code":"sql"' || fail "bad-SQL envelope lacks code: $badbody"
+if echo "$badbody" | grep -q '"kind"'; then
+    fail "bad-SQL envelope still carries kind: $badbody"
+fi
 echo "$badbody" | python3 -m json.tool >/dev/null || fail "error envelope is not valid JSON"
 
 # A 1 ms deadline cannot fit view materialization + mining at 4000 rows.

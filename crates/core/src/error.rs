@@ -10,11 +10,11 @@
 
 use std::fmt;
 
-use mining::{MineError, QueryProgress};
+use mining::MineError;
 use table::TableError;
 
-/// Engine error: configuration, query-shape, SQL, table-layer or
-/// runtime (lifeguard) failure.
+/// Engine error: configuration, query-shape, SQL or table-layer failure,
+/// or a stopped run ([`Error::Run`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// Table-layer failure (unknown attribute, type mismatch, …).
@@ -39,39 +39,10 @@ pub enum Error {
     InvalidQuery(String),
     /// The aggregate view has no groups (empty input after WHERE).
     EmptyView,
-    /// The query was cancelled through its
-    /// [`mining::CancelHandle`] (cooperative — noticed at the next
-    /// chunk boundary or level merge).
-    Cancelled {
-        /// How far the walk got before it was stopped.
-        progress: QueryProgress,
-    },
-    /// The query's wall-clock deadline elapsed mid-run.
-    DeadlineExceeded {
-        /// The configured deadline, in milliseconds.
-        after_ms: u64,
-        /// How far the walk got before it was stopped.
-        progress: QueryProgress,
-    },
-    /// The query's peak-RSS growth exceeded its memory budget. The
-    /// query aborts; the session, its caches and the worker pool stay
-    /// healthy.
-    MemoryBudget {
-        /// Allowed growth in mebibytes.
-        budget_mb: u64,
-        /// Observed growth in mebibytes when the check fired.
-        observed_mb: u64,
-        /// How far the walk got before it was stopped.
-        progress: QueryProgress,
-    },
-    /// A mining task panicked. The panic was caught and attributed to
-    /// its task; sibling patterns and queries were unaffected.
-    Worker {
-        /// Which task failed, e.g. `"pattern 2 level 3 chunk 1"`.
-        task: String,
-        /// Stringified panic payload.
-        payload: String,
-    },
+    /// A guarded run stopped: its guard tripped (cancellation, deadline,
+    /// memory budget) or a mining task panicked. The session, its caches
+    /// and the worker pool stay healthy either way.
+    Run(MineError),
 }
 
 impl Error {
@@ -86,10 +57,7 @@ impl Error {
             Error::Config { .. } => "config",
             Error::InvalidQuery(_) => "invalid_query",
             Error::EmptyView => "empty_view",
-            Error::Cancelled { .. } => "cancelled",
-            Error::DeadlineExceeded { .. } => "deadline_exceeded",
-            Error::MemoryBudget { .. } => "memory_budget",
-            Error::Worker { .. } => "worker_panic",
+            Error::Run(e) => e.code(),
         }
     }
 }
@@ -102,52 +70,14 @@ impl fmt::Display for Error {
             Error::Config { param, msg } => write!(f, "invalid config `{param}`: {msg}"),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::EmptyView => write!(f, "aggregate view is empty"),
-            Error::Cancelled { progress } => write!(
-                f,
-                "query cancelled after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            Error::DeadlineExceeded { after_ms, progress } => write!(
-                f,
-                "deadline of {after_ms} ms exceeded after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            Error::MemoryBudget {
-                budget_mb,
-                observed_mb,
-                progress,
-            } => write!(
-                f,
-                "memory budget of {budget_mb} MiB exceeded ({observed_mb} MiB observed) after {} levels / {} CATE evaluations",
-                progress.levels_completed, progress.cate_evaluations
-            ),
-            Error::Worker { task, payload } => {
-                write!(f, "worker task '{task}' panicked: {payload}")
-            }
+            Error::Run(e) => e.fmt(f),
         }
     }
 }
 
 impl From<MineError> for Error {
     fn from(e: MineError) -> Self {
-        match e {
-            MineError::Cancelled { progress } => Error::Cancelled { progress },
-            MineError::DeadlineExceeded { after, progress } => Error::DeadlineExceeded {
-                after_ms: after.as_millis() as u64,
-                progress,
-            },
-            MineError::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
-                progress,
-            } => Error::MemoryBudget {
-                budget_mb: budget_bytes / (1024 * 1024),
-                // Round up so an overshoot never displays as 0 MiB.
-                observed_mb: observed_bytes.div_ceil(1024 * 1024),
-                progress,
-            },
-            MineError::Worker { task, payload } => Error::Worker { task, payload },
-        }
+        Error::Run(e)
     }
 }
 
@@ -197,39 +127,37 @@ mod tests {
         assert!(e.to_string().contains("unknown attribute"));
     }
 
+    /// A run failure wraps as it is: `Error::Run` keeps the `MineError`,
+    /// its code, and its message in the units limits are set in (the
+    /// guard converts bytes to MiB when it trips; see
+    /// `sched::guard::tests::memory_trip_rounds_observed_growth_up`).
     #[test]
     fn mine_errors_convert_with_units() {
-        let progress = QueryProgress {
+        let progress = mining::QueryProgress {
             levels_completed: 2,
             cate_evaluations: 523,
         };
-        let e: Error = MineError::DeadlineExceeded {
-            after: std::time::Duration::from_millis(1500),
+        let deadline = MineError::DeadlineExceeded {
+            after_ms: 1500,
             progress,
-        }
-        .into();
-        assert_eq!(
-            e,
-            Error::DeadlineExceeded {
-                after_ms: 1500,
-                progress
-            }
-        );
-        assert!(e.to_string().contains("523 CATE evaluations"));
+        };
+        let e: Error = deadline.clone().into();
+        assert_eq!(e, Error::Run(deadline));
+        assert_eq!(e.code(), "deadline_exceeded");
+        assert!(e.to_string().contains("deadline of 1500 ms"), "{e}");
+        assert!(e.to_string().contains("523 CATE evaluations"), "{e}");
 
         let m: Error = MineError::MemoryBudget {
-            budget_bytes: 64 << 20,
-            observed_bytes: (65 << 20) + 1,
+            budget_mb: 64,
+            observed_mb: 66,
             progress,
         }
         .into();
-        assert_eq!(
-            m,
-            Error::MemoryBudget {
-                budget_mb: 64,
-                observed_mb: 66,
-                progress
-            }
+        assert_eq!(m.code(), "memory_budget");
+        assert!(
+            m.to_string()
+                .contains("memory budget of 64 MiB exceeded (66 MiB observed)"),
+            "{m}"
         );
 
         let w: Error = MineError::Worker {
@@ -237,9 +165,11 @@ mod tests {
             payload: "boom".into(),
         }
         .into();
+        assert_eq!(w.code(), "worker_panic");
         assert!(w.to_string().contains("pattern 2 level 3 chunk 1"));
 
         let c: Error = MineError::Cancelled { progress }.into();
+        assert_eq!(c.code(), "cancelled");
         assert!(c.to_string().contains("cancelled"));
     }
 

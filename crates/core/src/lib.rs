@@ -74,10 +74,10 @@
 //! flag other threads trip through [`CancelHandle`], and, for chaos
 //! tests, an armed [`FaultPlan`] ([`RunGuard::with_faults`]). None of it
 //! is configuration: a guard only stops a run, never changes its bits. A
-//! tripped guard or a panicking mining task fails only that query with a
-//! structured [`Error`] variant carrying [`QueryProgress`]; the session,
-//! its caches and the worker pool stay healthy and keep serving sibling
-//! queries.
+//! tripped guard or a panicking mining task fails only that query with
+//! [`Error::Run`], whose [`MineError`] carries [`QueryProgress`]; the
+//! session, its caches and the worker pool stay healthy and keep serving
+//! sibling queries.
 
 #![warn(missing_docs)]
 
@@ -91,8 +91,12 @@ pub use causal::NumericMode;
 pub use config::{CausumxConfig, ConfigBuilder, SelectionMethod};
 pub use error::Error;
 pub use explanation::{Explanation, StepTimings, Summary};
-pub use mining::{CancelHandle, FaultKind, FaultPlan, FaultSite, QueryProgress, RunGuard};
-pub use render::{error_json, json_escape, Report, ReportExplanation, ReportTreatment};
+pub use mining::{
+    CancelHandle, FaultKind, FaultPlan, FaultSite, MineError, QueryProgress, RunGuard,
+};
+pub use render::{
+    error_envelope, error_json, ErrorField, Report, ReportExplanation, ReportTreatment,
+};
 pub use session::{
     select_candidates, AttrSplit, CandidateSet, DiscoveryAlgo, PreparedCacheStats, PreparedQuery,
     QueryBuilder, Session, SessionCounters,

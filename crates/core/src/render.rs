@@ -12,6 +12,7 @@
 
 use std::fmt::Write as _;
 
+use mining::{MineError, QueryProgress};
 use table::query::AggView;
 use table::Table;
 
@@ -277,10 +278,8 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping — exposed so layers composing their own
-/// envelopes around [`error_json`] (e.g. the serve crate's HTTP-level
-/// errors) escape identically.
-pub fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping.
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -298,72 +297,76 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialize an [`Error`] as JSON — the failure-side counterpart of
-/// [`Report::to_json`], so services surfacing query results as JSON can
-/// render a tripped lifeguard or an isolated worker panic without
-/// string-matching `Display` output. `code` is the stable snake_case tag
-/// from [`Error::code`] (`kind` carries the same value for historical
-/// consumers); the guard variants attach their limits and the
-/// [`mining::QueryProgress`] snapshot.
-pub fn error_json(e: &Error) -> String {
-    let progress_json = |p: &mining::QueryProgress| {
-        format!(
-            "{{\"levels_completed\":{},\"cate_evaluations\":{}}}",
-            p.levels_completed, p.cate_evaluations
-        )
-    };
-    let mut out = String::from("{\"error\":{");
-    // `kind` predates `code`; both carry [`Error::code`] — `kind` for
-    // existing consumers, `code` as the documented stable contract.
-    let _ = write!(out, "\"kind\":\"{0}\",\"code\":\"{0}\",", e.code());
-    match e {
-        Error::Cancelled { progress } => {
-            let _ = write!(
+/// The value of one extra field of an [`error_envelope`].
+#[derive(Debug, Clone, Copy)]
+pub enum ErrorField<'a> {
+    /// A JSON number.
+    Count(u64),
+    /// A JSON string, escaped on write.
+    Text(&'a str),
+    /// How far a stopped run got, as
+    /// `{"levels_completed":…,"cate_evaluations":…}`.
+    Progress(QueryProgress),
+}
+
+/// Write an error envelope: `{"error":{"code":…,"message":…}}`, with
+/// `fields` appended in order after `message`. Every error body the
+/// engine and the service send is written here — engine errors through
+/// [`error_json`], HTTP-level and transport errors by the serve crate —
+/// so all of them share one shape and one escaping. `code` is a stable
+/// snake_case tag that clients branch on, never the message.
+pub fn error_envelope(code: &str, message: &str, fields: &[(&str, ErrorField<'_>)]) -> String {
+    let mut out = format!(
+        "{{\"error\":{{\"code\":\"{}\",\"message\":\"{}\"",
+        json_escape(code),
+        json_escape(message)
+    );
+    for (name, value) in fields {
+        let _ = write!(out, ",\"{}\":", json_escape(name));
+        let _ = match value {
+            ErrorField::Count(n) => write!(out, "{n}"),
+            ErrorField::Text(s) => write!(out, "\"{}\"", json_escape(s)),
+            ErrorField::Progress(p) => write!(
                 out,
-                "\"message\":\"{}\",\"progress\":{}",
-                json_escape(&e.to_string()),
-                progress_json(progress)
-            );
-        }
-        Error::DeadlineExceeded { after_ms, progress } => {
-            let _ = write!(
-                out,
-                "\"message\":\"{}\",\"after_ms\":{},\"progress\":{}",
-                json_escape(&e.to_string()),
-                after_ms,
-                progress_json(progress)
-            );
-        }
-        Error::MemoryBudget {
-            budget_mb,
-            observed_mb,
-            progress,
-        } => {
-            let _ = write!(
-                out,
-                "\"message\":\"{}\",\"budget_mb\":{},\
-                 \"observed_mb\":{},\"progress\":{}",
-                json_escape(&e.to_string()),
-                budget_mb,
-                observed_mb,
-                progress_json(progress)
-            );
-        }
-        Error::Worker { task, payload } => {
-            let _ = write!(
-                out,
-                "\"message\":\"{}\",\"task\":\"{}\",\"payload\":\"{}\"",
-                json_escape(&e.to_string()),
-                json_escape(task),
-                json_escape(payload)
-            );
-        }
-        other => {
-            let _ = write!(out, "\"message\":\"{}\"", json_escape(&other.to_string()));
-        }
+                "{{\"levels_completed\":{},\"cate_evaluations\":{}}}",
+                p.levels_completed, p.cate_evaluations
+            ),
+        };
     }
     out.push_str("}}");
     out
+}
+
+/// Serialize an [`Error`] as its [`error_envelope`] — the failure-side
+/// counterpart of [`Report::to_json`], so services surfacing query
+/// results as JSON can render a tripped lifeguard or an isolated worker
+/// panic without string-matching `Display` output. `code` is
+/// [`Error::code`]; a stopped run ([`Error::Run`]) also carries its
+/// limits and its [`QueryProgress`] snapshot, or the failed task and its
+/// payload.
+pub fn error_json(e: &Error) -> String {
+    use ErrorField::{Count, Progress, Text};
+    let fields: &[(&str, ErrorField<'_>)] = match e {
+        Error::Run(MineError::Cancelled { progress }) => &[("progress", Progress(*progress))],
+        Error::Run(MineError::DeadlineExceeded { after_ms, progress }) => &[
+            ("after_ms", Count(*after_ms)),
+            ("progress", Progress(*progress)),
+        ],
+        Error::Run(MineError::MemoryBudget {
+            budget_mb,
+            observed_mb,
+            progress,
+        }) => &[
+            ("budget_mb", Count(*budget_mb)),
+            ("observed_mb", Count(*observed_mb)),
+            ("progress", Progress(*progress)),
+        ],
+        Error::Run(MineError::Worker { task, payload }) => {
+            &[("task", Text(task)), ("payload", Text(payload))]
+        }
+        _ => &[],
+    };
+    error_envelope(e.code(), &e.to_string(), fields)
 }
 
 #[cfg(test)]
@@ -497,37 +500,54 @@ mod tests {
             levels_completed: 2,
             cate_evaluations: 523,
         };
-        let j = error_json(&Error::DeadlineExceeded {
-            after_ms: 1500,
-            progress,
-        });
-        assert!(j.contains("\"kind\":\"deadline_exceeded\""), "{j}");
-        assert!(j.contains("\"code\":\"deadline_exceeded\""), "{j}");
-        assert!(j.contains("\"after_ms\":1500"), "{j}");
-        assert!(j.contains("\"levels_completed\":2"), "{j}");
-        assert!(j.contains("\"cate_evaluations\":523"), "{j}");
-
-        let j = error_json(&Error::MemoryBudget {
-            budget_mb: 64,
-            observed_mb: 66,
-            progress,
-        });
-        assert!(j.contains("\"kind\":\"memory_budget\""), "{j}");
-        assert!(j.contains("\"budget_mb\":64"), "{j}");
-
-        let j = error_json(&Error::Worker {
-            task: "pattern 1 level 2 chunk 0".into(),
-            payload: "boom \"quoted\"".into(),
-        });
-        assert!(j.contains("\"kind\":\"worker_panic\""), "{j}");
-        assert!(j.contains("\\\"quoted\\\""), "{j}");
-
-        let j = error_json(&Error::Cancelled { progress });
-        assert!(j.contains("\"kind\":\"cancelled\""), "{j}");
-
-        let j = error_json(&Error::EmptyView);
-        assert!(j.contains("\"kind\":\"empty_view\""), "{j}");
-        assert!(j.contains("\"code\":\"empty_view\""), "{j}");
+        let run = |e: MineError| error_json(&Error::Run(e));
+        // Each run failure's whole body: code, message wording, limits in
+        // ms and MiB, and the progress snapshot.
+        let progress_json = "\"progress\":{\"levels_completed\":2,\"cate_evaluations\":523}";
+        assert_eq!(
+            run(MineError::DeadlineExceeded {
+                after_ms: 1500,
+                progress
+            }),
+            format!(
+                "{{\"error\":{{\"code\":\"deadline_exceeded\",\
+                 \"message\":\"deadline of 1500 ms exceeded after 2 levels / 523 CATE evaluations\",\
+                 \"after_ms\":1500,{progress_json}}}}}"
+            )
+        );
+        assert_eq!(
+            run(MineError::MemoryBudget {
+                budget_mb: 64,
+                observed_mb: 66,
+                progress
+            }),
+            format!(
+                "{{\"error\":{{\"code\":\"memory_budget\",\
+                 \"message\":\"memory budget of 64 MiB exceeded (66 MiB observed) after 2 levels / 523 CATE evaluations\",\
+                 \"budget_mb\":64,\"observed_mb\":66,{progress_json}}}}}"
+            )
+        );
+        assert_eq!(
+            run(MineError::Worker {
+                task: "pattern 1 level 2 chunk 0".into(),
+                payload: "boom \"quoted\"".into(),
+            }),
+            "{\"error\":{\"code\":\"worker_panic\",\
+             \"message\":\"worker task 'pattern 1 level 2 chunk 0' panicked: boom \\\"quoted\\\"\",\
+             \"task\":\"pattern 1 level 2 chunk 0\",\"payload\":\"boom \\\"quoted\\\"\"}}"
+        );
+        assert_eq!(
+            run(MineError::Cancelled { progress }),
+            format!(
+                "{{\"error\":{{\"code\":\"cancelled\",\
+                 \"message\":\"query cancelled after 2 levels / 523 CATE evaluations\",\
+                 {progress_json}}}}}"
+            )
+        );
+        assert_eq!(
+            error_json(&Error::EmptyView),
+            "{\"error\":{\"code\":\"empty_view\",\"message\":\"aggregate view is empty\"}}"
+        );
 
         // Every variant stays balanced.
         for j in [

@@ -26,7 +26,7 @@
 //! [`PreparedQuery::run_guarded`] is the lifeguarded variant: it runs
 //! under a caller-built [`RunGuard`] (deadline, memory budget,
 //! cooperative cancellation, armed faults) and isolates mining panics,
-//! reporting each as a structured [`Error`].
+//! reporting each as [`Error::Run`].
 //!
 //! ```
 //! use causumx::{ConfigBuilder, Session};
@@ -63,7 +63,7 @@ use lpsolve::cover::{
 use mining::grouping::{mine_grouping_patterns, GroupingPattern};
 use mining::sched;
 use mining::treatment::{AtomMemo, BackdoorMemo, LatticeStats, TreatmentMiner, TreatmentResult};
-use mining::RunGuard;
+use mining::{MineError, RunGuard};
 use table::fd::fd_closure;
 use table::pattern::Pattern;
 use table::query::{AggView, GroupByAvgQuery};
@@ -831,8 +831,8 @@ impl<'s> PreparedQuery<'s> {
     /// Run the full pipeline under a caller-built [`RunGuard`]: its
     /// deadline, memory budget and armed faults apply to this run, and
     /// [`RunGuard::cancel_handle`] cancels it from another thread.
-    /// Returns the structured [`Error`] variant when the guard trips or a
-    /// mining task panics; the session, its caches and the worker pool
+    /// Returns [`Error::Run`] when the guard trips or a mining task
+    /// panics; the session, its caches and the worker pool
     /// stay healthy either way. A run that completes is bit-identical to
     /// [`Self::run`].
     pub fn run_guarded(&self, guard: &RunGuard) -> Result<Summary, Error> {
@@ -859,30 +859,123 @@ impl<'s> PreparedQuery<'s> {
     /// Unguarded and panicking on worker failure, like [`Self::run`]. Use
     /// [`Self::try_mine_candidates`] for the lifeguarded variant.
     pub fn mine_candidates(&self) -> CandidateSet {
-        expect_unguarded(self.mine_candidates_inner(false, &RunGuard::unlimited()))
+        expect_unguarded(self.try_mine_candidates(&RunGuard::unlimited()))
     }
 
     /// Steps 1+2 of Algorithm 1 under a caller-supplied [`RunGuard`].
+    ///
+    /// Step 2 runs on the unified work-stealing scheduler
+    /// (`mining::sched`), sized by [`CausumxConfig::effective_threads`]:
+    /// all subpopulations go to
+    /// [`TreatmentMiner::mine_paired_many_guarded`] in one call, so its
+    /// (pattern × level × candidate-chunk) tasks interleave freely across
+    /// the patterns being walked (at most one per worker) — a skewed
+    /// workload no longer strands workers on the small patterns while one
+    /// giant pattern runs alone; one worker runs the same tasks inline.
+    /// Results come back index-aligned with the grouping patterns,
+    /// keeping summaries bit-identical at every worker count.
     pub fn try_mine_candidates(&self, guard: &RunGuard) -> Result<CandidateSet, Error> {
-        self.mine_candidates_inner(false, guard)
+        let (groupings, grouping_ms) = self.mine_groupings(self.config.apriori_tau);
+        // One checkpoint between phases: a deadline or budget blown during
+        // grouping mining is noticed before the (far larger) lattice walk
+        // starts.
+        guard.check()?;
+
+        let t1 = Instant::now();
+        // Subpopulations stay bitsets end-to-end — no byte-mask
+        // round-trip between the grouping miner and the lattice walk.
+        let subpops: Vec<&table::bitset::BitSet> = groupings.iter().map(|gp| &gp.rows).collect();
+        let mined = self.miner.mine_paired_many_guarded(
+            &subpops,
+            1,
+            self.config.mine_negative,
+            self.config.effective_threads(),
+            guard,
+        )?;
+        let results = groupings.iter().zip(mined).map(|(gp, mut paired)| {
+            (
+                Explanation::new(
+                    gp.pattern.clone(),
+                    gp.coverage.clone(),
+                    paired.positive.pop(),
+                    paired.negative.pop(),
+                ),
+                paired.stats,
+            )
+        });
+        Ok(self.candidate_set(results, grouping_ms, t1))
     }
 
+    /// The Brute-Force candidates: exhaustive grouping patterns (τ = 0)
+    /// and full lattice enumeration per pattern. Full-lattice enumeration
+    /// has no level structure to chunk, so each pattern is one scheduler
+    /// task; slots keep the output in grouping-pattern order regardless
+    /// of completion order. It runs without a guard, and a panicking
+    /// pattern is re-raised as a panic that names it.
     fn mine_candidates_brute(&self) -> CandidateSet {
-        expect_unguarded(self.mine_candidates_inner(true, &RunGuard::unlimited()))
+        let (groupings, grouping_ms) = self.mine_groupings(0.0);
+        let t1 = Instant::now();
+        let (miner, config) = (&self.miner, &self.config);
+        // The exhaustive path has no lattice walk, so it counts only its
+        // evaluations.
+        let work = |gp: &GroupingPattern| -> (Explanation, LatticeStats) {
+            let all = miner.all_treatments(&gp.rows, config.lattice.max_level);
+            let stats = LatticeStats {
+                evaluated: all.len(),
+                ..LatticeStats::default()
+            };
+            let sig = |t: &&TreatmentResult| t.p_value <= config.lattice.max_p_value;
+            // `total_cmp` is safe here: zero CATEs are filtered out
+            // just above and the estimators never produce NaN
+            // (guarded divisions), so ordering matches partial_cmp.
+            let pos = all
+                .iter()
+                .filter(sig)
+                .filter(|t| t.cate > 0.0)
+                .max_by(|a, b| a.cate.total_cmp(&b.cate))
+                .cloned();
+            let neg = if config.mine_negative {
+                all.iter()
+                    .filter(sig)
+                    .filter(|t| t.cate < 0.0)
+                    .min_by(|a, b| a.cate.total_cmp(&b.cate))
+                    .cloned()
+            } else {
+                None
+            };
+            (
+                Explanation::new(gp.pattern.clone(), gp.coverage.clone(), pos, neg),
+                stats,
+            )
+        };
+        let slots: Vec<OnceLock<(Explanation, LatticeStats)>> =
+            (0..groupings.len()).map(|_| OnceLock::new()).collect();
+        sched::run_graph(
+            config.effective_threads(),
+            (0..groupings.len()).collect(),
+            |i: usize, _| {
+                let out = catch_unwind(AssertUnwindSafe(|| work(&groupings[i]))).unwrap_or_else(
+                    |payload| {
+                        let payload = sched::payload_string(payload.as_ref());
+                        panic!("mining task 'exhaustive pattern {i}' panicked: {payload}")
+                    },
+                );
+                let first = slots[i].set(out);
+                debug_assert!(first.is_ok(), "exhaustive pattern {i} mined twice");
+            },
+        );
+        // `run_graph` re-raises a task's panic, so every slot is set here.
+        let results = slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every exhaustive pattern ran"));
+        self.candidate_set(results, grouping_ms, t1)
     }
 
-    fn mine_candidates_inner(
-        &self,
-        exhaustive: bool,
-        guard: &RunGuard,
-    ) -> Result<CandidateSet, Error> {
+    /// Step 1: the grouping patterns at support `tau`, and the
+    /// milliseconds mining them took.
+    fn mine_groupings(&self, tau: f64) -> (Vec<GroupingPattern>, f64) {
         self.session.counters.runs.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let tau = if exhaustive {
-            0.0
-        } else {
-            self.config.apriori_tau
-        };
         let groupings = mine_grouping_patterns(
             &self.session.table,
             &self.core.view,
@@ -890,153 +983,18 @@ impl<'s> PreparedQuery<'s> {
             tau,
             self.config.max_grouping_len,
         );
-        let grouping_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // One checkpoint between phases: a deadline or budget blown during
-        // grouping mining is noticed before the (far larger) lattice walk
-        // starts.
-        guard.check()?;
-
-        let t1 = Instant::now();
-        let (explanations, stats) = self.mine_treatments(&groupings, exhaustive, guard)?;
-        let treatment_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        Ok(CandidateSet {
-            view: Arc::clone(&self.core.view),
-            explanations,
-            grouping_ms,
-            treatment_ms,
-            stats,
-        })
+        (groupings, t0.elapsed().as_secs_f64() * 1e3)
     }
 
-    /// Step 2 over a fixed grouping-pattern list. `exhaustive` switches
-    /// between Algorithm 2 and full lattice enumeration.
-    ///
-    /// Both paths run on the unified work-stealing scheduler
-    /// (`mining::sched`), sized by [`CausumxConfig::effective_threads`].
-    /// Algorithm 2 hands *all* subpopulations to
-    /// [`TreatmentMiner::mine_paired_many_guarded`] in one call, so its (pattern
-    /// × level × candidate-chunk) tasks interleave freely across the
-    /// patterns being walked (at most one per worker) — a skewed workload
-    /// no longer strands workers on the small patterns while one giant
-    /// pattern runs alone; one worker runs the same tasks inline. Results
-    /// come back index-aligned with `groupings`, keeping summaries
-    /// bit-identical at every worker count.
-    fn mine_treatments(
+    /// Fold step 2's per-pattern explanations and walk counters into a
+    /// candidate set, keeping the explanations that found a treatment.
+    /// Step 2 started at `treatment_start`.
+    fn candidate_set(
         &self,
-        groupings: &[GroupingPattern],
-        exhaustive: bool,
-        guard: &RunGuard,
-    ) -> Result<(Vec<Explanation>, LatticeStats), Error> {
-        let miner = &self.miner;
-        let config = &self.config;
-        let threads = config.effective_threads();
-
-        // Per-pattern explanation and walk counters. The exhaustive path
-        // has no lattice walk, so it counts only its evaluations.
-        let results: Vec<(Explanation, LatticeStats)> = if exhaustive {
-            // Full-lattice enumeration has no level structure to chunk, so
-            // each pattern is one scheduler task; slots keep the output in
-            // grouping-pattern order regardless of completion order. A
-            // panicking pattern is caught here and fails only this query;
-            // a guard trip drains the remaining tasks as no-ops.
-            let work = |gp: &GroupingPattern| -> (Explanation, LatticeStats) {
-                let subpop = &gp.rows;
-                let all = miner.all_treatments(subpop, config.lattice.max_level);
-                let stats = LatticeStats {
-                    evaluated: all.len(),
-                    ..LatticeStats::default()
-                };
-                let sig = |t: &&TreatmentResult| t.p_value <= config.lattice.max_p_value;
-                // `total_cmp` is safe here: zero CATEs are filtered out
-                // just above and the estimators never produce NaN
-                // (guarded divisions), so ordering matches partial_cmp.
-                let pos = all
-                    .iter()
-                    .filter(sig)
-                    .filter(|t| t.cate > 0.0)
-                    .max_by(|a, b| a.cate.total_cmp(&b.cate))
-                    .cloned();
-                let neg = if config.mine_negative {
-                    all.iter()
-                        .filter(sig)
-                        .filter(|t| t.cate < 0.0)
-                        .min_by(|a, b| a.cate.total_cmp(&b.cate))
-                        .cloned()
-                } else {
-                    None
-                };
-                (
-                    Explanation::new(gp.pattern.clone(), gp.coverage.clone(), pos, neg),
-                    stats,
-                )
-            };
-            let slots: Vec<OnceLock<(Explanation, LatticeStats)>> =
-                (0..groupings.len()).map(|_| OnceLock::new()).collect();
-            let failure: OnceLock<Error> = OnceLock::new();
-            sched::run_graph(threads, (0..groupings.len()).collect(), |i: usize, _| {
-                if failure.get().is_some() {
-                    return; // query already failed; drain remaining tasks
-                }
-                if let Err(e) = guard.check() {
-                    let _ = failure.set(e.into());
-                    return;
-                }
-                match catch_unwind(AssertUnwindSafe(|| work(&groupings[i]))) {
-                    Ok(out) => {
-                        let first = slots[i].set(out);
-                        debug_assert!(first.is_ok(), "exhaustive pattern {i} mined twice");
-                    }
-                    Err(payload) => {
-                        let _ = failure.set(Error::Worker {
-                            task: format!("exhaustive pattern {i}"),
-                            payload: sched::payload_string(payload.as_ref()),
-                        });
-                    }
-                }
-            });
-            if let Some(e) = failure.into_inner() {
-                return Err(e);
-            }
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    s.into_inner().ok_or_else(|| Error::Worker {
-                        task: format!("exhaustive pattern {i}"),
-                        payload: "task did not run to completion".into(),
-                    })
-                })
-                .collect::<Result<_, _>>()?
-        } else {
-            // Subpopulations stay bitsets end-to-end — no byte-mask
-            // round-trip between the grouping miner and the lattice walk.
-            let subpops: Vec<&table::bitset::BitSet> =
-                groupings.iter().map(|gp| &gp.rows).collect();
-            let mined = miner.mine_paired_many_guarded(
-                &subpops,
-                1,
-                config.mine_negative,
-                threads,
-                guard,
-            )?;
-            groupings
-                .iter()
-                .zip(mined)
-                .map(|(gp, mut paired)| {
-                    (
-                        Explanation::new(
-                            gp.pattern.clone(),
-                            gp.coverage.clone(),
-                            paired.positive.pop(),
-                            paired.negative.pop(),
-                        ),
-                        paired.stats,
-                    )
-                })
-                .collect()
-        };
-
+        results: impl IntoIterator<Item = (Explanation, LatticeStats)>,
+        grouping_ms: f64,
+        treatment_start: Instant,
+    ) -> CandidateSet {
         let mut stats = LatticeStats::default();
         let mut explanations = Vec::new();
         for (e, s) in results {
@@ -1049,7 +1007,13 @@ impl<'s> PreparedQuery<'s> {
                 explanations.push(e);
             }
         }
-        Ok((explanations, stats))
+        CandidateSet {
+            view: Arc::clone(&self.core.view),
+            explanations,
+            grouping_ms,
+            treatment_ms: treatment_start.elapsed().as_secs_f64() * 1e3,
+            stats,
+        }
     }
 
     /// Step 3: selection by the requested method over mined candidates,
@@ -1118,7 +1082,7 @@ impl<'s> PreparedQuery<'s> {
 fn expect_unguarded<T>(result: Result<T, Error>) -> T {
     match result {
         Ok(v) => v,
-        Err(Error::Worker { task, payload }) => {
+        Err(Error::Run(MineError::Worker { task, payload })) => {
             panic!("mining task '{task}' panicked: {payload}")
         }
         Err(e) => panic!("unguarded run aborted: {e}"),
@@ -1468,7 +1432,7 @@ mod tests {
                 .expect("FR is a group of the view");
             match (threads, drilled) {
                 (1, Ok(_)) => {}
-                (4, Err(Error::Worker { task, .. })) => {
+                (4, Err(Error::Run(MineError::Worker { task, .. }))) => {
                     assert_eq!(task, "pattern 0 level 1 chunk 4");
                 }
                 (threads, other) => panic!("threads({threads}): {other:?}"),

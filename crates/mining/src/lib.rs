@@ -20,12 +20,15 @@
 //!   tasks; it is the walk's only driver, and one worker runs the same
 //!   tasks inline,
 //! * [`sched`] — the work-stealing task scheduler both fan-out dimensions
-//!   (across grouping patterns, within lattice levels) share, with the
-//!   index-ordered merge primitive that keeps results bit-identical at
-//!   every worker count. Its [`sched::guard`] submodule holds
-//!   [`RunGuard`], the one per-run object (cancellation, deadline, memory
-//!   budget, armed fault plan, progress counters), and [`sched::faults`]
-//!   the deterministic faults the chaos suite arms on it.
+//!   (across grouping patterns, within lattice levels) share: one task
+//!   loop at every worker count, with the index-ordered merge primitive
+//!   that keeps results bit-identical at every worker count. Its
+//!   [`sched::guard`] submodule holds [`RunGuard`], the one per-run
+//!   object (cancellation, deadline, memory budget, armed fault plan,
+//!   progress counters), and [`MineError`], the one type a stopped run
+//!   fails with (its code and user-facing message included);
+//!   [`sched::faults`] names the deterministic faults the chaos suite
+//!   arms on the guard.
 
 #![warn(missing_docs)]
 

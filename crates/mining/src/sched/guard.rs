@@ -5,7 +5,9 @@
 //! run and checked at chunk boundaries and level merges. Checks are
 //! cooperative: nothing is pre-empted, the walk simply stops spawning
 //! work, and [`RunGuard::check`] returns the structured [`MineError`]
-//! with the run's [`QueryProgress`] attached. The guard owns those
+//! with the run's [`QueryProgress`] attached. `MineError` is the one
+//! run-failure type: `causumx::Error` wraps it unchanged, and its code
+//! and message are what the error envelope reports. The guard owns those
 //! progress counters (levels absorbed, CATE evaluations), so every
 //! failure reports how far the walk got, and, once armed with
 //! [`RunGuard::with_faults`], the fire-once state of a [`FaultPlan`].
@@ -62,8 +64,10 @@ pub struct QueryProgress {
     pub cate_evaluations: usize,
 }
 
-/// Structured failure of one guarded run. The guard-trip variants carry
-/// [`QueryProgress`] so callers can report how far the walk got;
+/// Structured failure of one guarded run — the one run-failure type of
+/// the engine, which `causumx::Error` wraps as it is. The guard-trip
+/// variants carry [`QueryProgress`] so callers can report how far the
+/// walk got, and their limits in the units users set them in (ms, MiB);
 /// `Worker` carries which task panicked and its stringified payload.
 /// Exactly one of these surfaces per failed query — sibling patterns
 /// finish, and the pool stays healthy for the next call.
@@ -77,17 +81,18 @@ pub enum MineError {
     },
     /// The wall-clock deadline elapsed mid-walk.
     DeadlineExceeded {
-        /// The configured deadline.
-        after: Duration,
+        /// The configured deadline, in whole milliseconds.
+        after_ms: u64,
         /// Progress at the checkpoint that noticed the deadline.
         progress: QueryProgress,
     },
     /// Peak-RSS growth exceeded the query's memory budget.
     MemoryBudget {
-        /// Allowed growth in bytes.
-        budget_bytes: u64,
-        /// Observed growth in bytes when the check fired.
-        observed_bytes: u64,
+        /// Allowed growth in whole mebibytes.
+        budget_mb: u64,
+        /// Observed growth in mebibytes, rounded up so an overshoot
+        /// never reads as 0.
+        observed_mb: u64,
         /// Progress at the checkpoint that noticed the overshoot.
         progress: QueryProgress,
     },
@@ -101,6 +106,19 @@ pub enum MineError {
     },
 }
 
+impl MineError {
+    /// Stable machine-readable code for this failure, the `code` of its
+    /// error envelope.
+    pub fn code(&self) -> &'static str {
+        match self {
+            MineError::Cancelled { .. } => "cancelled",
+            MineError::DeadlineExceeded { .. } => "deadline_exceeded",
+            MineError::MemoryBudget { .. } => "memory_budget",
+            MineError::Worker { .. } => "worker_panic",
+        }
+    }
+}
+
 impl std::fmt::Display for MineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -109,18 +127,18 @@ impl std::fmt::Display for MineError {
                 "query cancelled after {} levels / {} CATE evaluations",
                 progress.levels_completed, progress.cate_evaluations
             ),
-            MineError::DeadlineExceeded { after, progress } => write!(
+            MineError::DeadlineExceeded { after_ms, progress } => write!(
                 f,
-                "deadline of {after:?} exceeded after {} levels / {} CATE evaluations",
+                "deadline of {after_ms} ms exceeded after {} levels / {} CATE evaluations",
                 progress.levels_completed, progress.cate_evaluations
             ),
             MineError::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
+                budget_mb,
+                observed_mb,
                 progress,
             } => write!(
                 f,
-                "memory budget of {budget_bytes} bytes exceeded ({observed_bytes} observed) after {} levels / {} CATE evaluations",
+                "memory budget of {budget_mb} MiB exceeded ({observed_mb} MiB observed) after {} levels / {} CATE evaluations",
                 progress.levels_completed, progress.cate_evaluations
             ),
             MineError::Worker { task, payload } => {
@@ -189,6 +207,9 @@ const PROBE_INTERVAL_MS: u64 = 10;
 /// Sentinel for "never probed" in `last_probe_ms`.
 const NEVER_PROBED: u64 = u64::MAX;
 
+/// Bytes per mebibyte, the unit budgets are set and reported in.
+const MIB: u64 = 1024 * 1024;
+
 impl std::fmt::Debug for RunGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunGuard")
@@ -242,7 +263,7 @@ impl RunGuard {
 
     /// [`RunGuard::with_memory_budget_bytes`] in mebibytes.
     pub fn with_memory_budget_mb(self, budget_mb: u64) -> Self {
-        self.with_memory_budget_bytes(budget_mb.saturating_mul(1024 * 1024))
+        self.with_memory_budget_bytes(budget_mb.saturating_mul(MIB))
     }
 
     /// Replace the default `VmHWM` probe with a custom one (used by the
@@ -295,7 +316,7 @@ impl RunGuard {
         if let Some((at, after)) = self.deadline {
             if Instant::now() >= at {
                 return Err(MineError::DeadlineExceeded {
-                    after,
+                    after_ms: after.as_millis() as u64,
                     progress: self.progress(),
                 });
             }
@@ -309,8 +330,8 @@ impl RunGuard {
                     let observed_bytes = now.saturating_sub(self.baseline_bytes);
                     if observed_bytes > budget_bytes {
                         return Err(MineError::MemoryBudget {
-                            budget_bytes,
-                            observed_bytes,
+                            budget_mb: budget_bytes / MIB,
+                            observed_mb: observed_bytes.div_ceil(MIB),
                             progress: self.progress(),
                         });
                     }
@@ -410,8 +431,8 @@ mod tests {
     fn zero_deadline_trips_immediately() {
         let g = RunGuard::unlimited().with_deadline(Duration::ZERO);
         match g.check() {
-            Err(MineError::DeadlineExceeded { after, progress }) => {
-                assert_eq!(after, Duration::ZERO);
+            Err(MineError::DeadlineExceeded { after_ms, progress }) => {
+                assert_eq!(after_ms, 0);
                 assert_eq!(progress, QueryProgress::default());
             }
             other => panic!("expected deadline trip, got {other:?}"),
@@ -429,13 +450,38 @@ mod tests {
             .with_memory_budget_bytes(1 << 20);
         match g.check() {
             Err(MineError::MemoryBudget {
-                budget_bytes,
-                observed_bytes,
+                budget_mb,
+                observed_mb,
                 ..
             }) => {
-                assert_eq!(budget_bytes, 1 << 20);
-                assert!(observed_bytes > budget_bytes);
+                assert_eq!(budget_mb, 1);
+                assert_eq!(observed_mb, 4, "one probe of 4 MiB growth");
             }
+            other => panic!("expected memory trip, got {other:?}"),
+        }
+    }
+
+    /// A trip reports whole mebibytes: the budget rounded down as set,
+    /// the observed growth rounded up so an overshoot never reads as 0.
+    #[test]
+    fn memory_trip_rounds_observed_growth_up() {
+        let first = Arc::new(AtomicBool::new(true));
+        // Baseline reading 0, then 65 MiB and one byte of growth.
+        let g = RunGuard::unlimited()
+            .with_memory_probe(move || {
+                Some(if first.swap(false, Ordering::Relaxed) {
+                    0
+                } else {
+                    (65 << 20) + 1
+                })
+            })
+            .with_memory_budget_mb(64);
+        match g.check() {
+            Err(MineError::MemoryBudget {
+                budget_mb,
+                observed_mb,
+                ..
+            }) => assert_eq!((budget_mb, observed_mb), (64, 66)),
             other => panic!("expected memory trip, got {other:?}"),
         }
     }

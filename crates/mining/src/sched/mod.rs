@@ -7,7 +7,9 @@
 //! belongs to. This replaces the previous pair of mutually exclusive
 //! pools (cross-pattern *or* within-level, never both), which stranded
 //! cores on skewed workloads where one giant pattern dominated the
-//! candidate count.
+//! candidate count. Every worker count runs the same task loop; the
+//! calling thread is always one of its workers, and a lone worker
+//! spawns without touching the condvar.
 //!
 //! Determinism is the caller's contract, and the scheduler is designed so
 //! it is easy to keep: tasks may complete in any order, so callers stage
@@ -24,22 +26,24 @@
 //! own fan-out. Auto-resolved worker counts are additionally asserted to
 //! never exceed [`available_workers`].
 //!
-//! Failure model: every task body is unwind-isolated. A panicking task
-//! no longer poisons the pool — its payload is recorded, every sibling
-//! task still runs, all workers drain normally, and the first payload is
-//! re-raised to the caller only after the graph has fully completed.
+//! Failure model: every task body is unwind-isolated, in the one task
+//! loop every worker count runs. A panicking task never poisons the
+//! pool — its payload is recorded, every sibling task still runs, all
+//! workers drain normally, and the first payload is re-raised to the
+//! caller only after the graph has fully completed.
 //! Queue locks recover from poison instead of aborting (the protected
 //! state is a task queue that stays valid across a caught unwind), and
 //! [`ChunkSlots::try_merged`] reports missing chunks as a structured
 //! error instead of panicking. Per-run limits and armed fault plans live
-//! on [`guard::RunGuard`], and [`faults`] names the deterministic faults
-//! the chaos suite arms there to drive these paths.
+//! on [`guard::RunGuard`], whose trips are [`guard::MineError`]s, and
+//! [`faults`] names the deterministic faults the chaos suite arms there
+//! to drive these paths.
 
 pub mod faults;
 pub mod guard;
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -237,34 +241,26 @@ impl<R> ChunkSlots<R> {
 /// Handle tasks use to enqueue follow-up work (the "graph" in
 /// [`run_graph`]: a task may spawn any number of successor tasks).
 pub struct Spawner<'s, T> {
-    inner: SpawnerInner<'s, T>,
-}
-
-enum SpawnerInner<'s, T> {
-    Inline(&'s RefCell<VecDeque<T>>),
-    Pool(&'s Shared<T>),
+    shared: &'s Shared<T>,
 }
 
 impl<T> Spawner<'_, T> {
-    /// Enqueue a task. In pool mode this wakes one idle worker; in inline
-    /// mode the task is appended to the FIFO of the current thread.
+    /// Enqueue a task at the back of the graph's FIFO queue, waking one
+    /// idle worker when the graph has more than one.
     pub fn spawn(&self, task: T) {
-        match &self.inner {
-            SpawnerInner::Inline(queue) => queue.borrow_mut().push_back(task),
-            SpawnerInner::Pool(shared) => {
-                lock_recovered(&shared.state).queue.push_back(task);
-                shared.cv.notify_one();
-            }
+        lock_recovered(&self.shared.state).queue.push_back(task);
+        if self.shared.pooled {
+            self.shared.cv.notify_one();
         }
     }
 
     /// Wake every pool worker without enqueuing anything — a spurious
     /// wakeup. The worker loop must treat it as a no-op; the fault
     /// injector uses this to probe for lost-/spurious-wakeup bugs. No-op
-    /// in inline mode.
+    /// on a one-worker graph, which has no one to wake.
     pub fn poke(&self) {
-        if let SpawnerInner::Pool(shared) = &self.inner {
-            shared.cv.notify_all();
+        if self.shared.pooled {
+            self.shared.cv.notify_all();
         }
     }
 }
@@ -275,15 +271,18 @@ struct State<T> {
     /// queue empty *and* nothing in flight (an in-flight task may still
     /// spawn successors).
     in_flight: usize,
-    /// Payloads of tasks that panicked, in completion order. The pool
-    /// keeps running; the first payload is re-raised after the graph
-    /// completes.
-    panics: Vec<Box<dyn Any + Send>>,
+    /// Payload of the first task to panic. The graph keeps running and
+    /// re-raises it after the last task completes.
+    first_panic: Option<Box<dyn Any + Send>>,
 }
 
 struct Shared<T> {
     state: Mutex<State<T>>,
     cv: Condvar,
+    /// Whether more than one worker drains the queue. A lone worker never
+    /// waits (no other worker can have a task in flight), so spawning on
+    /// its graph wakes no one.
+    pooled: bool,
 }
 
 /// Run a dynamic task graph to completion on `threads` workers
@@ -292,11 +291,12 @@ struct Shared<T> {
 /// enqueue successors through the [`Spawner`] it is handed. Returns when
 /// every task (including all transitively spawned ones) has finished.
 ///
-/// The calling thread participates as one of the workers, so `threads =
-/// 1` executes everything inline in FIFO order — that *is* the serial
-/// reference path, not a simulation of it. Calls made from inside a
-/// worker also run inline (see the module docs), which is what makes
-/// nested fan-out structurally incapable of oversubscribing.
+/// Every worker count runs the same loop, and the calling thread is one
+/// of its workers, so `threads = 1` executes everything on the calling
+/// thread in FIFO order — that *is* the serial reference path, not a
+/// simulation of it. Calls made from inside a worker get one worker too
+/// (see the module docs), which is what makes nested fan-out
+/// structurally incapable of oversubscribing.
 ///
 /// Every task body is unwind-isolated: a panic fails only that task,
 /// sibling tasks still run, and the first panic payload is re-raised to
@@ -314,16 +314,14 @@ where
         threads != 0 || workers <= available_workers(),
         "auto-resolved worker count {workers} exceeds available parallelism"
     );
-    if workers <= 1 {
-        return run_inline(initial, &step);
-    }
     let shared = Shared {
         state: Mutex::new(State {
             queue: VecDeque::from(initial),
             in_flight: 0,
-            panics: Vec::new(),
+            first_panic: None,
         }),
         cv: Condvar::new(),
+        pooled: workers > 1,
     };
     std::thread::scope(|scope| {
         for _ in 1..workers {
@@ -331,35 +329,8 @@ where
         }
         worker_loop(&shared, &step);
     });
-    let panics = std::mem::take(&mut lock_recovered(&shared.state).panics);
-    if let Some(first) = panics.into_iter().next() {
-        resume_unwind(first);
-    }
-}
-
-fn run_inline<T, F>(initial: Vec<T>, step: &F)
-where
-    F: Fn(T, &Spawner<'_, T>),
-{
-    let _mark = WorkerMark::enter();
-    let queue = RefCell::new(VecDeque::from(initial));
-    let spawner = Spawner {
-        inner: SpawnerInner::Inline(&queue),
-    };
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    loop {
-        let task = queue.borrow_mut().pop_front();
-        match task {
-            Some(task) => {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| step(task, &spawner))) {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-            None => break,
-        }
-    }
-    drop(_mark);
-    if let Some(payload) = first_panic {
+    let state = shared.state.into_inner();
+    if let Some(payload) = state.unwrap_or_else(PoisonError::into_inner).first_panic {
         resume_unwind(payload);
     }
 }
@@ -369,9 +340,7 @@ where
     F: Fn(T, &Spawner<'_, T>),
 {
     let _mark = WorkerMark::enter();
-    let spawner = Spawner {
-        inner: SpawnerInner::Pool(shared),
-    };
+    let spawner = Spawner { shared };
     let mut st = lock_recovered(&shared.state);
     loop {
         if let Some(task) = st.queue.pop_front() {
@@ -380,20 +349,14 @@ where
             let result = catch_unwind(AssertUnwindSafe(|| step(task, &spawner)));
             st = lock_recovered(&shared.state);
             if let Err(payload) = result {
-                st.panics.push(payload);
+                st.first_panic.get_or_insert(payload);
             }
             st.in_flight -= 1;
-            if st.in_flight == 0 && st.queue.is_empty() {
-                // Last task of the graph: wake everyone so they observe
-                // termination.
-                shared.cv.notify_all();
-                return;
-            }
+        } else if st.in_flight == 0 {
+            // The graph is done: wake everyone so they observe it.
+            shared.cv.notify_all();
+            return;
         } else {
-            if st.in_flight == 0 {
-                shared.cv.notify_all();
-                return;
-            }
             st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -548,6 +511,9 @@ mod tests {
         assert_eq!(n.load(Ordering::Relaxed), 8);
     }
 
+    /// One worker runs the same loop on the calling thread, with the
+    /// same isolation: siblings run in FIFO order, then the panic is
+    /// re-raised.
     #[test]
     fn inline_mode_also_isolates_and_repropagates() {
         let seen = Mutex::new(Vec::new());

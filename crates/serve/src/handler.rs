@@ -17,8 +17,11 @@
 //! 4. runs guarded; any [`causumx::Error`] maps onto an HTTP status via
 //!    [`status_for`] with the [`causumx::error_json`] envelope as body.
 //!
+//! Every error body, HTTP-level ones included, is written by
+//! [`causumx::error_envelope`]; this crate formats no error body of its own.
+//!
 //! The process never dies on a request: mining panics are already
-//! isolated into [`causumx::Error::Worker`] by the session layer, and
+//! isolated into [`causumx::Error::Run`] by the session layer, and
 //! network parse failures were turned into `4xx` by [`crate::http`]
 //! before reaching this module.
 //!
@@ -29,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use causumx::{error_json, json_escape, Error, Session};
+use causumx::{error_envelope, error_json, Error, ErrorField, MineError, Session};
 use mining::{FaultKind, FaultPlan, FaultSite, RunGuard};
 
 use crate::admission::AdmissionQueue;
@@ -95,31 +98,26 @@ const _: () = {
 ///
 /// * caller mistakes (`Sql`, `Table`, `InvalidQuery`, `Config`) → `400`;
 /// * a well-formed query over an empty view (`EmptyView`) → `422`;
-/// * cooperative cancellation (`Cancelled`) → `503` (the server gave up,
-///   not the client);
-/// * a blown deadline (`DeadlineExceeded`) → `504`;
-/// * a blown memory budget (`MemoryBudget`) → `507`;
-/// * an isolated mining panic (`Worker`) → `500`.
+/// * a stopped run ([`Error::Run`]): cooperative cancellation → `503`
+///   (the server gave up, not the client), a blown deadline → `504`, a
+///   blown memory budget → `507`, an isolated mining panic → `500`.
 pub fn status_for(e: &Error) -> u16 {
     match e {
         Error::Sql { .. } | Error::Table(_) | Error::InvalidQuery(_) | Error::Config { .. } => 400,
         Error::EmptyView => 422,
-        Error::Cancelled { .. } => 503,
-        Error::DeadlineExceeded { .. } => 504,
-        Error::MemoryBudget { .. } => 507,
-        Error::Worker { .. } => 500,
+        Error::Run(run) => match run {
+            MineError::Cancelled { .. } => 503,
+            MineError::DeadlineExceeded { .. } => 504,
+            MineError::MemoryBudget { .. } => 507,
+            MineError::Worker { .. } => 500,
+        },
     }
 }
 
-/// An HTTP-level error envelope in the same shape as
-/// [`causumx::error_json`]: `{"error":{"kind":…,"code":…,"message":…}}`,
-/// with optional extra pre-rendered JSON fields.
-fn envelope(code: &str, message: &str, extra: &str) -> String {
-    format!(
-        "{{\"error\":{{\"kind\":\"{code}\",\"code\":\"{code}\",\"message\":\"{}\"{}{extra}}}}}",
-        json_escape(message),
-        if extra.is_empty() { "" } else { "," },
-    )
+/// An HTTP-level error: `status` with the [`error_envelope`] of `code`
+/// and `message`.
+fn http_error(status: u16, code: &str, message: &str) -> Response {
+    Response::json(status, error_envelope(code, message, &[]))
 }
 
 impl Handler {
@@ -151,20 +149,14 @@ impl Handler {
             ("POST", "/query") => self.post_query(req),
             ("GET", "/healthz") => Response::json(200, "{\"status\":\"ok\"}"),
             ("GET", "/stats") => Response::json(200, self.stats_json()),
-            (_, "/query") | (_, "/healthz") | (_, "/stats") => Response::json(
+            (_, "/query") | (_, "/healthz") | (_, "/stats") => http_error(
                 405,
-                envelope(
-                    "method_not_allowed",
-                    &format!("{} not supported on {}", req.method, req.path()),
-                    "",
-                ),
+                "method_not_allowed",
+                &format!("{} not supported on {}", req.method, req.path()),
             ),
             (_, path) => {
                 self.counters.not_found.fetch_add(1, Ordering::Relaxed);
-                Response::json(
-                    404,
-                    envelope("not_found", &format!("no route for {path}"), ""),
-                )
+                http_error(404, "not_found", &format!("no route for {path}"))
             }
         }
     }
@@ -175,21 +167,15 @@ impl Handler {
             Ok(s) => s.trim(),
             Err(_) => {
                 self.counters.queries_err.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    400,
-                    envelope("bad_request", "query body is not valid UTF-8", ""),
-                );
+                return http_error(400, "bad_request", "query body is not valid UTF-8");
             }
         };
         if sql.is_empty() {
             self.counters.queries_err.fetch_add(1, Ordering::Relaxed);
-            return Response::json(
+            return http_error(
                 400,
-                envelope(
-                    "bad_request",
-                    "empty query body (expected a SQL statement)",
-                    "",
-                ),
+                "bad_request",
+                "empty query body (expected a SQL statement)",
             );
         }
 
@@ -200,13 +186,10 @@ impl Handler {
                 Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
                 _ => {
                     self.counters.queries_err.fetch_add(1, Ordering::Relaxed);
-                    return Response::json(
+                    return http_error(
                         400,
-                        envelope(
-                            "bad_request",
-                            &format!("bad X-Deadline-Ms value `{v}` (expected positive integer)"),
-                            "",
-                        ),
+                        "bad_request",
+                        &format!("bad X-Deadline-Ms value `{v}` (expected positive integer)"),
                     );
                 }
             },
@@ -234,15 +217,15 @@ impl Handler {
                 self.counters
                     .rejected_saturated
                     .fetch_add(1, Ordering::Relaxed);
-                let extra = format!("\"inflight\":{},\"queued\":{}", sat.inflight, sat.queued);
-                return Response::json(
-                    429,
-                    envelope(
-                        "saturated",
-                        "server saturated: admission queue full, retry later",
-                        &extra,
-                    ),
+                let body = error_envelope(
+                    "saturated",
+                    "server saturated: admission queue full, retry later",
+                    &[
+                        ("inflight", ErrorField::Count(sat.inflight as u64)),
+                        ("queued", ErrorField::Count(sat.queued as u64)),
+                    ],
                 );
+                return Response::json(429, body);
             }
         };
 
@@ -439,16 +422,17 @@ mod tests {
         };
         assert_eq!(status_for(&Error::EmptyView), 422);
         assert_eq!(status_for(&Error::InvalidQuery("x".into())), 400);
-        assert_eq!(status_for(&Error::Cancelled { progress }), 503);
+        let run = |e: MineError| status_for(&Error::Run(e));
+        assert_eq!(run(MineError::Cancelled { progress }), 503);
         assert_eq!(
-            status_for(&Error::DeadlineExceeded {
+            run(MineError::DeadlineExceeded {
                 after_ms: 1,
                 progress
             }),
             504
         );
         assert_eq!(
-            status_for(&Error::MemoryBudget {
+            run(MineError::MemoryBudget {
                 budget_mb: 1,
                 observed_mb: 2,
                 progress
@@ -456,7 +440,7 @@ mod tests {
             507
         );
         assert_eq!(
-            status_for(&Error::Worker {
+            run(MineError::Worker {
                 task: "t".into(),
                 payload: "p".into()
             }),

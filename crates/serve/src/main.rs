@@ -3,8 +3,9 @@
 //! ```text
 //! causumx-serve [--port N] [--addr HOST] [--dataset so|synthetic]
 //!               [--rows N] [--seed N] [--threads N] [--cache N]
-//!               [--deadline-ms N] [--memory-budget-mb N]
-//!               [--max-inflight N] [--max-queue N] [--allow-chaos]
+//!               [--deadline-ms N>0 (default 30000)]
+//!               [--memory-budget-mb N>0] [--max-inflight N] [--max-queue N]
+//!               [--allow-chaos]
 //! ```
 //!
 //! Binds one [`causumx::Session`] over the chosen dataset and serves
@@ -12,9 +13,9 @@
 //! `GET /stats` until killed. See `README.md` for a curl example.
 //!
 //! Exit status: 2 on a usage error (an unknown flag, a missing or invalid
-//! value, a zero `--memory-budget-mb`, an unknown `--dataset`), 0 after
-//! `--help` prints the usage line on stdout, and 1 when the address cannot
-//! be bound.
+//! value, a zero `--deadline-ms` or `--memory-budget-mb`, an unknown
+//! `--dataset`), 0 after `--help` prints the usage line on stdout, and 1
+//! when the address cannot be bound.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -25,8 +26,9 @@ use serve::handler::{Handler, ServeOptions};
 
 const USAGE: &str = "usage: causumx-serve [--port N] [--addr HOST] \
                      [--dataset so|synthetic] [--rows N] [--seed N] \
-                     [--threads N] [--cache N] [--deadline-ms N] \
-                     [--memory-budget-mb N] [--max-inflight N] \
+                     [--threads N] [--cache N] \
+                     [--deadline-ms N>0 (default 30000)] \
+                     [--memory-budget-mb N>0] [--max-inflight N] \
                      [--max-queue N] [--allow-chaos]";
 
 /// Parsed command line.
@@ -98,7 +100,10 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let ms: u64 = value("--deadline-ms")?
                     .parse()
                     .map_err(|e| format!("--deadline-ms: {e}"))?;
-                args.opts.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
+                if ms == 0 {
+                    return Err("--deadline-ms must be positive (default 30000)".into());
+                }
+                args.opts.default_deadline = Some(Duration::from_millis(ms));
             }
             "--memory-budget-mb" => {
                 let mb: u64 = value("--memory-budget-mb")?

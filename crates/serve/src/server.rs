@@ -70,11 +70,7 @@ fn serve_connection(handler: &Handler, stream: TcpStream) {
         Err(e) => {
             let status = e.status();
             if status != 0 {
-                let body = format!(
-                    "{{\"error\":{{\"kind\":\"bad_request\",\"code\":\"bad_request\",\
-                     \"message\":\"{}\"}}}}",
-                    causumx::json_escape(&e.message())
-                );
+                let body = causumx::error_envelope("bad_request", &e.message(), &[]);
                 let _ = Response::json(status, body).write(&mut out);
             }
         }
@@ -101,15 +97,12 @@ pub fn spawn(handler: Arc<Handler>, addr: &str) -> std::io::Result<RunningServer
                         // stays nonblocking for stop-flag polling.
                         let _ = stream.set_nonblocking(false);
                         let h = Arc::clone(&handler);
-                        let spawned = std::thread::Builder::new()
+                        // When no thread can be spawned, the stream drops
+                        // with the closure: that connection closes
+                        // unanswered and accepting continues.
+                        let _ = std::thread::Builder::new()
                             .name("serve-conn".into())
                             .spawn(move || serve_connection(&h, stream));
-                        // Thread exhaustion: serve this one on the
-                        // accept thread rather than dropping it.
-                        if let Err(_e) = spawned {
-                            // The stream moved into the failed closure —
-                            // nothing to salvage; continue accepting.
-                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(ACCEPT_POLL);

@@ -1,5 +1,5 @@
 //! The `causumx-serve` binary's exit-status contract: a usage error (an
-//! unknown flag, a missing or unparsable value, a zero
+//! unknown flag, a missing or unparsable value, a zero `--deadline-ms` or
 //! `--memory-budget-mb`, an unknown `--dataset`) exits 2, `--help` prints
 //! the usage line on stdout and exits 0, and a failed bind exits 1. Every
 //! case here exits on its own; a child still running after [`TIMEOUT`] is
@@ -64,6 +64,13 @@ fn missing_or_unparsable_value_is_a_usage_error() {
 #[test]
 fn zero_memory_budget_is_a_usage_error() {
     assert_usage_error(&["--memory-budget-mb", "0"]);
+}
+
+/// A zero deadline is rejected, as an `X-Deadline-Ms: 0` header is; the
+/// 30 s default is spelled by omitting the flag.
+#[test]
+fn zero_deadline_is_a_usage_error() {
+    assert_usage_error(&["--deadline-ms", "0"]);
 }
 
 #[test]

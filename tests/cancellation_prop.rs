@@ -6,14 +6,17 @@
 //! * the walk finished before the site was reached (or the site does not
 //!   exist) — a complete summary, **bit-identical** to the clean
 //!   baseline at the same thread count, or
-//! * a clean `Error::Cancelled` with sane progress counters.
+//! * a clean `Error::Run(MineError::Cancelled { .. })` with sane progress
+//!   counters.
 //!
 //! Never a partial or corrupt summary, never a poisoned session: after
 //! every shrink-iteration the same session re-runs the query unfaulted
 //! and must reproduce the baseline bit-for-bit.
 
 use causal::Dag;
-use causumx::{ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, RunGuard, Session, Summary};
+use causumx::{
+    ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, MineError, RunGuard, Session, Summary,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,7 +111,7 @@ proptest! {
                 &fingerprint(&summary),
                 "site {:?} unreached but summary diverged", site
             ),
-            Err(Error::Cancelled { progress }) => {
+            Err(Error::Run(MineError::Cancelled { progress })) => {
                 // Progress is a consistent snapshot: a cancelled run can
                 // never report more work than the complete run performs.
                 let (_, _, total_evals, _) = want.clone();
@@ -123,8 +126,11 @@ proptest! {
         // Determinism: the faulted query's outcome is a function of the
         // site, not of scheduling luck — rerunning must agree on
         // success-vs-cancelled.
-        let again_cancelled = matches!(run_faulted(&q), Err(Error::Cancelled { .. }));
-        let first_cancelled = matches!(run_faulted(&q), Err(Error::Cancelled { .. }));
+        let cancelled = |r: Result<Summary, Error>| {
+            matches!(r, Err(Error::Run(MineError::Cancelled { .. })))
+        };
+        let again_cancelled = cancelled(run_faulted(&q));
+        let first_cancelled = cancelled(run_faulted(&q));
         prop_assert_eq!(again_cancelled, first_cancelled);
 
         // The session survives whatever happened: a clean run on the

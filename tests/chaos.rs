@@ -25,7 +25,8 @@ use std::time::Duration;
 
 use causal::Dag;
 use causumx::{
-    ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, NumericMode, RunGuard, Session, Summary,
+    ConfigBuilder, Error, FaultKind, FaultPlan, FaultSite, MineError, NumericMode, RunGuard,
+    Session, Summary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +155,7 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
                 .prepare()
                 .unwrap();
             match q.run_guarded(&armed(&plan)) {
-                Err(Error::Worker { task, payload }) => {
+                Err(Error::Run(MineError::Worker { task, payload })) => {
                     // One driver at every worker count: the label names
                     // the chunk site, not just the pattern.
                     assert_eq!(task, "pattern 0 level 1 chunk 0", "threads={threads}");
@@ -170,7 +171,7 @@ fn injected_panic_fails_only_that_query_and_names_its_site() {
             // exactly one structured error, still no poisoned pool.
             assert!(matches!(
                 q.run_guarded(&armed(&plan)),
-                Err(Error::Worker { .. })
+                Err(Error::Run(MineError::Worker { .. }))
             ));
         }
 
@@ -222,7 +223,10 @@ fn concurrent_sibling_query_stays_bit_identical() {
                 .unwrap();
             q.run()
         });
-        assert!(matches!(chaos.join().unwrap(), Err(Error::Worker { .. })));
+        assert!(matches!(
+            chaos.join().unwrap(),
+            Err(Error::Run(MineError::Worker { .. }))
+        ));
         assert_eq!(
             want,
             fingerprint(&sibling.join().unwrap()),
@@ -292,7 +296,7 @@ fn cancel_fault_surfaces_clean_cancelled_error() {
             .prepare()
             .unwrap();
         match q.run_guarded(&armed(&plan)) {
-            Err(Error::Cancelled { .. }) => {}
+            Err(Error::Run(MineError::Cancelled { .. })) => {}
             other => panic!("threads={threads}: expected cancellation, got {other:?}"),
         }
     }
@@ -309,7 +313,7 @@ fn immediate_deadline_trips_with_progress() {
         .prepare()
         .unwrap();
     match q.run_guarded(&RunGuard::unlimited().with_deadline(Duration::from_nanos(1))) {
-        Err(Error::DeadlineExceeded { after_ms, .. }) => assert_eq!(after_ms, 0),
+        Err(Error::Run(MineError::DeadlineExceeded { after_ms, .. })) => assert_eq!(after_ms, 0),
         other => panic!("expected deadline trip, got {other:?}"),
     }
 }
@@ -336,11 +340,11 @@ fn memory_budget_trips_via_synthetic_probe() {
         .with_memory_probe(move || Some(c.fetch_add(1, Ordering::Relaxed) * (4 << 20)))
         .with_memory_budget_bytes(1 << 20);
     match q.run_guarded(&guard) {
-        Err(Error::MemoryBudget {
+        Err(Error::Run(MineError::MemoryBudget {
             budget_mb,
             observed_mb,
             ..
-        }) => {
+        })) => {
             assert_eq!(budget_mb, 1);
             assert!(observed_mb > budget_mb);
         }
@@ -373,7 +377,7 @@ fn cancel_handle_works_from_another_thread() {
     std::thread::spawn(move || handle.cancel()).join().unwrap();
     assert!(matches!(
         q.run_guarded(&guard),
-        Err(Error::Cancelled { .. })
+        Err(Error::Run(MineError::Cancelled { .. }))
     ));
 
     // Racy flavor: cancel mid-flight. Either the run finished first
@@ -388,7 +392,7 @@ fn cancel_handle_works_from_another_thread() {
         });
         match q.run_guarded(&guard) {
             Ok(summary) => assert!(summary.m > 0),
-            Err(Error::Cancelled { .. }) => {}
+            Err(Error::Run(MineError::Cancelled { .. })) => {}
             other => panic!("expected completion or cancellation, got {other:?}"),
         }
     });
@@ -414,7 +418,10 @@ fn pool_survives_repeated_faulted_runs() {
         .unwrap();
     for round in 0..5 {
         assert!(
-            matches!(q.run_guarded(&armed(&plan)), Err(Error::Worker { .. })),
+            matches!(
+                q.run_guarded(&armed(&plan)),
+                Err(Error::Run(MineError::Worker { .. }))
+            ),
             "round {round}: fault stopped firing"
         );
     }

@@ -9,11 +9,11 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use causumx::{ConfigBuilder, Session};
-use serve::{Handler, ServeOptions};
-use table::TableBuilder;
+use causumx::{error_json, ConfigBuilder, Error, MineError, QueryProgress, Session};
+use serve::{Handler, Request, Response, ServeOptions};
+use table::{TableBuilder, TableError};
 
 /// Tiny fixed table: two group-by attributes and one outcome — queries
 /// complete in microseconds, so tests exercise the transport, not the
@@ -154,8 +154,8 @@ fn routing_health_and_error_envelopes() {
         &[],
     );
     assert_eq!(status, 400);
-    assert!(body.contains("\"code\":\"sql\""), "{body}");
-    assert!(body.contains("\"kind\":\"sql\""), "{body}");
+    assert!(body.starts_with("{\"error\":{\"code\":\"sql\","), "{body}");
+    assert!(!body.contains("\"kind\""), "{body}");
 
     let (status, body) = http(addr, "NOT-HTTP\r\n\r\n".into());
     assert_eq!(status, 400);
@@ -288,4 +288,196 @@ fn oversized_head_gets_431_envelope() {
     assert!(body.contains(&limit), "{body}");
     assert_eq!(get(addr, "/healthz").0, 200);
     server.stop();
+}
+
+/// Poll `ready` until it holds; a test that waits longer fails.
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !ready() {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Every error body the service sends is one envelope: it starts
+/// `{"error":{"code":<code>,"message":` and carries no `kind` field.
+/// The table covers `error_json` of every `Error` and `MineError` kind,
+/// the handler's own 400, 404, 405 and 429 answers, and the transport's
+/// 400, 413, 431 and 501 answers over real TCP.
+#[test]
+fn every_error_body_is_one_envelope() {
+    // (what, status or 0 for a bare engine body, code, body)
+    let mut rows: Vec<(&str, u16, &str, String)> = Vec::new();
+
+    let progress = QueryProgress {
+        levels_completed: 1,
+        cate_evaluations: 7,
+    };
+    let engine = [
+        (
+            "table error",
+            Error::from(TableError::UnknownAttribute("x".into())),
+        ),
+        (
+            "sql error",
+            Error::Sql {
+                pos: 3,
+                msg: "bad \"token\"".into(),
+            },
+        ),
+        (
+            "config error",
+            Error::Config {
+                param: "k",
+                msg: "must be positive".into(),
+            },
+        ),
+        ("invalid query", Error::InvalidQuery("no group-by".into())),
+        ("empty view", Error::EmptyView),
+        (
+            "cancelled run",
+            Error::Run(MineError::Cancelled { progress }),
+        ),
+        (
+            "deadline trip",
+            Error::Run(MineError::DeadlineExceeded {
+                after_ms: 20,
+                progress,
+            }),
+        ),
+        (
+            "memory trip",
+            Error::Run(MineError::MemoryBudget {
+                budget_mb: 1,
+                observed_mb: 4,
+                progress,
+            }),
+        ),
+        (
+            "worker panic",
+            Error::Run(MineError::Worker {
+                task: "pattern 0 level 1 chunk 0".into(),
+                payload: "boom\n".into(),
+            }),
+        ),
+    ];
+    for (what, e) in &engine {
+        rows.push((what, 0, e.code(), error_json(e)));
+    }
+
+    // The handler's HTTP-level answers, saturation included: one run
+    // slot held by an injected stall, one queue slot held by a waiter.
+    let handler = Handler::new(
+        Arc::new(session()),
+        ServeOptions {
+            allow_chaos: true,
+            max_inflight: 1,
+            max_queued: 1,
+            ..ServeOptions::default()
+        },
+    );
+    let request = |method: &str, target: &str, headers: &[(&str, &str)], body: &[u8]| Request {
+        method: method.into(),
+        target: target.into(),
+        headers: headers
+            .iter()
+            .map(|(n, v)| (n.to_string(), v.to_string()))
+            .collect(),
+        body: body.to_vec(),
+    };
+    let query = |headers: &[(&str, &str)]| request("POST", "/query", headers, SQL.as_bytes());
+    let mut answer = |what, code, resp: Response| {
+        rows.push((
+            what,
+            resp.status,
+            code,
+            String::from_utf8(resp.body).unwrap(),
+        ));
+    };
+    answer(
+        "non-UTF-8 body",
+        "bad_request",
+        handler.handle(&request("POST", "/query", &[], &[0xff, 0xfe])),
+    );
+    answer(
+        "empty body",
+        "bad_request",
+        handler.handle(&request("POST", "/query", &[], b"")),
+    );
+    answer(
+        "bad deadline header",
+        "bad_request",
+        handler.handle(&query(&[("x-deadline-ms", "0")])),
+    );
+    answer(
+        "bad chaos header",
+        "invalid_query",
+        handler.handle(&query(&[("x-chaos", "meteor")])),
+    );
+    answer(
+        "unknown route",
+        "not_found",
+        handler.handle(&request("GET", "/nope", &[], b"")),
+    );
+    answer(
+        "wrong method",
+        "method_not_allowed",
+        handler.handle(&request("DELETE", "/query", &[], b"")),
+    );
+    let occupied = |inflight: usize, queued: usize| {
+        let (handler, want) = (
+            &handler,
+            format!("\"inflight\":{inflight},\"queued\":{queued}"),
+        );
+        move || handler.stats_json().contains(&want)
+    };
+    std::thread::scope(|scope| {
+        let stalled = scope.spawn(|| handler.handle(&query(&[("x-chaos", "delay:2000")])));
+        wait_until("the stalled query to take the run slot", occupied(1, 0));
+        let waiter = scope.spawn(|| handler.handle(&query(&[])));
+        wait_until("a query to wait for the run slot", occupied(1, 1));
+        answer("saturated", "saturated", handler.handle(&query(&[])));
+        assert_eq!(stalled.join().unwrap().status, 200);
+        assert_eq!(waiter.join().unwrap().status, 200);
+    });
+
+    // The transport's answers to requests it cannot read.
+    let (server, _handler) = spawn(ServeOptions::default());
+    let pad = "a".repeat(serve::http::MAX_HEAD_BYTES);
+    let over = serve::http::MAX_BODY_BYTES + 1;
+    for (what, raw) in [
+        ("malformed request", "NOT-HTTP\r\n\r\n".to_string()),
+        (
+            "oversized head",
+            format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+        ),
+        (
+            "oversized body",
+            format!("POST /query HTTP/1.1\r\nContent-Length: {over}\r\n\r\n"),
+        ),
+        (
+            "chunked body",
+            "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_string(),
+        ),
+    ] {
+        let (status, body) = http(server.addr, raw);
+        rows.push((what, status, "bad_request", body));
+    }
+    server.stop();
+
+    let statuses: Vec<u16> = rows.iter().map(|r| r.1).filter(|&s| s != 0).collect();
+    assert_eq!(
+        statuses,
+        [400, 400, 400, 400, 404, 405, 429, 400, 431, 413, 501],
+        "{rows:?}"
+    );
+    for (what, _, code, body) in &rows {
+        let head = format!("{{\"error\":{{\"code\":\"{code}\",\"message\":\"");
+        assert!(body.starts_with(&head), "{what}: {body}");
+        assert!(body.ends_with("}}"), "{what}: {body}");
+        assert!(!body.contains("\"kind\""), "{what}: {body}");
+    }
 }
