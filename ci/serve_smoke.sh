@@ -2,9 +2,10 @@
 # Gate: `causumx-serve` keeps its usage exit codes, boots, answers a real
 # query over TCP, and sheds failures as structured envelopes without dying.
 #
-# Checks that `--bogus`, `--deadline-ms 0` and `--memory-budget-mb 0`
-# exit 2 and `--help` exits 0, starts the server on a small generated dataset with chaos
-# allowed, then asserts with plain curl:
+# Checks that `--bogus`, `--deadline-ms 0`, `--memory-budget-mb 0`,
+# `--max-inflight 0` and `--max-queue 0` exit 2 and `--help` exits 0,
+# starts the server on a small generated dataset with chaos allowed, then
+# asserts with plain curl:
 #   * GET  /healthz          → 200 {"status":"ok"}
 #   * POST /query            → 200 report JSON (Definition 4.5 fields)
 #   * the same statement with X-Chaos: panic → 500 worker_panic envelope,
@@ -49,6 +50,12 @@ status=0
 status=0
 "$BIN" --memory-budget-mb 0 >"$LOG" 2>&1 || status=$?
 [ "$status" = 2 ] || fail "--memory-budget-mb 0 exited $status, expected 2"
+status=0
+"$BIN" --max-inflight 0 >"$LOG" 2>&1 || status=$?
+[ "$status" = 2 ] || fail "--max-inflight 0 exited $status, expected 2"
+status=0
+"$BIN" --max-queue 0 >"$LOG" 2>&1 || status=$?
+[ "$status" = 2 ] || fail "--max-queue 0 exited $status, expected 2"
 "$BIN" --help >"$LOG" 2>&1 || fail "--help exited non-zero"
 
 "$BIN" --port "$PORT" --rows 4000 --seed 7 --deadline-ms 30000 --allow-chaos >"$LOG" 2>&1 &

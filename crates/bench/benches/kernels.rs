@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot kernels: group-by evaluation,
 //! pattern evaluation, Apriori, grouping-pattern coverage, atom-space
-//! construction (from scratch and from a session's warm atom memo), CATE
+//! construction (from scratch and from a session's warm miner memo), CATE
 //! estimation (naive, context build,
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
@@ -19,7 +19,7 @@ use datagen::synthetic::SynthParams;
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
 use mining::grouping::mine_grouping_patterns;
-use mining::treatment::{AtomMemo, BackdoorMemo, LatticeOptions, TreatmentMiner};
+use mining::treatment::{LatticeOptions, MinerMemo, TreatmentMiner};
 use mining::RunGuard;
 use table::bitset::BitSet;
 use table::fd::{fd_closure, treatment_attrs};
@@ -86,7 +86,8 @@ fn bench_grouping_mining_wide(c: &mut Criterion) {
 /// The atom space of a session's first prepare: every treatment
 /// attribute's atom masks over 30k SO rows (17 of its 20 columns are
 /// categorical). Every later prepare on the session assembles the same
-/// space from its warm atom memo (`atom_space_so_30k_warm`).
+/// space, pruned attributes included, from its warm miner memo
+/// (`atom_space_so_30k_warm`).
 fn bench_atom_space(c: &mut Criterion) {
     let ds = datagen::so::generate(30_000, 42);
     let t_attrs = treatment_attrs(&ds.table, &ds.group_by, &[ds.outcome]);
@@ -102,16 +103,15 @@ fn bench_atom_space(c: &mut Criterion) {
             .num_atoms()
         })
     });
-    let (backdoor, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
+    let memo = Arc::new(MinerMemo::new(&ds.table, &ds.dag));
     let warm = || {
-        TreatmentMiner::with_memos(
+        TreatmentMiner::with_memo(
             &ds.table,
             &ds.dag,
             ds.outcome,
             &t_attrs,
             LatticeOptions::default(),
-            Arc::clone(&backdoor),
-            &atoms,
+            Arc::clone(&memo),
         )
         .num_atoms()
     };

@@ -63,7 +63,8 @@
 //!    (§5.3), with greedy and exact alternatives for the paper's variants.
 //!
 //! [`Session`] orchestrates them and owns the cross-query caches (FD
-//! splits, backdoor memo); [`render::Report`] is the structured output.
+//! splits, the miner memo of backdoor sets and atoms);
+//! [`render::Report`] is the structured output.
 //!
 //! ## Lifeguards
 //!

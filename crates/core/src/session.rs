@@ -8,12 +8,12 @@
 //!
 //! * the FD attribute split (grouping vs treatment attributes) is cached
 //!   per group-by set,
-//! * backdoor adjustment sets are memoized in one [`BackdoorMemo`] shared
-//!   by every query's treatment miner,
-//! * each treatment attribute's atoms (predicates, slots and full-table
-//!   masks) are built once per session and set of atom options, in one
-//!   [`AtomMemo`] shared by every query's miner, whatever its WHERE
-//!   clause or GROUP BY set,
+//! * one [`MinerMemo`], built with the session and shared by every
+//!   query's treatment miner whatever its WHERE clause or GROUP BY set,
+//!   holds the column ↔ DAG-node maps, each outcome's DAG ancestors (for
+//!   the optimization-(a) pruning), the backdoor adjustment sets, and
+//!   each treatment attribute's atoms (predicates, slots and full-table
+//!   masks) per set of atom options — each computed once per session,
 //! * each prepared query materializes its aggregate view exactly once,
 //!   no matter how often it is re-run; per-group row bitsets are built
 //!   lazily — all groups in a single pass on the first drill-down — and
@@ -62,7 +62,7 @@ use lpsolve::cover::{
 };
 use mining::grouping::{mine_grouping_patterns, GroupingPattern};
 use mining::sched;
-use mining::treatment::{AtomMemo, BackdoorMemo, LatticeStats, TreatmentMiner, TreatmentResult};
+use mining::treatment::{LatticeStats, MinerMemo, TreatmentMiner, TreatmentResult};
 use mining::{MineError, RunGuard};
 use table::fd::fd_closure;
 use table::pattern::Pattern;
@@ -201,8 +201,8 @@ pub struct SessionCounters {
     pub fd_closures_computed: usize,
     /// Backdoor DAG walks actually performed (memo misses).
     pub backdoor_walks: usize,
-    /// Treatment-attribute atom blocks built (atom-memo misses): at most
-    /// one per column and set of atom options over the session's life.
+    /// Treatment-attribute atom blocks built (memo misses): at most one
+    /// per column and set of atom options over the session's life.
     pub atom_blocks_built: usize,
     /// Queries prepared.
     pub queries_prepared: usize,
@@ -250,7 +250,7 @@ pub struct PreparedCacheStats {
 /// session or depends on the configuration. Cache entries hold an `Arc`
 /// of this, so a hit skips the view; the atoms are the session's, not
 /// the statement's, and every [`PreparedQuery`] assembles its miner from
-/// the session's [`AtomMemo`].
+/// the session's [`MinerMemo`].
 struct PreparedCore {
     query: GroupByAvgQuery,
     /// Shared with every [`CandidateSet`] mined from this core.
@@ -298,10 +298,9 @@ pub struct Session {
     config: CausumxConfig,
     /// FD split per `(sorted group-by set, avg attribute)`.
     fd_cache: RwLock<HashMap<(Vec<usize>, usize), Arc<AttrSplit>>>,
-    /// Backdoor-set memo shared by every miner this session builds.
-    backdoor: Arc<BackdoorMemo>,
-    /// Treatment-atom memo shared by every miner this session builds.
-    atoms: AtomMemo,
+    /// The memo of `table` and `dag` every miner this session builds
+    /// shares.
+    memo: Arc<MinerMemo>,
     /// Prepared-statement cache: normalized statement → prepared core.
     prep_cache: Mutex<PrepCache>,
     counters: Counters,
@@ -324,12 +323,11 @@ impl Session {
     /// one.
     pub fn new(table: Table, dag: Dag, config: CausumxConfig) -> Self {
         Session {
+            memo: Arc::new(MinerMemo::new(&table, &dag)),
             table,
             dag,
             config,
             fd_cache: RwLock::new(HashMap::new()),
-            backdoor: Arc::new(BackdoorMemo::new()),
-            atoms: AtomMemo::new(),
             prep_cache: Mutex::new(PrepCache::default()),
             counters: Counters::default(),
         }
@@ -386,14 +384,14 @@ impl Session {
         &self.config
     }
 
-    /// Replace the configuration. Every cache survives: the FD splits,
-    /// the backdoor memo and the cached statements' cores (view, group
-    /// bitsets, FD split) do not depend on the configuration, and the
-    /// atom memo keys each block by the atom options it was built under,
-    /// so blocks of the old options are never served under new ones. The
-    /// statement cache is trimmed to the new
-    /// [`CausumxConfig::prepared_statements`] capacity by its LRU rule
-    /// (capacity 0 empties it), each trimmed entry counting as an
+    /// Replace the configuration. Every cache survives: the FD splits and
+    /// the cached statements' cores (view, group bitsets, FD split) do not
+    /// depend on the configuration, nor do the miner memo's DAG maps,
+    /// ancestors and backdoor sets, and the memo keys each atom block by
+    /// the atom options it was built under, so blocks of the old options
+    /// are never served under new ones. The statement cache is trimmed to
+    /// the new [`CausumxConfig::prepared_statements`] capacity by its LRU
+    /// rule (capacity 0 empties it), each trimmed entry counting as an
     /// eviction. Queries prepared *before* the change keep their
     /// snapshot; later ones, cache hits included, run under the new
     /// configuration.
@@ -407,8 +405,8 @@ impl Session {
         SessionCounters {
             views_materialized: self.counters.views_materialized.load(Ordering::Relaxed),
             fd_closures_computed: self.counters.fd_closures_computed.load(Ordering::Relaxed),
-            backdoor_walks: self.backdoor.walks(),
-            atom_blocks_built: self.atoms.blocks_built(),
+            backdoor_walks: self.memo.walks(),
+            atom_blocks_built: self.memo.blocks_built(),
             queries_prepared: self.counters.queries_prepared.load(Ordering::Relaxed),
             runs: self.counters.runs.load(Ordering::Relaxed),
             prepared_cache_hits: self.counters.prepared_cache_hits.load(Ordering::Relaxed),
@@ -452,8 +450,7 @@ impl Session {
     /// Validate a raw [`GroupByAvgQuery`] and precompute everything it
     /// needs: the materialized view, per-group row bitsets, the FD
     /// attribute split (cached across queries) and the treatment miner
-    /// (atoms from the session's atom memo, plus the shared backdoor
-    /// memo).
+    /// (over the session's miner memo).
     ///
     /// An empty `group_by` is accepted here (it evaluates to a single
     /// global group, as the raw query always did) — the name-based
@@ -558,20 +555,19 @@ impl Session {
         }))
     }
 
-    /// Bind a prepared core to this session: build its miner through the
-    /// session's memos, which build only the atom blocks no earlier
-    /// prepare built under the configuration's atom options, and snapshot
+    /// Bind a prepared core to this session: build its miner over the
+    /// session's memo, which walks the DAG for the outcome's ancestors and
+    /// builds atom blocks only where no earlier prepare did, and snapshot
     /// the configuration onto the query.
     fn assemble(&self, core: Arc<PreparedCore>) -> PreparedQuery<'_> {
         let config = self.config.clone();
-        let miner = TreatmentMiner::with_memos(
+        let miner = TreatmentMiner::with_memo(
             &self.table,
             &self.dag,
             core.query.avg,
             &core.split.treatment,
             config.lattice.clone(),
-            Arc::clone(&self.backdoor),
-            &self.atoms,
+            Arc::clone(&self.memo),
         );
         self.counters
             .queries_prepared
@@ -818,8 +814,8 @@ impl<'s> PreparedQuery<'s> {
 
     /// Run the full pipeline (Algorithm 1). Deterministic: repeated calls
     /// return bit-identical summaries while reusing every piece of
-    /// prepared state (view, group bitsets, FD split, atom space,
-    /// backdoor memo).
+    /// prepared state (view, group bitsets, FD split, atom space, miner
+    /// memo).
     ///
     /// Runs unguarded (no deadline, no budget) and panics if a mining
     /// task panicked — the historical contract. Use [`Self::run_guarded`]
@@ -909,9 +905,8 @@ impl<'s> PreparedQuery<'s> {
     /// The Brute-Force candidates: exhaustive grouping patterns (τ = 0)
     /// and full lattice enumeration per pattern. Full-lattice enumeration
     /// has no level structure to chunk, so each pattern is one scheduler
-    /// task; slots keep the output in grouping-pattern order regardless
-    /// of completion order. It runs without a guard, and a panicking
-    /// pattern is re-raised as a panic that names it.
+    /// task ([`fan_out`]). It runs without a guard, and the first failed
+    /// pattern in index order is re-raised as a panic that names it.
     fn mine_candidates_brute(&self) -> CandidateSet {
         let (groupings, grouping_ms) = self.mine_groupings(0.0);
         let t1 = Instant::now();
@@ -948,26 +943,9 @@ impl<'s> PreparedQuery<'s> {
                 stats,
             )
         };
-        let slots: Vec<OnceLock<(Explanation, LatticeStats)>> =
-            (0..groupings.len()).map(|_| OnceLock::new()).collect();
-        sched::run_graph(
-            config.effective_threads(),
-            (0..groupings.len()).collect(),
-            |i: usize, _| {
-                let out = catch_unwind(AssertUnwindSafe(|| work(&groupings[i]))).unwrap_or_else(
-                    |payload| {
-                        let payload = sched::payload_string(payload.as_ref());
-                        panic!("mining task 'exhaustive pattern {i}' panicked: {payload}")
-                    },
-                );
-                let first = slots[i].set(out);
-                debug_assert!(first.is_ok(), "exhaustive pattern {i} mined twice");
-            },
-        );
-        // `run_graph` re-raises a task's panic, so every slot is set here.
-        let results = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every exhaustive pattern ran"));
+        let results = fan_out(config.effective_threads(), groupings.len(), |i| {
+            work(&groupings[i])
+        });
         self.candidate_set(results, grouping_ms, t1)
     }
 
@@ -1074,6 +1052,30 @@ impl<'s> PreparedQuery<'s> {
             .clone();
         Report::new(&self.session.table, &self.core.view, summary, &outcome)
     }
+}
+
+/// `work(i)` for every `i` in `0..n`, in index order, as one scheduler
+/// task each on `threads` workers. Each task stores its result, or its
+/// panic, in its own slot. Once the graph has drained, the lowest index
+/// that panicked is re-raised as a panic naming it ("mining task
+/// 'exhaustive pattern i' panicked: …"), so the message does not depend
+/// on the order the tasks finished in.
+fn fan_out<T: Send + Sync>(threads: usize, n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<OnceLock<Result<T, String>>> = (0..n).map(|_| OnceLock::new()).collect();
+    sched::run_graph(threads, (0..n).collect(), |i: usize, _| {
+        let out = catch_unwind(AssertUnwindSafe(|| work(i)))
+            .map_err(|payload| sched::payload_string(payload.as_ref()));
+        let first = slots[i].set(out);
+        debug_assert!(first.is_ok(), "exhaustive pattern {i} mined twice");
+    });
+    let mut results = Vec::with_capacity(n);
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot.into_inner().expect("the graph runs every task") {
+            Ok(out) => results.push(out),
+            Err(payload) => panic!("mining task 'exhaustive pattern {i}' panicked: {payload}"),
+        }
+    }
+    results
 }
 
 /// Unwrap the result of a run under an unlimited guard. Only a worker
@@ -1309,6 +1311,33 @@ mod tests {
             .run()
             .unwrap();
         assert!(!s.explanations.is_empty());
+    }
+
+    /// The Brute-Force fan-out re-raises the lowest failed index, however
+    /// the failures interleave: index 3 fails last, after 7 and 11 have
+    /// failed on other workers.
+    #[test]
+    fn fan_out_names_the_lowest_failed_pattern() {
+        assert_eq!(fan_out(4, 5, |i| i * 2), vec![0, 2, 4, 6, 8]);
+        for round in 0..20 {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fan_out(4, 16, |i| {
+                    if i == 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    if [3, 7, 11].contains(&i) {
+                        panic!("pattern {i} failed");
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("a failed pattern fails the fan-out");
+            assert_eq!(
+                sched::payload_string(payload.as_ref()),
+                "mining task 'exhaustive pattern 3' panicked: pattern 3 failed",
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   parallelism across grouping patterns — runs on [`sched`], the shared
 //!   work-stealing scheduler over (pattern × level × candidate-chunk)
 //!   tasks; it is the walk's only driver, and one worker runs the same
-//!   tasks inline,
+//!   tasks inline. What depends only on the table and the DAG — the
+//!   column ↔ DAG-node maps, each outcome's ancestors, the backdoor sets
+//!   and the atoms — lives in one [`MinerMemo`] that a session builds
+//!   once and shares with every miner,
 //! * [`sched`] — the work-stealing task scheduler both fan-out dimensions
 //!   (across grouping patterns, within lattice levels) share: one task
 //!   loop at every worker count, with the index-ordered merge primitive
@@ -42,6 +45,5 @@ pub use grouping::{mine_grouping_patterns, GroupingPattern};
 pub use sched::faults::{FaultKind, FaultPlan, FaultSite};
 pub use sched::guard::{CancelHandle, MineError, QueryProgress, RunGuard};
 pub use treatment::{
-    AtomMemo, BackdoorMemo, LatticeOptions, LatticeStats, PairedTreatments, TreatmentMiner,
-    TreatmentResult,
+    LatticeOptions, LatticeStats, MinerMemo, PairedTreatments, TreatmentMiner, TreatmentResult,
 };

@@ -30,12 +30,13 @@
 //! loop every worker count runs. A panicking task never poisons the
 //! pool — its payload is recorded, every sibling task still runs, all
 //! workers drain normally, and the first payload is re-raised to the
-//! caller only after the graph has fully completed.
-//! Queue locks recover from poison instead of aborting (the protected
-//! state is a task queue that stays valid across a caught unwind), and
-//! [`ChunkSlots::try_merged`] reports missing chunks as a structured
-//! error instead of panicking. Per-run limits and armed fault plans live
-//! on [`guard::RunGuard`], whose trips are [`guard::MineError`]s, and
+//! caller only after the graph has fully completed. Queue locks recover
+//! from poison instead of aborting (the protected state is a task queue
+//! that stays valid across a caught unwind). [`ChunkSlots::merged`] runs
+//! only once every chunk has stored its results, which
+//! [`ChunkSlots::complete`] reports, so a merge never meets a missing
+//! chunk. Per-run limits and armed fault plans live on
+//! [`guard::RunGuard`], whose trips are [`guard::MineError`]s, and
 //! [`faults`] names the deterministic faults the chaos suite arms there
 //! to drive these paths.
 
@@ -156,25 +157,6 @@ pub fn chunk_ranges(n: usize, workers: usize, min_chunk: usize) -> Vec<Range<usi
         .collect()
 }
 
-/// Error from [`ChunkSlots::try_merged`]: these chunk indices never
-/// recorded a result. After the walk's unwind isolation this can only
-/// mean the chunk's task panicked or was skipped by a guard trip, so
-/// callers surface it as a structured worker failure instead of
-/// aborting the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingChunks {
-    /// Chunk indices with no recorded result, in index order.
-    pub missing: Vec<usize>,
-}
-
-impl std::fmt::Display for MissingChunks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "chunks never completed: {:?}", self.missing)
-    }
-}
-
-impl std::error::Error for MissingChunks {}
-
 /// Index-addressed result slots for one fan-out: chunk `i` of a level
 /// writes its results into slot `i` whenever it happens to finish, and
 /// the last chunk to complete merges all slots back in index order. This
@@ -216,25 +198,24 @@ impl<R> ChunkSlots<R> {
         self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
-    /// Move every slot's results out, concatenated in chunk-index order,
-    /// or report which chunks never completed. Call once, after
-    /// [`ChunkSlots::complete`] returned `true`; an `Err` outside that
-    /// protocol means a chunk task died before recording its result.
-    pub fn try_merged(&self) -> Result<Vec<R>, MissingChunks> {
-        let parts: Vec<Option<Vec<R>>> = self
+    /// Move every slot's results out, concatenated in chunk-index order.
+    /// Call once, after [`ChunkSlots::complete`] returned `true`: every
+    /// chunk has stored its results by then.
+    pub fn merged(&self) -> Vec<R> {
+        let parts: Vec<Vec<R>> = self
             .slots
             .iter()
-            .map(|s| lock_recovered(s).take())
+            .map(|s| {
+                lock_recovered(s)
+                    .take()
+                    .expect("slots merge only after their last chunk completed")
+            })
             .collect();
-        let missing: Vec<usize> = (0..parts.len()).filter(|&i| parts[i].is_none()).collect();
-        if !missing.is_empty() {
-            return Err(MissingChunks { missing });
-        }
-        let mut merged = Vec::with_capacity(parts.iter().flatten().map(Vec::len).sum());
-        for part in parts.into_iter().flatten() {
+        let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
             merged.extend(part);
         }
-        Ok(merged)
+        merged
     }
 }
 
@@ -459,16 +440,7 @@ mod tests {
             }
         }
         assert_eq!(last, Some(0));
-        assert_eq!(slots.try_merged().unwrap(), (0..25).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn try_merged_reports_missing_chunks() {
-        let slots: ChunkSlots<usize> = ChunkSlots::new(3);
-        slots.complete(1, vec![42]);
-        let err = slots.try_merged().unwrap_err();
-        assert_eq!(err.missing, vec![0, 2]);
-        assert!(err.to_string().contains("[0, 2]"));
+        assert_eq!(slots.merged(), (0..25).collect::<Vec<_>>());
     }
 
     #[test]

@@ -183,29 +183,40 @@ pub struct PairedTreatments {
     pub stats: LatticeStats,
 }
 
-/// Shared memo of backdoor adjustment sets, keyed by
-/// `(outcome, sorted treatment attribute set)`. One memo can back any
-/// number of [`TreatmentMiner`]s over the same DAG — a session serving many
-/// queries walks the DAG once per distinct key, ever. The `walks` counter
-/// records actual DAG traversals (cache misses), which is what session
-/// diagnostics assert on.
+/// What every miner over one table and DAG shares, whatever its query:
+/// the column ↔ DAG-node maps, each outcome's DAG ancestors (built on
+/// first use), the interned backdoor sets, and per column its standard
+/// deviation and its atom blocks (predicates, slots and full-table masks)
+/// under each set of atom options. A session builds one memo over its
+/// table and DAG ([`MinerMemo::new`]) and hands it to every miner it
+/// builds ([`TreatmentMiner::with_memo`]), so a miner computes only what
+/// no earlier miner over the memo did: a session walks the DAG once per
+/// outcome and once per distinct backdoor key, and builds at most one
+/// block per column and option set, ever.
 ///
-/// The memo interns every backdoor set it hands out: equal sets share one
-/// dense id and one `Arc<[usize]>`, as a [`ConfounderKey`], and a walk's
-/// [`ContextCache`] is indexed by that id.
-#[derive(Debug, Default)]
-pub struct BackdoorMemo {
-    map: RwLock<Interned>,
+/// Backdoor sets are keyed by `[outcome, sorted treatment attribute
+/// ids…]` and interned: equal sets share one dense id and one
+/// `Arc<[usize]>`, as a [`ConfounderKey`], and a walk's [`ContextCache`]
+/// is indexed by that id. Lookups read under a shared lock; a miss looks
+/// again and computes under the write lock, so concurrent misses on one
+/// key compute once between them. `walks` and `blocks_built` count the
+/// misses, which is what session diagnostics report.
+#[derive(Debug)]
+pub struct MinerMemo {
+    /// The identity of the memo's table and DAG ([`identity`]).
+    identity: Box<[usize]>,
+    /// Table attribute → DAG node, matched by name.
+    attr_to_dag: Box<[Option<usize>]>,
+    /// DAG node → table attribute.
+    dag_to_attr: Box<[Option<usize>]>,
+    /// One entry per column.
+    columns: Box<[ColumnMemo]>,
+    backdoor: RwLock<Interned>,
     walks: AtomicUsize,
-    /// Fingerprint of the (DAG, schema width) the memo was first attached
-    /// to — keys are attribute ids, which only mean the same thing across
-    /// miners over the same DAG and column layout, so attaching the memo
-    /// to a different graph is rejected loudly instead of silently
-    /// returning the wrong confounder sets.
-    fingerprint: OnceLock<u64>,
+    built: AtomicUsize,
 }
 
-/// The memo's tables.
+/// The memo's backdoor tables.
 #[derive(Debug, Default)]
 struct Interned {
     /// `[outcome, sorted attribute ids…]` → id of its backdoor set.
@@ -216,100 +227,8 @@ struct Interned {
     sets: Vec<ConfounderKey>,
 }
 
-impl BackdoorMemo {
-    /// Empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of DAG walks performed (i.e. cache misses) so far.
-    pub fn walks(&self) -> usize {
-        self.walks.load(Ordering::Relaxed)
-    }
-
-    /// Distinct `(outcome, attribute set)` keys memoized.
-    pub fn len(&self) -> usize {
-        sched::read_recovered(&self.map).keys.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bind the memo to a (DAG, table-width) fingerprint on first use;
-    /// panic if a later miner attaches it to a different one.
-    fn attach(&self, dag: &Dag, ncols: usize) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        dag.names().hash(&mut h);
-        dag.edges().hash(&mut h);
-        ncols.hash(&mut h);
-        let fp = h.finish();
-        let bound = *self.fingerprint.get_or_init(|| fp);
-        assert_eq!(
-            bound, fp,
-            "BackdoorMemo shared across different DAGs/schemas — confounder sets would silently come from the wrong graph"
-        );
-    }
-
-    /// The interned backdoor set of `key` (`[outcome, sorted attribute
-    /// ids…]`), computing it from the attribute ids on a miss.
-    fn get_or_compute(
-        &self,
-        key: &[usize],
-        compute: impl FnOnce(&[usize]) -> Vec<usize>,
-    ) -> ConfounderKey {
-        {
-            let memo = sched::read_recovered(&self.map);
-            if let Some(&id) = memo.keys.get(key) {
-                return memo.sets[id].clone();
-            }
-        }
-        // Miss: look again and compute under the write lock, so concurrent
-        // misses on one key walk the DAG once between them.
-        let mut memo = sched::write_recovered(&self.map);
-        if let Some(&id) = memo.keys.get(key) {
-            return memo.sets[id].clone();
-        }
-        self.walks.fetch_add(1, Ordering::Relaxed);
-        let set: Arc<[usize]> = compute(&key[1..]).into();
-        let id = match memo.ids.get(&set) {
-            Some(&id) => id,
-            None => {
-                let id = memo.sets.len();
-                memo.sets.push(ConfounderKey::new(id, Arc::clone(&set)));
-                memo.ids.insert(set, id);
-                id
-            }
-        };
-        memo.keys.insert(key.into(), id);
-        memo.sets[id].clone()
-    }
-}
-
-/// Shared memo of treatment atoms over one table: each attribute's block
-/// of atoms (their predicates, slots and full-table masks) under each set
-/// of atom options it is asked for, and each outcome attribute's
-/// standard deviation. Atoms depend on neither a query's WHERE clause nor
-/// its GROUP BY set, so a session hands one memo to every miner it
-/// builds, as it does its [`BackdoorMemo`], and a miner builds only the
-/// blocks no earlier miner over the memo built. The memo holds at most
-/// one block per column and option set, whatever queries it serves.
-///
-/// A lookup of a built block reads it without taking a lock; concurrent
-/// first lookups of one block build it once between them. The
-/// `blocks_built` counter records builds (memo misses).
-#[derive(Debug, Default)]
-pub struct AtomMemo {
-    /// The identity of the table the memo was first attached to
-    /// ([`table_identity`]), and one entry per column of it.
-    bound: OnceLock<(Box<[usize]>, Box<[ColumnAtoms]>)>,
-    built: AtomicUsize,
-}
-
 /// The [`LatticeOptions`] fields building an attribute's atoms reads: with
-/// the attribute, the key of its block in an [`AtomMemo`].
+/// the attribute, the key of its block in a [`MinerMemo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AtomOpts {
     max_atoms_per_attr: usize,
@@ -325,29 +244,47 @@ impl AtomOpts {
     }
 }
 
-/// One column's entry of an [`AtomMemo`].
+/// One column's entry of a [`MinerMemo`].
 #[derive(Debug, Default)]
-struct ColumnAtoms {
+struct ColumnMemo {
     /// The column's standard deviation, for a walk with it as outcome.
     std: OnceLock<f64>,
-    /// The column's blocks, one per set of atom options looked up.
-    blocks: OnceLock<Box<Variant>>,
+    /// For a walk with this column as outcome: per column, whether its
+    /// DAG node is an ancestor of the outcome's. `None` when the DAG does
+    /// not name the outcome.
+    ancestors: OnceLock<Option<Box<[bool]>>>,
+    /// The column's blocks, one per set of atom options looked up (`None`
+    /// when the column yields no atom under them).
+    blocks: RwLock<Vec<(AtomOpts, Option<Arc<AttrBlock>>)>>,
 }
 
-/// A column's block under one set of atom options (`None` when the
-/// column yields no atom), and the link to the next set: an append-only
-/// list, so a reader follows it without a lock.
-#[derive(Debug)]
-struct Variant {
-    opts: AtomOpts,
-    block: OnceLock<Option<Arc<AttrBlock>>>,
-    next: OnceLock<Box<Variant>>,
-}
+impl MinerMemo {
+    /// An empty memo over `table` and `dag`, with the column ↔ DAG-node
+    /// maps built.
+    pub fn new(table: &Table, dag: &Dag) -> Self {
+        let attr_to_dag: Box<[Option<usize>]> = (0..table.ncols())
+            .map(|a| dag.index_of(&table.schema().field(a).name))
+            .collect();
+        let mut dag_to_attr = vec![None; dag.len()];
+        for (attr, d) in attr_to_dag.iter().enumerate() {
+            if let Some(d) = d {
+                dag_to_attr[*d] = Some(attr);
+            }
+        }
+        MinerMemo {
+            identity: identity(table, dag).collect(),
+            attr_to_dag,
+            dag_to_attr: dag_to_attr.into(),
+            columns: (0..table.ncols()).map(|_| ColumnMemo::default()).collect(),
+            backdoor: RwLock::default(),
+            walks: AtomicUsize::new(0),
+            built: AtomicUsize::new(0),
+        }
+    }
 
-impl AtomMemo {
-    /// Empty memo.
-    pub fn new() -> Self {
-        Self::default()
+    /// Number of backdoor DAG walks performed (memo misses) so far.
+    pub fn walks(&self) -> usize {
+        self.walks.load(Ordering::Relaxed)
     }
 
     /// Number of attribute blocks built (memo misses) so far.
@@ -355,64 +292,133 @@ impl AtomMemo {
         self.built.load(Ordering::Relaxed)
     }
 
-    /// Bind the memo to `table` on first use; panic if a later miner
-    /// attaches it to a different table.
-    fn attach(&self, table: &Table) {
-        let (bound, _) = self.bound.get_or_init(|| {
-            let columns = (0..table.ncols()).map(|_| ColumnAtoms::default());
-            (table_identity(table).collect(), columns.collect())
-        });
+    /// Panic unless `table` and `dag` are the ones the memo was built
+    /// over: its maps, ancestors, backdoor sets and atoms describe those.
+    fn check(&self, table: &Table, dag: &Dag) {
         assert!(
-            bound.iter().copied().eq(table_identity(table)),
-            "AtomMemo shared across different tables — atoms would silently select the wrong rows"
+            self.identity.iter().copied().eq(identity(table, dag)),
+            "MinerMemo used with a table or DAG other than its own — atoms and confounder sets would silently come from the wrong data"
         );
     }
 
-    fn column(&self, attr: usize) -> &ColumnAtoms {
-        &self.bound.get().expect("AtomMemo is attached before use").1[attr]
+    /// The attributes of `attrs` with a causal path to `outcome` in `dag`,
+    /// in their order (optimization (a)). The outcome's ancestors are
+    /// walked on its first lookup. Falls back to all of `attrs` when the
+    /// DAG does not name the outcome or would prune every attribute, as a
+    /// discovered graph with a parentless outcome does, rather than
+    /// silently producing no explanations.
+    fn pruned(&self, dag: &Dag, outcome: usize, attrs: &[usize]) -> Vec<usize> {
+        let ancestors = self.columns[outcome].ancestors.get_or_init(|| {
+            let anc = attrs_affecting_outcome(dag, self.attr_to_dag[outcome]?);
+            let of = |d: &Option<usize>| d.is_some_and(|d| anc.binary_search(&d).is_ok());
+            Some(self.attr_to_dag.iter().map(of).collect())
+        });
+        let kept: Vec<usize> = match ancestors {
+            Some(anc) => attrs.iter().copied().filter(|&a| anc[a]).collect(),
+            None => Vec::new(),
+        };
+        if kept.is_empty() {
+            attrs.to_vec()
+        } else {
+            kept
+        }
+    }
+
+    /// The interned backdoor set of `key` (`[outcome, sorted attribute
+    /// ids…]`), walking `dag` on a miss.
+    fn confounders(&self, dag: &Dag, key: &[usize]) -> ConfounderKey {
+        let find = |memo: &Interned| memo.keys.get(key).map(|&id| memo.sets[id].clone());
+        find_or_insert(&self.backdoor, find, |memo| {
+            self.walks.fetch_add(1, Ordering::Relaxed);
+            let set: Arc<[usize]> = self.backdoor_set(dag, key[0], &key[1..]).into();
+            let id = match memo.ids.get(&set) {
+                Some(&id) => id,
+                None => {
+                    let id = memo.sets.len();
+                    memo.sets.push(ConfounderKey::new(id, Arc::clone(&set)));
+                    memo.ids.insert(set, id);
+                    id
+                }
+            };
+            memo.keys.insert(key.into(), id);
+            memo.sets[id].clone()
+        })
+    }
+
+    /// The backdoor set of a treatment over `attrs` on `outcome`, as table
+    /// attributes: empty when the DAG names neither the outcome nor any of
+    /// `attrs`.
+    fn backdoor_set(&self, dag: &Dag, outcome: usize, attrs: &[usize]) -> Vec<usize> {
+        let Some(y) = self.attr_to_dag[outcome] else {
+            return Vec::new();
+        };
+        let ts: Vec<usize> = attrs.iter().filter_map(|&a| self.attr_to_dag[a]).collect();
+        if ts.is_empty() {
+            return Vec::new();
+        }
+        backdoor_set(dag, &ts, y)
+            .into_iter()
+            .filter_map(|d| self.dag_to_attr[d])
+            .filter(|&a| a != outcome)
+            .collect()
     }
 
     /// The block of `attr` under `opts`, built on the first lookup.
     fn block(&self, table: &Table, attr: usize, opts: AtomOpts) -> Option<Arc<AttrBlock>> {
-        let mut link = &self.column(attr).blocks;
-        loop {
-            let variant = link.get_or_init(|| {
-                Box::new(Variant {
-                    opts,
-                    block: OnceLock::new(),
-                    next: OnceLock::new(),
-                })
-            });
-            if variant.opts == opts {
-                let block = variant.block.get_or_init(|| {
-                    self.built.fetch_add(1, Ordering::Relaxed);
-                    build_block(table, attr, opts).map(Arc::new)
-                });
-                return block.clone();
-            }
-            link = &variant.next;
-        }
+        let find = |built: &Vec<(AtomOpts, Option<Arc<AttrBlock>>)>| {
+            built
+                .iter()
+                .find(|(o, _)| *o == opts)
+                .map(|(_, b)| b.clone())
+        };
+        find_or_insert(&self.columns[attr].blocks, find, |built| {
+            self.built.fetch_add(1, Ordering::Relaxed);
+            let block = build_block(table, attr, opts).map(Arc::new);
+            built.push((opts, block.clone()));
+            block
+        })
     }
 
     /// The standard deviation of `attr`'s column.
     fn std(&self, table: &Table, attr: usize) -> f64 {
-        *self
-            .column(attr)
+        *self.columns[attr]
             .std
             .get_or_init(|| column_std(table.column(attr)))
     }
 }
 
-/// What tells one table from another for [`AtomMemo::attach`]: its row
-/// count and the address of every column's buffer, which a table keeps
-/// when it moves and no two live tables share.
-fn table_identity(table: &Table) -> impl Iterator<Item = usize> + '_ {
+/// What `find` reads in `memo` under the shared lock, or on a miss what
+/// `insert` adds under the write lock. A miss looks again first, so
+/// concurrent misses on one entry insert it once between them.
+fn find_or_insert<T, R>(
+    memo: &RwLock<T>,
+    find: impl Fn(&T) -> Option<R>,
+    insert: impl FnOnce(&mut T) -> R,
+) -> R {
+    if let Some(hit) = find(&sched::read_recovered(memo)) {
+        return hit;
+    }
+    let mut memo = sched::write_recovered(memo);
+    match find(&memo) {
+        Some(hit) => hit,
+        None => insert(&mut memo),
+    }
+}
+
+/// What tells one (table, DAG) pair from another for [`MinerMemo::check`]:
+/// the table's row count and the address of every column's buffer, and
+/// the DAG's node count and the address of its name list — buffers a
+/// table or DAG keeps when it moves and no two live ones share.
+fn identity<'t>(table: &'t Table, dag: &'t Dag) -> impl Iterator<Item = usize> + 't {
     let buffer = |col: &Column| match col {
         Column::Cat { codes, .. } => codes.as_ptr() as usize,
         Column::Int(v) => v.as_ptr() as usize,
         Column::Float(v) => v.as_ptr() as usize,
     };
-    std::iter::once(table.nrows()).chain((0..table.ncols()).map(move |c| buffer(table.column(c))))
+    let columns = (0..table.ncols()).map(move |c| buffer(table.column(c)));
+    [table.nrows(), dag.len(), dag.names().as_ptr() as usize]
+        .into_iter()
+        .chain(columns)
 }
 
 /// Deepest lattice level the walk supports: the capacity of the inline
@@ -480,7 +486,7 @@ struct Atom {
 
 /// A miner's atomic predicate space: the blocks of its treatment
 /// attributes, in attribute order. Atom ids run through the blocks in
-/// that order. The blocks come from an [`AtomMemo`] and are shared with
+/// that order. The blocks come from a [`MinerMemo`] and are shared with
 /// every space over the same table and atom options; only the id → block
 /// map is the space's own.
 #[derive(Debug)]
@@ -493,7 +499,7 @@ struct AtomSpace {
 impl AtomSpace {
     /// The space of `attrs`, in that order, from `memo`'s blocks (built
     /// on first use). An attribute without atoms adds no block.
-    fn new(memo: &AtomMemo, table: &Table, attrs: &[usize], opts: AtomOpts) -> Self {
+    fn new(memo: &MinerMemo, table: &Table, attrs: &[usize], opts: AtomOpts) -> Self {
         let mut space = AtomSpace {
             blocks: Vec::new(),
             ids: Vec::new(),
@@ -688,19 +694,16 @@ pub struct TreatmentMiner<'a> {
     space: AtomSpace,
     /// |outcome std| for the near-zero pruning threshold.
     outcome_std: f64,
-    /// table attr id ↔ dag node id maps (by name).
-    attr_to_dag: Vec<Option<usize>>,
-    dag_to_attr: Vec<Option<usize>>,
-    /// Memoized backdoor sets — the seed re-walked the DAG on every single
-    /// estimate call. Shared (`Arc`) so a session can hand the same memo to
-    /// every miner it builds; the interior `RwLock` keeps the miner `Sync`
-    /// for optimization (c)'s cross-pattern parallelism.
-    backdoor: Arc<BackdoorMemo>,
+    /// The memo of the table and DAG: backdoor sets, atoms and the DAG
+    /// maps. Shared (`Arc`) so a session can hand the same memo to every
+    /// miner it builds; its interior locks keep the miner `Sync` for
+    /// optimization (c)'s cross-pattern parallelism.
+    memo: Arc<MinerMemo>,
 }
 
 impl<'a> TreatmentMiner<'a> {
     /// Build a miner over `treat_attrs` (the non-FD side of the attribute
-    /// split), with memos of its own: every atom is built here. Applies
+    /// split), with a memo of its own: every atom is built here. Applies
     /// optimization (a): attributes with no causal path to the outcome in
     /// `dag` are dropped up front.
     ///
@@ -715,67 +718,37 @@ impl<'a> TreatmentMiner<'a> {
         treat_attrs: &[usize],
         opts: LatticeOptions,
     ) -> Self {
-        Self::with_memos(
-            table,
-            dag,
-            outcome,
-            treat_attrs,
-            opts,
-            Arc::new(BackdoorMemo::new()),
-            &AtomMemo::new(),
-        )
+        let memo = Arc::new(MinerMemo::new(table, dag));
+        Self::with_memo(table, dag, outcome, treat_attrs, opts, memo)
     }
 
-    /// Like [`TreatmentMiner::new`] but over externally owned memos: the
-    /// [`BackdoorMemo`] shares backdoor sets with every other miner over
-    /// the same DAG, and the [`AtomMemo`] supplies each attribute's atoms,
-    /// building only those no earlier miner over it built. The atoms and
-    /// their ids are those [`TreatmentMiner::new`] would build.
+    /// Like [`TreatmentMiner::new`] but over a shared [`MinerMemo`] of
+    /// `table` and `dag`: the miner computes only the ancestors, backdoor
+    /// sets and atoms no earlier miner over the memo computed. The pruned
+    /// attributes, the atoms and their ids are those
+    /// [`TreatmentMiner::new`] would build.
     ///
     /// # Panics
     ///
-    /// As [`TreatmentMiner::new`], and when either memo was first used
-    /// with a different DAG or table.
-    pub fn with_memos(
+    /// As [`TreatmentMiner::new`], and when `memo` was built over another
+    /// table or DAG.
+    pub fn with_memo(
         table: &'a Table,
         dag: &'a Dag,
         outcome: usize,
         treat_attrs: &[usize],
         opts: LatticeOptions,
-        backdoor: Arc<BackdoorMemo>,
-        atoms: &AtomMemo,
+        memo: Arc<MinerMemo>,
     ) -> Self {
         check_max_level(&opts);
-        backdoor.attach(dag, table.ncols());
-        atoms.attach(table);
-        let (attr_to_dag, dag_to_attr) = dag_maps(table, dag);
-
-        // Optimization (a): prune attributes without a causal path to Y.
-        let mut effective: Vec<usize> = if opts.prune_by_dag {
-            match attr_to_dag[outcome] {
-                Some(y) => {
-                    let anc: HashSet<usize> = attrs_affecting_outcome(dag, y).into_iter().collect();
-                    treat_attrs
-                        .iter()
-                        .copied()
-                        .filter(|&a| attr_to_dag[a].is_some_and(|d| anc.contains(&d)))
-                        .collect()
-                }
-                None => treat_attrs.to_vec(),
-            }
+        memo.check(table, dag);
+        let effective = if opts.prune_by_dag {
+            memo.pruned(dag, outcome, treat_attrs)
         } else {
             treat_attrs.to_vec()
         };
-        // Degenerate DAGs (e.g. a discovered graph where the outcome ends
-        // up parentless) would prune *everything*; fall back to the full
-        // set rather than silently producing no explanations.
-        if effective.is_empty() {
-            effective = treat_attrs.to_vec();
-        }
-
-        let space = AtomSpace::new(atoms, table, &effective, AtomOpts::of(&opts));
-        let outcome_std = atoms.std(table, outcome);
-
+        let space = AtomSpace::new(&memo, table, &effective, AtomOpts::of(&opts));
+        let outcome_std = memo.std(table, outcome);
         TreatmentMiner {
             table,
             dag,
@@ -783,9 +756,7 @@ impl<'a> TreatmentMiner<'a> {
             opts,
             space,
             outcome_std,
-            attr_to_dag,
-            dag_to_attr,
-            backdoor,
+            memo,
         }
     }
 
@@ -805,7 +776,7 @@ impl<'a> TreatmentMiner<'a> {
     /// Confounder attributes (backdoor set) for a treatment over `attrs`.
     /// Memoized per attribute set: the DAG walk runs once, every further
     /// estimate over the same attributes is a hash lookup — across *all*
-    /// miners sharing this memo (see [`TreatmentMiner::with_memos`]).
+    /// miners sharing this memo (see [`TreatmentMiner::with_memo`]).
     pub fn confounders_for(&self, attrs: &[usize]) -> Vec<usize> {
         self.attrs_key(attrs).set().to_vec()
     }
@@ -832,8 +803,7 @@ impl<'a> TreatmentMiner<'a> {
                 len += 1;
             }
         }
-        self.backdoor
-            .get_or_compute(&key[..len], |k| self.compute_confounders(k))
+        self.memo.confounders(self.dag, &key[..len])
     }
 
     /// The interned backdoor set of a lattice node's attributes.
@@ -843,21 +813,6 @@ impl<'a> TreatmentMiner<'a> {
             *attr = self.space.attr(a as usize);
         }
         self.attrs_key(&attrs[..atoms.len()])
-    }
-
-    fn compute_confounders(&self, attrs: &[usize]) -> Vec<usize> {
-        let Some(y) = self.attr_to_dag[self.outcome] else {
-            return Vec::new();
-        };
-        let ts: Vec<usize> = attrs.iter().filter_map(|&a| self.attr_to_dag[a]).collect();
-        if ts.is_empty() {
-            return Vec::new();
-        }
-        backdoor_set(self.dag, &ts, y)
-            .into_iter()
-            .filter_map(|d| self.dag_to_attr[d])
-            .filter(|&a| a != self.outcome)
-            .collect()
     }
 
     /// Evaluate the CATE of an arbitrary treatment pattern within `subpop`.
@@ -1067,19 +1022,8 @@ impl<'a> TreatmentMiner<'a> {
                     return;
                 };
                 if let Some(batch) = done {
-                    match batch.slots.try_merged() {
-                        Ok(results) => st.absorb(batch, results),
-                        Err(e) => {
-                            // Can only happen when a chunk task died
-                            // without recording its result; surface it
-                            // as that pattern's structured failure.
-                            drop(state);
-                            let task = format!("pattern {p} level {} merge", batch.level);
-                            let payload = e.to_string();
-                            finish(p, Err(MineError::Worker { task, payload }), spawn);
-                            return;
-                        }
-                    }
+                    let results = batch.slots.merged();
+                    st.absorb(batch, results);
                     // Level-merge checkpoint.
                     if let Err(e) = guard.check() {
                         let _ = failure.set(e);
@@ -1970,20 +1914,6 @@ fn check_max_level(opts: &LatticeOptions) {
     );
 }
 
-/// The table attribute ↔ DAG node id maps, matched by name.
-fn dag_maps(table: &Table, dag: &Dag) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    let attr_to_dag: Vec<Option<usize>> = (0..table.ncols())
-        .map(|a| dag.index_of(&table.schema().field(a).name))
-        .collect();
-    let mut dag_to_attr: Vec<Option<usize>> = vec![None; dag.len()];
-    for (attr, d) in attr_to_dag.iter().enumerate() {
-        if let Some(d) = d {
-            dag_to_attr[*d] = Some(attr);
-        }
-    }
-    (attr_to_dag, dag_to_attr)
-}
-
 /// Build the [`AttrBlock`] of `attr` under `opts`, or `None` when the
 /// attribute yields no atom. The atoms' predicates and slots come from a
 /// frequency pass (categorical), a domain scan or one sort (numeric), and
@@ -2520,41 +2450,18 @@ mod tests {
     #[test]
     fn shared_backdoor_memo_walks_once() {
         let (table, dag) = synth(800, 5);
-        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
-        let a = TreatmentMiner::with_memos(
-            &table,
-            &dag,
-            3,
-            &[0, 1, 2],
-            LatticeOptions::default(),
-            Arc::clone(&memo),
-            &atoms,
-        );
+        let memo = Arc::new(MinerMemo::new(&table, &dag));
+        let opts = LatticeOptions::default;
+        let a = TreatmentMiner::with_memo(&table, &dag, 3, &[0, 1, 2], opts(), Arc::clone(&memo));
         let _ = a.confounders_for(&[0]);
         let _ = a.confounders_for(&[0, 1]);
         let walks = memo.walks();
         assert_eq!(walks, 2);
-        let b = TreatmentMiner::with_memos(
-            &table,
-            &dag,
-            3,
-            &[0, 1, 2],
-            LatticeOptions::default(),
-            Arc::clone(&memo),
-            &atoms,
-        );
+        let b = TreatmentMiner::with_memo(&table, &dag, 3, &[0, 1, 2], opts(), Arc::clone(&memo));
         assert_eq!(b.confounders_for(&[0]), a.confounders_for(&[0]));
         assert_eq!(memo.walks(), walks, "second miner hits the shared memo");
         // A different outcome is a different key — it must re-walk.
-        let c = TreatmentMiner::with_memos(
-            &table,
-            &dag,
-            2,
-            &[0, 1],
-            LatticeOptions::default(),
-            Arc::clone(&memo),
-            &atoms,
-        );
+        let c = TreatmentMiner::with_memo(&table, &dag, 2, &[0, 1], opts(), Arc::clone(&memo));
         let _ = c.confounders_for(&[0]);
         assert_eq!(memo.walks(), walks + 1);
     }
@@ -2564,18 +2471,11 @@ mod tests {
     #[test]
     fn concurrent_memo_misses_walk_once() {
         let (table, dag) = synth(200, 3);
-        let atoms = AtomMemo::new();
         for round in 0..300 {
-            let memo = Arc::new(BackdoorMemo::new());
-            let miner = TreatmentMiner::with_memos(
-                &table,
-                &dag,
-                3,
-                &[0, 1],
-                LatticeOptions::default(),
-                Arc::clone(&memo),
-                &atoms,
-            );
+            let memo = Arc::new(MinerMemo::new(&table, &dag));
+            let opts = LatticeOptions::default();
+            let miner =
+                TreatmentMiner::with_memo(&table, &dag, 3, &[0, 1], opts, Arc::clone(&memo));
             let barrier = std::sync::Barrier::new(4);
             std::thread::scope(|s| {
                 for _ in 0..4 {
@@ -2590,50 +2490,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BackdoorMemo shared across different DAGs")]
+    #[should_panic(expected = "MinerMemo used with a table or DAG other than its own")]
     fn shared_memo_rejects_foreign_dag() {
         let (table, dag) = synth(200, 2);
         let other = Dag::new(&["t1", "t2", "t3", "o"], &[("t2", "o")]).unwrap();
-        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
-        let _a = TreatmentMiner::with_memos(
-            &table,
-            &dag,
-            3,
-            &[0, 1],
-            LatticeOptions::default(),
-            Arc::clone(&memo),
-            &atoms,
-        );
-        let _b = TreatmentMiner::with_memos(
-            &table,
-            &other,
-            3,
-            &[0, 1],
-            LatticeOptions::default(),
-            Arc::clone(&memo),
-            &atoms,
-        );
+        let memo = Arc::new(MinerMemo::new(&table, &dag));
+        let opts = LatticeOptions::default;
+        let _a = TreatmentMiner::with_memo(&table, &dag, 3, &[0, 1], opts(), Arc::clone(&memo));
+        let _b = TreatmentMiner::with_memo(&table, &other, 3, &[0, 1], opts(), memo);
     }
 
-    /// Miners over one atom memo build each (attribute, atom options)
-    /// block once and share it, whatever attribute subsets they ask for
-    /// and however the table has moved since; their atoms equal those of
+    /// Miners over one memo build each (attribute, atom options) block
+    /// once and share it, whatever attribute subsets they ask for and
+    /// however the table has moved since; their atoms equal those of
     /// miners with memos of their own.
     #[test]
     fn shared_atom_memo_builds_each_block_once() {
         let (table, dag) = atom_space_table(600, 9);
-        let (memo, atoms) = (Arc::new(BackdoorMemo::new()), AtomMemo::new());
-        let first = TreatmentMiner::with_memos(
+        let memo = Arc::new(MinerMemo::new(&table, &dag));
+        let first = TreatmentMiner::with_memo(
             &table,
             &dag,
             7,
             &[0, 1, 2],
             LatticeOptions::default(),
             Arc::clone(&memo),
-            &atoms,
         );
         let block = Arc::clone(&first.space.blocks[0]);
-        assert_eq!(atoms.blocks_built(), 3);
+        assert_eq!(memo.blocks_built(), 3);
         drop(first);
         // Moving the table keeps its column buffers, and so the memo's
         // binding.
@@ -2649,16 +2533,9 @@ mod tests {
             (&[4, 0], &wide, 7),
         ];
         for (attrs, opts, built) in cases {
-            let shared = TreatmentMiner::with_memos(
-                &table,
-                &dag,
-                7,
-                attrs,
-                opts.clone(),
-                Arc::clone(&memo),
-                &atoms,
-            );
-            assert_eq!(atoms.blocks_built(), built, "{attrs:?}");
+            let shared =
+                TreatmentMiner::with_memo(&table, &dag, 7, attrs, opts.clone(), Arc::clone(&memo));
+            assert_eq!(memo.blocks_built(), built, "{attrs:?}");
             let own = TreatmentMiner::new(&table, &dag, 7, attrs, opts.clone());
             assert_eq!(shared.num_atoms(), own.num_atoms());
             for (a, b) in shared.space.atoms().zip(own.space.atoms()) {
@@ -2672,16 +2549,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "AtomMemo shared across different tables")]
+    #[should_panic(expected = "MinerMemo used with a table or DAG other than its own")]
     fn atom_memo_rejects_foreign_table() {
         let (table, dag) = synth(200, 2);
         let copy = table.clone();
-        let atoms = AtomMemo::new();
-        let memo = Arc::new(BackdoorMemo::new());
+        let memo = Arc::new(MinerMemo::new(&table, &dag));
         let opts = LatticeOptions::default();
-        let _a =
-            TreatmentMiner::with_memos(&table, &dag, 3, &[0], opts.clone(), memo.clone(), &atoms);
-        let _b = TreatmentMiner::with_memos(&copy, &dag, 3, &[0], opts, memo, &atoms);
+        let _a = TreatmentMiner::with_memo(&table, &dag, 3, &[0], opts.clone(), memo.clone());
+        let _b = TreatmentMiner::with_memo(&copy, &dag, 3, &[0], opts, memo);
+    }
+
+    /// Miners over one shared memo prune, build atoms and read the
+    /// outcome's spread exactly as miners with memos of their own, in any
+    /// order of outcomes: an outcome whose ancestors prune some
+    /// attributes, a second outcome whose ancestors prune every attribute
+    /// (the full-set fallback), and an outcome the DAG does not name. The
+    /// memo looks each outcome's ancestors up once.
+    #[test]
+    fn memo_miners_match_miners_of_their_own() {
+        let (table, _) = atom_space_table(600, 5);
+        // `o` (7) has ancestors `cat` (0) and `small_int` (1); `wide_float`
+        // (4) has none; the DAG names neither `small_float` (2) nor
+        // `zero_float` (6).
+        let dag = Dag::new(
+            &["cat", "small_int", "wide_int", "wide_float", "o"],
+            &[("cat", "o"), ("small_int", "o"), ("o", "wide_int")],
+        )
+        .unwrap();
+        let memo = Arc::new(MinerMemo::new(&table, &dag));
+        let cases: [(usize, &[usize], &[usize]); 4] = [
+            (7, &[0, 1, 2, 3], &[0, 1]),
+            (4, &[0, 3], &[0, 3]),
+            (6, &[1, 3], &[1, 3]),
+            (7, &[3, 2, 1, 0], &[0, 1]),
+        ];
+        let atoms = |m: &TreatmentMiner<'_>| -> Vec<(Pred, AtomKind, BitSet)> {
+            let atoms = m.space.atoms();
+            atoms
+                .map(|a| (a.pred.clone(), a.kind, a.mask.clone()))
+                .collect()
+        };
+        for pass in 0..2 {
+            for (outcome, attrs, kept) in cases {
+                let opts = LatticeOptions::default;
+                let shared =
+                    TreatmentMiner::with_memo(&table, &dag, outcome, attrs, opts(), memo.clone());
+                let own = TreatmentMiner::new(&table, &dag, outcome, attrs, opts());
+                let case = format!("pass {pass}, outcome {outcome}, {attrs:?}");
+                assert_eq!(shared.effective_attrs(), kept, "{case}");
+                assert_eq!(own.effective_attrs(), kept, "{case}");
+                assert_eq!(atoms(&shared), atoms(&own), "{case}");
+                let std = |m: &TreatmentMiner<'_>| m.outcome_std.to_bits();
+                assert_eq!(std(&shared), std(&own), "{case}");
+            }
+        }
+        let looked_up = memo.columns.iter().filter(|c| c.ancestors.get().is_some());
+        assert_eq!(looked_up.count(), 3, "one ancestor lookup per outcome");
     }
 
     /// A bare node with a known p-value, for the best-list tests.

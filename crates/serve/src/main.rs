@@ -4,8 +4,8 @@
 //! causumx-serve [--port N] [--addr HOST] [--dataset so|synthetic]
 //!               [--rows N] [--seed N] [--threads N] [--cache N]
 //!               [--deadline-ms N>0 (default 30000)]
-//!               [--memory-budget-mb N>0] [--max-inflight N] [--max-queue N]
-//!               [--allow-chaos]
+//!               [--memory-budget-mb N>0] [--max-inflight N>0]
+//!               [--max-queue N>0] [--allow-chaos]
 //! ```
 //!
 //! Binds one [`causumx::Session`] over the chosen dataset and serves
@@ -13,9 +13,9 @@
 //! `GET /stats` until killed. See `README.md` for a curl example.
 //!
 //! Exit status: 2 on a usage error (an unknown flag, a missing or invalid
-//! value, a zero `--deadline-ms` or `--memory-budget-mb`, an unknown
-//! `--dataset`), 0 after `--help` prints the usage line on stdout, and 1
-//! when the address cannot be bound.
+//! value, a zero `--deadline-ms`, `--memory-budget-mb`, `--max-inflight`
+//! or `--max-queue`, an unknown `--dataset`), 0 after `--help` prints the
+//! usage line on stdout, and 1 when the address cannot be bound.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -28,8 +28,8 @@ const USAGE: &str = "usage: causumx-serve [--port N] [--addr HOST] \
                      [--dataset so|synthetic] [--rows N] [--seed N] \
                      [--threads N] [--cache N] \
                      [--deadline-ms N>0 (default 30000)] \
-                     [--memory-budget-mb N>0] [--max-inflight N] \
-                     [--max-queue N] [--allow-chaos]";
+                     [--memory-budget-mb N>0] [--max-inflight N>0] \
+                     [--max-queue N>0] [--allow-chaos]";
 
 /// Parsed command line.
 struct Args {
@@ -116,16 +116,8 @@ fn parse_args() -> Result<Option<Args>, String> {
                 }
                 args.opts.memory_budget_mb = Some(mb);
             }
-            "--max-inflight" => {
-                args.opts.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| format!("--max-inflight: {e}"))?
-            }
-            "--max-queue" => {
-                args.opts.max_queued = value("--max-queue")?
-                    .parse()
-                    .map_err(|e| format!("--max-queue: {e}"))?
-            }
+            "--max-inflight" => args.opts.max_inflight = positive(&flag, value(&flag)?)?,
+            "--max-queue" => args.opts.max_queued = positive(&flag, value(&flag)?)?,
             "--allow-chaos" => args.opts.allow_chaos = true,
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}`")),
@@ -137,6 +129,16 @@ fn parse_args() -> Result<Option<Args>, String> {
         .build()
         .map_err(|e| e.to_string())?;
     Ok(Some(args))
+}
+
+/// The value of `flag`, a count of at least 1: admission has no zero
+/// capacity to offer.
+fn positive(flag: &str, value: String) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err(format!("{flag} must be positive")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
 }
 
 /// Generate the dataset `--dataset` names.

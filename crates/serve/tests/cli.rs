@@ -1,10 +1,10 @@
 //! The `causumx-serve` binary's exit-status contract: a usage error (an
-//! unknown flag, a missing or unparsable value, a zero `--deadline-ms` or
-//! `--memory-budget-mb`, an unknown `--dataset`) exits 2, `--help` prints
-//! the usage line on stdout and exits 0, and a failed bind exits 1. Every
-//! case here exits on its own; a child still running after [`TIMEOUT`] is
-//! killed and fails the test, so a regression cannot leave a server
-//! behind.
+//! unknown flag, a missing or unparsable value, a zero `--deadline-ms`,
+//! `--memory-budget-mb`, `--max-inflight` or `--max-queue`, an unknown
+//! `--dataset`) exits 2, `--help` prints the usage line on stdout and
+//! exits 0, and a failed bind exits 1. Every case here exits on its own;
+//! a child still running after [`TIMEOUT`] is killed and fails the test,
+//! so a regression cannot leave a server behind.
 
 use std::net::TcpListener;
 use std::process::{Command, Output, Stdio};
@@ -71,6 +71,14 @@ fn zero_memory_budget_is_a_usage_error() {
 #[test]
 fn zero_deadline_is_a_usage_error() {
     assert_usage_error(&["--deadline-ms", "0"]);
+}
+
+/// Admission has no zero capacity: a zero in-flight or queue bound is
+/// rejected rather than served as 1.
+#[test]
+fn zero_admission_bounds_are_usage_errors() {
+    assert_usage_error(&["--max-inflight", "0"]);
+    assert_usage_error(&["--max-queue", "0"]);
 }
 
 #[test]

@@ -9,67 +9,16 @@
 //! parallel pipeline output against the sequential run.
 
 mod common;
+mod kernel_table;
 
 use proptest::prelude::*;
 
 use causal::context::EstimationContext;
 use causal::estimate::{estimate_cate, CateOptions};
-use causal::Dag;
 use causumx::{Session, Summary};
 use mining::treatment::{LatticeOptions, TreatmentMiner};
 use mining::RunGuard;
 use table::bitset::BitSet;
-use table::{Table, TableBuilder};
-
-/// A random-but-structured table: two categorical treatment candidates
-/// (`a`, `b`), one numeric attribute (`num`, a confounder of `a`), and an
-/// outcome with real effects plus data-driven noise.
-fn build_table(cats_a: &[u8], cats_b: &[u8], nums: &[i64], noise: &[i64]) -> Table {
-    let n = cats_a.len();
-    let a: Vec<String> = cats_a.iter().map(|&v| format!("a{}", v % 3)).collect();
-    let b: Vec<String> = cats_b.iter().map(|&v| format!("b{}", v % 2)).collect();
-    let num: Vec<i64> = nums.to_vec();
-    let y: Vec<f64> = (0..n)
-        .map(|i| {
-            3.0 * (cats_a[i].is_multiple_of(3)) as i64 as f64
-                - 2.0 * (cats_b[i] % 2 == 1) as i64 as f64
-                + (nums[i] % 7) as f64 * 0.3
-                + (noise[i] % 11) as f64 * 0.05
-        })
-        .collect();
-    TableBuilder::new()
-        .cat_owned("a", a)
-        .unwrap()
-        .cat_owned("b", b)
-        .unwrap()
-        .int("num", num)
-        .unwrap()
-        .float("y", y)
-        .unwrap()
-        .build()
-        .unwrap()
-}
-
-/// DAG with a real confounder: `num → a`, and `a, b, num → y`.
-fn dag() -> Dag {
-    Dag::new(
-        &["a", "b", "num", "y"],
-        &[("num", "a"), ("a", "y"), ("b", "y"), ("num", "y")],
-    )
-    .unwrap()
-}
-
-fn arb_rows() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Vec<i64>, Vec<i64>, Vec<bool>)> {
-    (60usize..160).prop_flat_map(|n| {
-        (
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(-20i64..20, n),
-            prop::collection::vec(-100i64..100, n),
-            prop::collection::vec(any::<bool>(), n),
-        )
-    })
-}
 
 proptest! {
     /// (1) Context-cached estimation matches the naive path to 1e-9 on
@@ -77,8 +26,8 @@ proptest! {
     /// §5.2(d) sampling cap. (The implementation is bit-identical by
     /// construction; 1e-9 is the contract.)
     #[test]
-    fn context_estimation_matches_naive((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
+    fn context_estimation_matches_naive((ca, cb, nums, noise, subpop) in kernel_table::arb_rows()) {
+        let (table, _) = kernel_table::build(&ca, &cb, &nums, &noise);
         let n = table.nrows();
         let treated: Vec<bool> = ca.iter().map(|&v| v % 3 == 0).collect();
         let tbits = BitSet::from_mask(&treated);
@@ -113,9 +62,8 @@ proptest! {
     /// appears with the same bits in the brute-force enumeration
     /// `all_treatments` over the same lattice depth.
     #[test]
-    fn cached_miner_matches_naive_miner((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
-        let dag = dag();
+    fn cached_miner_matches_naive_miner((ca, cb, nums, noise, subpop) in kernel_table::arb_rows()) {
+        let (table, dag) = kernel_table::build(&ca, &cb, &nums, &noise);
         let sub_bits = BitSet::from_mask(&subpop);
         let opts = LatticeOptions::default();
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1], opts.clone());

@@ -18,64 +18,18 @@
 //! The projected walk's results are held to the cold estimator in
 //! `tests/estimation_cache.rs` (property 2).
 
+mod kernel_table;
+
 use proptest::prelude::*;
 
 use causal::context::{EstimationContext, RegressionFit};
 use causal::estimate::{CateOptions, CateResult};
-use causal::{Dag, NumericMode};
+use causal::NumericMode;
 use causumx::{ConfigBuilder, Session};
 use mining::treatment::{LatticeOptions, LatticeStats, TreatmentMiner, TreatmentResult};
 use mining::RunGuard;
 use proptest::test_runner::TestCaseResult;
 use table::bitset::{BitSet, Projector};
-use table::{Table, TableBuilder};
-
-/// Random-but-structured table: two categorical treatment candidates, one
-/// numeric confounder, and an outcome with real effects plus noise.
-fn build_table(cats_a: &[u8], cats_b: &[u8], nums: &[i64], noise: &[i64]) -> Table {
-    let n = cats_a.len();
-    let a: Vec<String> = cats_a.iter().map(|&v| format!("a{}", v % 3)).collect();
-    let b: Vec<String> = cats_b.iter().map(|&v| format!("b{}", v % 2)).collect();
-    let y: Vec<f64> = (0..n)
-        .map(|i| {
-            3.0 * (cats_a[i].is_multiple_of(3)) as i64 as f64
-                - 2.0 * (cats_b[i] % 2 == 1) as i64 as f64
-                + (nums[i] % 7) as f64 * 0.3
-                + (noise[i] % 11) as f64 * 0.05
-        })
-        .collect();
-    TableBuilder::new()
-        .cat_owned("a", a)
-        .unwrap()
-        .cat_owned("b", b)
-        .unwrap()
-        .int("num", nums.to_vec())
-        .unwrap()
-        .float("y", y)
-        .unwrap()
-        .build()
-        .unwrap()
-}
-
-fn dag() -> Dag {
-    Dag::new(
-        &["a", "b", "num", "y"],
-        &[("num", "a"), ("a", "y"), ("b", "y"), ("num", "y")],
-    )
-    .unwrap()
-}
-
-fn arb_rows() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Vec<i64>, Vec<i64>, Vec<bool>)> {
-    (60usize..160).prop_flat_map(|n| {
-        (
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(-20i64..20, n),
-            prop::collection::vec(-100i64..100, n),
-            prop::collection::vec(any::<bool>(), n),
-        )
-    })
-}
 
 /// A fit completed later by [`EstimationContext::p_value`] on `treated`
 /// must reproduce the dense estimate of the same rows: `None` in the same
@@ -117,8 +71,8 @@ proptest! {
     /// moments) plus `p_value` is within 1e-9 relative of the dense
     /// estimate of the child.
     #[test]
-    fn sparse_gather_matches_dense_scan((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
+    fn sparse_gather_matches_dense_scan((ca, cb, nums, noise, subpop) in kernel_table::arb_rows()) {
+        let (table, _) = kernel_table::build(&ca, &cb, &nums, &noise);
         let n = table.nrows();
         let treated: Vec<bool> = ca.iter().map(|&v| v % 3 == 0).collect();
         let tbits = BitSet::from_mask(&treated);
@@ -163,9 +117,8 @@ proptest! {
     /// (2a) Parallel within-level evaluation preserves the exact
     /// `TreatmentResult` ordering of the serial walk.
     #[test]
-    fn parallel_level_matches_serial_level((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
-        let dag = dag();
+    fn parallel_level_matches_serial_level((ca, cb, nums, noise, subpop) in kernel_table::arb_rows()) {
+        let (table, dag) = kernel_table::build(&ca, &cb, &nums, &noise);
         let sub_bits = BitSet::from_mask(&subpop);
 
         let miner = TreatmentMiner::new(&table, &dag, 3, &[0, 1], LatticeOptions::default());

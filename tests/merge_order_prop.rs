@@ -41,7 +41,7 @@ proptest! {
         for (i, r) in ranges.iter().enumerate() {
             serial_slots.complete(i, values[r.clone()].to_vec());
         }
-        let serial = serial_slots.try_merged().expect("all chunks completed");
+        let serial = serial_slots.merged();
         prop_assert_eq!(&serial, &values);
 
         // Adversarial trace: the same chunks complete in a random
@@ -55,7 +55,7 @@ proptest! {
             // chunk of the interleaving, whichever index that is.
             prop_assert_eq!(done, pos + 1 == order.len(), "chunk {} at {}", i, pos);
         }
-        let merged = slots.try_merged().expect("all chunks completed");
+        let merged = slots.merged();
         prop_assert_eq!(&merged, &serial);
         prop_assert_eq!(fold_bits(&merged), fold_bits(&serial));
     }
@@ -101,7 +101,7 @@ proptest! {
             slots[p].complete(c, out);
         });
 
-        let merged: Vec<Vec<f64>> = slots.iter().map(|s| s.try_merged().expect("all chunks completed")).collect();
+        let merged: Vec<Vec<f64>> = slots.iter().map(|s| s.merged()).collect();
         prop_assert_eq!(&merged, &serial);
         let merged_fold = fold_bits(
             &merged.iter().flatten().copied().collect::<Vec<_>>());

@@ -22,6 +22,7 @@
 //!   envelope of the cold estimator, which re-gathers.
 
 mod common;
+mod kernel_table;
 
 use proptest::prelude::*;
 
@@ -30,7 +31,6 @@ use causal::Dag;
 use causumx::{ConfigBuilder, NumericMode, Session, Summary};
 use mining::treatment::TreatmentMiner;
 use stats::numeric::{self, LaneAcc};
-use table::{Table, TableBuilder};
 
 // ---------- kernel level: lane-fold determinism ----------
 
@@ -97,46 +97,6 @@ proptest! {
 
 // ---------- estimator level: cross-mode tolerance ----------
 
-/// Random-but-structured table: two categorical treatments, a numeric
-/// confounder, an outcome with real effects (same shape as the
-/// estimation-cache suite uses).
-fn build_table(cats_a: &[u8], cats_b: &[u8], nums: &[i64], noise: &[i64]) -> Table {
-    let n = cats_a.len();
-    let a: Vec<String> = cats_a.iter().map(|&v| format!("a{}", v % 3)).collect();
-    let b: Vec<String> = cats_b.iter().map(|&v| format!("b{}", v % 2)).collect();
-    let y: Vec<f64> = (0..n)
-        .map(|i| {
-            3.0 * (cats_a[i].is_multiple_of(3)) as i64 as f64
-                - 2.0 * (cats_b[i] % 2 == 1) as i64 as f64
-                + (nums[i] % 7) as f64 * 0.3
-                + (noise[i] % 11) as f64 * 0.05
-        })
-        .collect();
-    TableBuilder::new()
-        .cat_owned("a", a)
-        .unwrap()
-        .cat_owned("b", b)
-        .unwrap()
-        .int("num", nums.to_vec())
-        .unwrap()
-        .float("y", y)
-        .unwrap()
-        .build()
-        .unwrap()
-}
-
-fn arb_rows() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Vec<i64>, Vec<i64>, Vec<bool>)> {
-    (60usize..160).prop_flat_map(|n| {
-        (
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(0u8..6, n),
-            prop::collection::vec(-20i64..20, n),
-            prop::collection::vec(-100i64..100, n),
-            prop::collection::vec(any::<bool>(), n),
-        )
-    })
-}
-
 /// Relative closeness with an absolute floor for near-zero values.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0) || (a.is_nan() && b.is_nan())
@@ -147,8 +107,8 @@ proptest! {
     /// for every confounder mix and sampling cap, and perform identical
     /// work (same n/n_treated/n_control, same Some/None shape).
     #[test]
-    fn fast_v1_tracks_exact_across_mixes((ca, cb, nums, noise, subpop) in arb_rows()) {
-        let table = build_table(&ca, &cb, &nums, &noise);
+    fn fast_v1_tracks_exact_across_mixes((ca, cb, nums, noise, subpop) in kernel_table::arb_rows()) {
+        let (table, _) = kernel_table::build(&ca, &cb, &nums, &noise);
         let n = table.nrows();
         let treated: Vec<bool> = ca.iter().map(|&v| v % 3 == 0).collect();
 
