@@ -20,7 +20,11 @@
 #     server is still alive after the failed requests above;
 #   * two statements differing only in their WHERE bound → the second
 #     leaves /stats' session.atom_blocks_built unchanged (atoms are built
-#     once per session, not per statement).
+#     once per session, not per statement);
+#   * /stats' session carries samples_drawn and itemsets_mined: the
+#     repeated report statement leaves itemsets_mined unchanged (Apriori
+#     runs once per grouping-attribute set), and samples_drawn stays 0
+#     (the server's configuration sets no sample cap).
 # Any failure prints the server's log.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,9 +78,17 @@ done
 health=$(curl -s "$BASE/healthz") || fail "GET /healthz failed"
 [ "$health" = '{"status":"ok"}' ] || fail "bad /healthz body: $health"
 
+# One counter of /stats' session object.
+session_counter() {
+    curl -s "$BASE/stats" | python3 -c \
+        "import json, sys; print(json.load(sys.stdin)['session']['$1'])"
+}
+
 REPORT_SQL='SELECT Country, AVG(Salary) FROM so GROUP BY Country'
 report=$(curl -s -X POST --data-binary "$REPORT_SQL" "$BASE/query") \
     || fail "POST /query failed"
+mined=$(session_counter itemsets_mined) || fail "/stats lacks session.itemsets_mined"
+[ "$mined" -gt 0 ] || fail "no itemsets mined after a report"
 echo "$report" | grep -q '"explanations"' || fail "report lacks explanations: $report"
 echo "$report" | grep -q '"total_explainability"' || fail "report lacks total_explainability"
 echo "$report" | python3 -m json.tool >/dev/null || fail "report is not valid JSON"
@@ -101,6 +113,9 @@ again=$(curl -s -w '\n%{http_code}' -X POST --data-binary "$REPORT_SQL" "$BASE/q
 first=$(echo "$report" | strip_timings) || fail "first report has no timings"
 second=$(echo "$again" | sed '$d' | strip_timings) || fail "report after chaos has no timings"
 [ "$first" = "$second" ] || fail "report after chaos differs from the first"
+mined_again=$(session_counter itemsets_mined) || fail "/stats lacks session.itemsets_mined"
+[ "$mined_again" = "$mined" ] \
+    || fail "the repeated report statement mined itemsets again: $mined -> $mined_again"
 hits_after=$(cache_hits) || fail "/stats lacks prepared_cache.hits"
 [ "$hits_after" = $((hits_before + 2)) ] \
     || fail "chaos and clean requests did not both hit the cache: $hits_before -> $hits_after"
@@ -132,16 +147,12 @@ echo "$stats" | python3 -m json.tool >/dev/null || fail "/stats is not valid JSO
 
 # Atoms belong to the session: a statement that differs from the one
 # before only in its WHERE bound builds no atom block.
-atom_blocks() {
-    curl -s "$BASE/stats" | python3 -c \
-        'import json, sys; print(json.load(sys.stdin)["session"]["atom_blocks_built"])'
-}
 for bound in 50 51; do
     code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary \
         "SELECT Country, AVG(Salary) FROM so WHERE Age < $bound GROUP BY Country" "$BASE/query") \
         || fail "POST /query (Age < $bound) failed"
     [ "$code" = "200" ] || fail "Age < $bound answered $code, expected 200"
-    blocks=$(atom_blocks) || fail "/stats lacks session.atom_blocks_built"
+    blocks=$(session_counter atom_blocks_built) || fail "/stats lacks session.atom_blocks_built"
     if [ "$bound" = 50 ]; then
         [ "$blocks" -gt 0 ] || fail "no atom block built after two queries"
         first_blocks=$blocks
@@ -149,6 +160,10 @@ for bound in 50 51; do
 done
 [ "$blocks" = "$first_blocks" ] \
     || fail "a WHERE-only change built atom blocks: $first_blocks -> $blocks"
+
+# No sample cap is configured, so no optimization-(d) sample is drawn.
+drawn=$(session_counter samples_drawn) || fail "/stats lacks session.samples_drawn"
+[ "$drawn" = 0 ] || fail "samples drawn without a sample cap: $drawn"
 
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true

@@ -6,19 +6,21 @@
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
 //! downdate), the treatment lattice, one warm serve-shaped query whose
 //! walk stops at level 1, the walk's per-candidate gather and Gram fit,
-//! and the simplex/rounding selection step.
+//! the §5.2(d) scope build drawn fresh vs read from a warm sample memo,
+//! grouping from memoized Apriori itemsets vs mined per call, and the
+//! simplex/rounding selection step.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use causal::context::{ConfounderKey, ContextCache, EstimationContext, SubpopPanel};
+use causal::context::{ConfounderKey, ContextCache, EstimationContext, SampleMemo, SubpopPanel};
 use causal::estimate::{estimate_cate, CateOptions};
 use causal::NumericMode;
 use datagen::synthetic::SynthParams;
 use lpsolve::cover::{randomized_rounding, solve_lp_relaxation, CoverInstance};
 use mining::apriori::apriori;
-use mining::grouping::mine_grouping_patterns;
+use mining::grouping::{min_support, mine_grouping_patterns, patterns_from_itemsets};
 use mining::treatment::{LatticeOptions, MinerMemo, TreatmentMiner};
 use mining::RunGuard;
 use table::bitset::BitSet;
@@ -547,6 +549,15 @@ fn bench_walk_kernels(c: &mut Criterion) {
                 (fit(&level1), fit(&level2))
             })
         });
+        // The fit an `Exact` walk candidate runs: no moments, no heap.
+        if mode == NumericMode::Exact {
+            group.bench_function("exact_untracked", |b| {
+                b.iter(|| {
+                    let fit = |m: &BitSet| ctx.fit_untracked(m).map(|f| f.cate());
+                    (fit(&level1), fit(&level2))
+                })
+            });
+        }
     }
     group.finish();
 
@@ -589,6 +600,67 @@ fn bench_walk_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serve workload's table and statement (30k SO rows, `GROUP BY
+/// Country`, τ 0.1, `max_grouping_len` 1, `sample_cap` 400), with its
+/// grouping patterns.
+fn serve_shape() -> (datagen::Dataset, table::query::AggView, Vec<usize>) {
+    let ds = datagen::so::generate(30_000, 42);
+    let view = ds.query().run(&ds.table).unwrap();
+    let gp = fd_closure(&ds.table, &ds.group_by, &[ds.outcome]);
+    (ds, view, gp)
+}
+
+/// `sampled_scope_so_30k`: the §5.2(d) scope of the serve workload's
+/// largest grouping pattern (a panel's construction: sample, row list,
+/// outcome gather), with the 400-row sample drawn fresh — a full seeded
+/// shuffle of the subpopulation — and read from a warm `SampleMemo`,
+/// which selects the rows by rank from the subpopulation's words.
+fn bench_sampled_scope(c: &mut Criterion) {
+    let (ds, view, gp) = serve_shape();
+    let subpop = mine_grouping_patterns(&ds.table, &view, &gp, 0.1, 1)
+        .into_iter()
+        .map(|g| g.rows)
+        .max_by_key(BitSet::count)
+        .unwrap();
+    let opts = CateOptions {
+        sample_cap: Some(400),
+        ..CateOptions::default()
+    };
+    let memo = SampleMemo::new();
+    let build = |memo: Option<&SampleMemo>| {
+        let panel = match memo {
+            Some(m) => SubpopPanel::with_samples(&ds.table, Some(&subpop), ds.outcome, &opts, m),
+            None => SubpopPanel::new(&ds.table, Some(&subpop), ds.outcome, &opts),
+        };
+        panel.attrs_built()
+    };
+    build(Some(&memo));
+    let mut group = c.benchmark_group("sampled_scope_so_30k");
+    group.bench_function("fresh", |b| b.iter(|| build(None)));
+    group.bench_function("memo_hit", |b| b.iter(|| build(Some(&memo))));
+    group.finish();
+}
+
+/// `grouping_itemsets_so_30k`: the serve workload's grouping step, mined
+/// per call (`mine_grouping_patterns`: Apriori, then coverage) and from a
+/// session memo's warm itemsets (`patterns_from_itemsets` alone).
+fn bench_grouping_itemsets(c: &mut Criterion) {
+    let (ds, view, gp) = serve_shape();
+    let memo = MinerMemo::new(&ds.table, &ds.dag);
+    let support = min_support(0.1, ds.table.nrows());
+    let from_memo = || {
+        let frequent = memo.frequent_itemsets(&ds.table, &gp, support, 1);
+        patterns_from_itemsets(&ds.table, &view, Some(&frequent)).len()
+    };
+    from_memo();
+    let mut group = c.benchmark_group("grouping_itemsets_so_30k");
+    group.bench_function("mined", |b| {
+        b.iter(|| mine_grouping_patterns(&ds.table, &view, &gp, 0.1, 1).len())
+    });
+    group.bench_function("memo_hit", |b| b.iter(from_memo));
+    group.finish();
+}
+
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(10);
@@ -606,6 +678,8 @@ criterion_group!(
         bench_lattice,
         bench_level1_serve,
         bench_walk_kernels,
+        bench_sampled_scope,
+        bench_grouping_itemsets,
         bench_selection
 );
 criterion_main!(kernels);

@@ -190,7 +190,8 @@
 //! the contract intact.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -198,7 +199,7 @@ use rand::SeedableRng;
 
 use stats::matrix::Matrix;
 use stats::numeric::{self, LaneAcc, NumericMode};
-use stats::ols::{BorderedBlocks, GramFit};
+use stats::ols::{BorderedBlocks, GramFit, INLINE_COEFS};
 use table::bitset::{BitSet, Projector};
 use table::{Column, Table};
 
@@ -247,6 +248,13 @@ impl TreatedRows<'_> {
 /// and the cold [`EstimationContext::new`] builds its own the same way —
 /// the bit-identity contract requires both paths to sample, gather and
 /// accumulate identically.
+///
+/// The §5.2(d) sample is the sorted local ranks [`draw_sample`] keeps: a
+/// function of the seed, the subpopulation's size and the cap alone, so a
+/// [`SampleMemo`] holds it once per session per size. Given the ranks,
+/// the build reads the sampled rows off the subpopulation's words by
+/// popcount ([`BitSet::select`]) in `O(cap + words)`; only a memo miss,
+/// or a build without a memo, replays the shuffle.
 struct Scope {
     min_arm: usize,
     /// Which reduction kernels every estimate runs (see the module docs).
@@ -273,12 +281,14 @@ struct Scope {
 
 impl Scope {
     /// `None` when the outcome attribute is categorical: every estimate
-    /// would be `None`.
+    /// would be `None`. The sample's ranks come from `samples` when given,
+    /// and are drawn afresh otherwise; either way they are the same.
     fn build(
         table: &Table,
         subpop: Option<&BitSet>,
         outcome: usize,
         opts: &CateOptions,
+        samples: Option<&SampleMemo>,
     ) -> Option<Self> {
         let ycol = table.column(outcome);
         if matches!(ycol, Column::Cat { .. }) {
@@ -286,41 +296,45 @@ impl Scope {
         }
         let nrows = table.nrows();
         debug_assert!(nrows < u32::MAX as usize, "row ids must fit u32");
-        // (global row, local rank) pairs — the local rank of a row is its
-        // position among the subpopulation's rows in ascending order.
-        let mut pairs: Vec<(usize, u32)> = match subpop {
-            Some(bits) => {
-                debug_assert_eq!(bits.capacity(), nrows);
-                bits.iter()
-                    .enumerate()
-                    .map(|(l, r)| (r, l as u32))
-                    .collect()
+        debug_assert!(subpop.is_none_or(|bits| bits.capacity() == nrows));
+        let sub_n = subpop.map_or(nrows, BitSet::count);
+        let (rows, sampled) = match opts.sample_cap {
+            Some(cap) if sub_n > cap => {
+                let (held, drawn);
+                let ranks: &[u32] = match samples {
+                    Some(memo) => {
+                        held = memo.ranks(opts.seed, sub_n, cap);
+                        &held
+                    }
+                    None => {
+                        drawn = draw_sample(opts.seed, sub_n, cap);
+                        &drawn
+                    }
+                };
+                // Rows and local ranks ascend together, so sampled
+                // position `i` holds the `i`-th smallest sampled rank.
+                let rows = match subpop {
+                    Some(bits) => bits.select(ranks),
+                    None => ranks.iter().map(|&l| l as usize).collect(),
+                };
+                let mut kept = BitSet::new(sub_n);
+                for &l in ranks {
+                    kept.insert(l as usize);
+                }
+                (rows, Some(Projector::new(&kept)))
             }
-            None => (0..nrows).map(|r| (r, r as u32)).collect(),
+            _ => {
+                let rows = match subpop {
+                    Some(bits) => {
+                        let mut rows = Vec::with_capacity(sub_n);
+                        bits.for_each_set(|r| rows.push(r));
+                        rows
+                    }
+                    None => (0..nrows).collect(),
+                };
+                (rows, None)
+            }
         };
-        let sub_n = pairs.len();
-        if let Some(cap) = opts.sample_cap {
-            if pairs.len() > cap {
-                // Fisher–Yates over the pair vector consumes the RNG
-                // exactly as the seed's shuffle over the bare row vector
-                // did (same length, same positional swaps), so the sampled
-                // row list is bit-identical.
-                let mut rng = StdRng::seed_from_u64(opts.seed);
-                pairs.shuffle(&mut rng);
-                pairs.truncate(cap);
-                pairs.sort_unstable(); // deterministic design ordering
-            }
-        }
-        let rows: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
-        // Rows and local ranks ascend together, so sampled position `i`
-        // holds the `i`-th smallest sampled local index — its rank.
-        let sampled = (rows.len() < sub_n).then(|| {
-            let mut bits = BitSet::new(sub_n);
-            for &(_, l) in &pairs {
-                bits.insert(l as usize);
-            }
-            Projector::new(&bits)
-        });
 
         let y: Vec<f64> = rows.iter().map(|&r| ycol.get_f64(r)).collect();
         let sum_y = numeric::sum(opts.numeric_mode, &y);
@@ -360,6 +374,104 @@ impl Scope {
     /// rest meet the overlap requirement (Eq. 4)?
     fn overlap_ok(&self, n_treated: usize) -> bool {
         n_treated >= self.min_arm && self.rows.len() - n_treated >= self.min_arm
+    }
+}
+
+/// The §5.2(d) sample of a subpopulation of `n` rows under `(seed, cap)`:
+/// the local ranks (a row's index among the subpopulation's rows, in
+/// ascending order) that a Fisher–Yates shuffle of `0..n` seeded with
+/// `seed` puts in its first `cap` places, sorted. The shuffle consumes the
+/// RNG exactly as the naive estimator's shuffle of the bare row list does
+/// (same length, same positional swaps), so the sampled rows are the same.
+fn draw_sample(seed: u64, n: usize, cap: usize) -> Vec<u32> {
+    let mut ranks: Vec<u32> = (0..n as u32).collect();
+    ranks.shuffle(&mut StdRng::seed_from_u64(seed));
+    ranks.truncate(cap);
+    ranks.sort_unstable();
+    ranks
+}
+
+/// The §5.2(d) samples of a session, keyed by `(seed, subpopulation size,
+/// cap)`: a sample depends on nothing else, so each is drawn once and
+/// read by every later scope of that size, whatever its rows. The memo
+/// holds at most [`SampleMemo::MAX_RANKS`] ranks in all and empties
+/// itself before an insert would pass that; a sample larger than the
+/// bound is drawn on every lookup and never held. Lookups read under a
+/// shared lock; a miss looks again and draws under the write lock, so
+/// concurrent misses on one key draw once between them, and
+/// [`SampleMemo::drawn`] counts the draws.
+///
+/// ```
+/// use causal::context::SampleMemo;
+///
+/// let memo = SampleMemo::new();
+/// let a = memo.ranks(7, 1_000, 40);
+/// assert_eq!(a.len(), 40);
+/// assert!(a.windows(2).all(|w| w[0] < w[1]) && a[39] < 1_000);
+/// // The same key is a hit: no second draw, the same ranks.
+/// assert_eq!(memo.ranks(7, 1_000, 40), a);
+/// assert_eq!(memo.drawn(), 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct SampleMemo {
+    held: RwLock<HeldSamples>,
+    drawn: AtomicUsize,
+}
+
+/// The samples a [`SampleMemo`] holds.
+#[derive(Debug, Default)]
+struct HeldSamples {
+    by_key: HashMap<(u64, usize, usize), Arc<[u32]>>,
+    /// Ranks held, summed over `by_key`.
+    ranks: usize,
+}
+
+impl SampleMemo {
+    /// Ranks the memo holds at most, summed over its samples.
+    pub const MAX_RANKS: usize = 1 << 20;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The sorted local ranks of the sample of a subpopulation of `n` rows
+    /// under `(seed, cap)` — `0..n` when `n ≤ cap` — drawn on the first
+    /// lookup of the key.
+    pub fn ranks(&self, seed: u64, n: usize, cap: usize) -> Arc<[u32]> {
+        let key = (seed, n, cap);
+        let find = |held: &HeldSamples| held.by_key.get(&key).cloned();
+        if let Some(hit) = find(&self.held.read().unwrap_or_else(PoisonError::into_inner)) {
+            return hit;
+        }
+        let mut held = self.held.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = find(&held) {
+            return hit;
+        }
+        self.drawn.fetch_add(1, Ordering::Relaxed);
+        let ranks: Arc<[u32]> = draw_sample(seed, n, cap).into();
+        if ranks.len() <= Self::MAX_RANKS {
+            if held.ranks + ranks.len() > Self::MAX_RANKS {
+                *held = HeldSamples::default();
+            }
+            held.by_key.insert(key, Arc::clone(&ranks));
+            held.ranks += ranks.len();
+        }
+        ranks
+    }
+
+    /// Samples drawn so far (memo misses).
+    pub fn drawn(&self) -> usize {
+        self.drawn.load(Ordering::Relaxed)
+    }
+
+    /// Ranks held now, summed over the held samples; never more than
+    /// [`SampleMemo::MAX_RANKS`].
+    pub fn held(&self) -> usize {
+        self.held
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ranks
     }
 }
 
@@ -690,7 +802,7 @@ impl EstimationContext {
         confounders: &[usize],
         opts: &CateOptions,
     ) -> Option<Self> {
-        let scope = Scope::build(table, subpop, outcome, opts)?;
+        let scope = Scope::build(table, subpop, outcome, opts, None)?;
 
         // The dense one-hot encoding: this cold build is the oracle the
         // panel's level codes are tested against.
@@ -766,7 +878,7 @@ impl EstimationContext {
                 mask.insert(i);
             }
         }
-        let (fit, _) = self.fit(&mask)?;
+        let fit = self.fit_untracked(&mask)?;
         Some(CateResult {
             cate: fit.cate(),
             p_value: self.p_value(&fit, &mask),
@@ -788,20 +900,41 @@ impl EstimationContext {
     /// order as the dense membership scan of
     /// [`EstimationContext::estimate`].
     pub fn fit(&self, treated: &BitSet) -> Option<(RegressionFit, TreatmentMoments)> {
+        let rows = self.gated(treated)?;
+        let mut tz = vec![0.0; self.z.q];
+        let (n_treated, ty) = self.gather(rows, &mut tz);
+        let fit = self.fit_regression(n_treated, ty, &tz)?;
+        Some((fit, TreatmentMoments { n_treated, ty, tz }))
+    }
+
+    /// [`EstimationContext::fit`] without the moments, for a caller that
+    /// will not downdate from them: the same fit, bit for bit. The `tᵀZ`
+    /// scratch stays on the stack, so for a design of at most
+    /// `INLINE_COEFS − 2` columns and 128 level-histogram slots, whose Gram
+    /// factors without the ridge fallback, the fit allocates nothing.
+    pub fn fit_untracked(&self, treated: &BitSet) -> Option<RegressionFit> {
+        const TZ_STACK: usize = INLINE_COEFS - 2;
+        let rows = self.gated(treated)?;
+        let q = self.z.q;
+        let mut small = [0.0; TZ_STACK];
+        let mut large = Vec::new();
+        let tz: &mut [f64] = if q <= TZ_STACK {
+            &mut small[..q]
+        } else {
+            large.resize(q, 0.0);
+            &mut large
+        };
+        let (n_treated, ty) = self.gather(rows, tz);
+        self.fit_regression(n_treated, ty, tz)
+    }
+
+    /// `treated`'s rows for the walker, when they pass the overlap gate.
+    /// The arm counts are a popcount (of `treated ∧ sampled` under
+    /// sampling), so the gate runs before paying for the gather.
+    fn gated<'a>(&'a self, treated: &'a BitSet) -> Option<TreatedRows<'a>> {
         let rows = self.scope.walk(treated);
-        // The arm counts are a popcount (of `treated ∧ sampled` under
-        // sampling), so the overlap gate runs before paying for the
-        // gather.
-        if !self.scope.overlap_ok(rows.count()) {
-            return None; // Overlap (Eq. 4) violated.
-        }
-        // Sparse gather: only the treated (sampled) rows are visited
-        // (ascending = identical accumulation order to the dense scan),
-        // so the t-blocks cost O(|T|·k) for k design blocks instead of
-        // O(n·q).
-        let moments = self.gather(rows);
-        let fit = self.fit_regression(&moments)?;
-        Some((fit, moments))
+        // Overlap (Eq. 4).
+        self.scope.overlap_ok(rows.count()).then_some(rows)
     }
 
     /// The fit of a candidate whose treated rows are `parent`'s minus
@@ -840,13 +973,9 @@ impl EstimationContext {
             self.fold_rows(self.scope.walk(removed), init, &mut tz, |t, count| {
                 *t -= count
             });
-        let moments = TreatmentMoments {
-            n_treated: parent.n_treated - removed_rows,
-            ty,
-            tz,
-        };
-        let fit = self.fit_regression(&moments)?;
-        Some((fit, moments))
+        let n_treated = parent.n_treated - removed_rows;
+        let fit = self.fit_regression(n_treated, ty, &tz)?;
+        Some((fit, TreatmentMoments { n_treated, ty, tz }))
     }
 
     /// The inference half of a fit from [`EstimationContext::fit`] or
@@ -859,22 +988,23 @@ impl EstimationContext {
     }
 
     /// Accumulate the treatment blocks `tᵀy` / `tᵀZ` over the walked rows
-    /// (ascending), with the context's numeric kernels. In `Exact` mode
-    /// the sums are the historical serial fold; in `FastV1` they fold into
-    /// eight lanes by visitation rank — so the dense membership scan, the
-    /// local sparse gather and the sampled gather all produce identical
-    /// bits whenever they visit the same positions in the same order. A
-    /// coded block's `tᵀZ_a` is a level histogram: each entry of a dense
-    /// one-hot gather is a sum of 0/1 values, an integer that every fold
-    /// order gives exactly.
-    fn gather(&self, rows: TreatedRows<'_>) -> TreatmentMoments {
-        let mut tz = vec![0.0; self.z.q];
+    /// (ascending), with the context's numeric kernels: `tᵀZ` into `tz`
+    /// (one entry per design column), and the rows walked and `tᵀy`
+    /// returned. Sparse: only the treated (sampled) rows are visited, so
+    /// the t-blocks cost `O(|T|·k)` for `k` design blocks instead of
+    /// `O(n·q)`. In `Exact` mode the sums are the historical serial fold;
+    /// in `FastV1` they fold into eight lanes by visitation rank — so the
+    /// dense membership scan, the local sparse gather and the sampled
+    /// gather all produce identical bits whenever they visit the same
+    /// positions in the same order. A coded block's `tᵀZ_a` is a level
+    /// histogram: each entry of a dense one-hot gather is a sum of 0/1
+    /// values, an integer that every fold order gives exactly.
+    fn gather(&self, rows: TreatedRows<'_>, tz: &mut [f64]) -> (usize, f64) {
         let set = |t: &mut f64, count| *t = count;
-        let (n_treated, ty) = match self.scope.mode {
-            NumericMode::Exact => self.fold_rows(rows, |_| Serial::default(), &mut tz, set),
-            NumericMode::FastV1 => self.fold_rows(rows, |_| LaneAcc::new(), &mut tz, set),
-        };
-        TreatmentMoments { n_treated, ty, tz }
+        match self.scope.mode {
+            NumericMode::Exact => self.fold_rows(rows, |_| Serial::default(), tz, set),
+            NumericMode::FastV1 => self.fold_rows(rows, |_| LaneAcc::new(), tz, set),
+        }
     }
 
     /// The one gather/downdate kernel. It folds the walked rows into one
@@ -947,11 +1077,12 @@ impl EstimationContext {
         (walked, ty)
     }
 
-    /// The fit half shared by every regression estimate: overlap gate,
-    /// then [`BorderedBlocks::fit_at`] on the cached fixed blocks plus the
-    /// gathered t-blocks for the treatment coefficient, in scratch.
-    fn fit_regression(&self, t: &TreatmentMoments) -> Option<RegressionFit> {
-        if !self.scope.overlap_ok(t.n_treated) {
+    /// The fit half shared by every regression estimate, from the
+    /// gathered t-blocks (`n_treated` treated rows, `tᵀy`, `tᵀZ`): overlap
+    /// gate, then [`BorderedBlocks::fit_at`] on the cached fixed blocks
+    /// plus the t-blocks for the treatment coefficient, in scratch.
+    fn fit_regression(&self, n_treated: usize, ty: f64, tz: &[f64]) -> Option<RegressionFit> {
+        if !self.scope.overlap_ok(n_treated) {
             return None; // Overlap (Eq. 4) violated.
         }
         let n = self.scope.rows.len();
@@ -960,20 +1091,20 @@ impl EstimationContext {
         // same factor/solve path bit for bit.
         let fit = BorderedBlocks {
             n,
-            n_treated: t.n_treated,
+            n_treated,
             sum_y: self.scope.sum_y,
-            ty: t.ty,
+            ty,
             sum_z: &self.sum_z,
-            tz: &t.tz,
+            tz,
             zz: &self.zz,
             zy: &self.zy,
         }
         .fit_at(1)?;
         Some(RegressionFit {
             fit,
-            ty: t.ty,
-            n_treated: t.n_treated,
-            n_control: n - t.n_treated,
+            ty,
+            n_treated,
+            n_control: n - n_treated,
         })
     }
 
@@ -1017,7 +1148,7 @@ impl EstimationContext {
     #[doc(hidden)]
     pub fn rss(&self, fit: &RegressionFit, treated: &BitSet) -> f64 {
         let treated = self.scope.walk(treated);
-        let (beta, ty) = (fit.fit.beta.as_slice(), fit.ty);
+        let (beta, ty) = (&fit.fit.beta[..], fit.ty);
         if self.scope.mode == NumericMode::FastV1 {
             // Normal-equation identity: for β solving XᵀXβ = Xᵀy,
             // RSS = yᵀy − βᵀ(Xᵀy) — O(p) from the cached yᵀy and
@@ -1128,8 +1259,30 @@ impl SubpopPanel {
     /// first use — which attributes matter depends on the backdoor sets
     /// the walk actually touches.
     pub fn new(table: &Table, subpop: Option<&BitSet>, outcome: usize, opts: &CateOptions) -> Self {
+        Self::build(table, subpop, outcome, opts, None)
+    }
+
+    /// [`SubpopPanel::new`] with the §5.2(d) sample read from `samples`,
+    /// which draws it only on a miss: the same rows, so the same bits.
+    pub fn with_samples(
+        table: &Table,
+        subpop: Option<&BitSet>,
+        outcome: usize,
+        opts: &CateOptions,
+        samples: &SampleMemo,
+    ) -> Self {
+        Self::build(table, subpop, outcome, opts, Some(samples))
+    }
+
+    fn build(
+        table: &Table,
+        subpop: Option<&BitSet>,
+        outcome: usize,
+        opts: &CateOptions,
+        samples: Option<&SampleMemo>,
+    ) -> Self {
         SubpopPanel {
-            scope: Scope::build(table, subpop, outcome, opts).map(Arc::new),
+            scope: Scope::build(table, subpop, outcome, opts, samples).map(Arc::new),
             max_onehot_levels: opts.max_onehot_levels,
             attrs: HashMap::new(),
             pairs: HashMap::new(),
@@ -1379,12 +1532,23 @@ pub struct ContextCache {
     builds: usize,
     /// The panel, created on the first build.
     panel: Option<SubpopPanel>,
+    /// Where the panel reads its §5.2(d) sample; `None` draws it afresh.
+    samples: Option<Arc<SampleMemo>>,
 }
 
 impl ContextCache {
-    /// Empty cache.
+    /// Empty cache, whose panel draws its §5.2(d) sample afresh.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty cache whose panel reads its §5.2(d) sample from `samples`
+    /// ([`SubpopPanel::with_samples`]).
+    pub fn with_samples(samples: Arc<SampleMemo>) -> Self {
+        ContextCache {
+            samples: Some(samples),
+            ..Self::default()
+        }
     }
 
     /// The shared subpopulation panel, once the first build has
@@ -1431,9 +1595,10 @@ impl ContextCache {
         let slot = &mut self.slots[key.id];
         if slot.is_none() {
             self.builds += 1;
+            let samples = self.samples.as_deref();
             let ctx = self
                 .panel
-                .get_or_insert_with(|| SubpopPanel::new(table, subpop, outcome, opts))
+                .get_or_insert_with(|| SubpopPanel::build(table, subpop, outcome, opts, samples))
                 .assemble(table, &key.set);
             *slot = Some((Arc::clone(&key.set), ctx.map(Arc::new)));
         }

@@ -24,7 +24,10 @@
 //! * [`context::SubpopPanel`] — the per-subpopulation confounder panel
 //!   one level up: row list, outcome, `Σy`, per-attribute encodings and
 //!   pairwise cross-Gram blocks shared across *all* confounder sets of a
-//!   subpopulation, so each context build becomes an `O(q²)` assembly.
+//!   subpopulation, so each context build becomes an `O(q²)` assembly,
+//! * [`context::SampleMemo`] — a session's §5.2 (d) samples, drawn once
+//!   per `(seed, subpopulation size, cap)` and read by every panel of that
+//!   size.
 
 #![warn(missing_docs)]
 
@@ -37,7 +40,8 @@ pub mod logistic;
 
 pub use backdoor::backdoor_set;
 pub use context::{
-    ConfounderKey, ContextCache, EstimationContext, RegressionFit, SubpopPanel, TreatmentMoments,
+    ConfounderKey, ContextCache, EstimationContext, RegressionFit, SampleMemo, SubpopPanel,
+    TreatmentMoments,
 };
 pub use dag::{Dag, DagError};
 pub use estimate::{estimate_cate, CateOptions, CateResult};

@@ -168,6 +168,20 @@ impl CausumxConfig {
                 ),
             );
         }
+        // With at most `cap` rows no split leaves `min_arm` units in each
+        // arm (Eq. 4), so every estimate would fail and the summary come
+        // back silently empty.
+        let cate = &self.lattice.cate_opts;
+        let floor = (2 * cate.min_arm).max(1);
+        if let Some(cap) = cate.sample_cap.filter(|&cap| cap < floor) {
+            return reject(
+                "sample_cap",
+                format!(
+                    "a sample of {cap} rows leaves no split with min_arm {} units per arm; the floor is 2 × min_arm and at least 1, here {floor}",
+                    cate.min_arm
+                ),
+            );
+        }
         if !(self.lattice.top_frac > 0.0 && self.lattice.top_frac <= 1.0) {
             return reject(
                 "top_frac",
@@ -243,7 +257,8 @@ impl ConfigBuilder {
     }
 
     /// CATE sampling cap — optimization (d) (convenience for
-    /// `lattice.cate_opts.sample_cap`).
+    /// `lattice.cate_opts.sample_cap`). A cap must hold both arms of a
+    /// split: at least `2 × min_arm`, and at least 1.
     pub fn sample_cap(mut self, cap: Option<usize>) -> Self {
         self.cfg.lattice.cate_opts.sample_cap = cap;
         self
@@ -401,6 +416,34 @@ mod tests {
         );
         assert!(ConfigBuilder::new().threads(MAX_THREADS).build().is_ok());
         assert!(ConfigBuilder::new().threads(0).build().is_ok());
+    }
+
+    #[test]
+    fn sample_cap_below_two_arms_is_rejected() {
+        let param_of = |r: Result<CausumxConfig, Error>| match r {
+            Err(Error::Config { param, msg }) => {
+                assert!(msg.contains("2 × min_arm"), "{msg}");
+                param
+            }
+            other => panic!("expected Config error, got {other:?}"),
+        };
+        // The default min_arm is 5: a cap of 9 cannot hold two arms of 5.
+        for cap in [0, 1, 5, 9] {
+            let c = ConfigBuilder::new().sample_cap(Some(cap)).build();
+            assert_eq!(param_of(c), "sample_cap", "cap {cap}");
+        }
+        assert!(ConfigBuilder::new().sample_cap(Some(10)).build().is_ok());
+        assert!(ConfigBuilder::new().sample_cap(None).build().is_ok());
+        // The floor follows min_arm, and is at least 1.
+        let arms = |min_arm, cap| ConfigBuilder::new().min_arm(min_arm).sample_cap(Some(cap));
+        assert_eq!(param_of(arms(2, 3).build()), "sample_cap");
+        assert!(arms(2, 4).build().is_ok());
+        assert_eq!(param_of(arms(0, 0).build()), "sample_cap");
+        assert!(arms(0, 1).build().is_ok());
+        // Hand-built configs go through the same check.
+        let mut c = CausumxConfig::default();
+        c.lattice.cate_opts.sample_cap = Some(3);
+        assert_eq!(param_of(c.validate().map(|_| c.clone())), "sample_cap");
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! * one [`MinerMemo`], built with the session and shared by every
 //!   query's treatment miner whatever its WHERE clause or GROUP BY set,
 //!   holds the column ↔ DAG-node maps, each outcome's DAG ancestors (for
-//!   the optimization-(a) pruning), the backdoor adjustment sets, and
-//!   each treatment attribute's atoms (predicates, slots and full-table
-//!   masks) per set of atom options — each computed once per session,
+//!   the optimization-(a) pruning), the backdoor adjustment sets, each
+//!   treatment attribute's atoms (predicates, slots and full-table masks)
+//!   per set of atom options, the optimization-(d) sample ranks per
+//!   `(seed, subpopulation size, cap)`, and Apriori's frequent itemsets
+//!   per grouping-attribute set — each computed once per session (the
+//!   itemsets again when the support or length changes),
 //! * each prepared query materializes its aggregate view exactly once,
 //!   no matter how often it is re-run; per-group row bitsets are built
 //!   lazily — all groups in a single pass on the first drill-down — and
@@ -60,7 +63,7 @@ use lpsolve::cover::{
     exhaustive_best, greedy_cover, randomized_rounding, solve_lp_relaxation, CoverInstance,
     CoverSolution,
 };
-use mining::grouping::{mine_grouping_patterns, GroupingPattern};
+use mining::grouping::{min_support, patterns_from_itemsets, GroupingPattern};
 use mining::sched;
 use mining::treatment::{LatticeStats, MinerMemo, TreatmentMiner, TreatmentResult};
 use mining::{MineError, RunGuard};
@@ -204,6 +207,13 @@ pub struct SessionCounters {
     /// Treatment-attribute atom blocks built (memo misses): at most one
     /// per column and set of atom options over the session's life.
     pub atom_blocks_built: usize,
+    /// Optimization-(d) samples drawn (memo misses): one per `(seed,
+    /// subpopulation size, cap)` while the memo holds it; 0 without a
+    /// `sample_cap`.
+    pub samples_drawn: usize,
+    /// Apriori runs (memo misses): one per grouping-attribute set, and
+    /// again when the support or `max_grouping_len` changes.
+    pub itemsets_mined: usize,
     /// Queries prepared.
     pub queries_prepared: usize,
     /// Full mining passes executed (`run`/`mine_candidates`).
@@ -407,6 +417,8 @@ impl Session {
             fd_closures_computed: self.counters.fd_closures_computed.load(Ordering::Relaxed),
             backdoor_walks: self.memo.walks(),
             atom_blocks_built: self.memo.blocks_built(),
+            samples_drawn: self.memo.samples_drawn(),
+            itemsets_mined: self.memo.itemsets_mined(),
             queries_prepared: self.counters.queries_prepared.load(Ordering::Relaxed),
             runs: self.counters.runs.load(Ordering::Relaxed),
             prepared_cache_hits: self.counters.prepared_cache_hits.load(Ordering::Relaxed),
@@ -949,19 +961,32 @@ impl<'s> PreparedQuery<'s> {
         self.candidate_set(results, grouping_ms, t1)
     }
 
-    /// Step 1: the grouping patterns at support `tau`, and the
-    /// milliseconds mining them took.
+    /// Step 1 of Algorithm 1: the view's grouping patterns at the
+    /// configured support and length — what
+    /// [`mining::grouping::mine_grouping_patterns`] returns, with
+    /// Apriori's itemsets read from the session's memo, which mines them
+    /// once per grouping-attribute set, support and length.
+    pub fn grouping_patterns(&self) -> Vec<GroupingPattern> {
+        self.groupings_at(self.config.apriori_tau)
+    }
+
+    /// Step 1 at support `tau`, and the milliseconds it took.
     fn mine_groupings(&self, tau: f64) -> (Vec<GroupingPattern>, f64) {
         self.session.counters.runs.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
-        let groupings = mine_grouping_patterns(
-            &self.session.table,
-            &self.core.view,
-            &self.core.split.grouping,
-            tau,
-            self.config.max_grouping_len,
-        );
+        let groupings = self.groupings_at(tau);
         (groupings, t0.elapsed().as_secs_f64() * 1e3)
+    }
+
+    /// [`Self::grouping_patterns`] at support `tau`.
+    fn groupings_at(&self, tau: f64) -> Vec<GroupingPattern> {
+        let (table, gp) = (&self.session.table, &self.core.split.grouping);
+        let frequent = (!gp.is_empty()).then(|| {
+            let support = min_support(tau, table.nrows());
+            let len = self.config.max_grouping_len;
+            self.session.memo.frequent_itemsets(table, gp, support, len)
+        });
+        patterns_from_itemsets(table, &self.core.view, frequent.as_deref())
     }
 
     /// Fold step 2's per-pattern explanations and walk counters into a

@@ -16,7 +16,7 @@ use table::pattern::Pattern;
 use table::query::AggView;
 use table::Table;
 
-use crate::apriori::apriori;
+use crate::apriori::{apriori, FrequentPattern};
 
 /// A candidate grouping pattern with its covered groups and matching rows.
 #[derive(Debug, Clone)]
@@ -29,7 +29,13 @@ pub struct GroupingPattern {
     pub rows: BitSet,
 }
 
-/// Mine candidate grouping patterns.
+/// Apriori's support threshold `τ·|D|` as a row count, at least 1.
+pub fn min_support(tau: f64, nrows: usize) -> usize {
+    ((tau * nrows as f64).ceil() as usize).max(1)
+}
+
+/// Mine candidate grouping patterns: [`apriori`] over `gp_attrs`, then
+/// [`patterns_from_itemsets`].
 ///
 /// * `gp_attrs` — attributes with `A_gb → W` (from [`table::fd::fd_closure`]),
 /// * `tau` — Apriori support threshold as a fraction of `|D|` (paper
@@ -47,10 +53,38 @@ pub fn mine_grouping_patterns(
     tau: f64,
     max_len: usize,
 ) -> Vec<GroupingPattern> {
-    let min_support = ((tau * table.nrows() as f64).ceil() as usize).max(1);
+    if gp_attrs.is_empty() {
+        return patterns_from_itemsets(table, view, None);
+    }
+    let frequent = apriori(table, gp_attrs, min_support(tau, table.nrows()), max_len);
+    patterns_from_itemsets(table, view, Some(&frequent))
+}
+
+/// The second step of [`mine_grouping_patterns`]: the grouping patterns
+/// of `view` from Apriori's frequent itemsets over the grouping
+/// attributes, or from the per-group fallback when `frequent` is `None`
+/// (no grouping attribute). Each itemset's coverage is read off its row
+/// set, and only the itemsets that cover a group are copied, so one list
+/// of itemsets can serve many views.
+pub fn patterns_from_itemsets(
+    table: &Table,
+    view: &AggView,
+    frequent: Option<&[FrequentPattern]>,
+) -> Vec<GroupingPattern> {
     let mut candidates: Vec<GroupingPattern> = Vec::new();
 
-    if gp_attrs.is_empty() {
+    if let Some(frequent) = frequent {
+        let mut cover = CoverageCounter::new(view);
+        for fp in frequent {
+            if let Some((coverage, rows)) = cover.cover(&fp.rows) {
+                candidates.push(GroupingPattern {
+                    pattern: fp.pattern.clone(),
+                    coverage,
+                    rows,
+                });
+            }
+        }
+    } else {
         // Fallback: one pattern per output group, defined on A_gb itself.
         // Its tuples are exactly the group's, so it covers that group alone.
         for (g, rows) in view.group_bits_all().into_iter().enumerate() {
@@ -74,17 +108,6 @@ pub fn mine_grouping_patterns(
                 coverage,
                 rows,
             });
-        }
-    } else {
-        let mut cover = CoverageCounter::new(view);
-        for fp in apriori(table, gp_attrs, min_support, max_len) {
-            if let Some((coverage, rows)) = cover.cover(fp.rows) {
-                candidates.push(GroupingPattern {
-                    pattern: fp.pattern,
-                    coverage,
-                    rows,
-                });
-            }
         }
     }
 
@@ -159,19 +182,19 @@ impl<'v> CoverageCounter<'v> {
     /// are dropped. That cannot happen for attributes with `A_gb → W`, which
     /// are constant within every group, but keeps the universal semantics
     /// for any other attribute set.
-    fn cover(&mut self, mut rows: BitSet) -> Option<(BitSet, BitSet)> {
+    fn cover(&mut self, rows: &BitSet) -> Option<(BitSet, BitSet)> {
         let m = self.counts.len();
-        let inside = self.view_rows.intersection_count(&rows);
+        let inside = self.view_rows.intersection_count(rows);
         let walk_inside = inside <= self.n_view - inside;
         self.visited.clear();
         self.visited.resize(m, 0);
         let (visited, row_group) = (&mut self.visited, self.row_group);
         if walk_inside {
             self.view_rows
-                .for_each_common(&rows, |r| visited[row_group[r]] += 1);
+                .for_each_common(rows, |r| visited[row_group[r]] += 1);
         } else {
             self.view_rows
-                .for_each_difference(&rows, |r| visited[row_group[r]] += 1);
+                .for_each_difference(rows, |r| visited[row_group[r]] += 1);
         }
         let mut coverage = BitSet::new(m);
         let mut partial = false;
@@ -186,6 +209,7 @@ impl<'v> CoverageCounter<'v> {
         if coverage.is_empty() {
             return None;
         }
+        let mut rows = rows.clone();
         rows.intersect_with(&self.view_rows);
         if partial {
             let mut kept = BitSet::new(rows.capacity());

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use causal::backdoor::{attrs_affecting_outcome, backdoor_set};
 use causal::context::{
-    ConfounderKey, ContextCache, EstimationContext, RegressionFit, TreatmentMoments,
+    ConfounderKey, ContextCache, EstimationContext, RegressionFit, SampleMemo, TreatmentMoments,
 };
 use causal::dag::Dag;
 use causal::estimate::{CateOptions, CateResult};
@@ -30,6 +30,7 @@ use table::bitset::BitSet;
 use table::pattern::{Op, Pattern, Pred};
 use table::{Column, Scalar, Table};
 
+use crate::apriori::{apriori, FrequentPattern};
 use crate::sched;
 use crate::sched::faults::FaultSite;
 use crate::sched::guard::{MineError, RunGuard};
@@ -185,22 +186,31 @@ pub struct PairedTreatments {
 
 /// What every miner over one table and DAG shares, whatever its query:
 /// the column ↔ DAG-node maps, each outcome's DAG ancestors (built on
-/// first use), the interned backdoor sets, and per column its standard
+/// first use), the interned backdoor sets, per column its standard
 /// deviation and its atom blocks (predicates, slots and full-table masks)
-/// under each set of atom options. A session builds one memo over its
-/// table and DAG ([`MinerMemo::new`]) and hands it to every miner it
+/// under each set of atom options, the §5.2(d) sample ranks per `(seed,
+/// subpopulation size, cap)` ([`SampleMemo`]), and Apriori's frequent
+/// itemsets per grouping-attribute set. A session builds one memo over
+/// its table and DAG ([`MinerMemo::new`]) and hands it to every miner it
 /// builds ([`TreatmentMiner::with_memo`]), so a miner computes only what
 /// no earlier miner over the memo did: a session walks the DAG once per
-/// outcome and once per distinct backdoor key, and builds at most one
-/// block per column and option set, ever.
+/// outcome and once per distinct backdoor key, builds at most one block
+/// per column and option set, ever, draws each sample once per size, and
+/// runs Apriori once per grouping-attribute set, support and length.
 ///
 /// Backdoor sets are keyed by `[outcome, sorted treatment attribute
 /// ids…]` and interned: equal sets share one dense id and one
 /// `Arc<[usize]>`, as a [`ConfounderKey`], and a walk's [`ContextCache`]
 /// is indexed by that id. Lookups read under a shared lock; a miss looks
 /// again and computes under the write lock, so concurrent misses on one
-/// key compute once between them. `walks` and `blocks_built` count the
-/// misses, which is what session diagnostics report.
+/// key compute once between them. `walks`, `blocks_built`,
+/// `samples_drawn` and `itemsets_mined` count the misses, which is what
+/// session diagnostics report.
+///
+/// Two of the tables are bounded by constants rather than by the schema:
+/// the samples by [`SampleMemo::MAX_RANKS`] ranks, and the itemsets by one
+/// entry per grouping-attribute set, replaced when a lookup asks for
+/// another support or length.
 #[derive(Debug)]
 pub struct MinerMemo {
     /// The identity of the memo's table and DAG ([`identity`]).
@@ -214,6 +224,22 @@ pub struct MinerMemo {
     backdoor: RwLock<Interned>,
     walks: AtomicUsize,
     built: AtomicUsize,
+    /// The sample ranks every walk's panels read; shared (`Arc`) with
+    /// each walk's [`ContextCache`].
+    samples: Arc<SampleMemo>,
+    /// Grouping-attribute set, in the order given → its frequent
+    /// itemsets.
+    itemsets: RwLock<HashMap<Box<[usize]>, Itemsets>>,
+    mined: AtomicUsize,
+}
+
+/// Apriori's frequent itemsets over one grouping-attribute set, with the
+/// support and length they were mined at.
+#[derive(Debug)]
+struct Itemsets {
+    min_support: usize,
+    max_len: usize,
+    frequent: Arc<[FrequentPattern]>,
 }
 
 /// The memo's backdoor tables.
@@ -279,6 +305,9 @@ impl MinerMemo {
             backdoor: RwLock::default(),
             walks: AtomicUsize::new(0),
             built: AtomicUsize::new(0),
+            samples: Arc::default(),
+            itemsets: RwLock::default(),
+            mined: AtomicUsize::new(0),
         }
     }
 
@@ -292,12 +321,67 @@ impl MinerMemo {
         self.built.load(Ordering::Relaxed)
     }
 
+    /// Number of §5.2(d) samples drawn (memo misses) so far.
+    pub fn samples_drawn(&self) -> usize {
+        self.samples.drawn()
+    }
+
+    /// Number of Apriori runs (memo misses) so far.
+    pub fn itemsets_mined(&self) -> usize {
+        self.mined.load(Ordering::Relaxed)
+    }
+
+    /// [`apriori`]`(table, attrs, min_support, max_len)`, mined on the
+    /// first lookup of `attrs` at that support and length; a lookup at
+    /// another support or length mines again and replaces the entry.
+    ///
+    /// # Panics
+    ///
+    /// When `table` is not the memo's own.
+    pub fn frequent_itemsets(
+        &self,
+        table: &Table,
+        attrs: &[usize],
+        min_support: usize,
+        max_len: usize,
+    ) -> Arc<[FrequentPattern]> {
+        self.check_table(table);
+        let find = |memo: &HashMap<Box<[usize]>, Itemsets>| {
+            memo.get(attrs)
+                .filter(|e| e.min_support == min_support && e.max_len == max_len)
+                .map(|e| Arc::clone(&e.frequent))
+        };
+        find_or_insert(&self.itemsets, find, |memo| {
+            self.mined.fetch_add(1, Ordering::Relaxed);
+            let frequent: Arc<[FrequentPattern]> =
+                apriori(table, attrs, min_support, max_len).into();
+            let entry = Itemsets {
+                min_support,
+                max_len,
+                frequent: Arc::clone(&frequent),
+            };
+            memo.insert(attrs.into(), entry);
+            frequent
+        })
+    }
+
     /// Panic unless `table` and `dag` are the ones the memo was built
     /// over: its maps, ancestors, backdoor sets and atoms describe those.
     fn check(&self, table: &Table, dag: &Dag) {
         assert!(
             self.identity.iter().copied().eq(identity(table, dag)),
             "MinerMemo used with a table or DAG other than its own — atoms and confounder sets would silently come from the wrong data"
+        );
+    }
+
+    /// [`MinerMemo::check`] for a lookup that reads the table alone.
+    fn check_table(&self, table: &Table) {
+        assert!(
+            self.identity[DAG_IDENTITY..]
+                .iter()
+                .copied()
+                .eq(table_identity(table)),
+            "MinerMemo used with a table other than its own — itemsets would silently come from the wrong data"
         );
     }
 
@@ -406,19 +490,28 @@ fn find_or_insert<T, R>(
 }
 
 /// What tells one (table, DAG) pair from another for [`MinerMemo::check`]:
-/// the table's row count and the address of every column's buffer, and
-/// the DAG's node count and the address of its name list — buffers a
-/// table or DAG keeps when it moves and no two live ones share.
+/// the DAG's node count and the address of its name list (the first
+/// [`DAG_IDENTITY`] entries), then the table's row count and the address
+/// of every column's buffer — buffers a table or DAG keeps when it moves
+/// and no two live ones share.
 fn identity<'t>(table: &'t Table, dag: &'t Dag) -> impl Iterator<Item = usize> + 't {
+    [dag.len(), dag.names().as_ptr() as usize]
+        .into_iter()
+        .chain(table_identity(table))
+}
+
+/// Entries of [`identity`] that the DAG contributes.
+const DAG_IDENTITY: usize = 2;
+
+/// The table's part of [`identity`].
+fn table_identity(table: &Table) -> impl Iterator<Item = usize> + '_ {
     let buffer = |col: &Column| match col {
         Column::Cat { codes, .. } => codes.as_ptr() as usize,
         Column::Int(v) => v.as_ptr() as usize,
         Column::Float(v) => v.as_ptr() as usize,
     };
     let columns = (0..table.ncols()).map(move |c| buffer(table.column(c)));
-    [table.nrows(), dag.len(), dag.names().as_ptr() as usize]
-        .into_iter()
-        .chain(columns)
+    std::iter::once(table.nrows()).chain(columns)
 }
 
 /// Deepest lattice level the walk supports: the capacity of the inline
@@ -818,7 +911,7 @@ impl<'a> TreatmentMiner<'a> {
     /// Evaluate the CATE of an arbitrary treatment pattern within `subpop`.
     pub fn eval_pattern(&self, subpop: &BitSet, pattern: &Pattern) -> Option<TreatmentResult> {
         let treated = BitSet::from_mask(&pattern.eval(self.table).ok()?);
-        let mut contexts = ContextCache::new();
+        let mut contexts = self.contexts();
         let r = self.estimate(&mut contexts, subpop, &treated, &pattern.attrs())?;
         Some(TreatmentResult {
             pattern: pattern.clone(),
@@ -868,6 +961,12 @@ impl<'a> TreatmentMiner<'a> {
                 }
             })
             .collect()
+    }
+
+    /// An empty context cache for one subpopulation, whose panel reads its
+    /// §5.2(d) sample from the memo.
+    fn contexts(&self) -> ContextCache {
+        ContextCache::with_samples(Arc::clone(&self.memo.samples))
     }
 
     /// One estimate on the subpopulation's context for the backdoor set
@@ -1148,7 +1247,7 @@ impl<'a> TreatmentMiner<'a> {
     /// baseline and the Fig. 10 precision/recall study only.
     pub fn all_treatments(&self, subpop: &BitSet, max_len: usize) -> Vec<TreatmentResult> {
         let sub_bits = subpop;
-        let mut contexts = ContextCache::new();
+        let mut contexts = self.contexts();
         let sub_n = sub_bits.count();
         let mut out = Vec::new();
         // Ids of current-frontier patterns; expand depth-first by index
@@ -1345,7 +1444,9 @@ type EvalRes = Option<(RegressionFit, Option<TreatmentMoments>)>;
 
 /// Evaluation of one candidate with treated set `treated`: downdate when
 /// a plan is present, otherwise gather — with moments when the walk
-/// tracks them. Returns the fit alone; its p-value is deferred.
+/// tracks them, and without touching the heap when it does not
+/// ([`EstimationContext::fit_untracked`]). Returns the fit alone; its
+/// p-value is deferred.
 fn eval_cached(
     ctx: &EstimationContext,
     treated: &BitSet,
@@ -1357,7 +1458,11 @@ fn eval_cached(
             .fit_downdated(&p.parent, &p.removed)
             .map(|(fit, mm)| (fit, Some(mm)));
     }
-    ctx.fit(treated).map(|(fit, m)| (fit, track.then_some(m)))
+    if track {
+        ctx.fit(treated).map(|(fit, m)| (fit, Some(m)))
+    } else {
+        ctx.fit_untracked(treated).map(|fit| (fit, None))
+    }
 }
 
 /// Floor on candidates per scheduler chunk — a level too small to
@@ -1476,7 +1581,7 @@ impl<'w> WalkState<'w> {
             k: k.max(1),
             workers,
             guard,
-            contexts: ContextCache::new(),
+            contexts: miner.contexts(),
             sub_n: subpop.count(),
             min_cate: miner.opts.min_abs_cate_frac * miner.outcome_std,
             level: 0,
@@ -2557,6 +2662,16 @@ mod tests {
         let opts = LatticeOptions::default();
         let _a = TreatmentMiner::with_memo(&table, &dag, 3, &[0], opts.clone(), memo.clone());
         let _b = TreatmentMiner::with_memo(&copy, &dag, 3, &[0], opts, memo);
+    }
+
+    #[test]
+    #[should_panic(expected = "MinerMemo used with a table other than its own")]
+    fn itemset_memo_rejects_foreign_table() {
+        let (table, dag) = synth(200, 2);
+        let copy = table.clone();
+        let memo = MinerMemo::new(&table, &dag);
+        memo.frequent_itemsets(&table, &[0], 1, 2);
+        memo.frequent_itemsets(&copy, &[0], 1, 2);
     }
 
     /// Miners over one shared memo prune, build atoms and read the

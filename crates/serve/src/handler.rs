@@ -305,7 +305,7 @@ impl Handler {
                 "\"max_inflight\":{},\"max_queued\":{}}},",
                 "\"session\":{{\"views_materialized\":{},\"queries_prepared\":{},",
                 "\"runs\":{},\"fd_closures_computed\":{},\"backdoor_walks\":{},",
-                "\"atom_blocks_built\":{}}},",
+                "\"atom_blocks_built\":{},\"samples_drawn\":{},\"itemsets_mined\":{}}},",
                 "\"prepared_cache\":{{\"len\":{},\"capacity\":{},\"hits\":{},",
                 "\"misses\":{},\"evictions\":{}}}}}"
             ),
@@ -325,6 +325,8 @@ impl Handler {
             sc.fd_closures_computed,
             sc.backdoor_walks,
             sc.atom_blocks_built,
+            sc.samples_drawn,
+            sc.itemsets_mined,
             cache.len,
             cache.capacity,
             cache.hits,

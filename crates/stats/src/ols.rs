@@ -111,7 +111,7 @@ pub fn ols(x: &Matrix, y: &[f64]) -> Option<OlsFit> {
 #[derive(Debug, Clone)]
 pub struct GramFit {
     /// Fitted coefficients, one per design column.
-    pub beta: Vec<f64>,
+    pub beta: Coefs,
     /// The coefficient inference is computed for.
     target: usize,
     /// `[(XᵀX)⁻¹]_tt` for `t = target`.
@@ -137,6 +137,64 @@ impl GramFit {
             student_t_sf(self.beta[self.target] / se, df)
         } else {
             f64::NAN
+        }
+    }
+}
+
+/// Coefficients a [`Coefs`] holds inline: the widest fit whose scratch
+/// [`BorderedBlocks::fit_at`] keeps on the stack.
+pub const INLINE_COEFS: usize = 16;
+
+/// A fit's coefficients, read (and printed) as a slice: inline up to
+/// [`INLINE_COEFS`], so a fit that narrow allocates nothing, and on the
+/// heap past that.
+#[derive(Clone)]
+pub struct Coefs {
+    len: usize,
+    inline: [f64; INLINE_COEFS],
+    heap: Vec<f64>,
+}
+
+impl Coefs {
+    /// `len` zeros.
+    fn zeros(len: usize) -> Self {
+        let heap = if len > INLINE_COEFS {
+            vec![0.0; len]
+        } else {
+            Vec::new()
+        };
+        Coefs {
+            len,
+            inline: [0.0; INLINE_COEFS],
+            heap,
+        }
+    }
+}
+
+impl std::fmt::Debug for Coefs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Deref for Coefs {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        if self.len > INLINE_COEFS {
+            &self.heap
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
+
+impl std::ops::DerefMut for Coefs {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        if self.len > INLINE_COEFS {
+            &mut self.heap
+        } else {
+            &mut self.inline[..self.len]
         }
     }
 }
@@ -177,15 +235,17 @@ pub struct BorderedBlocks<'a> {
 /// Scratch `f64`s a fit of `p ≤ 8` columns runs in, on the stack: the
 /// Gram, its factor and one solve vector.
 const SMALL_FIT: usize = 2 * 8 * 8 + 8;
-/// The same for `p ≤ 16`; a wider fit takes its scratch from the heap.
-const MEDIUM_FIT: usize = 2 * 16 * 16 + 16;
+/// The same for `p ≤ INLINE_COEFS`; a wider fit takes its scratch from
+/// the heap.
+const MEDIUM_FIT: usize = 2 * INLINE_COEFS * INLINE_COEFS + INLINE_COEFS;
 
 impl BorderedBlocks<'_> {
     /// The fit half at coefficient `target` (see the [module docs](self)),
     /// without materializing a [`Matrix`]: the Gram is placed into scratch
-    /// (on the stack up to 16 columns), factored by
-    /// [`crate::matrix::spd_factor_into`] and solved in place, so the only
-    /// allocation is `β`. Assembly is pure placement — every entry is one
+    /// (on the stack up to [`INLINE_COEFS`] columns), factored by
+    /// [`crate::matrix::spd_factor_into`] and solved in place, and `β` is
+    /// held inline ([`Coefs`]): a fit that narrow allocates nothing unless
+    /// the ridge fallback runs. Assembly is pure placement — every entry is one
     /// of the input floats — and the factor, the solve and the
     /// `[(XᵀX)⁻¹]_tt` solve run the operations of [`ols`]'s `Matrix` path
     /// in its order, so `β` has its bits. `None` when shapes are
@@ -233,10 +293,10 @@ impl BorderedBlocks<'_> {
         if !spd_factor_into(gram, p, l, &mut Vec::new()) {
             return None;
         }
-        let mut beta = Vec::with_capacity(p);
-        beta.push(self.sum_y);
-        beta.push(self.ty);
-        beta.extend_from_slice(self.zy);
+        let mut beta = Coefs::zeros(p);
+        beta[0] = self.sum_y;
+        beta[1] = self.ty;
+        beta[2..].copy_from_slice(self.zy);
         cholesky_solve_in_place(l, p, &mut beta);
         e.fill(0.0);
         e[target] = 1.0;

@@ -254,6 +254,42 @@ impl BitSet {
         }
     }
 
+    /// The positions of the set bits whose ranks (their indices among the
+    /// set bits, in increasing order) are `ranks`, which must ascend and
+    /// each lie below [`BitSet::count`]. One pass over the words, skipping
+    /// a word by its popcount: `O(ranks + words)`, however many bits are
+    /// set.
+    ///
+    /// ```
+    /// use table::bitset::BitSet;
+    ///
+    /// let s = BitSet::from_mask(&[false, true, true, false, true, true]);
+    /// assert_eq!(s.select(&[0, 2, 3]), vec![1, 4, 5]);
+    /// ```
+    pub fn select(&self, ranks: &[u32]) -> Vec<usize> {
+        let mut out = Vec::with_capacity(ranks.len());
+        // Word `wi` holds the set bits of ranks `below..`.
+        let (mut wi, mut below) = (0, 0);
+        for &r in ranks {
+            let r = r as usize;
+            assert!(r >= below, "ranks must ascend");
+            loop {
+                let ones = self.words[wi].count_ones() as usize;
+                if r < below + ones {
+                    break;
+                }
+                below += ones;
+                wi += 1;
+            }
+            let mut w = self.words[wi];
+            for _ in below..r {
+                w &= w - 1;
+            }
+            out.push(wi * 64 + w.trailing_zeros() as usize);
+        }
+        out
+    }
+
     /// Call `visit` with every position of `self ∩ other` in increasing
     /// order, one word at a time, without materializing the intersection.
     #[inline]
@@ -589,6 +625,31 @@ mod tests {
         let mut seen = Vec::new();
         wide.for_each_set(|i| seen.push(i));
         assert_eq!(seen, wide.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn select_reads_positions_by_rank() {
+        for n in [1, 63, 64, 65, 300] {
+            let s = BitSet::from_mask(&(0..n).map(|i| i % 5 != 2 && i != 64).collect::<Vec<_>>());
+            let all: Vec<usize> = s.iter().collect();
+            // Every rank, every other rank, and the last rank alone.
+            let ranks: Vec<u32> = (0..all.len() as u32).collect();
+            assert_eq!(s.select(&ranks), all, "{n}");
+            let odd: Vec<u32> = ranks.iter().copied().filter(|r| r % 2 == 1).collect();
+            let want: Vec<usize> = odd.iter().map(|&r| all[r as usize]).collect();
+            assert_eq!(s.select(&odd), want, "{n}");
+            assert_eq!(
+                s.select(&ranks[ranks.len() - 1..]),
+                vec![all[all.len() - 1]]
+            );
+        }
+        assert!(BitSet::new(10).select(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn select_past_the_last_set_bit_panics() {
+        BitSet::from_mask(&[true, false, true]).select(&[2]);
     }
 
     #[test]

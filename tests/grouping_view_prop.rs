@@ -11,6 +11,14 @@
 //!   agree bit for bit. The tables have grouping attributes with an exact
 //!   FD from the group-by key and attributes without one, so groups only
 //!   partly inside a pattern (which the query path never sees) occur too.
+//! * A session mines Apriori's itemsets once per grouping-attribute set,
+//!   support and length, in its `MinerMemo`, and turns them into each
+//!   view's patterns with `patterns_from_itemsets`. On the same tables,
+//!   its patterns (`PreparedQuery::grouping_patterns`, cold and warm, and
+//!   for a second WHERE clause over the same attributes) and the memo's
+//!   over every grouping-attribute set of the first property must equal
+//!   `mine_grouping_patterns` bit for bit, and a warm lookup mines
+//!   nothing.
 //! * `GroupByAvgQuery::run` numbers the groups of its first key column
 //!   through a code-indexed table and refines them column by column. The
 //!   reference is a `HashMap<Vec<u32>, usize>` build with one key per
@@ -21,8 +29,12 @@
 
 use std::collections::HashMap;
 
+use causumx::{ConfigBuilder, Session};
 use mining::apriori::apriori;
-use mining::grouping::mine_grouping_patterns;
+use mining::grouping::{
+    min_support, mine_grouping_patterns, patterns_from_itemsets, GroupingPattern,
+};
+use mining::treatment::MinerMemo;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,6 +210,14 @@ fn reference_view(
 /// fallback), the exact FD alone, and mixes with the non-FD attributes.
 const GP_SETS: [&[usize]; 5] = [&[], &[F], &[N], &[F, N, M], &[M, N]];
 
+/// Grouping patterns as the properties compare them.
+fn keyed(patterns: Vec<GroupingPattern>) -> Vec<(String, BitSet, BitSet)> {
+    patterns
+        .into_iter()
+        .map(|p| (p.pattern.key(), p.coverage, p.rows))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -224,13 +244,71 @@ proptest! {
         let gp_attrs = GP_SETS[gp_set];
         let tau = tau_tenths as f64 / 10.0;
 
-        let got: Vec<(String, BitSet, BitSet)> =
-            mine_grouping_patterns(&table, &view, gp_attrs, tau, max_len)
-                .into_iter()
-                .map(|p| (p.pattern.key(), p.coverage, p.rows))
-                .collect();
+        let got = keyed(mine_grouping_patterns(&table, &view, gp_attrs, tau, max_len));
         let want = reference_patterns(&table, &view, gp_attrs, tau, max_len);
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn memoized_grouping_patterns_match_mine_grouping_patterns(
+        seed in any::<u64>(),
+        n in 1usize..300,
+        a_levels in 1u32..8,
+        b_levels in 1u32..4,
+        two_keys in any::<bool>(),
+        where_bound in 1i64..12,
+        tau_tenths in 0usize..2,
+        max_len in 1usize..4,
+    ) {
+        let table = random_table(seed, n, a_levels, b_levels, 1);
+        let tau = tau_tenths as f64 / 10.0;
+        let names: Vec<&str> = (0..table.ncols())
+            .map(|c| table.schema().field(c).name.as_str())
+            .collect();
+        let dag = causal::Dag::new(&names, &[]).unwrap();
+
+        // The memo itself, over every attribute set, looked up twice.
+        let memo = MinerMemo::new(&table, &dag);
+        let view = GroupByAvgQuery::new(vec![A], Y).run(&table).unwrap();
+        let support = min_support(tau, n);
+        for gp in GP_SETS {
+            let want = keyed(mine_grouping_patterns(&table, &view, gp, tau, max_len));
+            for _ in 0..2 {
+                let frequent = (!gp.is_empty())
+                    .then(|| memo.frequent_itemsets(&table, gp, support, max_len));
+                let got = keyed(patterns_from_itemsets(&table, &view, frequent.as_deref()));
+                prop_assert_eq!(&got, &want);
+            }
+        }
+        prop_assert_eq!(memo.itemsets_mined(), GP_SETS.len() - 1);
+
+        // A session: its split's grouping attributes, cold then warm, and a
+        // second WHERE clause over the same attributes.
+        let config = ConfigBuilder::new()
+            .apriori_tau(tau)
+            .max_grouping_len(max_len)
+            .build()
+            .unwrap();
+        let session = Session::new(table.clone(), dag, config);
+        let group_by = if two_keys { vec![A, B] } else { vec![A] };
+        let mut mined = 0;
+        for phi in [None, Some(Pred::cmp(X, Op::Lt, where_bound))] {
+            let mut query = GroupByAvgQuery::new(group_by.clone(), Y);
+            if let Some(phi) = phi {
+                query = query.with_where(Pattern::single(phi));
+            }
+            let Ok(pq) = session.prepare(query) else {
+                continue; // The WHERE clause dropped every row.
+            };
+            let gp = &pq.attr_split().grouping;
+            let want = keyed(mine_grouping_patterns(&table, pq.view(), gp, tau, max_len));
+            for _ in 0..2 {
+                prop_assert_eq!(keyed(pq.grouping_patterns()), want.clone());
+            }
+            mined = usize::from(!gp.is_empty());
+            prop_assert_eq!(session.counters().itemsets_mined, mined);
+        }
+        prop_assert_eq!(session.counters().itemsets_mined, mined);
     }
 
     #[test]

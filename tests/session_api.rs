@@ -250,6 +250,99 @@ fn prepared_reuse_no_redundant_work() {
     );
 }
 
+/// Everything deterministic about a summary, the FP fields at full bit
+/// precision (`Debug` on `f64` is bijective with the bits for non-NaN
+/// values).
+fn fingerprint(s: &causumx::Summary) -> (u64, usize, usize, usize, String) {
+    (
+        s.total_weight.to_bits(),
+        s.covered,
+        s.candidates,
+        s.cate_evaluations,
+        format!("{:?}", s.explanations),
+    )
+}
+
+/// The session's memo draws each optimization-(d) sample and mines each
+/// Apriori itemset list once: a repeated sampled query draws and mines
+/// nothing new, another sample seed or cap draws again, another τ or
+/// `max_grouping_len` mines again, and every result equals a fresh
+/// session's bit for bit.
+#[test]
+fn sampled_queries_draw_and_mine_once_per_session() {
+    let ds = datagen::so::generate(3_000, 42);
+    let sql = "SELECT Country, AVG(Salary) FROM so GROUP BY Country";
+    let base = ConfigBuilder::new()
+        .k(3)
+        .theta(1.0)
+        .threads(1)
+        .sample_cap(Some(200))
+        .build()
+        .unwrap();
+    let fresh = |config: causumx::CausumxConfig| {
+        let session = Session::new(ds.table.clone(), ds.dag.clone(), config);
+        fingerprint(&session.sql(sql).unwrap().run())
+    };
+    let mut session = Session::new(ds.table.clone(), ds.dag.clone(), base.clone());
+    let first = fingerprint(&session.sql(sql).unwrap().run());
+    assert_eq!(first, fresh(base.clone()));
+    let c = session.counters();
+    assert!(c.samples_drawn > 0, "the subpopulations exceed the cap");
+    assert_eq!(c.itemsets_mined, 1);
+
+    let mut seed = base.clone();
+    seed.lattice.cate_opts.seed ^= 1;
+    let mut cap = base.clone();
+    cap.lattice.cate_opts.sample_cap = Some(150);
+    let mut tau = base.clone();
+    tau.apriori_tau = 0.05;
+    let mut len = base.clone();
+    len.max_grouping_len = 2;
+    // (change, draws again, mines again)
+    let changes = [
+        ("same", base.clone(), false, false),
+        ("seed", seed, true, false),
+        ("cap", cap, true, false),
+        ("tau", tau, false, true),
+        ("max_grouping_len", len, false, true),
+    ];
+    for (what, config, draws, mines) in changes {
+        let want = fresh(config.clone());
+        session.set_config(config);
+        let before = session.counters();
+        assert_eq!(
+            fingerprint(&session.sql(sql).unwrap().run()),
+            want,
+            "{what}"
+        );
+        let after = session.counters();
+        let drew = after.samples_drawn > before.samples_drawn;
+        if draws {
+            assert!(drew, "{what} draws its samples");
+        }
+        if !(draws || mines) {
+            assert!(!drew, "{what} draws nothing new");
+        }
+        assert_eq!(
+            after.itemsets_mined,
+            before.itemsets_mined + usize::from(mines),
+            "{what}"
+        );
+        // A repeat under the new configuration draws and mines nothing.
+        assert_eq!(
+            fingerprint(&session.sql(sql).unwrap().run()),
+            want,
+            "{what}"
+        );
+        let again = session.counters();
+        assert_eq!(
+            (again.samples_drawn, again.itemsets_mined),
+            (after.samples_drawn, after.itemsets_mined),
+            "{what} repeated"
+        );
+    }
+}
+
 /// Atoms belong to the session, not to a GROUP BY set: 50 distinct sets
 /// on SO build at most one block per column between them.
 #[test]
